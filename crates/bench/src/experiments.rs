@@ -22,7 +22,7 @@ use spf_crawler::{
     DEFAULT_CONTROLS, DEFAULT_PROVIDER_ROWS, DEFAULT_TOP_COVERAGE, SPOOF_SENDER_LOCAL,
 };
 use spf_dns::{
-    Resolver, ServerConfig, VirtualClock, WireClientConfig, WireFleet, WireSnapshot, WireTelemetry,
+    Resolver, ServerConfig, VirtualClock, WireClientConfig, WireFleet, WireResolver, WireSnapshot,
     ZoneResolver, ZoneStore,
 };
 use spf_netsim::{
@@ -43,20 +43,18 @@ use spf_types::{Backend, Evaluator, StatItem, Stats, Transport, WeightedRanges};
 pub struct WireRun {
     /// The sharded authoritative server fleet.
     pub fleet: WireFleet,
-    /// The wire engine (shared with the walker) behind its telemetry
-    /// face — blocking socket pool or epoll reactor, the harness reads
-    /// both through the same [`WireTelemetry`] trait.
-    pub resolver: Arc<dyn WireTelemetry>,
+    /// The wire client, shared with the walker.
+    pub resolver: Arc<WireResolver>,
 }
 
 impl WireRun {
-    /// Point-in-time copy of the wire engine's counters.
+    /// Point-in-time copy of the wire client's counters.
     pub fn snapshot(&self) -> WireSnapshot {
         self.resolver.snapshot()
     }
 
     /// The `[wire]` telemetry line for a crawl over `domains` domains:
-    /// the engine's counter view plus the fleet's answer counts, all
+    /// the client's counter view plus the fleet's answer counts, all
     /// rendered through the shared [`Stats`] formatter.
     pub fn stats(&self, domains: u64) -> WireRunStats {
         WireRunStats {
@@ -67,7 +65,7 @@ impl WireRun {
     }
 }
 
-/// The `[wire]` line of one crawl: engine counters + fleet answers.
+/// The `[wire]` line of one crawl: client counters + fleet answers.
 pub struct WireRunStats {
     view: spf_dns::WireStatsView,
     fleet_udp: u64,
@@ -92,9 +90,8 @@ pub struct Repro {
     /// The generated world.
     pub population: Population,
     /// The shared walker (memo cache holds every include analysis). The
-    /// resolver behind it is the in-process [`ZoneResolver`], the
-    /// blocking wire client, or the epoll reactor engine, per the
-    /// config's [`Backend`] transport.
+    /// resolver behind it is the in-process [`ZoneResolver`] or the
+    /// wire client, per the config's [`Backend`] transport.
     pub walker: Walker<Arc<dyn Resolver>>,
     /// Per-domain reports in rank order.
     pub reports: Vec<DomainReport>,
@@ -132,11 +129,9 @@ impl Repro {
 
 /// Assemble the resolver stack a [`Backend`]'s transport selects over
 /// `store`: the in-process [`ZoneResolver`], or a freshly spawned
-/// server fleet fronted by the blocking wire client
-/// ([`Transport::WireBlocking`]) or the epoll reactor engine
-/// ([`Transport::WireAsync`]). Every entry point — `repro`, the spoof
-/// matrix, the verdict service, the benches — routes through here, so
-/// a backend means the same stack everywhere.
+/// server fleet fronted by the wire client. Every entry point —
+/// `repro`, the spoof matrix, the verdict service, the benches — routes
+/// through here, so a backend means the same stack everywhere.
 pub fn build_resolver(
     store: &Arc<ZoneStore>,
     backend: Backend,
@@ -149,22 +144,7 @@ pub fn build_resolver(
             let resolver = Arc::new(fleet.resolver(WireClientConfig::crawl()));
             (
                 Arc::clone(&resolver) as Arc<dyn Resolver>,
-                Some(WireRun {
-                    fleet,
-                    resolver: resolver as Arc<dyn WireTelemetry>,
-                }),
-            )
-        }
-        Transport::WireAsync => {
-            let fleet = WireFleet::spawn(store, backend.servers.max(1), ServerConfig::default())
-                .expect("wire fleet spawns on loopback");
-            let resolver = Arc::new(fleet.async_resolver(WireClientConfig::crawl()));
-            (
-                Arc::clone(&resolver) as Arc<dyn Resolver>,
-                Some(WireRun {
-                    fleet,
-                    resolver: resolver as Arc<dyn WireTelemetry>,
-                }),
+                Some(WireRun { fleet, resolver }),
             )
         }
     }
@@ -1204,23 +1184,6 @@ pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String
     (out, exp)
 }
 
-/// Pre-Backend spelling of [`spoof_matrix`]: the boolean maps onto
-/// [`Evaluator::Compiled`]. Thin deprecated shim.
-#[deprecated(note = "set Evaluator::Compiled on the config's Backend and call spoof_matrix")]
-pub fn spoof_matrix_with(
-    denominator: u64,
-    seed: u64,
-    config: CrawlConfig,
-    use_compiled: bool,
-) -> (String, Experiment) {
-    let backend = if use_compiled {
-        config.backend.evaluator(Evaluator::Compiled)
-    } else {
-        config.backend
-    };
-    spoof_matrix(denominator, seed, config.backend(backend))
-}
-
 /// Matrix v2, behind `repro -- spoof-matrix --stack`: the layered
 /// auth-stack pipeline of DESIGN.md §13. Every `(vantage, domain)` cell
 /// carries the same SPF verdict as the v1 matrix (pinned in-run by a
@@ -1753,30 +1716,28 @@ mod tests {
     #[test]
     fn wire_mode_prepare_matches_in_memory() {
         let mem = quick();
-        for backend in [Backend::wire(2), Backend::wire_async(2)] {
-            let wire = prepare_with(
-                5_000,
-                0x5bf1_2023,
-                CrawlConfig::with_workers(4).backend(backend),
-            );
-            let run = wire.wire.as_ref().expect("wire mode carries its substrate");
-            let snap = run.snapshot();
-            assert!(
-                snap.wire_queries > 0,
-                "{backend}: crawl must hit the sockets: {snap:?}"
-            );
-            assert!(run.fleet.answered() > 0);
-            // The `[wire]` line renders through the shared formatter.
-            let line = run.stats(wire.stats.domains).render();
-            assert!(line.starts_with("[wire] amplification="), "{line}");
-            assert!(line.contains("fleet_udp="), "{line}");
-            // Every substrate produces byte-identical report streams.
-            assert_eq!(
-                serde_json::to_string(&mem.reports).unwrap(),
-                serde_json::to_string(&wire.reports).unwrap(),
-                "{backend} diverged from memory"
-            );
-        }
+        let wire = prepare_with(
+            5_000,
+            0x5bf1_2023,
+            CrawlConfig::with_workers(4).backend(Backend::wire(2)),
+        );
+        let run = wire.wire.as_ref().expect("wire mode carries its substrate");
+        let snap = run.snapshot();
+        assert!(
+            snap.wire_queries > 0,
+            "crawl must hit the sockets: {snap:?}"
+        );
+        assert!(run.fleet.answered() > 0);
+        // The `[wire]` line renders through the shared formatter.
+        let line = run.stats(wire.stats.domains).render();
+        assert!(line.starts_with("[wire] amplification="), "{line}");
+        assert!(line.contains("fleet_udp="), "{line}");
+        // Both substrates produce byte-identical report streams.
+        assert_eq!(
+            serde_json::to_string(&mem.reports).unwrap(),
+            serde_json::to_string(&wire.reports).unwrap(),
+            "wire diverged from memory"
+        );
     }
 
     #[test]

@@ -12,8 +12,6 @@
 pub mod experiments;
 pub mod guard;
 
-#[allow(deprecated)]
-pub use experiments::spoof_matrix_with;
 pub use experiments::{
     build_resolver, extras, figure1, figure2, figure3, figure4, figure5, figure6, figure7, figure8,
     overlap, prepare, prepare_with, service_lab, spoof_matrix, spoof_matrix_stacked, table1,

@@ -25,7 +25,7 @@ use crossbeam::channel;
 use serde::{Deserialize, Serialize};
 use spf_analyzer::{analyze_domain, DomainReport, Walker};
 use spf_dns::Resolver;
-use spf_types::{Backend, CoverageMap, DomainName, StatItem, Stats, Transport};
+use spf_types::{Backend, CoverageMap, DomainName, StatItem, Stats};
 
 /// Default work-batch size; the `crawl_scaling` bench sweep (BENCH_2.json)
 /// showed throughput flat from 16 upward with the knee below 16, so 64
@@ -36,27 +36,6 @@ pub const DEFAULT_BATCH_SIZE: usize = 64;
 /// Default server-shard count for wire-mode crawls (re-exported from
 /// `spf-types`, where the [`Backend`] selection now lives).
 pub use spf_types::DEFAULT_WIRE_SERVERS;
-
-/// Which resolver substrate a crawl runs against.
-///
-/// Superseded by [`Transport`] inside [`Backend`]: the old two-way
-/// memory/wire split cannot name the epoll reactor engine. Kept only so
-/// pre-Backend call sites keep compiling through the deprecated
-/// [`CrawlConfig::mode`] shim.
-#[deprecated(note = "use spf_types::Transport via CrawlConfig::backend")]
-#[allow(deprecated)] // the derives reference the deprecated variants
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CrawlMode {
-    /// Resolve in-process against the `ZoneStore` (no sockets) — the
-    /// fastest path and the default.
-    #[default]
-    InMemory,
-    /// Resolve over real UDP/TCP sockets against a hash-sharded
-    /// authoritative server fleet (`spf_dns::fleet`), exercising the
-    /// socket pool, single-flight coalescing, TTL cache, truncation
-    /// fallback and retry budget at crawl scale.
-    Wire,
-}
 
 /// Crawl configuration.
 ///
@@ -107,34 +86,6 @@ impl CrawlConfig {
     /// Builder-style override of [`CrawlConfig::batch_size`].
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
-        self
-    }
-
-    /// A blocking-wire config with `workers` threads and `servers`
-    /// shards. Thin shim over [`CrawlConfig::backend`].
-    #[deprecated(note = "use CrawlConfig::with_workers(w).backend(Backend::wire(servers))")]
-    pub fn wire(workers: usize, servers: usize) -> Self {
-        CrawlConfig::with_workers(workers).backend(Backend::wire(servers))
-    }
-
-    /// Builder-style override of the resolver substrate. Thin shim over
-    /// [`CrawlConfig::backend`]; the mode maps onto [`Transport`]
-    /// (`Wire` means the blocking engine).
-    #[deprecated(note = "use CrawlConfig::backend with a spf_types::Transport")]
-    #[allow(deprecated)]
-    pub fn mode(mut self, mode: CrawlMode) -> Self {
-        self.backend.transport = match mode {
-            CrawlMode::InMemory => Transport::Memory,
-            CrawlMode::Wire => Transport::WireBlocking,
-        };
-        self
-    }
-
-    /// Builder-style override of the wire shard count. Thin shim over
-    /// [`CrawlConfig::backend`].
-    #[deprecated(note = "use CrawlConfig::backend with Backend::servers")]
-    pub fn wire_servers(mut self, servers: usize) -> Self {
-        self.backend.servers = servers.max(1);
         self
     }
 }
@@ -471,34 +422,6 @@ mod tests {
         assert!(first.stats.cache_misses > 0);
         assert_eq!(second.stats.cache_misses, 0);
         assert_eq!(second.stats.cache_hits, 20);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_map_onto_backend() {
-        // The pre-Backend constructors must keep meaning exactly what
-        // they used to: wire() selects the blocking engine, mode()
-        // round-trips both CrawlMode arms, wire_servers() clamps.
-        assert_eq!(
-            CrawlConfig::wire(3, 2),
-            CrawlConfig::with_workers(3).backend(Backend::wire(2))
-        );
-        assert_eq!(
-            CrawlConfig::default()
-                .mode(CrawlMode::Wire)
-                .backend
-                .transport,
-            Transport::WireBlocking
-        );
-        assert_eq!(
-            CrawlConfig::default()
-                .mode(CrawlMode::InMemory)
-                .backend
-                .transport,
-            Transport::Memory
-        );
-        assert_eq!(CrawlConfig::default().wire_servers(0).backend.servers, 1);
-        assert_eq!(DEFAULT_WIRE_SERVERS, spf_types::DEFAULT_WIRE_SERVERS);
     }
 
     #[test]

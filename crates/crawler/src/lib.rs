@@ -45,8 +45,6 @@ pub mod overlap;
 pub mod spoof;
 
 pub use aggregate::{ScanAggregates, LARGE_RANGE_MAX_PREFIX};
-#[allow(deprecated)]
-pub use crawl::CrawlMode;
 pub use crawl::{
     crawl, CrawlConfig, CrawlOutput, CrawlStats, DEFAULT_BATCH_SIZE, DEFAULT_WIRE_SERVERS,
 };
@@ -58,7 +56,7 @@ pub use spf_core::{
     AuthCacheStats, DeploymentMix, DmarcDisposition, MtaStsMode, StopCounts, StopLayer,
 };
 /// Re-export of the engine-selection types every assembler consumes.
-pub use spf_types::{Backend, EngineBuilder, Evaluator, Transport};
+pub use spf_types::{Backend, Evaluator, Transport};
 #[allow(deprecated)]
 pub use spoof::spoof_matrix;
 pub use spoof::{

@@ -12,10 +12,10 @@
 //!    mutation happens exclusively inside the single-threaded
 //!    [`ChurnEngine::step`], so a delta landing mid-crawl deterministically
 //!    defers to the next epoch — the scheduler quiesces by construction.
-//! 2. **Schedule.** A timer wheel (`RecrawlScheduler`, the reactor's
-//!    `DeadlineWheel` idiom over *virtual* time) arms one deadline per
-//!    domain at its deterministic per-domain TTL; `step(now)` drains the
-//!    domains whose TTL expired plus every delta'd domain.
+//! 2. **Schedule.** A timer wheel (`RecrawlScheduler`, over *virtual*
+//!    time) arms one deadline per domain at its deterministic per-domain
+//!    TTL; `step(now)` drains the domains whose TTL expired plus every
+//!    delta'd domain.
 //! 3. **Re-crawl & fold.** Only the due subset goes through the normal
 //!    [`crawl`] worker pool; each due domain's old contribution is folded
 //!    *out* of the coverage map (and matrix) and its fresh contribution
@@ -83,8 +83,8 @@ impl std::fmt::Debug for ZoneDelta {
     }
 }
 
-/// The TTL-driven re-crawl timer wheel: `DeadlineWheel` over virtual
-/// [`Duration`] time, with lazy cancellation — re-arming a rank leaves
+/// The TTL-driven re-crawl timer wheel over virtual [`Duration`] time,
+/// with lazy cancellation — re-arming a rank leaves
 /// the stale entry in place and the sweep drops any entry whose
 /// deadline no longer matches the rank's current one.
 struct RecrawlScheduler {

@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
@@ -66,12 +66,6 @@ pub struct WireClientConfig {
     /// Idle sockets kept per server shard; bursts beyond the cap create
     /// throwaway sockets instead of blocking.
     pub max_pooled_sockets: usize,
-    /// Reactor engine only ([`crate::reactor::AsyncWireResolver`]): the
-    /// most queries allowed in flight per shard socket before further
-    /// submissions queue for a freed DNS message id. The blocking engine
-    /// ignores this (it has one outstanding query per socket by
-    /// construction).
-    pub max_inflight_per_shard: usize,
 }
 
 impl Default for WireClientConfig {
@@ -82,7 +76,6 @@ impl Default for WireClientConfig {
             max_record_ttl: Duration::from_secs(3600),
             negative_ttl: Duration::from_secs(300),
             max_pooled_sockets: 64,
-            max_inflight_per_shard: 512,
         }
     }
 }
@@ -129,18 +122,18 @@ impl ShardBehavior {
     }
 }
 
-/// Monotonic counters of one wire engine, exposed as a [`WireSnapshot`].
+/// Monotonic counters of a [`WireResolver`], exposed as a [`WireSnapshot`].
 #[derive(Debug, Default)]
-pub(crate) struct WireCounters {
-    pub(crate) queries: AtomicU64,
-    pub(crate) cache_hits: AtomicU64,
-    pub(crate) cache_expired: AtomicU64,
-    pub(crate) coalesced: AtomicU64,
-    pub(crate) wire_queries: AtomicU64,
-    pub(crate) retries: AtomicU64,
-    pub(crate) tcp_fallbacks: AtomicU64,
-    pub(crate) temp_errors: AtomicU64,
-    pub(crate) injected_faults: AtomicU64,
+struct WireCounters {
+    queries: AtomicU64,
+    cache_hits: AtomicU64,
+    cache_expired: AtomicU64,
+    coalesced: AtomicU64,
+    wire_queries: AtomicU64,
+    retries: AtomicU64,
+    tcp_fallbacks: AtomicU64,
+    temp_errors: AtomicU64,
+    injected_faults: AtomicU64,
 }
 
 /// Point-in-time copy of a [`WireResolver`]'s counters.
@@ -297,18 +290,11 @@ impl WireFleet {
     pub fn resolver(&self, config: WireClientConfig) -> WireResolver {
         WireResolver::new(self.addrs(), config)
     }
-
-    /// An epoll-reactor [`crate::reactor::AsyncWireResolver`] pointed at
-    /// this fleet, on the system clock.
-    pub fn async_resolver(&self, config: WireClientConfig) -> crate::reactor::AsyncWireResolver {
-        crate::reactor::AsyncWireResolver::new(self.addrs(), config)
-    }
 }
 
 /// In-flight state of one single-flight wire query. Followers block on
-/// the condvar until the leader (or the reactor thread) publishes the
-/// shared result.
-pub(crate) struct Flight {
+/// the condvar until the leader publishes the shared result.
+struct Flight {
     state: std::sync::Mutex<Option<Result<Vec<ResourceRecord>, DnsError>>>,
     ready: std::sync::Condvar,
 }
@@ -322,7 +308,7 @@ impl Flight {
     }
 
     /// Park until the result is published, then return a clone of it.
-    pub(crate) fn wait(&self) -> Result<Vec<ResourceRecord>, DnsError> {
+    fn wait(&self) -> Result<Vec<ResourceRecord>, DnsError> {
         let mut st = self.state.lock().expect("flight lock");
         while st.is_none() {
             st = self.ready.wait(st).expect("flight wait");
@@ -342,41 +328,67 @@ struct CacheEntry {
     expires_at: Duration,
 }
 
-/// How a query enters the wire path — the result of [`WireCore::begin`].
-pub(crate) enum QueryStart {
-    /// Answered from the TTL cache (the hit is already counted).
-    Cached(Result<Vec<ResourceRecord>, DnsError>),
-    /// Another caller owns the in-flight wire query; wait on its flight.
-    Join(Arc<Flight>),
-    /// This caller is the leader: resolve over the wire, then publish
-    /// through [`WireCore::finish`].
-    Lead(Arc<Flight>),
+/// Lazily grown pool of client sockets for one server shard.
+struct SocketPool {
+    idle: Mutex<Vec<UdpSocket>>,
 }
 
-/// The engine-independent semantics of the wire client, shared by the
-/// blocking [`WireResolver`] and the epoll-reactor
-/// [`crate::reactor::AsyncWireResolver`]: the TTL cache, single-flight
-/// coalescing, per-shard fault injection, and the counter set behind
-/// [`WireSnapshot`]. Both engines funnel every query through
-/// [`WireCore::begin`] / [`WireCore::finish`]; only the transport between
-/// those two calls differs, which is what keeps their observable behavior
-/// byte-identical under the zero-fault profile.
-pub(crate) struct WireCore {
-    pub(crate) servers: Vec<SocketAddr>,
-    pub(crate) config: WireClientConfig,
-    pub(crate) clock: Arc<dyn Clock>,
-    pub(crate) counters: WireCounters,
+impl SocketPool {
+    fn new() -> Self {
+        SocketPool {
+            idle: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn acquire(&self, timeout: Duration) -> Result<UdpSocket, DnsError> {
+        if let Some(s) = self.idle.lock().pop() {
+            return Ok(s);
+        }
+        let s = UdpSocket::bind(("127.0.0.1", 0))
+            .map_err(|e| DnsError::Network(format!("bind: {e}")))?;
+        s.set_read_timeout(Some(timeout))
+            .map_err(|e| DnsError::Network(format!("timeout: {e}")))?;
+        Ok(s)
+    }
+
+    fn release(&self, socket: UdpSocket, cap: usize) {
+        let mut idle = self.idle.lock();
+        if idle.len() < cap {
+            idle.push(socket);
+        }
+    }
+}
+
+/// The wire-path stub resolver — the repo's one DNS-over-socket client:
+/// hash-routed sharding, pooled sockets, single-flight coalescing, TTL
+/// caching and TCP fallback behind the plain [`Resolver`] interface, so
+/// the walker and crawler run unchanged. One wire query occupies one
+/// pooled socket for its whole retry budget.
+pub struct WireResolver {
+    servers: Vec<SocketAddr>,
+    config: WireClientConfig,
+    clock: Arc<dyn Clock>,
+    counters: WireCounters,
     cache: RwLock<HashMap<Question, CacheEntry>>,
     inflight: std::sync::Mutex<HashMap<Question, Arc<Flight>>>,
     behaviors: Option<Vec<(ShardBehavior, Mutex<StdRng>)>>,
+    pools: Vec<SocketPool>,
+    next_id: AtomicU64,
 }
 
-impl WireCore {
-    /// A core routing to `servers` on the given clock.
+impl WireResolver {
+    /// A resolver routing to `servers` (shard `i` of the fleet at index
+    /// `i`), on the system clock.
     ///
     /// # Panics
     /// Panics when `servers` is empty.
-    pub(crate) fn new(
+    pub fn new(servers: Vec<SocketAddr>, config: WireClientConfig) -> Self {
+        Self::with_clock(servers, config, Arc::new(SystemClock::new()))
+    }
+
+    /// Like [`WireResolver::new`] with an explicit clock (cache TTLs and
+    /// injected latency run on it).
+    pub fn with_clock(
         servers: Vec<SocketAddr>,
         config: WireClientConfig,
         clock: Arc<dyn Clock>,
@@ -385,7 +397,8 @@ impl WireCore {
             !servers.is_empty(),
             "wire resolver needs at least one server"
         );
-        WireCore {
+        let pools = servers.iter().map(|_| SocketPool::new()).collect();
+        WireResolver {
             servers,
             config,
             clock,
@@ -393,6 +406,8 @@ impl WireCore {
             cache: RwLock::new(HashMap::new()),
             inflight: std::sync::Mutex::new(HashMap::new()),
             behaviors: None,
+            pools,
+            next_id: AtomicU64::new(1),
         }
     }
 
@@ -402,7 +417,7 @@ impl WireCore {
     ///
     /// # Panics
     /// Panics when `behaviors.len()` differs from the server count.
-    pub(crate) fn set_behaviors(&mut self, behaviors: Vec<ShardBehavior>, seed: u64) {
+    pub fn with_behaviors(mut self, behaviors: Vec<ShardBehavior>, seed: u64) -> Self {
         assert_eq!(
             behaviors.len(),
             self.servers.len(),
@@ -415,20 +430,21 @@ impl WireCore {
                 .map(|(i, b)| (b, Mutex::new(StdRng::seed_from_u64(seed ^ i as u64))))
                 .collect(),
         );
+        self
     }
 
-    /// Number of server shards.
-    pub(crate) fn shard_count(&self) -> usize {
+    /// Number of server shards this resolver routes across.
+    pub fn shard_count(&self) -> usize {
         self.servers.len()
     }
 
     /// The shard index `name` routes to.
-    pub(crate) fn shard_of(&self, name: &DomainName) -> usize {
+    pub fn shard_of(&self, name: &DomainName) -> usize {
         (name.precomputed_hash() % self.servers.len() as u64) as usize
     }
 
-    /// Point-in-time copy of the counters.
-    pub(crate) fn snapshot(&self) -> WireSnapshot {
+    /// Point-in-time copy of the resolver's counters.
+    pub fn snapshot(&self) -> WireSnapshot {
         let c = &self.counters;
         WireSnapshot {
             queries: c.queries.load(Ordering::Relaxed),
@@ -445,7 +461,7 @@ impl WireCore {
 
     /// Number of live cache entries (expired entries still resident are
     /// not counted).
-    pub(crate) fn cache_len(&self) -> usize {
+    pub fn cache_len(&self) -> usize {
         let now = self.clock.now();
         self.cache
             .read()
@@ -455,12 +471,12 @@ impl WireCore {
     }
 
     /// Drop every cached answer and reset the cache-epoch counters
-    /// (`queries`, `cache_hits`, `cache_expired`, `coalesced`) so that
-    /// post-clear ratios like [`WireSnapshot::cache_hit_rate`] describe
-    /// the new epoch instead of mixing epochs. Transport-lifetime
-    /// counters (`wire_queries`, `retries`, `tcp_fallbacks`,
-    /// `temp_errors`, `injected_faults`) keep accumulating.
-    pub(crate) fn clear_cache(&self) {
+    /// (`queries`, `cache_hits`, `cache_expired`, `coalesced`), so rates
+    /// like [`WireSnapshot::cache_hit_rate`] describe the round after the
+    /// clear instead of mixing epochs. Transport-lifetime counters
+    /// (`wire_queries`, `retries`, `tcp_fallbacks`, `temp_errors`,
+    /// `injected_faults`) keep accumulating — used between scan rounds.
+    pub fn clear_cache(&self) {
         self.cache.write().clear();
         let c = &self.counters;
         c.queries.store(0, Ordering::Relaxed);
@@ -538,175 +554,8 @@ impl WireCore {
         None
     }
 
-    /// [`WireCore::injected_fault`] plus counter accounting: an injected
-    /// outcome bumps `injected_faults` (and `temp_errors` for timeouts),
-    /// matching how real wire outcomes are counted.
-    pub(crate) fn try_injected(
-        &self,
-        shard: usize,
-    ) -> Option<Result<Vec<ResourceRecord>, DnsError>> {
-        let outcome = self.injected_fault(shard)?;
-        self.counters
-            .injected_faults
-            .fetch_add(1, Ordering::Relaxed);
-        if matches!(outcome, Err(DnsError::Timeout)) {
-            self.counters.temp_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        Some(outcome)
-    }
-
-    /// Start one resolver-level query: count it, probe the cache, then
-    /// make the single-flight leader/follower decision.
-    pub(crate) fn begin(&self, q: &Question) -> QueryStart {
-        self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        if let Some(result) = self.cache_get(q) {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return QueryStart::Cached(result);
-        }
-        let mut inflight = self.inflight.lock().expect("inflight lock");
-        match inflight.get(q) {
-            Some(f) => {
-                self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                QueryStart::Join(Arc::clone(f))
-            }
-            None => {
-                let f = Arc::new(Flight::new());
-                inflight.insert(q.clone(), Arc::clone(&f));
-                QueryStart::Lead(f)
-            }
-        }
-    }
-
-    /// Publish the leader's (or the reactor's) outcome: cache it, retire
-    /// the flight, wake the followers, and hand the result back. The
-    /// cache is written *before* the flight is retired so a caller
-    /// arriving in between hits the cache instead of re-querying.
-    pub(crate) fn finish(
-        &self,
-        q: &Question,
-        result: Result<Vec<ResourceRecord>, DnsError>,
-    ) -> Result<Vec<ResourceRecord>, DnsError> {
-        self.cache_put(q, &result);
-        let flight = self.inflight.lock().expect("inflight lock").remove(q);
-        if let Some(f) = flight {
-            f.complete(result.clone());
-        }
-        result
-    }
-}
-
-/// Lazily grown pool of client sockets for one server shard.
-struct SocketPool {
-    idle: Mutex<Vec<UdpSocket>>,
-}
-
-impl SocketPool {
-    fn new() -> Self {
-        SocketPool {
-            idle: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn acquire(&self, timeout: Duration) -> Result<UdpSocket, DnsError> {
-        if let Some(s) = self.idle.lock().pop() {
-            return Ok(s);
-        }
-        let s = UdpSocket::bind(("127.0.0.1", 0))
-            .map_err(|e| DnsError::Network(format!("bind: {e}")))?;
-        s.set_read_timeout(Some(timeout))
-            .map_err(|e| DnsError::Network(format!("timeout: {e}")))?;
-        Ok(s)
-    }
-
-    fn release(&self, socket: UdpSocket, cap: usize) {
-        let mut idle = self.idle.lock();
-        if idle.len() < cap {
-            idle.push(socket);
-        }
-    }
-}
-
-/// The blocking wire-path stub resolver: hash-routed sharding, pooled
-/// sockets, single-flight coalescing, TTL caching and TCP fallback behind
-/// the plain [`Resolver`] interface, so the walker and crawler run
-/// unchanged. One wire query occupies one pooled socket for its whole
-/// retry budget; for hundreds of concurrent flights on a few sockets see
-/// [`crate::reactor::AsyncWireResolver`].
-pub struct WireResolver {
-    core: WireCore,
-    pools: Vec<SocketPool>,
-    next_id: AtomicU64,
-}
-
-impl WireResolver {
-    /// A resolver routing to `servers` (shard `i` of the fleet at index
-    /// `i`), on the system clock.
-    ///
-    /// # Panics
-    /// Panics when `servers` is empty.
-    pub fn new(servers: Vec<SocketAddr>, config: WireClientConfig) -> Self {
-        Self::with_clock(servers, config, Arc::new(SystemClock::new()))
-    }
-
-    /// Like [`WireResolver::new`] with an explicit clock (cache TTLs and
-    /// injected latency run on it).
-    pub fn with_clock(
-        servers: Vec<SocketAddr>,
-        config: WireClientConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Self {
-        let pools = servers.iter().map(|_| SocketPool::new()).collect();
-        WireResolver {
-            core: WireCore::new(servers, config, clock),
-            pools,
-            next_id: AtomicU64::new(1),
-        }
-    }
-
-    /// Attach per-shard fault/latency behaviors (one entry per server, in
-    /// routing order). Each shard rolls its own deterministic RNG stream
-    /// seeded `seed ^ shard_index`.
-    ///
-    /// # Panics
-    /// Panics when `behaviors.len()` differs from the server count.
-    pub fn with_behaviors(mut self, behaviors: Vec<ShardBehavior>, seed: u64) -> Self {
-        self.core.set_behaviors(behaviors, seed);
-        self
-    }
-
-    /// Number of server shards this resolver routes across.
-    pub fn shard_count(&self) -> usize {
-        self.core.shard_count()
-    }
-
-    /// The shard index `name` routes to.
-    pub fn shard_of(&self, name: &DomainName) -> usize {
-        self.core.shard_of(name)
-    }
-
-    /// Point-in-time copy of the resolver's counters.
-    pub fn snapshot(&self) -> WireSnapshot {
-        self.core.snapshot()
-    }
-
-    /// Number of live cache entries (expired entries still resident are
-    /// not counted).
-    pub fn cache_len(&self) -> usize {
-        self.core.cache_len()
-    }
-
-    /// Drop every cached answer and reset the cache-epoch counters
-    /// (`queries`, `cache_hits`, `cache_expired`, `coalesced`), so rates
-    /// like [`WireSnapshot::cache_hit_rate`] describe the round after the
-    /// clear. Transport-lifetime counters (`wire_queries`, `retries`,
-    /// `tcp_fallbacks`, `temp_errors`, `injected_faults`) keep
-    /// accumulating — used between scan rounds.
-    pub fn clear_cache(&self) {
-        self.core.clear_cache()
-    }
-
     /// One UDP attempt on `socket`: send, then drain until the matching
-    /// response, a garble-free timeout, or a socket error.
+    /// response, the attempt's deadline, or a socket error.
     fn attempt(
         &self,
         socket: &UdpSocket,
@@ -717,10 +566,12 @@ impl WireResolver {
     ) -> Result<Message, DnsError> {
         let msg = Message::query(id, Question::new(name.clone(), rtype));
         let bytes = wire::encode(&msg).map_err(|e| DnsError::Network(e.to_string()))?;
-        self.core
-            .counters
-            .wire_queries
-            .fetch_add(1, Ordering::Relaxed);
+        self.counters.wire_queries.fetch_add(1, Ordering::Relaxed);
+        // The socket's receive time-out restarts on every datagram, so a
+        // peer trickling junk could hold the attempt open for as long as
+        // it likes; the deadline is checked whenever a datagram is
+        // discarded, which bounds an attempt by twice the time-out.
+        let deadline = Instant::now() + self.config.timeout;
         socket
             .send_to(&bytes, server)
             .map_err(|e| DnsError::Network(e.to_string()))?;
@@ -735,19 +586,18 @@ impl WireResolver {
                     DnsError::Network(e.to_string())
                 }
             })?;
-            if peer != server {
-                continue; // stray packet
+            if peer == server {
+                if let Ok(resp) = wire::decode(&buf[..len]) {
+                    if resp.header.id == id && resp.header.is_response {
+                        return Ok(resp);
+                    }
+                }
             }
-            let resp = match wire::decode(&buf[..len]) {
-                Ok(m) => m,
-                Err(_) => continue, // garbled; keep waiting until timeout
-            };
-            if resp.header.id != id || !resp.header.is_response {
-                // A late response to an earlier query on this pooled
-                // socket; discard and keep waiting.
-                continue;
+            // Discarded: a stray packet, a garbled one, or a late
+            // response to an earlier query on this pooled socket.
+            if Instant::now() >= deadline {
+                return Err(DnsError::Timeout);
             }
-            return Ok(resp);
         }
     }
 
@@ -759,26 +609,31 @@ impl WireResolver {
         rtype: RecordType,
     ) -> Result<Vec<ResourceRecord>, DnsError> {
         let shard = self.shard_of(name);
-        if let Some(outcome) = self.core.try_injected(shard) {
+        // An injected outcome is counted the way a real wire outcome is:
+        // `injected_faults`, plus `temp_errors` for a timeout.
+        if let Some(outcome) = self.injected_fault(shard) {
+            self.counters
+                .injected_faults
+                .fetch_add(1, Ordering::Relaxed);
+            if matches!(outcome, Err(DnsError::Timeout)) {
+                self.counters.temp_errors.fetch_add(1, Ordering::Relaxed);
+            }
             return outcome;
         }
-        let server = self.core.servers[shard];
-        let socket = self.pools[shard].acquire(self.core.config.timeout)?;
+        let server = self.servers[shard];
+        let socket = self.pools[shard].acquire(self.config.timeout)?;
         let id = (self.next_id.fetch_add(1, Ordering::Relaxed) % 0xFFFF) as u16 + 1;
         let mut outcome = Err(DnsError::Timeout);
-        for attempt in 0..self.core.config.attempts.max(1) {
+        for attempt in 0..self.config.attempts.max(1) {
             if attempt > 0 {
-                self.core.counters.retries.fetch_add(1, Ordering::Relaxed);
+                self.counters.retries.fetch_add(1, Ordering::Relaxed);
             }
             match self.attempt(&socket, server, id, name, rtype) {
                 Ok(resp) => {
                     if resp.header.truncated {
                         // RFC 7766: retry the query over TCP.
-                        self.core
-                            .counters
-                            .tcp_fallbacks
-                            .fetch_add(1, Ordering::Relaxed);
-                        outcome = tcp_query(server, self.core.config.timeout, id, name, rtype);
+                        self.counters.tcp_fallbacks.fetch_add(1, Ordering::Relaxed);
+                        outcome = tcp_query(server, self.config.timeout, id, name, rtype);
                     } else {
                         outcome = match resp.header.rcode {
                             Rcode::NoError => Ok(resp.answers),
@@ -799,12 +654,9 @@ impl WireResolver {
                 }
             }
         }
-        self.pools[shard].release(socket, self.core.config.max_pooled_sockets);
+        self.pools[shard].release(socket, self.config.max_pooled_sockets);
         if matches!(outcome, Err(DnsError::Timeout)) {
-            self.core
-                .counters
-                .temp_errors
-                .fetch_add(1, Ordering::Relaxed);
+            self.counters.temp_errors.fetch_add(1, Ordering::Relaxed);
         }
         outcome
     }
@@ -813,52 +665,38 @@ impl WireResolver {
 impl Resolver for WireResolver {
     fn query(&self, name: &DomainName, rtype: RecordType) -> Result<Vec<ResourceRecord>, DnsError> {
         let q = Question::new(name.clone(), rtype);
-        match self.core.begin(&q) {
-            QueryStart::Cached(result) => result,
-            QueryStart::Join(flight) => flight.wait(),
-            QueryStart::Lead(_flight) => {
-                let result = self.resolve_over_wire(name, rtype);
-                self.core.finish(&q, result)
-            }
+        self.counters.queries.fetch_add(1, Ordering::Relaxed);
+        if let Some(result) = self.cache_get(&q) {
+            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+            return result;
         }
-    }
-}
-
-/// The telemetry surface shared by the wire engines ([`WireResolver`] and
-/// [`crate::reactor::AsyncWireResolver`]), so harness code can hold
-/// either behind one `Arc<dyn WireTelemetry>` and read the same counters
-/// regardless of transport.
-pub trait WireTelemetry: Resolver {
-    /// Point-in-time copy of the engine's counters.
-    fn snapshot(&self) -> WireSnapshot;
-
-    /// Drop every cached answer and reset the cache-epoch counters
-    /// (`queries`, `cache_hits`, `cache_expired`, `coalesced`);
-    /// transport-lifetime counters keep accumulating.
-    fn clear_cache(&self);
-
-    /// Number of live cache entries.
-    fn cache_len(&self) -> usize;
-
-    /// Number of server shards the engine routes across.
-    fn shard_count(&self) -> usize;
-}
-
-impl WireTelemetry for WireResolver {
-    fn snapshot(&self) -> WireSnapshot {
-        WireResolver::snapshot(self)
-    }
-
-    fn clear_cache(&self) {
-        WireResolver::clear_cache(self)
-    }
-
-    fn cache_len(&self) -> usize {
-        WireResolver::cache_len(self)
-    }
-
-    fn shard_count(&self) -> usize {
-        WireResolver::shard_count(self)
+        // Single flight: the first caller for a question leads and goes
+        // to the wire; callers arriving meanwhile wait on its flight.
+        let joined = {
+            let mut inflight = self.inflight.lock().expect("inflight lock");
+            match inflight.get(&q) {
+                Some(flight) => {
+                    self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+                    Some(Arc::clone(flight))
+                }
+                None => {
+                    inflight.insert(q.clone(), Arc::new(Flight::new()));
+                    None
+                }
+            }
+        };
+        if let Some(flight) = joined {
+            return flight.wait();
+        }
+        let result = self.resolve_over_wire(name, rtype);
+        // The cache is written *before* the flight is retired so a caller
+        // arriving in between hits the cache instead of re-querying.
+        self.cache_put(&q, &result);
+        let flight = self.inflight.lock().expect("inflight lock").remove(&q);
+        if let Some(flight) = flight {
+            flight.complete(result.clone());
+        }
+        result
     }
 }
 
@@ -1047,6 +885,53 @@ mod tests {
         );
         assert_eq!(resolver.snapshot().wire_queries, 6);
         assert_eq!(resolver.snapshot().cache_hits, 0);
+    }
+
+    #[test]
+    fn garbage_flood_cannot_hold_a_query_past_its_budget() {
+        // A peer that answers every query by trickling 5-byte runts from
+        // the server's own address, faster than the receive time-out, for
+        // several times the query's whole budget.
+        let server = UdpSocket::bind("127.0.0.1:0").unwrap();
+        server
+            .set_read_timeout(Some(Duration::from_millis(5)))
+            .unwrap();
+        let addr = server.local_addr().unwrap();
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let flooder = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut buf = [0u8; 512];
+                let mut client = None;
+                let flood_started = Instant::now();
+                while !stop.load(Ordering::Relaxed)
+                    && flood_started.elapsed() < Duration::from_secs(2)
+                {
+                    // The read time-out paces the flood at one runt per 5 ms.
+                    if let Ok((_, peer)) = server.recv_from(&mut buf) {
+                        client = Some(peer);
+                    }
+                    if let Some(peer) = client {
+                        let _ = server.send_to(&[0xde, 0xad, 0xbe, 0xef, 0x00], peer);
+                    }
+                }
+            })
+        };
+        let config = WireClientConfig::crawl();
+        let resolver = WireResolver::new(vec![addr], config);
+        let started = Instant::now();
+        let result = resolver.query(&dom("flooded.example"), RecordType::Txt);
+        let held = started.elapsed();
+        stop.store(true, Ordering::Relaxed);
+        flooder.join().unwrap();
+        assert_eq!(result, Err(DnsError::Timeout));
+        assert!(
+            held <= config.timeout * 2 * config.attempts as u32,
+            "the flood held the query for {held:?}"
+        );
+        let snap = resolver.snapshot();
+        assert_eq!(snap.wire_queries, config.attempts as u64);
+        assert_eq!(snap.temp_errors, 1);
     }
 
     #[test]

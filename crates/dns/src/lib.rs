@@ -9,16 +9,13 @@
 //! * [`zone`]: the in-memory authoritative store, including per-name fault
 //!   configuration (timeouts, SERVFAIL) used to reproduce the paper's DNS
 //!   error cohorts;
-//! * [`resolver`]: the [`Resolver`] trait plus caching, rate-limiting,
-//!   counting and fault-injecting layers mirroring the crawler design in
-//!   Section 4.1 of the paper;
-//! * [`udp`]: a real UDP name server + stub resolver over the wire codec;
+//! * [`resolver`]: the [`Resolver`] trait plus rate-limiting, counting
+//!   and fault-injecting layers mirroring the crawler design in Section
+//!   4.1 of the paper;
+//! * [`udp`]: a real UDP + TCP name server over the wire codec;
 //! * [`fleet`]: the wire-path crawl substrate — a hash-sharded
 //!   authoritative server fleet plus the coalescing, TTL-caching
-//!   [`WireResolver`] client the crawler's wire mode runs on;
-//! * [`reactor`]: the epoll wire engine — the same semantics as
-//!   [`WireResolver`] driven by a single reactor thread multiplexing
-//!   hundreds of in-flight queries over a few nonblocking sockets;
+//!   [`WireResolver`], the one DNS-over-socket client;
 //! * [`clock`]: virtual/wall clock abstraction for the throttling layers.
 
 #![forbid(unsafe_code)]
@@ -26,7 +23,6 @@
 
 pub mod clock;
 pub mod fleet;
-pub mod reactor;
 pub mod record;
 pub mod resolver;
 pub mod udp;
@@ -36,14 +32,12 @@ pub mod zone;
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use fleet::{
     ShardBehavior, WireClientConfig, WireFleet, WireResolver, WireSnapshot, WireStatsView,
-    WireTelemetry,
 };
-pub use reactor::AsyncWireResolver;
 pub use record::{Question, RecordData, RecordType, ResourceRecord, TxtData};
 pub use resolver::{
-    CachingResolver, CountingResolver, DnsError, FaultInjectingResolver, FaultProfile, QueryStats,
+    CountingResolver, DnsError, FaultInjectingResolver, FaultProfile, QueryStats,
     RateLimitedResolver, Resolver, ZoneResolver,
 };
-pub use udp::{ClientConfig, ServerConfig, UdpNameServer, UdpResolver};
+pub use udp::{ServerConfig, UdpNameServer};
 pub use wire::{decode, encode, encode_uncompressed, Header, Message, Rcode, WireError};
 pub use zone::{LookupOutcome, ZoneFault, ZoneStore};

@@ -1,27 +1,24 @@
 //! The resolver abstraction and the composable layers the crawler stacks
 //! on top of it, mirroring Section 4.1 of the paper:
 //!
-//! * a **cache** so "only for the first domain the include mechanism is
-//!   processed, all others hit the cache",
 //! * **rate limiting** "across 150 servers",
 //! * **fault injection** so the error cohorts (timeouts, NXDOMAIN, empty
 //!   answers) arise from the DNS layer exactly as in the wild.
 //!
 //! All layers implement [`Resolver`] and can be stacked in any order.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use spf_types::DomainName;
 
 use crate::clock::Clock;
-use crate::record::{Question, RecordType, ResourceRecord};
+use crate::record::{RecordType, ResourceRecord};
 use crate::zone::{LookupOutcome, ZoneFault, ZoneStore};
 
 /// DNS-level errors as seen by a stub resolver.
@@ -39,7 +36,7 @@ pub enum DnsError {
     ServFail,
     /// The server refused the query.
     Refused,
-    /// Transport-level failure (socket errors in the UDP resolver).
+    /// Transport-level failure (socket errors in the wire resolver).
     Network(String),
 }
 
@@ -111,95 +108,13 @@ impl Resolver for ZoneResolver {
     }
 }
 
-/// Counters shared by the observability layers.
+/// Counters of a [`CountingResolver`].
 #[derive(Debug, Default)]
 pub struct QueryStats {
-    /// Queries answered from the cache.
-    pub cache_hits: AtomicU64,
-    /// Queries forwarded to the inner resolver.
-    pub cache_misses: AtomicU64,
     /// Total queries seen.
     pub queries: AtomicU64,
     /// Errors returned (any [`DnsError`]).
     pub errors: AtomicU64,
-}
-
-impl QueryStats {
-    /// Snapshot of (hits, misses, queries, errors).
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.cache_hits.load(Ordering::Relaxed),
-            self.cache_misses.load(Ordering::Relaxed),
-            self.queries.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// A memoizing cache layer.
-///
-/// Caches both positive answers and NXDOMAIN, but never transient errors —
-/// matching the paper's decision to exclude transient DNS errors from the
-/// analysis (they "may change on subsequent scans").
-pub struct CachingResolver<R> {
-    inner: R,
-    cache: RwLock<HashMap<Question, Result<Vec<ResourceRecord>, DnsError>>>,
-    stats: Arc<QueryStats>,
-}
-
-impl<R: Resolver> CachingResolver<R> {
-    /// Wrap `inner` with a cache.
-    pub fn new(inner: R) -> Self {
-        CachingResolver {
-            inner,
-            cache: RwLock::new(HashMap::new()),
-            stats: Arc::new(QueryStats::default()),
-        }
-    }
-
-    /// Shared statistics handle.
-    pub fn stats(&self) -> Arc<QueryStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Drop all cached entries (used between scan rounds).
-    pub fn clear(&self) {
-        self.cache.write().clear();
-    }
-
-    /// Number of cached questions.
-    pub fn len(&self) -> usize {
-        self.cache.read().len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.cache.read().is_empty()
-    }
-}
-
-impl<R: Resolver> Resolver for CachingResolver<R> {
-    fn query(&self, name: &DomainName, rtype: RecordType) -> Result<Vec<ResourceRecord>, DnsError> {
-        let q = Question::new(name.clone(), rtype);
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        if let Some(cached) = self.cache.read().get(&q) {
-            self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return cached.clone();
-        }
-        self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let result = self.inner.query(name, rtype);
-        if result.is_err() {
-            self.stats.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        let cacheable = match &result {
-            Ok(_) => true,
-            Err(e) => !e.is_transient(),
-        };
-        if cacheable {
-            self.cache.write().insert(q, result.clone());
-        }
-        result
-    }
 }
 
 /// A pure counting layer, used to measure DNS load in the cache ablation.
@@ -455,48 +370,6 @@ mod tests {
             r.query(&dom("broken.example"), RecordType::Txt),
             Err(DnsError::Timeout)
         );
-    }
-
-    #[test]
-    fn cache_hits_after_first_query() {
-        let store = store_with_basics();
-        let r = CachingResolver::new(ZoneResolver::new(store));
-        let stats = r.stats();
-        for _ in 0..5 {
-            r.query(&dom("example.com"), RecordType::Txt).unwrap();
-        }
-        let (hits, misses, queries, _) = stats.snapshot();
-        assert_eq!(queries, 5);
-        assert_eq!(misses, 1);
-        assert_eq!(hits, 4);
-    }
-
-    #[test]
-    fn cache_stores_nxdomain_but_not_timeouts() {
-        let store = store_with_basics();
-        store.set_fault(&dom("flaky.example"), ZoneFault::Timeout);
-        let r = CachingResolver::new(ZoneResolver::new(Arc::clone(&store)));
-        // NXDOMAIN cached:
-        assert_eq!(
-            r.query(&dom("gone.example"), RecordType::Txt),
-            Err(DnsError::NxDomain)
-        );
-        assert_eq!(
-            r.query(&dom("gone.example"), RecordType::Txt),
-            Err(DnsError::NxDomain)
-        );
-        // Timeout NOT cached: fix the fault and the next query succeeds.
-        assert_eq!(
-            r.query(&dom("flaky.example"), RecordType::Txt),
-            Err(DnsError::Timeout)
-        );
-        store.remove_name(&dom("flaky.example"));
-        store.add_txt(&dom("flaky.example"), "v=spf1 -all");
-        // remove_name also removed the fault:
-        assert!(r.query(&dom("flaky.example"), RecordType::Txt).is_ok());
-        let (hits, misses, _, _) = r.stats().snapshot();
-        assert_eq!(hits, 1); // the second NXDOMAIN
-        assert_eq!(misses, 3);
     }
 
     #[test]

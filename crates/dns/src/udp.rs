@@ -1,13 +1,14 @@
-//! An authoritative name server (UDP + TCP) and a matching stub resolver.
+//! An authoritative name server (UDP + TCP) over the wire codec.
 //!
-//! These put the RFC 1035 codec on real sockets: integration tests run the
+//! This puts the RFC 1035 codec on real sockets: integration tests run the
 //! complete crawl→parse→analyze pipeline against a [`UdpNameServer`] bound
 //! to 127.0.0.1, demonstrating that the substrate is wire-compatible and
 //! not a shortcut around the network. The server also listens on TCP
 //! (RFC 7766, 2-byte length-prefixed messages) on the same port, and the
-//! client falls back to TCP when a UDP response arrives truncated — the
-//! path big provider records (websitewelcome-scale, dozens of blocks)
-//! need under classic 512-byte payloads.
+//! client ([`crate::fleet::WireResolver`]) falls back to TCP when a UDP
+//! response arrives truncated — the path big provider records
+//! (websitewelcome-scale, dozens of blocks) need under classic 512-byte
+//! payloads.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, SocketAddrV4, TcpListener, TcpStream, UdpSocket};
@@ -17,11 +18,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use nix::sys::socket::{recv_from_batch, send_to_batch, RecvSlot, SendPacket};
-use parking_lot::Mutex;
 use spf_types::DomainName;
 
 use crate::record::{Question, RecordType, ResourceRecord};
-use crate::resolver::{DnsError, Resolver};
+use crate::resolver::DnsError;
 use crate::wire::{self, Message, Rcode};
 use crate::zone::{LookupOutcome, ZoneFault, ZoneStore};
 
@@ -230,9 +230,9 @@ fn serve_loop(
 ) {
     // One `recvmmsg` blocks (bounded by the 25ms read timeout) for the
     // first datagram of a batch, then drains whatever else is queued; one
-    // `sendmmsg` pushes all the replies back. Under a reactor client
-    // bursting hundreds of queries this collapses 2×N syscalls per batch
-    // into 2.
+    // `sendmmsg` pushes all the replies back. Under a pool of crawl
+    // workers querying at once this collapses 2×N syscalls per batch into
+    // 2.
     let mut slots: Vec<RecvSlot> = (0..SERVE_BATCH).map(|_| RecvSlot::new(4096)).collect();
     let mut replies: Vec<(Vec<u8>, SocketAddrV4)> = Vec::with_capacity(SERVE_BATCH);
     while !shutdown.load(Ordering::Relaxed) {
@@ -280,89 +280,8 @@ fn serve_loop(
     }
 }
 
-/// Client configuration.
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Per-attempt receive timeout.
-    pub timeout: Duration,
-    /// Number of attempts before reporting [`DnsError::Timeout`].
-    pub retries: usize,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            timeout: Duration::from_millis(120),
-            retries: 2,
-        }
-    }
-}
-
-/// A stub resolver speaking RFC 1035 over UDP.
-///
-/// Queries are serialized through an internal lock so concurrent callers
-/// cannot steal each other's responses; the crawler achieves parallelism
-/// by cloning one resolver per worker instead.
-pub struct UdpResolver {
-    server: SocketAddr,
-    config: ClientConfig,
-    socket: Mutex<UdpSocket>,
-    next_id: AtomicU64,
-}
-
-impl UdpResolver {
-    /// Connect (logically) to a server address.
-    pub fn new(server: SocketAddr, config: ClientConfig) -> std::io::Result<Self> {
-        let socket = UdpSocket::bind(("127.0.0.1", 0))?;
-        socket.set_read_timeout(Some(config.timeout))?;
-        Ok(UdpResolver {
-            server,
-            config,
-            socket: Mutex::new(socket),
-            next_id: AtomicU64::new(1),
-        })
-    }
-
-    fn query_once(
-        &self,
-        socket: &UdpSocket,
-        id: u16,
-        name: &DomainName,
-        rtype: RecordType,
-    ) -> Result<Message, DnsError> {
-        let msg = Message::query(id, Question::new(name.clone(), rtype));
-        let bytes = wire::encode(&msg).map_err(|e| DnsError::Network(e.to_string()))?;
-        socket
-            .send_to(&bytes, self.server)
-            .map_err(|e| DnsError::Network(e.to_string()))?;
-        let mut buf = [0u8; 4096];
-        loop {
-            let (len, peer) = socket.recv_from(&mut buf).map_err(|e| {
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                {
-                    DnsError::Timeout
-                } else {
-                    DnsError::Network(e.to_string())
-                }
-            })?;
-            if peer != self.server {
-                continue; // stray packet
-            }
-            let resp = match wire::decode(&buf[..len]) {
-                Ok(m) => m,
-                Err(_) => continue, // garbled; keep waiting until timeout
-            };
-            if resp.header.id != id || !resp.header.is_response {
-                continue;
-            }
-            return Ok(resp);
-        }
-    }
-}
-
 /// One length-prefixed RFC 7766 query over TCP — the truncation fallback
-/// path shared by [`UdpResolver`] and [`crate::fleet::WireResolver`].
+/// path of [`crate::fleet::WireResolver`].
 pub(crate) fn tcp_query(
     server: SocketAddr,
     timeout: Duration,
@@ -408,52 +327,12 @@ pub(crate) fn tcp_query(
     }
 }
 
-impl UdpResolver {
-    /// Length-prefixed query over TCP (the truncation fallback path).
-    fn query_tcp(
-        &self,
-        id: u16,
-        name: &DomainName,
-        rtype: RecordType,
-    ) -> Result<Vec<ResourceRecord>, DnsError> {
-        tcp_query(self.server, self.config.timeout, id, name, rtype)
-    }
-}
-
-impl Resolver for UdpResolver {
-    fn query(&self, name: &DomainName, rtype: RecordType) -> Result<Vec<ResourceRecord>, DnsError> {
-        let socket = self.socket.lock();
-        let id = (self.next_id.fetch_add(1, Ordering::Relaxed) % 0xFFFF) as u16 + 1;
-        let mut last_err = DnsError::Timeout;
-        for _ in 0..self.config.retries.max(1) {
-            match self.query_once(&socket, id, name, rtype) {
-                Ok(resp) => {
-                    if resp.header.truncated {
-                        // RFC 7766: retry the query over TCP.
-                        return self.query_tcp(id, name, rtype);
-                    }
-                    return match resp.header.rcode {
-                        Rcode::NoError => Ok(resp.answers),
-                        Rcode::NxDomain => Err(DnsError::NxDomain),
-                        Rcode::ServFail => Err(DnsError::ServFail),
-                        Rcode::Refused => Err(DnsError::Refused),
-                        other => Err(DnsError::Network(format!("unexpected rcode {other:?}"))),
-                    };
-                }
-                Err(DnsError::Timeout) => {
-                    last_err = DnsError::Timeout;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::{WireClientConfig, WireResolver};
     use crate::record::RecordData;
+    use crate::resolver::Resolver;
     use std::net::Ipv4Addr;
 
     fn dom(s: &str) -> DomainName {
@@ -464,12 +343,16 @@ mod tests {
         UdpNameServer::spawn(Arc::clone(store), ServerConfig::default()).unwrap()
     }
 
+    fn client_of(server: &UdpNameServer) -> WireResolver {
+        WireResolver::new(vec![server.addr()], WireClientConfig::default())
+    }
+
     #[test]
     fn resolves_txt_over_udp() {
         let store = Arc::new(ZoneStore::new());
         store.add_txt(&dom("example.com"), "v=spf1 ip4:192.0.2.0/24 -all");
         let server = server_with(&store);
-        let resolver = UdpResolver::new(server.addr(), ClientConfig::default()).unwrap();
+        let resolver = client_of(&server);
         let answers = resolver
             .query(&dom("example.com"), RecordType::Txt)
             .unwrap();
@@ -485,7 +368,7 @@ mod tests {
     fn nxdomain_over_udp() {
         let store = Arc::new(ZoneStore::new());
         let server = server_with(&store);
-        let resolver = UdpResolver::new(server.addr(), ClientConfig::default()).unwrap();
+        let resolver = client_of(&server);
         assert_eq!(
             resolver.query(&dom("missing.example"), RecordType::A),
             Err(DnsError::NxDomain)
@@ -497,7 +380,7 @@ mod tests {
         let store = Arc::new(ZoneStore::new());
         store.add_a(&dom("example.com"), Ipv4Addr::new(192, 0, 2, 1));
         let server = server_with(&store);
-        let resolver = UdpResolver::new(server.addr(), ClientConfig::default()).unwrap();
+        let resolver = client_of(&server);
         assert_eq!(
             resolver.query(&dom("example.com"), RecordType::Txt),
             Ok(vec![])
@@ -510,14 +393,7 @@ mod tests {
         store.add_txt(&dom("slow.example"), "v=spf1 -all");
         store.set_fault(&dom("slow.example"), ZoneFault::Timeout);
         let server = server_with(&store);
-        let resolver = UdpResolver::new(
-            server.addr(),
-            ClientConfig {
-                timeout: Duration::from_millis(60),
-                retries: 2,
-            },
-        )
-        .unwrap();
+        let resolver = WireResolver::new(vec![server.addr()], WireClientConfig::crawl());
         assert_eq!(
             resolver.query(&dom("slow.example"), RecordType::Txt),
             Err(DnsError::Timeout)
@@ -531,7 +407,7 @@ mod tests {
         // set_fault alone is enough; lookup checks faults before existence.
         store.add_txt(&dom("bad.example"), "v=spf1 -all");
         let server = server_with(&store);
-        let resolver = UdpResolver::new(server.addr(), ClientConfig::default()).unwrap();
+        let resolver = client_of(&server);
         assert_eq!(
             resolver.query(&dom("bad.example"), RecordType::Txt),
             Err(DnsError::ServFail)
@@ -547,7 +423,7 @@ mod tests {
         store.add_txt(&name, &long);
         let server =
             UdpNameServer::spawn(Arc::clone(&store), ServerConfig { max_payload: 512 }).unwrap();
-        let resolver = UdpResolver::new(server.addr(), ClientConfig::default()).unwrap();
+        let resolver = client_of(&server);
         // The UDP answer is truncated; RFC 7766 fallback fetches it whole.
         let answers = resolver.query(&name, RecordType::Txt).unwrap();
         match &answers[0].data {
@@ -572,7 +448,7 @@ mod tests {
         }
         let server =
             UdpNameServer::spawn(Arc::clone(&store), ServerConfig { max_payload: 512 }).unwrap();
-        let resolver = UdpResolver::new(server.addr(), ClientConfig::default()).unwrap();
+        let resolver = client_of(&server);
         for i in 0..5 {
             let answers = resolver
                 .query(&dom(&format!("big{i}.example")), RecordType::Txt)
@@ -592,7 +468,7 @@ mod tests {
             );
         }
         let server = server_with(&store);
-        let resolver = UdpResolver::new(server.addr(), ClientConfig::default()).unwrap();
+        let resolver = client_of(&server);
         for i in 0..50 {
             let rrs = resolver
                 .query(&dom(&format!("d{i}.example")), RecordType::Txt)
@@ -607,7 +483,7 @@ mod tests {
         let store = Arc::new(ZoneStore::new());
         store.add_spf_type99(&dom("legacy.example"), "v=spf1 mx -all");
         let server = server_with(&store);
-        let resolver = UdpResolver::new(server.addr(), ClientConfig::default()).unwrap();
+        let resolver = client_of(&server);
         let rrs = resolver
             .query(&dom("legacy.example"), RecordType::Spf)
             .unwrap();

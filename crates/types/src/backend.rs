@@ -6,16 +6,13 @@
 //! scattered `mode`/`wire_servers`/`use_compiled` knobs:
 //!
 //! * [`Transport`] — where DNS answers come from: the in-process zone
-//!   store, the blocking socket-pool wire client, or the epoll reactor
-//!   wire engine.
+//!   store or the socket-pool wire client.
 //! * [`Evaluator`] — how SPF verdicts are produced: bare tree-walks,
 //!   memoized tree-walks, or compiled interval matchers.
 //!
 //! A backend round-trips through the CLI spelling
-//! `transport[:servers][+evaluator]` (e.g. `wire-async:8+compiled`),
-//! parsed by [`Backend::parse`] and rendered by its `Display`. The
-//! [`EngineBuilder`] is the fluent construction path for code that
-//! assembles a backend field by field.
+//! `transport[:servers][+evaluator]` (e.g. `wire:8+compiled`), parsed by
+//! [`Backend::parse`] and rendered by its `Display`.
 
 use std::fmt;
 
@@ -35,10 +32,6 @@ pub enum Transport {
     /// hash-sharded UDP/TCP server fleet, one in-flight query per
     /// worker thread.
     WireBlocking,
-    /// The epoll reactor wire engine: one reactor thread multiplexing
-    /// hundreds of in-flight queries over a few nonblocking sockets,
-    /// with workers parked on completion slots.
-    WireAsync,
 }
 
 impl Transport {
@@ -49,13 +42,12 @@ impl Transport {
     }
 
     /// Parse a transport name. Accepts the canonical spellings
-    /// (`memory`, `wire`, `wire-async`) plus the historical aliases
-    /// `in-memory` and `async`.
+    /// (`memory`, `wire`) plus the aliases `in-memory`, `mem` and
+    /// `wire-blocking`.
     pub fn parse(s: &str) -> Option<Transport> {
         match s {
             "memory" | "in-memory" | "mem" => Some(Transport::Memory),
             "wire" | "wire-blocking" => Some(Transport::WireBlocking),
-            "wire-async" | "async" => Some(Transport::WireAsync),
             _ => None,
         }
     }
@@ -66,7 +58,6 @@ impl fmt::Display for Transport {
         f.write_str(match self {
             Transport::Memory => "memory",
             Transport::WireBlocking => "wire",
-            Transport::WireAsync => "wire-async",
         })
     }
 }
@@ -147,7 +138,7 @@ impl fmt::Display for BackendParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BackendParseError::UnknownTransport(s) => {
-                write!(f, "unknown transport `{s}` (memory, wire, wire-async)")
+                write!(f, "unknown transport `{s}` (memory, wire)")
             }
             BackendParseError::UnknownEvaluator(s) => {
                 write!(f, "unknown evaluator `{s}` (interpreted, cached, compiled)")
@@ -167,19 +158,10 @@ impl Backend {
         Backend::default()
     }
 
-    /// The blocking wire backend over `servers` shards.
+    /// The wire backend over `servers` shards.
     pub fn wire(servers: usize) -> Backend {
         Backend {
             transport: Transport::WireBlocking,
-            servers: servers.max(1),
-            ..Backend::default()
-        }
-    }
-
-    /// The epoll reactor wire backend over `servers` shards.
-    pub fn wire_async(servers: usize) -> Backend {
-        Backend {
-            transport: Transport::WireAsync,
             servers: servers.max(1),
             ..Backend::default()
         }
@@ -203,11 +185,6 @@ impl Backend {
         self
     }
 
-    /// Start a fluent [`EngineBuilder`] from the defaults.
-    pub fn builder() -> EngineBuilder {
-        EngineBuilder::new()
-    }
-
     /// Whether the evaluator compiles SPF trees to interval matchers.
     pub fn is_compiled(&self) -> bool {
         self.evaluator == Evaluator::Compiled
@@ -217,8 +194,8 @@ impl Backend {
     ///
     /// ```
     /// use spf_types::{Backend, Evaluator, Transport};
-    /// let b = Backend::parse("wire-async:8+compiled").unwrap();
-    /// assert_eq!(b.transport, Transport::WireAsync);
+    /// let b = Backend::parse("wire:8+compiled").unwrap();
+    /// assert_eq!(b.transport, Transport::WireBlocking);
     /// assert_eq!(b.servers, 8);
     /// assert_eq!(b.evaluator, Evaluator::Compiled);
     /// ```
@@ -268,44 +245,6 @@ impl fmt::Display for Backend {
     }
 }
 
-/// Fluent constructor for [`Backend`] — the assembly path for code that
-/// decides transport, shard count, and evaluator in separate steps
-/// (e.g. a CLI folding deprecated aliases into one selection).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EngineBuilder {
-    backend: Backend,
-}
-
-impl EngineBuilder {
-    /// Start from [`Backend::default`] (in-memory, cached evaluator).
-    pub fn new() -> EngineBuilder {
-        EngineBuilder::default()
-    }
-
-    /// Select the DNS transport.
-    pub fn transport(mut self, transport: Transport) -> EngineBuilder {
-        self.backend.transport = transport;
-        self
-    }
-
-    /// Select the wire shard count (clamped to ≥ 1).
-    pub fn servers(mut self, servers: usize) -> EngineBuilder {
-        self.backend.servers = servers.max(1);
-        self
-    }
-
-    /// Select the SPF evaluator.
-    pub fn evaluator(mut self, evaluator: Evaluator) -> EngineBuilder {
-        self.backend.evaluator = evaluator;
-        self
-    }
-
-    /// Finish: the assembled [`Backend`].
-    pub fn build(self) -> Backend {
-        self.backend
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,8 +265,8 @@ mod tests {
         assert_eq!(Backend::parse("wire").unwrap(), Backend::wire(4));
         assert_eq!(Backend::parse("wire:2").unwrap(), Backend::wire(2));
         assert_eq!(
-            Backend::parse("wire-async:8+compiled").unwrap(),
-            Backend::wire_async(8).evaluator(Evaluator::Compiled)
+            Backend::parse("wire:8+compiled").unwrap(),
+            Backend::wire(8).evaluator(Evaluator::Compiled)
         );
         assert_eq!(
             Backend::parse("memory+interpreted").unwrap(),
@@ -338,10 +277,6 @@ mod tests {
             Backend::parse("in-memory").unwrap().transport,
             Transport::Memory
         );
-        assert_eq!(
-            Backend::parse("async").unwrap().transport,
-            Transport::WireAsync
-        );
     }
 
     #[test]
@@ -350,6 +285,14 @@ mod tests {
             Backend::parse("tokio"),
             Err(BackendParseError::UnknownTransport(_))
         ));
+        // The removed reactor engine's spelling names no transport, and
+        // the message lists exactly the two that remain.
+        let err = Backend::parse("wire-async:2").unwrap_err();
+        assert_eq!(
+            err,
+            BackendParseError::UnknownTransport("wire-async".to_string())
+        );
+        assert!(err.to_string().ends_with("(memory, wire)"), "{err}");
         assert!(matches!(
             Backend::parse("wire+jit"),
             Err(BackendParseError::UnknownEvaluator(_))
@@ -370,7 +313,7 @@ mod tests {
             Backend::memory(),
             Backend::memory().evaluator(Evaluator::Compiled),
             Backend::wire(2),
-            Backend::wire_async(8).evaluator(Evaluator::Interpreted),
+            Backend::wire(8).evaluator(Evaluator::Interpreted),
         ];
         for b in cases {
             assert_eq!(Backend::parse(&b.to_string()).unwrap(), b, "{b}");
@@ -378,29 +321,14 @@ mod tests {
         assert_eq!(Backend::memory().to_string(), "memory");
         assert_eq!(Backend::wire(4).to_string(), "wire:4");
         assert_eq!(
-            Backend::wire_async(8)
-                .evaluator(Evaluator::Compiled)
-                .to_string(),
-            "wire-async:8+compiled"
+            Backend::wire(8).evaluator(Evaluator::Compiled).to_string(),
+            "wire:8+compiled"
         );
     }
 
     #[test]
-    fn builder_assembles_field_by_field() {
-        let b = EngineBuilder::new()
-            .transport(Transport::WireAsync)
-            .servers(6)
-            .evaluator(Evaluator::Compiled)
-            .build();
-        assert_eq!(b, Backend::wire_async(6).evaluator(Evaluator::Compiled));
-        // Clamping matches Backend's builders.
-        assert_eq!(EngineBuilder::new().servers(0).build().servers, 1);
-        assert_eq!(Backend::builder().build(), Backend::default());
-    }
-
-    #[test]
     fn serde_round_trips() {
-        let b = Backend::wire_async(3).evaluator(Evaluator::Compiled);
+        let b = Backend::wire(3).evaluator(Evaluator::Compiled);
         let json = serde_json::to_string(&b).unwrap();
         assert_eq!(serde_json::from_str::<Backend>(&json).unwrap(), b);
     }

@@ -8,10 +8,9 @@
 //! cross-population overlap primitives (DESIGN.md §7), and the typed SPF
 //! record model ([`SpfRecord`], [`Mechanism`], [`Qualifier`],
 //! [`Modifier`], [`MacroString`]), plus two cross-crate plumbing APIs:
-//! the typed engine selection ([`Backend`], [`Transport`], [`Evaluator`],
-//! [`EngineBuilder`]) every pipeline assembler consumes, and the shared
-//! telemetry formatter ([`Stats`], [`render_stats`]) every CLI counter
-//! line renders through.
+//! the typed engine selection ([`Backend`], [`Transport`], [`Evaluator`])
+//! every pipeline assembler consumes, and the shared telemetry formatter
+//! ([`Stats`], [`render_stats`]) every CLI counter line renders through.
 //!
 //! Reproduces the data model underlying *Lazy Gatekeepers: A Large-Scale
 //! Study on SPF Configuration in the Wild* (Czybik, Horlboge, Rieck —
@@ -31,9 +30,7 @@ mod overlap;
 mod stats;
 mod term;
 
-pub use backend::{
-    Backend, BackendParseError, EngineBuilder, Evaluator, Transport, DEFAULT_WIRE_SERVERS,
-};
+pub use backend::{Backend, BackendParseError, Evaluator, Transport, DEFAULT_WIRE_SERVERS};
 pub use cidr::{parse_ipv4_strict, DualCidr, Ip4ParseError, Ip6ParseError, Ipv4Cidr, Ipv6Cidr};
 pub use domain::{
     DomainError, DomainHashBuilder, DomainHasher, DomainName, MAX_LABEL_LEN, MAX_NAME_LEN,

@@ -2,8 +2,9 @@
 # Bench-regression gate (CI `bench-smoke` job, and part of ci_local.sh):
 # re-run the quick-mode benches and compare their guard points against
 # the committed BENCH_2.json / BENCH_3.json / BENCH_4.json / BENCH_5.json
-# / BENCH_6.json / BENCH_7.json / BENCH_8.json / BENCH_9.json /
-# BENCH_10.json baselines.
+# / BENCH_6.json / BENCH_7.json / BENCH_9.json / BENCH_10.json
+# baselines. (BENCH_8.json is the committed record of the removed epoll
+# reactor engine; nothing re-runs it.)
 #
 # Every bench report carries `quick_points` — a small fixed configuration
 # matrix measured at quick scale with the same plain best-of-N loop in
@@ -49,11 +50,6 @@ echo "== bench_guard: quick compiled_throughput vs committed BENCH_7.json"
 BENCH_7_OUT="$GUARD_DIR/BENCH_7.json" \
 BENCH_GUARD_BASELINE="$ROOT/BENCH_7.json" \
 COMPILED_QUICK=1 cargo bench --bench compiled_throughput
-
-echo "== bench_guard: quick async_wire_throughput vs committed BENCH_8.json"
-BENCH_8_OUT="$GUARD_DIR/BENCH_8.json" \
-BENCH_GUARD_BASELINE="$ROOT/BENCH_8.json" \
-ASYNC_WIRE_QUICK=1 cargo bench --bench async_wire_throughput
 
 echo "== bench_guard: quick churn_rescan vs committed BENCH_9.json"
 BENCH_9_OUT="$GUARD_DIR/BENCH_9.json" \

@@ -8,11 +8,14 @@
 #                     cargo build --benches --examples; docs smoke
 #   [lint]            cargo clippy --all-targets -- -D warnings;
 #                     cargo fmt --check
+#   [benchmark]       the BENCHMARK.json crate builds and its tests pass
+#                     against this tree (cd benchmark && cargo build
+#                     --release --offline && cargo test --offline)
 #   [bench-smoke]     scripts/bench_guard.sh (quick benches + regression
 #                     gate against the committed BENCH_*.json)
 #
 # Pass --fast to skip the bench-smoke stage (the slowest one) during
-# tight edit loops; CI always runs all three.
+# tight edit loops; CI always runs all four.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,8 +52,14 @@ cargo clippy --all-targets -- -D warnings
 echo "== [lint] cargo fmt --check"
 cargo fmt --check
 
+# The benchmark crate is its own workspace path-depending on ../crates:
+# a deletion that breaks its surface must fail here, not in the
+# acceptance run.
+echo "== [benchmark] cd benchmark && cargo build --release --offline && cargo test --offline"
+(cd benchmark && cargo build --release --offline && cargo test --offline)
+
 if [ "$FAST" = "1" ]; then
-    echo "OK: build-and-test + lint green (bench-smoke skipped via --fast)"
+    echo "OK: build-and-test + lint + benchmark green (bench-smoke skipped via --fast)"
 else
     echo "== [bench-smoke] scripts/bench_guard.sh"
     scripts/bench_guard.sh

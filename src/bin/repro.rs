@@ -43,17 +43,14 @@
 //!   parallelism). Results are rank-ordered and identical for any W.
 //! * `--backend SPEC` — the engine selection, spelled
 //!   `transport[:servers][+evaluator]` (default `memory`). Transports:
-//!   `memory` resolves in-process, `wire` crawls over real sockets
-//!   through the blocking socket-pool `WireResolver`, and `wire-async`
-//!   drives the epoll reactor engine; the wire transports shard the zone
-//!   across `:N` UDP name servers (default 4). Evaluators: `interpreted`
+//!   `memory` resolves in-process and `wire` crawls over real sockets
+//!   through the socket-pool `WireResolver`, sharding the zone across
+//!   `:N` UDP name servers (default 4). Evaluators: `interpreted`
 //!   (bare tree-walks), `cached` (the default subtree-verdict memo), and
 //!   `compiled` (interval matchers; prints the `[compiler]` line for
 //!   `spoof-matrix`/`serve`). Reports are byte-identical across every
-//!   backend; wire transports additionally print the `[wire]` telemetry
-//!   line (query amplification, coalescing, TCP fallbacks).
-//! * `--mode memory|wire|wire-async`, `--servers N`, `--compiled` —
-//!   deprecated aliases that fold into `--backend` field by field.
+//!   backend; the wire transport additionally prints the `[wire]`
+//!   telemetry line (query amplification, coalescing, TCP fallbacks).
 //! * `--out PATH` — where to write the paper-vs-measured experiment log
 //!   (default `EXPERIMENTS.md`).
 //! * `--no-write` — print artifacts only; skip the experiment log.
@@ -71,7 +68,7 @@ use spf_bench::{self as bench, Repro, ServiceLab};
 use spf_crawler::CrawlConfig;
 use spf_report::ExperimentLog;
 use spf_service::{build_plan, drive, ServiceConfig, TrafficMix, Transport, VerdictService};
-use spf_types::{Backend, Evaluator, Stats, Transport as EngineTransport};
+use spf_types::{Backend, Stats};
 
 const DEFAULT_SCALE: u64 = 100;
 const DEFAULT_SEED: u64 = 0x5bf1_2023;
@@ -219,24 +216,6 @@ fn parse_args() -> Args {
                 args.backend =
                     Backend::parse(&spec).unwrap_or_else(|e| usage(&format!("--backend: {e}")));
             }
-            // Deprecated aliases: each folds into one `--backend` field.
-            "--mode" => {
-                let transport = it
-                    .next()
-                    .as_deref()
-                    .and_then(EngineTransport::parse)
-                    .unwrap_or_else(|| usage("--mode must be `memory`, `wire`, or `wire-async`"));
-                args.backend = args.backend.transport(transport);
-            }
-            "--servers" => {
-                let servers: usize = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|n| *n >= 1)
-                    .unwrap_or_else(|| usage("--servers must be a positive integer"));
-                args.backend = args.backend.servers(servers);
-            }
-            "--compiled" => args.backend = args.backend.evaluator(Evaluator::Compiled),
             "--stack" => args.stack = true,
             "--queries" => {
                 args.queries = it
@@ -330,13 +309,10 @@ fn usage(problem: &str) -> ! {
          {}\n\
          scale:   population is 12,823,598 / N domains (default N = {DEFAULT_SCALE})\n\
          backend: transport[:servers][+evaluator] (default `memory`) —\n\
-         \x20        transports: memory (in-process), wire (blocking socket pool),\n\
-         \x20        wire-async (epoll reactor); wire transports crawl over UDP/TCP\n\
-         \x20        against :N hash-sharded authoritative name servers;\n\
+         \x20        transports: memory (in-process), wire (socket pool over UDP/TCP\n\
+         \x20        against :N hash-sharded authoritative name servers);\n\
          \x20        evaluators: interpreted, cached (default), compiled (interval\n\
-         \x20        matchers — verdict-identical, prints the [compiler] line).\n\
-         \x20        `--mode`, `--servers`, `--compiled` remain as deprecated\n\
-         \x20        aliases folding into the same selection\n\
+         \x20        matchers — verdict-identical, prints the [compiler] line)\n\
          service: `serve` runs the resident verdict daemon (--workers pool,\n\
          \x20        --duration 0 = until interrupted); `traffic` replays --queries\n\
          \x20        of a --mix through --clients pipelined clients over --transport\n\
@@ -713,7 +689,17 @@ mod targets {
 
     #[test]
     fn unknown_names_are_rejected() {
-        for bad in ["fig9", "table6", "spoofmatrix", ""] {
+        // The removed engine flags are unknown targets like any other
+        // stray word, so `repro --mode wire` exits 2 with the usage text.
+        for bad in [
+            "fig9",
+            "table6",
+            "spoofmatrix",
+            "",
+            "--mode",
+            "--servers",
+            "--compiled",
+        ] {
             assert!(!is_known_target(&normalize_target(bad)), "{bad}");
         }
     }

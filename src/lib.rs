@@ -64,8 +64,8 @@ pub mod prelude {
         ZoneDelta,
     };
     pub use spf_dns::{
-        AsyncWireResolver, Resolver, ServerConfig, WireClientConfig, WireFleet, WireResolver,
-        WireSnapshot, WireTelemetry, ZoneResolver, ZoneStore,
+        Resolver, ServerConfig, WireClientConfig, WireFleet, WireResolver, WireSnapshot,
+        ZoneResolver, ZoneStore,
     };
     pub use spf_netsim::{
         build_hosting, build_spoof_world, ChurnBatch, ChurnConfig, ChurnPreset, ChurnSimulator,
@@ -75,7 +75,7 @@ pub mod prelude {
         ServiceClient, ServiceConfig, TrafficMix, Transport, TtlLruConfig, VerdictService,
     };
     pub use spf_types::{
-        Backend, CoverageMap, DomainName, EngineBuilder, Evaluator, Ipv4Cidr, Ipv4Set, Ipv6Set,
-        SpfRecord, Stats, WeightedRanges,
+        Backend, CoverageMap, DomainName, Evaluator, Ipv4Cidr, Ipv4Set, Ipv6Set, SpfRecord, Stats,
+        WeightedRanges,
     };
 }

@@ -1,8 +1,8 @@
 //! Layered auth-matrix (matrix v2) determinism under stress, mirroring
 //! the v1 grid in `spoof_matrix_stress.rs`: the serialized
 //! [`AuthMatrix`] must be *byte-identical* across workers {1, 4, 32} ×
-//! verdict cache {on, off} and between the in-memory, wire, and
-//! wire-async resolver substrates, at scale 1:500 — and its embedded
+//! verdict cache {on, off} and between the in-memory and wire
+//! resolver substrates, at scale 1:500 — and its embedded
 //! SPF sub-matrix must be byte-identical to the v1 [`SpoofMatrix`] for
 //! the same inputs (the DESIGN.md §13 safety rail, at population
 //! scale, over real sockets).
@@ -103,36 +103,6 @@ fn auth_matrix_byte_identical_between_wire_and_memory() {
     assert!(
         wire == reference,
         "wire v2 matrix diverged at workers={workers} servers={servers}"
-    );
-}
-
-#[test]
-fn auth_matrix_byte_identical_between_wire_async_and_memory() {
-    let (world, vantages) = world_at(500);
-    let memory_resolver = ZoneResolver::new(Arc::clone(&world.store));
-    let reference = auth_json(
-        &memory_resolver,
-        &world,
-        &vantages,
-        SpoofMatrixConfig::with_workers(1).cached(false),
-    );
-    let (workers, servers) = (32usize, 4usize);
-    let fleet =
-        WireFleet::spawn(&world.store, servers, ServerConfig::default()).expect("fleet spawns");
-    let resolver = Arc::new(
-        fleet
-            .async_resolver(WireClientConfig::crawl())
-            .with_behaviors(wirelab::zero_faults(servers), SEED),
-    );
-    let wire = auth_json(
-        &*resolver,
-        &world,
-        &vantages,
-        SpoofMatrixConfig::with_workers(workers),
-    );
-    assert!(
-        wire == reference,
-        "wire-async v2 matrix diverged at workers={workers} servers={servers}"
     );
 }
 

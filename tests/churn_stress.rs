@@ -3,14 +3,14 @@
 //! [`Backend`] transport — DESIGN.md §12's guarantee at DESIGN.md §3's
 //! scale. The suite drives the same fixed churn sequence over the 1:500
 //! population (≈25.6k domains) through workers ∈ {1, 4, 32} × backends
-//! ∈ {memory, wire, wire-async}, including a churn batch delivered from
+//! ∈ {memory, wire}, including a churn batch delivered from
 //! another thread *while an epoch's step is running* (the quiesce/defer
 //! path), and compares the serialized reports + weighted coverage of
 //! every configuration against the single-threaded in-memory reference.
 //!
 //! Backend-specific plumbing mirrors the production `trends` pipeline:
 //! memory backends keep one long-lived walker whose churned roots are
-//! invalidated in-place, while wire backends rebuild their server fleet
+//! invalidated in-place, while the wire backend rebuilds its server fleet
 //! and walker each epoch because the fleet's zone shards are deep
 //! copies taken at spawn time.
 
@@ -31,7 +31,6 @@ const WIRE_SERVERS: usize = 2;
 enum BackendKind {
     Memory,
     Wire,
-    WireAsync,
 }
 
 /// Build a walker for the current zone state under the given backend.
@@ -50,13 +49,6 @@ fn build_walker(
             let fleet = WireFleet::spawn(store, WIRE_SERVERS, ServerConfig::default())
                 .expect("fleet spawns");
             let resolver: Arc<dyn Resolver> = Arc::new(fleet.resolver(WireClientConfig::crawl()));
-            (Walker::new(resolver), Some(fleet))
-        }
-        BackendKind::WireAsync => {
-            let fleet = WireFleet::spawn(store, WIRE_SERVERS, ServerConfig::default())
-                .expect("fleet spawns");
-            let resolver: Arc<dyn Resolver> =
-                Arc::new(fleet.async_resolver(WireClientConfig::crawl()));
             (Walker::new(resolver), Some(fleet))
         }
     }
@@ -176,11 +168,7 @@ fn churned_state_is_byte_identical_across_workers_and_backends() {
         );
     }
 
-    for backend in [
-        BackendKind::Memory,
-        BackendKind::Wire,
-        BackendKind::WireAsync,
-    ] {
+    for backend in [BackendKind::Memory, BackendKind::Wire] {
         for workers in [1usize, 4, 32] {
             if (workers, backend) == (1, BackendKind::Memory) {
                 continue;

@@ -1,16 +1,14 @@
 //! The whole measurement pipeline over real sockets: a generated
-//! population served by the authoritative UDP name server, crawled through
-//! the RFC 1035 wire codec with the caching + counting resolver stack —
-//! proving the DNS substrate is a network component, not an in-process
-//! shortcut, and that both paths measure identically.
+//! population served by one authoritative UDP name server, crawled through
+//! the RFC 1035 wire codec with the caching wire client — proving the DNS
+//! substrate is a network component, not an in-process shortcut, and that
+//! both paths measure identically.
 
 use std::sync::Arc;
 
 use spf_analyzer::Walker;
 use spf_crawler::{crawl, CrawlConfig, ScanAggregates};
-use spf_dns::{
-    CachingResolver, ClientConfig, ServerConfig, UdpNameServer, UdpResolver, ZoneResolver,
-};
+use spf_dns::{ServerConfig, UdpNameServer, WireClientConfig, WireResolver, ZoneResolver};
 use spf_netsim::{Population, PopulationConfig, Scale};
 
 fn small_population() -> Population {
@@ -35,24 +33,21 @@ fn udp_crawl_matches_in_process_crawl() {
     );
     let reference_agg = ScanAggregates::compute(&reference.reports);
 
-    // Same zone, served over UDP with the paper's caching layer in front.
+    // Same zone, served over UDP with the client's TTL cache in front.
     let server = UdpNameServer::spawn(
         Arc::clone(&population.store),
         ServerConfig { max_payload: 4096 },
     )
     .expect("server spawns");
-    let udp = UdpResolver::new(
-        server.addr(),
-        ClientConfig {
+    let udp = Arc::new(WireResolver::new(
+        vec![server.addr()],
+        WireClientConfig {
             timeout: std::time::Duration::from_millis(200),
-            retries: 2,
+            attempts: 2,
+            ..WireClientConfig::default()
         },
-    )
-    .expect("client binds");
-    let cached = CachingResolver::new(udp);
-    let stats = cached.stats();
-    let udp_walker = Walker::new(cached);
-    // Single worker: the UDP resolver serializes queries anyway.
+    ));
+    let udp_walker = Walker::new(Arc::clone(&udp));
     let over_wire = crawl(
         &udp_walker,
         &population.domains,
@@ -90,9 +85,15 @@ fn udp_crawl_matches_in_process_crawl() {
         "server answered {}",
         server.answered()
     );
-    let (hits, misses, queries, _) = stats.snapshot();
-    assert!(hits > 0, "cache must get hits (provider reuse)");
-    assert_eq!(hits + misses, queries);
+    let snap = udp.snapshot();
+    assert!(snap.cache_hits > 0, "cache must get hits (provider reuse)");
+    // One worker, so nothing coalesces: every query is a cache hit or
+    // one first datagram.
+    assert_eq!(
+        snap.cache_hits + snap.wire_queries - snap.retries,
+        snap.queries,
+        "{snap:?}"
+    );
 }
 
 #[test]
@@ -105,7 +106,7 @@ fn udp_resolver_survives_provider_records_at_full_size() {
         ServerConfig { max_payload: 4096 },
     )
     .unwrap();
-    let udp = UdpResolver::new(server.addr(), ClientConfig::default()).unwrap();
+    let udp = WireResolver::new(vec![server.addr()], WireClientConfig::default());
     let walker = Walker::new(udp);
     for entry in &population.providers.catalog {
         let analysis = walker.analyze(&entry.domain);

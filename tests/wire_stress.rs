@@ -6,12 +6,17 @@
 //! workers × server-shards matrix, under a zero-fault shard profile.
 //!
 //! The suite also drives the truncation → TCP fallback path through a
-//! whole crawl (512-byte server payloads) and checks the wire telemetry
-//! (query amplification, coalescing) and the degraded-shard preset.
+//! whole crawl (512-byte server payloads), checks the wire telemetry
+//! (query amplification, coalescing) and the degraded-shard preset, and
+//! crawls through a hostile UDP proxy that garbles, replays and
+//! duplicates replies — the client's datagram-discard rules under load.
 
 use lazy_gatekeepers::prelude::*;
 use spf_netsim::wirelab;
+use std::net::UdpSocket;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 const SEED: u64 = 0x5bf1_2023;
 
@@ -129,10 +134,11 @@ fn degraded_shard_preset_degrades_to_temperror_not_divergence() {
     let servers = 4;
     let fleet = WireFleet::spawn(&population.store, servers, ServerConfig::default())
         .expect("fleet spawns");
-    let resolver = Arc::new(fleet.resolver(WireClientConfig::crawl()).with_behaviors(
-        wirelab::degraded_shard(servers, 1, std::time::Duration::ZERO),
-        SEED,
-    ));
+    let resolver = Arc::new(
+        fleet
+            .resolver(WireClientConfig::crawl())
+            .with_behaviors(wirelab::degraded_shard(servers, 1, Duration::ZERO), SEED),
+    );
     let out = crawl(
         &Walker::new(Arc::clone(&resolver)),
         &population.domains,
@@ -147,4 +153,92 @@ fn degraded_shard_preset_degrades_to_temperror_not_divergence() {
     // Injected timeouts surface through the same temperror accounting as
     // genuine budget exhaustion.
     assert!(snapshot.temp_errors > 0, "{snapshot:?}");
+}
+
+#[test]
+fn client_discards_garbled_duplicate_and_stale_replies() {
+    // A hostile proxy sits between the client and the (single-shard)
+    // authoritative server. For every real answer it sends the client:
+    //   1. a garbled runt datagram (truncated below the DNS header),
+    //   2. a stale replay of the *previous* answer (an id the pooled
+    //      socket is no longer waiting for),
+    //   3. the real answer,
+    //   4. the real answer again (left queued on the pooled socket for
+    //      whichever query borrows it next).
+    // The client must discard 1, 2, and 4 by its id/decode rules and
+    // still produce a report stream byte-identical to the in-memory
+    // crawl.
+    let population = population_at(50_000);
+    let reference = memory_reports_json(&population);
+
+    // A payload cap comfortably above the fattest record keeps the
+    // exchange pure UDP: the proxy has no TCP listener, so a truncated
+    // reply would otherwise drag the client into a refused fallback.
+    let fleet = WireFleet::spawn(&population.store, 1, ServerConfig { max_payload: 4096 })
+        .expect("fleet spawns");
+    let upstream_addr = fleet.addrs()[0];
+
+    let proxy = UdpSocket::bind("127.0.0.1:0").expect("proxy binds");
+    let proxy_addr = proxy.local_addr().expect("proxy addr");
+    proxy
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .expect("read timeout");
+    let stop = Arc::new(AtomicBool::new(false));
+    let stop_flag = Arc::clone(&stop);
+
+    let proxy_thread = std::thread::spawn(move || {
+        let upstream = UdpSocket::bind("127.0.0.1:0").expect("upstream socket binds");
+        // Short upstream wait: zone-faulted domains never answer, and a
+        // long block here would starve every other in-flight query.
+        upstream
+            .set_read_timeout(Some(Duration::from_millis(10)))
+            .expect("upstream timeout");
+        let mut buf = [0u8; 4096];
+        let mut reply = [0u8; 4096];
+        let mut prev_reply: Option<Vec<u8>> = None;
+        while !stop_flag.load(Ordering::Relaxed) {
+            let (n, client) = match proxy.recv_from(&mut buf) {
+                Ok(pair) => pair,
+                Err(_) => continue, // poll the stop flag
+            };
+            upstream
+                .send_to(&buf[..n], upstream_addr)
+                .expect("forward to upstream");
+            let Ok((rn, _)) = upstream.recv_from(&mut reply) else {
+                continue; // upstream timeout: let the client retry
+            };
+            let answer = &reply[..rn];
+            // 1. Garbled runt (shorter than a DNS header: decode error).
+            let _ = proxy.send_to(&answer[..answer.len().min(7)], client);
+            // 2. Stale replay of a completed query's answer.
+            if let Some(stale) = &prev_reply {
+                let _ = proxy.send_to(stale, client);
+            }
+            // 3 + 4. The real answer, twice.
+            let _ = proxy.send_to(answer, client);
+            let _ = proxy.send_to(answer, client);
+            prev_reply = Some(answer.to_vec());
+        }
+    });
+
+    let resolver = Arc::new(WireResolver::new(
+        vec![proxy_addr],
+        WireClientConfig::crawl(),
+    ));
+    let out = crawl(
+        &Walker::new(Arc::clone(&resolver)),
+        &population.domains,
+        CrawlConfig::with_workers(4).backend(Backend::wire(1)),
+    );
+    let snapshot = resolver.snapshot();
+    stop.store(true, Ordering::Relaxed);
+    proxy_thread.join().expect("proxy thread exits");
+
+    let json = serde_json::to_string(&out.reports).expect("reports serialize");
+    assert!(
+        json == reference,
+        "hostile proxy changed the reports: {snapshot:?}"
+    );
+    assert!(snapshot.wire_queries > 0, "{snapshot:?}");
+    assert_eq!(snapshot.tcp_fallbacks, 0, "pure-UDP test: {snapshot:?}");
 }
