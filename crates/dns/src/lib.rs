@@ -12,7 +12,8 @@
 //! * [`resolver`]: the [`Resolver`] trait plus rate-limiting, counting
 //!   and fault-injecting layers mirroring the crawler design in Section
 //!   4.1 of the paper;
-//! * [`udp`]: a real UDP + TCP name server over the wire codec;
+//! * [`udp`]: a real UDP + TCP name server over the wire codec, and the
+//!   batched datagram loop it shares with the verdict service;
 //! * [`fleet`]: the wire-path crawl substrate — a hash-sharded
 //!   authoritative server fleet plus the coalescing, TTL-caching
 //!   [`WireResolver`], the one DNS-over-socket client;
@@ -38,6 +39,6 @@ pub use resolver::{
     CountingResolver, DnsError, FaultInjectingResolver, FaultProfile, QueryStats,
     RateLimitedResolver, Resolver, ZoneResolver,
 };
-pub use udp::{ServerConfig, UdpNameServer};
+pub use udp::{serve_datagrams, DatagramHandler, ServerConfig, UdpNameServer};
 pub use wire::{decode, encode, encode_uncompressed, Header, Message, Rcode, WireError};
 pub use zone::{LookupOutcome, ZoneFault, ZoneStore};

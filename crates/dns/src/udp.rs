@@ -9,8 +9,12 @@
 //! response arrives truncated — the path big provider records
 //! (websitewelcome-scale, dozens of blocks) need under classic 512-byte
 //! payloads.
+//!
+//! The UDP half runs on [`serve_datagrams`], the one `recvmmsg` /
+//! `sendmmsg` loop in the workspace; the verdict service's UDP listener
+//! runs on it too, with its own [`DatagramHandler`].
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, SocketAddrV4, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -63,20 +67,14 @@ impl UdpNameServer {
         let shutdown = Arc::new(AtomicBool::new(false));
         let answered = Arc::new(AtomicU64::new(0));
         let thread_shutdown = Arc::clone(&shutdown);
-        let thread_answered = Arc::clone(&answered);
-        let udp_store = Arc::clone(&store);
-        let udp_config = config.clone();
+        let mut handler = NameServerHandler {
+            store: Arc::clone(&store),
+            config,
+            answered: Arc::clone(&answered),
+        };
         let handle = std::thread::Builder::new()
             .name("udp-nameserver".into())
-            .spawn(move || {
-                serve_loop(
-                    socket,
-                    udp_store,
-                    udp_config,
-                    thread_shutdown,
-                    thread_answered,
-                );
-            })?;
+            .spawn(move || serve_datagrams(&socket, 4096, &thread_shutdown, &mut handler))?;
         // RFC 7766 companion listener on the same port. TCP responses are
         // never truncated.
         let tcp_listener = TcpListener::bind(addr)?;
@@ -191,92 +189,155 @@ fn serve_tcp_connection(
     }
 }
 
-/// Datagrams handled per `recvmmsg`/`sendmmsg` batch in [`serve_loop`].
+/// Datagrams handled per `recvmmsg`/`sendmmsg` batch in [`serve_datagrams`].
 const SERVE_BATCH: usize = 64;
 
-/// Build the reply for one received datagram, or `None` when the server
-/// stays silent (malformed query, timeout fault, unencodable response).
-fn reply_for(store: &ZoneStore, config: &ServerConfig, payload: &[u8]) -> Option<Vec<u8>> {
-    let query = match wire::decode(payload) {
-        Ok(m) if !m.header.is_response && !m.questions.is_empty() => m,
-        // Malformed packets are dropped like a hardened server would.
-        _ => return None,
-    };
-    let question = &query.questions[0];
-    let (rcode, answers) = match store.lookup_question(question) {
-        LookupOutcome::Records(rrs) => (Rcode::NoError, rrs),
-        LookupOutcome::NoRecords => (Rcode::NoError, Vec::new()),
-        LookupOutcome::NxDomain => (Rcode::NxDomain, Vec::new()),
-        LookupOutcome::Fault(ZoneFault::Timeout) => return None, // silence = timeout
-        LookupOutcome::Fault(ZoneFault::ServFail) => (Rcode::ServFail, Vec::new()),
-        LookupOutcome::Fault(ZoneFault::Refused) => (Rcode::Refused, Vec::new()),
-    };
-    let mut response = Message::response(&query, rcode, answers);
-    let mut encoded = wire::encode(&response).ok()?;
-    if encoded.len() > config.max_payload {
-        response.header.truncated = true;
-        response.answers.clear();
-        encoded = wire::encode(&response).ok()?;
-    }
-    Some(encoded)
+/// What [`serve_datagrams`] calls with the datagrams it receives.
+pub trait DatagramHandler {
+    /// One `recvmmsg` returned a batch of datagrams; called before
+    /// their [`handle`](Self::handle) calls.
+    fn batch(&mut self) {}
+
+    /// Answer one datagram: write the reply into `reply` (empty on
+    /// entry), or leave it empty to stay silent. The batch's replies
+    /// leave together once every datagram of the batch was handled, so
+    /// anything that must be visible before a reply is — a counter a
+    /// client may read after its answer — is updated here.
+    fn handle(&mut self, datagram: &[u8], peer: SocketAddrV4, reply: &mut Vec<u8>);
 }
 
-fn serve_loop(
-    socket: UdpSocket,
-    store: Arc<ZoneStore>,
-    config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
-    answered: Arc<AtomicU64>,
+/// The batched datagram server loop, shared by [`UdpNameServer`] and
+/// the verdict service's UDP listener: one `recvmmsg` blocks (bounded by
+/// the socket's read timeout, which is the `shutdown` poll) for the
+/// first datagram of a batch and drains whatever else is queued,
+/// `handler` answers each, and one `sendmmsg` pushes all the replies
+/// back — under a pool of clients querying at once, 2×N system calls
+/// per batch become 2. Receive buffers hold `slot_bytes`; a longer
+/// datagram arrives cut to that. Returns when `shutdown` is set or the
+/// socket fails.
+pub fn serve_datagrams<H: DatagramHandler>(
+    socket: &UdpSocket,
+    slot_bytes: usize,
+    shutdown: &AtomicBool,
+    handler: &mut H,
 ) {
-    // One `recvmmsg` blocks (bounded by the 25ms read timeout) for the
-    // first datagram of a batch, then drains whatever else is queued; one
-    // `sendmmsg` pushes all the replies back. Under a pool of crawl
-    // workers querying at once this collapses 2×N syscalls per batch into
-    // 2.
-    let mut slots: Vec<RecvSlot> = (0..SERVE_BATCH).map(|_| RecvSlot::new(4096)).collect();
-    let mut replies: Vec<(Vec<u8>, SocketAddrV4)> = Vec::with_capacity(SERVE_BATCH);
+    serve_datagrams_from(
+        |slots| recv_from_batch(socket, slots, false),
+        socket,
+        slot_bytes,
+        shutdown,
+        handler,
+    );
+}
+
+/// [`serve_datagrams`] with the receive step as a parameter, so a test
+/// can make it fail.
+fn serve_datagrams_from<H: DatagramHandler>(
+    mut recv: impl FnMut(&mut [RecvSlot]) -> std::io::Result<usize>,
+    socket: &UdpSocket,
+    slot_bytes: usize,
+    shutdown: &AtomicBool,
+    handler: &mut H,
+) {
+    let mut slots: Vec<RecvSlot> = (0..SERVE_BATCH)
+        .map(|_| RecvSlot::new(slot_bytes))
+        .collect();
+    let mut replies: Vec<Vec<u8>> = vec![Vec::new(); SERVE_BATCH];
     while !shutdown.load(Ordering::Relaxed) {
-        let n = match recv_from_batch(&socket, &mut slots, false) {
+        let received = match recv(&mut slots) {
             Ok(n) => n,
+            // The read timeout, or a signal: a receive on a socket with
+            // `SO_RCVTIMEO` returns `EINTR` under any handled signal,
+            // whatever `SA_RESTART` says.
             Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
             {
                 continue;
             }
             Err(_) => break,
         };
-        replies.clear();
-        for slot in slots.iter().take(n) {
-            let peer = match slot.peer {
-                Some(p) => p,
-                None => continue,
-            };
-            if let Some(encoded) = reply_for(&store, &config, slot.payload()) {
-                replies.push((encoded, peer));
+        handler.batch();
+        for (slot, reply) in slots[..received].iter().zip(&mut replies) {
+            reply.clear();
+            if let Some(peer) = slot.peer {
+                handler.handle(slot.payload(), peer, reply);
             }
         }
-        if replies.is_empty() {
-            continue;
-        }
-        // Count before the replies leave: otherwise a client that has
-        // already received a response can observe a stale counter.
-        answered.fetch_add(replies.len() as u64, Ordering::Relaxed);
-        let pkts: Vec<SendPacket<'_>> = replies
+        let pkts: Vec<SendPacket<'_>> = slots[..received]
             .iter()
-            .map(|(bytes, peer)| SendPacket {
-                data: bytes,
-                to: *peer,
+            .zip(&replies)
+            .filter_map(|(slot, reply)| match slot.peer {
+                Some(to) if !reply.is_empty() => Some(SendPacket { data: reply, to }),
+                _ => None,
             })
             .collect();
-        let mut off = 0;
-        while off < pkts.len() {
-            match send_to_batch(&socket, &pkts[off..], false) {
-                Ok(0) => break,
-                Ok(sent) => off += sent,
-                Err(_) => break,
+        send_all(socket, &pkts);
+    }
+}
+
+/// Send every packet: `sendmmsg` for as many as it takes, the tail
+/// retried after a short send. It reports an error only when the first
+/// packet it was given failed; that one gets a `send_to` of its own and
+/// the batch carries on behind it, so one bad reply cannot take the
+/// rest of its batch with it.
+fn send_all(socket: &UdpSocket, pkts: &[SendPacket<'_>]) {
+    let mut off = 0;
+    while off < pkts.len() {
+        match send_to_batch(socket, &pkts[off..], false) {
+            Ok(sent) if sent > 0 => off += sent,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            _ => {
+                let _ = socket.send_to(pkts[off].data, pkts[off].to);
+                off += 1;
             }
         }
+    }
+}
+
+/// The name server's side of [`serve_datagrams`].
+struct NameServerHandler {
+    store: Arc<ZoneStore>,
+    config: ServerConfig,
+    answered: Arc<AtomicU64>,
+}
+
+impl DatagramHandler for NameServerHandler {
+    /// Build the reply for one received datagram; the server stays
+    /// silent on a malformed query (dropped like a hardened server
+    /// would), a timeout fault, or an unencodable response.
+    fn handle(&mut self, datagram: &[u8], _peer: SocketAddrV4, reply: &mut Vec<u8>) {
+        let query = match wire::decode(datagram) {
+            Ok(m) if !m.header.is_response && !m.questions.is_empty() => m,
+            _ => return,
+        };
+        let question = &query.questions[0];
+        let (rcode, answers) = match self.store.lookup_question(question) {
+            LookupOutcome::Records(rrs) => (Rcode::NoError, rrs),
+            LookupOutcome::NoRecords => (Rcode::NoError, Vec::new()),
+            LookupOutcome::NxDomain => (Rcode::NxDomain, Vec::new()),
+            LookupOutcome::Fault(ZoneFault::Timeout) => return, // silence = timeout
+            LookupOutcome::Fault(ZoneFault::ServFail) => (Rcode::ServFail, Vec::new()),
+            LookupOutcome::Fault(ZoneFault::Refused) => (Rcode::Refused, Vec::new()),
+        };
+        let mut response = Message::response(&query, rcode, answers);
+        let Ok(mut encoded) = wire::encode(&response) else {
+            return;
+        };
+        if encoded.len() > self.config.max_payload {
+            response.header.truncated = true;
+            response.answers.clear();
+            match wire::encode(&response) {
+                Ok(truncated) => encoded = truncated,
+                Err(_) => return,
+            }
+        }
+        // Count before the reply leaves: otherwise a client that has
+        // already received a response can observe a stale counter.
+        self.answered.fetch_add(1, Ordering::Relaxed);
+        *reply = encoded;
     }
 }
 
@@ -345,6 +406,49 @@ mod tests {
 
     fn client_of(server: &UdpNameServer) -> WireResolver {
         WireResolver::new(vec![server.addr()], WireClientConfig::default())
+    }
+
+    #[test]
+    fn an_interrupted_receive_does_not_end_the_loop() {
+        struct Echo;
+        impl DatagramHandler for Echo {
+            fn handle(&mut self, datagram: &[u8], _peer: SocketAddrV4, reply: &mut Vec<u8>) {
+                reply.extend_from_slice(datagram);
+            }
+        }
+        let socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        let server = socket.local_addr().unwrap();
+        let client = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        client.send_to(b"ping", server).unwrap();
+        // Two receives fail the way a handled signal makes them, the
+        // third delivers the datagram, the fourth fails for good. The
+        // flag is never set: the loop returning at all is the fatal
+        // error's doing, and the echo is proof it survived the signals.
+        let mut calls = 0;
+        let recv = |slots: &mut [RecvSlot]| {
+            calls += 1;
+            match calls {
+                1 | 2 => Err(ErrorKind::Interrupted.into()),
+                3 => {
+                    let (len, peer) = socket.recv_from(&mut slots[0].data)?;
+                    slots[0].len = len;
+                    slots[0].peer = match peer {
+                        SocketAddr::V4(v4) => Some(v4),
+                        SocketAddr::V6(_) => None,
+                    };
+                    Ok(1)
+                }
+                _ => Err(ErrorKind::PermissionDenied.into()),
+            }
+        };
+        serve_datagrams_from(recv, &socket, 64, &AtomicBool::new(false), &mut Echo);
+        let mut buf = [0u8; 16];
+        let (len, from) = client.recv_from(&mut buf).unwrap();
+        assert_eq!((&buf[..len], from), (&b"ping"[..], server));
+        assert_eq!(calls, 4);
     }
 
     #[test]

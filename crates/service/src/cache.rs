@@ -257,6 +257,21 @@ impl<K: CacheKey, V: Clone> TtlLru<K, V> {
         stripe.map.get(key).map(|e| e.value.clone())
     }
 
+    /// A live entry under `key`, without counting a probe or touching
+    /// recency. For a caller whose counted probe missed and who is
+    /// about to pay for what a hit would have saved — to see whether
+    /// someone else has paid since. A stale resident reads as absent
+    /// and is left for [`insert`](Self::insert) to expire.
+    pub fn peek(&self, key: &K) -> Option<V> {
+        let now = self.clock.now();
+        let stripe = self.stripe(key).lock().unwrap();
+        stripe
+            .map
+            .get(key)
+            .filter(|entry| entry.expires_at > now)
+            .map(|entry| entry.value.clone())
+    }
+
     /// Admit `value` under `key`. A live resident entry wins (keep-first,
     /// mirroring the analyzer cache: concurrent computations of the same
     /// key produce identical values, so the race is benign); a stale
@@ -515,6 +530,11 @@ impl CompiledPolicyCache {
         self.inner.get(&CompiledKey(domain.clone()))
     }
 
+    /// A live compiled policy, uncounted — [`TtlLru::peek`].
+    pub fn peek(&self, domain: &DomainName) -> Option<Arc<CompiledPolicy>> {
+        self.inner.peek(&CompiledKey(domain.clone()))
+    }
+
     /// Admit a freshly compiled policy.
     pub fn insert(&self, domain: DomainName, compiled: Arc<CompiledPolicy>) {
         self.inner.insert(CompiledKey(domain), compiled);
@@ -575,9 +595,12 @@ mod tests {
         let (lru, clock) = cache(8, 1, 10);
         lru.insert(Key(1), 100);
         assert_eq!(lru.get(&Key(1)), Some(100));
+        assert_eq!((lru.peek(&Key(1)), lru.peek(&Key(2))), (Some(100), None));
         clock.advance(Duration::from_secs(11));
+        assert_eq!(lru.peek(&Key(1)), None, "a stale entry is not peekable");
         assert_eq!(lru.get(&Key(1)), None);
         let stats = lru.stats();
+        // The peeks counted nothing.
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(stats.expirations, 1);
         assert_eq!(stats.entries, 0);
@@ -630,8 +653,14 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..4_000u64 {
                         // Overlapping key ranges across threads, far
-                        // more keys than capacity, and a creeping clock:
-                        // every counter transition gets exercised.
+                        // more keys than capacity, and a clock that
+                        // jumps past the TTL: every counter transition
+                        // gets exercised. (Each jump makes every
+                        // resident stale, so the sweep that follows
+                        // meets one however the threads interleave; a
+                        // clock creeping 200 ms a step left "expired at
+                        // all" to the scheduler, and a busy host said no
+                        // once in thirty runs.)
                         let k = (t * 1_000 + i) % 96;
                         if i % 3 == 0 {
                             lru.insert(Key(k), t);
@@ -639,7 +668,7 @@ mod tests {
                             let _ = lru.get(&Key(k));
                         }
                         if t == 0 && i % 512 == 0 {
-                            clock.advance(Duration::from_millis(200));
+                            clock.advance(Duration::from_millis(1_100));
                         }
                     }
                 });

@@ -12,8 +12,10 @@
 //! * [`cache`] — a TTL-aware, lock-striped LRU implementing PR 5's
 //!   [`VerdictCache`](spf_core::VerdictCache), so hot include subtrees
 //!   stay resident while entries expire against the pluggable clock.
-//! * [`service`] — the daemon: listeners, a bounded request queue with
-//!   typed overload shedding, a worker pool, and drain-on-shutdown.
+//! * [`service`] — the daemon: listeners that answer resident
+//!   compiled-table hits themselves (UDP in `recvmmsg`/`sendmmsg`
+//!   batches), a bounded request queue with typed overload shedding for
+//!   everything that can block, a worker pool, and drain-on-shutdown.
 //! * [`client`] — a windowed pipelining client used by the tests, the
 //!   benches, and `repro -- traffic`.
 //! * [`traffic`] — deterministic load mixes (Zipf hot-set, attacker
@@ -31,6 +33,7 @@
 pub mod cache;
 pub mod client;
 pub mod histogram;
+mod json;
 pub mod proto;
 pub mod service;
 pub mod traffic;

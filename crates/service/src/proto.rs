@@ -30,7 +30,9 @@
 //! An `ok` response body is the canonical `serde_json` encoding of the
 //! [`Evaluation`] — the same bytes `check_host` serializes to, which is
 //! what lets the stress suite byte-compare served verdicts against bare
-//! evaluations. Error-status bodies are a human-readable UTF-8 message.
+//! evaluations. (The service writes those bytes by hand, straight into
+//! the frame: [`write_verdict`].) Error-status bodies are a
+//! human-readable UTF-8 message.
 //!
 //! **Stacked queries (matrix v2, DESIGN.md §13).** A query may append a
 //! single `stack` flag octet after `sender`; when it is `%x01` the `ok`
@@ -43,13 +45,19 @@
 //!
 //! Decoding never panics: every malformed input maps to a typed
 //! [`FrameError`], and the service answers garbage with a `bad-request`
-//! response rather than dropping the socket.
+//! response rather than dropping the socket. Encoding a reply never
+//! panics either: [`write_verdict`] and [`write_response`] refuse a
+//! payload past [`MAX_PAYLOAD`] with [`FrameError::Oversized`], and the
+//! service answers that query `bad-request` too — how large a verdict
+//! gets is up to the zone it was evaluated against.
 
 use std::fmt;
 use std::net::IpAddr;
 
 use spf_core::{AuthOutcome, Evaluation};
 use spf_types::DomainName;
+
+use crate::json::write_evaluation;
 
 /// Protocol version carried in every frame.
 pub const PROTO_VERSION: u8 = 1;
@@ -78,7 +86,9 @@ pub enum Status {
     Ok,
     /// The request queue was full; the query was not evaluated.
     Overloaded,
-    /// The frame failed to decode; the body describes the error.
+    /// The query cannot be answered as sent: its frame failed to
+    /// decode, or its verdict does not fit a response frame. The body
+    /// describes the error.
     BadRequest,
     /// The service is draining and no longer accepts queries.
     ShuttingDown,
@@ -129,9 +139,10 @@ pub enum FrameError {
         /// Bytes actually present.
         have: usize,
     },
-    /// The advertised payload length exceeds [`MAX_PAYLOAD`].
+    /// The payload length — advertised by a received prefix, or reached
+    /// by a frame being written — exceeds [`MAX_PAYLOAD`].
     Oversized {
-        /// The advertised length.
+        /// The offending length.
         len: usize,
     },
     /// Unknown protocol version byte.
@@ -219,9 +230,8 @@ pub struct ResponseFrame {
 impl ResponseFrame {
     /// An `Ok` response carrying `eval` as canonical JSON.
     pub fn verdict(id: u64, eval: &Evaluation) -> ResponseFrame {
-        let body = serde_json::to_string(eval)
-            .expect("Evaluation serializes")
-            .into_bytes();
+        let mut body = Vec::with_capacity(192);
+        write_evaluation(&mut body, eval);
         ResponseFrame {
             id,
             status: Status::Ok,
@@ -290,46 +300,83 @@ pub enum Frame {
     Response(ResponseFrame),
 }
 
-fn push_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_be_bytes());
+/// Append one frame to `out`: length prefix, version, `kind`, `id`,
+/// then whatever `rest` appends. Total: a payload past [`MAX_PAYLOAD`]
+/// is refused with `out` cut back to where it was.
+fn write_frame(
+    out: &mut Vec<u8>,
+    kind: u8,
+    id: u64,
+    rest: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), FrameError> {
+    let start = out.len();
+    out.extend_from_slice(&[0, 0, PROTO_VERSION, kind]);
+    out.extend_from_slice(&id.to_be_bytes());
+    rest(out);
+    let len = out.len() - start - LEN_PREFIX;
+    if len > MAX_PAYLOAD {
+        out.truncate(start);
+        return Err(FrameError::Oversized { len });
+    }
+    out[start..start + LEN_PREFIX].copy_from_slice(&(len as u16).to_be_bytes());
+    Ok(())
 }
 
-fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
-    out.push(PROTO_VERSION);
-    match frame {
-        Frame::Query(q) => {
-            out.push(KIND_QUERY);
-            out.extend_from_slice(&q.id.to_be_bytes());
-            match q.ip {
-                IpAddr::V4(v4) => {
-                    out.push(TAG_V4);
-                    out.extend_from_slice(&v4.octets());
-                }
-                IpAddr::V6(v6) => {
-                    out.push(TAG_V6);
-                    out.extend_from_slice(&v6.octets());
-                }
+/// Append a `len16`-prefixed field whose bytes `field` appends. A field
+/// too long for its prefix is also too long for [`MAX_PAYLOAD`], so
+/// [`write_frame`] refuses the frame and the saturated prefix never
+/// leaves.
+fn write_len16(out: &mut Vec<u8>, field: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0, 0]);
+    field(out);
+    let len = u16::try_from(out.len() - at - 2).unwrap_or(u16::MAX);
+    out[at..at + 2].copy_from_slice(&len.to_be_bytes());
+}
+
+fn write_query(out: &mut Vec<u8>, q: &QueryFrame) -> Result<(), FrameError> {
+    write_frame(out, KIND_QUERY, q.id, |out| {
+        match q.ip {
+            IpAddr::V4(v4) => {
+                out.push(TAG_V4);
+                out.extend_from_slice(&v4.octets());
             }
-            let name = q.domain.as_str().as_bytes();
-            push_u16(out, name.len() as u16);
-            out.extend_from_slice(name);
-            let sender = q.sender_local.as_bytes();
-            push_u16(out, sender.len() as u16);
-            out.extend_from_slice(sender);
-            // The stack flag is omitted (not written as zero) for plain
-            // queries so v1 frames stay bit-identical.
-            if q.stack {
-                out.push(1);
+            IpAddr::V6(v6) => {
+                out.push(TAG_V6);
+                out.extend_from_slice(&v6.octets());
             }
         }
-        Frame::Response(r) => {
-            out.push(KIND_RESPONSE);
-            out.extend_from_slice(&r.id.to_be_bytes());
-            out.push(r.status.code());
-            push_u16(out, r.body.len() as u16);
-            out.extend_from_slice(&r.body);
+        write_len16(out, |out| {
+            out.extend_from_slice(q.domain.as_str().as_bytes())
+        });
+        write_len16(out, |out| out.extend_from_slice(q.sender_local.as_bytes()));
+        // The stack flag is omitted (not written as zero) for plain
+        // queries so v1 frames stay bit-identical.
+        if q.stack {
+            out.push(1);
         }
-    }
+    })
+}
+
+/// Append `response` to `out` as one wire frame, or refuse it with
+/// [`FrameError::Oversized`] — `out` untouched — when its payload would
+/// pass [`MAX_PAYLOAD`].
+pub fn write_response(out: &mut Vec<u8>, response: &ResponseFrame) -> Result<(), FrameError> {
+    write_frame(out, KIND_RESPONSE, response.id, |out| {
+        out.push(response.status.code());
+        write_len16(out, |out| out.extend_from_slice(&response.body));
+    })
+}
+
+/// Append the `ok` response carrying `eval` to `out`: the frame
+/// [`write_response`] makes of [`ResponseFrame::verdict`], with the
+/// body written in place instead of into a `Vec` of its own. Refused
+/// like any other response when the verdict does not fit.
+pub fn write_verdict(out: &mut Vec<u8>, id: u64, eval: &Evaluation) -> Result<(), FrameError> {
+    write_frame(out, KIND_RESPONSE, id, |out| {
+        out.push(Status::Ok.code());
+        write_len16(out, |out| write_evaluation(out, eval));
+    })
 }
 
 /// Encode a frame for the wire: `[u16 payload-length][payload]`.
@@ -337,19 +384,23 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
 /// # Panics
 ///
 /// If the payload would exceed [`MAX_PAYLOAD`] — impossible for queries
-/// (domains are ≤ 253 bytes) and for responses carrying evaluations of
-/// well-formed zones; a caller constructing a frame from unbounded data
-/// must bound it first.
+/// with a sender localpart of sane length (domains are ≤ 253 bytes); a
+/// caller constructing a frame from unbounded data must bound it first,
+/// or use [`write_response`] / [`write_verdict`], which return the
+/// error. The service replies through those two: a zone decides how
+/// large a verdict gets.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&[0, 0]); // length back-patched below
-    encode_payload(frame, &mut out);
-    let len = out.len() - LEN_PREFIX;
-    assert!(
-        len <= MAX_PAYLOAD,
-        "frame payload {len} exceeds MAX_PAYLOAD"
-    );
-    out[..LEN_PREFIX].copy_from_slice(&(len as u16).to_be_bytes());
+    let mut out = Vec::with_capacity(match frame {
+        Frame::Query(_) => 64,
+        Frame::Response(r) => LEN_PREFIX + HEADER_LEN + 3 + r.body.len(),
+    });
+    let written = match frame {
+        Frame::Query(q) => write_query(&mut out, q),
+        Frame::Response(r) => write_response(&mut out, r),
+    };
+    if let Err(e) = written {
+        panic!("{e}");
+    }
     out
 }
 

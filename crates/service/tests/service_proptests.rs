@@ -1,7 +1,7 @@
 //! Property tests for the wire protocol and the TTL/LRU memo (ISSUE 6,
 //! satellite 2).
 //!
-//! Three families:
+//! Four families:
 //!
 //! * **Frame round-trips** — any well-formed query/response frame
 //!   encodes and decodes back to itself exactly, whole or streamed;
@@ -12,7 +12,10 @@
 //! * **TTL safety** — for arbitrary interleavings of inserts, probes,
 //!   and clock advances, [`TtlLru`] never serves a value older than its
 //!   TTL; and at the service level, a verdict memoized before a zone
-//!   mutation stops being served exactly when its TTL runs out.
+//!   mutation stops being served exactly when its TTL runs out;
+//! * **Verdict writer** — the `ok` body the service writes by hand is,
+//!   for any [`Evaluation`], the bytes `serde_json::to_string` makes of
+//!   it, framed or not.
 
 use std::collections::HashMap;
 use std::net::IpAddr;
@@ -21,16 +24,20 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use spf_analyzer::CacheKey;
-use spf_core::{check_host, EvalContext, EvalPolicy};
+use spf_core::{
+    check_host, EvalContext, EvalPolicy, EvalProblem, Evaluation, RecordNotFoundCause, SpfResult,
+    SyntaxError,
+};
 use spf_dns::{Clock, VirtualClock, ZoneResolver, ZoneStore};
 use spf_service::proto::{
-    decode_datagram, decode_payload, encode_frame, split_frame, LEN_PREFIX, MAX_PAYLOAD,
+    decode_datagram, decode_payload, encode_frame, split_frame, write_verdict, LEN_PREFIX,
+    MAX_PAYLOAD,
 };
 use spf_service::{
     Frame, FrameError, QueryFrame, ResponseFrame, ServiceClient, ServiceConfig, Status, Transport,
     TtlLru, TtlLruConfig, VerdictService,
 };
-use spf_types::DomainName;
+use spf_types::{DomainName, Ip4ParseError, MacroError};
 
 fn arb_domain() -> impl Strategy<Value = DomainName> {
     proptest::collection::vec("[a-z]{1,10}", 1..4)
@@ -292,5 +299,143 @@ proptest! {
             String::from_utf8_lossy(&second.body)
         );
         service.shutdown();
+    }
+}
+
+/// Every character class the JSON string rule treats differently: plain
+/// ASCII, the two-character escapes, controls that take `\u00xx`
+/// (incl. `\b`/`\f`, which `serde_json` does *not* name), DEL, `/`,
+/// and non-ASCII from two to four UTF-8 bytes.
+const TRICKY: &[char] = &[
+    'a', 'Z', '0', ' ', ':', '%', '{', '}', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1}',
+    '\u{8}', '\u{b}', '\u{c}', '\u{1f}', '\u{7f}', 'é', 'ß', '\u{2028}', '日', '😀',
+];
+
+fn arb_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0..TRICKY.len(), 0..24)
+        .prop_map(|picks| picks.into_iter().map(|i| TRICKY[i]).collect())
+}
+
+fn arb_opt_text() -> impl Strategy<Value = Option<String>> {
+    prop_oneof![Just(None), arb_text().prop_map(Some)]
+}
+
+fn arb_syntax_error() -> impl Strategy<Value = SyntaxError> {
+    prop_oneof![
+        (arb_text(), arb_text()).prop_map(|(written, suggestion)| {
+            SyntaxError::MisspelledMechanism {
+                written,
+                suggestion,
+            }
+        }),
+        any::<usize>().prop_map(|count| SyntaxError::MultipleVersionTags { count }),
+        (any::<usize>(), arb_text()).prop_map(|(octets, argument)| SyntaxError::InvalidIp4 {
+            error: Ip4ParseError::WrongOctetCount { octets },
+            argument,
+        }),
+        (arb_text(), arb_text()).prop_map(|(octet, argument)| SyntaxError::InvalidIp4 {
+            error: Ip4ParseError::BadOctet { octet },
+            argument,
+        }),
+        (arb_text(), 0..TRICKY.len()).prop_map(|(term, pick)| SyntaxError::BadMacro {
+            error: MacroError::UnknownLetter {
+                letter: TRICKY[pick],
+            },
+            term,
+        }),
+        Just(SyntaxError::MissingVersionTag),
+    ]
+}
+
+fn arb_cause() -> impl Strategy<Value = RecordNotFoundCause> {
+    prop_oneof![
+        Just(RecordNotFoundCause::NoSpfRecord),
+        Just(RecordNotFoundCause::MultipleSpfRecords),
+        Just(RecordNotFoundCause::DomainNotFound),
+        Just(RecordNotFoundCause::EmptyResult),
+        Just(RecordNotFoundCause::DnsTimeout),
+    ]
+}
+
+/// Every [`EvalProblem`] variant.
+fn arb_problem() -> impl Strategy<Value = EvalProblem> {
+    prop_oneof![
+        Just(EvalProblem::NoRecord),
+        (arb_domain(), any::<usize>())
+            .prop_map(|(domain, count)| EvalProblem::MultipleRecords { domain, count }),
+        (arb_domain(), arb_syntax_error())
+            .prop_map(|(domain, error)| EvalProblem::Syntax { domain, error }),
+        any::<usize>().prop_map(|used| EvalProblem::TooManyLookups { used }),
+        any::<usize>().prop_map(|used| EvalProblem::TooManyVoidLookups { used }),
+        arb_domain().prop_map(|domain| EvalProblem::IncludeLoop { domain }),
+        arb_domain().prop_map(|domain| EvalProblem::RedirectLoop { domain }),
+        (arb_domain(), arb_cause())
+            .prop_map(|(domain, cause)| EvalProblem::RecordNotFound { domain, cause }),
+        arb_domain().prop_map(|domain| EvalProblem::DnsTransient { domain }),
+        arb_text().prop_map(|text| EvalProblem::BadExpansion { text }),
+        Just(EvalProblem::TooDeep),
+        arb_domain().prop_map(|domain| EvalProblem::TooManyMxRecords { domain }),
+    ]
+}
+
+fn arb_result() -> impl Strategy<Value = SpfResult> {
+    prop_oneof![
+        Just(SpfResult::None),
+        Just(SpfResult::Neutral),
+        Just(SpfResult::Pass),
+        Just(SpfResult::Fail),
+        Just(SpfResult::SoftFail),
+        Just(SpfResult::TempError),
+        Just(SpfResult::PermError),
+    ]
+}
+
+fn arb_evaluation() -> impl Strategy<Value = Evaluation> {
+    // Nested: the vendored proptest implements tuples up to five.
+    (
+        (
+            arb_result(),
+            prop_oneof![0usize..12, any::<usize>()],
+            prop_oneof![0usize..4, any::<usize>()],
+        ),
+        (arb_opt_text(), arb_domain(), arb_opt_text()),
+        prop_oneof![Just(None), arb_problem().prop_map(Some)],
+    )
+        .prop_map(|(counts, texts, problem)| {
+            let (result, dns_lookups, void_lookups) = counts;
+            let (matched_directive, final_domain, explanation) = texts;
+            Evaluation {
+                result,
+                dns_lookups,
+                void_lookups,
+                matched_directive,
+                final_domain,
+                problem,
+                explanation,
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The hand-written body is `serde_json::to_string`'s, byte for
+    /// byte; it parses back to the evaluation it was written from; and
+    /// the frame written in place is the frame built from the parts.
+    #[test]
+    fn written_verdicts_are_the_derive_s_bytes(id in any::<u64>(), eval in arb_evaluation()) {
+        let reference = serde_json::to_string(&eval).expect("evaluation serializes");
+        let response = ResponseFrame::verdict(id, &eval);
+        prop_assert!(
+            response.body == reference.as_bytes(),
+            "hand-written {} != derived {reference}",
+            String::from_utf8_lossy(&response.body)
+        );
+        prop_assert_eq!(response.evaluation(), Ok(eval.clone()));
+        // Appended after whatever the buffer already holds, as on a TCP
+        // connection answering several frames of one read.
+        let mut wire = vec![0xAA; 3];
+        write_verdict(&mut wire, id, &eval).expect("a small verdict fits");
+        prop_assert_eq!(&wire[3..], &encode_frame(&Frame::Response(response))[..]);
     }
 }

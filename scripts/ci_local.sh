@@ -10,7 +10,9 @@
 #                     cargo fmt --check
 #   [benchmark]       the BENCHMARK.json crate builds and its tests pass
 #                     against this tree (cd benchmark && cargo build
-#                     --release --offline && cargo test --offline)
+#                     --release --offline && cargo test --offline), and
+#                     every workload runs correct with 0 failed
+#                     operations (scripts/benchmark_smoke.sh, ~1 min)
 #   [bench-smoke]     scripts/bench_guard.sh (quick benches + regression
 #                     gate against the committed BENCH_*.json)
 #
@@ -57,6 +59,11 @@ cargo fmt --check
 # acceptance run.
 echo "== [benchmark] cd benchmark && cargo build --release --offline && cargo test --offline"
 (cd benchmark && cargo build --release --offline && cargo test --offline)
+
+# Two of three recent PRs died in the acceptance run on a workload that
+# no longer printed `correct: true`; this is that check, locally.
+echo "== [benchmark] scripts/benchmark_smoke.sh"
+scripts/benchmark_smoke.sh
 
 if [ "$FAST" = "1" ]; then
     echo "OK: build-and-test + lint + benchmark green (bench-smoke skipped via --fast)"

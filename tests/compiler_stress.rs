@@ -221,6 +221,17 @@ fn replay(addr: std::net::SocketAddr, transport: Transport, items: &[Expected], 
     }
 }
 
+/// After `shutdown` the counters must balance: one store probe per
+/// query, one table-or-fallback classification per evaluated query,
+/// one latency sample each, and what the listener did not answer from
+/// the tables a worker did.
+fn assert_conservation(service: &VerdictService, label: &str) {
+    let telemetry = service.telemetry();
+    if let Err(law) = telemetry.check_conservation() {
+        panic!("conservation broken [{label}]: {law}");
+    }
+}
+
 #[test]
 fn compiled_service_verdicts_byte_identical_to_bare_check_host() {
     let lab = service_lab(500, SEED, 4);
@@ -255,6 +266,7 @@ fn compiled_service_verdicts_byte_identical_to_bare_check_host() {
             let store = telemetry.compiled_cache.expect("compiled store reports");
             assert!(store.is_consistent(), "[{label}]: {store:?}");
             service.shutdown();
+            assert_conservation(&service, &label);
             cell += 1;
         }
     }
@@ -271,6 +283,16 @@ fn compiled_service_verdicts_byte_identical_to_bare_check_host() {
     let telemetry = service.telemetry();
     assert_eq!(telemetry.served, items.len() as u64, "{telemetry:?}");
     service.shutdown();
+    assert_conservation(&service, "compiled full tcp");
+    // The replay must exercise both halves of the ladder (a service
+    // that queued everything would pass the identity check with the
+    // inline path untested): a domain's first vantage compiles on a
+    // worker, later ones find the tables resident.
+    let inline = service.telemetry().inline_served;
+    assert!(
+        0 < inline && inline < telemetry.served,
+        "inline {inline}: {telemetry:?}"
+    );
 }
 
 #[test]
@@ -351,4 +373,8 @@ fn expired_compiled_policy_is_recompiled_against_the_mutated_zone() {
     assert!(stats.expirations >= 1, "{stats:?}");
     assert!(stats.is_consistent(), "{stats:?}");
     service.shutdown();
+    assert_conservation(&service, "compiled ttl expiry");
+    // First query and post-expiry query compiled on a worker; the
+    // within-TTL one in between was the listener's.
+    assert_eq!(service.telemetry().inline_served, 1);
 }

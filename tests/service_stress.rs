@@ -90,6 +90,17 @@ fn replay(addr: std::net::SocketAddr, transport: Transport, items: &[Expected], 
     }
 }
 
+/// After `shutdown` — every admitted query answered, every thread
+/// joined — the counters must balance: frames against dispositions,
+/// evaluated queries against latency samples, nothing answered on the
+/// listener by a service without compiled tables.
+fn assert_conservation(service: &VerdictService, label: &str) {
+    let telemetry = service.telemetry();
+    if let Err(law) = telemetry.check_conservation() {
+        panic!("conservation broken [{label}]: {law}");
+    }
+}
+
 /// A verdict memo so small (64 entries over 4 stripes) that replaying
 /// hundreds of thousands of distinct pairs evicts on nearly every
 /// insert — the LRU-churn corner of the grid.
@@ -143,6 +154,7 @@ fn served_verdicts_byte_identical_to_bare_check_host() {
                     );
                 }
                 service.shutdown();
+                assert_conservation(&service, &label);
                 cell += 1;
             }
         }
@@ -157,6 +169,7 @@ fn served_verdicts_byte_identical_to_bare_check_host() {
     // are evaluated (idempotently) and counted.
     assert!(telemetry.served >= items.len() as u64, "{telemetry:?}");
     service.shutdown();
+    assert_conservation(&service, "full udp cache=on");
 
     // Full replay B — every pair over TCP at 32 workers through the
     // tiny memo: constant LRU eviction under maximum concurrency.
@@ -177,6 +190,7 @@ fn served_verdicts_byte_identical_to_bare_check_host() {
     assert!(stats.evictions > 0, "tiny cache never evicted: {stats:?}");
     assert!(stats.is_consistent(), "{stats:?}");
     service.shutdown();
+    assert_conservation(&service, "full tcp cache=tiny");
 }
 
 /// A resolver that parks every query on a condvar while the gate is
@@ -333,6 +347,7 @@ fn queue_overflow_yields_typed_overloaded_responses() {
     assert_eq!(telemetry.served, ok.len() as u64, "{telemetry:?}");
     assert_eq!(telemetry.overloaded, overloaded, "{telemetry:?}");
     service.shutdown();
+    assert_conservation(&service, "queue overflow");
 }
 
 #[test]
@@ -453,6 +468,7 @@ fn drain_scenario() -> u64 {
     let telemetry = service.telemetry();
     assert_eq!(telemetry.shutdown_rejects, rejected, "{telemetry:?}");
     assert!(telemetry.served >= ADMITTED, "{telemetry:?}");
+    assert_conservation(&service, "shutdown drain");
     rejected
 }
 
@@ -522,6 +538,7 @@ fn ttl_expiry_revalidates_against_the_mutated_zone() {
     assert!(stats.expirations >= 1, "{stats:?}");
     assert!(stats.is_consistent(), "{stats:?}");
     service.shutdown();
+    assert_conservation(&service, "memo ttl expiry");
 }
 
 #[test]
@@ -609,4 +626,5 @@ fn stacked_queries_compose_layers_and_keep_spf_byte_identical() {
     assert_eq!(telemetry.auth_cache.dmarc_misses, 3, "{telemetry:?}");
     assert_eq!(telemetry.auth_cache.dmarc_hits, 1, "{telemetry:?}");
     service.shutdown();
+    assert_conservation(&service, "stacked");
 }
