@@ -1020,7 +1020,12 @@ pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String
         fmt_count(matrix.spf_domains),
     ));
     if let Some(compiler) = &stats.compiler {
-        out.push_str(&format!("  {compiler}\n"));
+        let mut items = compiler.items();
+        items.extend(stats.subtrees.iter().flat_map(|subtrees| subtrees.items()));
+        out.push_str(&format!(
+            "  {}\n",
+            spf_types::render_stats(compiler.scope(), &items)
+        ));
         out.push_str(&format!(
             "  compiled backend: {} of trees fully static, {} of verdicts \
              answered from interval tables\n\n",
@@ -1778,6 +1783,7 @@ mod tests {
             CrawlConfig::with_workers(4).backend(Backend::memory().evaluator(Evaluator::Compiled)),
         );
         assert!(section.contains("[compiler]"));
+        assert!(section.contains(" subtree_lookups="));
         assert!(section.contains("compiled backend:"));
         // The compiled run carries every plain-run flag plus the
         // compiled-vs-interpreted sample identity; all must hold.

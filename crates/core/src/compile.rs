@@ -35,14 +35,25 @@
 //!   re-query rather than freeze a `temperror`;
 //! * **over-budget trees** — a work cap bounds pathological group
 //!   fan-out (adversarial records, not the wild population).
+//!
+//! A population run compiles thousands of domains that `include:` the
+//! same few providers. [`compile_policy_shared`] takes a run-scoped
+//! [`SubtreeMemo`]: each include/redirect target is compiled once,
+//! standalone, and composed onto every domain that reaches it with an
+//! entry state that provably cannot change the target's walk; every
+//! other entry takes the direct walk, which is therefore the fallback,
+//! not a second engine.
 
+use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, RwLock};
 
 use serde::Serialize;
 use spf_dns::{DnsError, RecordData, RecordType, Resolver, ResourceRecord};
 use spf_types::{
-    DomainName, DualCidr, Ipv4Cidr, Ipv4Set, Ipv6Cidr, Ipv6Set, MacroLetter, MacroString,
-    MacroToken, Mechanism, SpfRecord, Term,
+    DomainHashBuilder, DomainName, DualCidr, Ipv4Cidr, Ipv4Set, Ipv6Cidr, Ipv6Set, MacroLetter,
+    MacroString, MacroToken, Mechanism, SpfRecord, StatItem, Term,
 };
 
 use crate::context::{EvalContext, SpfResult};
@@ -338,14 +349,39 @@ impl CompiledPolicy {
         self.v4.len() + self.v6.len()
     }
 
-    /// DNS queries the compile pass issued (both families).
+    /// DNS queries the compile pass costs (both families). A subtree
+    /// composed from a [`SubtreeMemo`] is charged its *standalone*
+    /// walk's count, whoever compiled it — an upper bound on the direct
+    /// walk's where an `mx` short-circuits on a narrower entry set.
     pub fn compile_queries(&self) -> usize {
         self.compile_queries
     }
 
-    /// Symbolic `(group × term)` steps spent (both families).
+    /// Symbolic `(group × term)` steps spent (both families). A subtree
+    /// composed from a [`SubtreeMemo`] is charged its standalone walk's
+    /// steps once per incoming group — an upper bound on the direct
+    /// walk's, so the work cap never trips later than it would there.
     pub fn sym_steps(&self) -> usize {
         self.sym_steps
+    }
+
+    /// Every table row's first and last address, both families: the
+    /// only places the verdict function can change, so where a
+    /// differential test probes it.
+    pub fn row_bounds(&self) -> impl Iterator<Item = (IpAddr, IpAddr)> + '_ {
+        let v4 = self.v4.iter().map(|e| {
+            (
+                IpAddr::V4(Ipv4Addr::from(e.lo)),
+                IpAddr::V4(Ipv4Addr::from(e.hi)),
+            )
+        });
+        let v6 = self.v6.iter().map(|e| {
+            (
+                IpAddr::V6(Ipv6Addr::from(e.lo)),
+                IpAddr::V6(Ipv6Addr::from(e.hi)),
+            )
+        });
+        v4.chain(v6)
     }
 
     /// IPv4 addresses answered from the tables (out of 2³²).
@@ -454,13 +490,43 @@ pub fn compile_policy<R: Resolver + ?Sized>(
             sym_steps: 0,
         };
     }
+    compile_families(resolver, domain, config, None)
+}
 
+/// [`compile_policy`] through a run-scoped [`SubtreeMemo`]: every
+/// include/redirect target is compiled once per memo and composed into
+/// each domain that reaches it (DESIGN.md §10 *Shared subtrees*). The
+/// result is the same verdict *function* and the same residue set as
+/// [`compile_policy`]'s — outcome order and row splits may differ, so
+/// compare with [`CompiledPolicy::verdict`], not `==`.
+///
+/// The memo's contract is the caller's: one zone that does not change
+/// while the memo lives, one `config`. A call whose `config` differs
+/// from the memo's first takes the memo-less walk.
+pub fn compile_policy_shared<R: Resolver + ?Sized>(
+    resolver: &R,
+    domain: &DomainName,
+    config: &CompileConfig,
+    memo: &SubtreeMemo,
+) -> CompiledPolicy {
+    if config.policy.fetch_explanation || memo.config.get_or_init(|| *config) != config {
+        return compile_policy(resolver, domain, config);
+    }
+    compile_families(resolver, domain, config, Some(memo))
+}
+
+fn compile_families<R: Resolver + ?Sized>(
+    resolver: &R,
+    domain: &DomainName,
+    config: &CompileConfig,
+    memo: Option<&SubtreeMemo>,
+) -> CompiledPolicy {
     let mut outcomes: Vec<Evaluation> = Vec::new();
     let mut residues: Vec<Residue> = Vec::new();
 
-    let f4 = compile_family::<R, V4>(resolver, domain, config);
+    let f4 = compile_family::<R, V4>(resolver, domain, config, memo);
     let v4 = flatten_family::<V4>(f4.terminals, f4.residual, &mut outcomes, &mut residues);
-    let f6 = compile_family::<R, V6>(resolver, domain, config);
+    let f6 = compile_family::<R, V6>(resolver, domain, config, memo);
     let v6 = flatten_family::<V6>(f6.terminals, f6.residual, &mut outcomes, &mut residues);
 
     CompiledPolicy {
@@ -507,6 +573,8 @@ trait AddressFamily {
     fn dummy_ip() -> IpAddr;
     /// The set's ranges as sortable keys.
     fn ranges(set: &Self::Set) -> Vec<(Self::Key, Self::Key)>;
+    /// This family's half of a [`SubtreeMemo`].
+    fn subtrees(memo: &SubtreeMemo) -> &SubtreeMap<Self::Set>;
 }
 
 struct V4;
@@ -559,6 +627,9 @@ impl AddressFamily for V4 {
     fn ranges(set: &Ipv4Set) -> Vec<(u32, u32)> {
         set.iter_ranges_u32().collect()
     }
+    fn subtrees(memo: &SubtreeMemo) -> &SubtreeMap<Ipv4Set> {
+        &memo.v4
+    }
 }
 
 impl AddressFamily for V6 {
@@ -610,6 +681,9 @@ impl AddressFamily for V6 {
             .map(|(lo, hi)| (u128::from(lo), u128::from(hi)))
             .collect()
     }
+    fn subtrees(memo: &SubtreeMemo) -> &SubtreeMap<Ipv6Set> {
+        &memo.v6
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -660,6 +734,133 @@ struct FamilyOut<S> {
     steps: usize,
 }
 
+// ---------------------------------------------------------------------
+// Shared subtrees: each include/redirect target compiled once per run.
+// ---------------------------------------------------------------------
+
+/// What a standalone walk would have done differently under another
+/// entry state — everything [`Sym::composable`] holds an entry against.
+#[derive(Default)]
+struct Footprint {
+    /// Highest `lookups` a group held when the lookup budget was checked.
+    peak_lookups: usize,
+    /// Highest `voids` a group held when the void budget was checked.
+    peak_voids: usize,
+    /// Deepest recursion below the target (0: the target's own record).
+    height: usize,
+    /// Every domain the walk looked for on its stack and then entered.
+    visited: Vec<DomainName>,
+}
+
+/// One include/redirect target compiled standalone: entered with the
+/// whole address space, zero counters, an empty stack, `initial = false`.
+struct Subtree<S> {
+    /// `Pass` terminals with their narratives, which a `redirect=` keeps.
+    passes: Vec<Group<S>>,
+    /// `passes` merged by `(lookups, voids)` — all an `include:` reads,
+    /// because its caller overwrites the narrative of a matched group.
+    merged_passes: Vec<Group<S>>,
+    /// Every other terminal.
+    others: Vec<Terminal<S>>,
+    residual: Vec<(S, Residue)>,
+    footprint: Footprint,
+    queries: usize,
+    steps: usize,
+}
+
+type SubtreeMap<S> = RwLock<HashMap<DomainName, Arc<Subtree<S>>, DomainHashBuilder>>;
+
+const MEMO_POISONED: &str = "a thread panicked inserting into the subtree memo";
+
+/// A run-scoped, insert-only memo of include/redirect targets compiled
+/// standalone, one table per address family, for
+/// [`compile_policy_shared`].
+///
+/// A subtree is a function of the zone and the [`CompileConfig`] alone,
+/// so the memo is sound for exactly as long as both hold still: make
+/// one per population run over a frozen zone and drop it with the run.
+/// Nothing is ever evicted or invalidated.
+#[derive(Default)]
+pub struct SubtreeMemo {
+    /// The config of the first compile; a different one bypasses the memo.
+    config: OnceLock<CompileConfig>,
+    v4: SubtreeMap<Ipv4Set>,
+    v6: SubtreeMap<Ipv6Set>,
+    lookups: AtomicU64,
+    compiles: AtomicU64,
+    composed: AtomicU64,
+    fallbacks: AtomicU64,
+}
+
+impl SubtreeMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        SubtreeMemo::default()
+    }
+
+    /// The counters so far. `composed + fallbacks == lookups` and
+    /// `compiles <= lookups` whenever no compile is in flight.
+    pub fn stats(&self) -> SubtreeMemoStats {
+        SubtreeMemoStats {
+            lookups: self.lookups.load(Ordering::Relaxed),
+            compiles: self.compiles.load(Ordering::Relaxed),
+            composed: self.composed.load(Ordering::Relaxed),
+            fallbacks: self.fallbacks.load(Ordering::Relaxed),
+        }
+    }
+}
+
+impl std::fmt::Debug for SubtreeMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SubtreeMemo")
+            .field("stats", &self.stats())
+            .finish_non_exhaustive()
+    }
+}
+
+/// [`SubtreeMemo`] counters (both families). Which worker compiles a
+/// target first is a race, so `compiles` is scheduling-dependent —
+/// unlike [`CompilerStats`], which these stay out of.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, serde::Deserialize)]
+pub struct SubtreeMemoStats {
+    /// Include/redirect recursions that consulted the memo.
+    pub lookups: u64,
+    /// Targets compiled standalone (a lost insert race counts too).
+    pub compiles: u64,
+    /// Recursions answered by composing a memoized subtree.
+    pub composed: u64,
+    /// Recursions whose entry state could matter — an RFC 7208 limit in
+    /// reach, a loop through the caller's stack — which took the direct
+    /// walk.
+    pub fallbacks: u64,
+}
+
+impl SubtreeMemoStats {
+    /// The items this appends to the `[compiler]` telemetry line.
+    pub fn items(&self) -> Vec<StatItem> {
+        vec![
+            StatItem::count("subtree_lookups", self.lookups),
+            StatItem::count("subtree_compiles", self.compiles),
+            StatItem::count("subtree_composed", self.composed),
+            StatItem::count("subtree_fallbacks", self.fallbacks),
+        ]
+    }
+}
+
+/// The memo as one walk sees it.
+struct Shared<'a> {
+    memo: &'a SubtreeMemo,
+    /// Targets being compiled standalone up the call chain; an include
+    /// cycle must not start one of them again.
+    building: Vec<DomainName>,
+    /// Standalone compiles the root walk may still start. Each starts
+    /// from a fresh budget, so without an allowance a hostile zone's
+    /// include fan-out would be explored to `fan-out ^ depth` where one
+    /// evaluation visits `max_dns_lookups` targets at most; what a root
+    /// leaves uncompiled, a later root compiles.
+    builds_left: usize,
+}
+
 struct Sym<'a, R: ?Sized, F: AddressFamily> {
     resolver: &'a R,
     policy: &'a EvalPolicy,
@@ -670,31 +871,47 @@ struct Sym<'a, R: ?Sized, F: AddressFamily> {
     /// only `%{d}` (current domain) and `%{v}` (family tag) ever read it.
     ctx: EvalContext,
     residual: Vec<(F::Set, Residue)>,
+    /// The subtree memo, when compiling through one.
+    shared: Option<Shared<'a>>,
+    /// `Some` while compiling a target standalone for the memo.
+    footprint: Option<Footprint>,
+    /// Whether the work cap tripped.
+    cap_hit: bool,
+}
+
+/// The group a walk of `domain` starts from: every address, nothing
+/// charged.
+fn entry_group<F: AddressFamily>(domain: &DomainName) -> Group<F::Set> {
+    Group {
+        set: F::full(),
+        lookups: 0,
+        voids: 0,
+        matched: None,
+        final_domain: domain.clone(),
+    }
 }
 
 fn compile_family<R: Resolver + ?Sized, F: AddressFamily>(
     resolver: &R,
     domain: &DomainName,
     config: &CompileConfig,
+    memo: Option<&SubtreeMemo>,
 ) -> FamilyOut<F::Set> {
-    let mut sym: Sym<'_, R, F> = Sym {
-        resolver,
-        policy: &config.policy,
-        max_steps: config.max_steps,
-        steps: 0,
-        queries: 0,
-        ctx: EvalContext::mail_from(F::dummy_ip(), "compiler", domain.clone()),
-        residual: Vec::new(),
-    };
-    let init = Group {
-        set: F::full(),
-        lookups: 0,
-        voids: 0,
-        matched: None,
-        final_domain: domain.clone(),
-    };
-    let mut stack = Vec::new();
-    let terminals = sym.eval_domain(domain, 0, true, &mut stack, vec![init]);
+    let shared = memo.map(|memo| Shared {
+        memo,
+        building: Vec::new(),
+        builds_left: config.policy.max_dns_lookups,
+    });
+    let mut sym: Sym<'_, R, F> = Sym::new(resolver, &config.policy, config.max_steps, domain);
+    sym.shared = shared;
+    let init = vec![entry_group::<F>(domain)];
+    let terminals = sym.eval_domain(domain, 0, true, &mut Vec::new(), init);
+    if sym.cap_hit && memo.is_some() {
+        // Composing charges an upper bound of the direct walk's steps,
+        // so only the direct walk can say whether its own count trips
+        // the cap.
+        return compile_family::<R, F>(resolver, domain, config, None);
+    }
     FamilyOut {
         terminals,
         residual: sym.residual,
@@ -703,7 +920,199 @@ fn compile_family<R: Resolver + ?Sized, F: AddressFamily>(
     }
 }
 
+/// `inner`, a group of a standalone walk, as the direct walk would have
+/// left it had it entered with `entry`; `None` where the two are
+/// disjoint.
+fn compose_group<F: AddressFamily>(
+    entry: &Group<F::Set>,
+    inner: &Group<F::Set>,
+) -> Option<Group<F::Set>> {
+    let set = F::intersect(&entry.set, &inner.set);
+    (!F::is_empty(&set)).then(|| Group {
+        set,
+        lookups: entry.lookups + inner.lookups,
+        voids: entry.voids + inner.voids,
+        matched: inner.matched.clone().or_else(|| entry.matched.clone()),
+        final_domain: inner.final_domain.clone(),
+    })
+}
+
 impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
+    /// A memo-less walk rooted at `domain`, nothing spent yet.
+    fn new(resolver: &'a R, policy: &'a EvalPolicy, max_steps: usize, domain: &DomainName) -> Self {
+        Sym {
+            resolver,
+            policy,
+            max_steps,
+            steps: 0,
+            queries: 0,
+            ctx: EvalContext::mail_from(F::dummy_ip(), "compiler", domain.clone()),
+            residual: Vec::new(),
+            shared: None,
+            footprint: None,
+            cap_hit: false,
+        }
+    }
+
+    /// Recurse into an include/redirect target: compose the memo's
+    /// subtree when the entry state provably cannot matter, take the
+    /// direct walk otherwise (and always without a memo).
+    /// `merge_passes` is the `include:` view of the subtree.
+    fn eval_target(
+        &mut self,
+        target: &DomainName,
+        depth: usize,
+        stack: &mut Vec<DomainName>,
+        groups: Vec<Group<F::Set>>,
+        merge_passes: bool,
+    ) -> Vec<Terminal<F::Set>> {
+        if let Some(memo) = self.shared.as_ref().map(|shared| shared.memo) {
+            memo.lookups.fetch_add(1, Ordering::Relaxed);
+            if let Some(subtree) = self.subtree(target) {
+                if self.composable(&subtree, depth, stack, &groups) {
+                    memo.composed.fetch_add(1, Ordering::Relaxed);
+                    return self.compose(&subtree, depth, groups, merge_passes);
+                }
+            }
+            memo.fallbacks.fetch_add(1, Ordering::Relaxed);
+        }
+        self.eval_domain(target, depth, false, stack, groups)
+    }
+
+    /// The memo's subtree for `target`, compiled here — outside the
+    /// lock, first insert wins — when nobody has yet. `None` when
+    /// `target` is being compiled up the call chain (an include cycle)
+    /// or the root's allowance of standalone compiles is spent.
+    fn subtree(&mut self, target: &DomainName) -> Option<Arc<Subtree<F::Set>>> {
+        let shared = self.shared.as_mut()?;
+        let memo = shared.memo;
+        if let Some(hit) = F::subtrees(memo).read().expect(MEMO_POISONED).get(target) {
+            return Some(Arc::clone(hit));
+        }
+        if shared.building.contains(target) || shared.builds_left == 0 {
+            return None;
+        }
+        memo.compiles.fetch_add(1, Ordering::Relaxed);
+        let mut building = std::mem::take(&mut shared.building);
+        building.push(target.clone());
+
+        let mut sym: Sym<'_, R, F> = Sym::new(self.resolver, self.policy, self.max_steps, target);
+        sym.shared = Some(Shared {
+            memo,
+            building,
+            builds_left: shared.builds_left - 1,
+        });
+        sym.footprint = Some(Footprint::default());
+        let init = vec![entry_group::<F>(target)];
+        let terminals = sym.eval_domain(target, 0, false, &mut Vec::new(), init);
+
+        if let Some(mut nested) = sym.shared.take() {
+            nested.building.pop();
+            *shared = nested;
+        }
+
+        let (passes, others): (Vec<_>, Vec<_>) = terminals
+            .into_iter()
+            .partition(|(_, outcome)| matches!(outcome, Ok(SpfResult::Pass)));
+        let passes: Vec<Group<F::Set>> = passes.into_iter().map(|(g, _)| g).collect();
+        let merged_passes = merge_groups::<F>(
+            passes
+                .iter()
+                .map(|g| Group {
+                    matched: None,
+                    final_domain: target.clone(),
+                    ..g.clone()
+                })
+                .collect(),
+        );
+        let built = Arc::new(Subtree {
+            passes,
+            merged_passes,
+            others,
+            residual: sym.residual,
+            footprint: sym.footprint.unwrap_or_default(),
+            queries: sym.queries,
+            steps: sym.steps,
+        });
+        let mut map = F::subtrees(memo).write().expect(MEMO_POISONED);
+        Some(Arc::clone(map.entry(target.clone()).or_insert(built)))
+    }
+
+    /// Whether entering `subtree` at `depth` with `stack` and `groups`
+    /// walks it exactly as its standalone compile did: no RFC 7208
+    /// limit, work cap or loop check can come out differently. A
+    /// subtree that tripped one of them standalone fails its sum here
+    /// under every entry, since the peaks are taken before each check.
+    fn composable(
+        &self,
+        subtree: &Subtree<F::Set>,
+        depth: usize,
+        stack: &[DomainName],
+        groups: &[Group<F::Set>],
+    ) -> bool {
+        let footprint = &subtree.footprint;
+        let entry_lookups = groups.iter().map(|g| g.lookups).max().unwrap_or(0);
+        let entry_voids = groups.iter().map(|g| g.voids).max().unwrap_or(0);
+        entry_lookups + footprint.peak_lookups <= self.policy.max_dns_lookups
+            && entry_voids + footprint.peak_voids <= self.policy.max_void_lookups
+            && depth + footprint.height <= self.policy.max_recursion_depth
+            && self.steps + groups.len() * subtree.steps <= self.max_steps
+            && !footprint.visited.iter().any(|d| stack.contains(d))
+    }
+
+    /// Lay a composable `subtree` over the incoming groups: sets
+    /// intersected, counters added, the inner narrative kept where the
+    /// subtree set one, its parked residues intersected the same way.
+    fn compose(
+        &mut self,
+        subtree: &Subtree<F::Set>,
+        depth: usize,
+        groups: Vec<Group<F::Set>>,
+        merge_passes: bool,
+    ) -> Vec<Terminal<F::Set>> {
+        self.queries += subtree.queries;
+        // Each incoming group splits at most as the whole space did.
+        self.steps += groups.len() * subtree.steps;
+        if let Some(footprint) = &mut self.footprint {
+            let inner = &subtree.footprint;
+            for g in &groups {
+                footprint.peak_lookups = footprint.peak_lookups.max(g.lookups + inner.peak_lookups);
+                footprint.peak_voids = footprint.peak_voids.max(g.voids + inner.peak_voids);
+            }
+            footprint.height = footprint.height.max(depth + inner.height);
+            for d in &inner.visited {
+                if !footprint.visited.contains(d) {
+                    footprint.visited.push(d.clone());
+                }
+            }
+        }
+        let passes = if merge_passes {
+            &subtree.merged_passes
+        } else {
+            &subtree.passes
+        };
+        let mut out = Vec::new();
+        for g in &groups {
+            for pass in passes {
+                if let Some(composed) = compose_group::<F>(g, pass) {
+                    out.push((composed, Ok(SpfResult::Pass)));
+                }
+            }
+            for (inner, outcome) in &subtree.others {
+                if let Some(composed) = compose_group::<F>(g, inner) {
+                    out.push((composed, outcome.clone()));
+                }
+            }
+            for (set, residue) in &subtree.residual {
+                let hit = F::intersect(&g.set, set);
+                if !F::is_empty(&hit) {
+                    self.residual.push((hit, residue.clone()));
+                }
+            }
+        }
+        out
+    }
+
     fn query(
         &mut self,
         name: &DomainName,
@@ -747,6 +1156,9 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
         let mut survivors = Vec::new();
         for mut g in groups {
             g.lookups += 1;
+            if let Some(footprint) = &mut self.footprint {
+                footprint.peak_lookups = footprint.peak_lookups.max(g.lookups);
+            }
             let used = match self.policy.accounting {
                 crate::eval::LookupAccounting::GlobalRecursive => g.lookups,
                 crate::eval::LookupAccounting::PerRecord => *local_counter,
@@ -763,12 +1175,15 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
     /// The symbolic `EvalState::check_void_budget`, applied after a
     /// mechanism to both its matched and unmatched groups.
     fn check_void_budget(
-        &self,
+        &mut self,
         groups: Vec<Group<F::Set>>,
         terminals: &mut Vec<Terminal<F::Set>>,
     ) -> Vec<Group<F::Set>> {
         let mut survivors = Vec::new();
         for g in groups {
+            if let Some(footprint) = &mut self.footprint {
+                footprint.peak_voids = footprint.peak_voids.max(g.voids);
+            }
             if g.voids > self.policy.max_void_lookups {
                 let used = g.voids;
                 terminals.push((g, Err(EvalProblem::TooManyVoidLookups { used })));
@@ -813,6 +1228,12 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
         stack: &mut Vec<DomainName>,
         groups: Vec<Group<F::Set>>,
     ) -> Vec<Terminal<F::Set>> {
+        if let Some(footprint) = &mut self.footprint {
+            footprint.height = footprint.height.max(depth);
+            if !footprint.visited.contains(domain) {
+                footprint.visited.push(domain.clone());
+            }
+        }
         if depth > self.policy.max_recursion_depth {
             return groups
                 .into_iter()
@@ -954,6 +1375,7 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
             }
             self.steps += groups.len();
             if self.steps > self.max_steps {
+                self.cap_hit = true;
                 self.park_residue(
                     groups,
                     ResidueKind::OverBudget,
@@ -1014,7 +1436,7 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
                             return terminals;
                         }
                         let inner =
-                            self.eval_domain(&target_domain, depth + 1, false, stack, groups);
+                            self.eval_target(&target_domain, depth + 1, stack, groups, false);
                         terminals.extend(inner.into_iter().map(|(g, outcome)| {
                             // RFC 7208 §6.1: a redirect target with no
                             // record is a permerror.
@@ -1099,7 +1521,7 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
                             };
                         }
                         let inner =
-                            self.eval_domain(&target_domain, depth + 1, false, stack, groups);
+                            self.eval_target(&target_domain, depth + 1, stack, groups, true);
                         let mut out = MatchOut::empty();
                         for (g, outcome) in inner {
                             // RFC 7208 §5.2 result table.
@@ -1721,5 +2143,300 @@ mod tests {
             let live = check_host(&resolver, &ctx, &dom("pr.test"), &policy);
             assert_eq!(compiled.verdict(ip), Some(live), "{ip}");
         }
+    }
+
+    // -----------------------------------------------------------------
+    // Shared subtrees: where the entry state bites, and where it cannot.
+    // -----------------------------------------------------------------
+
+    /// `domain` through `memo` must be the same verdict function, the
+    /// same residue set and the same compilability as the memo-less
+    /// walk, and every table answer must be bare `check_host`'s.
+    fn assert_shared_identical(
+        resolver: &ZoneResolver,
+        domain: &str,
+        policy: EvalPolicy,
+        memo: &SubtreeMemo,
+    ) {
+        let config = CompileConfig::with_policy(policy);
+        let shared = compile_policy_shared(resolver, &dom(domain), &config, memo);
+        let direct = compile_policy(resolver, &dom(domain), &config);
+        shared.assert_invariants();
+        assert_eq!(shared.compilability(), direct.compilability(), "{domain}");
+        let residue_set = |p: &CompiledPolicy| -> std::collections::HashSet<Residue> {
+            p.residues().iter().cloned().collect()
+        };
+        assert_eq!(residue_set(&shared), residue_set(&direct), "{domain}");
+        // Rows tile the space, so the ends of every row of both tables
+        // are both sides of every boundary of either.
+        let bounds = shared.row_bounds().chain(direct.row_bounds());
+        for ip in bounds.flat_map(|(lo, hi)| [lo, hi]) {
+            let fast = shared.verdict(ip);
+            assert_eq!(fast, direct.verdict(ip), "{domain} from {ip}");
+            if let Some(fast) = fast {
+                let ctx = EvalContext::mail_from(ip, "probe", dom(domain));
+                let live = check_host(resolver, &ctx, &dom(domain), &policy);
+                assert_eq!(fast, live, "{domain} from {ip}");
+            }
+        }
+        let stats = memo.stats();
+        assert_eq!(stats.composed + stats.fallbacks, stats.lookups);
+        assert!(stats.compiles <= stats.lookups);
+    }
+
+    /// One provider subtree, composed into a plain customer and then
+    /// reached with an entry state under which one of RFC 7208's limits
+    /// (or a loop check) comes out differently inside it: each case must
+    /// equal `check_host` and must have taken the direct walk.
+    #[test]
+    fn entry_states_that_bite_take_the_direct_walk() {
+        let store = Arc::new(ZoneStore::new());
+        // Filler includes: one charged lookup each, never a match.
+        let mut nine_in = String::from("v=spf1");
+        for i in 0..8 {
+            txt(&store, &format!("n{i}.test"), "v=spf1 ?all");
+            nine_in.push_str(&format!(" include:n{i}.test"));
+        }
+        a(&store, "h1.prov.test", "192.0.2.10");
+        a(&store, "h2.prov.test", "192.0.2.20");
+        txt(
+            &store,
+            "prov.test",
+            "v=spf1 ip4:198.51.100.0/24 a:h1.prov.test a:h2.prov.test ~all",
+        );
+        txt(&store, "plain.test", "v=spf1 include:prov.test -all");
+        // (a) Nine lookups charged on entry: the second `a:` inside the
+        // provider is the eleventh.
+        txt(
+            &store,
+            "late.test",
+            &format!("{nine_in} include:prov.test -all"),
+        );
+        // (b) Two voids on entry, a void `a:` inside.
+        txt(
+            &store,
+            "vprov.test",
+            "v=spf1 ip4:198.51.100.0/24 a:gone3.test ~all",
+        );
+        txt(&store, "vplain.test", "v=spf1 include:vprov.test -all");
+        txt(
+            &store,
+            "voided.test",
+            "v=spf1 a:gone1.test a:gone2.test include:vprov.test -all",
+        );
+        // (c) The provider's own include lands one past the depth limit.
+        txt(&store, "leaf.test", "v=spf1 ip4:203.0.113.0/24 -all");
+        txt(
+            &store,
+            "dprov.test",
+            "v=spf1 ip4:198.51.100.0/24 include:leaf.test ~all",
+        );
+        txt(&store, "dplain.test", "v=spf1 include:dprov.test -all");
+        txt(&store, "mid.test", "v=spf1 include:dprov.test -all");
+        txt(&store, "deep.test", "v=spf1 include:mid.test -all");
+        // (d) The provider includes the ancestor that includes it.
+        txt(
+            &store,
+            "lprov.test",
+            "v=spf1 ip4:198.51.100.0/24 include:anc.test ~all",
+        );
+        txt(&store, "anc.test", "v=spf1 include:lprov.test -all");
+        // (e) A two-cycle, one end of it also compiled as a root.
+        txt(
+            &store,
+            "cyca.test",
+            "v=spf1 ip4:192.0.2.0/24 include:cycb.test -all",
+        );
+        txt(
+            &store,
+            "cycb.test",
+            "v=spf1 ip4:198.51.100.0/24 include:cyca.test -all",
+        );
+        txt(&store, "cycroot.test", "v=spf1 include:cyca.test -all");
+        let resolver = ZoneResolver::new(store);
+
+        let shallow = EvalPolicy {
+            max_recursion_depth: 2,
+            ..EvalPolicy::default()
+        };
+        let per_record = EvalPolicy {
+            accounting: crate::eval::LookupAccounting::PerRecord,
+            ..EvalPolicy::default()
+        };
+        // (customer that composes the subtree, customers whose entry
+        // bites, the policy both compile under)
+        let cases: [(&str, &str, &[&str], EvalPolicy); 6] = [
+            ("a", "plain.test", &["late.test"], EvalPolicy::default()),
+            ("b", "vplain.test", &["voided.test"], EvalPolicy::default()),
+            ("c", "dplain.test", &["deep.test"], shallow),
+            ("d", "plain.test", &["anc.test"], EvalPolicy::default()),
+            (
+                "e",
+                "plain.test",
+                &["cycroot.test", "cyca.test", "cycb.test"],
+                EvalPolicy::default(),
+            ),
+            // (f) Per-record accounting never trips here, but the
+            // global counter the verdict reports still passes ten.
+            ("f", "plain.test", &["late.test"], per_record),
+        ];
+        for (case, composes, bites, policy) in cases {
+            let memo = SubtreeMemo::new();
+            assert_shared_identical(&resolver, composes, policy, &memo);
+            let before = memo.stats();
+            assert!(before.composed > 0, "({case}) {composes} must compose");
+            assert_eq!(before.fallbacks, 0, "({case}) {composes}");
+            for domain in bites {
+                assert_shared_identical(&resolver, domain, policy, &memo);
+            }
+            assert!(
+                memo.stats().fallbacks > before.fallbacks,
+                "({case}) {bites:?} must fall back: {:?}",
+                memo.stats()
+            );
+        }
+    }
+
+    /// Subtrees that park residues — an IP macro, an `exists`, a
+    /// transient fault — composed onto two incoming groups: the residual
+    /// regions and the residue records are the direct walk's.
+    #[test]
+    fn residues_inside_a_shared_subtree_compose_exactly() {
+        let store = Arc::new(ZoneStore::new());
+        // Leaves two unmatched groups behind, told apart by narrative.
+        txt(&store, "split.test", "v=spf1 -ip4:10.0.0.0/8 ~all");
+        txt(
+            &store,
+            "iprov.test",
+            "v=spf1 ip4:198.51.100.0/24 a:%{i}.fwd.test -all",
+        );
+        txt(
+            &store,
+            "eprov.test",
+            "v=spf1 ip4:198.51.100.0/24 exists:gate.test -all",
+        );
+        txt(
+            &store,
+            "tprov.test",
+            "v=spf1 ip4:198.51.100.0/24 a:flaky.test -all",
+        );
+        store.set_fault(&dom("flaky.test"), spf_dns::ZoneFault::Timeout);
+        for (customer, provider) in [
+            ("icust.test", "iprov.test"),
+            ("ecust.test", "eprov.test"),
+            ("tcust.test", "tprov.test"),
+        ] {
+            txt(
+                &store,
+                customer,
+                &format!("v=spf1 include:split.test include:{provider} -all"),
+            );
+        }
+        let resolver = ZoneResolver::new(store);
+        let memo = SubtreeMemo::new();
+        for (customer, kind) in [
+            ("icust.test", ResidueKind::IpMacro),
+            ("ecust.test", ResidueKind::Exists),
+            ("tcust.test", ResidueKind::Transient),
+        ] {
+            assert_shared_identical(&resolver, customer, EvalPolicy::default(), &memo);
+            let shared =
+                compile_policy_shared(&resolver, &dom(customer), &CompileConfig::default(), &memo);
+            assert_eq!(shared.compilability(), Compilability::Partial);
+            assert!(shared.residues().iter().all(|r| r.kind == kind));
+            assert_eq!(shared.verdict(v4("10.1.1.1")), None);
+            assert_eq!(shared.verdict(v4("11.1.1.1")), None);
+            assert!(shared.verdict(v4("198.51.100.9")).is_some());
+        }
+        let stats = memo.stats();
+        assert_eq!(stats.fallbacks, 0, "{stats:?}");
+        // split.test and the three providers, once per family.
+        assert_eq!(stats.compiles, 8, "{stats:?}");
+    }
+
+    /// Nested standalone compiles each start with a fresh budget and
+    /// depth, so nothing in RFC 7208 ends a long include chain for
+    /// them; the per-root allowance does.
+    #[test]
+    fn a_long_include_chain_compiles_a_bounded_number_of_subtrees() {
+        let store = Arc::new(ZoneStore::new());
+        for i in 0..60 {
+            txt(
+                &store,
+                &format!("c{i}.test"),
+                &format!("v=spf1 include:c{}.test -all", i + 1),
+            );
+        }
+        txt(&store, "c60.test", "v=spf1 ip4:198.51.100.0/24 -all");
+        let resolver = ZoneResolver::new(store);
+        let memo = SubtreeMemo::new();
+        assert_shared_identical(&resolver, "c0.test", EvalPolicy::default(), &memo);
+        let stats = memo.stats();
+        let per_family = EvalPolicy::default().max_dns_lookups as u64;
+        assert!(stats.compiles <= 2 * per_family, "{stats:?}");
+        // What one root left uncompiled, a later one compiles.
+        assert_shared_identical(&resolver, "c9.test", EvalPolicy::default(), &memo);
+        assert!(memo.stats().compiles > stats.compiles);
+    }
+
+    /// The work cap counts `(group × term)` steps from the root, so a
+    /// subtree that fits the cap on its own may not fit behind its
+    /// caller's steps: the residue must be the direct walk's.
+    #[test]
+    fn the_work_cap_behind_the_callers_steps_takes_the_direct_walk() {
+        let store = Arc::new(ZoneStore::new());
+        txt(
+            &store,
+            "prov.test",
+            "v=spf1 ip4:198.51.100.0/24 ip4:203.0.113.0/24 ip4:192.0.2.0/24 -all",
+        );
+        txt(&store, "plain.test", "v=spf1 include:prov.test");
+        txt(
+            &store,
+            "late.test",
+            "v=spf1 ip4:10.0.0.0/8 ip4:11.0.0.0/8 include:prov.test",
+        );
+        let resolver = ZoneResolver::new(store);
+        let config = CompileConfig {
+            max_steps: 5,
+            ..CompileConfig::default()
+        };
+        let memo = SubtreeMemo::new();
+        for (domain, over_budget) in [("plain.test", false), ("late.test", true)] {
+            let shared = compile_policy_shared(&resolver, &dom(domain), &config, &memo);
+            let direct = compile_policy(&resolver, &dom(domain), &config);
+            shared.assert_invariants();
+            assert_eq!(shared.residues(), direct.residues(), "{domain}");
+            assert_eq!(
+                shared
+                    .residues()
+                    .iter()
+                    .any(|r| r.kind == ResidueKind::OverBudget),
+                over_budget,
+                "{domain}"
+            );
+            for (lo, hi) in direct.row_bounds() {
+                assert_eq!(shared.verdict(lo), direct.verdict(lo), "{domain} from {lo}");
+                assert_eq!(shared.verdict(hi), direct.verdict(hi), "{domain} from {hi}");
+            }
+        }
+        assert!(memo.stats().composed > 0 && memo.stats().fallbacks > 0);
+    }
+
+    #[test]
+    fn a_second_config_bypasses_the_memo() {
+        let store = Arc::new(ZoneStore::new());
+        txt(&store, "prov.test", "v=spf1 ip4:198.51.100.0/24 ~all");
+        txt(&store, "plain.test", "v=spf1 include:prov.test -all");
+        let resolver = ZoneResolver::new(store);
+        let memo = SubtreeMemo::new();
+        assert_shared_identical(&resolver, "plain.test", EvalPolicy::default(), &memo);
+        let pinned = memo.stats();
+        let other = EvalPolicy {
+            max_dns_lookups: 0,
+            ..EvalPolicy::default()
+        };
+        assert_shared_identical(&resolver, "plain.test", other, &memo);
+        assert_eq!(memo.stats(), pinned);
     }
 }

@@ -32,8 +32,8 @@ pub use auth::{
     AuthOutcome, DeploymentMix, DmarcDisposition, MtaStsMode, StopCounts, StopLayer,
 };
 pub use compile::{
-    compile_policy, Compilability, CompileConfig, CompiledPolicy, CompilerStats, Residue,
-    ResidueKind,
+    compile_policy, compile_policy_shared, Compilability, CompileConfig, CompiledPolicy,
+    CompilerStats, Residue, ResidueKind, SubtreeMemo, SubtreeMemoStats,
 };
 pub use context::{EvalContext, SpfResult};
 pub use dmarc::{

@@ -59,10 +59,10 @@ use crossbeam::channel;
 use serde::{Deserialize, Serialize};
 use spf_analyzer::{CacheKey, CacheStats, ShardedCache, DEFAULT_CACHE_SHARDS};
 use spf_core::{
-    check_host, check_host_cached, compile_policy, query_mta_sts, stop_layer, AuthCache,
-    AuthCacheStats, BudgetKey, CompileConfig, CompilerStats, DeploymentMix, DmarcDisposition,
-    EvalContext, EvalPolicy, Evaluation, MtaStsMode, SpfResult, StopCounts, StopLayer,
-    SubtreeVerdict, VerdictCache,
+    check_host, check_host_cached, compile_policy, compile_policy_shared, query_mta_sts,
+    stop_layer, AuthCache, AuthCacheStats, BudgetKey, CompileConfig, CompilerStats, DeploymentMix,
+    DmarcDisposition, EvalContext, EvalPolicy, Evaluation, MtaStsMode, SpfResult, StopCounts,
+    StopLayer, SubtreeMemo, SubtreeMemoStats, SubtreeVerdict, VerdictCache,
 };
 use spf_dns::Resolver;
 use spf_types::{DomainName, WeightedRanges};
@@ -247,9 +247,17 @@ impl CacheKey for VerdictKey {
 /// The engine's lock-striped subtree-verdict memo: the analyzer's
 /// [`ShardedCache`] under a `(domain, ip, budget)` key, implementing
 /// [`spf_core::VerdictCache`] so `check_host_cached` can share provider
-/// subtrees across every customer that includes them.
+/// subtrees across every customer that includes them — and, for the
+/// compiled backend, the [`SubtreeMemo`] that shares the same subtrees'
+/// compiled tables.
+///
+/// Neither half is ever invalidated: a cache is sound for one frozen
+/// zone and one [`EvalPolicy`]. The engines make one per
+/// `auth_matrix`/`spoof_matrix` call and one per `ChurnEngine` step,
+/// and drop it before the zone moves.
 pub struct SpoofVerdictCache {
     inner: ShardedCache<Arc<SubtreeVerdict>, VerdictKey>,
+    subtrees: SubtreeMemo,
 }
 
 impl SpoofVerdictCache {
@@ -257,6 +265,7 @@ impl SpoofVerdictCache {
     pub fn new(shards: usize) -> Self {
         SpoofVerdictCache {
             inner: ShardedCache::new(shards),
+            subtrees: SubtreeMemo::new(),
         }
     }
 
@@ -268,6 +277,12 @@ impl SpoofVerdictCache {
     /// Hit/miss/entry counters summed over all stripes.
     pub fn stats(&self) -> CacheStats {
         self.inner.stats()
+    }
+
+    /// The compiled-subtree memo's counters (all zero unless the
+    /// compiled backend ran through this cache).
+    pub fn subtree_stats(&self) -> SubtreeMemoStats {
+        self.subtrees.stats()
     }
 
     /// Memoized subtree verdicts currently resident.
@@ -630,6 +645,10 @@ pub struct SpoofMatrixStats {
     /// matrix must serialize identically across backends.
     #[serde(default)]
     pub compiler: Option<CompilerStats>,
+    /// The run's [`SubtreeMemo`] counters when the compiled backend ran
+    /// with the cache on (`None` otherwise).
+    #[serde(default)]
+    pub subtrees: Option<SubtreeMemoStats>,
 }
 
 impl SpoofMatrixStats {
@@ -783,13 +802,26 @@ pub fn spoof_matrix<R: Resolver>(
         peak_queue_depth: peak_depth.load(Ordering::Relaxed),
         batches: batches.load(Ordering::Relaxed) as u64,
         compiler: config.use_compiled.then_some(merged.compiler),
+        subtrees: subtree_stats(&config, cache.as_ref()),
     };
     (matrix, stats)
 }
 
+/// The compiled backend's memo counters for a run's stats.
+fn subtree_stats(
+    config: &SpoofMatrixConfig,
+    cache: Option<&SpoofVerdictCache>,
+) -> Option<SubtreeMemoStats> {
+    cache
+        .filter(|_| config.use_compiled)
+        .map(SpoofVerdictCache::subtree_stats)
+}
+
 /// Evaluate one domain's complete [`DomainMatrixRow`] from every
-/// vantage. With the compiled backend, the tree is compiled once and
-/// every vantage answers from the interval tables; residual regions
+/// vantage. With the compiled backend, the tree is compiled once —
+/// through `cache`'s [`SubtreeMemo`] when there is one, so a provider
+/// subtree is compiled once per cache rather than once per customer —
+/// and every vantage answers from the interval tables; residual regions
 /// fall back to the same (cached) evaluator path, so the row is
 /// byte-identical either way. This is both the batch engine's inner
 /// loop and the churn engine's per-delta re-evaluation primitive.
@@ -803,7 +835,11 @@ pub fn evaluate_matrix_row<R: Resolver>(
     compiler: &mut CompilerStats,
 ) -> DomainMatrixRow {
     let compiled = use_compiled.then(|| {
-        let compiled = compile_policy(resolver, domain, &CompileConfig::with_policy(*policy));
+        let config = CompileConfig::with_policy(*policy);
+        let compiled = match cache {
+            Some(cache) => compile_policy_shared(resolver, domain, &config, &cache.subtrees),
+            None => compile_policy(resolver, domain, &config),
+        };
         compiler.record(&compiled);
         compiled
     });
@@ -816,7 +852,7 @@ pub fn evaluate_matrix_row<R: Resolver>(
     for vantage in vantages {
         let fast = compiled
             .as_ref()
-            .and_then(|c| c.verdict(IpAddr::V4(vantage.ip)));
+            .and_then(|c| c.verdict_ref(IpAddr::V4(vantage.ip)));
         if compiled.is_some() {
             if fast.is_some() {
                 compiler.compiled_verdicts += 1;
@@ -824,31 +860,31 @@ pub fn evaluate_matrix_row<R: Resolver>(
                 compiler.fallback_verdicts += 1;
             }
         }
-        let eval = match fast {
-            Some(eval) => eval,
+        let cell = match fast {
+            Some(eval) => RowCell::from_eval(eval),
             None => {
                 let ctx = EvalContext::mail_from(
                     IpAddr::V4(vantage.ip),
                     SPOOF_SENDER_LOCAL,
                     domain.clone(),
                 );
-                match cache {
+                RowCell::from_eval(&match cache {
                     Some(cache) => check_host_cached(resolver, &ctx, domain, policy, cache),
                     None => check_host(resolver, &ctx, domain, policy),
-                }
+                })
             }
         };
-        if eval.result != SpfResult::None {
+        if cell.result != SpfResult::None {
             row.has_record = true;
         }
-        if eval.result == SpfResult::Pass {
+        if cell.result == SpfResult::Pass {
             if vantage.kind.attacker_reachable() {
                 row.passes_shared = true;
             } else {
                 row.passes_control = true;
             }
         }
-        row.cells.push(RowCell::from_eval(&eval));
+        row.cells.push(cell);
     }
     row
 }
@@ -1289,6 +1325,7 @@ pub fn auth_matrix_with_cache<R: Resolver>(
             peak_queue_depth: peak_depth.load(Ordering::Relaxed),
             batches: batches.load(Ordering::Relaxed) as u64,
             compiler: config.use_compiled.then_some(merged.compiler),
+            subtrees: subtree_stats(&config, cache.as_ref()),
         },
         auth_cache: auth_cache.stats(),
     };

@@ -21,7 +21,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use nix::sys::socket::{recv_from_batch, send_to_batch, RecvSlot, SendPacket};
+use nix::sys::socket::{
+    recv_from_batch, send_to_batch, set_recv_buffer_size, RecvSlot, SendPacket,
+};
 use spf_types::DomainName;
 
 use crate::record::{Question, RecordType, ResourceRecord};
@@ -192,6 +194,14 @@ fn serve_tcp_connection(
 /// Datagrams handled per `recvmmsg`/`sendmmsg` batch in [`serve_datagrams`].
 const SERVE_BATCH: usize = 64;
 
+/// The receive buffer [`serve_datagrams`] asks for. The default
+/// (`net.core.rmem_default`, 208 KiB) holds about 256 small datagrams;
+/// a sender that was held up and then sends its backlog in one go — an
+/// open-loop client after a scheduling stall — overruns that, and the
+/// kernel drops the rest before `recvmmsg` sees it. 1 MiB holds a burst
+/// of a thousand.
+const SERVE_RECV_BUFFER: usize = 1 << 20;
+
 /// What [`serve_datagrams`] calls with the datagrams it receives.
 pub trait DatagramHandler {
     /// One `recvmmsg` returned a batch of datagrams; called before
@@ -215,12 +225,24 @@ pub trait DatagramHandler {
 /// per batch become 2. Receive buffers hold `slot_bytes`; a longer
 /// datagram arrives cut to that. Returns when `shutdown` is set or the
 /// socket fails.
+///
+/// Two things keep a burst from being lost. The socket's receive buffer
+/// is sized to `SERVE_RECV_BUFFER` on entry, so the burst is queued
+/// rather than dropped. And after a *full* batch — more is waiting — the
+/// loop yields once before the next receive: answering a long backlog
+/// back to back on a core shared with the client would only move the
+/// overrun to the client's socket. A batch that is not full never
+/// yields, so a closed loop with a window below the batch size pays
+/// nothing.
 pub fn serve_datagrams<H: DatagramHandler>(
     socket: &UdpSocket,
     slot_bytes: usize,
     shutdown: &AtomicBool,
     handler: &mut H,
 ) {
+    // Best effort: the kernel clamps the request to `rmem_max`, and a
+    // socket that keeps its default buffer still serves.
+    let _ = set_recv_buffer_size(socket, SERVE_RECV_BUFFER);
     serve_datagrams_from(
         |slots| recv_from_batch(socket, slots, false),
         socket,
@@ -275,6 +297,9 @@ fn serve_datagrams_from<H: DatagramHandler>(
             })
             .collect();
         send_all(socket, &pkts);
+        if received == SERVE_BATCH {
+            std::thread::yield_now();
+        }
     }
 }
 
@@ -408,14 +433,15 @@ mod tests {
         WireResolver::new(vec![server.addr()], WireClientConfig::default())
     }
 
+    struct Echo;
+    impl DatagramHandler for Echo {
+        fn handle(&mut self, datagram: &[u8], _peer: SocketAddrV4, reply: &mut Vec<u8>) {
+            reply.extend_from_slice(datagram);
+        }
+    }
+
     #[test]
     fn an_interrupted_receive_does_not_end_the_loop() {
-        struct Echo;
-        impl DatagramHandler for Echo {
-            fn handle(&mut self, datagram: &[u8], _peer: SocketAddrV4, reply: &mut Vec<u8>) {
-                reply.extend_from_slice(datagram);
-            }
-        }
         let socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         let server = socket.local_addr().unwrap();
         let client = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
@@ -449,6 +475,56 @@ mod tests {
         let (len, from) = client.recv_from(&mut buf).unwrap();
         assert_eq!((&buf[..len], from), (&b"ping"[..], server));
         assert_eq!(calls, 4);
+    }
+
+    /// A burst larger than the default receive buffer, queued before the
+    /// loop is running — what an open-loop client sends after it was
+    /// descheduled — is answered in full: the buffer holds it, and the
+    /// yield after each full batch lets the client read as the replies
+    /// come so its own buffer does not overrun either.
+    #[test]
+    fn a_burst_past_the_default_receive_buffer_is_answered_in_full() {
+        const BURST: usize = 600;
+        let rmem_max: usize = std::fs::read_to_string("/proc/sys/net/core/rmem_max")
+            .ok()
+            .and_then(|s| s.trim().parse().ok())
+            .unwrap_or(0);
+        if rmem_max < SERVE_RECV_BUFFER {
+            // The kernel clamps the request: this host cannot hold the
+            // burst whatever the loop asks for.
+            return;
+        }
+        let socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        socket
+            .set_read_timeout(Some(Duration::from_millis(25)))
+            .unwrap();
+        // The loop sizes the buffer on entry; the burst is queued before
+        // that, so size it here the same way.
+        set_recv_buffer_size(&socket, SERVE_RECV_BUFFER).unwrap();
+        let server = socket.local_addr().unwrap();
+        let client = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        for i in 0..BURST {
+            client.send_to(&(i as u32).to_be_bytes(), server).unwrap();
+        }
+        let shutdown = AtomicBool::new(false);
+        let mut seen = vec![false; BURST];
+        std::thread::scope(|scope| {
+            scope.spawn(|| serve_datagrams(&socket, 64, &shutdown, &mut Echo));
+            let mut buf = [0u8; 16];
+            while let Ok((len, _)) = client.recv_from(&mut buf) {
+                let i = u32::from_be_bytes(buf[..len].try_into().unwrap()) as usize;
+                seen[i] = true;
+                if seen.iter().all(|&s| s) {
+                    break;
+                }
+            }
+            shutdown.store(true, Ordering::Relaxed);
+        });
+        let answered = seen.iter().filter(|&&s| s).count();
+        assert_eq!(answered, BURST, "replies lost from a queued burst");
     }
 
     #[test]

@@ -126,6 +126,60 @@ fn compiled_matrix_byte_identical_across_memory_grid() {
         compiler.compiled_verdicts > 0,
         "no verdict came from the tables: {compiler:?}"
     );
+    // The subtree memo's conservation law, and proof that sharing
+    // happened: far fewer targets compiled than recursions answered.
+    let subtrees = stats
+        .subtrees
+        .expect("compiled + cached run reports the memo");
+    assert_eq!(subtrees.composed + subtrees.fallbacks, subtrees.lookups);
+    assert!(subtrees.compiles <= subtrees.lookups, "{subtrees:?}");
+    assert!(subtrees.composed > subtrees.compiles, "{subtrees:?}");
+    // Composition charges a subtree's standalone queries whoever
+    // compiled it, so the counters do not depend on the schedule.
+    #[allow(deprecated)]
+    let (_, serial) = spoof_matrix(
+        &resolver,
+        &world.domains,
+        &vantages,
+        SpoofMatrixConfig::with_workers(1).compiled(true),
+    );
+    assert_eq!(serial.compiler, Some(compiler));
+}
+
+/// The matrix grid sees a policy through a handful of vantage
+/// addresses. Here every domain of the population is compiled through
+/// one shared [`spf_core::SubtreeMemo`] and without one, and the two
+/// policies are compared as functions of the address: at the first and
+/// last address of every row of both tables, both families.
+#[test]
+fn shared_compiles_are_the_direct_compiles_function_across_the_population() {
+    use spf_core::{compile_policy_shared, CompileConfig, SubtreeMemo};
+    let world = build_spoof_world(Scale { denominator: 2000 }, SEED);
+    let resolver = ZoneResolver::new(Arc::clone(&world.store));
+    let config = CompileConfig::default();
+    let memo = SubtreeMemo::new();
+    let mut probes = 0u64;
+    for domain in &world.domains {
+        let shared = compile_policy_shared(&resolver, domain, &config, &memo);
+        let direct = compile_policy(&resolver, domain, &config);
+        shared.assert_invariants();
+        assert_eq!(shared.compilability(), direct.compilability(), "{domain}");
+        let residues = |p: &CompiledPolicy| -> std::collections::HashSet<spf_core::Residue> {
+            p.residues().iter().cloned().collect()
+        };
+        assert_eq!(residues(&shared), residues(&direct), "{domain}");
+        for (lo, hi) in shared.row_bounds().chain(direct.row_bounds()) {
+            for ip in [lo, hi] {
+                assert_eq!(shared.verdict(ip), direct.verdict(ip), "{domain} from {ip}");
+                probes += 1;
+            }
+        }
+    }
+    let stats = memo.stats();
+    assert_eq!(stats.composed + stats.fallbacks, stats.lookups);
+    assert!(stats.fallbacks > 0, "no entry state bit: {stats:?}");
+    assert!(stats.composed > 10 * stats.compiles, "{stats:?}");
+    assert!(probes > 100_000, "{probes} probes");
 }
 
 #[test]

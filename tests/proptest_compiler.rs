@@ -14,14 +14,21 @@
 //! shapes — a session macro in the *last* term, and an `exists` buried
 //! behind nine includes (the lookup budget's edge) — pin the
 //! almost-compilable corner explicitly.
+//!
+//! The same worlds pin the shared compile (ISSUE 23): through one
+//! [`SubtreeMemo`] per world, `compile_policy_shared` must be the same
+//! verdict *function* as `compile_policy` — probed at both ends of
+//! every row of both tables — whatever order the population
+//! arrives in and however many threads share the memo.
 
+use std::collections::HashSet;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use spf_core::{
-    check_host, compile_policy, Compilability, CompileConfig, CompiledPolicy, EvalContext,
-    EvalPolicy, ResidueKind, SpfResult,
+    check_host, compile_policy, compile_policy_shared, Compilability, CompileConfig,
+    CompiledPolicy, EvalContext, EvalPolicy, Residue, ResidueKind, SpfResult, SubtreeMemo,
 };
 use spf_dns::{ZoneResolver, ZoneStore};
 use spf_types::DomainName;
@@ -203,6 +210,146 @@ proptest! {
             let ip = IpAddr::V4(Ipv4Addr::from(probe));
             prop_assert_eq!(a.verdict(ip), b.verdict(ip));
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Shared subtrees: `compile_policy_shared` ≡ `compile_policy` ≡ `check_host`.
+// ---------------------------------------------------------------------
+
+/// The first and last address of every row of both policies' tables.
+/// Rows tile the space, so these are both sides of every boundary of
+/// either table.
+fn boundary_probes(policies: [&CompiledPolicy; 2]) -> Vec<IpAddr> {
+    policies
+        .into_iter()
+        .flat_map(CompiledPolicy::row_bounds)
+        .flat_map(|(lo, hi)| [lo, hi])
+        .collect()
+}
+
+fn residue_set(policy: &CompiledPolicy) -> HashSet<&Residue> {
+    policy.residues().iter().collect()
+}
+
+/// `shared` and `direct` are the same function of the address (outcome
+/// order and row splits may differ, so `==` on the policies is not the
+/// test), with the same residue set and compilability.
+fn assert_same_function(
+    shared: &CompiledPolicy,
+    direct: &CompiledPolicy,
+    vantages: &[IpAddr],
+) -> Result<(), String> {
+    shared.assert_invariants();
+    prop_assert_eq!(shared.compilability(), direct.compilability());
+    prop_assert_eq!(residue_set(shared), residue_set(direct));
+    for ip in boundary_probes([shared, direct])
+        .into_iter()
+        .chain(vantages.iter().copied())
+    {
+        prop_assert_eq!(
+            shared.verdict(ip),
+            direct.verdict(ip),
+            "shared and direct compiles of {} differ from {}",
+            direct.domain(),
+            ip
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One memo per world: every domain's shared compile is the direct
+    /// compile's verdict function, and every table answer is bare
+    /// `check_host`'s.
+    #[test]
+    fn shared_compiles_match_direct_compiles_and_check_host(
+        world in proptest::collection::vec(arb_compile_domain(6), 6),
+        probe_v4 in proptest::collection::vec(any::<u32>(), 2),
+        probe_v6 in any::<u128>(),
+    ) {
+        let (store, domains, first_ip4) = build_world(&world);
+        let resolver = ZoneResolver::new(store);
+        let config = CompileConfig::default();
+        let mut vantages: Vec<IpAddr> = probe_v4
+            .iter()
+            .map(|bits| IpAddr::V4(Ipv4Addr::from(*bits)))
+            .collect();
+        vantages.extend(first_ip4.map(IpAddr::V4));
+        vantages.push(IpAddr::V6(Ipv6Addr::from(probe_v6)));
+        let memo = SubtreeMemo::new();
+        for domain in &domains {
+            let shared = compile_policy_shared(&resolver, domain, &config, &memo);
+            let direct = compile_policy(&resolver, domain, &config);
+            assert_same_function(&shared, &direct, &vantages)?;
+            for ip in boundary_probes([&shared, &direct]).into_iter().chain(vantages.iter().copied()) {
+                assert_cell(&resolver, &shared, domain, ip)?;
+            }
+        }
+        let stats = memo.stats();
+        prop_assert_eq!(stats.composed + stats.fallbacks, stats.lookups);
+        prop_assert!(stats.compiles <= stats.lookups);
+    }
+
+    /// Which domain meets a subtree first decides who compiles it and
+    /// what is in the memo when the others arrive — never a verdict:
+    /// two population orders over fresh memos, and eight threads over
+    /// one, all give the direct compile's functions.
+    #[test]
+    fn population_order_and_sharing_threads_cannot_matter(
+        world in proptest::collection::vec(arb_compile_domain(6), 6),
+        probe in any::<u32>(),
+    ) {
+        let (store, domains, first_ip4) = build_world(&world);
+        let resolver = ZoneResolver::new(store);
+        let config = CompileConfig::default();
+        let mut vantages = vec![IpAddr::V4(Ipv4Addr::from(probe))];
+        vantages.extend(first_ip4.map(IpAddr::V4));
+        let direct: Vec<CompiledPolicy> = domains
+            .iter()
+            .map(|d| compile_policy(&resolver, d, &config))
+            .collect();
+
+        let forward: Vec<usize> = (0..domains.len()).collect();
+        let backward: Vec<usize> = forward.iter().rev().copied().collect();
+        for order in [&forward, &backward] {
+            let memo = SubtreeMemo::new();
+            for &i in order {
+                let shared = compile_policy_shared(&resolver, &domains[i], &config, &memo);
+                assert_same_function(&shared, &direct[i], &vantages)?;
+            }
+        }
+
+        let memo = SubtreeMemo::new();
+        let start = std::sync::Barrier::new(8);
+        let compiled: Vec<Vec<(usize, CompiledPolicy)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|t| {
+                    let (resolver, domains, memo, start) = (&resolver, &domains, &memo, &start);
+                    scope.spawn(move || {
+                        // Every thread compiles the whole population,
+                        // each starting somewhere else, all at once.
+                        start.wait();
+                        (0..domains.len())
+                            .map(|k| (k + t) % domains.len())
+                            .map(|i| (i, compile_policy_shared(resolver, &domains[i], &config, memo)))
+                            .collect()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("compile thread panicked"))
+                .collect()
+        });
+        for (i, shared) in compiled.iter().flatten() {
+            assert_same_function(shared, &direct[*i], &vantages)?;
+        }
+        let stats = memo.stats();
+        prop_assert_eq!(stats.composed + stats.fallbacks, stats.lookups);
+        prop_assert!(stats.compiles <= stats.lookups);
     }
 }
 
