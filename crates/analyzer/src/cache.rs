@@ -30,7 +30,7 @@
 //!
 //! Per-shard hit/miss counters ([`CacheStats`]) are maintained with relaxed
 //! atomics: they never influence control flow, only reporting (the `repro`
-//! CLI's throughput line and the `crawl_scaling` bench).
+//! CLI's throughput line and the benchmark's `analyzer.cache.hit_rate`).
 //!
 //! The cache is generic over its key through [`CacheKey`]: the walker memo
 //! keeps the historical [`DomainName`] keying (the default type
@@ -64,8 +64,8 @@ impl CacheKey for DomainName {
 /// Default stripe count for [`ShardedCache`] (and thus the walker).
 ///
 /// 16 shards keep same-shard collisions rare for worker counts up to the
-/// paper's 150-endpoint analogue while costing only 16 lock words; the
-/// `crawl_scaling` bench sweeps 1 vs. 16 to quantify the choice.
+/// paper's 150-endpoint analogue while costing only 16 lock words
+/// (docs/history/BENCH_2.json swept 1 vs. 16).
 pub const DEFAULT_CACHE_SHARDS: usize = 16;
 
 /// Aggregated (or per-shard) cache counters.

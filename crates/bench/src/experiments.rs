@@ -4,8 +4,7 @@
 //! rendered artifact plus an [`Experiment`] comparing measured values to
 //! the paper's published ones (counts are rescaled to full-scale units
 //! before comparison). The `repro` binary prints the artifacts and writes
-//! the experiment log to EXPERIMENTS.md; the criterion benches re-run the
-//! same pipelines under measurement.
+//! the experiment log to EXPERIMENTS.md.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -130,7 +129,7 @@ impl Repro {
 /// Assemble the resolver stack a [`Backend`]'s transport selects over
 /// `store`: the in-process [`ZoneResolver`], or a freshly spawned
 /// server fleet fronted by the wire client. Every entry point —
-/// `repro`, the spoof matrix, the verdict service, the benches — routes
+/// `repro`, the spoof matrix, the verdict service, the benchmark — routes
 /// through here, so a backend means the same stack everywhere.
 pub fn build_resolver(
     store: &Arc<ZoneStore>,
@@ -937,6 +936,8 @@ pub fn overlap(r: &Repro) -> (String, Experiment) {
                 .is_none_or(|p| p.covered_ips <= report.total_covered),
         ),
     );
+    // The note is repro output and stays byte-identical; the file it
+    // names is docs/history/BENCH_4.json.
     exp.note(
         "The paper never published the population-wide sweep, so this section \
          has no paper column; the flags above recount the sweep-line's answers \
@@ -1588,9 +1589,9 @@ pub fn trends(
 /// shared zone store, the population in rank order, and the attacker
 /// vantage addresses (top-coverage first) traffic mixes target.
 ///
-/// Built once by [`service_lab`] and shared by `repro -- serve`,
-/// `repro -- traffic`, and the `service_throughput` bench, so all three
-/// serve the same world the spoof matrix scored.
+/// Built once by [`service_lab`] and shared by `repro -- serve` and
+/// `repro -- traffic`, so both serve the same world the spoof matrix
+/// scored.
 pub struct ServiceLab {
     /// The merged population + hosting zone store.
     pub store: Arc<ZoneStore>,

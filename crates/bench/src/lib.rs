@@ -1,16 +1,15 @@
-//! # spf-bench — experiment regeneration pipelines and criterion benches
+//! # spf-bench — experiment regeneration pipelines
 //!
 //! [`experiments`] holds one pipeline per table/figure of the paper; the
-//! `repro` binary (workspace root) drives them and writes EXPERIMENTS.md,
-//! while the criterion benches in `benches/` measure the building blocks
-//! (parser, evaluator, IP-set arithmetic, DNS codec, crawl, SMTP) and the
-//! ablations called out in DESIGN.md §5.
+//! `repro` binary (workspace root) drives them and writes EXPERIMENTS.md.
+//! Performance is measured by the benchmark alone (`BENCHMARK.json`,
+//! `benchmark/README.md`), which builds on [`build_resolver`] and
+//! [`WireRun`] from here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod guard;
 
 pub use experiments::{
     build_resolver, extras, figure1, figure2, figure3, figure4, figure5, figure6, figure7, figure8,

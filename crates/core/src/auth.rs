@@ -432,7 +432,7 @@ const AUTH_CACHE_SHARDS: usize = 16;
 /// DMARC and MTA-STS facts are per *victim domain* while the matrix
 /// evaluates per `(vantage, victim)` pair, so without this memo every
 /// extra vantage re-pays the `_dmarc` (and fallback) lookups. Hit
-/// rates are exported for BENCH_10.
+/// rates feed `repro spoof-matrix --stack` and the service telemetry.
 #[derive(Debug)]
 pub struct AuthCache {
     dmarc: Vec<Mutex<HashMap<DomainName, DmarcDisposition>>>,

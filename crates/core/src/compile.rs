@@ -303,8 +303,8 @@ impl CompiledPolicy {
 
     /// [`verdict`](Self::verdict) without the clone: a borrow of the
     /// shared verdict template. The allocation-free hot path for
-    /// serving loops that only read the verdict (the `repro -- serve`
-    /// fast path and the BENCH_7 throughput columns).
+    /// serving loops that only read the verdict (the service listener's
+    /// inline answers, which the `serve-hot` workload measures).
     pub fn verdict_ref(&self, ip: IpAddr) -> Option<&Evaluation> {
         let idx = match ip {
             IpAddr::V4(a) => lookup_idx(&self.v4, u32::from(a)),

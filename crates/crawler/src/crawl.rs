@@ -27,8 +27,8 @@ use spf_analyzer::{analyze_domain, DomainReport, Walker};
 use spf_dns::Resolver;
 use spf_types::{Backend, CoverageMap, DomainName, StatItem, Stats};
 
-/// Default work-batch size; the `crawl_scaling` bench sweep (BENCH_2.json)
-/// showed throughput flat from 16 upward with the knee below 16, so 64
+/// Default work-batch size; the sweep in docs/history/BENCH_2.json showed
+/// throughput flat from 16 upward with the knee below 16, so 64
 /// keeps per-batch channel overhead negligible without hurting tail
 /// balance at small populations.
 pub const DEFAULT_BATCH_SIZE: usize = 64;
@@ -91,7 +91,8 @@ impl CrawlConfig {
 }
 
 /// Observability counters for one crawl, printed by the `repro` CLI's
-/// throughput line and recorded by the `crawl_scaling` bench.
+/// throughput line and read by the `crawl-*` workloads' `crawler.crawl.*`
+/// probes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CrawlStats {
     /// Domains crawled.

@@ -27,7 +27,7 @@
 //! `(domain precomputed-hash, vantage, remaining budget)` — the exact
 //! purity domain `spf_core::eval` guarantees, so cached and uncached
 //! matrices serialize byte-identically (`tests/spoof_matrix_stress.rs`
-//! and the proptests pin this, BENCH_5.json quantifies the speedup).
+//! and the proptests pin this; the `matrix-cached` workload measures it).
 //!
 //! # Determinism
 //!

@@ -4,8 +4,8 @@
 //! This gives the DNS substrate a real network representation — the UDP
 //! name server and client resolver in [`crate::udp`] speak this format,
 //! and the integration tests drive the whole SPF pipeline over actual
-//! sockets. Name compression is optional at encode time so the
-//! `dns_codec` bench can quantify its payoff (DESIGN.md §5).
+//! sockets. Name compression is optional at encode time, an ablation
+//! knob (DESIGN.md §5).
 
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -201,8 +201,8 @@ impl Encoder {
         }
     }
 
-    /// An encoder that never emits compression pointers; used by the
-    /// `dns_codec` ablation bench.
+    /// An encoder that never emits compression pointers (the
+    /// [`encode_uncompressed`] ablation knob).
     pub fn without_compression() -> Self {
         Encoder {
             buf: BytesMut::with_capacity(512),

@@ -28,14 +28,6 @@ impl Scale {
         Scale { denominator: 1 }
     }
 
-    /// The `crawl_scaling` bench preset (1:200 ≈ 64k domains): large enough
-    /// that crawl throughput is cache- and dispatch-bound rather than
-    /// startup-bound, small enough to sweep workers × shards × batch in one
-    /// bench run. BENCH_2.json and DESIGN.md §6 are measured at this scale.
-    pub fn crawl_sweep() -> Self {
-        Scale { denominator: 200 }
-    }
-
     /// The crawl determinism stress preset (1:500 ≈ 25.6k domains), used by
     /// the façade's `crawl_stress` suite to assert bit-identical reports
     /// across worker/shard/batch configurations.
@@ -43,8 +35,8 @@ impl Scale {
         Scale { denominator: 500 }
     }
 
-    /// The quick-iteration bench preset (1:20,000 ≈ 641 domains) used by
-    /// the per-building-block pipelines and the CI bench smoke job.
+    /// The quick-iteration preset (1:20,000 ≈ 641 domains) used by the
+    /// churn unit tests and proptests.
     pub fn quick_bench() -> Self {
         Scale {
             denominator: 20_000,
@@ -137,7 +129,6 @@ mod tests {
 
     #[test]
     fn presets_and_approx_domains() {
-        assert_eq!(Scale::crawl_sweep().approx_domains(), 64_118);
         assert_eq!(Scale::stress().approx_domains(), 25_647);
         assert_eq!(Scale::quick_bench().approx_domains(), 641);
         assert_eq!(Scale::full().approx_domains(), 12_823_598);

@@ -14,9 +14,9 @@
 //!   authorizes, the matrix's negative baseline.
 //!
 //! [`build_spoof_world`] assembles the first world; [`build_include_heavy`]
-//! builds the bench's include-heavy stress shape, where every tenant's
-//! record is a deep shared include chain — the configuration in which the
-//! subtree verdict cache pays off hardest (BENCH_5.json quantifies it).
+//! builds the include-heavy stress shape, where every tenant's record is a
+//! deep shared include chain — the configuration in which the subtree
+//! verdict cache pays off hardest (docs/history/BENCH_5.json recorded it).
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -82,7 +82,7 @@ pub const INCLUDE_HEAVY_DEPTH: usize = 6;
 /// Every tenant's evaluation re-walks its whole chain — fetch, parse and
 /// mechanism scan at each hop — unless a subtree verdict cache replays
 /// it, which makes this the adversarial shape for the cached-vs-uncached
-/// comparison in the `spoof_matrix_scaling` bench.
+/// comparison (the `heavy_*` rows of docs/history/BENCH_5.json).
 pub struct IncludeHeavyWorld {
     /// Zone data.
     pub store: Arc<ZoneStore>,

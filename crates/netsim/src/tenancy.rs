@@ -2,10 +2,10 @@
 //! experimental variable.
 //!
 //! The calibrated [`crate::Population`] reproduces the paper's marginals,
-//! which fixes its overlap profile; the `overlap_scaling` bench instead
-//! needs worlds at both ends of the provider-concentration spectrum so
-//! the sweep-line's cost model (O(B log B) in the *boundary* count, not
-//! the domain count) can be measured as the shape varies:
+//! which fixes its overlap profile; these presets instead give worlds at
+//! both ends of the provider-concentration spectrum so the sweep-line's
+//! cost model (O(B log B) in the *boundary* count, not the domain count)
+//! can be measured as the shape varies (docs/history/BENCH_4.json did):
 //!
 //! * [`TenancyPreset::MegaProviders`] — a handful of hyperscalers with
 //!   huge ranges, each included by thousands of tenants. Few distinct
@@ -40,7 +40,7 @@ pub enum TenancyPreset {
 }
 
 impl TenancyPreset {
-    /// The preset's identifier in bench keys and reports.
+    /// The preset's identifier in generated names and reports.
     pub fn key(&self) -> &'static str {
         match self {
             TenancyPreset::MegaProviders => "mega",

@@ -4,9 +4,9 @@
 //! real fleet those endpoints do not fail uniformly — one rack is slow,
 //! one upstream is lossy, the rest are healthy. The wire substrate
 //! ([`spf_dns::fleet`]) accepts one [`ShardBehavior`] per server shard;
-//! this module provides the named profiles the stress suites and the
-//! `wire_throughput` bench use, so experiments reference a preset instead
-//! of hand-rolling probability vectors.
+//! this module provides the named profiles the stress suites use, so
+//! experiments reference a preset instead of hand-rolling probability
+//! vectors.
 
 use std::time::Duration;
 

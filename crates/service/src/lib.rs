@@ -16,8 +16,8 @@
 //!   compiled-table hits themselves (UDP in `recvmmsg`/`sendmmsg`
 //!   batches), a bounded request queue with typed overload shedding for
 //!   everything that can block, a worker pool, and drain-on-shutdown.
-//! * [`client`] — a windowed pipelining client used by the tests, the
-//!   benches, and `repro -- traffic`.
+//! * [`client`] — a windowed pipelining client used by the tests and
+//!   `repro -- traffic`.
 //! * [`traffic`] — deterministic load mixes (Zipf hot-set, attacker
 //!   bursts, cold floods) and the multi-client driver.
 //! * [`histogram`] — the fixed-bucket log₂ histogram behind the

@@ -168,8 +168,7 @@ pub fn build_plan(
     plan
 }
 
-/// What a driver run measured, ready for BENCH_6.json or a `[traffic]`
-/// line.
+/// What a driver run measured, ready for a `[traffic]` line.
 #[derive(Debug, Clone, Serialize)]
 pub struct TrafficReport {
     /// Mix label (`hot` / `burst` / `cold`).

@@ -1,8 +1,8 @@
 //! The unified engine-selection API (DESIGN.md §11).
 //!
 //! Every entry point that assembles a resolver/evaluator stack — the
-//! `repro` CLI, the spoof matrix, the verdict service, the criterion
-//! benches — selects it through one typed [`Backend`] value instead of
+//! `repro` CLI, the spoof matrix, the verdict service, the benchmark —
+//! selects it through one typed [`Backend`] value instead of
 //! scattered `mode`/`wire_servers`/`use_compiled` knobs:
 //!
 //! * [`Transport`] — where DNS answers come from: the in-process zone

@@ -6,8 +6,8 @@
 //! `/8`…`/0` networks — 2^24 to 2^32 addresses — so the set must be
 //! represented symbolically. [`Ipv4Set`] keeps a sorted list of disjoint
 //! inclusive `u32` ranges; union/insert are `O(n log n)` in the number of
-//! ranges, and counting is a sum of range widths. The bench
-//! `ipset_union` contrasts this with naive enumeration (see DESIGN.md §5).
+//! ranges, and counting is a sum of range widths; the proptests pin it
+//! against a naive bit-vector model (DESIGN.md §7).
 //!
 //! The range algebra itself (union / intersection / difference / subset
 //! and overlap tests) lives in the width-generic `interval` core shared

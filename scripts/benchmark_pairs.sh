@@ -13,9 +13,13 @@
 # change first in odd ones. `first` defaults to the clock, so no two
 # invocations share seeds with each other or with development runs.
 # Prints every run's five end-to-end metrics with `correct` and
-# `failed`, then per metric both medians, the parent's quartile distance
-# and how many pairs the change won. Judges nothing: the bounds and the
-# nine-in-ten rule are the reader's.
+# `failed`, then per metric both medians, the parent's quartiles, how
+# many pairs the change won and a verdict: `REGRESSED` when the change
+# median is worse than the parent median by more than the metric's
+# BENCHMARK.json `bound` times the parent median, `ok` otherwise. Exits
+# 1 if any metric regressed or fewer change runs than parent runs were
+# correct with 0 failed. This is the repo's one timing gate; a claimed
+# gain (the nine-in-ten rule) is still the reader's to check.
 #
 # The scratch directory defaults to .bench_build/pairs (ignored by git).
 # Building the benchmark may rewrite benchmark/Cargo.lock; it is
@@ -63,7 +67,7 @@ workload, pairs, seconds, first_seed, rev, parent_bin, change_bin = sys.argv[1:8
 pairs, first_seed = int(pairs), int(first_seed)
 spec = json.load(open("BENCHMARK.json"))
 seconds = seconds or str(spec["run_seconds"])
-metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
 bins = {"parent": parent_bin, "change": change_bin}
 
 def run(side, seed):
@@ -74,9 +78,9 @@ def run(side, seed):
         result = json.loads(done.stdout.splitlines()[-1])
     except (IndexError, ValueError):
         sys.exit(f"{side} seed {seed}: no result line (exit {done.returncode})\n{done.stderr[-2000:]}")
-    values = {name: result["metrics"][name]["value"] for name, _ in metrics}
+    values = {name: result["metrics"][name]["value"] for name, _, _ in metrics}
     print(f"pair {seed - first_seed:2d} seed {seed} {side:6s} "
-          + " ".join(f"{name}={values[name]:.4g}" for name, _ in metrics)
+          + " ".join(f"{name}={values[name]:.4g}" for name, _, _ in metrics)
           + f" correct={str(result['correct']).lower()} failed={result['failed']}", flush=True)
     return values, result["correct"] and result["failed"] == 0
 
@@ -91,12 +95,18 @@ for i in range(pairs):
         clean[side] += ok
 
 print(f"\ncorrect with 0 failed: parent {clean['parent']}/{pairs}, change {clean['change']}/{pairs}")
-print(f"{'metric':15s} {'parent median':>14s} {'parent q1..q3':>22s} {'change median':>14s} {'change/parent':>13s} {'change wins':>11s}")
-for name, better in metrics:
+failed = clean["change"] < clean["parent"]
+print(f"{'metric':15s} {'parent median':>14s} {'parent q1..q3':>22s} {'change median':>14s} {'change/parent':>13s} {'change wins':>11s} verdict")
+for name, better, bound in metrics:
     p = [r[name] for r in runs["parent"]]
     c = [r[name] for r in runs["change"]]
     wins = sum((b > a) if better == "higher" else (b < a) for a, b in zip(p, c))
     q = statistics.quantiles(p, n=4) if len(p) > 1 else [p[0]] * 3
     pm, cm = statistics.median(p), statistics.median(c)
-    print(f"{name:15s} {pm:14.4g} {q[0]:10.4g}..{q[2]:<10.4g} {cm:14.4g} {cm / pm:13.3f} {wins:8d}/{pairs}")
+    worse = (pm - cm) if better == "higher" else (cm - pm)
+    regressed = worse > bound * abs(pm)
+    failed |= regressed
+    print(f"{name:15s} {pm:14.4g} {q[0]:10.4g}..{q[2]:<10.4g} {cm:14.4g} {cm / pm:13.3f} {wins:8d}/{pairs}"
+          f"   {'REGRESSED' if regressed else 'ok'} (bound {bound:g})")
+sys.exit(1 if failed else 0)
 PY

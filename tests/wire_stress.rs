@@ -61,9 +61,13 @@ fn wire_reports_byte_identical_to_in_memory_across_matrix() {
     // The acceptance matrix: workers ∈ {1, 4, 32} × server shards
     // ∈ {1, 4} at scale 1:500 (≈25.6k domains), zero-fault profile,
     // compared through the fully serialized report stream so every field
-    // is covered.
+    // is covered. The telemetry must agree too: the datagram count is a
+    // property of the population, not of the schedule, while `queries`,
+    // `cache_hits` and `coalesced` move with scheduling and only their
+    // sum is pinned.
     let population = population_at(500);
     let reference = memory_reports_json(&population);
+    let mut first_wire_queries = None;
     for workers in [1usize, 4, 32] {
         for servers in [1usize, 4] {
             let (reports, snapshot, _) =
@@ -77,6 +81,26 @@ fn wire_reports_byte_identical_to_in_memory_across_matrix() {
             assert!(
                 snapshot.wire_queries > population.domains.len() as u64,
                 "suspiciously few datagrams at workers={workers} servers={servers}: {snapshot:?}"
+            );
+            assert_eq!(
+                *first_wire_queries.get_or_insert(snapshot.wire_queries),
+                snapshot.wire_queries,
+                "datagram count moved at workers={workers} servers={servers}: {snapshot:?}"
+            );
+            // Zero faults: a query retries only when it is going to time
+            // out, and the crawl profile's two attempts allow one retry.
+            assert_eq!(
+                snapshot.retries, snapshot.temp_errors,
+                "retries without a temp error at workers={workers} servers={servers}: {snapshot:?}"
+            );
+            // Every resolver query is a cache hit, a coalesced join, or
+            // the first datagram of its own wire query.
+            assert_eq!(
+                snapshot.queries,
+                snapshot.cache_hits
+                    + snapshot.coalesced
+                    + (snapshot.wire_queries - snapshot.retries),
+                "WireSnapshot law broken at workers={workers} servers={servers}: {snapshot:?}"
             );
         }
     }
