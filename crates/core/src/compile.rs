@@ -37,8 +37,9 @@
 //!   fan-out (adversarial records, not the wild population).
 //!
 //! A population run compiles thousands of domains that `include:` the
-//! same few providers. [`compile_policy_shared`] takes a run-scoped
-//! [`SubtreeMemo`]: each include/redirect target is compiled once,
+//! same few providers. [`compile_policy_shared`] takes a
+//! [`SubtreeMemo`] (one per matrix run, or one per service TTL
+//! generation): each include/redirect target is compiled once,
 //! standalone, and composed onto every domain that reaches it with an
 //! entry state that provably cannot change the target's walk; every
 //! other entry takes the direct walk, which is therefore the fallback,
@@ -493,16 +494,18 @@ pub fn compile_policy<R: Resolver + ?Sized>(
     compile_families(resolver, domain, config, None)
 }
 
-/// [`compile_policy`] through a run-scoped [`SubtreeMemo`]: every
+/// [`compile_policy`] through a [`SubtreeMemo`]: every
 /// include/redirect target is compiled once per memo and composed into
-/// each domain that reaches it (DESIGN.md §10 *Shared subtrees*). The
-/// result is the same verdict *function* and the same residue set as
-/// [`compile_policy`]'s — outcome order and row splits may differ, so
-/// compare with [`CompiledPolicy::verdict`], not `==`.
+/// each domain that reaches it (DESIGN.md §10 *Shared subtrees*). Over
+/// a zone that holds still, the result is the same verdict *function*
+/// and the same residue set as [`compile_policy`]'s — outcome order and
+/// row splits may differ, so compare with [`CompiledPolicy::verdict`],
+/// not `==`.
 ///
-/// The memo's contract is the caller's: one zone that does not change
-/// while the memo lives, one `config`. A call whose `config` differs
-/// from the memo's first takes the memo-less walk.
+/// The memo's contract is the caller's: a composed subtree is the zone
+/// as the memo read it, so a caller whose zone changes bounds the
+/// memo's life; and one `config` — a call whose `config` differs from
+/// the memo's first takes the memo-less walk.
 pub fn compile_policy_shared<R: Resolver + ?Sized>(
     resolver: &R,
     domain: &DomainName,
@@ -772,14 +775,16 @@ type SubtreeMap<S> = RwLock<HashMap<DomainName, Arc<Subtree<S>>, DomainHashBuild
 
 const MEMO_POISONED: &str = "a thread panicked inserting into the subtree memo";
 
-/// A run-scoped, insert-only memo of include/redirect targets compiled
-/// standalone, one table per address family, for
-/// [`compile_policy_shared`].
+/// An insert-only memo of include/redirect targets compiled standalone,
+/// one table per address family, for [`compile_policy_shared`].
 ///
 /// A subtree is a function of the zone and the [`CompileConfig`] alone,
-/// so the memo is sound for exactly as long as both hold still: make
-/// one per population run over a frozen zone and drop it with the run.
-/// Nothing is ever evicted or invalidated.
+/// so a memo serves exactly the zone it read, at the time it read it.
+/// Nothing in it is ever evicted or invalidated; its owner bounds its
+/// life instead. It has two: the spoof matrix makes one per run over a
+/// frozen zone, and the resident verdict service one per TTL
+/// generation, whose tables expire one TTL after the generation began
+/// (DESIGN.md §10 *Shared subtrees*).
 #[derive(Default)]
 pub struct SubtreeMemo {
     /// The config of the first compile; a different one bypasses the memo.

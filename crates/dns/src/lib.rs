@@ -39,6 +39,6 @@ pub use resolver::{
     CountingResolver, DnsError, FaultInjectingResolver, FaultProfile, QueryStats,
     RateLimitedResolver, Resolver, ZoneResolver,
 };
-pub use udp::{serve_datagrams, DatagramHandler, ServerConfig, UdpNameServer};
+pub use udp::{bind_udp_tcp_pair, serve_datagrams, DatagramHandler, ServerConfig, UdpNameServer};
 pub use wire::{decode, encode, encode_uncompressed, Header, Message, Rcode, WireError};
 pub use zone::{LookupOutcome, ZoneFault, ZoneStore};

@@ -63,8 +63,11 @@ pub struct UdpNameServer {
 impl UdpNameServer {
     /// Bind to 127.0.0.1 on an ephemeral port and start serving.
     pub fn spawn(store: Arc<ZoneStore>, config: ServerConfig) -> std::io::Result<Self> {
-        let socket = UdpSocket::bind(("127.0.0.1", 0))?;
+        // RFC 7766 companion listener on the same port. TCP responses are
+        // never truncated.
+        let (socket, tcp_listener) = bind_udp_tcp_pair()?;
         socket.set_read_timeout(Some(Duration::from_millis(25)))?;
+        tcp_listener.set_nonblocking(true)?;
         let addr = socket.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let answered = Arc::new(AtomicU64::new(0));
@@ -77,10 +80,6 @@ impl UdpNameServer {
         let handle = std::thread::Builder::new()
             .name("udp-nameserver".into())
             .spawn(move || serve_datagrams(&socket, 4096, &thread_shutdown, &mut handler))?;
-        // RFC 7766 companion listener on the same port. TCP responses are
-        // never truncated.
-        let tcp_listener = TcpListener::bind(addr)?;
-        tcp_listener.set_nonblocking(true)?;
         let tcp_shutdown = Arc::clone(&shutdown);
         let tcp_answered = Arc::new(AtomicU64::new(0));
         let tcp_counter = Arc::clone(&tcp_answered);
@@ -125,6 +124,40 @@ impl Drop for UdpNameServer {
             let _ = h.join();
         }
     }
+}
+
+/// Ports [`bind_udp_tcp_pair`] tries before it gives up.
+const PAIR_BIND_TRIES: usize = 16;
+
+/// A UDP socket and a TCP listener on the same ephemeral loopback port —
+/// the shape of [`UdpNameServer`] and the verdict service. The UDP side
+/// picks the port, and the TCP side may find that number already taken
+/// by some unrelated TCP socket; then the pair moves to a fresh UDP port,
+/// up to `PAIR_BIND_TRIES` times. Any other error is returned at once.
+pub fn bind_udp_tcp_pair() -> std::io::Result<(UdpSocket, TcpListener)> {
+    bind_pair_with(|| UdpSocket::bind(("127.0.0.1", 0)))
+}
+
+/// [`bind_udp_tcp_pair`] with the UDP bind as a parameter, so a test can
+/// hand it a port whose TCP side it holds.
+fn bind_pair_with(
+    mut bind_udp: impl FnMut() -> std::io::Result<UdpSocket>,
+) -> std::io::Result<(UdpSocket, TcpListener)> {
+    // Ports that failed stay bound until the pair is found, so the
+    // kernel cannot hand one of them back.
+    let mut refused = Vec::new();
+    for _ in 0..PAIR_BIND_TRIES {
+        let udp = bind_udp()?;
+        match TcpListener::bind(udp.local_addr()?) {
+            Ok(tcp) => return Ok((udp, tcp)),
+            Err(e) if e.kind() == ErrorKind::AddrInUse => refused.push(udp),
+            Err(e) => return Err(e),
+        }
+    }
+    Err(std::io::Error::new(
+        ErrorKind::AddrInUse,
+        format!("no loopback port free for both UDP and TCP in {PAIR_BIND_TRIES} tries"),
+    ))
 }
 
 fn serve_tcp_loop(
@@ -438,6 +471,25 @@ mod tests {
         fn handle(&mut self, datagram: &[u8], _peer: SocketAddrV4, reply: &mut Vec<u8>) {
             reply.extend_from_slice(datagram);
         }
+    }
+
+    /// The UDP side of a port can be free while its TCP side is held by
+    /// someone else; the pair must come up anyway, on another port.
+    #[test]
+    fn a_taken_tcp_port_moves_the_pair_to_a_fresh_one() {
+        let held = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let taken = held.local_addr().unwrap();
+        let mut calls = 0;
+        let (udp, tcp) = bind_pair_with(|| {
+            calls += 1;
+            let port = if calls == 1 { taken.port() } else { 0 };
+            UdpSocket::bind(("127.0.0.1", port))
+        })
+        .unwrap();
+        let addr = udp.local_addr().unwrap();
+        assert_eq!(tcp.local_addr().unwrap(), addr);
+        assert_ne!(addr.port(), taken.port());
+        assert_eq!(calls, 2);
     }
 
     #[test]

@@ -19,10 +19,8 @@
 //!   tightenings, provider migrations, BLBFO MX failover) for the
 //!   longitudinal engine;
 //! * [`hosting`] — the five-provider case-study world (Table 5);
-//! * [`spooflab`] — the spoofability-matrix worlds: population + hosting
-//!   merged into one zone, plus the include-heavy cache stress shape;
-//! * [`tenancy`] — cloud-tenancy presets (mega-providers vs long tail)
-//!   for sweeping the overlap engine's shape variable;
+//! * [`spooflab`] — the spoofability-matrix world: population + hosting
+//!   merged into one zone;
 //! * [`wirelab`] — per-shard fault/latency presets for the wire-path
 //!   crawl's server fleet.
 
@@ -37,7 +35,6 @@ pub mod population;
 pub mod providers;
 pub mod scale;
 pub mod spooflab;
-pub mod tenancy;
 pub mod wirelab;
 
 pub use blocks::AddressAllocator;
@@ -59,8 +56,4 @@ pub use providers::{
 pub use scale::{apportion, Scale};
 /// Re-export of the deployment-tier enum the presets model.
 pub use spf_core::DeploymentMix;
-pub use spooflab::{
-    build_include_heavy, build_spoof_world, IncludeHeavyWorld, SpoofWorld, INCLUDE_HEAVY_CHAINS,
-    INCLUDE_HEAVY_DEPTH,
-};
-pub use tenancy::{build_tenancy, TenancyConfig, TenancyPreset, TenancyWorld};
+pub use spooflab::{build_spoof_world, SpoofWorld};

@@ -279,6 +279,18 @@ impl<K: CacheKey, V: Clone> TtlLru<K, V> {
     /// recently probed entry is evicted first.
     pub fn insert(&self, key: K, value: V) {
         let now = self.clock.now();
+        self.admit(key, value, now, now);
+    }
+
+    /// [`insert`](Self::insert) a value built only from data read at or
+    /// after `as_of`: it expires a TTL after `as_of`, not a TTL after
+    /// now, so however long after `as_of` it was built, nothing it holds
+    /// is served past one TTL of age.
+    pub fn insert_as_of(&self, key: K, value: V, as_of: Duration) {
+        self.admit(key, value, self.clock.now(), as_of);
+    }
+
+    fn admit(&self, key: K, value: V, now: Duration, as_of: Duration) {
         let mut stripe = self.stripe(&key).lock().unwrap();
         if let Some(entry) = stripe.map.get(&key) {
             if entry.expires_at > now {
@@ -303,7 +315,7 @@ impl<K: CacheKey, V: Clone> TtlLru<K, V> {
             key,
             Entry {
                 value,
-                expires_at: now.saturating_add(self.ttl),
+                expires_at: as_of.saturating_add(self.ttl),
                 seq,
             },
         );
@@ -535,9 +547,11 @@ impl CompiledPolicyCache {
         self.inner.peek(&CompiledKey(domain.clone()))
     }
 
-    /// Admit a freshly compiled policy.
-    pub fn insert(&self, domain: DomainName, compiled: Arc<CompiledPolicy>) {
-        self.inner.insert(CompiledKey(domain), compiled);
+    /// Admit a policy compiled from zone data read at or after `as_of`
+    /// — [`TtlLru::insert_as_of`].
+    pub fn insert_as_of(&self, domain: DomainName, compiled: Arc<CompiledPolicy>, as_of: Duration) {
+        self.inner
+            .insert_as_of(CompiledKey(domain), compiled, as_of);
     }
 
     /// Drop `domain`'s compiled artifact, if resident, regardless of
@@ -605,6 +619,18 @@ mod tests {
         assert_eq!(stats.expirations, 1);
         assert_eq!(stats.entries, 0);
         assert!(stats.is_consistent());
+    }
+
+    #[test]
+    fn insert_as_of_expires_a_ttl_after_as_of_not_after_now() {
+        let (lru, clock) = cache(8, 1, 10);
+        clock.advance(Duration::from_secs(6));
+        lru.insert_as_of(Key(1), 1, Duration::ZERO);
+        lru.insert(Key(2), 2);
+        clock.advance(Duration::from_secs(5));
+        assert_eq!(lru.get(&Key(1)), None, "built from t=0 data: dead at 10");
+        assert_eq!(lru.get(&Key(2)), Some(2), "inserted at 6: live until 16");
+        assert!(lru.stats().is_consistent());
     }
 
     #[test]
@@ -814,7 +840,7 @@ mod tests {
             &domain,
             &CompileConfig::default(),
         ));
-        cache.insert(domain.clone(), compiled);
+        cache.insert_as_of(domain.clone(), compiled, clock.now());
         assert!(cache.get(&domain).is_some());
 
         // Zone churns; the artifact is stale NOW, TTL or not.

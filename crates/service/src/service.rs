@@ -61,11 +61,12 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{self, TrySendError};
 use serde::Serialize;
 use spf_core::{
-    check_host, check_host_cached, compile_policy, AuthCache, AuthCacheStats, AuthOutcome,
-    CompileConfig, CompiledPolicy, CompilerStats, EvalContext, EvalPolicy, Evaluation,
+    check_host, check_host_cached, compile_policy_shared, AuthCache, AuthCacheStats, AuthOutcome,
+    CompileConfig, CompiledPolicy, CompilerStats, EvalContext, EvalPolicy, Evaluation, SubtreeMemo,
+    SubtreeMemoStats,
 };
-use spf_dns::{serve_datagrams, Clock, DatagramHandler, Resolver, SystemClock};
-use spf_types::{render_stats, Backend, Evaluator, StatItem, Stats};
+use spf_dns::{bind_udp_tcp_pair, serve_datagrams, Clock, DatagramHandler, Resolver, SystemClock};
+use spf_types::{render_stats, Backend, DomainName, Evaluator, StatItem, Stats};
 
 use crate::cache::{CompiledPolicyCache, ServiceVerdictCache, TtlLruConfig, TtlLruStats};
 use crate::histogram::{LatencySnapshot, LogHistogram};
@@ -88,8 +89,13 @@ pub struct ServiceConfig {
     /// query. When set, each domain's SPF tree is compiled to an
     /// interval matcher on first query and verdicts answer from the
     /// tables; residual regions fall back to the (cached) evaluator.
-    /// The store expires exactly like the verdict memo — same TTL
-    /// mechanism, same clock — so stale compiled policies never serve.
+    /// Compiles share include/redirect subtrees through one
+    /// [`SubtreeMemo`] per generation, which rolls over at half this
+    /// TTL or after `capacity` subtree compiles. A table is stamped
+    /// fresh as of its generation's birth, so it expires one TTL after
+    /// the oldest zone data it may hold: the store expires on the same
+    /// TTL mechanism and clock as the verdict memo, and no table older
+    /// than one TTL is served.
     pub compiled: Option<TtlLruConfig>,
     /// RFC 7208 limits applied to every evaluation.
     pub policy: EvalPolicy,
@@ -212,6 +218,12 @@ pub struct ServiceTelemetry {
     pub compiled: Option<CompilerStats>,
     /// Compiled-policy store counters, when the backend is configured.
     pub compiled_cache: Option<TtlLruStats>,
+    /// Subtree-memo counters summed over every memo generation, when
+    /// the backend is configured. Which worker compiles a provider first
+    /// is a race, so they stay out of [`CompilerStats`].
+    pub subtrees: Option<SubtreeMemoStats>,
+    /// Memo generations so far (0 without a compiled backend).
+    pub generations: u64,
     /// DMARC/MTA-STS layer-memo counters (only stacked queries touch
     /// the memo, so all-zero means no client asked for the stack).
     pub auth_cache: AuthCacheStats,
@@ -246,6 +258,8 @@ impl ServiceTelemetry {
     ///   store hits from the tables; and what it did not answer a
     ///   worker did — at least every store miss and every fallback, at
     ///   most those plus the stacked queries;
+    /// * summed over memo generations, every subtree lookup was composed
+    ///   or fell back, and no more subtrees were compiled than looked up;
     /// * without one, the listener answered nothing.
     pub fn check_conservation(&self) -> Result<(), String> {
         let law = |holds: bool, what: &str| {
@@ -269,6 +283,16 @@ impl ServiceTelemetry {
         let (Some(compiler), Some(store)) = (&self.compiled, &self.compiled_cache) else {
             return law(self.inline_served == 0, "inline answers without tables");
         };
+        if let Some(subtrees) = &self.subtrees {
+            law(
+                subtrees.composed + subtrees.fallbacks == subtrees.lookups,
+                "subtree composed + fallbacks != lookups",
+            )?;
+            law(
+                subtrees.compiles <= subtrees.lookups,
+                "subtree compiles > lookups",
+            )?;
+        }
         law(
             store.probes() == frames - self.bad_frames - self.shutdown_rejects,
             "store probes != queries past the gate",
@@ -333,12 +357,16 @@ impl Stats for ServiceTelemetry {
 
 impl std::fmt::Display for ServiceTelemetry {
     /// The `[service]` line (one [`render_stats`] call), plus — when the
-    /// compiled backend is on — the `[compiler]` and `[store]` lines,
+    /// compiled backend is on — the `[compiler]` line, ending in the
+    /// subtree memo's counters and generations, and the `[store]` line,
     /// every one through the same shared formatter.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&Stats::render(self))?;
         if let Some(compiled) = &self.compiled {
-            write!(f, "\n{compiled}")?;
+            let mut items = compiled.items();
+            items.extend(self.subtrees.iter().flat_map(SubtreeMemoStats::items));
+            items.push(StatItem::count("generations", self.generations));
+            write!(f, "\n{}", render_stats(compiled.scope(), &items))?;
             if let Some(store) = &self.compiled_cache {
                 let items = [
                     StatItem::percent("hit", store.hit_rate()),
@@ -352,26 +380,95 @@ impl std::fmt::Display for ServiceTelemetry {
     }
 }
 
-/// The service's compiled backend: the per-domain policy store plus the
-/// counters behind the `[compiler]` telemetry line. Compiles are rare
-/// (once per domain per TTL) and go through the mutex; the per-query
-/// verdict split stays on atomics.
+/// The service's compiled backend: the per-domain policy store, the
+/// subtree memo its compiles share, and the counters behind the
+/// `[compiler]` telemetry line. Compiles are rare (once per domain per
+/// TTL) and go through the mutexes; the per-query verdict split stays on
+/// atomics.
 struct CompiledBackend {
     store: CompiledPolicyCache,
     config: CompileConfig,
+    clock: Arc<dyn Clock>,
+    generation: Mutex<Generation>,
+    /// A generation rolls over at this age (half the store's TTL)…
+    max_age: Duration,
+    /// …or once it has compiled this many subtrees (the store's capacity).
+    max_compiles: u64,
+    /// Final counters of the generations let go of.
+    retired: Mutex<SubtreeMemoStats>,
     stats: Mutex<CompilerStats>,
     compiled_verdicts: AtomicU64,
     fallback_verdicts: AtomicU64,
 }
 
+const BACKEND_POISONED: &str = "a worker panicked holding a compiled-backend lock";
+
+/// The [`SubtreeMemo`] every compile goes through until it rolls over.
+/// Each of its subtrees was compiled from zone data read at or after
+/// `born`, so a table built through it is stamped fresh as of `born`
+/// (DESIGN.md §10 *Shared subtrees*).
+struct Generation {
+    memo: Arc<SubtreeMemo>,
+    born: Duration,
+    /// Generations so far, this one included.
+    count: u64,
+}
+
 impl CompiledBackend {
     fn new(store_config: TtlLruConfig, policy: EvalPolicy, clock: Arc<dyn Clock>) -> Self {
         CompiledBackend {
-            store: CompiledPolicyCache::new(store_config, clock),
+            max_age: store_config.ttl / 2,
+            max_compiles: store_config.capacity as u64,
+            store: CompiledPolicyCache::new(store_config, Arc::clone(&clock)),
             config: CompileConfig::with_policy(policy),
+            generation: Mutex::new(Generation {
+                memo: Arc::new(SubtreeMemo::new()),
+                born: clock.now(),
+                count: 1,
+            }),
+            clock,
+            retired: Mutex::new(SubtreeMemoStats::default()),
             stats: Mutex::new(CompilerStats::default()),
             compiled_verdicts: AtomicU64::new(0),
             fallback_verdicts: AtomicU64::new(0),
+        }
+    }
+
+    /// Compile `domain` through the current generation's memo — rolled
+    /// over first if it is too old or has compiled too much — and admit
+    /// the tables as fresh as of the generation's birth.
+    fn compile(&self, resolver: &dyn Resolver, domain: &DomainName) -> Arc<CompiledPolicy> {
+        let (memo, born) = {
+            let now = self.clock.now();
+            let mut generation = self.generation.lock().expect(BACKEND_POISONED);
+            if now.saturating_sub(generation.born) >= self.max_age
+                || generation.memo.stats().compiles >= self.max_compiles
+            {
+                let old = std::mem::replace(&mut generation.memo, Arc::new(SubtreeMemo::new()));
+                self.release(old);
+                generation.born = now;
+                generation.count += 1;
+            }
+            (Arc::clone(&generation.memo), generation.born)
+        };
+        let tables = Arc::new(compile_policy_shared(resolver, domain, &self.config, &memo));
+        self.release(memo);
+        self.stats.lock().expect(BACKEND_POISONED).record(&tables);
+        self.store
+            .insert_as_of(domain.clone(), Arc::clone(&tables), born);
+        tables
+    }
+
+    /// Let go of a generation's memo. Whoever lets go last — the
+    /// roll-over, or the last compile still running through it — adds
+    /// its final counters to `retired`, so no in-flight compile's
+    /// counts are lost.
+    fn release(&self, memo: Arc<SubtreeMemo>) {
+        if let Some(memo) = Arc::into_inner(memo) {
+            add_subtrees(
+                &mut self.retired.lock().expect(BACKEND_POISONED),
+                memo.stats(),
+            );
         }
     }
 
@@ -381,6 +478,22 @@ impl CompiledBackend {
         stats.fallback_verdicts = self.fallback_verdicts.load(Ordering::Relaxed);
         stats
     }
+
+    /// Subtree-memo counters summed over every generation, and how many
+    /// generations there have been.
+    fn subtrees(&self) -> (SubtreeMemoStats, u64) {
+        let generation = self.generation.lock().expect(BACKEND_POISONED);
+        let mut total = *self.retired.lock().expect(BACKEND_POISONED);
+        add_subtrees(&mut total, generation.memo.stats());
+        (total, generation.count)
+    }
+}
+
+fn add_subtrees(total: &mut SubtreeMemoStats, more: SubtreeMemoStats) {
+    total.lookups += more.lookups;
+    total.compiles += more.compiles;
+    total.composed += more.composed;
+    total.fallbacks += more.fallbacks;
 }
 
 enum ReplyPath {
@@ -479,18 +592,7 @@ impl Shared {
             // is spent) before paying for a compile someone else did.
             let tables = probed
                 .or_else(|| backend.store.peek(&query.domain))
-                .unwrap_or_else(|| {
-                    let tables = Arc::new(compile_policy(
-                        self.resolver.as_ref(),
-                        &query.domain,
-                        &backend.config,
-                    ));
-                    backend.stats.lock().unwrap().record(&tables);
-                    backend
-                        .store
-                        .insert(query.domain.clone(), Arc::clone(&tables));
-                    tables
-                });
+                .unwrap_or_else(|| backend.compile(self.resolver.as_ref(), &query.domain));
             if let Some(eval) = tables.verdict(query.ip) {
                 backend.compiled_verdicts.fetch_add(1, Ordering::Relaxed);
                 return eval;
@@ -792,10 +894,10 @@ impl VerdictService {
         config: ServiceConfig,
         clock: Arc<dyn Clock>,
     ) -> std::io::Result<Self> {
-        let socket = Arc::new(UdpSocket::bind(("127.0.0.1", 0))?);
+        let (socket, listener) = bind_udp_tcp_pair()?;
+        let socket = Arc::new(socket);
         socket.set_read_timeout(Some(Duration::from_millis(25)))?;
         let addr = socket.local_addr()?;
-        let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
 
         let shared = Arc::new(Shared {
@@ -869,6 +971,7 @@ impl VerdictService {
         let shared = &self.shared;
         let counter = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let counters = &shared.counters;
+        let memo = shared.compiled.as_ref().map(CompiledBackend::subtrees);
         ServiceTelemetry {
             served: counter(&counters.served),
             inline_served: counter(&counters.inline_served),
@@ -885,6 +988,8 @@ impl VerdictService {
             cache: shared.cache.as_ref().map(|c| c.stats()),
             compiled: shared.compiled.as_ref().map(|b| b.snapshot()),
             compiled_cache: shared.compiled.as_ref().map(|b| b.store.stats()),
+            subtrees: memo.map(|(stats, _)| stats),
+            generations: memo.map_or(0, |(_, count)| count),
             auth_cache: shared.auth.stats(),
             latency: shared.latency.snapshot(),
         }

@@ -4,7 +4,8 @@
 # cannot drift:
 #
 #   [build-and-test]  cargo build --release; compiler differential
-#                     suites (fail-fast); cargo test -q; docs smoke
+#                     suites (fail-fast); cargo test -q --no-fail-fast;
+#                     docs smoke
 #                     (which also builds the examples)
 #   [lint]            cargo clippy --all-targets -- -D warnings;
 #                     cargo fmt --check
@@ -29,12 +30,14 @@ cargo build --release
 # The compiler's fast differential suites first: a verdict-identity or
 # residue-classification regression fails here in seconds instead of
 # minutes into the full pass (compiler_stress, the socket-level grid,
-# rides inside `cargo test -q` below).
+# rides inside the full `cargo test` below).
 echo "== [build-and-test] compiler differential suites"
 cargo test -q --test proptest_compiler --test rfc_conformance
 
-echo "== [build-and-test] cargo test -q"
-cargo test -q
+# --no-fail-fast: one failing test binary must not hide every suite
+# after it.
+echo "== [build-and-test] cargo test -q --no-fail-fast"
+cargo test -q --no-fail-fast
 
 echo "== [build-and-test] docs smoke"
 scripts/docs_smoke.sh

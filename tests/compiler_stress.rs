@@ -347,6 +347,156 @@ fn compiled_service_verdicts_byte_identical_to_bare_check_host() {
         0 < inline && inline < telemetry.served,
         "inline {inline}: {telemetry:?}"
     );
+    // The compiles shared provider subtrees through the service's memo.
+    let subtrees = service
+        .telemetry()
+        .subtrees
+        .expect("compiled backend reports the memo");
+    assert!(subtrees.composed > 0, "{subtrees:?}");
+}
+
+/// A compiled service (verdict memo off, so every answer is the compiled
+/// store's) on a virtual clock, in front of `a.example` and `b.example`,
+/// which both include `p.example`, plus whatever a test adds.
+struct ProviderLab {
+    store: Arc<ZoneStore>,
+    clock: Arc<VirtualClock>,
+    service: VerdictService,
+    client: ServiceClient,
+}
+
+const LAB_TTL: Duration = Duration::from_secs(60);
+const LAB_IP: &str = "192.0.2.7";
+
+fn dom(name: &str) -> DomainName {
+    DomainName::parse(name).expect("domain parses")
+}
+
+impl ProviderLab {
+    fn new(capacity: usize) -> ProviderLab {
+        let store = Arc::new(ZoneStore::new());
+        store.add_txt(&dom("p.example"), "v=spf1 ip4:192.0.2.0/24 -all");
+        store.add_txt(&dom("a.example"), "v=spf1 include:p.example -all");
+        store.add_txt(&dom("b.example"), "v=spf1 include:p.example -all");
+        let clock = Arc::new(VirtualClock::new());
+        let service = VerdictService::spawn_at(
+            Arc::new(ZoneResolver::new(Arc::clone(&store))),
+            ServiceConfig::with_workers(1)
+                .cache(None)
+                .compiled(Some(TtlLruConfig::new(capacity, LAB_TTL))),
+            Arc::clone(&clock) as Arc<dyn lazy_gatekeepers::dns::Clock>,
+        )
+        .expect("service spawns");
+        let client = ServiceClient::connect(service.addr(), Transport::Udp).expect("connects");
+        ProviderLab {
+            store,
+            clock,
+            service,
+            client,
+        }
+    }
+
+    /// Bare `check_host`'s body for `domain` against the zone as it is now.
+    fn bare(&self, domain: &str) -> String {
+        let resolver = ZoneResolver::new(Arc::clone(&self.store));
+        let ip: IpAddr = LAB_IP.parse().expect("ip parses");
+        let ctx = EvalContext::mail_from(ip, SENDER, dom(domain));
+        let eval = check_host(&resolver, &ctx, &dom(domain), &EvalPolicy::default());
+        serde_json::to_string(&eval).expect("serializes")
+    }
+
+    /// What the service answers for `domain`.
+    fn ask(&mut self, domain: &str) -> String {
+        let ip: IpAddr = LAB_IP.parse().expect("ip parses");
+        let response = self.client.query(ip, &dom(domain), SENDER).expect("query");
+        assert_eq!(response.status, Status::Ok, "{domain}");
+        String::from_utf8(response.body).expect("utf-8 body")
+    }
+
+    /// The provider narrows: `LAB_IP` is no longer authorized.
+    fn narrow_provider(&self) {
+        self.store.replace_txt(&dom("p.example"), "v=spf1 -all");
+    }
+
+    /// Shut down, hold the laws, and hand back the telemetry.
+    fn finish(mut self) -> lazy_gatekeepers::service::ServiceTelemetry {
+        self.service.shutdown();
+        assert_conservation(&self.service, "provider lab");
+        self.service.telemetry()
+    }
+}
+
+/// A table built mid-generation may compose a provider subtree read
+/// when the generation was born, so it is stamped fresh as of that
+/// birth: it must be gone one TTL after it, however recently the table
+/// itself was inserted.
+#[test]
+fn a_table_built_mid_generation_expires_one_ttl_after_the_generation_was_born() {
+    let mut lab = ProviderLab::new(1024);
+    let old_b = lab.bare("b.example");
+    assert_eq!(lab.ask("a.example"), lab.bare("a.example"));
+    lab.narrow_provider();
+    let new_b = lab.bare("b.example");
+    assert_ne!(old_b, new_b, "narrowing must change the verdict");
+
+    // B's first compile, at 0.4·TTL, composes the provider subtree its
+    // generation read at t = 0: the old verdict, inside the TTL bound.
+    lab.clock.advance(LAB_TTL.mul_f64(0.4));
+    assert_eq!(lab.ask("b.example"), old_b);
+
+    // One TTL after the generation's birth, 0.6·TTL after B's tables
+    // were inserted: a table stamped with its own compile time would
+    // still be served here.
+    lab.clock
+        .advance(LAB_TTL.mul_f64(0.6) + Duration::from_secs(1));
+    assert_eq!(lab.ask("b.example"), new_b, "served past one TTL");
+
+    let telemetry = lab.finish();
+    let subtrees = telemetry
+        .subtrees
+        .expect("compiled backend reports the memo");
+    assert!(subtrees.composed >= 1, "{subtrees:?}");
+    assert_eq!(telemetry.generations, 2, "{telemetry:?}");
+}
+
+/// A domain first compiled once half a TTL has passed goes through a new
+/// generation, so it reads the provider afresh.
+#[test]
+fn a_compile_at_half_the_ttl_starts_a_new_generation() {
+    let mut lab = ProviderLab::new(1024);
+    assert_eq!(lab.ask("a.example"), lab.bare("a.example"));
+    lab.narrow_provider();
+    lab.clock.advance(LAB_TTL / 2);
+    assert_eq!(lab.ask("b.example"), lab.bare("b.example"));
+    assert_eq!(lab.finish().generations, 2);
+}
+
+/// A generation also rolls over once it has compiled as many subtrees
+/// as the store holds tables, so a stream of distinct providers cannot
+/// grow the memo without bound.
+#[test]
+fn a_generation_rolls_over_at_the_store_capacity() {
+    const CAPACITY: usize = 4;
+    let mut lab = ProviderLab::new(CAPACITY);
+    let domains: Vec<String> = (0..CAPACITY + 2)
+        .map(|i| {
+            let (domain, provider) = (format!("d{i}.example"), format!("p{i}.example"));
+            lab.store
+                .add_txt(&dom(&provider), &format!("v=spf1 ip4:192.0.2.{i} -all"));
+            lab.store
+                .add_txt(&dom(&domain), &format!("v=spf1 include:{provider} -all"));
+            domain
+        })
+        .collect();
+    for domain in &domains {
+        assert_eq!(lab.ask(domain), lab.bare(domain), "{domain}");
+    }
+    let telemetry = lab.finish();
+    let subtrees = telemetry
+        .subtrees
+        .expect("compiled backend reports the memo");
+    assert!(subtrees.compiles > CAPACITY as u64, "{subtrees:?}");
+    assert!(telemetry.generations >= 2, "{telemetry:?}");
 }
 
 #[test]
