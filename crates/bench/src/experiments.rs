@@ -12,13 +12,12 @@ use std::time::Duration;
 
 use spf_analyzer::{DomainReport, ErrorClass, NotFoundCause, Walker};
 use spf_core::{check_host, AuthCache, EvalContext, SpfResult};
-#[allow(deprecated)]
-use spf_crawler::spoof_matrix as run_spoof_matrix;
 use spf_crawler::{
-    auth_matrix_with_cache, crawl, include_ecosystem, select_vantages, ChurnEngine, CrawlConfig,
-    CrawlStats, DeploymentMix, IncludeStats, LongitudinalConfig, OverlapReport, ProviderVantage,
-    ScanAggregates, SpoofMatrixConfig, StopLayer, VantageKind, VantagePoint, ZoneDelta,
-    DEFAULT_CONTROLS, DEFAULT_PROVIDER_ROWS, DEFAULT_TOP_COVERAGE, SPOOF_SENDER_LOCAL,
+    auth_matrix, auth_matrix_with_cache, bare_row_fold, crawl, include_ecosystem, select_vantages,
+    ChurnEngine, CrawlConfig, CrawlStats, DeploymentMix, IncludeStats, LongitudinalConfig,
+    OverlapReport, ProviderVantage, ScanAggregates, SpoofMatrix, SpoofMatrixConfig,
+    SpoofMatrixStats, StopLayer, VantageKind, VantagePoint, ZoneDelta, DEFAULT_CONTROLS,
+    DEFAULT_PROVIDER_ROWS, DEFAULT_TOP_COVERAGE, SPOOF_SENDER_LOCAL,
 };
 use spf_dns::{
     Resolver, ServerConfig, VirtualClock, WireClientConfig, WireFleet, WireResolver, WireSnapshot,
@@ -961,11 +960,18 @@ pub fn overlap(r: &Repro) -> (String, Experiment) {
 /// log carries internal consistency flags (sampled matrix cells
 /// recounted through plain uncached `check_host`) plus the Table 5
 /// label replay.
-#[allow(deprecated)] // the v1 engine is this experiment's subject; `spoof_matrix_stacked` is v2
 pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String, Experiment) {
     let use_compiled = config.backend.is_compiled();
     let world = build_spoof_world(Scale { denominator }, seed);
     let (resolver, _wire) = build_resolver(&world.store, config.backend);
+    // The SPF half of the layered engine is this experiment's subject.
+    let run_spoof_matrix = |domains: &[spf_types::DomainName],
+                            vantages: &[VantagePoint],
+                            matrix_config: SpoofMatrixConfig|
+     -> (SpoofMatrix, SpoofMatrixStats) {
+        let (auth, stats) = auth_matrix(&resolver, domains, vantages, matrix_config);
+        (auth.spf, stats.engine)
+    };
 
     // One crawl pass for the coverage profile the vantage selection
     // needs (and the SPF-domain census).
@@ -993,7 +999,7 @@ pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String
     let matrix_config = SpoofMatrixConfig::with_workers(config.workers)
         .compiled(use_compiled)
         .cached(config.backend.evaluator != Evaluator::Interpreted);
-    let (matrix, stats) = run_spoof_matrix(&resolver, &world.domains, &vantages, matrix_config);
+    let (matrix, stats) = run_spoof_matrix(&world.domains, &vantages, matrix_config);
 
     let mut out = String::new();
     out.push_str("Spoof matrix: population-scale check_host() verdicts\n");
@@ -1076,12 +1082,8 @@ pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String
                 ip: provider.mta_ip,
             },
         ];
-        let (customer_matrix, _) = run_spoof_matrix(
-            &resolver,
-            &provider.customers,
-            &provider_vantage_pair,
-            matrix_config,
-        );
+        let (customer_matrix, _) =
+            run_spoof_matrix(&provider.customers, &provider_vantage_pair, matrix_config);
         let web_allowed = !provider.blocks_port25;
         let mta_allowed = !provider.mta_requires_auth;
         let smtp_ok = web_allowed && customer_matrix.vantages[0].pass > 0;
@@ -1124,9 +1126,8 @@ pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String
         .step_by(sample_stride)
         .cloned()
         .collect();
-    let (cached_sample, _) = run_spoof_matrix(&resolver, &sample, &vantages, matrix_config);
-    let (uncached_sample, _) =
-        run_spoof_matrix(&resolver, &sample, &vantages, matrix_config.cached(false));
+    let (cached_sample, _) = run_spoof_matrix(&sample, &vantages, matrix_config);
+    let (uncached_sample, _) = run_spoof_matrix(&sample, &vantages, matrix_config.cached(false));
     let mut bare_pass = vec![0u64; vantages.len()];
     let mut sampled_cells = 0u64;
     for domain in &sample {
@@ -1154,7 +1155,7 @@ pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String
     );
     if use_compiled {
         let (interpreted_sample, _) =
-            run_spoof_matrix(&resolver, &sample, &vantages, matrix_config.compiled(false));
+            run_spoof_matrix(&sample, &vantages, matrix_config.compiled(false));
         exp.plain(
             "Compiled and interpreted sample matrices identical",
             1.0,
@@ -1192,7 +1193,7 @@ pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String
 
 /// Matrix v2, behind `repro -- spoof-matrix --stack`: the layered
 /// auth-stack pipeline of DESIGN.md §13. Every `(vantage, domain)` cell
-/// carries the same SPF verdict as the v1 matrix (pinned in-run by a
+/// carries the same SPF verdict as the bare-row fold (pinned in-run by a
 /// byte comparison of the embedded SPF sub-matrix), and on top of it
 /// the victim domain's DMARC disposition and MTA-STS mode name the
 /// *first layer that stops an aligned spoof* — [`StopLayer`]. The
@@ -1257,8 +1258,7 @@ pub fn spoof_matrix_stacked(
     let mut out = String::new();
     out.push_str("Auth-stack matrix v2: layered stop attribution (DESIGN.md §13)\n");
     out.push_str(&format!(
-        "  {} domains × {} vantages ({} attacker-reachable); SPF sub-matrix \
-         byte-identical to v1\n",
+        "  {} domains × {} vantages ({} attacker-reachable)\n",
         fmt_count(auth.spf.domains),
         vantages.len(),
         attacker_vantages,
@@ -1314,15 +1314,15 @@ pub fn spoof_matrix_stacked(
 
     let mut exp = Experiment::new("Auth-stack matrix v2", "layered stop attribution");
     // The safety rail, in-run: the embedded SPF sub-matrix must be
-    // byte-identical to what the v1 engine reports for the same inputs.
-    #[allow(deprecated)]
-    let (v1, _) = run_spoof_matrix(&resolver, &world.domains, &vantages, matrix_config);
+    // byte-identical to the bare-row fold — every row evaluated with no
+    // pool, verdict cache or compiler.
+    let bare = bare_row_fold(&resolver, &world.domains, &vantages, &matrix_config.policy);
     exp.plain(
-        "v2 SPF sub-matrix byte-identical to the v1 spoof matrix",
+        "SPF sub-matrix byte-identical to the bare-row fold",
         1.0,
         f64::from(
             serde_json::to_string(&auth.spf).expect("serializes")
-                == serde_json::to_string(&v1).expect("serializes"),
+                == serde_json::to_string(&bare).expect("serializes"),
         ),
     );
     exp.plain(
@@ -1365,11 +1365,11 @@ pub fn spoof_matrix_stacked(
     );
     // The paper's thesis, stacked: an *authorized* attacker (SPF pass
     // from shared infrastructure) is invisible to every aligned upper
-    // layer, so v1's shared-pass cohort is a floor on the residual.
+    // layer, so the SPF shared-pass cohort is a floor on the residual.
     exp.plain(
         "Every v1 shared-infrastructure pass stays residually spoofable",
         1.0,
-        f64::from(auth.residual_spoofable >= v1.spoofable_shared),
+        f64::from(auth.residual_spoofable >= bare.spoofable_shared),
     );
     exp.note(format!(
         "The stacked engine evaluated {} SPF cells plus {} DMARC and {} MTA-STS \
@@ -1543,8 +1543,7 @@ pub fn trends(
     let weighted_identical = serde_json::to_string(&engine.weighted()).expect("serialize coverage")
         == serde_json::to_string(&full.coverage.weighted()).expect("serialize coverage");
     let fresh_resolver: Arc<dyn Resolver> = Arc::new(ZoneResolver::new(Arc::clone(&store)));
-    #[allow(deprecated)]
-    let (fresh_matrix, _) = run_spoof_matrix(
+    let (fresh_matrix, _) = auth_matrix(
         &fresh_resolver,
         &population.domains,
         &vantages,
@@ -1552,7 +1551,7 @@ pub fn trends(
     );
     let matrix_identical = serde_json::to_string(&engine.matrix().expect("matrix attached"))
         .expect("serialize matrix")
-        == serde_json::to_string(&fresh_matrix).expect("serialize matrix");
+        == serde_json::to_string(&fresh_matrix.spf).expect("serialize matrix");
     exp.plain(
         "Folded reports byte-identical to full recompute",
         1.0,

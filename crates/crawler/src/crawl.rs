@@ -2,30 +2,28 @@
 //!
 //! The study distributed DNS requests across 150 rate-limited servers and
 //! deduplicated work through a record cache. Here a pool of worker threads
-//! pulls rank-indexed *batches* of domains from a bounded crossbeam
-//! channel and runs the full per-domain analysis; the [`Walker`]'s sharded
-//! memo cache is shared across workers, so each provider include is
-//! resolved exactly once no matter how many customers reference it.
+//! claims rank-indexed *batches* of domains and runs the full per-domain
+//! analysis; the [`Walker`]'s sharded memo cache is shared across workers,
+//! so each provider include is resolved exactly once no matter how many
+//! customers reference it.
 //!
-//! Dispatch is *batched and bounded*: a feeder thread slices the domain
-//! list into [`CrawlConfig::batch_size`]-sized chunks and blocks once
-//! `2 × workers` batches are queued. Compared to the old design — which
-//! preloaded a clone of the entire domain list into an unbounded channel —
-//! queued work is O(workers × batch) instead of O(population), and channel
-//! synchronization is paid once per batch instead of once per domain.
-//! Results are placed by rank into a preallocated slot table as they
-//! arrive, so reports come back in input order and are bit-identical for
-//! every worker/shard/batch configuration (each report is a deterministic
-//! function of the zone alone).
+//! Dispatch is *batched and bounded* (the crate's one pool, `pool.rs`): a
+//! worker claims the next [`CrawlConfig::batch_size`] domains with one
+//! atomic add on a cursor over the input slice, so in-flight work is at
+//! most `workers × batch_size` domains and synchronization is paid once
+//! per batch instead of once per domain. Results are placed by rank into a
+//! preallocated slot table as they arrive, so reports come back in input
+//! order and are bit-identical for every worker/shard/batch configuration
+//! (each report is a deterministic function of the zone alone).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use serde::{Deserialize, Serialize};
 use spf_analyzer::{analyze_domain, DomainReport, Walker};
 use spf_dns::Resolver;
 use spf_types::{Backend, CoverageMap, DomainName, StatItem, Stats};
+
+use crate::pool;
 
 /// Default work-batch size; the sweep in docs/history/BENCH_2.json showed
 /// throughput flat from 16 upward with the knee below 16, so 64
@@ -49,9 +47,10 @@ pub struct CrawlConfig {
     /// Number of worker threads (the paper used 150 query endpoints; CPU
     /// workers are the in-process analogue).
     pub workers: usize,
-    /// Domains handed to a worker per channel operation (clamped to ≥ 1).
-    /// Larger batches amortize channel locking; smaller batches balance
-    /// the tail better. Default [`DEFAULT_BATCH_SIZE`].
+    /// Domains a worker claims at once (clamped to ≥ 1). Larger batches
+    /// amortize the claim and the result send; smaller batches balance
+    /// the tail better and bound in-flight work at `workers ×
+    /// batch_size`. Default [`DEFAULT_BATCH_SIZE`].
     pub batch_size: usize,
     /// The engine selection (transport × shard count × evaluator) the
     /// pipeline assembles for this crawl.
@@ -103,11 +102,12 @@ pub struct CrawlStats {
     pub cache_hits: u64,
     /// Walker memo-cache misses during this crawl (delta, not lifetime).
     pub cache_misses: u64,
-    /// Highest number of dispatched-but-unfinished domains observed —
-    /// bounded by `(2 × workers + workers + 1) × batch_size`, the proof
-    /// that dispatch memory no longer grows with population size.
+    /// Highest number of claimed-but-unfinished domains observed —
+    /// bounded by `workers × batch_size` (a worker holds one batch at a
+    /// time), the proof that dispatch memory does not grow with
+    /// population size.
     pub peak_queue_depth: usize,
-    /// Batches the feeder dispatched.
+    /// Batches the workers claimed: `ceil(domains / batch_size)`.
     pub batches: u64,
 }
 
@@ -181,97 +181,44 @@ pub fn crawl<R: Resolver>(
     config: CrawlConfig,
 ) -> CrawlOutput {
     let started = Instant::now();
-    let workers = config.workers.max(1);
-    let batch_size = config.batch_size.max(1);
     let cache_before = walker.cache_stats();
 
-    // In-flight work accounting (dispatched, not yet analyzed).
-    let queue_depth = AtomicUsize::new(0);
-    let peak_depth = AtomicUsize::new(0);
-    let batches = AtomicUsize::new(0);
-
     let mut slots: Vec<Option<DomainReport>> = (0..domains.len()).map(|_| None).collect();
+    // Each worker folds the flattened range sets it analyzes into its own
+    // coverage accumulator. Deltas form a commutative monoid, so the
+    // merged coverage is identical however domains were batched across
+    // workers (DESIGN.md §7).
+    let (worker_coverage, dispatch) = pool::run(
+        domains,
+        config.workers,
+        config.batch_size,
+        CoverageMap::new,
+        |coverage, batch| {
+            batch
+                .iter()
+                .map(|domain| {
+                    let report = analyze_domain(walker, domain);
+                    // Only SPF-bearing domains authorize space — the same
+                    // population Figure 5 counts.
+                    if report.has_spf {
+                        if let Some(record) = report.record.as_ref() {
+                            coverage.add_set(&record.ips);
+                        }
+                    }
+                    report
+                })
+                .collect::<Vec<_>>()
+        },
+        // Place results by rank as they arrive; no post-hoc sort.
+        |first, reports| {
+            for (slot, report) in slots[first..].iter_mut().zip(reports) {
+                *slot = Some(report);
+            }
+        },
+    );
     let mut coverage = CoverageMap::new();
-
-    {
-        // Feeder blocks once 2×workers batches queue up, so dispatched-but-
-        // unprocessed work stays O(workers × batch) however large the
-        // population is.
-        let (work_tx, work_rx) = channel::bounded::<Vec<(usize, DomainName)>>(workers * 2);
-        // Results travel in batches too: one channel operation per work
-        // batch instead of per domain, drained live by the collector below.
-        let (result_tx, result_rx) = channel::unbounded::<Vec<(usize, DomainReport)>>();
-        // Each worker folds the flattened range sets it analyzes into a
-        // bounded local accumulator and ships it exactly once, at worker
-        // exit. Deltas form a commutative monoid, so the merged coverage
-        // is identical however domains were batched across workers
-        // (DESIGN.md §7).
-        let (coverage_tx, coverage_rx) = channel::unbounded::<CoverageMap>();
-        let queue_depth = &queue_depth;
-        let peak_depth = &peak_depth;
-        let batches = &batches;
-
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                let mut next_rank = 0usize;
-                for chunk in domains.chunks(batch_size) {
-                    let batch: Vec<(usize, DomainName)> = chunk
-                        .iter()
-                        .cloned()
-                        .enumerate()
-                        .map(|(i, d)| (next_rank + i, d))
-                        .collect();
-                    next_rank += chunk.len();
-                    let depth = queue_depth.fetch_add(batch.len(), Ordering::Relaxed) + batch.len();
-                    peak_depth.fetch_max(depth, Ordering::Relaxed);
-                    batches.fetch_add(1, Ordering::Relaxed);
-                    if work_tx.send(batch).is_err() {
-                        return;
-                    }
-                }
-            });
-            for _ in 0..workers {
-                let work_rx = work_rx.clone();
-                let result_tx = result_tx.clone();
-                let coverage_tx = coverage_tx.clone();
-                scope.spawn(move || {
-                    let mut local_coverage = CoverageMap::new();
-                    while let Ok(batch) = work_rx.recv() {
-                        let mut results = Vec::with_capacity(batch.len());
-                        for (index, domain) in batch {
-                            let report = analyze_domain(walker, &domain);
-                            queue_depth.fetch_sub(1, Ordering::Relaxed);
-                            // Only SPF-bearing domains authorize space —
-                            // the same population Figure 5 counts.
-                            if report.has_spf {
-                                if let Some(record) = report.record.as_ref() {
-                                    local_coverage.add_set(&record.ips);
-                                }
-                            }
-                            results.push((index, report));
-                        }
-                        if result_tx.send(results).is_err() {
-                            return;
-                        }
-                    }
-                    let _ = coverage_tx.send(local_coverage);
-                });
-            }
-            drop(work_rx);
-            drop(result_tx);
-            drop(coverage_tx);
-            // Place results by rank as they arrive; no post-hoc sort.
-            for results in result_rx.iter() {
-                for (index, report) in results {
-                    slots[index] = Some(report);
-                }
-            }
-            // All workers have exited once the result channel closes;
-            // merge their accumulators (order-independent).
-            for worker_coverage in coverage_rx.iter() {
-                coverage.merge(worker_coverage);
-            }
-        });
+    for worker in worker_coverage {
+        coverage.merge(worker);
     }
 
     let reports: Vec<DomainReport> = slots
@@ -285,8 +232,8 @@ pub fn crawl<R: Resolver>(
         elapsed_secs: elapsed.as_secs_f64(),
         cache_hits: cache_after.hits - cache_before.hits,
         cache_misses: cache_after.misses - cache_before.misses,
-        peak_queue_depth: peak_depth.load(Ordering::Relaxed),
-        batches: batches.load(Ordering::Relaxed) as u64,
+        peak_queue_depth: dispatch.peak_queue_depth,
+        batches: dispatch.batches,
     };
     CrawlOutput {
         reports,
@@ -407,6 +354,12 @@ mod tests {
         assert!(
             stats.peak_queue_depth <= bound,
             "peak {} > bound {bound}",
+            stats.peak_queue_depth
+        );
+        // The cursor's tighter bound: a worker holds one batch at a time.
+        assert!(
+            stats.peak_queue_depth <= 2 * 8,
+            "peak {} > workers × batch_size",
             stats.peak_queue_depth
         );
         assert!(stats.domains_per_sec() > 0.0);

@@ -43,6 +43,7 @@ use spf_dns::Resolver;
 use spf_types::{CoverageMap, DomainHashBuilder, DomainName, WeightedRanges};
 
 use crate::crawl::{crawl, CrawlConfig, CrawlStats};
+use crate::pool;
 use crate::spoof::{
     evaluate_matrix_row, DomainMatrixRow, SpoofMatrix, SpoofMatrixConfig, SpoofVerdictCache,
     VantagePoint,
@@ -507,39 +508,45 @@ fn ttl_of(domain: &DomainName, config: &LongitudinalConfig) -> Duration {
     config.base_ttl + Duration::from_millis(jitter)
 }
 
-/// Evaluate every domain's matrix row, chunked across the configured
-/// worker count. Rows land in rank order regardless of scheduling.
+/// Evaluate every domain's matrix row through the crate's worker pool.
+/// Rows land in rank order regardless of scheduling.
 fn evaluate_rows<R: Resolver>(
     resolver: &R,
     domains: &[DomainName],
     vantages: &[VantagePoint],
     config: &SpoofMatrixConfig,
 ) -> Vec<DomainMatrixRow> {
-    let workers = config.workers.max(1);
     let cache = config
         .use_cache
         .then(|| SpoofVerdictCache::new(config.cache_shards));
-    let cache = cache.as_ref();
-    let chunk = domains.len().div_ceil(workers).max(1);
     let mut rows: Vec<Option<DomainMatrixRow>> = vec![None; domains.len()];
-    std::thread::scope(|scope| {
-        for (slice, out) in domains.chunks(chunk).zip(rows.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                let mut compiler = CompilerStats::default();
-                for (domain, slot) in slice.iter().zip(out.iter_mut()) {
-                    *slot = Some(evaluate_matrix_row(
+    pool::run(
+        domains,
+        config.workers,
+        config.batch_size,
+        CompilerStats::default,
+        |compiler, batch| {
+            batch
+                .iter()
+                .map(|domain| {
+                    evaluate_matrix_row(
                         resolver,
                         domain,
                         vantages,
                         &config.policy,
-                        cache,
+                        cache.as_ref(),
                         config.use_compiled,
-                        &mut compiler,
-                    ));
-                }
-            });
-        }
-    });
+                        compiler,
+                    )
+                })
+                .collect::<Vec<_>>()
+        },
+        |first, batch_rows| {
+            for (slot, row) in rows[first..].iter_mut().zip(batch_rows) {
+                *slot = Some(row);
+            }
+        },
+    );
     rows.into_iter()
         .map(|r| r.expect("every rank evaluated"))
         .collect()
@@ -686,37 +693,39 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn matrix_rows_fold_identically_to_fresh_matrix() {
-        use crate::spoof::{select_vantages, spoof_matrix};
-        let (store, domains) = world();
-        let walker = Walker::new(ZoneResolver::new(Arc::clone(&store)));
-        let config = LongitudinalConfig::default()
-            .crawl(CrawlConfig::with_workers(2))
-            .ttl(Duration::from_secs(3600), Duration::ZERO);
-        let engine = ChurnEngine::bootstrap(&walker, domains.clone(), config);
-        let vantages = select_vantages(&engine.weighted(), &[], 3, 2, 0xbeef);
-        engine.attach_matrix(
-            walker.resolver(),
-            vantages.clone(),
-            SpoofMatrixConfig::with_workers(2),
-        );
-        let s2 = Arc::clone(&store);
-        engine.deliver(ZoneDelta::new(vec![dom("site5.example")], move || {
-            s2.replace_txt(&dom("site5.example"), "v=spf1 +all");
-        }));
-        engine.step(&walker, Duration::from_secs(5));
-        let fresh_walker = Walker::new(ZoneResolver::new(Arc::clone(&store)));
-        let (fresh, _) = spoof_matrix(
-            fresh_walker.resolver(),
-            &domains,
-            &vantages,
-            SpoofMatrixConfig::with_workers(4),
-        );
-        assert_eq!(
-            serde_json::to_string(&engine.matrix().unwrap()).unwrap(),
-            serde_json::to_string(&fresh).unwrap()
-        );
+        use crate::spoof::{auth_matrix, select_vantages};
+        for attach_workers in [2usize, 1, 4, 32] {
+            let (store, domains) = world();
+            let walker = Walker::new(ZoneResolver::new(Arc::clone(&store)));
+            let config = LongitudinalConfig::default()
+                .crawl(CrawlConfig::with_workers(2))
+                .ttl(Duration::from_secs(3600), Duration::ZERO);
+            let engine = ChurnEngine::bootstrap(&walker, domains.clone(), config);
+            let vantages = select_vantages(&engine.weighted(), &[], 3, 2, 0xbeef);
+            engine.attach_matrix(
+                walker.resolver(),
+                vantages.clone(),
+                SpoofMatrixConfig::with_workers(attach_workers),
+            );
+            let s2 = Arc::clone(&store);
+            engine.deliver(ZoneDelta::new(vec![dom("site5.example")], move || {
+                s2.replace_txt(&dom("site5.example"), "v=spf1 +all");
+            }));
+            engine.step(&walker, Duration::from_secs(5));
+            let fresh_walker = Walker::new(ZoneResolver::new(Arc::clone(&store)));
+            let (fresh, _) = auth_matrix(
+                fresh_walker.resolver(),
+                &domains,
+                &vantages,
+                SpoofMatrixConfig::with_workers(4),
+            );
+            assert_eq!(
+                serde_json::to_string(&engine.matrix().unwrap()).unwrap(),
+                serde_json::to_string(&fresh.spf).unwrap(),
+                "attach workers={attach_workers}"
+            );
+        }
     }
 
     #[test]

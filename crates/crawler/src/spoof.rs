@@ -4,8 +4,8 @@
 //! authorize*; this module closes the loop by computing what a receiving
 //! MTA would actually decide: it batch-evaluates
 //! [`spf_core::check_host`]`(ip, domain, sender)` for every scanned
-//! domain × a set of attacker vantage addresses, through the same
-//! bounded worker-pool dispatch the crawl engine uses.
+//! domain × a set of attacker vantage addresses, through the crate's one
+//! batch-cursor worker pool (the crawl engine's).
 //!
 //! # Vantage families
 //!
@@ -26,7 +26,7 @@
 //! verdicts in the analyzer's lock-striped [`ShardedCache`], keyed by
 //! `(domain precomputed-hash, vantage, remaining budget)` — the exact
 //! purity domain `spf_core::eval` guarantees, so cached and uncached
-//! matrices serialize byte-identically (`tests/spoof_matrix_stress.rs`
+//! matrices serialize byte-identically (`tests/auth_matrix_stress.rs`
 //! and the proptests pin this; the `matrix-cached` workload measures it).
 //!
 //! # Determinism
@@ -35,27 +35,25 @@
 //! pure functions of `(zone, domain, vantage)`, merged commutatively
 //! from per-worker accumulators — so the serialized report is identical
 //! across worker counts, batch sizes, cache shard counts, cache on/off,
-//! and resolver substrates (in-memory vs wire under zero faults).
+//! and resolver substrates (in-memory vs wire under zero faults). The
+//! reference every engine configuration is checked against is the
+//! *bare-row fold*: [`evaluate_matrix_row`] with no cache and no
+//! compiler for every domain, folded with [`SpoofMatrix::fold_in`].
 //!
-//! # Matrix v2: the layered auth stack
+//! # The layered auth stack
 //!
-//! [`auth_matrix`] is the layered successor (DESIGN.md §13): the same
-//! engine shape evaluates each domain's SPF row through the *identical*
-//! [`evaluate_matrix_row`] primitive (the byte-identity rail — the v2
-//! report embeds a [`SpoofMatrix`] that serializes byte-for-byte like
-//! the v1 engine's), then composes the domain's DMARC disposition and
-//! MTA-STS mode into a per-cell [`StopLayer`] naming which layer blocks
-//! each `(vantage, victim)` pair. The report buckets per-layer stop
+//! [`auth_matrix`] evaluates each domain's SPF row through
+//! [`evaluate_matrix_row`] (its `.spf` field is the [`SpoofMatrix`]),
+//! then composes the domain's DMARC disposition and MTA-STS mode into a
+//! per-cell [`StopLayer`] naming which layer blocks each `(vantage,
+//! victim)` pair (DESIGN.md §13). The report buckets per-layer stop
 //! rates by observed [`DeploymentMix`] tier and carries the residual
-//! spoofable set no layer stops. The v1 [`spoof_matrix`] entry point is
-//! deprecated in favor of it.
+//! spoofable set no layer stops.
 
 use std::net::{IpAddr, Ipv4Addr};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel;
 use serde::{Deserialize, Serialize};
 use spf_analyzer::{CacheKey, CacheStats, ShardedCache, DEFAULT_CACHE_SHARDS};
 use spf_core::{
@@ -68,6 +66,7 @@ use spf_dns::Resolver;
 use spf_types::{DomainName, WeightedRanges};
 
 use crate::crawl::DEFAULT_BATCH_SIZE;
+use crate::pool;
 
 /// The MAIL FROM local-part every matrix evaluation claims. A constant:
 /// the engine's verdict cache is sound only for session-independent
@@ -253,7 +252,7 @@ impl CacheKey for VerdictKey {
 ///
 /// Neither half is ever invalidated: a cache is sound for one frozen
 /// zone and one [`EvalPolicy`]. The engines make one per
-/// `auth_matrix`/`spoof_matrix` call and one per `ChurnEngine` step,
+/// `auth_matrix` call and one per `ChurnEngine` step,
 /// and drop it before the zone moves.
 pub struct SpoofVerdictCache {
     inner: ShardedCache<Arc<SubtreeVerdict>, VerdictKey>,
@@ -672,141 +671,6 @@ impl SpoofMatrixStats {
     }
 }
 
-/// Per-worker accumulator: vantage tallies plus the population summary
-/// counts, merged commutatively on the way out.
-struct WorkerTally {
-    vantages: Vec<VantageReport>,
-    spf_domains: u64,
-    spoofable_shared: u64,
-    spoofable_control: u64,
-    lazy_gatekeepers: u64,
-    compiler: CompilerStats,
-}
-
-impl WorkerTally {
-    fn new(vantages: &[VantagePoint]) -> Self {
-        WorkerTally {
-            vantages: vantages.iter().map(VantageReport::new).collect(),
-            spf_domains: 0,
-            spoofable_shared: 0,
-            spoofable_control: 0,
-            lazy_gatekeepers: 0,
-            compiler: CompilerStats::default(),
-        }
-    }
-}
-
-/// Evaluate the full verdict matrix for `domains` × `vantages` over
-/// `resolver`, through a bounded batched worker pool (the crawl engine's
-/// dispatch shape). Returns the deterministic [`SpoofMatrix`] and the
-/// run's scheduling-dependent [`SpoofMatrixStats`].
-///
-/// Deprecated: [`auth_matrix`] runs the same SPF engine (its embedded
-/// `.spf` report is byte-identical to this one) and layers DMARC /
-/// MTA-STS stop attribution on top. The body is intentionally *not* a
-/// delegating shim so v2-vs-v1 comparisons stay a genuine differential
-/// test.
-#[deprecated(note = "use `auth_matrix`; its `.spf` component is byte-identical to this report")]
-pub fn spoof_matrix<R: Resolver>(
-    resolver: &R,
-    domains: &[DomainName],
-    vantages: &[VantagePoint],
-    config: SpoofMatrixConfig,
-) -> (SpoofMatrix, SpoofMatrixStats) {
-    let started = Instant::now();
-    let workers = config.workers.max(1);
-    let batch_size = config.batch_size.max(1);
-    let cache = config
-        .use_cache
-        .then(|| SpoofVerdictCache::new(config.cache_shards));
-
-    let queue_depth = AtomicUsize::new(0);
-    let peak_depth = AtomicUsize::new(0);
-    let batches = AtomicUsize::new(0);
-
-    let mut merged = WorkerTally::new(vantages);
-    {
-        let (work_tx, work_rx) = channel::bounded::<Vec<DomainName>>(workers * 2);
-        let (tally_tx, tally_rx) = channel::unbounded::<WorkerTally>();
-        let queue_depth = &queue_depth;
-        let peak_depth = &peak_depth;
-        let batches = &batches;
-        let cache = cache.as_ref();
-        let policy = &config.policy;
-        let use_compiled = config.use_compiled;
-
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                for chunk in domains.chunks(batch_size) {
-                    let batch: Vec<DomainName> = chunk.to_vec();
-                    let depth = queue_depth.fetch_add(batch.len(), Ordering::Relaxed) + batch.len();
-                    peak_depth.fetch_max(depth, Ordering::Relaxed);
-                    batches.fetch_add(1, Ordering::Relaxed);
-                    if work_tx.send(batch).is_err() {
-                        return;
-                    }
-                }
-            });
-            for _ in 0..workers {
-                let work_rx = work_rx.clone();
-                let tally_tx = tally_tx.clone();
-                scope.spawn(move || {
-                    let mut tally = WorkerTally::new(vantages);
-                    while let Ok(batch) = work_rx.recv() {
-                        for domain in batch {
-                            evaluate_domain(
-                                resolver,
-                                &domain,
-                                vantages,
-                                policy,
-                                cache,
-                                use_compiled,
-                                &mut tally,
-                            );
-                            queue_depth.fetch_sub(1, Ordering::Relaxed);
-                        }
-                    }
-                    let _ = tally_tx.send(tally);
-                });
-            }
-            drop(work_rx);
-            drop(tally_tx);
-            for worker in tally_rx.iter() {
-                merged.spf_domains += worker.spf_domains;
-                merged.spoofable_shared += worker.spoofable_shared;
-                merged.spoofable_control += worker.spoofable_control;
-                merged.lazy_gatekeepers += worker.lazy_gatekeepers;
-                merged.compiler.merge(&worker.compiler);
-                for (into, from) in merged.vantages.iter_mut().zip(&worker.vantages) {
-                    into.merge(from);
-                }
-            }
-        });
-    }
-
-    let elapsed = started.elapsed();
-    let cache_stats = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
-    let matrix = SpoofMatrix {
-        domains: domains.len() as u64,
-        spf_domains: merged.spf_domains,
-        vantages: merged.vantages,
-        spoofable_shared: merged.spoofable_shared,
-        spoofable_control: merged.spoofable_control,
-        lazy_gatekeepers: merged.lazy_gatekeepers,
-    };
-    let stats = SpoofMatrixStats {
-        evaluations: (domains.len() * vantages.len()) as u64,
-        elapsed_secs: elapsed.as_secs_f64(),
-        cache_hits: cache_stats.hits,
-        cache_misses: cache_stats.misses,
-        peak_queue_depth: peak_depth.load(Ordering::Relaxed),
-        batches: batches.load(Ordering::Relaxed) as u64,
-        compiler: config.use_compiled.then_some(merged.compiler),
-        subtrees: subtree_stats(&config, cache.as_ref()),
-    };
-    (matrix, stats)
-}
-
 /// The compiled backend's memo counters for a run's stats.
 fn subtree_stats(
     config: &SpoofMatrixConfig,
@@ -823,8 +687,10 @@ fn subtree_stats(
 /// subtree is compiled once per cache rather than once per customer —
 /// and every vantage answers from the interval tables; residual regions
 /// fall back to the same (cached) evaluator path, so the row is
-/// byte-identical either way. This is both the batch engine's inner
-/// loop and the churn engine's per-delta re-evaluation primitive.
+/// byte-identical either way. This is the batch engine's inner loop,
+/// the churn engine's per-delta re-evaluation primitive, and — with no
+/// cache and no compiler — the bare-row reference the engines are
+/// checked against.
 pub fn evaluate_matrix_row<R: Resolver>(
     resolver: &R,
     domain: &DomainName,
@@ -889,41 +755,40 @@ pub fn evaluate_matrix_row<R: Resolver>(
     row
 }
 
-/// One domain's row of the matrix: evaluate it from every vantage and
-/// fold the results into `tally`.
-fn evaluate_domain<R: Resolver>(
+/// The bare-row fold: [`evaluate_matrix_row`] with no verdict cache and
+/// no compiler for every domain, in input order on the calling thread,
+/// folded into [`SpoofMatrix::empty`]. It shares no pool, cache or
+/// compiler with the engines, which makes it the reference their `.spf`
+/// reports are checked against.
+pub fn bare_row_fold<R: Resolver>(
     resolver: &R,
-    domain: &DomainName,
+    domains: &[DomainName],
     vantages: &[VantagePoint],
     policy: &EvalPolicy,
-    cache: Option<&SpoofVerdictCache>,
-    use_compiled: bool,
-    tally: &mut WorkerTally,
-) {
-    let row = evaluate_matrix_row(
-        resolver,
-        domain,
-        vantages,
-        policy,
-        cache,
-        use_compiled,
-        &mut tally.compiler,
-    );
-    tally.spf_domains += u64::from(row.has_record);
-    tally.spoofable_shared += u64::from(row.passes_shared);
-    tally.spoofable_control += u64::from(row.passes_control);
-    tally.lazy_gatekeepers += u64::from(row.passes_shared || row.passes_control);
-    for (report, cell) in tally.vantages.iter_mut().zip(&row.cells) {
-        report.add_cell(cell);
+) -> SpoofMatrix {
+    let mut matrix = SpoofMatrix::empty(domains.len() as u64, vantages);
+    let mut compiler = CompilerStats::default();
+    for domain in domains {
+        let row = evaluate_matrix_row(
+            resolver,
+            domain,
+            vantages,
+            policy,
+            None,
+            false,
+            &mut compiler,
+        );
+        matrix.fold_in(&row);
     }
+    matrix
 }
 
 // ---------------------------------------------------------------------------
-// Matrix v2: the layered auth stack (DESIGN.md §13)
+// The layered auth stack (DESIGN.md §13)
 // ---------------------------------------------------------------------------
 
-/// One domain's layered row: the *unchanged* v1 SPF row (the
-/// byte-identity rail) plus the domain-level DMARC / MTA-STS facts,
+/// One domain's layered row: its SPF row plus the domain-level DMARC /
+/// MTA-STS facts,
 /// the [`DeploymentMix`] tier they classify into, and the per-vantage
 /// [`StopLayer`] each cell's SPF verdict composes to. Like
 /// [`DomainMatrixRow`], a row is a pure function of
@@ -1000,16 +865,16 @@ fn tier_index(tier: DeploymentMix) -> usize {
         .expect("tier in ALL")
 }
 
-/// The layered spoof matrix (v2). Embeds the v1 [`SpoofMatrix`] —
-/// serialized byte-identically to what the deprecated [`spoof_matrix`]
-/// engine reports for the same inputs — and layers per-vantage /
-/// per-tier stop histograms plus the residual spoofable set on top.
+/// The layered spoof matrix. Embeds the SPF [`SpoofMatrix`] —
+/// serialized byte-identically to the bare-row fold of the same inputs
+/// — and layers per-vantage / per-tier stop histograms plus the
+/// residual spoofable set on top.
 /// Every field is a commutative sum of [`AuthMatrixRow`]s, preserving
 /// the determinism contract across workers, batches, shards, caches,
 /// and resolver substrates.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AuthMatrix {
-    /// The SPF sub-matrix (the v1 report, byte-identical).
+    /// The SPF sub-matrix.
     pub spf: SpoofMatrix,
     /// Per-vantage stop histograms over all domains, in vantage input
     /// order (parallel to `spf.vantages`).
@@ -1143,8 +1008,8 @@ impl AuthMatrix {
     }
 }
 
-/// v2 engine observability: the v1 scheduling stats plus the DMARC /
-/// MTA-STS lookup-cache counters. Worker-scheduling dependent — kept
+/// Engine observability: the SPF engine's scheduling stats plus the
+/// DMARC / MTA-STS lookup-cache counters. Worker-scheduling dependent — kept
 /// out of [`AuthMatrix`] so the report stays byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AuthMatrixStats {
@@ -1155,8 +1020,7 @@ pub struct AuthMatrixStats {
 }
 
 /// Evaluate one domain's complete [`AuthMatrixRow`]: the SPF sub-row
-/// through the *identical* [`evaluate_matrix_row`] primitive (the
-/// byte-identity rail), then the domain's DMARC disposition and
+/// through [`evaluate_matrix_row`], then the domain's DMARC disposition and
 /// MTA-STS mode — through `auth_cache` when given, straight to the
 /// resolver otherwise — composed into per-vantage stop layers.
 #[allow(clippy::too_many_arguments)]
@@ -1204,7 +1068,7 @@ pub fn evaluate_auth_row<R: Resolver>(
     }
 }
 
-/// Per-worker v2 accumulator: a zero-`domains` [`AuthMatrix`] rows fold
+/// Per-worker accumulator: a zero-`domains` [`AuthMatrix`] rows fold
 /// into, merged commutatively on the way out.
 struct AuthWorkerTally {
     matrix: AuthMatrix,
@@ -1212,11 +1076,11 @@ struct AuthWorkerTally {
 }
 
 /// Evaluate the layered verdict matrix for `domains` × `vantages` over
-/// `resolver` — the matrix-v2 engine. Same bounded batched worker-pool
-/// dispatch as the deprecated v1 [`spoof_matrix`]; the SPF sub-matrix
-/// it embeds serializes byte-identically to the v1 report, and the
+/// `resolver`, through the crate's batch-cursor worker pool. Returns the
+/// deterministic [`AuthMatrix`] — whose `.spf` field is the SPF verdict
+/// matrix — and the run's scheduling-dependent [`AuthMatrixStats`]. The
 /// DMARC / MTA-STS layers ride a shared [`AuthCache`] whose hit rate
-/// lands in [`AuthMatrixStats`].
+/// lands in the stats.
 pub fn auth_matrix<R: Resolver>(
     resolver: &R,
     domains: &[DomainName],
@@ -1240,76 +1104,40 @@ pub fn auth_matrix_with_cache<R: Resolver>(
     auth_cache: &AuthCache,
 ) -> (AuthMatrix, AuthMatrixStats) {
     let started = Instant::now();
-    let workers = config.workers.max(1);
-    let batch_size = config.batch_size.max(1);
     let cache = config
         .use_cache
         .then(|| SpoofVerdictCache::new(config.cache_shards));
 
-    let queue_depth = AtomicUsize::new(0);
-    let peak_depth = AtomicUsize::new(0);
-    let batches = AtomicUsize::new(0);
-
-    let mut merged = AuthWorkerTally {
+    let new_tally = || AuthWorkerTally {
         matrix: AuthMatrix::empty(0, vantages),
         compiler: CompilerStats::default(),
     };
-    {
-        let (work_tx, work_rx) = channel::bounded::<Vec<DomainName>>(workers * 2);
-        let (tally_tx, tally_rx) = channel::unbounded::<AuthWorkerTally>();
-        let queue_depth = &queue_depth;
-        let peak_depth = &peak_depth;
-        let batches = &batches;
-        let cache = cache.as_ref();
-        let policy = &config.policy;
-        let use_compiled = config.use_compiled;
-
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                for chunk in domains.chunks(batch_size) {
-                    let batch: Vec<DomainName> = chunk.to_vec();
-                    let depth = queue_depth.fetch_add(batch.len(), Ordering::Relaxed) + batch.len();
-                    peak_depth.fetch_max(depth, Ordering::Relaxed);
-                    batches.fetch_add(1, Ordering::Relaxed);
-                    if work_tx.send(batch).is_err() {
-                        return;
-                    }
-                }
-            });
-            for _ in 0..workers {
-                let work_rx = work_rx.clone();
-                let tally_tx = tally_tx.clone();
-                scope.spawn(move || {
-                    let mut tally = AuthWorkerTally {
-                        matrix: AuthMatrix::empty(0, vantages),
-                        compiler: CompilerStats::default(),
-                    };
-                    while let Ok(batch) = work_rx.recv() {
-                        for domain in batch {
-                            let row = evaluate_auth_row(
-                                resolver,
-                                &domain,
-                                vantages,
-                                policy,
-                                cache,
-                                use_compiled,
-                                &mut tally.compiler,
-                                Some(auth_cache),
-                            );
-                            tally.matrix.fold_in(&row);
-                            queue_depth.fetch_sub(1, Ordering::Relaxed);
-                        }
-                    }
-                    let _ = tally_tx.send(tally);
-                });
+    let (tallies, dispatch) = pool::run(
+        domains,
+        config.workers,
+        config.batch_size,
+        new_tally,
+        |tally, batch| {
+            for domain in batch {
+                let row = evaluate_auth_row(
+                    resolver,
+                    domain,
+                    vantages,
+                    &config.policy,
+                    cache.as_ref(),
+                    config.use_compiled,
+                    &mut tally.compiler,
+                    Some(auth_cache),
+                );
+                tally.matrix.fold_in(&row);
             }
-            drop(work_rx);
-            drop(tally_tx);
-            for worker in tally_rx.iter() {
-                merged.matrix.merge_counts(&worker.matrix);
-                merged.compiler.merge(&worker.compiler);
-            }
-        });
+        },
+        |_, ()| {},
+    );
+    let mut merged = new_tally();
+    for worker in &tallies {
+        merged.matrix.merge_counts(&worker.matrix);
+        merged.compiler.merge(&worker.compiler);
     }
 
     let elapsed = started.elapsed();
@@ -1322,8 +1150,8 @@ pub fn auth_matrix_with_cache<R: Resolver>(
             elapsed_secs: elapsed.as_secs_f64(),
             cache_hits: cache_stats.hits,
             cache_misses: cache_stats.misses,
-            peak_queue_depth: peak_depth.load(Ordering::Relaxed),
-            batches: batches.load(Ordering::Relaxed) as u64,
+            peak_queue_depth: dispatch.peak_queue_depth,
+            batches: dispatch.batches,
             compiler: config.use_compiled.then_some(merged.compiler),
             subtrees: subtree_stats(&config, cache.as_ref()),
         },
@@ -1333,7 +1161,6 @@ pub fn auth_matrix_with_cache<R: Resolver>(
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use spf_dns::{ZoneResolver, ZoneStore};
@@ -1431,12 +1258,13 @@ mod tests {
         let (store, domains, weighted) = build_world();
         let resolver = ZoneResolver::new(store);
         let vantages = vantage_set(&weighted, 1);
-        let (matrix, stats) = spoof_matrix(
+        let (auth, stats) = auth_matrix(
             &resolver,
             &domains,
             &vantages,
             SpoofMatrixConfig::with_workers(4),
         );
+        let (matrix, stats) = (auth.spf, stats.engine);
         assert_eq!(matrix.domains, 9);
         assert_eq!(matrix.spf_domains, 8);
         // The top shared vantage (inside the cloud /24) passes the six
@@ -1460,8 +1288,8 @@ mod tests {
         let vantages = vantage_set(&weighted, 2);
         let run = |config: SpoofMatrixConfig| {
             let resolver = ZoneResolver::new(Arc::clone(&store));
-            let (matrix, _) = spoof_matrix(&resolver, &domains, &vantages, config);
-            serde_json::to_string(&matrix).unwrap()
+            let (matrix, _) = auth_matrix(&resolver, &domains, &vantages, config);
+            serde_json::to_string(&matrix.spf).unwrap()
         };
         let reference = run(SpoofMatrixConfig::with_workers(1).cached(false));
         for workers in [1usize, 4] {
@@ -1498,13 +1326,13 @@ mod tests {
         let (store, domains, weighted) = build_world();
         let resolver = ZoneResolver::new(store);
         let vantages = vantage_set(&weighted, 1);
-        let (_, stats) = spoof_matrix(
+        let (_, stats) = auth_matrix(
             &resolver,
             &domains,
             &vantages,
             SpoofMatrixConfig::with_workers(2).compiled(true),
         );
-        let compiler = stats.compiler.expect("compiled backend ran");
+        let compiler = stats.engine.compiler.expect("compiled backend ran");
         assert_eq!(compiler.domains_compiled, domains.len() as u64);
         // build_world is all-static: everything compiles fully and every
         // verdict answers from the tables.
@@ -1517,13 +1345,13 @@ mod tests {
         assert!((compiler.compiled_hit_rate() - 1.0).abs() < 1e-12);
 
         // The uncompiled backends report no compiler stats.
-        let (_, plain) = spoof_matrix(
+        let (_, plain) = auth_matrix(
             &resolver,
             &domains,
             &vantages,
             SpoofMatrixConfig::with_workers(2),
         );
-        assert!(plain.compiler.is_none());
+        assert!(plain.engine.compiler.is_none());
     }
 
     #[test]
@@ -1531,12 +1359,13 @@ mod tests {
         let (store, domains, weighted) = build_world();
         let resolver = ZoneResolver::new(store);
         let vantages = vantage_set(&weighted, 2);
-        let (_, stats) = spoof_matrix(
+        let (_, stats) = auth_matrix(
             &resolver,
             &domains,
             &vantages,
             SpoofMatrixConfig::with_workers(1),
         );
+        let stats = stats.engine;
         // Six customers share one provider subtree per vantage: at least
         // five of the six probes per vantage hit the memo.
         assert!(
@@ -1551,12 +1380,13 @@ mod tests {
         let (store, domains, weighted) = build_world();
         let resolver = ZoneResolver::new(Arc::clone(&store));
         let vantages = vantage_set(&weighted, 2);
-        let (batch, _) = spoof_matrix(
+        let (batch, _) = auth_matrix(
             &resolver,
             &domains,
             &vantages,
             SpoofMatrixConfig::with_workers(4),
         );
+        let batch = batch.spf;
         let mut compiler = CompilerStats::default();
         let rows: Vec<DomainMatrixRow> = domains
             .iter()
@@ -1602,11 +1432,33 @@ mod tests {
     fn empty_inputs() {
         let store = Arc::new(ZoneStore::new());
         let resolver = ZoneResolver::new(store);
-        let (matrix, stats) = spoof_matrix(&resolver, &[], &[], SpoofMatrixConfig::default());
+        let (auth, stats) = auth_matrix(&resolver, &[], &[], SpoofMatrixConfig::default());
+        let (matrix, stats) = (auth.spf, stats.engine);
         assert_eq!(matrix.domains, 0);
         assert_eq!(matrix.spf_domains, 0);
         assert!(matrix.vantages.is_empty());
         assert_eq!(stats.evaluations, 0);
+        assert_eq!(stats.batches, 0);
+    }
+
+    #[test]
+    fn batches_count_successful_claims() {
+        let (store, domains, weighted) = build_world();
+        let resolver = ZoneResolver::new(store);
+        let vantages = vantage_set(&weighted, 1);
+        let n = domains.len();
+        for (workers, batch_size) in [(1usize, 1usize), (4, 2), (4, 4), (2, n), (4, n + 7)] {
+            let config = SpoofMatrixConfig::with_workers(workers).batch_size(batch_size);
+            let (_, stats) = auth_matrix(&resolver, &domains, &vantages, config);
+            assert_eq!(
+                stats.engine.batches,
+                n.div_ceil(batch_size) as u64,
+                "workers={workers} batch_size={batch_size}"
+            );
+            assert!(stats.engine.peak_queue_depth <= workers * batch_size);
+        }
+        let (_, empty) = auth_matrix(&resolver, &[], &vantages, SpoofMatrixConfig::default());
+        assert_eq!(empty.engine.batches, 0);
     }
 
     /// build_world plus a DMARC / MTA-STS layer: two customers enforce
@@ -1632,21 +1484,23 @@ mod tests {
     }
 
     #[test]
-    fn auth_matrix_spf_component_is_byte_identical_to_v1() {
+    fn auth_matrix_spf_component_is_byte_identical_to_bare_row_fold() {
         let (store, domains, weighted) = build_world();
         layer_world(&store);
         let vantages = vantage_set(&weighted, 2);
-        let v1 = |config: SpoofMatrixConfig| {
-            let resolver = ZoneResolver::new(Arc::clone(&store));
-            let (matrix, _) = spoof_matrix(&resolver, &domains, &vantages, config);
-            serde_json::to_string(&matrix).unwrap()
-        };
-        let v2 = |config: SpoofMatrixConfig| {
+        let resolver = ZoneResolver::new(Arc::clone(&store));
+        let reference = serde_json::to_string(&bare_row_fold(
+            &resolver,
+            &domains,
+            &vantages,
+            &EvalPolicy::default(),
+        ))
+        .unwrap();
+        let spf = |config: SpoofMatrixConfig| {
             let resolver = ZoneResolver::new(Arc::clone(&store));
             let (matrix, _) = auth_matrix(&resolver, &domains, &vantages, config);
             serde_json::to_string(&matrix.spf).unwrap()
         };
-        let reference = v1(SpoofMatrixConfig::with_workers(1).cached(false));
         for workers in [1usize, 4] {
             for compiled in [false, true] {
                 for cached in [false, true] {
@@ -1655,14 +1509,14 @@ mod tests {
                         .cached(cached);
                     assert_eq!(
                         reference,
-                        v2(config),
-                        "v2 SPF sub-matrix diverged at workers={workers} \
+                        spf(config),
+                        "SPF sub-matrix diverged at workers={workers} \
                          compiled={compiled} cached={cached}"
                     );
                 }
             }
         }
-        // And the full v2 report itself is config-independent.
+        // And the full layered report itself is config-independent.
         let full = |config: SpoofMatrixConfig| {
             let resolver = ZoneResolver::new(Arc::clone(&store));
             let (matrix, _) = auth_matrix(&resolver, &domains, &vantages, config);

@@ -10,7 +10,6 @@
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-use bytes::{Buf, BufMut, BytesMut};
 use spf_types::DomainName;
 
 use crate::record::{Question, RecordData, RecordType, ResourceRecord, TxtData};
@@ -185,7 +184,7 @@ impl std::error::Error for WireError {}
 
 /// Message encoder with optional name compression.
 pub struct Encoder {
-    buf: BytesMut,
+    buf: Vec<u8>,
     compress: bool,
     /// Offsets of previously written names, keyed by their textual suffix.
     name_offsets: HashMap<String, u16>,
@@ -195,7 +194,7 @@ impl Encoder {
     /// A compressing encoder (the default for the UDP server).
     pub fn new() -> Self {
         Encoder {
-            buf: BytesMut::with_capacity(512),
+            buf: Vec::with_capacity(512),
             compress: true,
             name_offsets: HashMap::new(),
         }
@@ -205,7 +204,7 @@ impl Encoder {
     /// [`encode_uncompressed`] ablation knob).
     pub fn without_compression() -> Self {
         Encoder {
-            buf: BytesMut::with_capacity(512),
+            buf: Vec::with_capacity(512),
             compress: false,
             name_offsets: HashMap::new(),
         }
@@ -216,8 +215,8 @@ impl Encoder {
         self.put_header(&msg.header, msg)?;
         for q in &msg.questions {
             self.put_name(&q.name)?;
-            self.buf.put_u16(q.rtype.code());
-            self.buf.put_u16(1); // class IN
+            self.put_u16(q.rtype.code());
+            self.put_u16(1); // class IN
         }
         for rr in msg
             .answers
@@ -227,11 +226,15 @@ impl Encoder {
         {
             self.put_record(rr)?;
         }
-        Ok(self.buf.to_vec())
+        Ok(self.buf)
+    }
+
+    fn put_u16(&mut self, v: u16) {
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     fn put_header(&mut self, h: &Header, msg: &Message) -> Result<(), WireError> {
-        self.buf.put_u16(h.id);
+        self.put_u16(h.id);
         let mut flags: u16 = 0;
         if h.is_response {
             flags |= 1 << 15;
@@ -250,7 +253,7 @@ impl Encoder {
             flags |= 1 << 7;
         }
         flags |= h.rcode.code() as u16;
-        self.buf.put_u16(flags);
+        self.put_u16(flags);
         let counts = [
             msg.questions.len(),
             msg.answers.len(),
@@ -261,7 +264,7 @@ impl Encoder {
             let c: u16 = c.try_into().map_err(|_| WireError::BadRecord {
                 reason: "section too large",
             })?;
-            self.buf.put_u16(c);
+            self.put_u16(c);
         }
         Ok(())
     }
@@ -272,7 +275,7 @@ impl Encoder {
             let suffix = labels[i..].join(".");
             if self.compress {
                 if let Some(&offset) = self.name_offsets.get(&suffix) {
-                    self.buf.put_u16(0xC000 | offset);
+                    self.put_u16(0xC000 | offset);
                     return Ok(());
                 }
                 // Only offsets addressable by a 14-bit pointer can be reused.
@@ -284,30 +287,30 @@ impl Encoder {
             if label.len() > 63 {
                 return Err(WireError::NameTooLong);
             }
-            self.buf.put_u8(label.len() as u8);
-            self.buf.put_slice(label.as_bytes());
+            self.buf.push(label.len() as u8);
+            self.buf.extend_from_slice(label.as_bytes());
         }
-        self.buf.put_u8(0);
+        self.buf.push(0);
         Ok(())
     }
 
     fn put_record(&mut self, rr: &ResourceRecord) -> Result<(), WireError> {
         self.put_name(&rr.name)?;
-        self.buf.put_u16(rr.record_type().code());
-        self.buf.put_u16(1); // class IN
-        self.buf.put_u32(rr.ttl);
+        self.put_u16(rr.record_type().code());
+        self.put_u16(1); // class IN
+        self.buf.extend_from_slice(&rr.ttl.to_be_bytes());
         // Reserve rdlength, fill in after writing rdata.
         let len_pos = self.buf.len();
-        self.buf.put_u16(0);
+        self.put_u16(0);
         let rdata_start = self.buf.len();
         match &rr.data {
-            RecordData::A(a) => self.buf.put_slice(&a.octets()),
-            RecordData::Aaaa(a) => self.buf.put_slice(&a.octets()),
+            RecordData::A(a) => self.buf.extend_from_slice(&a.octets()),
+            RecordData::Aaaa(a) => self.buf.extend_from_slice(&a.octets()),
             RecordData::Mx {
                 preference,
                 exchange,
             } => {
-                self.buf.put_u16(*preference);
+                self.put_u16(*preference);
                 self.put_name(exchange)?;
             }
             RecordData::Txt(t) | RecordData::Spf(t) => {
@@ -321,8 +324,8 @@ impl Encoder {
                         while end > start && end < bytes.len() && bytes[end] & 0xC0 == 0x80 {
                             end -= 1;
                         }
-                        self.buf.put_u8((end - start) as u8);
-                        self.buf.put_slice(&bytes[start..end]);
+                        self.buf.push((end - start) as u8);
+                        self.buf.extend_from_slice(&bytes[start..end]);
                         if end == bytes.len() {
                             break;
                         }
@@ -367,13 +370,13 @@ struct Decoder<'a> {
 
 impl<'a> Decoder<'a> {
     fn message(&mut self) -> Result<Message, WireError> {
-        let mut h = self.take(12)?;
-        let id = h.get_u16();
-        let flags = h.get_u16();
-        let qdcount = h.get_u16();
-        let ancount = h.get_u16();
-        let nscount = h.get_u16();
-        let arcount = h.get_u16();
+        let h = self.take(12)?;
+        let id = be_u16(h, 0);
+        let flags = be_u16(h, 2);
+        let qdcount = be_u16(h, 4);
+        let ancount = be_u16(h, 6);
+        let nscount = be_u16(h, 8);
+        let arcount = be_u16(h, 10);
         let header = Header {
             id,
             is_response: flags & (1 << 15) != 0,
@@ -387,9 +390,7 @@ impl<'a> Decoder<'a> {
         let mut questions = Vec::with_capacity(qdcount as usize);
         for _ in 0..qdcount {
             let name = self.name()?;
-            let mut r = self.take(4)?;
-            let tcode = r.get_u16();
-            let _class = r.get_u16();
+            let tcode = be_u16(self.take(4)?, 0); // type, then class
             let rtype = RecordType::from_code(tcode).ok_or(WireError::BadRecord {
                 reason: "unknown question type",
             })?;
@@ -428,11 +429,11 @@ impl<'a> Decoder<'a> {
 
     fn record(&mut self) -> Result<ResourceRecord, WireError> {
         let name = self.name()?;
-        let mut r = self.take(10)?;
-        let tcode = r.get_u16();
-        let _class = r.get_u16();
-        let ttl = r.get_u32();
-        let rdlen = r.get_u16() as usize;
+        // type, class, ttl, rdlength
+        let r = self.take(10)?;
+        let tcode = be_u16(r, 0);
+        let ttl = u32::from_be_bytes([r[4], r[5], r[6], r[7]]);
+        let rdlen = be_u16(r, 8) as usize;
         let rdata_start = self.pos;
         let rdata = self.take(rdlen)?;
         let rtype = RecordType::from_code(tcode).ok_or(WireError::BadRecord {
@@ -463,7 +464,7 @@ impl<'a> Decoder<'a> {
                         reason: "MX rdata length",
                     });
                 }
-                let preference = u16::from_be_bytes([rdata[0], rdata[1]]);
+                let preference = be_u16(rdata, 0);
                 // Exchange name may contain a compression pointer into the
                 // full message, so decode against the whole buffer.
                 let (exchange, _) = read_name_at(self.bytes, rdata_start + 2)?;
@@ -507,6 +508,12 @@ impl<'a> Decoder<'a> {
         };
         Ok(ResourceRecord { name, ttl, data })
     }
+}
+
+/// The big-endian `u16` at `at`; callers index inside a slice `take`
+/// already bounded.
+fn be_u16(bytes: &[u8], at: usize) -> u16 {
+    u16::from_be_bytes([bytes[at], bytes[at + 1]])
 }
 
 /// Read a (possibly compressed) name starting at `pos`; returns the name

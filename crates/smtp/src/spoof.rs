@@ -40,10 +40,10 @@ pub enum SpoofSuccess {
 
 impl SpoofSuccess {
     /// The Table 5 label for a pair of delivery-path outcomes: direct
-    /// SMTP from the web space, and relay through the provider MTA. The
-    /// spoofability-matrix engine reuses this to label per-provider
-    /// verdict pairs exactly like the live case study does.
-    #[deprecated(note = "use `from_stops`; the layered pipeline reports which layer closed a path")]
+    /// SMTP from the web space, and relay through the provider MTA. A
+    /// path is open when it produced an SPF-passing spoof. The live case
+    /// study and the spoofability-matrix replay both label providers
+    /// through this one constructor.
     pub fn from_paths(smtp_ok: bool, mta_ok: bool) -> SpoofSuccess {
         match (smtp_ok, mta_ok) {
             (true, true) => SpoofSuccess::SmtpAndMta,
@@ -51,17 +51,6 @@ impl SpoofSuccess {
             (true, false) => SpoofSuccess::SmtpOnly,
             (false, false) => SpoofSuccess::None,
         }
-    }
-
-    /// The Table 5 label from per-path stop layers (the layered
-    /// pipeline's spelling of [`SpoofSuccess::from_paths`]): `None`
-    /// means the delivery path is unavailable at the infrastructure
-    /// level (outbound port 25 filtered, MTA sender auth), and a path
-    /// only counts as open when no auth layer stopped it —
-    /// [`StopLayer::None`].
-    pub fn from_stops(smtp: Option<StopLayer>, mta: Option<StopLayer>) -> SpoofSuccess {
-        #[allow(deprecated)]
-        SpoofSuccess::from_paths(smtp == Some(StopLayer::None), mta == Some(StopLayer::None))
     }
 
     /// True when at least one delivery path produced an SPF-passing
@@ -133,7 +122,12 @@ pub fn run_case_study<R: Resolver + 'static>(
                 provider.mta_ip.into(),
             )?)
         };
-        let success = SpoofSuccess::from_stops(smtp_stop, mta_stop);
+        // A path counts as open only when it was available (not `None`:
+        // port 25 filtered, MTA sender auth) and no auth layer stopped it.
+        let success = SpoofSuccess::from_paths(
+            smtp_stop == Some(StopLayer::None),
+            mta_stop == Some(StopLayer::None),
+        );
         let domains = if success.any() {
             provider.customers.len() as u64
         } else {

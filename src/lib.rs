@@ -55,13 +55,11 @@ pub mod prelude {
         check_host, compile_policy, parse, parse_lenient, CompiledPolicy, CompilerStats,
         EvalContext, EvalPolicy, SpfResult,
     };
-    #[allow(deprecated)]
-    pub use spf_crawler::spoof_matrix;
     pub use spf_crawler::{
-        auth_matrix, auth_matrix_with_cache, crawl, include_ecosystem, select_vantages, AuthMatrix,
-        ChurnEngine, CrawlConfig, CrawlStats, EpochReport, LongitudinalConfig, OverlapReport,
-        ProviderVantage, ScanAggregates, SpoofMatrix, SpoofMatrixConfig, StopLayer, VantagePoint,
-        ZoneDelta,
+        auth_matrix, auth_matrix_with_cache, bare_row_fold, crawl, include_ecosystem,
+        select_vantages, AuthMatrix, ChurnEngine, CrawlConfig, CrawlStats, EpochReport,
+        LongitudinalConfig, OverlapReport, ProviderVantage, ScanAggregates, SpoofMatrix,
+        SpoofMatrixConfig, StopLayer, VantagePoint, ZoneDelta,
     };
     pub use spf_dns::{
         Resolver, ServerConfig, WireClientConfig, WireFleet, WireResolver, WireSnapshot,

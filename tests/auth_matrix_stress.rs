@@ -1,11 +1,16 @@
-//! Layered auth-matrix (matrix v2) determinism under stress, mirroring
-//! the v1 grid in `spoof_matrix_stress.rs`: the serialized
+//! Layered auth-matrix determinism under stress: the serialized
 //! [`AuthMatrix`] must be *byte-identical* across workers {1, 4, 32} ×
-//! verdict cache {on, off} and between the in-memory and wire
-//! resolver substrates, at scale 1:500 — and its embedded
-//! SPF sub-matrix must be byte-identical to the v1 [`SpoofMatrix`] for
-//! the same inputs (the DESIGN.md §13 safety rail, at population
-//! scale, over real sockets).
+//! verdict cache {on, off} × cache shards {1, 16}, across batch sizes,
+//! and between the in-memory and wire resolver substrates, at scale
+//! 1:500 — and its embedded SPF sub-matrix must be byte-identical to
+//! the bare-row fold (every domain's row evaluated with no pool, verdict
+//! cache or compiler, folded in input order) for the same inputs.
+//!
+//! The matrix is merged from per-worker tallies whose content depends on
+//! which worker evaluated which domain, and the cached path replays
+//! memoized subtree verdicts instead of walking them — the suite pins
+//! DESIGN.md §8's claim that neither scheduling freedom nor the cache is
+//! observable in the report.
 
 use lazy_gatekeepers::prelude::*;
 use spf_netsim::wirelab;
@@ -20,6 +25,9 @@ fn world_at(denominator: u64) -> (SpoofWorld, Vec<VantagePoint>) {
     let walker = Walker::new(ZoneResolver::new(Arc::clone(&world.store)));
     let out = crawl(&walker, &world.domains, CrawlConfig::with_workers(4));
     let weighted = out.coverage.into_weighted();
+    // A trimmed vantage set (2 shared + 2 providers ×2 + 1 control = 7):
+    // what the matrix stresses is the workers × shards × substrate grid,
+    // and per-vantage work only scales the wall clock.
     let providers: Vec<ProviderVantage> = world
         .providers
         .iter()
@@ -77,6 +85,33 @@ fn auth_matrix_byte_identical_across_worker_and_cache_grid() {
 }
 
 #[test]
+fn matrix_byte_identical_across_memory_matrix() {
+    let (world, vantages) = world_at(500);
+    let resolver = ZoneResolver::new(Arc::clone(&world.store));
+    let reference = auth_json(
+        &resolver,
+        &world,
+        &vantages,
+        SpoofMatrixConfig::with_workers(1).cached(false),
+    );
+    assert!(reference.contains("\"spoofable_shared\""));
+    for workers in [1usize, 4, 32] {
+        for shards in [1usize, 16] {
+            let cached = auth_json(
+                &resolver,
+                &world,
+                &vantages,
+                SpoofMatrixConfig::with_workers(workers).cache_shards(shards),
+            );
+            assert!(
+                cached == reference,
+                "cached matrix diverged at workers={workers} shards={shards}"
+            );
+        }
+    }
+}
+
+#[test]
 fn auth_matrix_byte_identical_between_wire_and_memory() {
     let (world, vantages) = world_at(500);
     let memory_resolver = ZoneResolver::new(Arc::clone(&world.store));
@@ -107,27 +142,65 @@ fn auth_matrix_byte_identical_between_wire_and_memory() {
 }
 
 #[test]
-fn spf_submatrix_byte_identical_to_v1_at_scale() {
+fn spf_submatrix_byte_identical_to_bare_row_fold_at_scale() {
     let (world, vantages) = world_at(500);
     let resolver = ZoneResolver::new(Arc::clone(&world.store));
-    #[allow(deprecated)]
-    let (v1, _) = spoof_matrix(
-        &resolver,
-        &world.domains,
-        &vantages,
-        SpoofMatrixConfig::with_workers(4),
-    );
-    let v1_json = serde_json::to_string(&v1).expect("v1 serializes");
+    let bare = bare_row_fold(&resolver, &world.domains, &vantages, &EvalPolicy::default());
+    let bare_json = serde_json::to_string(&bare).expect("bare fold serializes");
     for workers in [1usize, 4, 32] {
-        let (v2, _) = auth_matrix(
+        let (auth, _) = auth_matrix(
             &resolver,
             &world.domains,
             &vantages,
             SpoofMatrixConfig::with_workers(workers),
         );
         assert!(
-            serde_json::to_string(&v2.spf).expect("v2.spf serializes") == v1_json,
-            "v2 SPF sub-matrix diverged from v1 at workers={workers}"
+            serde_json::to_string(&auth.spf).expect("auth.spf serializes") == bare_json,
+            "SPF sub-matrix diverged from the bare-row fold at workers={workers}"
         );
     }
+}
+
+#[test]
+fn matrix_is_independent_of_batch_size() {
+    let (world, vantages) = world_at(2_000);
+    let resolver = ZoneResolver::new(Arc::clone(&world.store));
+    let run = |batch: usize| {
+        auth_json(
+            &resolver,
+            &world,
+            &vantages,
+            SpoofMatrixConfig::with_workers(4).batch_size(batch),
+        )
+    };
+    let reference = run(1);
+    assert_eq!(reference, run(7));
+    assert_eq!(reference, run(1_000_000)); // one batch larger than the input
+}
+
+#[test]
+fn queue_depth_stays_bounded() {
+    let (world, vantages) = world_at(2_000);
+    let resolver = ZoneResolver::new(Arc::clone(&world.store));
+    let config = SpoofMatrixConfig::with_workers(4).batch_size(16);
+    let (_, stats) = auth_matrix(&resolver, &world.domains, &vantages, config);
+    let stats = stats.engine;
+    // 2×workers queued batches + workers in-hand + the feeder's one
+    // in-flight batch — the crawl engine's dispatch bound.
+    let bound = (2 * 4 + 4 + 1) * 16;
+    assert!(stats.peak_queue_depth >= 1);
+    assert!(
+        stats.peak_queue_depth <= bound,
+        "peak {} > bound {bound}",
+        stats.peak_queue_depth
+    );
+    // The cursor's tighter bound: a worker holds one batch at a time.
+    assert!(
+        stats.peak_queue_depth <= 4 * 16,
+        "peak {} > workers × batch_size",
+        stats.peak_queue_depth
+    );
+    assert_eq!(stats.batches, world.domains.len().div_ceil(16) as u64);
+    assert!(stats.evals_per_sec() > 0.0);
+    assert!(stats.cache_hit_rate() > 0.0);
 }

@@ -60,9 +60,8 @@ fn matrix_json<R: Resolver>(
     vantages: &[VantagePoint],
     config: SpoofMatrixConfig,
 ) -> String {
-    #[allow(deprecated)]
-    let (matrix, _) = spoof_matrix(resolver, &world.domains, vantages, config);
-    serde_json::to_string(&matrix).expect("matrix serializes")
+    let (matrix, _) = auth_matrix(resolver, &world.domains, vantages, config);
+    serde_json::to_string(&matrix.spf).expect("matrix serializes")
 }
 
 #[test]
@@ -109,13 +108,13 @@ fn compiled_matrix_byte_identical_across_memory_grid() {
     // The compiled run must actually exercise the fast path (a backend
     // that silently fell back everywhere would pass the identity grid
     // vacuously) and classify every domain.
-    #[allow(deprecated)]
-    let (_, stats) = spoof_matrix(
+    let (_, stats) = auth_matrix(
         &resolver,
         &world.domains,
         &vantages,
         SpoofMatrixConfig::with_workers(4).compiled(true),
     );
+    let stats = stats.engine;
     let compiler = stats.compiler.expect("compiled run reports stats");
     assert_eq!(compiler.domains_compiled, world.domains.len() as u64);
     assert_eq!(
@@ -136,14 +135,13 @@ fn compiled_matrix_byte_identical_across_memory_grid() {
     assert!(subtrees.composed > subtrees.compiles, "{subtrees:?}");
     // Composition charges a subtree's standalone queries whoever
     // compiled it, so the counters do not depend on the schedule.
-    #[allow(deprecated)]
-    let (_, serial) = spoof_matrix(
+    let (_, serial) = auth_matrix(
         &resolver,
         &world.domains,
         &vantages,
         SpoofMatrixConfig::with_workers(1).compiled(true),
     );
-    assert_eq!(serial.compiler, Some(compiler));
+    assert_eq!(serial.engine.compiler, Some(compiler));
 }
 
 /// The matrix grid sees a policy through a handful of vantage

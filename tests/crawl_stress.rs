@@ -134,4 +134,6 @@ fn queue_depth_stays_bounded_under_stress() {
     let bound = (2 * workers + workers + 1) * batch;
     assert!(stats.peak_queue_depth <= bound);
     assert!((stats.peak_queue_depth as u64) < stats.domains);
+    // The cursor's tighter bound: a worker holds one batch at a time.
+    assert!(stats.peak_queue_depth <= workers * batch);
 }

@@ -112,8 +112,7 @@ proptest! {
                 "overlap report diverged at epoch {}", epoch
             );
 
-            #[allow(deprecated)]
-            let (fresh_matrix, _) = spoof_matrix(
+            let (fresh_matrix, _) = auth_matrix(
                 fresh_walker.resolver(),
                 &population.domains,
                 &vantages,
@@ -121,7 +120,7 @@ proptest! {
             );
             prop_assert_eq!(
                 serde_json::to_string(&engine.matrix().unwrap()).unwrap(),
-                serde_json::to_string(&fresh_matrix).unwrap(),
+                serde_json::to_string(&fresh_matrix.spf).unwrap(),
                 "spoof matrix diverged at epoch {}", epoch
             );
         }

@@ -211,9 +211,7 @@ proptest! {
         world in proptest::collection::vec(arb_pop_domain(6), 6),
         vantage_bits in proptest::collection::vec(any::<u32>(), 2),
     ) {
-        #[allow(deprecated)]
-        use spf_crawler::spoof_matrix;
-        use spf_crawler::{SpoofMatrixConfig, VantageKind, VantagePoint};
+        use spf_crawler::{auth_matrix, SpoofMatrixConfig, VantageKind, VantagePoint};
 
         let store = Arc::new(ZoneStore::new());
         let mut domains = Vec::new();
@@ -255,13 +253,13 @@ proptest! {
         }
 
         let resolver = ZoneResolver::new(Arc::clone(&store));
-        #[allow(deprecated)]
-        let (matrix, _) = spoof_matrix(
+        let (auth, _) = auth_matrix(
             &resolver,
             &domains,
             &vantages,
             SpoofMatrixConfig::with_workers(2).cache_shards(4),
         );
+        let matrix = auth.spf;
 
         // The uncached reference: bare per-cell check_host.
         let policy = EvalPolicy::default();
