@@ -1184,7 +1184,7 @@ pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String
     exp.note(format!(
         "The matrix evaluated {} cells ({} sampled for the uncached recount); \
          the byte-identity of cached vs uncached verdicts is pinned exactly by \
-         tests/spoof_matrix_stress.rs and the proptest suite — the flags here \
+         tests/auth_matrix_stress.rs and the proptest suite — the flags here \
          are the cheap in-run smoke version.",
         stats.evaluations, sampled_cells
     ));

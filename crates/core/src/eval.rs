@@ -281,7 +281,13 @@ pub fn check_host<R: Resolver + ?Sized>(
     domain: &DomainName,
     policy: &EvalPolicy,
 ) -> Evaluation {
-    check_host_impl(resolver, ctx, domain, policy, None)
+    check_host_root(
+        resolver,
+        ctx,
+        &RootRecord::fetch(resolver, domain),
+        policy,
+        None,
+    )
 }
 
 /// [`check_host`] with a shared subtree-verdict memo: include/redirect
@@ -289,7 +295,10 @@ pub fn check_host<R: Resolver + ?Sized>(
 /// are replayed from `cache` instead of re-walked. Results — verdicts,
 /// lookup and void charges, matched directives, problems — are
 /// byte-identical to the uncached path (asserted by this module's tests
-/// and the `spoof_matrix_stress` proptests).
+/// and the `tests/auth_matrix_stress.rs` proptests). The root record is
+/// never memoized here; a caller asking one domain about many IPs
+/// fetches it once with [`RootRecord::fetch`] and calls
+/// [`check_host_root`] per IP instead.
 pub fn check_host_cached<R: Resolver + ?Sized>(
     resolver: &R,
     ctx: &EvalContext,
@@ -297,13 +306,56 @@ pub fn check_host_cached<R: Resolver + ?Sized>(
     policy: &EvalPolicy,
     cache: &dyn VerdictCache,
 ) -> Evaluation {
-    check_host_impl(resolver, ctx, domain, policy, Some(cache))
+    check_host_root(
+        resolver,
+        ctx,
+        &RootRecord::fetch(resolver, domain),
+        policy,
+        Some(cache),
+    )
 }
 
-fn check_host_impl<R: Resolver + ?Sized>(
+/// A domain's root SPF record as `check_host()` first reads it: the TXT
+/// query, the RFC 7208 §4.5 selection of the one `v=spf1` string, and
+/// its parse — or the reason there is none.
+///
+/// None of that depends on the connecting IP, so a caller that asks one
+/// domain about many IPs (a spoof-matrix row) fetches the root once and
+/// evaluates it per IP with [`check_host_root`]. The void lookup an
+/// NXDOMAIN or empty answer incurs is charged by each evaluation, so
+/// every one reports exactly what a fresh [`check_host`] would.
+#[derive(Debug)]
+pub struct RootRecord {
+    domain: DomainName,
+    fetched: Result<SpfRecord, FetchFailure>,
+}
+
+impl RootRecord {
+    /// Query `domain`'s TXT RRset through `resolver` and select and parse
+    /// its SPF record.
+    pub fn fetch<R: Resolver + ?Sized>(resolver: &R, domain: &DomainName) -> RootRecord {
+        RootRecord {
+            domain: domain.clone(),
+            fetched: fetch_record(resolver, domain),
+        }
+    }
+
+    /// Whether the fetch ended in a transient DNS error. Such a root says
+    /// nothing about the zone — a retry may answer — so a caller
+    /// evaluating several IPs re-fetches it for each instead of reusing it.
+    pub fn is_transient(&self) -> bool {
+        matches!(self.fetched, Err(FetchFailure::Transient))
+    }
+}
+
+/// Evaluate a fetched root for `ctx.ip`: the rest of [`check_host`] (with
+/// `cache`, of [`check_host_cached`]) after the root's TXT answer is in
+/// hand. Both of those are exactly [`RootRecord::fetch`] followed by this
+/// call, so there is one evaluator.
+pub fn check_host_root<R: Resolver + ?Sized>(
     resolver: &R,
     ctx: &EvalContext,
-    domain: &DomainName,
+    root: &RootRecord,
     policy: &EvalPolicy,
     cache: Option<&dyn VerdictCache>,
 ) -> Evaluation {
@@ -315,14 +367,15 @@ fn check_host_impl<R: Resolver + ?Sized>(
         void_lookups: 0,
         stack: Vec::new(),
         matched: None,
-        final_domain: domain.clone(),
+        final_domain: root.domain.clone(),
         explanation_source: None,
         cache,
         probed: Vec::new(),
         ctx_macro_uses: 0,
         matched_sets: 0,
     };
-    let outcome = state.eval_domain(domain, 0, true);
+    let fetched = root.fetched.as_ref().map_err(FetchFailure::clone);
+    let outcome = state.eval_fetched(&root.domain, fetched, 0, true);
     let (result, problem) = match outcome {
         Ok(r) => (r, None),
         Err(p) => (problem_result(&p), Some(p)),
@@ -387,44 +440,6 @@ struct EvalState<'a, R: ?Sized> {
 }
 
 impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
-    /// Fetch + select the SPF record for a domain per RFC 7208 §4.5.
-    fn fetch_record(&mut self, domain: &DomainName) -> Result<SpfRecord, FetchFailure> {
-        let answers = match self.resolver.query(domain, RecordType::Txt) {
-            Ok(a) => a,
-            Err(DnsError::NxDomain) => {
-                self.count_void();
-                return Err(FetchFailure::NxDomain);
-            }
-            Err(e) if e.is_transient() => return Err(FetchFailure::Transient),
-            Err(_) => return Err(FetchFailure::Transient),
-        };
-        let spf_texts: Vec<String> = answers
-            .iter()
-            .filter_map(|rr| match &rr.data {
-                RecordData::Txt(t) => {
-                    let joined = t.joined();
-                    parse::is_spf_record(&joined).then_some(joined)
-                }
-                _ => None,
-            })
-            .collect();
-        match spf_texts.len() {
-            0 => {
-                if answers.is_empty() {
-                    self.count_void();
-                    Err(FetchFailure::EmptyAnswer)
-                } else {
-                    Err(FetchFailure::NoSpfRecord)
-                }
-            }
-            1 => match parse::parse(&spf_texts[0]) {
-                Ok(record) => Ok(record),
-                Err(error) => Err(FetchFailure::Syntax(error)),
-            },
-            n => Err(FetchFailure::Multiple(n)),
-        }
-    }
-
     fn count_void(&mut self) {
         self.void_lookups += 1;
     }
@@ -534,19 +549,15 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
         }
     }
 
-    fn eval_domain(
-        &mut self,
-        domain: &DomainName,
-        depth: usize,
-        initial: bool,
-    ) -> Result<SpfResult, EvalProblem> {
+    /// Evaluate an include/redirect target: the memoizable unit (the
+    /// initial domain's evaluation *is* the result the caller asked for,
+    /// and starts in [`check_host_root`]).
+    fn eval_domain(&mut self, domain: &DomainName, depth: usize) -> Result<SpfResult, EvalProblem> {
         if depth > self.policy.max_recursion_depth {
             return Err(EvalProblem::TooDeep);
         }
-        // Only include/redirect subtrees are memoizable — the initial
-        // domain's evaluation *is* the result the caller asked for.
-        let Some(cache) = (if initial { None } else { self.cache }) else {
-            return self.eval_domain_fresh(domain, depth, initial);
+        let Some(cache) = self.cache else {
+            return self.eval_domain_fresh(domain, depth);
         };
         let budget = self.budget_key(depth);
         if let Some(verdict) = cache.get(domain, self.ctx.ip, budget) {
@@ -561,7 +572,7 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
         let matched_sets_before = self.matched_sets;
         let probed_start = self.probed.len();
         let ctx_uses_before = self.ctx_macro_uses;
-        let outcome = self.eval_domain_fresh(domain, depth, initial);
+        let outcome = self.eval_domain_fresh(domain, depth);
         let fresh_probes = &self.probed[probed_start..];
         // Cache only pure-in-(domain, ip, budget) subtrees: no
         // session-macro expansions, no loop probe touching the caller's
@@ -594,47 +605,37 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
         &mut self,
         domain: &DomainName,
         depth: usize,
+    ) -> Result<SpfResult, EvalProblem> {
+        match fetch_record(self.resolver, domain) {
+            Ok(record) => self.eval_fetched(domain, Ok(&record), depth, false),
+            Err(failure) => self.eval_fetched(domain, Err(failure), depth, false),
+        }
+    }
+
+    /// Evaluate a fetched record — the root (`initial`) or an
+    /// include/redirect target. The one place a fetch failure maps to
+    /// its problem: the initial domain reports a missing record as
+    /// [`EvalProblem::NoRecord`], a target as
+    /// [`EvalProblem::RecordNotFound`] with its cause.
+    fn eval_fetched(
+        &mut self,
+        domain: &DomainName,
+        fetched: Result<&SpfRecord, FetchFailure>,
+        depth: usize,
         initial: bool,
     ) -> Result<SpfResult, EvalProblem> {
         self.final_domain = domain.clone();
-        let record = match self.fetch_record(domain) {
-            Ok(r) => r,
+        let cause = match fetched {
+            Ok(record) => {
+                self.stack.push(domain.clone());
+                let result = self.eval_record(record, domain, depth);
+                self.stack.pop();
+                return result;
+            }
             Err(FetchFailure::Transient) => {
                 return Err(EvalProblem::DnsTransient {
                     domain: domain.clone(),
                 })
-            }
-            Err(FetchFailure::NxDomain) => {
-                self.check_void_budget()?;
-                return if initial {
-                    Err(EvalProblem::NoRecord)
-                } else {
-                    Err(EvalProblem::RecordNotFound {
-                        domain: domain.clone(),
-                        cause: RecordNotFoundCause::DomainNotFound,
-                    })
-                };
-            }
-            Err(FetchFailure::EmptyAnswer) => {
-                self.check_void_budget()?;
-                return if initial {
-                    Err(EvalProblem::NoRecord)
-                } else {
-                    Err(EvalProblem::RecordNotFound {
-                        domain: domain.clone(),
-                        cause: RecordNotFoundCause::EmptyResult,
-                    })
-                };
-            }
-            Err(FetchFailure::NoSpfRecord) => {
-                return if initial {
-                    Err(EvalProblem::NoRecord)
-                } else {
-                    Err(EvalProblem::RecordNotFound {
-                        domain: domain.clone(),
-                        cause: RecordNotFoundCause::NoSpfRecord,
-                    })
-                };
             }
             Err(FetchFailure::Multiple(count)) => {
                 return Err(EvalProblem::MultipleRecords {
@@ -648,12 +649,26 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
                     error,
                 })
             }
+            Err(FetchFailure::NxDomain) => {
+                self.count_void();
+                self.check_void_budget()?;
+                RecordNotFoundCause::DomainNotFound
+            }
+            Err(FetchFailure::EmptyAnswer) => {
+                self.count_void();
+                self.check_void_budget()?;
+                RecordNotFoundCause::EmptyResult
+            }
+            Err(FetchFailure::NoSpfRecord) => RecordNotFoundCause::NoSpfRecord,
         };
-
-        self.stack.push(domain.clone());
-        let result = self.eval_record(&record, domain, depth);
-        self.stack.pop();
-        result
+        Err(if initial {
+            EvalProblem::NoRecord
+        } else {
+            EvalProblem::RecordNotFound {
+                domain: domain.clone(),
+                cause,
+            }
+        })
     }
 
     fn eval_record(
@@ -707,7 +722,7 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
                         domain: target_domain,
                     });
                 }
-                return match self.eval_domain(&target_domain, depth + 1, false) {
+                return match self.eval_domain(&target_domain, depth + 1) {
                     // RFC 7208 §6.1: if the redirect target has no record,
                     // the result is permerror.
                     Err(EvalProblem::NoRecord) => Err(EvalProblem::RecordNotFound {
@@ -814,7 +829,7 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
                         domain: target_domain,
                     });
                 }
-                match self.eval_domain(&target_domain, depth + 1, false) {
+                match self.eval_domain(&target_domain, depth + 1) {
                     // RFC 7208 §5.2 result table.
                     Ok(SpfResult::Pass) => Ok(true),
                     Ok(SpfResult::Fail | SpfResult::SoftFail | SpfResult::Neutral) => Ok(false),
@@ -1001,6 +1016,37 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
     }
 }
 
+/// Fetch + select the SPF record for a domain per RFC 7208 §4.5. The
+/// void lookup an NXDOMAIN or empty answer incurs is charged by the
+/// evaluation (`EvalState::eval_fetched`), not here.
+fn fetch_record<R: Resolver + ?Sized>(
+    resolver: &R,
+    domain: &DomainName,
+) -> Result<SpfRecord, FetchFailure> {
+    let answers = match resolver.query(domain, RecordType::Txt) {
+        Ok(a) => a,
+        Err(DnsError::NxDomain) => return Err(FetchFailure::NxDomain),
+        Err(_) => return Err(FetchFailure::Transient),
+    };
+    let spf_texts: Vec<String> = answers
+        .iter()
+        .filter_map(|rr| match &rr.data {
+            RecordData::Txt(t) => {
+                let joined = t.joined();
+                parse::is_spf_record(&joined).then_some(joined)
+            }
+            _ => None,
+        })
+        .collect();
+    match spf_texts.len() {
+        0 if answers.is_empty() => Err(FetchFailure::EmptyAnswer),
+        0 => Err(FetchFailure::NoSpfRecord),
+        1 => parse::parse(&spf_texts[0]).map_err(FetchFailure::Syntax),
+        n => Err(FetchFailure::Multiple(n)),
+    }
+}
+
+#[derive(Debug, Clone)]
 enum FetchFailure {
     Transient,
     NxDomain,
@@ -1908,5 +1954,108 @@ mod tests {
         s.add_txt(&dom("b.example"), "v=spf1 -all");
         let e = eval(&s, "198.51.100.1", "a.example");
         assert_eq!(e.final_domain, dom("b.example"));
+    }
+
+    /// `check_host` is `RootRecord::fetch` followed by `check_host_root`,
+    /// and one fetched root evaluates for every IP exactly as a fresh
+    /// `check_host` per IP does — cached or not, for every way a root
+    /// fetch can end, under a void budget that tolerates the root's void
+    /// charge and one that does not.
+    #[test]
+    fn fetched_root_evaluates_like_check_host_for_every_root_outcome() {
+        let s = store();
+        s.add_txt(
+            &dom("spf.example"),
+            "v=spf1 ip4:192.0.2.0/24 include:inc.example a:gone.example -all",
+        );
+        s.add_txt(&dom("inc.example"), "v=spf1 a:host.example ~all");
+        s.add_a(&dom("host.example"), Ipv4Addr::new(203, 0, 113, 5));
+        s.add_a(&dom("empty.example"), Ipv4Addr::new(192, 0, 2, 9));
+        s.add_txt(&dom("txt-only.example"), "google-site-verification=abc");
+        s.add_txt(&dom("two.example"), "v=spf1 -all");
+        s.add_txt(&dom("two.example"), "v=spf1 ~all");
+        s.add_txt(&dom("syntax.example"), "v=spf1 ipv4:192.0.2.1 -all");
+        s.add_txt(&dom("slow.example"), "v=spf1 -all");
+        s.set_fault(&dom("slow.example"), spf_dns::ZoneFault::Timeout);
+        let resolver = ZoneResolver::new(Arc::clone(&s));
+        let ips = ["192.0.2.7", "203.0.113.5", "198.51.100.1"];
+        let strict = EvalPolicy {
+            max_void_lookups: 0,
+            ..Default::default()
+        };
+        for policy in [EvalPolicy::default(), strict] {
+            let cache = MapCache::default();
+            for domain in [
+                "spf.example",
+                "missing.example",
+                "empty.example",
+                "txt-only.example",
+                "two.example",
+                "syntax.example",
+                "slow.example",
+            ] {
+                let root = RootRecord::fetch(&resolver, &dom(domain));
+                assert_eq!(root.is_transient(), domain == "slow.example");
+                let bare: Vec<Evaluation> = ips
+                    .iter()
+                    .map(|ip| check_host(&resolver, &ctx(ip), &dom(domain), &policy))
+                    .collect();
+                for (ip, bare) in ips.iter().zip(&bare) {
+                    let c = ctx(ip);
+                    let label = format!("{domain} from {ip}, {policy:?}");
+                    assert_eq!(
+                        &check_host_root(&resolver, &c, &root, &policy, None),
+                        bare,
+                        "{label}"
+                    );
+                    assert_eq!(
+                        &check_host_root(&resolver, &c, &root, &policy, Some(&cache)),
+                        bare,
+                        "{label}"
+                    );
+                    assert_eq!(
+                        &check_host_cached(&resolver, &c, &dom(domain), &policy, &cache),
+                        bare,
+                        "{label}"
+                    );
+                }
+                // Each root outcome is the one the case is named for.
+                let problem = bare[2].problem.clone();
+                let voids = bare[2].void_lookups;
+                match domain {
+                    "spf.example" => {
+                        let results: Vec<SpfResult> = bare.iter().map(|e| e.result).collect();
+                        assert_eq!(
+                            results[..2],
+                            [SpfResult::Pass, SpfResult::Pass],
+                            "{policy:?}"
+                        );
+                        assert_eq!(voids, 1);
+                    }
+                    "missing.example" | "empty.example" => {
+                        assert_eq!(voids, 1);
+                        assert_eq!(
+                            problem,
+                            Some(if policy.max_void_lookups == 0 {
+                                EvalProblem::TooManyVoidLookups { used: 1 }
+                            } else {
+                                EvalProblem::NoRecord
+                            })
+                        );
+                    }
+                    "txt-only.example" => {
+                        assert_eq!((problem, voids), (Some(EvalProblem::NoRecord), 0));
+                    }
+                    "two.example" => assert!(matches!(
+                        problem,
+                        Some(EvalProblem::MultipleRecords { count: 2, .. })
+                    )),
+                    "syntax.example" => {
+                        assert!(matches!(problem, Some(EvalProblem::Syntax { .. })))
+                    }
+                    _ => assert!(matches!(problem, Some(EvalProblem::DnsTransient { .. }))),
+                }
+            }
+        }
     }
 }

@@ -41,8 +41,9 @@ pub use dmarc::{
     DmarcLookup, DmarcPolicy, DmarcRecord,
 };
 pub use eval::{
-    check_host, check_host_cached, check_host_dyn, BudgetKey, EvalPolicy, EvalProblem, Evaluation,
-    LookupAccounting, RecordNotFoundCause, SubtreeVerdict, VerdictCache,
+    check_host, check_host_cached, check_host_dyn, check_host_root, BudgetKey, EvalPolicy,
+    EvalProblem, Evaluation, LookupAccounting, RecordNotFoundCause, RootRecord, SubtreeVerdict,
+    VerdictCache,
 };
 pub use header::received_spf_header;
 pub use macroexpand::{expand, expand_domain, ExpandError};

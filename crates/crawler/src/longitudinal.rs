@@ -17,7 +17,8 @@
 //!    TTL; `step(now)` drains the domains whose TTL expired plus every
 //!    delta'd domain.
 //! 3. **Re-crawl & fold.** Only the due subset goes through the normal
-//!    [`crawl`] worker pool; each due domain's old contribution is folded
+//!    worker pool, for its [`crawl`] and (when a matrix is attached) its
+//!    matrix rows; each due domain's old contribution is folded
 //!    *out* of the coverage map (and matrix) and its fresh contribution
 //!    folded *in*. Because every aggregate is a commutative sum of pure
 //!    per-domain facts, the folded state is **byte-identical** to a full
@@ -379,21 +380,13 @@ impl ChurnEngine {
         state.coverage.merge(output.coverage);
 
         if let Some(matrix) = state.matrix.as_mut() {
-            let cache = matrix
-                .config
-                .use_cache
-                .then(|| SpoofVerdictCache::new(matrix.config.cache_shards));
-            let mut compiler = CompilerStats::default();
-            for (&rank, domain) in due.iter().zip(&due_domains) {
-                let row = evaluate_matrix_row(
-                    walker.resolver(),
-                    domain,
-                    &matrix.vantages,
-                    &matrix.config.policy,
-                    cache.as_ref(),
-                    matrix.config.use_compiled,
-                    &mut compiler,
-                );
+            let rows = evaluate_rows(
+                walker.resolver(),
+                &due_domains,
+                &matrix.vantages,
+                &matrix.config,
+            );
+            for (&rank, row) in due.iter().zip(rows) {
                 matrix.matrix.fold_out(&matrix.rows[rank]);
                 matrix.matrix.fold_in(&row);
                 matrix.rows[rank] = row;

@@ -57,10 +57,10 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use spf_analyzer::{CacheKey, CacheStats, ShardedCache, DEFAULT_CACHE_SHARDS};
 use spf_core::{
-    check_host, check_host_cached, compile_policy, compile_policy_shared, query_mta_sts,
-    stop_layer, AuthCache, AuthCacheStats, BudgetKey, CompileConfig, CompilerStats, DeploymentMix,
-    DmarcDisposition, EvalContext, EvalPolicy, Evaluation, MtaStsMode, SpfResult, StopCounts,
-    StopLayer, SubtreeMemo, SubtreeMemoStats, SubtreeVerdict, VerdictCache,
+    check_host, check_host_root, compile_policy, compile_policy_shared, query_mta_sts, stop_layer,
+    AuthCache, AuthCacheStats, BudgetKey, CompileConfig, CompilerStats, DeploymentMix,
+    DmarcDisposition, EvalContext, EvalPolicy, Evaluation, MtaStsMode, RootRecord, SpfResult,
+    StopCounts, StopLayer, SubtreeMemo, SubtreeMemoStats, SubtreeVerdict, VerdictCache,
 };
 use spf_dns::Resolver;
 use spf_types::{DomainName, WeightedRanges};
@@ -687,10 +687,19 @@ fn subtree_stats(
 /// subtree is compiled once per cache rather than once per customer —
 /// and every vantage answers from the interval tables; residual regions
 /// fall back to the same (cached) evaluator path, so the row is
-/// byte-identical either way. This is the batch engine's inner loop,
-/// the churn engine's per-delta re-evaluation primitive, and — with no
-/// cache and no compiler — the bare-row reference the engines are
-/// checked against.
+/// byte-identical either way.
+///
+/// With a cache, the row reads its domain's root record once: the first
+/// cell the compiled table does not answer fetches and parses it
+/// ([`RootRecord::fetch`]), and that cell and every later one evaluate it
+/// for their own IP ([`check_host_root`]) under one reused
+/// [`EvalContext`]. A root whose fetch hit a transient DNS error is not
+/// reused — each cell re-fetches, as a fresh `check_host_cached` would.
+/// Without a cache every cell runs a whole [`check_host`] of its own.
+///
+/// This is the batch engine's inner loop, the churn engine's per-delta
+/// re-evaluation primitive, and — with no cache and no compiler — the
+/// bare-row reference the engines are checked against.
 pub fn evaluate_matrix_row<R: Resolver>(
     resolver: &R,
     domain: &DomainName,
@@ -715,6 +724,10 @@ pub fn evaluate_matrix_row<R: Resolver>(
         passes_shared: false,
         passes_control: false,
     };
+    // The cached arm's per-row state, built on the first cell the
+    // compiled table does not answer.
+    let mut ctx: Option<EvalContext> = None;
+    let mut root: Option<RootRecord> = None;
     for vantage in vantages {
         let fast = compiled
             .as_ref()
@@ -726,18 +739,23 @@ pub fn evaluate_matrix_row<R: Resolver>(
                 compiler.fallback_verdicts += 1;
             }
         }
-        let cell = match fast {
-            Some(eval) => RowCell::from_eval(eval),
-            None => {
-                let ctx = EvalContext::mail_from(
-                    IpAddr::V4(vantage.ip),
-                    SPOOF_SENDER_LOCAL,
-                    domain.clone(),
-                );
-                RowCell::from_eval(&match cache {
-                    Some(cache) => check_host_cached(resolver, &ctx, domain, policy, cache),
-                    None => check_host(resolver, &ctx, domain, policy),
-                })
+        let ip = IpAddr::V4(vantage.ip);
+        let cell = match (fast, cache) {
+            (Some(eval), _) => RowCell::from_eval(eval),
+            (None, Some(cache)) => {
+                let ctx = ctx.get_or_insert_with(|| {
+                    EvalContext::mail_from(ip, SPOOF_SENDER_LOCAL, domain.clone())
+                });
+                ctx.ip = ip;
+                let root = match &mut root {
+                    Some(root) if !root.is_transient() => root,
+                    slot => slot.insert(RootRecord::fetch(resolver, domain)),
+                };
+                RowCell::from_eval(&check_host_root(resolver, ctx, root, policy, Some(cache)))
+            }
+            (None, None) => {
+                let ctx = EvalContext::mail_from(ip, SPOOF_SENDER_LOCAL, domain.clone());
+                RowCell::from_eval(&check_host(resolver, &ctx, domain, policy))
             }
         };
         if cell.result != SpfResult::None {
@@ -1163,8 +1181,9 @@ pub fn auth_matrix_with_cache<R: Resolver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spf_dns::{ZoneResolver, ZoneStore};
+    use spf_dns::{CountingResolver, ZoneResolver, ZoneStore};
     use spf_types::CoverageMap;
+    use std::sync::atomic::Ordering;
 
     fn dom(s: &str) -> DomainName {
         DomainName::parse(s).unwrap()
@@ -1373,6 +1392,55 @@ mod tests {
             "hits = {}",
             stats.cache_hits
         );
+    }
+
+    /// The cached arm reads a row's root record once. `tight.example`'s
+    /// `ip4:… -all` makes its root TXT the only query a cell issues, so
+    /// the query count is the root-fetch count: one per row cached, one
+    /// per vantage bare. NXDOMAIN is an answer and is reused; a timed-out
+    /// root is not, so every cell re-fetches it.
+    #[test]
+    fn cached_row_fetches_its_root_once() {
+        let (store, _, weighted) = build_world();
+        store.add_txt(&dom("slow.example"), "v=spf1 -all");
+        store.set_fault(&dom("slow.example"), spf_dns::ZoneFault::Timeout);
+        let vantages = vantage_set(&weighted, 2);
+        let n = vantages.len() as u64;
+        assert!(n > 1);
+        let cache = SpoofVerdictCache::with_default_shards();
+        let row = |domain: &str, cache: Option<&SpoofVerdictCache>, compiled: bool| {
+            let counting = CountingResolver::new(ZoneResolver::new(Arc::clone(&store)));
+            let row = evaluate_matrix_row(
+                &counting,
+                &dom(domain),
+                &vantages,
+                &EvalPolicy::default(),
+                cache,
+                compiled,
+                &mut CompilerStats::default(),
+            );
+            (row, counting.stats().queries.load(Ordering::Relaxed))
+        };
+        for (domain, cached_queries) in [
+            ("tight.example", 1),
+            ("norecord.example", 1),
+            ("slow.example", n),
+        ] {
+            let (bare, bare_queries) = row(domain, None, false);
+            assert_eq!(bare_queries, n, "{domain}");
+            let (cached, queries) = row(domain, Some(&cache), false);
+            assert_eq!(queries, cached_queries, "{domain}");
+            assert_eq!(cached, bare, "{domain}");
+        }
+        // A fully compiled row answers every cell from its tables: the
+        // compile's own queries are the row's only ones.
+        let counting = CountingResolver::new(ZoneResolver::new(Arc::clone(&store)));
+        let config = CompileConfig::with_policy(EvalPolicy::default());
+        compile_policy(&counting, &dom("tight.example"), &config);
+        let compile_queries = counting.stats().queries.load(Ordering::Relaxed);
+        let (compiled, queries) = row("tight.example", Some(&cache), true);
+        assert_eq!(queries, compile_queries);
+        assert_eq!(compiled, row("tight.example", None, false).0);
     }
 
     #[test]

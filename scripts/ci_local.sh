@@ -3,9 +3,9 @@
 # exactly what .github/workflows/ci.yml runs, so the tier-1 verify and CI
 # cannot drift:
 #
-#   [build-and-test]  cargo build --release; compiler differential
-#                     suites (fail-fast); cargo test -q --no-fail-fast;
-#                     docs smoke
+#   [build-and-test]  cargo build --release; differential suites
+#                     (fail-fast); cargo test -q --no-fail-fast; docs
+#                     smoke
 #                     (which also builds the examples)
 #   [lint]            cargo clippy --all-targets -- -D warnings;
 #                     cargo fmt --check
@@ -27,12 +27,14 @@ cd "$(dirname "$0")/.."
 echo "== [build-and-test] cargo build --release"
 cargo build --release
 
-# The compiler's fast differential suites first: a verdict-identity or
+# The fast differential suites first (ci.yml's "Differential suites"
+# step runs the same list): a verdict-identity or
 # residue-classification regression fails here in seconds instead of
 # minutes into the full pass (compiler_stress, the socket-level grid,
 # rides inside the full `cargo test` below).
-echo "== [build-and-test] compiler differential suites"
-cargo test -q --test proptest_compiler --test rfc_conformance
+echo "== [build-and-test] differential suites"
+cargo test -q --test proptest_compiler --test rfc_conformance --test proptest_auth
+cargo test -q -p spf-core --lib
 
 # --no-fail-fast: one failing test binary must not hide every suite
 # after it.

@@ -7,7 +7,8 @@
 //! signed boundary deltas and the matrix a sum of per-domain rows, so
 //! fold-out/fold-in is exact by construction, and these properties pin
 //! that across the serialized forms of all three artifacts (report
-//! vector, overlap report, spoof matrix).
+//! vector, overlap report, spoof matrix — the last against both a fresh
+//! `auth_matrix` and the per-cell `bare_row_fold` oracle).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -122,6 +123,21 @@ proptest! {
                 serde_json::to_string(&engine.matrix().unwrap()).unwrap(),
                 serde_json::to_string(&fresh_matrix.spf).unwrap(),
                 "spoof matrix diverged at epoch {}", epoch
+            );
+
+            // The per-cell oracle: a whole `check_host` per cell on the
+            // calling thread, sharing no cache, compiler, pool or root
+            // fetch with either engine.
+            let bare = bare_row_fold(
+                fresh_walker.resolver(),
+                &population.domains,
+                &vantages,
+                &matrix_config.policy,
+            );
+            prop_assert_eq!(
+                serde_json::to_string(&engine.matrix().unwrap()).unwrap(),
+                serde_json::to_string(&bare).unwrap(),
+                "spoof matrix diverged from the bare-row fold at epoch {}", epoch
             );
         }
     }
