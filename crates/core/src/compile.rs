@@ -58,9 +58,11 @@ use spf_types::{
 };
 
 use crate::context::{EvalContext, SpfResult};
-use crate::eval::{problem_result, qualifier_result, EvalPolicy, EvalProblem, Evaluation};
+use crate::eval::{
+    problem_result, qualifier_result, select_record, EvalPolicy, EvalProblem, Evaluation,
+    FetchFailure, RecordNotFoundCause,
+};
 use crate::macroexpand::expand_domain;
-use crate::parse;
 
 /// Knobs for [`compile_policy`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1262,10 +1264,10 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
         out
     }
 
-    /// Fetch + select the SPF record — the symbolic
-    /// `EvalState::fetch_record` plus `eval_domain_fresh`'s failure
-    /// mapping. `Err` carries the terminals when the fetch decides the
-    /// outcome for every group.
+    /// Fetch + select the SPF record — the evaluator's
+    /// [`select_record`] over this walk's own counted query, plus
+    /// `EvalState::eval_fetched`'s failure mapping. `Err` carries the
+    /// terminals when the fetch decides the outcome for every group.
     #[allow(clippy::type_complexity)]
     fn fetch_record(
         &mut self,
@@ -1283,79 +1285,42 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
                 }
             }
         };
-        let answers = match self.query(domain, RecordType::Txt) {
-            Ok(a) => a,
-            Err(DnsError::NxDomain) => {
-                let mut terminals = Vec::new();
-                for g in &mut groups {
-                    g.voids += 1;
-                }
-                let survivors = self.check_void_budget(groups, &mut terminals);
-                let problem = not_found(crate::eval::RecordNotFoundCause::DomainNotFound);
-                terminals.extend(survivors.into_iter().map(|g| (g, Err(problem.clone()))));
-                return Err(terminals);
-            }
-            Err(_) => {
+        let problem = match select_record(self.query(domain, RecordType::Txt)) {
+            Ok(record) => return Ok((record, groups)),
+            Err(FetchFailure::Transient) => {
                 // Transient (and refused — the evaluator maps both to
                 // `temperror`): never freeze a transient fault into the
                 // compiled artifact; let the live path re-query.
                 self.park_residue(groups, ResidueKind::Transient, domain, "txt".to_string());
                 return Err(Vec::new());
             }
-        };
-        let spf_texts: Vec<String> = answers
-            .iter()
-            .filter_map(|rr| match &rr.data {
-                RecordData::Txt(t) => {
-                    let joined = t.joined();
-                    parse::is_spf_record(&joined).then_some(joined)
+            Err(void @ (FetchFailure::NxDomain | FetchFailure::EmptyAnswer)) => {
+                let mut terminals = Vec::new();
+                for g in &mut groups {
+                    g.voids += 1;
                 }
-                _ => None,
-            })
-            .collect();
-        match spf_texts.len() {
-            0 => {
-                if answers.is_empty() {
-                    let mut terminals = Vec::new();
-                    for g in &mut groups {
-                        g.voids += 1;
-                    }
-                    let survivors = self.check_void_budget(groups, &mut terminals);
-                    let problem = not_found(crate::eval::RecordNotFoundCause::EmptyResult);
-                    terminals.extend(survivors.into_iter().map(|g| (g, Err(problem.clone()))));
-                    Err(terminals)
-                } else {
-                    let problem = not_found(crate::eval::RecordNotFoundCause::NoSpfRecord);
-                    Err(groups
-                        .into_iter()
-                        .map(|g| (g, Err(problem.clone())))
-                        .collect())
-                }
+                let survivors = self.check_void_budget(groups, &mut terminals);
+                let problem = not_found(match void {
+                    FetchFailure::NxDomain => RecordNotFoundCause::DomainNotFound,
+                    _ => RecordNotFoundCause::EmptyResult,
+                });
+                terminals.extend(survivors.into_iter().map(|g| (g, Err(problem.clone()))));
+                return Err(terminals);
             }
-            1 => match parse::parse(&spf_texts[0]) {
-                Ok(record) => Ok((record, groups)),
-                Err(error) => {
-                    let problem = EvalProblem::Syntax {
-                        domain: domain.clone(),
-                        error,
-                    };
-                    Err(groups
-                        .into_iter()
-                        .map(|g| (g, Err(problem.clone())))
-                        .collect())
-                }
+            Err(FetchFailure::NoSpfRecord) => not_found(RecordNotFoundCause::NoSpfRecord),
+            Err(FetchFailure::Syntax(error)) => EvalProblem::Syntax {
+                domain: domain.clone(),
+                error,
             },
-            n => {
-                let problem = EvalProblem::MultipleRecords {
-                    domain: domain.clone(),
-                    count: n,
-                };
-                Err(groups
-                    .into_iter()
-                    .map(|g| (g, Err(problem.clone())))
-                    .collect())
-            }
-        }
+            Err(FetchFailure::Multiple(count)) => EvalProblem::MultipleRecords {
+                domain: domain.clone(),
+                count,
+            },
+        };
+        Err(groups
+            .into_iter()
+            .map(|g| (g, Err(problem.clone())))
+            .collect())
     }
 
     /// The symbolic `EvalState::eval_record`: walk terms in order, split
@@ -1448,7 +1413,7 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
                             let outcome = match outcome {
                                 Err(EvalProblem::NoRecord) => Err(EvalProblem::RecordNotFound {
                                     domain: target_domain.clone(),
-                                    cause: crate::eval::RecordNotFoundCause::NoSpfRecord,
+                                    cause: RecordNotFoundCause::NoSpfRecord,
                                 }),
                                 other => other,
                             };
@@ -1546,7 +1511,7 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
                                     g,
                                     EvalProblem::RecordNotFound {
                                         domain: target_domain.clone(),
-                                        cause: crate::eval::RecordNotFoundCause::NoSpfRecord,
+                                        cause: RecordNotFoundCause::NoSpfRecord,
                                     },
                                 )),
                                 Err(e) => out.failed.push((g, e)),

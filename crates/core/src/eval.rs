@@ -22,9 +22,10 @@
 
 use std::net::IpAddr;
 use std::sync::Arc;
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use spf_dns::{DnsError, RecordData, RecordType, Resolver};
+use spf_dns::{DnsError, RecordData, RecordType, Resolver, ResourceRecord};
 use spf_types::{
     DomainName, DualCidr, Ipv4Cidr, Ipv6Cidr, MacroString, Mechanism, Modifier, Qualifier,
     SpfRecord, Term, MAX_DNS_LOOKUPS, MAX_VOID_LOOKUPS,
@@ -235,10 +236,10 @@ pub struct SubtreeVerdict {
     pub probed: Vec<DomainName>,
 }
 
-/// A memo store for include/redirect subtree verdicts, shared across
-/// `check_host()` calls.
+/// A memo store shared across `check_host()` calls: include/redirect
+/// subtree verdicts, and the fetched records they are built from.
 ///
-/// Implementations key on `(domain, ip, budget)`; the evaluator
+/// Verdicts are keyed on `(domain, ip, budget)`; the evaluator
 /// guarantees a verdict is a pure function of that triple (plus the
 /// zone) before offering it:
 ///
@@ -248,30 +249,58 @@ pub struct SubtreeVerdict {
 /// * subtrees whose loop probes touched the caller's recursion stack are
 ///   never offered, and replay re-checks stack disjointness.
 ///
+/// Records are keyed on the domain alone: the TXT query, the §4.5
+/// selection and the parse depend on nothing else, so a new sender
+/// address — which never hits the verdict memo — still reads every
+/// record of the tree from here. A transient fetch is never offered.
+///
+/// # Staleness
+///
+/// Every read returns the entry's `as_of`: the time the zone data it
+/// holds was read. A verdict built from memoized entries is as old as
+/// the oldest of them, so [`put`](Self::put) receives that time (`None`
+/// when everything it read was live), and an expiring memo dates the
+/// verdict from it — no verdict is served from zone data older than
+/// one TTL. A memo without a clock returns any constant.
+///
 /// # Scoping
 ///
 /// A cache instance must be scoped to **one resolver (one zone
-/// state)**: the key carries the accounting mode and every
-/// remaining-budget dimension (so differing policies key apart), but
-/// *not* the zone contents — verdicts are memoized DNS answers, so
-/// sharing a cache across resolvers, or across a zone mutation such as
-/// the Table 2 remediation rescan, replays stale data. The matrix
-/// engine builds a fresh cache per run for exactly this reason.
+/// state)** or expire its entries: the key carries the accounting mode
+/// and every remaining-budget dimension (so differing policies key
+/// apart), but *not* the zone contents — entries are memoized DNS
+/// answers, so sharing a cache across resolvers, or across a zone
+/// mutation such as the Table 2 remediation rescan, replays stale data.
+/// The matrix engine builds a fresh cache per run for exactly this
+/// reason.
 ///
 /// The spoofability matrix engine (`spf-crawler`) implements this over
 /// the analyzer's lock-striped `ShardedCache` so include-heavy
 /// populations evaluate each shared provider subtree once per vantage
 /// instead of once per customer.
 pub trait VerdictCache: Send + Sync {
-    /// Look up the verdict for `(domain, ip, budget)`.
+    /// Look up the verdict for `(domain, ip, budget)`, with its `as_of`.
     fn get(
         &self,
         domain: &DomainName,
         ip: IpAddr,
         budget: BudgetKey,
-    ) -> Option<Arc<SubtreeVerdict>>;
-    /// Store a verdict for `(domain, ip, budget)`.
-    fn put(&self, domain: &DomainName, ip: IpAddr, budget: BudgetKey, verdict: Arc<SubtreeVerdict>);
+    ) -> Option<(Arc<SubtreeVerdict>, Duration)>;
+    /// Store a verdict for `(domain, ip, budget)`, built from zone data
+    /// read at or after `as_of` (`None`: all of it read live).
+    fn put(
+        &self,
+        domain: &DomainName,
+        ip: IpAddr,
+        budget: BudgetKey,
+        verdict: Arc<SubtreeVerdict>,
+        as_of: Option<Duration>,
+    );
+    /// Look up `domain`'s fetched record, with its `as_of`.
+    fn record(&self, domain: &DomainName) -> Option<(Arc<FetchedRecord>, Duration)>;
+    /// Store `domain`'s record, fetched live just now. Never offered a
+    /// transient fetch.
+    fn put_record(&self, domain: &DomainName, record: Arc<FetchedRecord>);
 }
 
 /// Evaluate `check_host(ip, domain, sender)` against `resolver`.
@@ -290,15 +319,13 @@ pub fn check_host<R: Resolver + ?Sized>(
     )
 }
 
-/// [`check_host`] with a shared subtree-verdict memo: include/redirect
-/// subtrees already evaluated for this `(domain, ip, remaining budget)`
-/// are replayed from `cache` instead of re-walked. Results — verdicts,
-/// lookup and void charges, matched directives, problems — are
-/// byte-identical to the uncached path (asserted by this module's tests
-/// and the `tests/auth_matrix_stress.rs` proptests). The root record is
-/// never memoized here; a caller asking one domain about many IPs
-/// fetches it once with [`RootRecord::fetch`] and calls
-/// [`check_host_root`] per IP instead.
+/// [`check_host`] through a shared memo: every record of the tree —
+/// the root's included — is read from `cache` when it holds one, and
+/// include/redirect subtrees already evaluated for this `(domain, ip,
+/// remaining budget)` are replayed from it instead of re-walked.
+/// Results — verdicts, lookup and void charges, matched directives,
+/// problems — are byte-identical to the uncached path (asserted by this
+/// module's tests and the `tests/auth_matrix_stress.rs` proptests).
 pub fn check_host_cached<R: Resolver + ?Sized>(
     resolver: &R,
     ctx: &EvalContext,
@@ -306,28 +333,61 @@ pub fn check_host_cached<R: Resolver + ?Sized>(
     policy: &EvalPolicy,
     cache: &dyn VerdictCache,
 ) -> Evaluation {
-    check_host_root(
-        resolver,
-        ctx,
-        &RootRecord::fetch(resolver, domain),
-        policy,
-        Some(cache),
-    )
+    // The root's `as_of` is not needed: the root's own verdict is
+    // never memoized.
+    let (record, _) = memo_record(cache, resolver, domain);
+    check_host_fetched(resolver, ctx, domain, &record, policy, Some(cache))
 }
 
-/// A domain's root SPF record as `check_host()` first reads it: the TXT
-/// query, the RFC 7208 §4.5 selection of the one `v=spf1` string, and
-/// its parse — or the reason there is none.
-///
-/// None of that depends on the connecting IP, so a caller that asks one
-/// domain about many IPs (a spoof-matrix row) fetches the root once and
-/// evaluates it per IP with [`check_host_root`]. The void lookup an
-/// NXDOMAIN or empty answer incurs is charged by each evaluation, so
-/// every one reports exactly what a fresh [`check_host`] would.
+/// `domain`'s record read through `cache`: the memoized one and its
+/// `as_of`, or a live fetch — memoized unless it is transient — and
+/// `None`.
+fn memo_record<R: Resolver + ?Sized>(
+    cache: &dyn VerdictCache,
+    resolver: &R,
+    domain: &DomainName,
+) -> (Arc<FetchedRecord>, Option<Duration>) {
+    if let Some((record, as_of)) = cache.record(domain) {
+        return (record, Some(as_of));
+    }
+    let record = Arc::new(FetchedRecord::fetch(resolver, domain));
+    if !record.is_transient() {
+        cache.put_record(domain, Arc::clone(&record));
+    }
+    (record, None)
+}
+
+/// A domain's SPF record as `check_host()` reads it: the TXT query, the
+/// RFC 7208 §4.5 selection of the one `v=spf1` string, and its parse —
+/// or the reason there is none. None of that depends on the connecting
+/// IP, which is what lets [`RootRecord`] and the [`VerdictCache`] record
+/// memo reuse it. The void lookup an NXDOMAIN or empty answer incurs is
+/// charged by each evaluation that reads it, not here.
+#[derive(Debug)]
+pub struct FetchedRecord(Result<SpfRecord, FetchFailure>);
+
+impl FetchedRecord {
+    fn fetch<R: Resolver + ?Sized>(resolver: &R, domain: &DomainName) -> FetchedRecord {
+        FetchedRecord(select_record(resolver.query(domain, RecordType::Txt)))
+    }
+
+    /// Whether the fetch ended in a transient DNS error. Such a record
+    /// says nothing about the zone — a retry may answer — so it is never
+    /// reused.
+    pub fn is_transient(&self) -> bool {
+        matches!(self.0, Err(FetchFailure::Transient))
+    }
+}
+
+/// A domain's root record, fetched once: a caller that asks one domain
+/// about many IPs (a spoof-matrix row) fetches it with
+/// [`RootRecord::fetch`] and evaluates it per IP with
+/// [`check_host_root`]. Every evaluation charges the root's void lookup
+/// itself, so each reports exactly what a fresh [`check_host`] would.
 #[derive(Debug)]
 pub struct RootRecord {
     domain: DomainName,
-    fetched: Result<SpfRecord, FetchFailure>,
+    fetched: FetchedRecord,
 }
 
 impl RootRecord {
@@ -336,26 +396,36 @@ impl RootRecord {
     pub fn fetch<R: Resolver + ?Sized>(resolver: &R, domain: &DomainName) -> RootRecord {
         RootRecord {
             domain: domain.clone(),
-            fetched: fetch_record(resolver, domain),
+            fetched: FetchedRecord::fetch(resolver, domain),
         }
     }
 
-    /// Whether the fetch ended in a transient DNS error. Such a root says
-    /// nothing about the zone — a retry may answer — so a caller
-    /// evaluating several IPs re-fetches it for each instead of reusing it.
+    /// [`FetchedRecord::is_transient`]: a caller evaluating several IPs
+    /// re-fetches such a root for each instead of reusing it.
     pub fn is_transient(&self) -> bool {
-        matches!(self.fetched, Err(FetchFailure::Transient))
+        self.fetched.is_transient()
     }
 }
 
 /// Evaluate a fetched root for `ctx.ip`: the rest of [`check_host`] (with
 /// `cache`, of [`check_host_cached`]) after the root's TXT answer is in
-/// hand. Both of those are exactly [`RootRecord::fetch`] followed by this
-/// call, so there is one evaluator.
+/// hand. [`check_host`] is exactly [`RootRecord::fetch`] followed by
+/// this call, so there is one evaluator.
 pub fn check_host_root<R: Resolver + ?Sized>(
     resolver: &R,
     ctx: &EvalContext,
     root: &RootRecord,
+    policy: &EvalPolicy,
+    cache: Option<&dyn VerdictCache>,
+) -> Evaluation {
+    check_host_fetched(resolver, ctx, &root.domain, &root.fetched, policy, cache)
+}
+
+fn check_host_fetched<R: Resolver + ?Sized>(
+    resolver: &R,
+    ctx: &EvalContext,
+    domain: &DomainName,
+    fetched: &FetchedRecord,
     policy: &EvalPolicy,
     cache: Option<&dyn VerdictCache>,
 ) -> Evaluation {
@@ -367,15 +437,15 @@ pub fn check_host_root<R: Resolver + ?Sized>(
         void_lookups: 0,
         stack: Vec::new(),
         matched: None,
-        final_domain: root.domain.clone(),
+        final_domain: domain.clone(),
         explanation_source: None,
         cache,
+        as_of: None,
         probed: Vec::new(),
         ctx_macro_uses: 0,
         matched_sets: 0,
     };
-    let fetched = root.fetched.as_ref().map_err(FetchFailure::clone);
-    let outcome = state.eval_fetched(&root.domain, fetched, 0, true);
+    let outcome = state.eval_fetched(domain, fetched, 0, true);
     let (result, problem) = match outcome {
         Ok(r) => (r, None),
         Err(p) => (problem_result(&p), Some(p)),
@@ -419,9 +489,15 @@ struct EvalState<'a, R: ?Sized> {
     matched: Option<String>,
     final_domain: DomainName,
     explanation_source: Option<(DomainName, MacroString)>,
-    /// Shared subtree-verdict memo, when evaluating through
+    /// Shared subtree-verdict and record memo, when evaluating through
     /// [`check_host_cached`].
     cache: Option<&'a dyn VerdictCache>,
+    /// The oldest `as_of` among the memo entries the current frame read
+    /// — records and replayed verdicts, its subframes' included — or
+    /// `None` while all it read was live. `eval_domain` saves and
+    /// restores it around each subframe, so a stored verdict carries
+    /// the age of its own inputs.
+    as_of: Option<Duration>,
     /// Every include/redirect target tested against `stack` so far
     /// (append-only; frames slice it by start index to learn what *they*
     /// probed, nested frames included).
@@ -440,6 +516,11 @@ struct EvalState<'a, R: ?Sized> {
 }
 
 impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
+    /// Fold a memo read's `as_of` into the current frame's.
+    fn read_as_of(&mut self, as_of: Duration) {
+        self.as_of = Some(self.as_of.map_or(as_of, |oldest| oldest.min(as_of)));
+    }
+
     fn count_void(&mut self) {
         self.void_lookups += 1;
     }
@@ -560,13 +641,15 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
             return self.eval_domain_fresh(domain, depth);
         };
         let budget = self.budget_key(depth);
-        if let Some(verdict) = cache.get(domain, self.ctx.ip, budget) {
+        if let Some((verdict, as_of)) = cache.get(domain, self.ctx.ip, budget) {
             // Sound only when loop detection would behave identically:
             // none of the subtree's probes may hit the current stack.
             if verdict.probed.iter().all(|d| !self.stack.contains(d)) {
+                self.read_as_of(as_of);
                 return self.replay(&verdict);
             }
         }
+        let caller_as_of = self.as_of.take();
         let entry_lookups = self.lookups;
         let entry_voids = self.void_lookups;
         let matched_sets_before = self.matched_sets;
@@ -596,20 +679,31 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
                 final_domain: self.final_domain.clone(),
                 probed: fresh_probes.to_vec(),
             };
-            cache.put(domain, self.ctx.ip, budget, Arc::new(verdict));
+            cache.put(domain, self.ctx.ip, budget, Arc::new(verdict), self.as_of);
+        }
+        // The caller's inputs now include this subtree's.
+        if let Some(as_of) = caller_as_of {
+            self.read_as_of(as_of);
         }
         outcome
     }
 
+    /// Fetch and evaluate an include/redirect target — its record read
+    /// through the memo when there is one.
     fn eval_domain_fresh(
         &mut self,
         domain: &DomainName,
         depth: usize,
     ) -> Result<SpfResult, EvalProblem> {
-        match fetch_record(self.resolver, domain) {
-            Ok(record) => self.eval_fetched(domain, Ok(&record), depth, false),
-            Err(failure) => self.eval_fetched(domain, Err(failure), depth, false),
+        let Some(cache) = self.cache else {
+            let fetched = FetchedRecord::fetch(self.resolver, domain);
+            return self.eval_fetched(domain, &fetched, depth, false);
+        };
+        let (fetched, as_of) = memo_record(cache, self.resolver, domain);
+        if let Some(as_of) = as_of {
+            self.read_as_of(as_of);
         }
+        self.eval_fetched(domain, &fetched, depth, false)
     }
 
     /// Evaluate a fetched record — the root (`initial`) or an
@@ -620,12 +714,12 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
     fn eval_fetched(
         &mut self,
         domain: &DomainName,
-        fetched: Result<&SpfRecord, FetchFailure>,
+        fetched: &FetchedRecord,
         depth: usize,
         initial: bool,
     ) -> Result<SpfResult, EvalProblem> {
         self.final_domain = domain.clone();
-        let cause = match fetched {
+        let cause = match &fetched.0 {
             Ok(record) => {
                 self.stack.push(domain.clone());
                 let result = self.eval_record(record, domain, depth);
@@ -640,13 +734,13 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
             Err(FetchFailure::Multiple(count)) => {
                 return Err(EvalProblem::MultipleRecords {
                     domain: domain.clone(),
-                    count,
+                    count: *count,
                 })
             }
             Err(FetchFailure::Syntax(error)) => {
                 return Err(EvalProblem::Syntax {
                     domain: domain.clone(),
-                    error,
+                    error: error.clone(),
                 })
             }
             Err(FetchFailure::NxDomain) => {
@@ -1016,38 +1110,38 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
     }
 }
 
-/// Fetch + select the SPF record for a domain per RFC 7208 §4.5. The
-/// void lookup an NXDOMAIN or empty answer incurs is charged by the
-/// evaluation (`EvalState::eval_fetched`), not here.
-fn fetch_record<R: Resolver + ?Sized>(
-    resolver: &R,
-    domain: &DomainName,
+/// Select the SPF record from a TXT query's outcome per RFC 7208 §4.5:
+/// join each string, keep the `v=spf1` ones, and parse the one there
+/// must be. The one selection the evaluator and the compiler share;
+/// each charges the void lookup an NXDOMAIN or empty answer incurs
+/// itself.
+pub(crate) fn select_record(
+    answer: Result<Vec<ResourceRecord>, DnsError>,
 ) -> Result<SpfRecord, FetchFailure> {
-    let answers = match resolver.query(domain, RecordType::Txt) {
+    let answers = match answer {
         Ok(a) => a,
         Err(DnsError::NxDomain) => return Err(FetchFailure::NxDomain),
         Err(_) => return Err(FetchFailure::Transient),
     };
-    let spf_texts: Vec<String> = answers
-        .iter()
-        .filter_map(|rr| match &rr.data {
-            RecordData::Txt(t) => {
-                let joined = t.joined();
-                parse::is_spf_record(&joined).then_some(joined)
-            }
-            _ => None,
-        })
-        .collect();
-    match spf_texts.len() {
-        0 if answers.is_empty() => Err(FetchFailure::EmptyAnswer),
-        0 => Err(FetchFailure::NoSpfRecord),
-        1 => parse::parse(&spf_texts[0]).map_err(FetchFailure::Syntax),
-        n => Err(FetchFailure::Multiple(n)),
+    let mut spf_texts = answers.iter().filter_map(|rr| match &rr.data {
+        RecordData::Txt(t) => {
+            let joined = t.joined();
+            parse::is_spf_record(&joined).then_some(joined)
+        }
+        _ => None,
+    });
+    match (spf_texts.next(), spf_texts.count()) {
+        (None, _) if answers.is_empty() => Err(FetchFailure::EmptyAnswer),
+        (None, _) => Err(FetchFailure::NoSpfRecord),
+        (Some(text), 0) => parse::parse(&text).map_err(FetchFailure::Syntax),
+        (Some(_), more) => Err(FetchFailure::Multiple(more + 1)),
     }
 }
 
+/// Why [`select_record`] found no record to evaluate. `Transient` is a
+/// timeout, SERVFAIL or refusal: a `temperror`, and never memoized.
 #[derive(Debug, Clone)]
-enum FetchFailure {
+pub(crate) enum FetchFailure {
     Transient,
     NxDomain,
     EmptyAnswer,
@@ -1573,12 +1667,14 @@ mod tests {
     }
 
     /// A plain mutex-map [`VerdictCache`] for exercising the cached path
-    /// without the crawler's sharded implementation.
+    /// without the crawler's sharded implementation. It has no clock:
+    /// every entry reads back as of time zero.
     #[derive(Default)]
     struct MapCache {
         map: std::sync::Mutex<
             std::collections::HashMap<(DomainName, IpAddr, BudgetKey), Arc<SubtreeVerdict>>,
         >,
+        records: std::sync::Mutex<std::collections::HashMap<DomainName, Arc<FetchedRecord>>>,
         hits: std::sync::atomic::AtomicUsize,
     }
 
@@ -1588,7 +1684,7 @@ mod tests {
             domain: &DomainName,
             ip: IpAddr,
             budget: BudgetKey,
-        ) -> Option<Arc<SubtreeVerdict>> {
+        ) -> Option<(Arc<SubtreeVerdict>, Duration)> {
             let hit = self
                 .map
                 .lock()
@@ -1598,7 +1694,7 @@ mod tests {
             if hit.is_some() {
                 self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
-            hit
+            hit.map(|verdict| (verdict, Duration::ZERO))
         }
 
         fn put(
@@ -1607,11 +1703,22 @@ mod tests {
             ip: IpAddr,
             budget: BudgetKey,
             verdict: Arc<SubtreeVerdict>,
+            _as_of: Option<Duration>,
         ) {
             self.map
                 .lock()
                 .unwrap()
                 .insert((domain.clone(), ip, budget), verdict);
+        }
+
+        fn record(&self, domain: &DomainName) -> Option<(Arc<FetchedRecord>, Duration)> {
+            let records = self.records.lock().unwrap();
+            records.get(domain).map(|r| (Arc::clone(r), Duration::ZERO))
+        }
+
+        fn put_record(&self, domain: &DomainName, record: Arc<FetchedRecord>) {
+            assert!(!record.is_transient(), "a transient fetch was offered");
+            self.records.lock().unwrap().insert(domain.clone(), record);
         }
     }
 
@@ -1956,13 +2063,21 @@ mod tests {
         assert_eq!(e.final_domain, dom("b.example"));
     }
 
-    /// `check_host` is `RootRecord::fetch` followed by `check_host_root`,
-    /// and one fetched root evaluates for every IP exactly as a fresh
-    /// `check_host` per IP does — cached or not, for every way a root
-    /// fetch can end, under a void budget that tolerates the root's void
-    /// charge and one that does not.
-    #[test]
-    fn fetched_root_evaluates_like_check_host_for_every_root_outcome() {
+    /// Every way a record fetch can end, each at its own name: a record
+    /// (with an include of its own), NXDOMAIN, an empty answer, no SPF
+    /// record, two records, a syntax error and a timeout. Each also
+    /// appears as an include target, behind `via-<name>`.
+    const OUTCOMES: [&str; 7] = [
+        "spf.example",
+        "missing.example",
+        "empty.example",
+        "txt-only.example",
+        "two.example",
+        "syntax.example",
+        "slow.example",
+    ];
+
+    fn outcome_store() -> Arc<ZoneStore> {
         let s = store();
         s.add_txt(
             &dom("spf.example"),
@@ -1977,23 +2092,38 @@ mod tests {
         s.add_txt(&dom("syntax.example"), "v=spf1 ipv4:192.0.2.1 -all");
         s.add_txt(&dom("slow.example"), "v=spf1 -all");
         s.set_fault(&dom("slow.example"), spf_dns::ZoneFault::Timeout);
+        for target in OUTCOMES {
+            s.add_txt(
+                &dom(&format!("via-{target}")),
+                &format!("v=spf1 include:{target} -all"),
+            );
+        }
+        s
+    }
+
+    /// `check_host` is `RootRecord::fetch` followed by `check_host_root`,
+    /// and one fetched root evaluates for every IP exactly as a fresh
+    /// `check_host` per IP does — cached or not, for every way a fetch
+    /// can end at the root or at an include target whose record the memo
+    /// holds, under a void budget that tolerates the fetch's void charge
+    /// and one that does not.
+    #[test]
+    fn fetched_root_evaluates_like_check_host_for_every_root_outcome() {
+        let s = outcome_store();
         let resolver = ZoneResolver::new(Arc::clone(&s));
         let ips = ["192.0.2.7", "203.0.113.5", "198.51.100.1"];
         let strict = EvalPolicy {
             max_void_lookups: 0,
             ..Default::default()
         };
+        let vias: Vec<String> = OUTCOMES.iter().map(|t| format!("via-{t}")).collect();
+        let domains = OUTCOMES
+            .iter()
+            .copied()
+            .chain(vias.iter().map(String::as_str));
         for policy in [EvalPolicy::default(), strict] {
             let cache = MapCache::default();
-            for domain in [
-                "spf.example",
-                "missing.example",
-                "empty.example",
-                "txt-only.example",
-                "two.example",
-                "syntax.example",
-                "slow.example",
-            ] {
+            for domain in domains.clone() {
                 let root = RootRecord::fetch(&resolver, &dom(domain));
                 assert_eq!(root.is_transient(), domain == "slow.example");
                 let bare: Vec<Evaluation> = ips
@@ -2019,32 +2149,53 @@ mod tests {
                         "{label}"
                     );
                 }
-                // Each root outcome is the one the case is named for.
+                // Each outcome is the one the case is named for.
                 let problem = bare[2].problem.clone();
                 let voids = bare[2].void_lookups;
-                match domain {
+                let (target, via) = match domain.strip_prefix("via-") {
+                    Some(target) => (target, true),
+                    None => (domain, false),
+                };
+                let not_found = |cause| {
+                    Some(if via {
+                        EvalProblem::RecordNotFound {
+                            domain: dom(target),
+                            cause,
+                        }
+                    } else {
+                        EvalProblem::NoRecord
+                    })
+                };
+                match target {
                     "spf.example" => {
                         let results: Vec<SpfResult> = bare.iter().map(|e| e.result).collect();
                         assert_eq!(
                             results[..2],
                             [SpfResult::Pass, SpfResult::Pass],
-                            "{policy:?}"
+                            "{domain} {policy:?}"
                         );
                         assert_eq!(voids, 1);
                     }
                     "missing.example" | "empty.example" => {
+                        let cause = if target == "missing.example" {
+                            RecordNotFoundCause::DomainNotFound
+                        } else {
+                            RecordNotFoundCause::EmptyResult
+                        };
                         assert_eq!(voids, 1);
                         assert_eq!(
                             problem,
-                            Some(if policy.max_void_lookups == 0 {
-                                EvalProblem::TooManyVoidLookups { used: 1 }
+                            if policy.max_void_lookups == 0 {
+                                Some(EvalProblem::TooManyVoidLookups { used: 1 })
                             } else {
-                                EvalProblem::NoRecord
-                            })
+                                not_found(cause)
+                            },
+                            "{domain}"
                         );
                     }
                     "txt-only.example" => {
-                        assert_eq!((problem, voids), (Some(EvalProblem::NoRecord), 0));
+                        assert_eq!(problem, not_found(RecordNotFoundCause::NoSpfRecord));
+                        assert_eq!(voids, 0);
                     }
                     "two.example" => assert!(matches!(
                         problem,
@@ -2057,5 +2208,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The record memo reads each TXT name once per memo, whichever IP
+    /// asks; a timed-out name is never memoized, so every evaluation
+    /// queries it again. The world holds only `include` and `ip4` terms,
+    /// so every query counted is a TXT query.
+    #[test]
+    fn the_record_memo_queries_each_txt_name_once() {
+        let s = store();
+        s.add_txt(
+            &dom("root.example"),
+            "v=spf1 include:p1.example include:p2.example -all",
+        );
+        s.add_txt(&dom("p1.example"), "v=spf1 ip4:192.0.2.0/24 ~all");
+        s.add_txt(&dom("p2.example"), "v=spf1 include:p1.example ?all");
+        s.add_txt(&dom("stalled.example"), "v=spf1 include:slow.example -all");
+        s.add_txt(&dom("slow.example"), "v=spf1 -all");
+        s.set_fault(&dom("slow.example"), spf_dns::ZoneFault::Timeout);
+        let ips = ["198.51.100.1", "198.51.100.2", "198.51.100.3"];
+        let queries = |domain: &str, cache: &MapCache| {
+            let counting = spf_dns::CountingResolver::new(ZoneResolver::new(Arc::clone(&s)));
+            for ip in ips {
+                let e = check_host_cached(
+                    &counting,
+                    &ctx(ip),
+                    &dom(domain),
+                    &EvalPolicy::default(),
+                    cache,
+                );
+                assert_eq!(e, eval(&s, ip, domain), "{domain} from {ip}");
+            }
+            let stats = counting.stats();
+            let total = stats.queries.load(std::sync::atomic::Ordering::Relaxed);
+            let errors = stats.errors.load(std::sync::atomic::Ordering::Relaxed);
+            (total, errors)
+        };
+        let cache = MapCache::default();
+        // root, p1 and p2, once each — p1 twice in the tree, and every
+        // IP a verdict-memo miss.
+        assert_eq!(queries("root.example", &cache), (3, 0));
+        assert_eq!(queries("root.example", &cache), (0, 0));
+        // stalled once, slow on each of the three evaluations.
+        assert_eq!(queries("stalled.example", &cache), (4, 3));
+        // A new memo reads everything again.
+        assert_eq!(queries("root.example", &MapCache::default()), (3, 0));
     }
 }

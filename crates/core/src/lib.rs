@@ -42,8 +42,8 @@ pub use dmarc::{
 };
 pub use eval::{
     check_host, check_host_cached, check_host_dyn, check_host_root, BudgetKey, EvalPolicy,
-    EvalProblem, Evaluation, LookupAccounting, RecordNotFoundCause, RootRecord, SubtreeVerdict,
-    VerdictCache,
+    EvalProblem, Evaluation, FetchedRecord, LookupAccounting, RecordNotFoundCause, RootRecord,
+    SubtreeVerdict, VerdictCache,
 };
 pub use header::received_spf_header;
 pub use macroexpand::{expand, expand_domain, ExpandError};

@@ -52,15 +52,15 @@
 
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 use spf_analyzer::{CacheKey, CacheStats, ShardedCache, DEFAULT_CACHE_SHARDS};
 use spf_core::{
     check_host, check_host_root, compile_policy, compile_policy_shared, query_mta_sts, stop_layer,
     AuthCache, AuthCacheStats, BudgetKey, CompileConfig, CompilerStats, DeploymentMix,
-    DmarcDisposition, EvalContext, EvalPolicy, Evaluation, MtaStsMode, RootRecord, SpfResult,
-    StopCounts, StopLayer, SubtreeMemo, SubtreeMemoStats, SubtreeVerdict, VerdictCache,
+    DmarcDisposition, EvalContext, EvalPolicy, Evaluation, FetchedRecord, MtaStsMode, RootRecord,
+    SpfResult, StopCounts, StopLayer, SubtreeMemo, SubtreeMemoStats, SubtreeVerdict, VerdictCache,
 };
 use spf_dns::Resolver;
 use spf_types::{DomainName, WeightedRanges};
@@ -246,16 +246,18 @@ impl CacheKey for VerdictKey {
 /// The engine's lock-striped subtree-verdict memo: the analyzer's
 /// [`ShardedCache`] under a `(domain, ip, budget)` key, implementing
 /// [`spf_core::VerdictCache`] so `check_host_cached` can share provider
-/// subtrees across every customer that includes them — and, for the
+/// subtrees across every customer that includes them, and a second one
+/// keyed by domain for the records those subtrees read — and, for the
 /// compiled backend, the [`SubtreeMemo`] that shares the same subtrees'
 /// compiled tables.
 ///
-/// Neither half is ever invalidated: a cache is sound for one frozen
-/// zone and one [`EvalPolicy`]. The engines make one per
-/// `auth_matrix` call and one per `ChurnEngine` step,
-/// and drop it before the zone moves.
+/// Nothing here is ever invalidated: a cache is sound for one frozen
+/// zone and one [`EvalPolicy`], so its entries read back as of time
+/// zero. The engines make one per `auth_matrix` call and one per
+/// `ChurnEngine` step, and drop it before the zone moves.
 pub struct SpoofVerdictCache {
     inner: ShardedCache<Arc<SubtreeVerdict>, VerdictKey>,
+    records: ShardedCache<Arc<FetchedRecord>>,
     subtrees: SubtreeMemo,
 }
 
@@ -264,6 +266,7 @@ impl SpoofVerdictCache {
     pub fn new(shards: usize) -> Self {
         SpoofVerdictCache {
             inner: ShardedCache::new(shards),
+            records: ShardedCache::new(shards),
             subtrees: SubtreeMemo::new(),
         }
     }
@@ -306,12 +309,14 @@ impl VerdictCache for SpoofVerdictCache {
         domain: &DomainName,
         ip: IpAddr,
         budget: BudgetKey,
-    ) -> Option<Arc<SubtreeVerdict>> {
-        self.inner.get(&VerdictKey {
-            domain: domain.clone(),
-            ip,
-            budget,
-        })
+    ) -> Option<(Arc<SubtreeVerdict>, Duration)> {
+        self.inner
+            .get(&VerdictKey {
+                domain: domain.clone(),
+                ip,
+                budget,
+            })
+            .map(|verdict| (verdict, Duration::ZERO))
     }
 
     fn put(
@@ -320,6 +325,7 @@ impl VerdictCache for SpoofVerdictCache {
         ip: IpAddr,
         budget: BudgetKey,
         verdict: Arc<SubtreeVerdict>,
+        _as_of: Option<Duration>,
     ) {
         self.inner.insert_if_absent(
             &VerdictKey {
@@ -329,6 +335,16 @@ impl VerdictCache for SpoofVerdictCache {
             },
             verdict,
         );
+    }
+
+    fn record(&self, domain: &DomainName) -> Option<(Arc<FetchedRecord>, Duration)> {
+        self.records
+            .get(domain)
+            .map(|record| (record, Duration::ZERO))
+    }
+
+    fn put_record(&self, domain: &DomainName, record: Arc<FetchedRecord>) {
+        self.records.insert_if_absent(domain, record);
     }
 }
 

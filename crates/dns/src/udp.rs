@@ -533,7 +533,8 @@ mod tests {
     /// loop is running — what an open-loop client sends after it was
     /// descheduled — is answered in full: the buffer holds it, and the
     /// yield after each full batch lets the client read as the replies
-    /// come so its own buffer does not overrun either.
+    /// come. The client's own buffer is sized like the server's, so a
+    /// client descheduled while the replies arrive does not drop them.
     #[test]
     fn a_burst_past_the_default_receive_buffer_is_answered_in_full() {
         const BURST: usize = 600;
@@ -558,6 +559,7 @@ mod tests {
         client
             .set_read_timeout(Some(Duration::from_secs(2)))
             .unwrap();
+        set_recv_buffer_size(&client, SERVE_RECV_BUFFER).unwrap();
         for i in 0..BURST {
             client.send_to(&(i as u32).to_be_bytes(), server).unwrap();
         }

@@ -34,7 +34,7 @@ use std::time::Duration;
 
 use serde::Serialize;
 use spf_analyzer::{CacheKey, DEFAULT_CACHE_SHARDS};
-use spf_core::{BudgetKey, CompiledPolicy, SubtreeVerdict, VerdictCache};
+use spf_core::{BudgetKey, CompiledPolicy, FetchedRecord, SubtreeVerdict, VerdictCache};
 use spf_dns::Clock;
 use spf_types::{DomainHashBuilder, DomainName};
 
@@ -237,6 +237,12 @@ impl<K: CacheKey, V: Clone> TtlLru<K, V> {
     /// as one expiration and one miss, and `None` is returned — a stale
     /// value is never observable through this method.
     pub fn get(&self, key: &K) -> Option<V> {
+        self.get_as_of(key).map(|(value, _)| value)
+    }
+
+    /// [`get`](Self::get), with the live entry's `as_of`: the time the
+    /// data it holds was read, one TTL before it expires.
+    pub fn get_as_of(&self, key: &K) -> Option<(V, Duration)> {
         let now = self.clock.now();
         let mut stripe = self.stripe(key).lock().unwrap();
         let (live, seq) = match stripe.map.get(key) {
@@ -254,7 +260,10 @@ impl<K: CacheKey, V: Clone> TtlLru<K, V> {
         }
         stripe.touch(key, seq);
         stripe.stats.hits += 1;
-        stripe.map.get(key).map(|e| e.value.clone())
+        stripe
+            .map
+            .get(key)
+            .map(|e| (e.value.clone(), e.expires_at.saturating_sub(self.ttl)))
     }
 
     /// A live entry under `key`, without counting a probe or touching
@@ -418,30 +427,44 @@ impl CacheKey for VerdictKey {
     }
 }
 
-/// The service's [`VerdictCache`]: a [`TtlLru`] over subtree verdicts.
+/// The service's [`VerdictCache`]: a [`TtlLru`] over subtree verdicts
+/// and a second one, on the same config and clock, over fetched records.
 ///
 /// Layering note: `check_host_cached` consults this memo for whole
 /// subtree verdicts, so one query's work populates entries every later
-/// query sharing an include subtree reuses — until the TTL lapses, after
-/// which the next probe re-resolves against the live zone. Verdict
-/// bytes stay identical to bare `check_host` for the reasons DESIGN.md
-/// §8 establishes (entry-relative counters, cacheability guards); the
-/// TTL only bounds *staleness* relative to zone mutation.
+/// query sharing an include subtree reuses, and for every record of the
+/// tree, so a query from a new address re-walks the tree without
+/// re-reading or re-parsing it — until the TTL lapses, after which the
+/// next probe re-resolves against the live zone. Verdict bytes stay
+/// identical to bare `check_host` for the reasons DESIGN.md §8
+/// establishes (entry-relative counters, cacheability guards); the TTL
+/// only bounds *staleness* relative to zone mutation. A verdict built
+/// from memoized entries expires one TTL after the oldest of them was
+/// read ([`TtlLru::insert_as_of`]), so nothing served is older than one
+/// TTL.
 pub struct ServiceVerdictCache {
     inner: TtlLru<VerdictKey, Arc<SubtreeVerdict>>,
+    records: TtlLru<DomainName, Arc<FetchedRecord>>,
 }
 
 impl ServiceVerdictCache {
-    /// Build the verdict memo with `config`'s policy on `clock`.
+    /// Build the verdict and record memos with `config`'s policy on
+    /// `clock`.
     pub fn new(config: TtlLruConfig, clock: Arc<dyn Clock>) -> ServiceVerdictCache {
         ServiceVerdictCache {
-            inner: TtlLru::new(config, clock),
+            inner: TtlLru::new(config.clone(), Arc::clone(&clock)),
+            records: TtlLru::new(config, clock),
         }
     }
 
-    /// Aggregated cache counters.
+    /// Aggregated verdict-memo counters.
     pub fn stats(&self) -> TtlLruStats {
         self.inner.stats()
+    }
+
+    /// Aggregated record-memo counters.
+    pub fn record_stats(&self) -> TtlLruStats {
+        self.records.stats()
     }
 
     /// Per-stripe counters (the shard-counter-sum test's view).
@@ -450,9 +473,9 @@ impl ServiceVerdictCache {
     }
 
     /// Drop every memoized verdict involving `domain` — all `(domain,
-    /// ip, budget)` keys — so a churned domain is never served a
-    /// verdict computed against the old zone, even before its TTL
-    /// expires. Returns how many entries were dropped.
+    /// ip, budget)` keys — and its memoized record, so a churned domain
+    /// is never served a verdict computed against the old zone, even
+    /// before its TTL expires. Returns how many verdicts were dropped.
     ///
     /// Scope note: this removes the entries keyed *at* `domain`, which
     /// is exactly right under the churn locality contract (a delta
@@ -460,10 +483,11 @@ impl ServiceVerdictCache {
     /// mutation under a domain other customers include must invalidate
     /// each affected root (or simply not be modeled as a churn delta).
     pub fn invalidate_domain(&self, domain: &DomainName) -> u64 {
+        self.records.invalidate(domain);
         self.inner.invalidate_where(|key| key.domain == *domain)
     }
 
-    /// Resident entries.
+    /// Resident verdicts.
     pub fn len(&self) -> usize {
         self.inner.len()
     }
@@ -480,8 +504,8 @@ impl VerdictCache for ServiceVerdictCache {
         domain: &DomainName,
         ip: IpAddr,
         budget: BudgetKey,
-    ) -> Option<Arc<SubtreeVerdict>> {
-        self.inner.get(&VerdictKey {
+    ) -> Option<(Arc<SubtreeVerdict>, Duration)> {
+        self.inner.get_as_of(&VerdictKey {
             domain: domain.clone(),
             ip,
             budget,
@@ -494,15 +518,25 @@ impl VerdictCache for ServiceVerdictCache {
         ip: IpAddr,
         budget: BudgetKey,
         verdict: Arc<SubtreeVerdict>,
+        as_of: Option<Duration>,
     ) {
-        self.inner.insert(
-            VerdictKey {
-                domain: domain.clone(),
-                ip,
-                budget,
-            },
-            verdict,
-        );
+        let key = VerdictKey {
+            domain: domain.clone(),
+            ip,
+            budget,
+        };
+        match as_of {
+            Some(as_of) => self.inner.insert_as_of(key, verdict, as_of),
+            None => self.inner.insert(key, verdict),
+        }
+    }
+
+    fn record(&self, domain: &DomainName) -> Option<(Arc<FetchedRecord>, Duration)> {
+        self.records.get_as_of(domain)
+    }
+
+    fn put_record(&self, domain: &DomainName, record: Arc<FetchedRecord>) {
+        self.records.insert(domain.clone(), record);
     }
 }
 
@@ -757,10 +791,10 @@ mod tests {
         use spf_core::{check_host_cached, EvalContext, EvalPolicy, SpfResult};
         use spf_dns::{ZoneResolver, ZoneStore};
 
-        // The memo caches *include-subtree* verdicts, so the staleness
-        // window is a churned domain that others include: the customer's
-        // root record is always read live, but the provider subtree it
-        // includes answers from the memo.
+        // The staleness window is a churned domain that others include:
+        // the customer's root record and the provider's record are both
+        // memoized, and the provider subtree the customer includes
+        // answers from the verdict memo without reading either.
         let store = Arc::new(ZoneStore::new());
         let provider = DomainName::parse("provider.example").unwrap();
         let customer = DomainName::parse("customer.example").unwrap();
@@ -816,6 +850,113 @@ mod tests {
             "steady include subtree must have survived provider invalidation"
         );
         assert!(cache.stats().is_consistent());
+    }
+
+    /// A world on a [`VirtualClock`] with a 10 s verdict-memo TTL, and
+    /// an evaluator that answers `domain` for `ip` through the memo and
+    /// bare, for the staleness pins below.
+    struct TtlWorld {
+        store: Arc<spf_dns::ZoneStore>,
+        clock: Arc<VirtualClock>,
+        cache: ServiceVerdictCache,
+    }
+
+    impl TtlWorld {
+        fn new(records: &[(&str, &str)]) -> TtlWorld {
+            let store = Arc::new(spf_dns::ZoneStore::new());
+            for (name, text) in records {
+                store.add_txt(&DomainName::parse(name).unwrap(), text);
+            }
+            let clock = Arc::new(VirtualClock::new());
+            let cache = ServiceVerdictCache::new(
+                TtlLruConfig::new(1024, Duration::from_secs(10)),
+                Arc::<VirtualClock>::clone(&clock) as Arc<dyn Clock>,
+            );
+            TtlWorld {
+                store,
+                clock,
+                cache,
+            }
+        }
+
+        /// Move the clock forward to `secs` after its start.
+        fn at(&self, secs: u64) {
+            self.clock
+                .advance(Duration::from_secs(secs).saturating_sub(self.clock.now()));
+        }
+
+        /// `(cached, bare)` results for `domain` from `ip` at `at_secs`.
+        fn eval(
+            &self,
+            at_secs: u64,
+            domain: &str,
+            ip: &str,
+        ) -> (spf_core::SpfResult, spf_core::SpfResult) {
+            use spf_core::{check_host, check_host_cached, EvalContext, EvalPolicy};
+            self.at(at_secs);
+            let resolver = spf_dns::ZoneResolver::new(Arc::clone(&self.store));
+            let domain = DomainName::parse(domain).unwrap();
+            let ctx = EvalContext::mail_from(ip.parse().unwrap(), "sender", domain.clone());
+            let policy = EvalPolicy::default();
+            let cached = check_host_cached(&resolver, &ctx, &domain, &policy, &self.cache);
+            let bare = check_host(&resolver, &ctx, &domain, &policy);
+            (cached.result, bare.result)
+        }
+
+        fn mutate(&self, at_secs: u64, name: &str, text: &str) {
+            self.at(at_secs);
+            self.store
+                .replace_txt(&DomainName::parse(name).unwrap(), text);
+        }
+    }
+
+    /// A subtree verdict that replays a memoized inner verdict is as old
+    /// as that inner verdict's data, and expires with it: `a` is
+    /// re-evaluated at t=19 from `b`'s verdict of t=10, so it must not
+    /// outlive t=20 — served at t=24 it would carry `b`'s answer from
+    /// before the t=12 mutation, 14 s old under a 10 s TTL.
+    #[test]
+    fn a_verdict_replaying_an_older_verdict_expires_with_it() {
+        use spf_core::SpfResult::{Fail, Pass};
+        let world = TtlWorld::new(&[
+            ("r1.example", "v=spf1 include:a.example -all"),
+            ("a.example", "v=spf1 include:b.example -all"),
+            ("r2.example", "v=spf1 include:c.example -all"),
+            ("c.example", "v=spf1 include:b.example -all"),
+            ("b.example", "v=spf1 ip4:192.0.2.7 -all"),
+        ]);
+        let ip = "192.0.2.7";
+        assert_eq!(world.eval(0, "r1.example", ip), (Pass, Pass));
+        // `b`'s verdict of t=0 lapsed at t=10: r2 re-memoizes it.
+        assert_eq!(world.eval(10, "r2.example", ip), (Pass, Pass));
+        world.mutate(12, "b.example", "v=spf1 -all");
+        // Inside one TTL of `b`'s read the memo may still say pass.
+        assert_eq!(world.eval(19, "r1.example", ip), (Pass, Fail));
+        assert_eq!(world.eval(24, "r1.example", ip), (Fail, Fail));
+        assert!(world.cache.stats().is_consistent());
+    }
+
+    /// A verdict built from a memoized record is as old as the record:
+    /// IP₂'s provider verdict of t=9 is built from the provider record
+    /// read at t=0, so at t=11 it has lapsed and IP₂ sees the t=5
+    /// mutation.
+    #[test]
+    fn a_verdict_built_from_a_memoized_record_expires_with_it() {
+        use spf_core::SpfResult::{Fail, Pass};
+        let world = TtlWorld::new(&[
+            ("customer.example", "v=spf1 include:provider.example -all"),
+            ("provider.example", "v=spf1 ip4:192.0.2.0/24 -all"),
+        ]);
+        assert_eq!(world.eval(0, "customer.example", "192.0.2.1"), (Pass, Pass));
+        world.mutate(5, "provider.example", "v=spf1 -all");
+        assert_eq!(world.eval(9, "customer.example", "192.0.2.2"), (Pass, Fail));
+        assert_eq!(
+            world.eval(11, "customer.example", "192.0.2.2"),
+            (Fail, Fail)
+        );
+        let records = world.cache.record_stats();
+        assert!(records.hits >= 2, "{records:?}");
+        assert!(records.is_consistent(), "{records:?}");
     }
 
     /// The compiled-policy twin of the stale-verdict pin: a compiled

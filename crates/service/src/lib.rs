@@ -11,7 +11,8 @@
 //!   both transports; decoding is total (typed errors, never panics).
 //! * [`cache`] — a TTL-aware, lock-striped LRU implementing PR 5's
 //!   [`VerdictCache`](spf_core::VerdictCache), so hot include subtrees
-//!   stay resident while entries expire against the pluggable clock.
+//!   and the records they read stay resident while entries expire
+//!   against the pluggable clock.
 //! * [`service`] — the daemon: listeners that answer resident
 //!   compiled-table hits themselves (UDP in `recvmmsg`/`sendmmsg`
 //!   batches), a bounded request queue with typed overload shedding for

@@ -213,6 +213,8 @@ pub struct ServiceTelemetry {
     pub peak_queue_depth: u64,
     /// Verdict-memo counters, when a cache is configured.
     pub cache: Option<TtlLruStats>,
+    /// Record-memo counters, when a cache is configured.
+    pub records: Option<TtlLruStats>,
     /// Compiler counters (the `[compiler]` line), when the compiled
     /// backend is configured.
     pub compiled: Option<CompilerStats>,
@@ -260,7 +262,9 @@ impl ServiceTelemetry {
     ///   most those plus the stacked queries;
     /// * summed over memo generations, every subtree lookup was composed
     ///   or fell back, and no more subtrees were compiled than looked up;
-    /// * without one, the listener answered nothing.
+    /// * without one, the listener answered nothing;
+    /// * every record the memo admitted is still resident, was evicted,
+    ///   expired or was invalidated.
     pub fn check_conservation(&self) -> Result<(), String> {
         let law = |holds: bool, what: &str| {
             if holds {
@@ -280,6 +284,12 @@ impl ServiceTelemetry {
             "latency samples != served + oversized",
         )?;
         law(self.inline_served <= self.served, "inline > served")?;
+        if let Some(records) = &self.records {
+            law(
+                records.is_consistent(),
+                "record memo inserts != entries + evictions + expirations + invalidations",
+            )?;
+        }
         let (Some(compiler), Some(store)) = (&self.compiled, &self.compiled_cache) else {
             return law(self.inline_served == 0, "inline answers without tables");
         };
@@ -341,6 +351,11 @@ impl Stats for ServiceTelemetry {
             items.push(StatItem::count("cache_entries", cache.entries));
             items.push(StatItem::count("cache_evict", cache.evictions));
             items.push(StatItem::count("cache_expire", cache.expirations));
+        }
+        if let Some(records) = &self.records {
+            items.push(StatItem::count("record_hits", records.hits));
+            items.push(StatItem::count("record_misses", records.misses));
+            items.push(StatItem::count("record_entries", records.entries));
         }
         if self.stacked_served > 0 {
             items.push(StatItem::percent(
@@ -986,6 +1001,7 @@ impl VerdictService {
             queue_depth: counter(&counters.queue_depth),
             peak_queue_depth: counter(&counters.peak_queue_depth),
             cache: shared.cache.as_ref().map(|c| c.stats()),
+            records: shared.cache.as_ref().map(|c| c.record_stats()),
             compiled: shared.compiled.as_ref().map(|b| b.snapshot()),
             compiled_cache: shared.compiled.as_ref().map(|b| b.store.stats()),
             subtrees: memo.map(|(stats, _)| stats),
