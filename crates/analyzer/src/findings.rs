@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use spf_core::dmarc::{self, DmarcLookup};
-use spf_dns::{RecordType, Resolver};
+use spf_dns::{DnsError, Question, RecordType, Resolver, ResourceRecord};
 use spf_types::DomainName;
 
 use crate::taxonomy::{primary_class, ErrorClass};
@@ -69,20 +69,49 @@ impl DomainReport {
 }
 
 /// Run the full per-domain collection: SPF walk + MX + DMARC + type-99.
+///
+/// The independent root questions — MX, SPF (type 99), `_dmarc` TXT and,
+/// unless the walker's memo already holds the root, its TXT record —
+/// go to the resolver in one [`Resolver::query_many`] call, so a wire
+/// resolver waits on the network once for all of them. Only the DMARC
+/// organizational-domain fallback and the walk below the root record
+/// ask further questions.
+///
+/// Kept out of line: inlined into the crawl worker's closure, this body
+/// ran `crawl-memory` 4–9 % slower than the unbatched one it replaced,
+/// and out of line 1–6 % (2 vCPU guest, interleaved runs).
+#[inline(never)]
 pub fn analyze_domain<R: Resolver>(walker: &Walker<R>, domain: &DomainName) -> DomainReport {
     let resolver = walker.resolver();
+    let memoized = walker.memoized(domain);
+    let dmarc_question = dmarc::dmarc_question(domain);
+    let asks_dmarc = dmarc_question.is_some();
+    let mx = Question::new(domain.clone(), RecordType::Mx);
+    let spf = Question::new(domain.clone(), RecordType::Spf);
+    let root = || Question::new(domain.clone(), RecordType::Txt);
+    // Questions and answers both stay on the stack: on the in-memory path
+    // batching allocates nothing.
+    let mut answers: [Result<Vec<ResourceRecord>, DnsError>; 4] = [const { Ok(Vec::new()) }; 4];
+    match (dmarc_question, memoized.is_none()) {
+        (Some(dmarc), true) => resolver.query_many(&[mx, spf, dmarc, root()], &mut answers),
+        (Some(dmarc), false) => resolver.query_many(&[mx, spf, dmarc], &mut answers[..3]),
+        (None, true) => resolver.query_many(&[mx, spf, root()], &mut answers[..3]),
+        (None, false) => resolver.query_many(&[mx, spf], &mut answers[..2]),
+    }
+    let mut answers = answers.into_iter();
+    let mut next = || answers.next().expect("one answer per question");
 
-    let has_mx = matches!(resolver.query(domain, RecordType::Mx), Ok(rrs) if !rrs.is_empty());
-    let uses_deprecated_spf_rr =
-        matches!(resolver.query(domain, RecordType::Spf), Ok(rrs) if !rrs.is_empty());
-
-    let (has_dmarc, dmarc_valid) = match dmarc::query_dmarc(resolver, domain) {
+    let has_mx = matches!(next(), Ok(rrs) if !rrs.is_empty());
+    let uses_deprecated_spf_rr = matches!(next(), Ok(rrs) if !rrs.is_empty());
+    let dmarc_answer = asks_dmarc.then(&mut next);
+    let (has_dmarc, dmarc_valid) = match dmarc::query_dmarc_answered(resolver, domain, dmarc_answer)
+    {
         DmarcLookup::Found(_) => (true, true),
         DmarcLookup::Invalid(_) => (true, false),
         DmarcLookup::NotFound | DmarcLookup::TempError => (false, false),
     };
 
-    let record = walker.analyze(domain);
+    let record = memoized.unwrap_or_else(|| walker.analyze_answered(domain, next()));
     let (has_spf, dns_transient) = match &record.fetch {
         FetchOutcome::Found => (true, false),
         FetchOutcome::Timeout => (false, true),
@@ -215,6 +244,133 @@ mod tests {
         let r = analyze_domain(&w, &d);
         assert!(!r.has_spf);
         assert_eq!(r.primary_error, Some(ErrorClass::RecordNotFound));
+    }
+
+    /// A resolver that records every question it is asked.
+    struct Recording {
+        inner: ZoneResolver,
+        asked: parking_lot::Mutex<Vec<Question>>,
+    }
+
+    impl Resolver for Recording {
+        fn query(
+            &self,
+            name: &DomainName,
+            rtype: RecordType,
+        ) -> Result<Vec<spf_dns::ResourceRecord>, spf_dns::DnsError> {
+            self.asked.lock().push(Question::new(name.clone(), rtype));
+            self.inner.query(name, rtype)
+        }
+    }
+
+    fn recording(store: &Arc<ZoneStore>) -> Walker<Recording> {
+        Walker::new(Recording {
+            inner: ZoneResolver::new(Arc::clone(store)),
+            asked: parking_lot::Mutex::new(Vec::new()),
+        })
+    }
+
+    fn asked(walker: &Walker<Recording>) -> Vec<Question> {
+        std::mem::take(&mut *walker.resolver().asked.lock())
+    }
+
+    #[test]
+    fn a_fresh_root_asks_its_four_root_questions_once_each() {
+        let store = Arc::new(ZoneStore::new());
+        let d = dom("fresh.example");
+        store.add_txt(&d, "v=spf1 -all");
+        let w = recording(&store);
+        analyze_domain(&w, &d);
+        let dmarc = d.prepend_label("_dmarc").unwrap();
+        assert_eq!(
+            asked(&w),
+            vec![
+                Question::new(d.clone(), RecordType::Mx),
+                Question::new(d.clone(), RecordType::Spf),
+                Question::new(dmarc, RecordType::Txt),
+                Question::new(d, RecordType::Txt),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_root_memoized_as_an_include_target_asks_no_root_txt() {
+        let store = Arc::new(ZoneStore::new());
+        let provider = dom("provider.example");
+        store.add_txt(&provider, "v=spf1 ip4:198.51.100.0/24 -all");
+        store.add_txt(
+            &dom("customer.example"),
+            "v=spf1 include:provider.example -all",
+        );
+        let w = recording(&store);
+        analyze_domain(&w, &dom("customer.example"));
+        assert!(w.memoized(&provider).is_some());
+        asked(&w);
+        let report = analyze_domain(&w, &provider);
+        assert!(report.has_spf);
+        let questions = asked(&w);
+        assert_eq!(questions.len(), 3, "{questions:?}");
+        assert!(!questions.contains(&Question::new(provider, RecordType::Txt)));
+    }
+
+    /// A name server that holds every query until it has four, then
+    /// answers them together from `store`.
+    fn spawn_quorum_server(
+        store: Arc<ZoneStore>,
+        stop: Arc<std::sync::atomic::AtomicBool>,
+    ) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+        use spf_dns::{LookupOutcome, Message, Rcode};
+        let socket = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        socket
+            .set_read_timeout(Some(std::time::Duration::from_millis(5)))
+            .unwrap();
+        let addr = socket.local_addr().unwrap();
+        let handle = std::thread::spawn(move || {
+            let mut held = Vec::new();
+            let mut buf = [0u8; 512];
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                if let Ok((len, peer)) = socket.recv_from(&mut buf) {
+                    held.push((spf_dns::decode(&buf[..len]).unwrap(), peer));
+                }
+                if held.len() < 4 {
+                    continue;
+                }
+                for (query, peer) in held.drain(..) {
+                    let (rcode, answers) = match store.lookup_question(&query.questions[0]) {
+                        LookupOutcome::Records(rrs) => (Rcode::NoError, rrs),
+                        LookupOutcome::NxDomain => (Rcode::NxDomain, Vec::new()),
+                        _ => (Rcode::NoError, Vec::new()),
+                    };
+                    let reply = spf_dns::encode(&Message::response(&query, rcode, answers));
+                    socket.send_to(&reply.unwrap(), peer).unwrap();
+                }
+            }
+        });
+        (addr, handle)
+    }
+
+    #[test]
+    fn a_domains_root_questions_reach_the_wire_together() {
+        // Asked one at a time, the first question waits for three more
+        // that never come and times out; asked together, all four are
+        // answered.
+        let store = Arc::new(ZoneStore::new());
+        let d = dom("quorum.example");
+        store.add_txt(&d, "v=spf1 -all");
+        store.add_mx(&d, 10, &dom("mx.quorum.example"));
+        store.add_txt(&d.prepend_label("_dmarc").unwrap(), "v=DMARC1; p=reject");
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (addr, server) = spawn_quorum_server(Arc::clone(&store), Arc::clone(&stop));
+        let resolver = spf_dns::WireResolver::new(vec![addr], spf_dns::WireClientConfig::crawl());
+        let walker = Walker::new(resolver);
+        let report = analyze_domain(&walker, &d);
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        server.join().unwrap();
+        let snap = walker.resolver().snapshot();
+        assert_eq!(snap.temp_errors, 0, "{snap:?}");
+        assert!(report.has_spf && report.has_mx && report.dmarc_valid);
+        assert_eq!(snap.wire_queries, 4);
+        snap.check_conservation().unwrap();
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use spf_core::parse::{self, ParsedRecord};
-use spf_dns::{DnsError, RecordData, RecordType, Resolver};
+use spf_dns::{DnsError, RecordData, RecordType, Resolver, ResourceRecord};
 use spf_types::{
     DomainName, Ipv4Cidr, Ipv4Set, Mechanism, Modifier, SpfRecord, Term, MAX_DNS_LOOKUPS,
     MAX_VOID_LOOKUPS,
@@ -191,11 +191,30 @@ impl<R: Resolver> Walker<R> {
     /// 7208 lookup-limit errors of [`WalkPolicy`]) is applied on the way
     /// out, cloning only for the rare domains that exceed a limit.
     pub fn analyze(&self, domain: &DomainName) -> Arc<RecordAnalysis> {
-        if let Some(hit) = self.cache.get(domain) {
-            return self.finished_root(hit);
-        }
+        self.memoized(domain).unwrap_or_else(|| {
+            self.analyze_answered(domain, self.resolver.query(domain, RecordType::Txt))
+        })
+    }
+
+    /// The memoized analysis of `domain` as [`Walker::analyze`] returns
+    /// it, or `None` when `analyze` would query `domain`'s TXT record.
+    /// Counted as a memo probe, like the one `analyze` makes.
+    pub(crate) fn memoized(&self, domain: &DomainName) -> Option<Arc<RecordAnalysis>> {
+        self.cache.get(domain).map(|hit| self.finished_root(hit))
+    }
+
+    /// Analyze `domain` from `answer`, the answer to its TXT question,
+    /// without probing the memo: the caller has just taken the miss from
+    /// [`Walker::memoized`], and asked the question together with others.
+    /// Should another caller memoize `domain` meanwhile, its analysis is
+    /// the one kept.
+    pub(crate) fn analyze_answered(
+        &self,
+        domain: &DomainName,
+        answer: Result<Vec<ResourceRecord>, DnsError>,
+    ) -> Arc<RecordAnalysis> {
         let mut stack = Vec::new();
-        let (analysis, complete) = self.walk_fresh(domain, &mut stack, 0);
+        let (analysis, complete) = self.walk_fresh(domain, answer, &mut stack, 0);
         let cached = if complete && !has_loop_error(&analysis) {
             self.cache.insert_if_absent(domain, Arc::new(analysis))
         } else {
@@ -265,9 +284,10 @@ impl<R: Resolver> Walker<R> {
         self.cache.remove(domain)
     }
 
-    /// Walk `domain` without probing the cache first — the caller
-    /// ([`Walker::analyze`] or [`Walker::walk_include`]) has already taken
-    /// the miss. Inner include targets still reuse cached subtrees.
+    /// Walk `domain` from `answer`, its TXT answer, without probing the
+    /// cache first — the caller ([`Walker::analyze_answered`] or
+    /// [`Walker::walk_include`]) has already taken the miss. Inner include
+    /// targets still reuse cached subtrees.
     ///
     /// The returned flag is `true` when the walk was *complete*: neither
     /// this record nor anything folded in from below was cut off by the
@@ -277,10 +297,11 @@ impl<R: Resolver> Walker<R> {
     fn walk_fresh(
         &self,
         domain: &DomainName,
+        answer: Result<Vec<ResourceRecord>, DnsError>,
         stack: &mut Vec<DomainName>,
         depth: usize,
     ) -> (RecordAnalysis, bool) {
-        let mut analysis = match self.fetch(domain) {
+        let mut analysis = match select_record(answer) {
             Ok((text, parsed)) => {
                 let mut a = RecordAnalysis::empty(domain.clone(), FetchOutcome::Found);
                 a.record_text = Some(text);
@@ -471,7 +492,8 @@ impl<R: Resolver> Walker<R> {
         let sub: Arc<RecordAnalysis> = match cached {
             Some(hit) => hit,
             None => {
-                let (fresh, sub_complete) = self.walk_fresh(&target, stack, depth + 1);
+                let answer = self.resolver.query(&target, RecordType::Txt);
+                let (fresh, sub_complete) = self.walk_fresh(&target, answer, stack, depth + 1);
                 *complete &= sub_complete;
                 // Memoize only *complete*, loop-free subtrees: loop errors
                 // depend on the current stack, and a truncated walk
@@ -593,38 +615,6 @@ impl<R: Resolver> Walker<R> {
         }
     }
 
-    /// Fetch and parse one domain's record.
-    fn fetch(&self, domain: &DomainName) -> Result<(String, ParsedRecord), FetchOutcome> {
-        let answers = match self.resolver.query(domain, RecordType::Txt) {
-            Ok(a) => a,
-            Err(DnsError::NxDomain) => return Err(FetchOutcome::NxDomain),
-            Err(e) if e.is_transient() => return Err(FetchOutcome::Timeout),
-            Err(_) => return Err(FetchOutcome::Timeout),
-        };
-        if answers.is_empty() {
-            return Err(FetchOutcome::EmptyAnswer);
-        }
-        let spf_texts: Vec<String> = answers
-            .iter()
-            .filter_map(|rr| match &rr.data {
-                RecordData::Txt(t) => {
-                    let joined = t.joined();
-                    parse::is_spf_record(&joined).then_some(joined)
-                }
-                _ => None,
-            })
-            .collect();
-        match spf_texts.len() {
-            0 => Err(FetchOutcome::NoSpfRecord),
-            1 => {
-                let text = spf_texts.into_iter().next().unwrap();
-                let parsed = parse::parse_lenient(&text);
-                Ok((text, parsed))
-            }
-            n => Err(FetchOutcome::MultipleSpfRecords { count: n }),
-        }
-    }
-
     /// Root-only classification of the limit errors.
     fn finish_root(&self, analysis: &mut RecordAnalysis) {
         if analysis.subtree_lookups > self.policy.max_dns_lookups {
@@ -647,6 +637,40 @@ impl<R: Resolver> Walker<R> {
                 ),
             ));
         }
+    }
+}
+
+/// Select and parse the one SPF record of a TXT answer.
+fn select_record(
+    answer: Result<Vec<ResourceRecord>, DnsError>,
+) -> Result<(String, ParsedRecord), FetchOutcome> {
+    let answers = match answer {
+        Ok(a) => a,
+        Err(DnsError::NxDomain) => return Err(FetchOutcome::NxDomain),
+        // Transient errors and REFUSED alike.
+        Err(_) => return Err(FetchOutcome::Timeout),
+    };
+    if answers.is_empty() {
+        return Err(FetchOutcome::EmptyAnswer);
+    }
+    let spf_texts: Vec<String> = answers
+        .iter()
+        .filter_map(|rr| match &rr.data {
+            RecordData::Txt(t) => {
+                let joined = t.joined();
+                parse::is_spf_record(&joined).then_some(joined)
+            }
+            _ => None,
+        })
+        .collect();
+    match spf_texts.len() {
+        0 => Err(FetchOutcome::NoSpfRecord),
+        1 => {
+            let text = spf_texts.into_iter().next().unwrap();
+            let parsed = parse::parse_lenient(&text);
+            Ok((text, parsed))
+        }
+        n => Err(FetchOutcome::MultipleSpfRecords { count: n }),
     }
 }
 

@@ -5,7 +5,7 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use spf_dns::{DnsError, RecordData, RecordType, Resolver};
+use spf_dns::{DnsError, Question, RecordData, RecordType, Resolver, ResourceRecord};
 use spf_types::DomainName;
 
 /// The `p=`/`sp=` policy values.
@@ -280,15 +280,25 @@ pub fn organizational_domain(domain: &DomainName) -> DomainName {
     DomainName::parse(&org).unwrap_or_else(|_| domain.clone())
 }
 
+/// The `_dmarc.<domain>` TXT question, or `None` when the prefixed name
+/// is not a valid domain name (it is then treated as publishing nothing).
+pub fn dmarc_question(domain: &DomainName) -> Option<Question> {
+    let name = domain.prepend_label("_dmarc").ok()?;
+    Some(Question::new(name, RecordType::Txt))
+}
+
 /// One `_dmarc.<name>` TXT lookup, no fallback.
 fn query_dmarc_at<R: Resolver + ?Sized>(resolver: &R, domain: &DomainName) -> DmarcLookup {
-    let Ok(name) = domain.prepend_label("_dmarc") else {
-        return DmarcLookup::NotFound;
-    };
-    let answers = match resolver.query(&name, RecordType::Txt) {
-        Ok(a) => a,
-        Err(DnsError::NxDomain) => return DmarcLookup::NotFound,
-        Err(_) => return DmarcLookup::TempError,
+    dmarc_lookup(dmarc_question(domain).map(|q| resolver.query(&q.name, q.rtype)))
+}
+
+/// Read the DMARC record out of a `_dmarc` TXT answer (`None`: no
+/// question could be asked).
+fn dmarc_lookup(answer: Option<Result<Vec<ResourceRecord>, DnsError>>) -> DmarcLookup {
+    let answers = match answer {
+        None | Some(Err(DnsError::NxDomain)) => return DmarcLookup::NotFound,
+        Some(Err(_)) => return DmarcLookup::TempError,
+        Some(Ok(a)) => a,
     };
     let texts: Vec<String> = answers
         .iter()
@@ -317,7 +327,20 @@ fn query_dmarc_at<R: Resolver + ?Sized>(resolver: &R, domain: &DomainName) -> Dm
 /// policy for a fallback hit is the org record's `sp=` (subdomain
 /// policy) when present, folded into the returned record's `policy`.
 pub fn query_dmarc<R: Resolver + ?Sized>(resolver: &R, domain: &DomainName) -> DmarcLookup {
-    let direct = query_dmarc_at(resolver, domain);
+    let answer = dmarc_question(domain).map(|q| resolver.query(&q.name, q.rtype));
+    query_dmarc_answered(resolver, domain, answer)
+}
+
+/// [`query_dmarc`] starting from the answer to [`dmarc_question`] the
+/// caller already holds (`None` when that question is `None`), so the
+/// caller can ask it together with other questions. Only the
+/// organizational-domain fallback goes to `resolver`.
+pub fn query_dmarc_answered<R: Resolver + ?Sized>(
+    resolver: &R,
+    domain: &DomainName,
+    answer: Option<Result<Vec<ResourceRecord>, DnsError>>,
+) -> DmarcLookup {
+    let direct = dmarc_lookup(answer);
     if !matches!(direct, DmarcLookup::NotFound) {
         return direct;
     }

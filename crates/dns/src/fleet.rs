@@ -15,9 +15,12 @@
 //!   [`DomainName::precomputed_hash`], the same routing function the
 //!   client uses, so every name has exactly one authoritative home and a
 //!   correctly routed query never needs referral chasing.
-//! * [`WireResolver`] — the client side: a lazily grown socket pool per
-//!   shard, single-flight query coalescing (concurrent workers asking for
-//!   the same `include:` target share one in-flight datagram), TTL-aware
+//! * [`WireResolver`] — the client side: a lazily grown socket pool,
+//!   batched lookups ([`Resolver::query_many`] sends a call's questions
+//!   with one `sendmmsg` and drains the replies with `recvmmsg`, so a
+//!   crawled domain's root questions wait on the network once),
+//!   single-flight query coalescing (concurrent workers asking for the
+//!   same `include:` target share one in-flight datagram), TTL-aware
 //!   positive *and* negative caching, RFC 7766 TCP fallback on
 //!   truncation, and a retry/timeout budget that degrades to
 //!   [`DnsError::Timeout`] — the same `temperror` surface the in-memory
@@ -32,11 +35,13 @@
 //! for byte across worker × shard matrices.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, UdpSocket};
+use std::io::ErrorKind;
+use std::net::{SocketAddr, SocketAddrV4, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use nix::sys::socket::{recv_from_batch, set_recv_buffer_size, RecvSlot, SendPacket};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -46,8 +51,10 @@ use spf_types::{DomainName, StatItem, Stats};
 use crate::clock::{Clock, SystemClock};
 use crate::record::{Question, RecordType, ResourceRecord};
 use crate::resolver::{DnsError, FaultProfile, Resolver};
-use crate::udp::{tcp_query, ServerConfig, UdpNameServer};
-use crate::wire::{self, Message, Rcode};
+use crate::udp::{
+    answers_of, send_all, tcp_query, ServerConfig, UdpNameServer, SERVE_BATCH, SERVE_RECV_BUFFER,
+};
+use crate::wire::{self, Message};
 use crate::zone::ZoneStore;
 
 /// Client-side knobs of the wire path.
@@ -63,8 +70,8 @@ pub struct WireClientConfig {
     /// How long NXDOMAIN / empty / REFUSED answers are cached (RFC
     /// 2308-style negative caching). Transient errors are never cached.
     pub negative_ttl: Duration,
-    /// Idle sockets kept per server shard; bursts beyond the cap create
-    /// throwaway sockets instead of blocking.
+    /// Idle sockets kept in the client's pool; bursts beyond the cap
+    /// create throwaway sockets instead of blocking.
     pub max_pooled_sockets: usize,
 }
 
@@ -189,6 +196,39 @@ impl WireSnapshot {
         } else {
             self.cache_hits as f64 / self.queries as f64
         }
+    }
+
+    /// Check the counter laws of a [`WireResolver`] at rest (no call in
+    /// flight); `Err` names the broken law and the counters.
+    ///
+    /// * Every query is a cache hit, a coalesced join, an injected fault,
+    ///   or the first datagram of a question the resolver led:
+    ///   `queries == cache_hits + coalesced + injected_faults +
+    ///   (wire_queries − retries)`.
+    /// * With no fault injected, `retries == temp_errors`: the law of the
+    ///   crawl profile ([`WireClientConfig::crawl`], two attempts) on a
+    ///   fleet that loses no datagram, where a question is re-sent only
+    ///   when it is going to time out.
+    ///
+    /// The laws count from the resolver's construction, so they hold up
+    /// to the first [`WireResolver::clear_cache`]: a clear resets
+    /// `queries`, `cache_hits` and `coalesced` and keeps the transport
+    /// counters.
+    pub fn check_conservation(&self) -> Result<(), String> {
+        let first_datagrams = self.wire_queries.checked_sub(self.retries);
+        let accounted = first_datagrams
+            .map(|first| self.cache_hits + self.coalesced + self.injected_faults + first);
+        if accounted != Some(self.queries) {
+            return Err(format!(
+                "queries != cache_hits + coalesced + injected_faults + (wire_queries - retries): {self:?}"
+            ));
+        }
+        if self.injected_faults == 0 && self.retries != self.temp_errors {
+            return Err(format!(
+                "retries != temp_errors with no fault injected: {self:?}"
+            ));
+        }
+        Ok(())
     }
 
     /// This snapshot as a [`Stats`] line: the per-domain amplification
@@ -328,9 +368,23 @@ struct CacheEntry {
     expires_at: Duration,
 }
 
-/// Lazily grown pool of client sockets for one server shard.
+/// Bytes a receive slot holds: a reply longer than this arrives cut
+/// short, fails to decode and is discarded like any garbled datagram.
+const RECV_SLOT_BYTES: usize = 4096;
+
+/// One pooled client socket and the receive slots its drains fill. The
+/// slots live as long as the socket and grow to the widest window it has
+/// carried, so a call allocates no receive buffers.
+struct PooledSocket {
+    socket: UdpSocket,
+    slots: Vec<RecvSlot>,
+}
+
+/// Lazily grown pool of client sockets. A socket is not tied to a shard:
+/// one call sends to every shard its questions route to and tells the
+/// replies apart by their peer.
 struct SocketPool {
-    idle: Mutex<Vec<UdpSocket>>,
+    idle: Mutex<Vec<PooledSocket>>,
 }
 
 impl SocketPool {
@@ -340,18 +394,25 @@ impl SocketPool {
         }
     }
 
-    fn acquire(&self, timeout: Duration) -> Result<UdpSocket, DnsError> {
+    fn acquire(&self, timeout: Duration) -> Result<PooledSocket, DnsError> {
         if let Some(s) = self.idle.lock().pop() {
             return Ok(s);
         }
-        let s = UdpSocket::bind(("127.0.0.1", 0))
+        let socket = UdpSocket::bind(("127.0.0.1", 0))
             .map_err(|e| DnsError::Network(format!("bind: {e}")))?;
-        s.set_read_timeout(Some(timeout))
+        socket
+            .set_read_timeout(Some(timeout))
             .map_err(|e| DnsError::Network(format!("timeout: {e}")))?;
-        Ok(s)
+        // Replies to a whole window can land at once; best effort, as on
+        // the server side: a socket that keeps the default buffer works.
+        let _ = set_recv_buffer_size(&socket, SERVE_RECV_BUFFER);
+        Ok(PooledSocket {
+            socket,
+            slots: Vec::new(),
+        })
     }
 
-    fn release(&self, socket: UdpSocket, cap: usize) {
+    fn release(&self, socket: PooledSocket, cap: usize) {
         let mut idle = self.idle.lock();
         if idle.len() < cap {
             idle.push(socket);
@@ -359,11 +420,38 @@ impl SocketPool {
     }
 }
 
+/// One led question of a call on its way over UDP.
+struct Outgoing {
+    /// Position in the call's input.
+    index: usize,
+    server: SocketAddrV4,
+    id: u16,
+    query: Vec<u8>,
+    reply: Option<Message>,
+}
+
 /// The wire-path stub resolver — the repo's one DNS-over-socket client:
 /// hash-routed sharding, pooled sockets, single-flight coalescing, TTL
 /// caching and TCP fallback behind the plain [`Resolver`] interface, so
-/// the walker and crawler run unchanged. One wire query occupies one
-/// pooled socket for its whole retry budget.
+/// the walker and crawler run unchanged.
+///
+/// Every lookup is a [`Resolver::query_many`] call; [`Resolver::query`]
+/// is a call of one question. For each question in order the call counts
+/// it in `queries`, probes the TTL cache, then joins another caller's
+/// in-flight question or leads its own. Each led question rolls its
+/// shard's [`ShardBehavior`], in input order. The led questions left go
+/// out in windows of at most `SERVE_BATCH` (64) on one pooled socket:
+/// each attempt sends every unanswered question of the window with one
+/// `sendmmsg`, and `recvmmsg` drains match replies by peer, id and the
+/// response bit until the window is answered or the attempt's deadline
+/// passes. A re-sent datagram counts one `retries`; a question still
+/// unanswered after the last attempt becomes [`DnsError::Timeout`] and
+/// counts one `temp_errors`; a truncated reply is fetched again over TCP
+/// for that question alone. The call then caches and completes every
+/// flight it leads *before* it waits on any flight it joined, so two
+/// calls that each lead the other's questions cannot deadlock. A
+/// question asked twice in one call is answered after the first, as if
+/// asked by a later call.
 pub struct WireResolver {
     servers: Vec<SocketAddr>,
     config: WireClientConfig,
@@ -372,7 +460,7 @@ pub struct WireResolver {
     cache: RwLock<HashMap<Question, CacheEntry>>,
     inflight: std::sync::Mutex<HashMap<Question, Arc<Flight>>>,
     behaviors: Option<Vec<(ShardBehavior, Mutex<StdRng>)>>,
-    pools: Vec<SocketPool>,
+    pool: SocketPool,
     next_id: AtomicU64,
 }
 
@@ -397,7 +485,6 @@ impl WireResolver {
             !servers.is_empty(),
             "wire resolver needs at least one server"
         );
-        let pools = servers.iter().map(|_| SocketPool::new()).collect();
         WireResolver {
             servers,
             config,
@@ -406,7 +493,7 @@ impl WireResolver {
             cache: RwLock::new(HashMap::new()),
             inflight: std::sync::Mutex::new(HashMap::new()),
             behaviors: None,
-            pools,
+            pool: SocketPool::new(),
             next_id: AtomicU64::new(1),
         }
     }
@@ -554,107 +641,160 @@ impl WireResolver {
         None
     }
 
-    /// One UDP attempt on `socket`: send, then drain until the matching
-    /// response, the attempt's deadline, or a socket error.
-    fn attempt(
-        &self,
-        socket: &UdpSocket,
-        server: SocketAddr,
-        id: u16,
-        name: &DomainName,
-        rtype: RecordType,
-    ) -> Result<Message, DnsError> {
-        let msg = Message::query(id, Question::new(name.clone(), rtype));
-        let bytes = wire::encode(&msg).map_err(|e| DnsError::Network(e.to_string()))?;
-        self.counters.wire_queries.fetch_add(1, Ordering::Relaxed);
-        // The socket's receive time-out restarts on every datagram, so a
-        // peer trickling junk could hold the attempt open for as long as
-        // it likes; the deadline is checked whenever a datagram is
-        // discarded, which bounds an attempt by twice the time-out.
-        let deadline = Instant::now() + self.config.timeout;
-        socket
-            .send_to(&bytes, server)
-            .map_err(|e| DnsError::Network(e.to_string()))?;
-        let mut buf = [0u8; 4096];
-        loop {
-            let (len, peer) = socket.recv_from(&mut buf).map_err(|e| {
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                {
-                    DnsError::Timeout
-                } else {
-                    DnsError::Network(e.to_string())
-                }
-            })?;
-            if peer == server {
-                if let Ok(resp) = wire::decode(&buf[..len]) {
-                    if resp.header.id == id && resp.header.is_response {
-                        return Ok(resp);
-                    }
-                }
-            }
-            // Discarded: a stray packet, a garbled one, or a late
-            // response to an earlier query on this pooled socket.
-            if Instant::now() >= deadline {
-                return Err(DnsError::Timeout);
-            }
-        }
-    }
-
-    /// The leader path: retries over UDP, TCP fallback on truncation, and
-    /// the budget-exhausted degradation to `temperror`.
+    /// Send the led questions at `led` over UDP in windows of at most
+    /// `SERVE_BATCH` on one pooled socket, and store each outcome in
+    /// `answers`.
     fn resolve_over_wire(
         &self,
-        name: &DomainName,
-        rtype: RecordType,
-    ) -> Result<Vec<ResourceRecord>, DnsError> {
-        let shard = self.shard_of(name);
-        // An injected outcome is counted the way a real wire outcome is:
-        // `injected_faults`, plus `temp_errors` for a timeout.
-        if let Some(outcome) = self.injected_fault(shard) {
-            self.counters
-                .injected_faults
-                .fetch_add(1, Ordering::Relaxed);
-            if matches!(outcome, Err(DnsError::Timeout)) {
-                self.counters.temp_errors.fetch_add(1, Ordering::Relaxed);
+        questions: &[Question],
+        led: &[usize],
+        answers: &mut [Result<Vec<ResourceRecord>, DnsError>],
+    ) {
+        let mut pooled = match self.pool.acquire(self.config.timeout) {
+            Ok(pooled) => pooled,
+            Err(e) => {
+                for &i in led {
+                    answers[i] = Err(e.clone());
+                }
+                return;
             }
-            return outcome;
+        };
+        for window in led.chunks(SERVE_BATCH) {
+            let mut outgoing = Vec::with_capacity(window.len());
+            for &i in window {
+                match self.outgoing(i, &questions[i]) {
+                    Ok(o) => outgoing.push(o),
+                    Err(e) => answers[i] = Err(e),
+                }
+            }
+            let failure = self.exchange(&mut pooled, &mut outgoing).err();
+            for o in outgoing {
+                let index = o.index;
+                answers[index] = self.settle(o, &questions[index], failure.as_ref());
+            }
         }
-        let server = self.servers[shard];
-        let socket = self.pools[shard].acquire(self.config.timeout)?;
+        self.pool.release(pooled, self.config.max_pooled_sockets);
+    }
+
+    /// Address and encode question `q`, input position `index`.
+    fn outgoing(&self, index: usize, q: &Question) -> Result<Outgoing, DnsError> {
+        let server = match self.servers[self.shard_of(&q.name)] {
+            SocketAddr::V4(v4) => v4,
+            SocketAddr::V6(v6) => {
+                return Err(DnsError::Network(format!("IPv6 server {v6} unsupported")))
+            }
+        };
         let id = (self.next_id.fetch_add(1, Ordering::Relaxed) % 0xFFFF) as u16 + 1;
-        let mut outcome = Err(DnsError::Timeout);
+        let query = wire::encode(&Message::query(id, q.clone()))
+            .map_err(|e| DnsError::Network(e.to_string()))?;
+        Ok(Outgoing {
+            index,
+            server,
+            id,
+            query,
+            reply: None,
+        })
+    }
+
+    /// The UDP attempts of one window. Each attempt sends every question
+    /// still unanswered with one `sendmmsg`, then drains replies until all
+    /// are answered or the attempt's deadline passes. The socket's receive
+    /// time-out restarts on every datagram, so a peer trickling junk could
+    /// hold a drain open for as long as it likes; the deadline is checked
+    /// after every drain, which bounds an attempt by twice the time-out.
+    /// A datagram the kernel refuses to send leaves its question
+    /// unanswered; a receive error other than the time-out ends the
+    /// exchange.
+    fn exchange(&self, pooled: &mut PooledSocket, window: &mut [Outgoing]) -> Result<(), DnsError> {
+        if pooled.slots.len() < window.len() {
+            pooled
+                .slots
+                .resize_with(window.len(), || RecvSlot::new(RECV_SLOT_BYTES));
+        }
+        let slots = &mut pooled.slots[..window.len()];
         for attempt in 0..self.config.attempts.max(1) {
-            if attempt > 0 {
-                self.counters.retries.fetch_add(1, Ordering::Relaxed);
+            let packets: Vec<SendPacket<'_>> = window
+                .iter()
+                .filter(|o| o.reply.is_none())
+                .map(|o| SendPacket {
+                    data: &o.query,
+                    to: o.server,
+                })
+                .collect();
+            if packets.is_empty() {
+                break;
             }
-            match self.attempt(&socket, server, id, name, rtype) {
-                Ok(resp) => {
-                    if resp.header.truncated {
-                        // RFC 7766: retry the query over TCP.
-                        self.counters.tcp_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        outcome = tcp_query(server, self.config.timeout, id, name, rtype);
-                    } else {
-                        outcome = match resp.header.rcode {
-                            Rcode::NoError => Ok(resp.answers),
-                            Rcode::NxDomain => Err(DnsError::NxDomain),
-                            Rcode::ServFail => Err(DnsError::ServFail),
-                            Rcode::Refused => Err(DnsError::Refused),
-                            other => Err(DnsError::Network(format!("unexpected rcode {other:?}"))),
-                        };
+            let mut waiting = packets.len();
+            self.counters
+                .wire_queries
+                .fetch_add(waiting as u64, Ordering::Relaxed);
+            if attempt > 0 {
+                self.counters
+                    .retries
+                    .fetch_add(waiting as u64, Ordering::Relaxed);
+            }
+            let deadline = Instant::now() + self.config.timeout;
+            send_all(&pooled.socket, &packets);
+            drop(packets);
+            while waiting > 0 {
+                let received = match recv_from_batch(&pooled.socket, slots, false) {
+                    Ok(n) => n,
+                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                        break
                     }
-                    break;
+                    Err(e) if e.kind() == ErrorKind::Interrupted => 0,
+                    Err(e) => return Err(DnsError::Network(e.to_string())),
+                };
+                for slot in &slots[..received] {
+                    // Discarded: a stray packet, a garbled one, or a late
+                    // reply to an earlier call on this pooled socket.
+                    let (Some(peer), Ok(resp)) = (slot.peer, wire::decode(slot.payload())) else {
+                        continue;
+                    };
+                    let matched = window.iter_mut().find(|o| {
+                        o.reply.is_none()
+                            && o.server == peer
+                            && o.id == resp.header.id
+                            && resp.header.is_response
+                    });
+                    if let Some(o) = matched {
+                        o.reply = Some(resp);
+                        waiting -= 1;
+                    }
                 }
-                Err(DnsError::Timeout) => {
-                    outcome = Err(DnsError::Timeout);
-                }
-                Err(e) => {
-                    outcome = Err(e);
+                if Instant::now() >= deadline {
                     break;
                 }
             }
         }
-        self.pools[shard].release(socket, self.config.max_pooled_sockets);
+        Ok(())
+    }
+
+    /// The outcome of one question after its window's exchange: the
+    /// reply's answers, a TCP re-fetch when the reply was truncated (RFC
+    /// 7766), the exchange's socket error, or the budget-exhausted
+    /// degradation to `temperror`.
+    fn settle(
+        &self,
+        o: Outgoing,
+        q: &Question,
+        failure: Option<&DnsError>,
+    ) -> Result<Vec<ResourceRecord>, DnsError> {
+        let outcome = match (o.reply, failure) {
+            (Some(resp), _) if resp.header.truncated => {
+                self.counters.tcp_fallbacks.fetch_add(1, Ordering::Relaxed);
+                tcp_query(
+                    SocketAddr::V4(o.server),
+                    self.config.timeout,
+                    o.id,
+                    &q.name,
+                    q.rtype,
+                )
+            }
+            (Some(resp), _) => answers_of(resp),
+            (None, Some(e)) => Err(e.clone()),
+            (None, None) => Err(DnsError::Timeout),
+        };
         if matches!(outcome, Err(DnsError::Timeout)) {
             self.counters.temp_errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -664,39 +804,88 @@ impl WireResolver {
 
 impl Resolver for WireResolver {
     fn query(&self, name: &DomainName, rtype: RecordType) -> Result<Vec<ResourceRecord>, DnsError> {
-        let q = Question::new(name.clone(), rtype);
-        self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        if let Some(result) = self.cache_get(&q) {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return result;
-        }
-        // Single flight: the first caller for a question leads and goes
-        // to the wire; callers arriving meanwhile wait on its flight.
-        let joined = {
+        let mut answer = [Err(DnsError::Timeout)];
+        self.query_many(&[Question::new(name.clone(), rtype)], &mut answer);
+        let [answer] = answer;
+        answer
+    }
+
+    fn query_many(
+        &self,
+        questions: &[Question],
+        answers: &mut [Result<Vec<ResourceRecord>, DnsError>],
+    ) {
+        assert_eq!(
+            questions.len(),
+            answers.len(),
+            "one answer slot per question"
+        );
+        let mut led = Vec::new();
+        let mut joined = Vec::new();
+        let mut repeats = Vec::new();
+        for (i, q) in questions.iter().enumerate() {
+            if questions[..i].contains(q) {
+                repeats.push(i);
+                continue;
+            }
+            self.counters.queries.fetch_add(1, Ordering::Relaxed);
+            if let Some(result) = self.cache_get(q) {
+                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                answers[i] = result;
+                continue;
+            }
+            // Single flight: the first caller for a question leads it to
+            // the wire; callers arriving meanwhile wait on its flight.
             let mut inflight = self.inflight.lock().expect("inflight lock");
-            match inflight.get(&q) {
+            match inflight.get(q) {
                 Some(flight) => {
                     self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                    Some(Arc::clone(flight))
+                    joined.push((i, Arc::clone(flight)));
                 }
                 None => {
                     inflight.insert(q.clone(), Arc::new(Flight::new()));
-                    None
+                    led.push(i);
                 }
             }
-        };
-        if let Some(flight) = joined {
-            return flight.wait();
         }
-        let result = self.resolve_over_wire(name, rtype);
-        // The cache is written *before* the flight is retired so a caller
-        // arriving in between hits the cache instead of re-querying.
-        self.cache_put(&q, &result);
-        let flight = self.inflight.lock().expect("inflight lock").remove(&q);
-        if let Some(flight) = flight {
-            flight.complete(result.clone());
+        // An injected outcome is counted the way a real wire outcome is:
+        // `injected_faults`, plus `temp_errors` for a timeout.
+        let mut wire_led = Vec::with_capacity(led.len());
+        for &i in &led {
+            match self.injected_fault(self.shard_of(&questions[i].name)) {
+                Some(outcome) => {
+                    self.counters
+                        .injected_faults
+                        .fetch_add(1, Ordering::Relaxed);
+                    if matches!(outcome, Err(DnsError::Timeout)) {
+                        self.counters.temp_errors.fetch_add(1, Ordering::Relaxed);
+                    }
+                    answers[i] = outcome;
+                }
+                None => wire_led.push(i),
+            }
         }
-        result
+        if !wire_led.is_empty() {
+            self.resolve_over_wire(questions, &wire_led, answers);
+        }
+        // Every led flight is published before any joined one is waited
+        // on. The cache is written *before* a flight is retired so a
+        // caller arriving in between hits the cache instead of
+        // re-querying.
+        for &i in &led {
+            let q = &questions[i];
+            self.cache_put(q, &answers[i]);
+            let flight = self.inflight.lock().expect("inflight lock").remove(q);
+            if let Some(flight) = flight {
+                flight.complete(answers[i].clone());
+            }
+        }
+        for (i, flight) in joined {
+            answers[i] = flight.wait();
+        }
+        for i in repeats {
+            self.query_many(&questions[i..=i], &mut answers[i..=i]);
+        }
     }
 }
 

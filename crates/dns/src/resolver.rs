@@ -18,7 +18,7 @@ use rand::{RngExt, SeedableRng};
 use spf_types::DomainName;
 
 use crate::clock::Clock;
-use crate::record::{RecordType, ResourceRecord};
+use crate::record::{Question, RecordType, ResourceRecord};
 use crate::zone::{LookupOutcome, ZoneFault, ZoneStore};
 
 /// DNS-level errors as seen by a stub resolver.
@@ -70,11 +70,44 @@ impl std::error::Error for DnsError {}
 pub trait Resolver: Send + Sync {
     /// Resolve `name`/`rtype`. `Ok(vec![])` is NOERROR with no answers.
     fn query(&self, name: &DomainName, rtype: RecordType) -> Result<Vec<ResourceRecord>, DnsError>;
+
+    /// Resolve several independent questions at once: `answers[i]`
+    /// receives the value [`Resolver::query`] would have given for
+    /// `questions[i]`. The caller owns the answer slots, so a batch of a
+    /// few questions costs no allocation. The default asks the questions
+    /// one after another; a resolver that can put them on the wire
+    /// together (the [`crate::WireResolver`]) waits once for all of them
+    /// instead.
+    ///
+    /// # Panics
+    /// Panics when the two slices differ in length.
+    fn query_many(
+        &self,
+        questions: &[Question],
+        answers: &mut [Result<Vec<ResourceRecord>, DnsError>],
+    ) {
+        assert_eq!(
+            questions.len(),
+            answers.len(),
+            "one answer slot per question"
+        );
+        for (q, answer) in questions.iter().zip(answers) {
+            *answer = self.query(&q.name, q.rtype);
+        }
+    }
 }
 
 impl<R: Resolver + ?Sized> Resolver for Arc<R> {
     fn query(&self, name: &DomainName, rtype: RecordType) -> Result<Vec<ResourceRecord>, DnsError> {
         (**self).query(name, rtype)
+    }
+
+    fn query_many(
+        &self,
+        questions: &[Question],
+        answers: &mut [Result<Vec<ResourceRecord>, DnsError>],
+    ) {
+        (**self).query_many(questions, answers)
     }
 }
 

@@ -10,9 +10,10 @@
 //! (websitewelcome-scale, dozens of blocks) need under classic 512-byte
 //! payloads.
 //!
-//! The UDP half runs on [`serve_datagrams`], the one `recvmmsg` /
-//! `sendmmsg` loop in the workspace; the verdict service's UDP listener
-//! runs on it too, with its own [`DatagramHandler`].
+//! The UDP half runs on [`serve_datagrams`], the one server-side
+//! `recvmmsg` / `sendmmsg` loop in the workspace; the verdict service's
+//! UDP listener runs on it too, with its own [`DatagramHandler`]. The
+//! client batches the same way per lookup call and shares `send_all`.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, SocketAddrV4, TcpListener, TcpStream, UdpSocket};
@@ -224,16 +225,17 @@ fn serve_tcp_connection(
     }
 }
 
-/// Datagrams handled per `recvmmsg`/`sendmmsg` batch in [`serve_datagrams`].
-const SERVE_BATCH: usize = 64;
+/// Datagrams handled per `recvmmsg`/`sendmmsg` batch in [`serve_datagrams`],
+/// and the window a [`crate::fleet::WireResolver`] call sends at once.
+pub(crate) const SERVE_BATCH: usize = 64;
 
 /// The receive buffer [`serve_datagrams`] asks for. The default
 /// (`net.core.rmem_default`, 208 KiB) holds about 256 small datagrams;
 /// a sender that was held up and then sends its backlog in one go — an
 /// open-loop client after a scheduling stall — overruns that, and the
 /// kernel drops the rest before `recvmmsg` sees it. 1 MiB holds a burst
-/// of a thousand.
-const SERVE_RECV_BUFFER: usize = 1 << 20;
+/// of a thousand. The wire client's pooled sockets ask for the same.
+pub(crate) const SERVE_RECV_BUFFER: usize = 1 << 20;
 
 /// What [`serve_datagrams`] calls with the datagrams it receives.
 pub trait DatagramHandler {
@@ -341,7 +343,7 @@ fn serve_datagrams_from<H: DatagramHandler>(
 /// packet it was given failed; that one gets a `send_to` of its own and
 /// the batch carries on behind it, so one bad reply cannot take the
 /// rest of its batch with it.
-fn send_all(socket: &UdpSocket, pkts: &[SendPacket<'_>]) {
+pub(crate) fn send_all(socket: &UdpSocket, pkts: &[SendPacket<'_>]) {
     let mut off = 0;
     while off < pkts.len() {
         match send_to_batch(socket, &pkts[off..], false) {
@@ -437,6 +439,12 @@ pub(crate) fn tcp_query(
     if resp.header.id != id || !resp.header.is_response {
         return Err(DnsError::Network("mismatched TCP response".into()));
     }
+    answers_of(resp)
+}
+
+/// A response's outcome as the [`crate::Resolver`] surface reports it:
+/// its answers on NOERROR, the matching [`DnsError`] otherwise.
+pub(crate) fn answers_of(resp: Message) -> Result<Vec<ResourceRecord>, DnsError> {
     match resp.header.rcode {
         Rcode::NoError => Ok(resp.answers),
         Rcode::NxDomain => Err(DnsError::NxDomain),

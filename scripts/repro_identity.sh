@@ -10,13 +10,18 @@
 #
 #   repro all --scale N                  (default N = 2000)
 #   repro spoof-matrix --stack --scale N
+#   repro all --scale N --backend wire:2 (the crawl over loopback DNS)
 #
 # with the experiment log written next to the captured stdout. Timing
 # lines are stripped before comparing: `[throughput]` lines, `done in`,
 # parenthesised durations such as `(834.5ms)`, evaluations per second
-# (`(123456/s,`) and the `wrote <path>` line. Prints the unified diff and
-# exits with diff's status: 0 when every artifact and every experiment
-# row is byte-identical.
+# (`(123456/s,`) and the `wrote <path>` line. The wire run's `[wire]`
+# line keeps what the population fixes — `datagrams`, `retries`,
+# `temp_errors`, `fleet_udp` and the rest — and loses `coalesced` and
+# `cache_hit`, which move with worker scheduling: a question asked by
+# two workers at once is one coalesced join, asked a moment apart it is
+# one cache hit. Prints the unified diff and exits with diff's status: 0
+# when every artifact and every experiment row is byte-identical.
 #
 # The scratch directory defaults to .bench_build/identity (ignored by git).
 set -euo pipefail
@@ -48,19 +53,21 @@ CARGO_TARGET_DIR="$dir/change-target" cargo build --release --offline --quiet --
 
 strip_timing() {
     grep -v -e '\[throughput\]' -e '^done in ' -e '^wrote ' \
-        | sed -E -e 's/\([0-9.]+(ns|µs|us|ms|s)\)/(…)/g' -e 's/\([0-9]+\/s,/(…\/s,/g'
+        | sed -E -e 's/\([0-9.]+(ns|µs|us|ms|s)\)/(…)/g' -e 's/\([0-9]+\/s,/(…\/s,/g' \
+            -e '/^\[wire\]/s/ (coalesced|cache_hit)=[0-9.]+%//g'
 }
 
 for side in parent change; do
     bin="$dir/$side-target/release/repro"
     out="$dir/$side"
-    echo "== running $side: all, spoof-matrix --stack at scale 1:$scale" >&2
+    echo "== running $side: all, spoof-matrix --stack, all --backend wire:2 at scale 1:$scale" >&2
     "$bin" all --scale "$scale" --out "$out/all.md" | strip_timing > "$out/all.txt"
     "$bin" spoof-matrix --stack --scale "$scale" --out "$out/stack.md" | strip_timing > "$out/stack.txt"
+    "$bin" all --scale "$scale" --backend wire:2 --out "$out/wire.md" | strip_timing > "$out/wire.txt"
 done
 
 status=0
-for file in all.txt all.md stack.txt stack.md; do
+for file in all.txt all.md stack.txt stack.md wire.txt wire.md; do
     diff -u --label "parent/$file" --label "change/$file" \
         "$dir/parent/$file" "$dir/change/$file" || status=$?
 done

@@ -87,21 +87,17 @@ fn wire_reports_byte_identical_to_in_memory_across_matrix() {
                 snapshot.wire_queries,
                 "datagram count moved at workers={workers} servers={servers}: {snapshot:?}"
             );
-            // Zero faults: a query retries only when it is going to time
-            // out, and the crawl profile's two attempts allow one retry.
-            assert_eq!(
-                snapshot.retries, snapshot.temp_errors,
-                "retries without a temp error at workers={workers} servers={servers}: {snapshot:?}"
-            );
             // Every resolver query is a cache hit, a coalesced join, or
-            // the first datagram of its own wire query.
+            // the first datagram of its own wire query; and with zero
+            // faults a query retries only when it is going to time out,
+            // the crawl profile's two attempts allowing one retry.
             assert_eq!(
-                snapshot.queries,
-                snapshot.cache_hits
-                    + snapshot.coalesced
-                    + (snapshot.wire_queries - snapshot.retries),
-                "WireSnapshot law broken at workers={workers} servers={servers}: {snapshot:?}"
+                snapshot.injected_faults, 0,
+                "faults injected under zero_faults at workers={workers} servers={servers}: {snapshot:?}"
             );
+            if let Err(law) = snapshot.check_conservation() {
+                panic!("WireSnapshot law broken at workers={workers} servers={servers}: {law}");
+            }
         }
     }
 }
@@ -177,6 +173,8 @@ fn degraded_shard_preset_degrades_to_temperror_not_divergence() {
     // Injected timeouts surface through the same temperror accounting as
     // genuine budget exhaustion.
     assert!(snapshot.temp_errors > 0, "{snapshot:?}");
+    // An injected fault stands in for a question's datagrams.
+    snapshot.check_conservation().unwrap();
 }
 
 #[test]
