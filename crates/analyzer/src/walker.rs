@@ -15,8 +15,8 @@ use serde::{Deserialize, Serialize};
 use spf_core::parse::{self, ParsedRecord};
 use spf_dns::{DnsError, RecordData, RecordType, Resolver, ResourceRecord};
 use spf_types::{
-    DomainName, Ipv4Cidr, Ipv4Set, Mechanism, Modifier, SpfRecord, Term, MAX_DNS_LOOKUPS,
-    MAX_VOID_LOOKUPS,
+    DomainName, Ipv4Cidr, Ipv4Set, MacroString, Mechanism, Modifier, SpfRecord, Term,
+    MAX_DNS_LOOKUPS, MAX_VOID_LOOKUPS,
 };
 
 use crate::cache::{CacheStats, ShardedCache, DEFAULT_CACHE_SHARDS};
@@ -409,21 +409,17 @@ impl<R: Resolver> Walker<R> {
                         // so it is the same whatever depth the record is
                         // first reached at.
                         analysis.top_level_include_count += 1;
-                        match domain.literal_text() {
-                            Some(text) => {
-                                self.walk_include(&text, analysis, stack, depth, false, complete)
-                            }
-                            None => {
-                                // Macro include targets depend on the
-                                // message; statically unanalyzable.
-                            }
+                        // Macro include targets depend on the message;
+                        // statically unanalyzable.
+                        if domain.is_literal() {
+                            self.walk_include(domain, analysis, stack, depth, false, complete);
                         }
                     }
                 },
                 Term::Modifier(Modifier::Redirect { domain }) => {
                     analysis.subtree_lookups += 1;
-                    if let Some(text) = domain.literal_text() {
-                        self.walk_include(&text, analysis, stack, depth, true, complete);
+                    if domain.is_literal() {
+                        self.walk_include(domain, analysis, stack, depth, true, complete);
                     }
                 }
                 Term::Modifier(_) => {}
@@ -431,29 +427,39 @@ impl<R: Resolver> Walker<R> {
         }
     }
 
-    /// Recurse into an include/redirect target, folding its subtree into
-    /// the caller's analysis. Clears `complete` when the target's walk was
-    /// cut off by the recursion guard.
+    /// Recurse into a literal include/redirect target, folding its subtree
+    /// into the caller's analysis. Clears `complete` when the target's walk
+    /// was cut off by the recursion guard.
     fn walk_include(
         &self,
-        target_text: &str,
+        spec: &MacroString,
         analysis: &mut RecordAnalysis,
         stack: &mut Vec<DomainName>,
         depth: usize,
         is_redirect: bool,
         complete: &mut bool,
     ) {
-        let target = match DomainName::parse(target_text) {
-            Ok(d) => d,
-            Err(e) => {
-                // Oversized labels/names and UTF-8 failures are the paper's
-                // "other errors" under record-not-found (3 cases in 12.8M).
-                analysis.errors.push(AnalysisError::not_found(
-                    analysis.domain.clone(),
-                    NotFoundCause::OtherError,
-                    format!("invalid include target {target_text:?}: {e}"),
-                ));
-                return;
+        // The record parse already holds the name of almost every target.
+        // It declines invalid names, and a 254-byte one with a root dot
+        // that the evaluator would shorten but this walk reads as is.
+        let target = match spec.literal_domain() {
+            Some(name) => name.clone(),
+            None => {
+                let target_text = spec.to_string();
+                match DomainName::parse(&target_text) {
+                    Ok(d) => d,
+                    Err(e) => {
+                        // Oversized labels/names and UTF-8 failures are the
+                        // paper's "other errors" under record-not-found (3
+                        // cases in 12.8M).
+                        analysis.errors.push(AnalysisError::not_found(
+                            analysis.domain.clone(),
+                            NotFoundCause::OtherError,
+                            format!("invalid include target {target_text:?}: {e}"),
+                        ));
+                        return;
+                    }
+                }
             }
         };
         // Like the other top-level fields, `include_targets` lists *this
@@ -569,12 +575,15 @@ impl<R: Resolver> Walker<R> {
     /// Resolve a/mx target: explicit literal argument or the record domain.
     fn literal_target(
         &self,
-        target: Option<&spf_types::MacroString>,
+        target: Option<&MacroString>,
         domain: &DomainName,
     ) -> Option<DomainName> {
         match target {
             None => Some(domain.clone()),
-            Some(ms) => ms.literal_text().and_then(|t| DomainName::parse(&t).ok()),
+            Some(ms) => match ms.literal_domain() {
+                Some(name) => Some(name.clone()),
+                None => ms.literal_text().and_then(|t| DomainName::parse(&t).ok()),
+            },
         }
     }
 
@@ -776,6 +785,59 @@ mod tests {
         assert!(causes.contains(&NotFoundCause::EmptyResult)); // nospf: no TXT answer at all
         assert!(causes.contains(&NotFoundCause::DomainNotFound)); // gone: NXDOMAIN
         assert!(causes.contains(&NotFoundCause::MultipleSpfRecords));
+    }
+
+    #[test]
+    fn invalid_literal_include_target_keeps_its_error_text() {
+        // The record parse caches no name for these, so the walker's own
+        // parse still runs and words the error.
+        let wide = format!("{}.example", "c".repeat(64));
+        let s = Arc::new(ZoneStore::new());
+        s.add_txt(
+            &dom("r.example"),
+            &format!("v=spf1 include:{wide} redirect=-bad.example"),
+        );
+        let a = walker(&s).analyze(&dom("r.example"));
+        let details: Vec<(&str, Option<NotFoundCause>)> = a
+            .errors
+            .iter()
+            .map(|e| (e.detail.as_str(), e.not_found_cause))
+            .collect();
+        assert_eq!(
+            details,
+            vec![
+                (
+                    &*format!(
+                        "invalid include target {wide:?}: DNS label is 64 octets long (> 63)"
+                    ),
+                    Some(NotFoundCause::OtherError)
+                ),
+                (
+                    "invalid include target \"-bad.example\": label starts or ends with a hyphen",
+                    Some(NotFoundCause::OtherError)
+                ),
+            ]
+        );
+        assert!(a.errors.iter().all(|e| e.at_domain == dom("r.example")));
+        assert!(a.include_targets.is_empty());
+    }
+
+    #[test]
+    fn overlong_dotted_literal_target_is_walked_as_its_name() {
+        // 253 bytes plus a root dot: too long for the record parse to
+        // cache, yet a valid name, which the walker's fallback parse reads.
+        let full = format!("{}.a", vec!["b".repeat(62); 4].join("."));
+        let s = Arc::new(ZoneStore::new());
+        s.add_txt(
+            &dom("r.example"),
+            &format!("v=spf1 include:{full}. a:{full}. -all"),
+        );
+        s.add_txt(&dom(&full), "v=spf1 ip4:10.0.0.0/24 -all");
+        s.add_a(&dom(&full), Ipv4Addr::new(10, 0, 1, 1));
+        let a = walker(&s).analyze(&dom("r.example"));
+        assert!(a.errors.is_empty(), "{:?}", a.errors);
+        assert_eq!(a.include_targets, vec![dom(&full)]);
+        assert_eq!(a.allowed_ip_count(), 256 + 1);
     }
 
     #[test]

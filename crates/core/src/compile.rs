@@ -703,7 +703,7 @@ struct Group<S> {
     set: S,
     lookups: usize,
     voids: usize,
-    matched: Option<String>,
+    matched: Option<Arc<str>>,
     final_domain: DomainName,
 }
 
@@ -1343,15 +1343,13 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
             if groups.is_empty() {
                 break;
             }
+            // Formatted once per directive: the residue detail and, on a
+            // match, the one `Arc<str>` every matched group shares.
+            let term_text = directive.to_string();
             self.steps += groups.len();
             if self.steps > self.max_steps {
                 self.cap_hit = true;
-                self.park_residue(
-                    groups,
-                    ResidueKind::OverBudget,
-                    domain,
-                    directive.to_string(),
-                );
+                self.park_residue(groups, ResidueKind::OverBudget, domain, term_text);
                 return terminals;
             }
             if matches!(directive.mechanism, Mechanism::All) {
@@ -1363,17 +1361,20 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
                     continue;
                 }
             }
-            let out = self.eval_mechanism(directive, domain, depth, stack, groups);
+            let out = self.eval_mechanism(directive, &term_text, domain, depth, stack, groups);
             terminals.extend(out.failed.into_iter().map(|(g, p)| (g, Err(p))));
             // The evaluator checks the void budget after every mechanism,
             // before acting on a match.
             let matched = self.check_void_budget(out.matched, &mut terminals);
             groups = self.check_void_budget(out.unmatched, &mut terminals);
             let result = qualifier_result(directive.qualifier);
-            for mut g in matched {
-                g.matched = Some(directive.to_string());
-                g.final_domain = domain.clone();
-                terminals.push((g, Ok(result)));
+            if !matched.is_empty() {
+                let text: Arc<str> = Arc::from(term_text);
+                for mut g in matched {
+                    g.matched = Some(Arc::clone(&text));
+                    g.final_domain = domain.clone();
+                    terminals.push((g, Ok(result)));
+                }
             }
             groups = merge_groups::<F>(groups);
         }
@@ -1432,12 +1433,12 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
     fn eval_mechanism(
         &mut self,
         directive: &spf_types::Directive,
+        term_text: &str,
         domain: &DomainName,
         depth: usize,
         stack: &mut Vec<DomainName>,
         groups: Vec<Group<F::Set>>,
     ) -> MatchOut<F::Set> {
-        let term_text = directive.to_string();
         match &directive.mechanism {
             Mechanism::All => MatchOut {
                 matched: groups,
@@ -1449,29 +1450,29 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
             Mechanism::A {
                 domain: target,
                 cidr,
-            } => match self.resolve_target(target.as_ref(), domain, &term_text, groups) {
-                Ok((name, gs)) => self.address_mechanism(&name, cidr, &term_text, domain, gs),
+            } => match self.resolve_target(target.as_ref(), domain, term_text, groups) {
+                Ok((name, gs)) => self.address_mechanism(&name, cidr, term_text, domain, gs),
                 Err(out) => out,
             },
             Mechanism::Mx {
                 domain: target,
                 cidr,
-            } => match self.resolve_target(target.as_ref(), domain, &term_text, groups) {
-                Ok((name, gs)) => self.mx_mechanism(&name, cidr, &term_text, domain, gs),
+            } => match self.resolve_target(target.as_ref(), domain, term_text, groups) {
+                Ok((name, gs)) => self.mx_mechanism(&name, cidr, term_text, domain, gs),
                 Err(out) => out,
             },
             Mechanism::Ptr { .. } => {
-                self.park_residue(groups, ResidueKind::Ptr, domain, term_text);
+                self.park_residue(groups, ResidueKind::Ptr, domain, term_text.to_string());
                 MatchOut::empty()
             }
             Mechanism::Exists { .. } => {
-                self.park_residue(groups, ResidueKind::Exists, domain, term_text);
+                self.park_residue(groups, ResidueKind::Exists, domain, term_text.to_string());
                 MatchOut::empty()
             }
             Mechanism::Include { domain: target } => {
                 match self.expand_compile(target, domain) {
                     ExpandOutcome::Residue(kind) => {
-                        self.park_residue(groups, kind, domain, term_text);
+                        self.park_residue(groups, kind, domain, term_text.to_string());
                         MatchOut::empty()
                     }
                     ExpandOutcome::Bad(problem) => MatchOut {

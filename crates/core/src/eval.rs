@@ -21,7 +21,7 @@
 //!   record) reports more lookup-limit errors than live mail flow sees.
 
 use std::net::IpAddr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -164,8 +164,9 @@ pub struct Evaluation {
     pub dns_lookups: usize,
     /// Void lookups observed.
     pub void_lookups: usize,
-    /// The textual form of the directive that matched, if any.
-    pub matched_directive: Option<String>,
+    /// The textual form of the directive that matched, if any — shared
+    /// with the fetched record that formatted it.
+    pub matched_directive: Option<Arc<str>>,
     /// The domain whose record produced the final result (differs from the
     /// queried domain after redirects).
     pub final_domain: DomainName,
@@ -225,7 +226,7 @@ pub struct SubtreeVerdict {
     pub void_lookups: usize,
     /// The matched-directive text assigned within the subtree, when one
     /// was (`None` leaves the caller's value untouched on replay).
-    pub matched: Option<String>,
+    pub matched: Option<Arc<str>>,
     /// The final-domain value at subtree exit.
     pub final_domain: DomainName,
     /// Every include/redirect target the subtree tested against the
@@ -363,19 +364,32 @@ fn memo_record<R: Resolver + ?Sized>(
 /// IP, which is what lets [`RootRecord`] and the [`VerdictCache`] record
 /// memo reuse it. The void lookup an NXDOMAIN or empty answer incurs is
 /// charged by each evaluation that reads it, not here.
+///
+/// It also holds each term's text, formatted the first time the term
+/// matches: every evaluation that reads the record through a memo then
+/// shares one `Arc<str>` as its matched directive.
 #[derive(Debug)]
-pub struct FetchedRecord(Result<SpfRecord, FetchFailure>);
+pub struct FetchedRecord {
+    record: Result<SpfRecord, FetchFailure>,
+    /// One slot per term of `record`; empty when there is no record.
+    term_texts: Box<[OnceLock<Arc<str>>]>,
+}
 
 impl FetchedRecord {
     fn fetch<R: Resolver + ?Sized>(resolver: &R, domain: &DomainName) -> FetchedRecord {
-        FetchedRecord(select_record(resolver.query(domain, RecordType::Txt)))
+        let record = select_record(resolver.query(domain, RecordType::Txt));
+        let terms = record.as_ref().map_or(0, |r| r.terms.len());
+        FetchedRecord {
+            record,
+            term_texts: (0..terms).map(|_| OnceLock::new()).collect(),
+        }
     }
 
     /// Whether the fetch ended in a transient DNS error. Such a record
     /// says nothing about the zone — a retry may answer — so it is never
     /// reused.
     pub fn is_transient(&self) -> bool {
-        matches!(self.0, Err(FetchFailure::Transient))
+        matches!(self.record, Err(FetchFailure::Transient))
     }
 }
 
@@ -486,7 +500,7 @@ struct EvalState<'a, R: ?Sized> {
     lookups: usize,
     void_lookups: usize,
     stack: Vec<DomainName>,
-    matched: Option<String>,
+    matched: Option<Arc<str>>,
     final_domain: DomainName,
     explanation_source: Option<(DomainName, MacroString)>,
     /// Shared subtree-verdict and record memo, when evaluating through
@@ -501,7 +515,7 @@ struct EvalState<'a, R: ?Sized> {
     /// Every include/redirect target tested against `stack` so far
     /// (append-only; frames slice it by start index to learn what *they*
     /// probed, nested frames included).
-    probed: Vec<DomainName>,
+    probed: Vec<Probe>,
     /// How many times a session-dependent macro string was expanded; a
     /// frame whose evaluation bumped this is not a pure function of
     /// `(domain, ip, budget)` and is never cached.
@@ -513,6 +527,23 @@ struct EvalState<'a, R: ?Sized> {
     /// resulting verdict must still assign it on replay under callers
     /// holding a different value.
     matched_sets: usize,
+}
+
+/// An entry of [`EvalState::probed`]: one target, or everything a
+/// replayed subtree probed, held by reference until a verdict that
+/// covers it is recorded.
+enum Probe {
+    Target(DomainName),
+    Replayed(Arc<SubtreeVerdict>),
+}
+
+impl Probe {
+    fn names(&self) -> &[DomainName] {
+        match self {
+            Probe::Target(name) => std::slice::from_ref(name),
+            Probe::Replayed(verdict) => &verdict.probed,
+        }
+    }
 }
 
 impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
@@ -599,22 +630,25 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
     /// Replay a memoized subtree: apply its counter deltas and state
     /// effects, then return its outcome with trip counters re-absolutized
     /// against the live budget.
-    fn replay(&mut self, verdict: &SubtreeVerdict) -> Result<SpfResult, EvalProblem> {
+    fn replay(&mut self, verdict: Arc<SubtreeVerdict>) -> Result<SpfResult, EvalProblem> {
         let entry_lookups = self.lookups;
         let entry_voids = self.void_lookups;
         self.lookups += verdict.lookups;
         self.void_lookups += verdict.void_lookups;
         if let Some(matched) = &verdict.matched {
-            self.matched = Some(matched.clone());
+            self.matched = Some(Arc::clone(matched));
             // Replay counts as an assignment: an enclosing frame being
             // recorded must see this subtree as one that set `matched`.
             self.matched_sets += 1;
         }
         self.final_domain = verdict.final_domain.clone();
-        self.probed.extend(verdict.probed.iter().cloned());
-        match &verdict.outcome {
-            Ok(result) => Ok(*result),
-            Err(problem) => Err(match problem.clone() {
+        let outcome = verdict.outcome.clone();
+        if !verdict.probed.is_empty() {
+            self.probed.push(Probe::Replayed(verdict));
+        }
+        match outcome {
+            Ok(result) => Ok(result),
+            Err(problem) => Err(match problem {
                 EvalProblem::TooManyLookups { used }
                     if self.policy.accounting == LookupAccounting::GlobalRecursive =>
                 {
@@ -646,7 +680,7 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
             // none of the subtree's probes may hit the current stack.
             if verdict.probed.iter().all(|d| !self.stack.contains(d)) {
                 self.read_as_of(as_of);
-                return self.replay(&verdict);
+                return self.replay(verdict);
             }
         }
         let caller_as_of = self.as_of.take();
@@ -661,7 +695,10 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
         // session-macro expansions, no loop probe touching the caller's
         // stack (internal loops are fine — they re-form on every replay).
         let cacheable = self.ctx_macro_uses == ctx_uses_before
-            && fresh_probes.iter().all(|d| !self.stack.contains(d));
+            && fresh_probes
+                .iter()
+                .flat_map(Probe::names)
+                .all(|d| !self.stack.contains(d));
         if cacheable {
             let outcome_rel = match &outcome {
                 Ok(result) => Ok(*result),
@@ -677,7 +714,11 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
                     None
                 },
                 final_domain: self.final_domain.clone(),
-                probed: fresh_probes.to_vec(),
+                probed: fresh_probes
+                    .iter()
+                    .flat_map(Probe::names)
+                    .cloned()
+                    .collect(),
             };
             cache.put(domain, self.ctx.ip, budget, Arc::new(verdict), self.as_of);
         }
@@ -719,10 +760,10 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
         initial: bool,
     ) -> Result<SpfResult, EvalProblem> {
         self.final_domain = domain.clone();
-        let cause = match &fetched.0 {
+        let cause = match &fetched.record {
             Ok(record) => {
                 self.stack.push(domain.clone());
-                let result = self.eval_record(record, domain, depth);
+                let result = self.eval_record(record, &fetched.term_texts, domain, depth);
                 self.stack.pop();
                 return result;
             }
@@ -768,6 +809,7 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
     fn eval_record(
         &mut self,
         record: &SpfRecord,
+        term_texts: &[OnceLock<Arc<str>>],
         domain: &DomainName,
         depth: usize,
     ) -> Result<SpfResult, EvalProblem> {
@@ -782,7 +824,7 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
 
         let mut local_counter = 0usize;
         let mut saw_all = false;
-        for term in &record.terms {
+        for (term, text) in record.terms.iter().zip(term_texts) {
             match term {
                 Term::Directive(directive) => {
                     if matches!(directive.mechanism, Mechanism::All) {
@@ -794,7 +836,8 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
                     let matched = self.matches(&directive.mechanism, domain, depth)?;
                     self.check_void_budget()?;
                     if matched {
-                        self.matched = Some(directive.to_string());
+                        let text = text.get_or_init(|| Arc::from(directive.to_string()));
+                        self.matched = Some(Arc::clone(text));
                         self.matched_sets += 1;
                         self.final_domain = domain.clone();
                         return Ok(qualifier_result(directive.qualifier));
@@ -810,7 +853,7 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
             if let Some(target) = record.redirect() {
                 self.charge_lookup(&mut local_counter)?;
                 let target_domain = self.expand_target(target, domain)?;
-                self.probed.push(target_domain.clone());
+                self.probed.push(Probe::Target(target_domain.clone()));
                 if self.stack.contains(&target_domain) {
                     return Err(EvalProblem::RedirectLoop {
                         domain: target_domain,
@@ -917,7 +960,7 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
             }
             Mechanism::Include { domain: target } => {
                 let target_domain = self.expand_target(target, domain)?;
-                self.probed.push(target_domain.clone());
+                self.probed.push(Probe::Target(target_domain.clone()));
                 if self.stack.contains(&target_domain) {
                     return Err(EvalProblem::IncludeLoop {
                         domain: target_domain,

@@ -82,13 +82,18 @@ pub fn expand_explain_text(text: &str, ctx: &EvalContext, current_domain: &Domai
 }
 
 /// Expand a macro string and validate the result as a domain name, the
-/// way `include:`/`redirect=`/`exists:` targets are consumed.
+/// way `include:`/`redirect=`/`exists:` targets are consumed. A literal
+/// spec's name was parsed with its record
+/// ([`MacroString::literal_domain`]), and this returns it unchanged.
 pub fn expand_domain(
     ms: &MacroString,
     ctx: &EvalContext,
     current_domain: &DomainName,
     validated_domain: Option<&DomainName>,
 ) -> Result<DomainName, ExpandError> {
+    if let Some(name) = ms.literal_domain() {
+        return Ok(name.clone());
+    }
     let text = expand(ms, ctx, current_domain, validated_domain);
     // RFC 7208 §7.3: if the expanded domain exceeds 253 characters, labels
     // are dropped from the *left* until it fits.

@@ -1,9 +1,15 @@
 //! Evaluator edge cases beyond the RFC vectors: recursion guards,
 //! macro-targeted includes, degenerate zones and policy knobs.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::net::IpAddr;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use spf_core::{check_host, EvalContext, EvalPolicy, EvalProblem, SpfResult};
+use spf_core::{
+    check_host, check_host_cached, compile_policy, BudgetKey, CompileConfig, EvalContext,
+    EvalPolicy, EvalProblem, FetchedRecord, SpfResult, SubtreeVerdict, VerdictCache,
+};
 use spf_dns::{ZoneResolver, ZoneStore};
 use spf_types::DomainName;
 
@@ -174,4 +180,120 @@ fn helo_context_constructor_defaults() {
     // RFC 7208 §2.4 before constructing if desired).
     assert_eq!(ctx.sender(), "@mail.example.org");
     assert_eq!(ctx.helo, d);
+}
+
+/// A plain map memo, enough to drive `check_host_cached`.
+#[derive(Default)]
+struct MapCache {
+    verdicts: Mutex<HashMap<(DomainName, IpAddr, BudgetKey), Arc<SubtreeVerdict>>>,
+    records: Mutex<HashMap<DomainName, Arc<FetchedRecord>>>,
+}
+
+impl VerdictCache for MapCache {
+    fn get(
+        &self,
+        domain: &DomainName,
+        ip: IpAddr,
+        budget: BudgetKey,
+    ) -> Option<(Arc<SubtreeVerdict>, Duration)> {
+        let verdicts = self.verdicts.lock().unwrap();
+        let verdict = verdicts.get(&(domain.clone(), ip, budget))?;
+        Some((Arc::clone(verdict), Duration::ZERO))
+    }
+
+    fn put(
+        &self,
+        domain: &DomainName,
+        ip: IpAddr,
+        budget: BudgetKey,
+        verdict: Arc<SubtreeVerdict>,
+        _as_of: Option<Duration>,
+    ) {
+        let mut verdicts = self.verdicts.lock().unwrap();
+        verdicts.insert((domain.clone(), ip, budget), verdict);
+    }
+
+    fn record(&self, domain: &DomainName) -> Option<(Arc<FetchedRecord>, Duration)> {
+        let records = self.records.lock().unwrap();
+        Some((Arc::clone(records.get(domain)?), Duration::ZERO))
+    }
+
+    fn put_record(&self, domain: &DomainName, record: Arc<FetchedRecord>) {
+        self.records.lock().unwrap().insert(domain.clone(), record);
+    }
+}
+
+/// `domain` evaluated for `ip` through bare `check_host`, through
+/// `check_host_cached` on a cold and then a warm memo, and through the
+/// compiled tables — asserted identical, and returned.
+fn every_path(store: &Arc<ZoneStore>, domain: &str, ip: &str) -> spf_core::Evaluation {
+    let resolver = ZoneResolver::new(Arc::clone(store));
+    let d = dom(domain);
+    let ip: IpAddr = ip.parse().unwrap();
+    let ctx = EvalContext::mail_from(ip, "alice", d.clone());
+    let policy = EvalPolicy::default();
+    let bare = check_host(&resolver, &ctx, &d, &policy);
+    let cache = MapCache::default();
+    for pass in ["cold", "warm"] {
+        let cached = check_host_cached(&resolver, &ctx, &d, &policy, &cache);
+        assert_eq!(cached, bare, "{pass} memo diverged for {domain} from {ip}");
+    }
+    let compiled = compile_policy(&resolver, &d, &CompileConfig::default());
+    let table = compiled
+        .verdict(ip)
+        .expect("the record compiles to a table");
+    assert_eq!(
+        table, bare,
+        "compiled verdict diverged for {domain} from {ip}"
+    );
+    bare
+}
+
+#[test]
+fn overlong_literal_include_drops_its_leftmost_label_on_every_path() {
+    // 253 bytes, then a root dot: `DomainName::parse` accepts the
+    // 254-byte text as the 253-byte name, but RFC 7208 §7.3 fitting
+    // drops the leftmost label first, so the include reads `fitted`.
+    let full = format!("{}.a", vec!["b".repeat(62); 4].join("."));
+    assert_eq!(full.len(), 253);
+    let spec = format!("{full}.");
+    let fitted = full.split_once('.').unwrap().1.to_string();
+    let store = Arc::new(ZoneStore::new());
+    store.add_txt(&dom("long.example"), &format!("v=spf1 include:{spec} -all"));
+    store.add_txt(&dom(&fitted), "v=spf1 ip4:192.0.2.10 -all");
+    store.add_txt(&dom(&full), "v=spf1 ip4:192.0.2.20 -all");
+
+    let via_fitted = every_path(&store, "long.example", "192.0.2.10");
+    assert_eq!(via_fitted.result, SpfResult::Pass);
+    assert_eq!(via_fitted.dns_lookups, 1);
+    let include_text = format!("include:{spec}");
+    assert_eq!(
+        via_fitted.matched_directive.as_deref(),
+        Some(&*include_text)
+    );
+    assert_eq!(via_fitted.final_domain, dom("long.example"));
+
+    let via_full = every_path(&store, "long.example", "192.0.2.20");
+    assert_eq!(via_full.result, SpfResult::Fail);
+    assert_eq!(via_full.matched_directive.as_deref(), Some("-all"));
+    assert_eq!(via_full.problem, None);
+}
+
+#[test]
+fn include_with_a_64_byte_label_is_a_bad_expansion_on_every_path() {
+    let wide = format!("{}.example", "c".repeat(64));
+    let store = Arc::new(ZoneStore::new());
+    store.add_txt(
+        &dom("wide.example"),
+        &format!("v=spf1 ip4:192.0.2.10 include:{wide} -all"),
+    );
+    let early = every_path(&store, "wide.example", "192.0.2.10");
+    assert_eq!(early.result, SpfResult::Pass);
+    assert_eq!(early.matched_directive.as_deref(), Some("ip4:192.0.2.10"));
+
+    let bad = every_path(&store, "wide.example", "192.0.2.11");
+    assert_eq!(bad.result, SpfResult::PermError);
+    assert_eq!(bad.dns_lookups, 1);
+    assert_eq!(bad.matched_directive, None);
+    assert_eq!(bad.problem, Some(EvalProblem::BadExpansion { text: wide }));
 }

@@ -277,7 +277,6 @@ impl Stats for WireStatsView {
 /// crawl.
 pub struct WireFleet {
     servers: Vec<UdpNameServer>,
-    stores: Vec<Arc<ZoneStore>>,
 }
 
 impl WireFleet {
@@ -285,13 +284,12 @@ impl WireFleet {
     /// [`ZoneStore::partition`]) and spawn one [`UdpNameServer`] per
     /// shard, every one with the same `config`.
     pub fn spawn(store: &ZoneStore, shards: usize, config: ServerConfig) -> std::io::Result<Self> {
-        let stores: Vec<Arc<ZoneStore>> =
-            store.partition(shards).into_iter().map(Arc::new).collect();
-        let servers = stores
-            .iter()
-            .map(|s| UdpNameServer::spawn(Arc::clone(s), config.clone()))
+        let servers = store
+            .partition(shards)
+            .into_iter()
+            .map(|s| UdpNameServer::spawn(Arc::new(s), config.clone()))
             .collect::<std::io::Result<Vec<_>>>()?;
-        Ok(WireFleet { servers, stores })
+        Ok(WireFleet { servers })
     }
 
     /// Number of server shards.
@@ -308,12 +306,6 @@ impl WireFleet {
     /// Shard `i`'s server handle.
     pub fn server(&self, i: usize) -> &UdpNameServer {
         &self.servers[i]
-    }
-
-    /// Shard `i`'s authoritative store (a deep copy of the source zone's
-    /// slice — mutate it to model per-shard zone drift).
-    pub fn store(&self, i: usize) -> &Arc<ZoneStore> {
-        &self.stores[i]
     }
 
     /// UDP responses sent, summed over all shards.

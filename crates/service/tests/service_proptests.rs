@@ -408,7 +408,7 @@ fn arb_evaluation() -> impl Strategy<Value = Evaluation> {
                 result,
                 dns_lookups,
                 void_lookups,
-                matched_directive,
+                matched_directive: matched_directive.map(Arc::from),
                 final_domain,
                 problem,
                 explanation,

@@ -6,9 +6,12 @@
 //! token representation; the *expansion* (which needs the evaluation context)
 //! lives in `spf-core`.
 
+use std::borrow::Cow;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::{map_get, Deserialize, Error as SerdeError, Serialize, Value};
+
+use crate::domain::{DomainName, MAX_NAME_LEN};
 
 /// Which value a macro letter expands to (RFC 7208 §7.2/§7.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -228,9 +231,15 @@ impl std::error::Error for MacroError {}
 /// assert!(!fancy.is_literal());
 /// assert_eq!(fancy.to_string(), "%{ir}.%{v}._spf.%{d2}");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// A literal spec also carries the [`DomainName`] it denotes, parsed
+/// once with the record (see [`Self::literal_domain`]). The cached name
+/// is invisible: equality, `Debug`, `Display` and the serialized form
+/// (`{"tokens": …}`) see only the tokens.
+#[derive(Clone)]
 pub struct MacroString {
     tokens: Vec<MacroToken>,
+    domain: Option<DomainName>,
 }
 
 impl MacroString {
@@ -278,7 +287,25 @@ impl MacroString {
         if !literal.is_empty() {
             tokens.push(MacroToken::Literal(literal));
         }
-        Ok(MacroString { tokens })
+        Ok(Self::from_tokens(tokens))
+    }
+
+    /// Wrap parsed tokens, parsing the name a literal spec denotes.
+    fn from_tokens(tokens: Vec<MacroToken>) -> Self {
+        let text = match tokens.as_slice() {
+            [MacroToken::Literal(s)] => Some(Cow::Borrowed(s.as_str())),
+            _ if tokens.iter().all(|t| matches!(t, MacroToken::Literal(_))) => {
+                Some(Cow::Owned(tokens.iter().map(ToString::to_string).collect()))
+            }
+            _ => None,
+        };
+        // Past 253 bytes `expand_domain` drops labels from the left
+        // before parsing, so only a spec it passes through unchanged may
+        // skip it.
+        let domain = text
+            .filter(|t| t.len() <= MAX_NAME_LEN)
+            .and_then(|t| DomainName::parse(&t).ok());
+        MacroString { tokens, domain }
     }
 
     fn parse_expand(body: &str) -> Result<MacroExpand, MacroError> {
@@ -365,11 +392,27 @@ impl MacroString {
         Some(out)
     }
 
+    /// The domain name a literal spec denotes, parsed once when the spec
+    /// was: `Some` exactly when every token is literal, the text is at
+    /// most 253 bytes and [`DomainName::parse`] accepts it — the specs
+    /// `spf_core`'s `expand_domain` would turn into this very name.
+    ///
+    /// ```
+    /// use spf_types::{DomainName, MacroString};
+    /// let plain = MacroString::parse("_SPF.Google.com").unwrap();
+    /// let name = DomainName::parse("_spf.google.com").unwrap();
+    /// assert_eq!(plain.literal_domain(), Some(&name));
+    /// // Macros expand per message; an invalid name has nothing to cache.
+    /// assert_eq!(MacroString::parse("%{d2}").unwrap().literal_domain(), None);
+    /// assert_eq!(MacroString::parse("a..b").unwrap().literal_domain(), None);
+    /// ```
+    pub fn literal_domain(&self) -> Option<&DomainName> {
+        self.domain.as_ref()
+    }
+
     /// Build a literal macro string without parsing (for generators).
     pub fn literal(text: &str) -> Self {
-        MacroString {
-            tokens: vec![MacroToken::Literal(text.to_string())],
-        }
+        Self::from_tokens(vec![MacroToken::Literal(text.to_string())])
     }
 
     /// True if any expansion uses an exp-only letter (`c`, `r`, `t`) —
@@ -399,6 +442,40 @@ impl fmt::Display for MacroString {
             write!(f, "{t}")?;
         }
         Ok(())
+    }
+}
+
+// Equality, `Debug` and serde by hand: each is the derive's, over the
+// tokens alone — the cached name is derived from them.
+
+impl PartialEq for MacroString {
+    fn eq(&self, other: &Self) -> bool {
+        self.tokens == other.tokens
+    }
+}
+
+impl Eq for MacroString {}
+
+impl fmt::Debug for MacroString {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MacroString")
+            .field("tokens", &self.tokens)
+            .finish()
+    }
+}
+
+impl Serialize for MacroString {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![("tokens".to_string(), self.tokens.to_value())])
+    }
+}
+
+impl Deserialize for MacroString {
+    fn from_value(v: &Value) -> Result<Self, SerdeError> {
+        match v {
+            Value::Map(m) => Ok(Self::from_tokens(Vec::from_value(map_get(m, "tokens")?)?)),
+            _ => Err(SerdeError::custom("expected map for struct MacroString")),
+        }
     }
 }
 
@@ -539,6 +616,90 @@ mod tests {
             MacroString::parse("foo bar.com"),
             Err(MacroError::InvalidCharacter { character: ' ' })
         ));
+    }
+
+    /// The encodings the derived `Serialize` produced before the cached
+    /// name existed, byte for byte.
+    const LITERAL_JSON: &str = r#"{"tokens":[{"Literal":"spf.protection.outlook.com"}]}"#;
+    const MACRO_JSON: &str = r#"{"tokens":[{"Expand":{"letter":"Ip","digits":0,"reverse":true,"delimiters":[],"url_escape":false}},{"Literal":"."},{"Expand":{"letter":"IpVersion","digits":0,"reverse":false,"delimiters":[],"url_escape":false}},{"Literal":"._spf."},{"Expand":{"letter":"Domain","digits":2,"reverse":false,"delimiters":[],"url_escape":false}}]}"#;
+    const MIXED_JSON: &str = r#"{"tokens":[{"Expand":{"letter":"LocalPart","digits":1,"reverse":true,"delimiters":["-"],"url_escape":false}},{"Literal":".lp._spf."},{"Expand":{"letter":"Domain","digits":0,"reverse":false,"delimiters":[],"url_escape":true}},{"Literal":".ex"},"PercentLiteral",{"Literal":"a"},"Space",{"Literal":"m"},"UrlSpace",{"Literal":"ple"}]}"#;
+
+    #[test]
+    fn json_is_unchanged_by_the_cached_name() {
+        for (spec, json) in [
+            ("spf.protection.outlook.com", LITERAL_JSON),
+            ("%{ir}.%{v}._spf.%{d2}", MACRO_JSON),
+            ("%{l1r-}.lp._spf.%{D}.ex%%a%_m%-ple", MIXED_JSON),
+        ] {
+            let m = MacroString::parse(spec).unwrap();
+            assert_eq!(serde_json::to_string(&m).unwrap(), json, "{spec}");
+            let back: MacroString = serde_json::from_str(json).unwrap();
+            assert_eq!(back, m);
+            assert_eq!(back.literal_domain(), m.literal_domain());
+        }
+    }
+
+    #[test]
+    fn from_value_restores_the_literal_domain() {
+        let back: MacroString = serde_json::from_str(LITERAL_JSON).unwrap();
+        assert_eq!(
+            back.literal_domain(),
+            Some(&DomainName::parse("spf.protection.outlook.com").unwrap())
+        );
+        // Split literal tokens concatenate, as `expand` would.
+        let split: MacroString =
+            serde_json::from_str(r#"{"tokens":[{"Literal":"_spf."},{"Literal":"Google.com"}]}"#)
+                .unwrap();
+        assert_eq!(
+            split.literal_domain(),
+            Some(&DomainName::parse("_spf.google.com").unwrap())
+        );
+        let none: MacroString = serde_json::from_str(r#"{"tokens":[]}"#).unwrap();
+        assert_eq!(none.literal_domain(), None);
+    }
+
+    #[test]
+    fn equality_debug_and_display_ignore_the_cached_name() {
+        let parsed = MacroString::parse("_spf.google.com").unwrap();
+        let mut bare = parsed.clone();
+        bare.domain = None;
+        assert_eq!(parsed, bare);
+        assert_eq!(parsed.to_string(), bare.to_string());
+        assert_eq!(format!("{parsed:?}"), format!("{bare:?}"));
+        assert_eq!(
+            format!("{parsed:?}"),
+            r#"MacroString { tokens: [Literal("_spf.google.com")] }"#
+        );
+        assert_eq!(MacroString::literal("_spf.google.com"), parsed);
+        assert_eq!(
+            MacroString::literal("_spf.google.com").literal_domain(),
+            parsed.literal_domain()
+        );
+    }
+
+    #[test]
+    fn literal_domain_follows_the_253_byte_rule() {
+        // Four 62-byte labels and a 1-byte one: 4 * 63 + 1 = 253 bytes.
+        let max = format!("{}.a", vec!["b".repeat(62); 4].join("."));
+        assert_eq!(max.len(), 253);
+        let m = MacroString::parse(&max).unwrap();
+        assert_eq!(m.literal_domain(), Some(&DomainName::parse(&max).unwrap()));
+        // The same name with a root dot: `DomainName::parse` accepts it,
+        // but `expand_domain` drops its leftmost label to fit 253 bytes.
+        let dotted = format!("{max}.");
+        assert_eq!(dotted.len(), 254);
+        assert!(DomainName::parse(&dotted).is_ok());
+        assert_eq!(MacroString::parse(&dotted).unwrap().literal_domain(), None);
+        // A 64-byte label is no name at all.
+        let wide = format!("{}.example", "c".repeat(64));
+        assert!(MacroString::parse(&wide).unwrap().is_literal());
+        assert_eq!(MacroString::parse(&wide).unwrap().literal_domain(), None);
+        // Anything with a macro or escape is left to expansion.
+        assert_eq!(
+            MacroString::parse("a%%b.com").unwrap().literal_domain(),
+            None
+        );
+        assert_eq!(MacroString::parse("%{d}").unwrap().literal_domain(), None);
     }
 
     #[test]

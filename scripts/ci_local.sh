@@ -35,6 +35,7 @@ cargo build --release
 echo "== [build-and-test] differential suites"
 cargo test -q --test proptest_compiler --test rfc_conformance --test proptest_auth
 cargo test -q -p spf-core --lib
+cargo test -q -p spf-types --lib
 
 # --no-fail-fast: one failing test binary must not hide every suite
 # after it.
