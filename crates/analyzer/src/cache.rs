@@ -19,9 +19,11 @@
 //!   Walk results are deterministic functions of the zone, so the racing
 //!   copies are identical and the race is benign.
 //! * **Deterministic shard selection.** The shard index is
-//!   `precomputed_hash % shard_count` — a pure function of the normalized
-//!   name (FNV-1a), not of `RandomState`, so shard placement (and the
-//!   per-shard counters) are reproducible across runs.
+//!   [`stripe_index`]`(precomputed_hash, shard_count)` — a pure function
+//!   of the normalized name (FNV-1a), not of `RandomState`, so shard
+//!   placement (and the per-shard counters) are reproducible across runs.
+//!   It folds in the hash's high half, so the names of one shard do not
+//!   crowd into the same home buckets of that shard's map.
 //! * **Memory bounds.** The cache holds one entry per *unique* domain
 //!   analyzed (roots and include targets); it never duplicates analyses,
 //!   and the values are `Arc`-shared with the crawl reports, so the cache's
@@ -44,7 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use spf_types::{DomainHashBuilder, DomainName};
+use spf_types::{stripe_index, DomainHashBuilder, DomainName};
 
 /// A key a [`ShardedCache`] can stripe on: hashable/equatable for the
 /// per-shard map, plus a deterministic, precomputed hash for shard
@@ -125,8 +127,7 @@ impl<V: Clone, K: CacheKey> ShardedCache<V, K> {
     }
 
     fn shard(&self, key: &K) -> &Shard<K, V> {
-        let idx = (key.shard_hash() % self.shards.len() as u64) as usize;
-        &self.shards[idx]
+        &self.shards[stripe_index(key.shard_hash(), self.shards.len())]
     }
 
     /// Number of stripes.

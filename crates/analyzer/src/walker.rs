@@ -523,6 +523,9 @@ impl<R: Resolver> Walker<R> {
                 // (Table 3) and the include-subnet distribution (Figure 7).
                 analysis
                     .include_networks
+                    .reserve(sub.direct_networks.len() + sub.include_networks.len());
+                analysis
+                    .include_networks
                     .extend(sub.direct_networks.iter().copied());
                 analysis
                     .include_networks
@@ -662,24 +665,17 @@ fn select_record(
     if answers.is_empty() {
         return Err(FetchOutcome::EmptyAnswer);
     }
-    let spf_texts: Vec<String> = answers
-        .iter()
-        .filter_map(|rr| match &rr.data {
-            RecordData::Txt(t) => {
-                let joined = t.joined();
-                parse::is_spf_record(&joined).then_some(joined)
-            }
-            _ => None,
-        })
-        .collect();
-    match spf_texts.len() {
-        0 => Err(FetchOutcome::NoSpfRecord),
-        1 => {
-            let text = spf_texts.into_iter().next().unwrap();
+    let mut spf_texts = answers.iter().filter_map(|rr| match &rr.data {
+        RecordData::Txt(t) => Some(t.text()).filter(|text| parse::is_spf_record(text)),
+        _ => None,
+    });
+    match (spf_texts.next(), spf_texts.count()) {
+        (None, _) => Err(FetchOutcome::NoSpfRecord),
+        (Some(text), 0) => {
             let parsed = parse::parse_lenient(&text);
-            Ok((text, parsed))
+            Ok((text.into_owned(), parsed))
         }
-        n => Err(FetchOutcome::MultipleSpfRecords { count: n }),
+        (Some(_), more) => Err(FetchOutcome::MultipleSpfRecords { count: more + 1 }),
     }
 }
 

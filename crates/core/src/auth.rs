@@ -49,7 +49,7 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 use spf_dns::{DnsError, RecordData, RecordType, Resolver};
-use spf_types::DomainName;
+use spf_types::{stripe_index, DomainName};
 
 use crate::compile::CompiledPolicy;
 use crate::context::{EvalContext, SpfResult};
@@ -283,9 +283,9 @@ pub fn query_mta_sts<R: Resolver + ?Sized>(resolver: &R, domain: &DomainName) ->
     };
     for rr in answers.iter() {
         if let RecordData::Txt(t) = &rr.data {
-            let joined = t.joined();
-            let trimmed = joined.trim_start();
-            if trimmed.len() >= 7 && trimmed[..7].eq_ignore_ascii_case("v=STSv1") {
+            let joined = t.text();
+            let head = joined.trim_start().as_bytes().get(..7);
+            if head.is_some_and(|head| head.eq_ignore_ascii_case(b"v=STSv1")) {
                 let enforcing = joined
                     .split(';')
                     .any(|part| part.trim().eq_ignore_ascii_case("mode=enforce"));
@@ -492,7 +492,7 @@ impl AuthCache {
     }
 
     fn shard(domain: &DomainName) -> usize {
-        (domain.precomputed_hash() % AUTH_CACHE_SHARDS as u64) as usize
+        stripe_index(domain.precomputed_hash(), AUTH_CACHE_SHARDS)
     }
 
     /// The domain's DMARC disposition, querying through `resolver` on a
@@ -677,6 +677,17 @@ mod tests {
             query_mta_sts(&resolver, &dom("nothing.example")),
             MtaStsMode::Absent
         );
+    }
+
+    #[test]
+    fn a_multi_byte_character_in_the_sts_tag_is_no_policy() {
+        let (store, resolver) = world();
+        let garbled = dom("garbled.example");
+        store.add_txt(
+            &garbled.prepend_label("_mta-sts").unwrap(),
+            "v=STSv\u{e9}; mode=enforce",
+        );
+        assert_eq!(query_mta_sts(&resolver, &garbled), MtaStsMode::Absent);
     }
 
     #[test]

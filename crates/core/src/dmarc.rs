@@ -21,12 +21,13 @@ pub enum DmarcPolicy {
 
 impl DmarcPolicy {
     fn parse(s: &str) -> Option<DmarcPolicy> {
-        match s.to_ascii_lowercase().as_str() {
-            "none" => Some(DmarcPolicy::None),
-            "quarantine" => Some(DmarcPolicy::Quarantine),
-            "reject" => Some(DmarcPolicy::Reject),
-            _ => None,
-        }
+        [
+            ("none", DmarcPolicy::None),
+            ("quarantine", DmarcPolicy::Quarantine),
+            ("reject", DmarcPolicy::Reject),
+        ]
+        .into_iter()
+        .find_map(|(name, policy)| s.eq_ignore_ascii_case(name).then_some(policy))
     }
 }
 
@@ -123,11 +124,21 @@ impl fmt::Display for DmarcError {
 
 impl std::error::Error for DmarcError {}
 
-/// Is this TXT string a DMARC record?
+/// Is this TXT string a DMARC record? Compares bytes, so a multi-byte
+/// character inside the tag is a mismatch, not a panic.
 pub fn is_dmarc_record(text: &str) -> bool {
-    let t = text.trim_start();
-    t.len() >= 8 && t[..8].eq_ignore_ascii_case("v=DMARC1")
+    starts_with_version_tag(text.trim_start())
 }
+
+fn starts_with_version_tag(text: &str) -> bool {
+    let tag = "v=DMARC1";
+    text.as_bytes()
+        .get(..tag.len())
+        .is_some_and(|head| head.eq_ignore_ascii_case(tag.as_bytes()))
+}
+
+/// The tags [`parse_dmarc`] reads, lower-cased; each may appear once.
+const KNOWN_TAGS: [&str; 7] = ["p", "sp", "rua", "ruf", "pct", "adkim", "aspf"];
 
 /// Parse a DMARC record ("v=DMARC1; p=reject; rua=mailto:...").
 pub fn parse_dmarc(text: &str) -> Result<DmarcRecord, DmarcError> {
@@ -136,17 +147,17 @@ pub fn parse_dmarc(text: &str) -> Result<DmarcRecord, DmarcError> {
         // mid-record": the latter is a positional error receivers treat
         // as not-a-DMARC-record, and fuzzing the auth pipeline showed it
         // is a distinct misconfiguration class worth naming.
-        let buried = text.split(';').skip(1).any(|part| {
-            let part = part.trim();
-            part.len() >= 8 && part[..8].eq_ignore_ascii_case("v=DMARC1")
-        });
+        let buried = text
+            .split(';')
+            .skip(1)
+            .any(|part| starts_with_version_tag(part.trim()));
         return Err(if buried {
             DmarcError::VersionNotFirst
         } else {
             DmarcError::MissingVersionTag
         });
     }
-    let mut seen: Vec<String> = Vec::new();
+    let mut seen = 0u8;
     let mut policy = None;
     let mut record = DmarcRecord {
         policy: DmarcPolicy::None,
@@ -166,56 +177,53 @@ pub fn parse_dmarc(text: &str) -> Result<DmarcRecord, DmarcError> {
         let Some((tag, value)) = part.split_once('=') else {
             continue; // stray token; checkdmarc warns but continues
         };
-        let tag = tag.trim().to_ascii_lowercase();
-        let value = value.trim();
+        let (tag, value) = (tag.trim(), value.trim());
+        let Some(known) = KNOWN_TAGS.iter().position(|k| tag.eq_ignore_ascii_case(k)) else {
+            record
+                .unknown_tags
+                .push((tag.to_ascii_lowercase(), value.to_string()));
+            continue;
+        };
+        let tag = KNOWN_TAGS[known];
         // Known tags may appear at most once: last-wins would silently
         // change the effective policy, so duplicates are ambiguous.
-        if matches!(
-            tag.as_str(),
-            "p" | "sp" | "rua" | "ruf" | "pct" | "adkim" | "aspf"
-        ) {
-            if seen.iter().any(|s| s == &tag) {
-                return Err(DmarcError::DuplicateTag { tag });
-            }
-            seen.push(tag.clone());
+        let bit = 1u8 << known;
+        if seen & bit != 0 {
+            return Err(DmarcError::DuplicateTag {
+                tag: tag.to_string(),
+            });
         }
-        match tag.as_str() {
+        seen |= bit;
+        let bad_value = || DmarcError::BadTagValue {
+            tag: tag.to_string(),
+            value: value.to_string(),
+        };
+        match tag {
             "p" => {
                 policy = Some(DmarcPolicy::parse(value).ok_or(DmarcError::MissingPolicy)?);
             }
             "sp" => {
-                record.subdomain_policy =
-                    Some(
-                        DmarcPolicy::parse(value).ok_or_else(|| DmarcError::BadTagValue {
-                            tag: tag.clone(),
-                            value: value.to_string(),
-                        })?,
-                    );
+                record.subdomain_policy = Some(DmarcPolicy::parse(value).ok_or_else(bad_value)?);
             }
             "rua" => record.rua = value.split(',').map(|s| s.trim().to_string()).collect(),
             "ruf" => record.ruf = value.split(',').map(|s| s.trim().to_string()).collect(),
             "pct" => {
                 // Parse wide so 150 and 400 both classify as
                 // out-of-range rather than as unparseable-u8 noise.
-                let pct = value.parse::<u16>().map_err(|_| DmarcError::BadTagValue {
-                    tag: tag.clone(),
-                    value: value.to_string(),
-                })?;
+                let pct = value.parse::<u16>().map_err(|_| bad_value())?;
                 if pct > 100 {
                     return Err(DmarcError::PercentOutOfRange { value: pct });
                 }
                 record.percent = pct as u8;
             }
-            "adkim" | "aspf" => {
-                let a = match value.to_ascii_lowercase().as_str() {
-                    "r" => Alignment::Relaxed,
-                    "s" => Alignment::Strict,
-                    _ => {
-                        return Err(DmarcError::BadTagValue {
-                            tag,
-                            value: value.to_string(),
-                        })
-                    }
+            // "adkim" | "aspf"
+            _ => {
+                let a = if value.eq_ignore_ascii_case("r") {
+                    Alignment::Relaxed
+                } else if value.eq_ignore_ascii_case("s") {
+                    Alignment::Strict
+                } else {
+                    return Err(bad_value());
                 };
                 if tag == "adkim" {
                     record.adkim = a;
@@ -223,7 +231,6 @@ pub fn parse_dmarc(text: &str) -> Result<DmarcRecord, DmarcError> {
                     record.aspf = a;
                 }
             }
-            _ => record.unknown_tags.push((tag, value.to_string())),
         }
     }
     record.policy = policy.ok_or(DmarcError::MissingPolicy)?;
@@ -300,19 +307,13 @@ fn dmarc_lookup(answer: Option<Result<Vec<ResourceRecord>, DnsError>>) -> DmarcL
         Some(Err(_)) => return DmarcLookup::TempError,
         Some(Ok(a)) => a,
     };
-    let texts: Vec<String> = answers
-        .iter()
-        .filter_map(|rr| match &rr.data {
-            RecordData::Txt(t) => {
-                let joined = t.joined();
-                is_dmarc_record(&joined).then_some(joined)
-            }
-            _ => None,
-        })
-        .collect();
-    match texts.first() {
+    let text = answers.iter().find_map(|rr| match &rr.data {
+        RecordData::Txt(t) => Some(t.text()).filter(|text| is_dmarc_record(text)),
+        _ => None,
+    });
+    match text {
         None => DmarcLookup::NotFound,
-        Some(text) => match parse_dmarc(text) {
+        Some(text) => match parse_dmarc(&text) {
             Ok(r) => DmarcLookup::Found(r),
             Err(e) => DmarcLookup::Invalid(e),
         },
@@ -504,6 +505,20 @@ mod tests {
         assert_eq!(
             parse_dmarc("v=spf1 -all"),
             Err(DmarcError::MissingVersionTag)
+        );
+    }
+
+    #[test]
+    fn a_multi_byte_character_in_the_version_tag_is_not_a_tag() {
+        assert!(!is_dmarc_record("v=DMARC\u{e9}; p=none"));
+        assert!(!is_dmarc_record("v=DMARC\u{FFFD}"));
+        assert_eq!(
+            parse_dmarc("p=none; v=DMARC\u{e9}"),
+            Err(DmarcError::MissingVersionTag)
+        );
+        assert_eq!(
+            parse_dmarc("p=none; v=DMARC1"),
+            Err(DmarcError::VersionNotFirst)
         );
     }
 

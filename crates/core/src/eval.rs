@@ -1167,10 +1167,7 @@ pub(crate) fn select_record(
         Err(_) => return Err(FetchFailure::Transient),
     };
     let mut spf_texts = answers.iter().filter_map(|rr| match &rr.data {
-        RecordData::Txt(t) => {
-            let joined = t.joined();
-            parse::is_spf_record(&joined).then_some(joined)
-        }
+        RecordData::Txt(t) => Some(t.text()).filter(|text| parse::is_spf_record(text)),
         _ => None,
     });
     match (spf_texts.next(), spf_texts.count()) {

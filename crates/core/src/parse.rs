@@ -220,14 +220,15 @@ impl ParsedRecord {
 
 /// Does this TXT string *identify* as an SPF record? (RFC 7208 §4.5:
 /// version section is `v=spf1`, terminated by space or end of record;
-/// matching is case-insensitive.)
+/// matching is case-insensitive.) Compares bytes, so a multi-byte
+/// character where the tag should end is a mismatch, not a panic.
 pub fn is_spf_record(text: &str) -> bool {
-    let lower = text.trim_start();
-    if lower.len() < SPF_VERSION_TAG.len() {
-        return false;
-    }
-    let (head, rest) = lower.split_at(SPF_VERSION_TAG.len());
-    head.eq_ignore_ascii_case(SPF_VERSION_TAG) && (rest.is_empty() || rest.starts_with(' '))
+    let bytes = text.trim_start().as_bytes();
+    let tag = SPF_VERSION_TAG.len();
+    bytes
+        .get(..tag)
+        .is_some_and(|head| head.eq_ignore_ascii_case(SPF_VERSION_TAG.as_bytes()))
+        && matches!(bytes.get(tag), None | Some(b' '))
 }
 
 /// Strict parse: the first error aborts. This is what a receiving MTA does
@@ -242,55 +243,70 @@ pub fn parse(text: &str) -> Result<SpfRecord, SyntaxError> {
 
 /// Lenient parse: collect every error, keep the valid terms (the modified
 /// `checkdmarc` behaviour the study's crawler relies on).
+///
+/// The tokenizer works on slices of `text`: names are matched without
+/// case-folding copies, and an owned string is built only for what the
+/// result keeps — a term's argument, an error's or warning's text.
 pub fn parse_lenient(text: &str) -> ParsedRecord {
     let mut errors = Vec::new();
     let mut warnings = Vec::new();
-    let mut terms: Vec<Term> = Vec::new();
 
     let trimmed = text.trim();
     if !is_spf_record(trimmed) {
         errors.push(SyntaxError::MissingVersionTag);
         return ParsedRecord {
-            record: SpfRecord::new(terms),
+            record: SpfRecord::new(Vec::new()),
             errors,
             warnings,
         };
     }
+    // The tag is ASCII, so this slices at a character boundary.
     let body = &trimmed[SPF_VERSION_TAG.len()..];
 
-    // Count v=spf1 tags across the whole text (§5.3: 15.3 % of records with
-    // invalid syntax contain more than one).
-    let tag_count = count_version_tags(trimmed);
+    // One pass sizes the term vector and counts the v=spf1 tags (§5.3:
+    // 15.3 % of records with invalid syntax contain more than one); the
+    // leading tag is the one `is_spf_record` matched.
+    let (mut token_count, mut tag_count) = (0usize, 1usize);
+    for token in Tokens::new(body) {
+        token_count += 1;
+        tag_count += usize::from(token.eq_ignore_ascii_case(SPF_VERSION_TAG));
+    }
     if tag_count > 1 {
         errors.push(SyntaxError::MultipleVersionTags { count: tag_count });
     }
+    let mut terms: Vec<Term> = Vec::with_capacity(token_count + 1 - tag_count);
 
-    let tokens: Vec<&str> = body.split_whitespace().collect();
-    let mut seen_modifiers: Vec<String> = Vec::new();
+    let mut tokens = Tokens::new(body);
+    let (mut seen_redirect, mut seen_exp) = (false, false);
     let mut all_index: Option<usize> = None;
     let mut has_redirect = false;
 
-    let mut i = 0;
-    while i < tokens.len() {
-        let token = tokens[i];
-        i += 1;
+    while let Some(token) = tokens.next() {
         if token.eq_ignore_ascii_case(SPF_VERSION_TAG) {
             continue; // counted above
         }
         match classify_token(token) {
             TokenKind::Modifier { name, value } => {
-                let lname = name.to_ascii_lowercase();
-                if seen_modifiers.contains(&lname) && (lname == "redirect" || lname == "exp") {
-                    warnings.push(ParseWarning::DuplicateModifier {
-                        name: lname.clone(),
-                    });
+                let known = MODIFIER_NAMES
+                    .into_iter()
+                    .find(|known| name.eq_ignore_ascii_case(known));
+                if let Some(lname @ ("redirect" | "exp")) = known {
+                    let seen = if lname == "redirect" {
+                        &mut seen_redirect
+                    } else {
+                        &mut seen_exp
+                    };
+                    if std::mem::replace(seen, true) {
+                        warnings.push(ParseWarning::DuplicateModifier {
+                            name: lname.to_string(),
+                        });
+                    }
                 }
-                seen_modifiers.push(lname.clone());
-                match parse_modifier(&lname, &name, value) {
-                    Ok(Some(m)) => {
+                match parse_modifier(known, name, value) {
+                    Ok(m) => {
                         if matches!(m, Modifier::Unknown { .. }) {
                             warnings.push(ParseWarning::UnknownModifier {
-                                name: lname.clone(),
+                                name: name.to_ascii_lowercase(),
                             });
                         }
                         if matches!(m, Modifier::Redirect { .. }) {
@@ -298,7 +314,6 @@ pub fn parse_lenient(text: &str) -> ParsedRecord {
                         }
                         terms.push(Term::Modifier(m));
                     }
-                    Ok(None) => {}
                     Err(e) => errors.push(e),
                 }
             }
@@ -307,7 +322,8 @@ pub fn parse_lenient(text: &str) -> ParsedRecord {
                 name,
                 argument,
                 cidr_suffix,
-            } => match parse_mechanism(&name, argument, cidr_suffix, &tokens, &mut i) {
+                spec,
+            } => match parse_mechanism(name, argument, cidr_suffix, spec, &mut tokens) {
                 Ok(mech) => {
                     if matches!(mech, Mechanism::Ptr { .. }) {
                         warnings.push(ParseWarning::PtrMechanism);
@@ -350,23 +366,65 @@ pub fn parse_lenient(text: &str) -> ParsedRecord {
     }
 }
 
-fn count_version_tags(text: &str) -> usize {
-    let lower = text.to_ascii_lowercase();
-    lower
-        .split_whitespace()
-        .filter(|t| *t == SPF_VERSION_TAG)
-        .count()
+/// The record's whitespace-separated tokens: what `str::split_whitespace`
+/// yields, found a byte at a time while the text is ASCII (almost every
+/// record) instead of a decoded character at a time.
+#[derive(Clone)]
+struct Tokens<'a> {
+    rest: &'a str,
+}
+
+impl<'a> Tokens<'a> {
+    fn new(text: &'a str) -> Self {
+        Tokens { rest: text }
+    }
+
+    fn peek(&self) -> Option<&'a str> {
+        self.clone().next()
+    }
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = &self.rest[first_where(self.rest, false)..];
+        let (token, rest) = rest.split_at(first_where(rest, true));
+        self.rest = rest;
+        (!token.is_empty()).then_some(token)
+    }
+}
+
+/// The offset of the first character of `s` that is (`whitespace`) or is
+/// not whitespace in `char::is_whitespace`'s sense, or `s.len()`.
+fn first_where(s: &str, whitespace: bool) -> usize {
+    for (i, b) in s.bytes().enumerate() {
+        if !b.is_ascii() {
+            // Every byte before `i` is ASCII, so `i` starts a character.
+            let tail = &s[i..];
+            return i + tail
+                .find(|c: char| c.is_whitespace() == whitespace)
+                .unwrap_or(tail.len());
+        }
+        if matches!(b, b'\t'..=b'\r' | b' ') == whitespace {
+            return i;
+        }
+    }
+    s.len()
 }
 
 enum TokenKind<'a> {
     Directive {
         qualifier: Option<Qualifier>,
-        name: String,
+        name: &'a str,
         argument: Option<&'a str>,
         cidr_suffix: Option<&'a str>,
+        /// Argument and suffix as written, without the `:` — the network
+        /// spec of `ip4`/`ip6`.
+        spec: &'a str,
     },
     Modifier {
-        name: String,
+        name: &'a str,
         value: &'a str,
     },
     Stray(&'a str),
@@ -380,14 +438,13 @@ fn classify_token(token: &str) -> TokenKind<'_> {
         let colon = token.find(':').unwrap_or(usize::MAX);
         if eq < colon {
             let (name, value) = token.split_at(eq);
-            if !name.is_empty()
-                && name.chars().next().unwrap().is_ascii_alphabetic()
+            if name.as_bytes().first().is_some_and(u8::is_ascii_alphabetic)
                 && name
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
+                    .bytes()
+                    .all(|c| c.is_ascii_alphanumeric() || matches!(c, b'-' | b'_' | b'.'))
             {
                 return TokenKind::Modifier {
-                    name: name.to_string(),
+                    name,
                     value: &value[1..],
                 };
             }
@@ -404,30 +461,24 @@ fn classify_token(token: &str) -> TokenKind<'_> {
     }
     // Mechanism name runs until ':' (argument) or '/' (cidr suffix).
     let name_end = rest.find([':', '/']).unwrap_or(rest.len());
-    let name = rest[..name_end].to_string();
-    let after = &rest[name_end..];
-    let (argument, cidr_suffix) = if let Some(arg) = after.strip_prefix(':') {
+    let (name, after) = rest.split_at(name_end);
+    let spec = after.strip_prefix(':').unwrap_or(after);
+    let (argument, cidr_suffix) = if after.starts_with(':') {
         // The argument may itself carry a CIDR suffix; split outside macros.
-        match split_cidr_outside_macros(arg) {
-            (a, None) => (Some(a), None),
-            (a, Some(c)) => (Some(a), Some(c)),
-        }
+        let (a, c) = split_cidr_outside_macros(spec);
+        (Some(a), c)
     } else if after.starts_with('/') {
         (None, Some(after))
     } else {
         (None, None)
     };
-    if name
-        .chars()
-        .next()
-        .map(|c| c.is_ascii_alphabetic())
-        .unwrap_or(false)
-    {
+    if name.as_bytes().first().is_some_and(u8::is_ascii_alphabetic) {
         TokenKind::Directive {
             qualifier,
             name,
             argument,
             cidr_suffix,
+            spec,
         }
     } else {
         TokenKind::Stray(token)
@@ -456,9 +507,18 @@ fn split_cidr_outside_macros(s: &str) -> (&str, Option<&str>) {
     (s, None)
 }
 
-fn parse_modifier(lname: &str, name: &str, value: &str) -> Result<Option<Modifier>, SyntaxError> {
-    match lname {
-        "redirect" | "exp" => {
+/// The modifier names [`parse_modifier`] knows, lower-cased.
+const MODIFIER_NAMES: [&str; 5] = ["redirect", "exp", "ra", "rp", "rr"];
+
+/// Parse one modifier. `known` is its entry in [`MODIFIER_NAMES`], which
+/// errors report in place of the name as written.
+fn parse_modifier(
+    known: Option<&'static str>,
+    name: &str,
+    value: &str,
+) -> Result<Modifier, SyntaxError> {
+    match known {
+        Some(lname @ ("redirect" | "exp")) => {
             if value.is_empty() {
                 return Err(SyntaxError::EmptyModifierValue {
                     name: lname.to_string(),
@@ -468,57 +528,73 @@ fn parse_modifier(lname: &str, name: &str, value: &str) -> Result<Option<Modifie
                 error,
                 term: format!("{lname}={value}"),
             })?;
-            if domain.uses_exp_only_macros() && lname == "redirect" {
+            if lname == "exp" {
+                return Ok(Modifier::Exp { domain });
+            }
+            if domain.uses_exp_only_macros() {
                 return Err(SyntaxError::ExpOnlyMacro {
                     term: format!("{lname}={value}"),
                 });
             }
-            Ok(Some(if lname == "redirect" {
-                Modifier::Redirect { domain }
-            } else {
-                Modifier::Exp { domain }
-            }))
+            Ok(Modifier::Redirect { domain })
         }
-        "ra" => Ok(Some(Modifier::Ra {
+        Some("ra") => Ok(Modifier::Ra {
             mailbox: value.to_string(),
-        })),
-        "rp" => {
+        }),
+        Some("rp") => {
             let percent = value.parse::<u8>().unwrap_or(100).min(100);
-            Ok(Some(Modifier::Rp { percent }))
+            Ok(Modifier::Rp { percent })
         }
-        "rr" => Ok(Some(Modifier::Rr {
+        Some("rr") => Ok(Modifier::Rr {
             tags: value.to_string(),
-        })),
-        _ => Ok(Some(Modifier::Unknown {
+        }),
+        _ => Ok(Modifier::Unknown {
             name: name.to_string(),
             value: value.to_string(),
-        })),
+        }),
     }
 }
 
-/// Parse one mechanism. `next_index` lets the whitespace-after-separator
-/// recovery peek at the following token (`ip4: 1.2.3.4` arrives as two
-/// tokens; we flag the error and *consume* the orphaned argument so it is
-/// not double-reported as a stray token).
+/// The mechanism names [`parse_mechanism`] knows, lower-cased, with the
+/// paper's three most common misspellings (§5.3) last.
+const MECHANISM_NAMES: [&str; 11] = [
+    "all", "include", "exists", "a", "mx", "ptr", "ip4", "ip6", "ipv4", "ipv6", "ip",
+];
+
+/// Parse one mechanism. `spec` is the argument and suffix as one slice.
+/// `tokens` lets the whitespace-after-separator recovery peek at the
+/// following token (`ip4: 1.2.3.4` arrives as two tokens; we flag the
+/// error and *consume* the orphaned argument so it is not double-reported
+/// as a stray token).
 fn parse_mechanism(
     name: &str,
     argument: Option<&str>,
     cidr_suffix: Option<&str>,
-    tokens: &[&str],
-    next_index: &mut usize,
+    spec: &str,
+    tokens: &mut Tokens<'_>,
 ) -> Result<Mechanism, SyntaxError> {
-    let lname = name.to_ascii_lowercase();
-    match lname.as_str() {
+    let Some(lname) = MECHANISM_NAMES
+        .into_iter()
+        .find(|known| name.eq_ignore_ascii_case(known))
+    else {
+        return Err(SyntaxError::UnknownMechanism {
+            name: name.to_string(),
+        });
+    };
+    let mut orphaned = || {
+        consume_orphan_argument(tokens);
+        SyntaxError::WhitespaceAfterSeparator {
+            mechanism: lname.to_string(),
+        }
+    };
+    match lname {
         "all" => Ok(Mechanism::All),
         "include" | "exists" => {
             let arg = match argument {
                 Some(a) if !a.is_empty() => a,
-                _ => {
-                    consume_orphan_argument(tokens, next_index);
-                    return Err(SyntaxError::WhitespaceAfterSeparator { mechanism: lname });
-                }
+                _ => return Err(orphaned()),
             };
-            let domain = parse_domain_spec(arg, &lname)?;
+            let domain = parse_domain_spec(arg, lname)?;
             Ok(if lname == "include" {
                 Mechanism::Include { domain }
             } else {
@@ -528,11 +604,8 @@ fn parse_mechanism(
         "a" | "mx" => {
             let domain = match argument {
                 None => None,
-                Some("") => {
-                    consume_orphan_argument(tokens, next_index);
-                    return Err(SyntaxError::WhitespaceAfterSeparator { mechanism: lname });
-                }
-                Some(a) => Some(parse_domain_spec(a, &lname)?),
+                Some("") => return Err(orphaned()),
+                Some(a) => Some(parse_domain_spec(a, lname)?),
             };
             let cidr = parse_dual_cidr(cidr_suffix)?;
             Ok(if lname == "a" {
@@ -544,90 +617,55 @@ fn parse_mechanism(
         "ptr" => {
             let domain = match argument {
                 None => None,
-                Some("") => {
-                    consume_orphan_argument(tokens, next_index);
-                    return Err(SyntaxError::WhitespaceAfterSeparator { mechanism: lname });
-                }
-                Some(a) => Some(parse_domain_spec(a, &lname)?),
+                Some("") => return Err(orphaned()),
+                Some(a) => Some(parse_domain_spec(a, lname)?),
             };
             Ok(Mechanism::Ptr { domain })
         }
+        // For ip4/ip6 argument and suffix together are the network spec.
         "ip4" => {
-            // Re-join argument and suffix: for ip4 the whole thing is the
-            // network spec.
-            let full = join_arg(argument, cidr_suffix);
-            if full.is_empty() {
-                consume_orphan_argument(tokens, next_index);
-                return Err(SyntaxError::WhitespaceAfterSeparator { mechanism: lname });
+            if spec.is_empty() {
+                return Err(orphaned());
             }
-            match Ipv4Cidr::parse(&full) {
-                Ok(cidr) => Ok(Mechanism::Ip4 { cidr }),
-                Err(error) => Err(SyntaxError::InvalidIp4 {
+            Ipv4Cidr::parse(spec)
+                .map(|cidr| Mechanism::Ip4 { cidr })
+                .map_err(|error| SyntaxError::InvalidIp4 {
                     error,
-                    argument: full,
-                }),
-            }
+                    argument: spec.to_string(),
+                })
         }
         "ip6" => {
-            let full = join_arg(argument, cidr_suffix);
-            if full.is_empty() {
-                consume_orphan_argument(tokens, next_index);
-                return Err(SyntaxError::WhitespaceAfterSeparator { mechanism: lname });
+            if spec.is_empty() {
+                return Err(orphaned());
             }
-            match Ipv6Cidr::parse(&full) {
-                Ok(cidr) => Ok(Mechanism::Ip6 { cidr }),
-                Err(error) => Err(SyntaxError::InvalidIp6 {
+            Ipv6Cidr::parse(spec)
+                .map(|cidr| Mechanism::Ip6 { cidr })
+                .map_err(|error| SyntaxError::InvalidIp6 {
                     error,
-                    argument: full,
-                }),
-            }
+                    argument: spec.to_string(),
+                })
         }
-        // The paper's three most common misspellings (§5.3).
-        "ipv4" => Err(SyntaxError::MisspelledMechanism {
-            written: display_with_arg("ipv4", argument, cidr_suffix),
-            suggestion: "ip4".to_string(),
-        }),
-        "ipv6" => Err(SyntaxError::MisspelledMechanism {
-            written: display_with_arg("ipv6", argument, cidr_suffix),
-            suggestion: "ip6".to_string(),
-        }),
-        "ip" => Err(SyntaxError::MisspelledMechanism {
-            written: display_with_arg("ip", argument, cidr_suffix),
-            suggestion: "ip4".to_string(),
-        }),
-        _ => Err(SyntaxError::UnknownMechanism {
-            name: name.to_string(),
+        misspelled => Err(SyntaxError::MisspelledMechanism {
+            written: if argument.is_some() || cidr_suffix.is_some() {
+                format!("{misspelled}:{spec}")
+            } else {
+                misspelled.to_string()
+            },
+            suggestion: if misspelled == "ipv6" { "ip6" } else { "ip4" }.to_string(),
         }),
     }
-}
-
-fn join_arg(argument: Option<&str>, cidr_suffix: Option<&str>) -> String {
-    let mut s = argument.unwrap_or("").to_string();
-    if let Some(c) = cidr_suffix {
-        s.push_str(c);
-    }
-    s
-}
-
-fn display_with_arg(name: &str, argument: Option<&str>, cidr_suffix: Option<&str>) -> String {
-    let mut s = name.to_string();
-    if argument.is_some() || cidr_suffix.is_some() {
-        s.push(':');
-        s.push_str(&join_arg(argument, cidr_suffix));
-    }
-    s
 }
 
 /// If the token after a bare `mech:` looks like an argument (an IP or a
 /// domain with a dot), swallow it so it is not reported twice.
-fn consume_orphan_argument(tokens: &[&str], next_index: &mut usize) {
-    if let Some(next) = tokens.get(*next_index) {
-        let looks_like_argument = next.contains('.')
+fn consume_orphan_argument(tokens: &mut Tokens<'_>) {
+    let looks_like_argument = tokens.peek().is_some_and(|next| {
+        next.contains('.')
             && !next.contains('=')
-            && Qualifier::from_symbol(next.chars().next().unwrap_or('x')).is_none();
-        if looks_like_argument {
-            *next_index += 1;
-        }
+            && Qualifier::from_symbol(next.chars().next().unwrap_or('x')).is_none()
+    });
+    if looks_like_argument {
+        tokens.next();
     }
 }
 
@@ -699,6 +737,32 @@ mod tests {
         assert!(!is_spf_record("v=spf10 -all"));
         assert!(!is_spf_record("v=DMARC1; p=none"));
         assert!(!is_spf_record("spf1 -all"));
+        // A multi-byte character where the tag ends: `é`, and the U+FFFD
+        // a lossy wire decode makes of a 0xff byte.
+        assert!(!is_spf_record("v=spf\u{e9} -all"));
+        assert!(!is_spf_record("v=spf\u{FFFD}"));
+        assert!(!is_spf_record("v=spf1\u{e9}"));
+        assert_eq!(
+            parse_lenient("v=spf\u{e9} -all").errors,
+            vec![SyntaxError::MissingVersionTag]
+        );
+    }
+
+    #[test]
+    fn tokens_are_split_whitespace_tokens() {
+        for text in [
+            "",
+            "   ",
+            "v=spf1 -all",
+            "  v=spf1\t mx\r\n-all  ",
+            "a\x0Bb\x0Cc",
+            "a\u{85}b\u{A0}c\u{2003}d\u{3000}",
+            "\u{A0}x\u{1680}",
+            "é ip4:1.2.3.4 😀\u{FFFD} \u{1c}x",
+        ] {
+            let expected: Vec<&str> = text.split_whitespace().collect();
+            assert_eq!(Tokens::new(text).collect::<Vec<_>>(), expected, "{text:?}");
+        }
     }
 
     #[test]

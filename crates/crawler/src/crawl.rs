@@ -130,6 +130,39 @@ impl CrawlStats {
             self.cache_hits as f64 / probes as f64
         }
     }
+
+    /// Check the counter laws of a crawl run with `config`; `Err` names
+    /// the broken law and the counters.
+    ///
+    /// * Every domain sits in exactly one claimed batch:
+    ///   `batches == ceil(domains / batch_size)`.
+    /// * A worker holds one batch at a time:
+    ///   `peak_queue_depth <= workers × batch_size`.
+    /// * Every domain probes the walker memo once for its root:
+    ///   `cache_hits + cache_misses >= domains`.
+    ///
+    /// Worker and batch counts are clamped to at least 1, as the pool
+    /// clamps them.
+    pub fn check_conservation(&self, config: &CrawlConfig) -> Result<(), String> {
+        let batch_size = config.batch_size.max(1);
+        let workers = config.workers.max(1);
+        if self.batches != self.domains.div_ceil(batch_size as u64) {
+            return Err(format!(
+                "batches != ceil(domains / batch_size = {batch_size}): {self:?}"
+            ));
+        }
+        if self.peak_queue_depth > workers.saturating_mul(batch_size) {
+            return Err(format!(
+                "peak_queue_depth > workers = {workers} × batch_size = {batch_size}: {self:?}"
+            ));
+        }
+        if self.cache_hits + self.cache_misses < self.domains {
+            return Err(format!(
+                "cache_hits + cache_misses < domains (one root probe each): {self:?}"
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Stats for CrawlStats {
@@ -254,6 +287,19 @@ mod tests {
         DomainName::parse(s).unwrap()
     }
 
+    /// [`crawl`], with the run's counter laws asserted.
+    fn checked_crawl<R: Resolver>(
+        walker: &Walker<R>,
+        domains: &[DomainName],
+        config: CrawlConfig,
+    ) -> CrawlOutput {
+        let out = crawl(walker, domains, config);
+        if let Err(law) = out.stats.check_conservation(&config) {
+            panic!("{law}");
+        }
+        out
+    }
+
     fn build_world(n: usize) -> (Arc<ZoneStore>, Vec<DomainName>) {
         let store = Arc::new(ZoneStore::new());
         // One shared provider plus n customers.
@@ -276,7 +322,7 @@ mod tests {
     fn crawl_preserves_input_order() {
         let (store, domains) = build_world(50);
         let walker = Walker::new(ZoneResolver::new(store));
-        let out = crawl(&walker, &domains, CrawlConfig::with_workers(4));
+        let out = checked_crawl(&walker, &domains, CrawlConfig::with_workers(4));
         assert_eq!(out.reports.len(), 50);
         for (i, r) in out.reports.iter().enumerate() {
             assert_eq!(r.domain, domains[i]);
@@ -288,7 +334,7 @@ mod tests {
         let (store, domains) = build_world(40);
         let run = |workers| {
             let walker = Walker::new(ZoneResolver::new(Arc::clone(&store)));
-            crawl(&walker, &domains, CrawlConfig::with_workers(workers))
+            checked_crawl(&walker, &domains, CrawlConfig::with_workers(workers))
                 .reports
                 .iter()
                 .map(|r| (r.domain.clone(), r.has_spf, r.allowed_ip_count()))
@@ -302,7 +348,7 @@ mod tests {
         let (store, domains) = build_world(40);
         let run = |batch: usize| {
             let walker = Walker::new(ZoneResolver::new(Arc::clone(&store)));
-            crawl(
+            checked_crawl(
                 &walker,
                 &domains,
                 CrawlConfig::with_workers(4).batch_size(batch),
@@ -322,7 +368,7 @@ mod tests {
         let counting = CountingResolver::new(ZoneResolver::new(store));
         let stats = counting.stats();
         let walker = Walker::new(counting);
-        crawl(&walker, &domains, CrawlConfig::with_workers(4));
+        checked_crawl(&walker, &domains, CrawlConfig::with_workers(4));
         let queries = stats.queries.load(std::sync::atomic::Ordering::Relaxed);
         // Per customer: TXT + MX + SPF(99) + _dmarc TXT = 4 queries, plus a
         // handful for the shared provider (racing workers may fetch it more
@@ -335,7 +381,7 @@ mod tests {
         let (store, domains) = build_world(50);
         let walker = Walker::new(ZoneResolver::new(store));
         let config = CrawlConfig::with_workers(2).batch_size(8);
-        let out = crawl(&walker, &domains, config);
+        let out = checked_crawl(&walker, &domains, config);
         let stats = out.stats;
         assert_eq!(stats.domains, 50);
         // Every domain probes the cache at least once (its own root miss),
@@ -369,20 +415,63 @@ mod tests {
     fn stats_are_deltas_not_lifetime_totals() {
         let (store, domains) = build_world(20);
         let walker = Walker::new(ZoneResolver::new(store));
-        let first = crawl(&walker, &domains, CrawlConfig::with_workers(1));
+        let first = checked_crawl(&walker, &domains, CrawlConfig::with_workers(1));
         // A warm second pass over the same walker: every root is already
         // cached, so misses stay at zero for the crawl's delta.
-        let second = crawl(&walker, &domains, CrawlConfig::with_workers(1));
+        let second = checked_crawl(&walker, &domains, CrawlConfig::with_workers(1));
         assert!(first.stats.cache_misses > 0);
         assert_eq!(second.stats.cache_misses, 0);
         assert_eq!(second.stats.cache_hits, 20);
     }
 
     #[test]
+    fn conservation_names_each_broken_law() {
+        let config = CrawlConfig::with_workers(2).batch_size(8);
+        let sound = CrawlStats {
+            domains: 50,
+            elapsed_secs: 0.1,
+            cache_hits: 40,
+            cache_misses: 10,
+            peak_queue_depth: 16,
+            batches: 7,
+        };
+        assert_eq!(sound.check_conservation(&config), Ok(()));
+        let broken = [
+            CrawlStats {
+                batches: 6,
+                ..sound
+            },
+            CrawlStats {
+                peak_queue_depth: 17,
+                ..sound
+            },
+            CrawlStats {
+                cache_hits: 39,
+                ..sound
+            },
+        ];
+        for (stats, law) in broken
+            .iter()
+            .zip(["batches", "peak_queue_depth", "cache_hits"])
+        {
+            let err = stats.check_conservation(&config).unwrap_err();
+            assert!(err.starts_with(law), "{err}");
+        }
+        // A zero worker or batch count is clamped to one, as the pool does.
+        let clamped = CrawlConfig::with_workers(0).batch_size(0);
+        let one_by_one = CrawlStats {
+            batches: 50,
+            peak_queue_depth: 1,
+            ..sound
+        };
+        assert_eq!(one_by_one.check_conservation(&clamped), Ok(()));
+    }
+
+    #[test]
     fn empty_input() {
         let store = Arc::new(ZoneStore::new());
         let walker = Walker::new(ZoneResolver::new(store));
-        let out = crawl(&walker, &[], CrawlConfig::default());
+        let out = checked_crawl(&walker, &[], CrawlConfig::default());
         assert!(out.reports.is_empty());
         assert_eq!(out.stats.domains, 0);
         assert_eq!(out.stats.batches, 0);
@@ -397,7 +486,7 @@ mod tests {
         let (store, domains) = build_world(40);
         let run = |workers: usize| {
             let walker = Walker::new(ZoneResolver::new(Arc::clone(&store)));
-            let out = crawl(
+            let out = checked_crawl(
                 &walker,
                 &domains,
                 CrawlConfig::with_workers(workers).batch_size(4),

@@ -2,6 +2,7 @@
 //! (TXT for SPF/DMARC, the deprecated SPF type 99, A/AAAA, MX, PTR) plus
 //! the glue types (NS, CNAME) a zone needs.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
@@ -141,6 +142,15 @@ impl TxtData {
     /// separator to recover the logical record.
     pub fn joined(&self) -> String {
         self.strings.concat()
+    }
+
+    /// [`TxtData::joined`], borrowed when the record is a single
+    /// character-string — the common case, which then costs no copy.
+    pub fn text(&self) -> Cow<'_, str> {
+        match &*self.strings {
+            [one] => Cow::Borrowed(one),
+            many => Cow::Owned(many.concat()),
+        }
     }
 
     /// Build from wire-decoded strings without the 255-octet assertion:

@@ -36,7 +36,7 @@ use serde::Serialize;
 use spf_analyzer::{CacheKey, DEFAULT_CACHE_SHARDS};
 use spf_core::{BudgetKey, CompiledPolicy, FetchedRecord, SubtreeVerdict, VerdictCache};
 use spf_dns::Clock;
-use spf_types::{DomainHashBuilder, DomainName};
+use spf_types::{stripe_index, DomainHashBuilder, DomainName};
 
 /// Capacity / striping / expiry policy for a [`TtlLru`].
 #[derive(Debug, Clone)]
@@ -229,8 +229,7 @@ impl<K: CacheKey, V: Clone> TtlLru<K, V> {
     }
 
     fn stripe(&self, key: &K) -> &Mutex<Stripe<K, V>> {
-        let idx = (key.shard_hash() % self.stripes.len() as u64) as usize;
-        &self.stripes[idx]
+        &self.stripes[stripe_index(key.shard_hash(), self.stripes.len())]
     }
 
     /// Probe for a live entry. An expired resident is removed, counted

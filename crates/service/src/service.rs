@@ -1311,4 +1311,23 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn a_multi_byte_character_in_a_version_tag_does_not_kill_the_worker() {
+        // `é` straddles the byte where `v=spf1` would end. The record is
+        // not SPF, so the verdict is `none` — and the only worker there
+        // is answers the next query too.
+        for config in [
+            ServiceConfig::with_workers(1),
+            ServiceConfig::with_workers(1).cache(None),
+        ] {
+            let mut lab = Lab::new(config);
+            lab.store
+                .add_txt(&dom("garbled.example"), "v=spf\u{e9} -all");
+            lab.ask(Transport::Udp, "garbled.example", IN_RANGE, false);
+            lab.ask(Transport::Udp, "static.example", IN_RANGE, false);
+            let telemetry = lab.finish();
+            assert_eq!(telemetry.served, 2, "{telemetry:?}");
+        }
+    }
 }

@@ -183,10 +183,8 @@ impl Reply {
     /// Parse "250 OK" style lines.
     pub fn parse(line: &str) -> Option<Reply> {
         let trimmed = line.trim_end_matches(['\r', '\n']);
-        if trimmed.len() < 3 {
-            return None;
-        }
-        let code: u16 = trimmed[..3].parse().ok()?;
+        // `get` declines a cut inside a multi-byte character.
+        let code: u16 = trimmed.get(..3)?.parse().ok()?;
         let text = trimmed[3..].trim_start_matches([' ', '-']).to_string();
         Some(Reply { code, text })
     }
@@ -284,5 +282,15 @@ mod tests {
         assert_eq!(r.code, 550);
         assert!(!r.is_positive());
         assert!(Reply::parse("xx").is_none());
+    }
+
+    #[test]
+    fn reply_with_a_multi_byte_character_in_its_code_is_rejected() {
+        assert!(Reply::parse("ab\u{20ac} hi").is_none());
+        assert!(Reply::parse("25\u{e9} OK").is_none());
+        assert_eq!(
+            Reply::parse("250 \u{e9}t\u{e9}").unwrap().text,
+            "\u{e9}t\u{e9}"
+        );
     }
 }

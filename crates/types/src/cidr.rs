@@ -200,6 +200,10 @@ impl FromStr for Ipv4Cidr {
 /// Parse a dotted-quad IPv4 address with the paper's error taxonomy,
 /// rejecting everything `std`'s lenient-ish parser would mask.
 pub fn parse_ipv4_strict(input: &str) -> Result<Ipv4Addr, Ip4ParseError> {
+    if let Some(octets) = dotted_quad(input.as_bytes()) {
+        return Ok(Ipv4Addr::from(octets));
+    }
+    // Not a well-formed address: find which of the paper's classes.
     if input.is_empty() {
         return Err(Ip4ParseError::NoIp);
     }
@@ -212,25 +216,50 @@ pub fn parse_ipv4_strict(input: &str) -> Result<Ipv4Addr, Ip4ParseError> {
         }
         return Err(Ip4ParseError::DomainInsteadOfIp);
     }
-    let parts: Vec<&str> = input.split('.').collect();
-    let all_numeric = parts
-        .iter()
-        .all(|p| !p.is_empty() && p.chars().all(|c| c.is_ascii_digit()));
-    if !all_numeric {
+    let numeric = |p: &str| !p.is_empty() && p.bytes().all(|c| c.is_ascii_digit());
+    if !input.split('.').all(numeric) {
         return Err(Ip4ParseError::DomainInsteadOfIp);
     }
-    if parts.len() != 4 {
-        return Err(Ip4ParseError::WrongOctetCount {
-            octets: parts.len(),
-        });
+    let parts = input.split('.').count();
+    if parts != 4 {
+        return Err(Ip4ParseError::WrongOctetCount { octets: parts });
     }
     let mut octets = [0u8; 4];
-    for (i, part) in parts.iter().enumerate() {
-        octets[i] = part.parse::<u8>().map_err(|_| Ip4ParseError::BadOctet {
-            octet: (*part).to_string(),
+    for (octet, part) in octets.iter_mut().zip(input.split('.')) {
+        *octet = part.parse::<u8>().map_err(|_| Ip4ParseError::BadOctet {
+            octet: part.to_string(),
         })?;
     }
     Ok(Ipv4Addr::from(octets))
+}
+
+/// Four runs of decimal digits joined by dots, each at most 255 — read
+/// in one pass. `None` for anything else, which [`parse_ipv4_strict`]
+/// then classifies.
+fn dotted_quad(input: &[u8]) -> Option<[u8; 4]> {
+    let mut octets = [0u8; 4];
+    let (mut index, mut value, mut digits) = (0, 0u32, 0);
+    for &b in input {
+        match b {
+            b'0'..=b'9' => {
+                value = value * 10 + u32::from(b - b'0');
+                digits += 1;
+                if value > 255 {
+                    return None;
+                }
+            }
+            b'.' if digits > 0 && index < 3 => {
+                octets[index] = value as u8;
+                (index, value, digits) = (index + 1, 0, 0);
+            }
+            _ => return None,
+        }
+    }
+    if digits == 0 || index != 3 {
+        return None;
+    }
+    octets[3] = value as u8;
+    Some(octets)
 }
 
 /// Errors raised while parsing an IPv6 CIDR.

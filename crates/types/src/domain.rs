@@ -161,13 +161,33 @@ impl Hasher for DomainHasher {
 /// `BuildHasher` for [`DomainHasher`], deterministic across runs.
 pub type DomainHashBuilder = std::hash::BuildHasherDefault<DomainHasher>;
 
+/// The stripe, of `stripes`, that a key with deterministic hash `hash`
+/// lives in — for lock-striped maps whose stripes are
+/// [`DomainHasher`]-keyed hash maps.
+///
+/// `hash % stripes` would hand each stripe keys that agree in their low
+/// bits, and [`DomainHasher::write_u64`]'s multiply keeps low bits, so
+/// inside a stripe those keys would share their home buckets. The high
+/// half of the hash is folded into the low half first: a stripe's keys
+/// then differ in their low bits wherever their high halves differ. A
+/// hash below 2³² (a small test key) keeps its `% stripes` placement.
+///
+/// ```
+/// use spf_types::stripe_index;
+/// assert_eq!(stripe_index(3, 4), 3);
+/// assert_eq!(stripe_index(1 << 32, 4), 1);
+/// assert_eq!(stripe_index(u64::MAX, 1), 0);
+/// ```
+pub fn stripe_index(hash: u64, stripes: usize) -> usize {
+    ((hash ^ (hash >> 32)) % stripes as u64) as usize
+}
+
 impl DomainName {
     /// Wrap an already-normalized (lowercase, no root dot) name.
-    fn intern(normalized: String) -> Self {
-        let hash = fnv1a(normalized.as_bytes());
+    fn intern(normalized: &str) -> Self {
         DomainName {
             name: Arc::from(normalized),
-            hash,
+            hash: fnv1a(normalized.as_bytes()),
         }
     }
     /// Parse and validate a domain name from presentation format.
@@ -184,17 +204,45 @@ impl DomainName {
                 name_len: trimmed.len(),
             });
         }
-        let mut normalized = String::with_capacity(trimmed.len());
-        for (i, label) in trimmed.split('.').enumerate() {
-            if i > 0 {
-                normalized.push('.');
+        // One pass hashes the lower-cased name and checks every label
+        // against the rules of `validate_label`; only a name that fails
+        // is walked again, label by label, for the error to report.
+        let bytes = trimmed.as_bytes();
+        let label_fits = |l: &[u8]| {
+            !l.is_empty() && l.len() <= MAX_LABEL_LEN && l[0] != b'-' && l[l.len() - 1] != b'-'
+        };
+        let (mut hash, mut valid, mut upper, mut label_start) = (FNV_OFFSET, true, false, 0);
+        for (i, &b) in bytes.iter().enumerate() {
+            if b == b'.' {
+                valid &= label_fits(&bytes[label_start..i]);
+                label_start = i + 1;
+            } else {
+                valid &= b.is_ascii_alphanumeric() || b == b'-' || b == b'_';
+                upper |= b.is_ascii_uppercase();
             }
-            Self::validate_label(label)?;
-            for ch in label.chars() {
-                normalized.push(ch.to_ascii_lowercase());
+            hash = (hash ^ u64::from(b.to_ascii_lowercase())).wrapping_mul(FNV_PRIME);
+        }
+        if !(valid && label_fits(&bytes[label_start..])) {
+            for label in trimmed.split('.') {
+                Self::validate_label(label)?;
             }
         }
-        Ok(Self::intern(normalized))
+        // A valid name is ASCII. Lower-case input, the common case, is
+        // shared as it stands; anything else is folded on the stack.
+        let mut folded;
+        let name = if upper {
+            folded = [0u8; MAX_NAME_LEN];
+            let folded = &mut folded[..bytes.len()];
+            folded.copy_from_slice(bytes);
+            folded.make_ascii_lowercase();
+            std::str::from_utf8(folded).expect("a valid name is ASCII")
+        } else {
+            trimmed
+        };
+        Ok(DomainName {
+            name: Arc::from(name),
+            hash,
+        })
     }
 
     /// Parse a domain name from raw bytes, surfacing UTF-8 failures as the
@@ -205,33 +253,35 @@ impl DomainName {
     }
 
     fn validate_label(label: &str) -> Result<(), DomainError> {
-        if label.is_empty() {
-            return Err(DomainError::EmptyLabel);
-        }
-        if label.len() > MAX_LABEL_LEN {
-            return Err(DomainError::LabelTooLong {
-                label_len: label.len(),
-            });
-        }
-        if label.starts_with('-') || label.ends_with('-') {
-            return Err(DomainError::BadHyphen);
-        }
-        for ch in label.chars() {
-            if !(ch.is_ascii_alphanumeric() || ch == '-' || ch == '_') {
-                if !ch.is_ascii() {
-                    return Err(DomainError::InvalidUtf8);
-                }
-                return Err(DomainError::InvalidCharacter { character: ch });
+        let bytes = label.as_bytes();
+        match bytes {
+            [] => return Err(DomainError::EmptyLabel),
+            _ if bytes.len() > MAX_LABEL_LEN => {
+                return Err(DomainError::LabelTooLong {
+                    label_len: bytes.len(),
+                })
             }
+            [b'-', ..] | [.., b'-'] => return Err(DomainError::BadHyphen),
+            _ => {}
         }
-        Ok(())
+        let valid = |b: &u8| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_');
+        match bytes.iter().position(|b| !valid(b)) {
+            None => Ok(()),
+            // Every byte before `i` is ASCII, so `i` starts a character.
+            Some(i) => match label[i..].chars().next() {
+                Some(character) if character.is_ascii() => {
+                    Err(DomainError::InvalidCharacter { character })
+                }
+                _ => Err(DomainError::InvalidUtf8),
+            },
+        }
     }
 
     /// Construct without validation; used by generators that build names from
     /// already-validated parts. Panics in debug builds if invalid.
     pub fn from_validated(name: String) -> Self {
         debug_assert!(DomainName::parse(&name).is_ok(), "invalid: {name}");
-        Self::intern(name.to_ascii_lowercase())
+        Self::intern(&name.to_ascii_lowercase())
     }
 
     /// The hash computed once at construction (64-bit FNV-1a of the
@@ -261,7 +311,7 @@ impl DomainName {
     /// for a single-label (TLD-level) name.
     pub fn parent(&self) -> Option<DomainName> {
         let idx = self.name.find('.')?;
-        Some(Self::intern(self.name[idx + 1..].to_string()))
+        Some(Self::intern(&self.name[idx + 1..]))
     }
 
     /// True if `self` equals `other` or is a subdomain of it.
@@ -285,12 +335,18 @@ impl DomainName {
     /// Prepend a label: `"mail"` + `example.com` → `mail.example.com`.
     pub fn prepend_label(&self, label: &str) -> Result<DomainName, DomainError> {
         Self::validate_label(label)?;
-        let candidate = format!("{}.{}", label.to_ascii_lowercase(), self.name);
-        if candidate.len() > MAX_NAME_LEN {
-            return Err(DomainError::NameTooLong {
-                name_len: candidate.len(),
-            });
+        let name_len = label.len() + 1 + self.name.len();
+        if name_len > MAX_NAME_LEN {
+            return Err(DomainError::NameTooLong { name_len });
         }
+        // Assembled on the stack: the shared text is the one allocation.
+        let mut buf = [0u8; MAX_NAME_LEN];
+        let (head, tail) = buf[..name_len].split_at_mut(label.len());
+        head.copy_from_slice(label.as_bytes());
+        head.make_ascii_lowercase();
+        tail[0] = b'.';
+        tail[1..].copy_from_slice(self.name.as_bytes());
+        let candidate = std::str::from_utf8(&buf[..name_len]).expect("validated labels are ASCII");
         Ok(Self::intern(candidate))
     }
 
@@ -531,6 +587,43 @@ mod tests {
         let mut set = HashSet::new();
         set.insert(DomainName::parse("EXAMPLE.com").unwrap());
         assert!(set.contains(&DomainName::parse("example.COM").unwrap()));
+    }
+
+    #[test]
+    fn a_stripes_names_spread_over_its_home_buckets() {
+        // 16 stripes, each a map whose home bucket is the low 4 bits of
+        // the `DomainHasher` output. A stripe picked by `hash % 16` would
+        // put all of its names in one bucket.
+        let home_buckets = |in_stripe: &dyn Fn(u64) -> bool| {
+            let mut buckets = std::collections::HashSet::new();
+            for i in 0..4_000 {
+                let name = DomainName::parse(&format!("customer{i}.example")).unwrap();
+                if in_stripe(name.precomputed_hash()) {
+                    let mut hasher = DomainHasher::default();
+                    name.hash(&mut hasher);
+                    buckets.insert(hasher.finish() % 16);
+                }
+            }
+            buckets.len()
+        };
+        assert_eq!(home_buckets(&|h| h % 16 == 0), 1);
+        assert_eq!(home_buckets(&|h| stripe_index(h, 16) == 0), 16);
+    }
+
+    #[test]
+    fn prepend_and_parse_build_the_same_name() {
+        let base = DomainName::parse("Example.COM").unwrap();
+        let prefixed = base.prepend_label("_DMARC").unwrap();
+        assert_eq!(prefixed, DomainName::parse("_dmarc.example.com").unwrap());
+        assert_eq!(prefixed.as_str(), "_dmarc.example.com");
+        let long = DomainName::parse(&"a".repeat(63)).unwrap();
+        let long = long.prepend_label(&"b".repeat(63)).unwrap();
+        let long = long.prepend_label(&"c".repeat(63)).unwrap();
+        assert_eq!(long.len(), 191);
+        assert!(matches!(
+            long.prepend_label(&"d".repeat(63)),
+            Err(DomainError::NameTooLong { name_len: 255 })
+        ));
     }
 
     #[test]

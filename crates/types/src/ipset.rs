@@ -77,7 +77,10 @@ impl Ipv4Set {
 
     /// Union with another set, in place.
     pub fn union_with(&mut self, other: &Ipv4Set) {
-        if other.ranges.len() > 4 && self.ranges.len() > 4 {
+        if self.ranges.is_empty() {
+            // Both sides are canonical, so the union is `other` itself.
+            self.ranges.clone_from(&other.ranges);
+        } else if other.ranges.len() > 4 && self.ranges.len() > 4 {
             // Merge-sort both range lists then coalesce in one pass; cheaper
             // than repeated splicing for the big provider sets.
             self.ranges = interval::union_merge(&self.ranges, &other.ranges);

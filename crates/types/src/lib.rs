@@ -33,7 +33,8 @@ mod term;
 pub use backend::{Backend, BackendParseError, Evaluator, Transport, DEFAULT_WIRE_SERVERS};
 pub use cidr::{parse_ipv4_strict, DualCidr, Ip4ParseError, Ip6ParseError, Ipv4Cidr, Ipv6Cidr};
 pub use domain::{
-    DomainError, DomainHashBuilder, DomainHasher, DomainName, MAX_LABEL_LEN, MAX_NAME_LEN,
+    stripe_index, DomainError, DomainHashBuilder, DomainHasher, DomainName, MAX_LABEL_LEN,
+    MAX_NAME_LEN,
 };
 pub use ipset::Ipv4Set;
 pub use ipv6set::Ipv6Set;

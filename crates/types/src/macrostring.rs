@@ -249,6 +249,12 @@ impl MacroString {
         if input.is_empty() {
             return Err(MacroError::Empty);
         }
+        // Almost every spec in the wild is a plain name: one literal
+        // token, its text copied once at its exact length.
+        if input.bytes().all(|b| matches!(b, b'!'..=b'~') && b != b'%') {
+            let literal = MacroToken::Literal(input.to_string());
+            return Ok(Self::from_tokens(vec![literal]));
+        }
         let mut tokens = Vec::new();
         let mut literal = String::new();
         let mut chars = input.chars().peekable();

@@ -31,9 +31,12 @@ cargo build --release
 # step runs the same list): a verdict-identity or
 # residue-classification regression fails here in seconds instead of
 # minutes into the full pass (compiler_stress, the socket-level grid,
-# rides inside the full `cargo test` below).
+# rides inside the full `cargo test` below). parse_identity pins the
+# SPF parser's output byte for byte; alloc_budget holds the record read
+# path to its allocation budget.
 echo "== [build-and-test] differential suites"
 cargo test -q --test proptest_compiler --test rfc_conformance --test proptest_auth
+cargo test -q --test parse_identity --test alloc_budget
 cargo test -q -p spf-core --lib
 cargo test -q -p spf-types --lib
 

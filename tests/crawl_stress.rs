@@ -22,11 +22,11 @@ fn crawl_with(
         WalkPolicy::default(),
         shards,
     );
-    let out = crawl(
-        &walker,
-        &population.domains,
-        CrawlConfig::with_workers(workers).batch_size(batch),
-    );
+    let config = CrawlConfig::with_workers(workers).batch_size(batch);
+    let out = crawl(&walker, &population.domains, config);
+    if let Err(law) = out.stats.check_conservation(&config) {
+        panic!("workers={workers} shards={shards} batch={batch}: {law}");
+    }
     (out.reports, out.stats)
 }
 
