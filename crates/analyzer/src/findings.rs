@@ -249,7 +249,7 @@ mod tests {
     /// A resolver that records every question it is asked.
     struct Recording {
         inner: ZoneResolver,
-        asked: parking_lot::Mutex<Vec<Question>>,
+        asked: std::sync::Mutex<Vec<Question>>,
     }
 
     impl Resolver for Recording {
@@ -258,7 +258,10 @@ mod tests {
             name: &DomainName,
             rtype: RecordType,
         ) -> Result<Vec<spf_dns::ResourceRecord>, spf_dns::DnsError> {
-            self.asked.lock().push(Question::new(name.clone(), rtype));
+            self.asked
+                .lock()
+                .unwrap()
+                .push(Question::new(name.clone(), rtype));
             self.inner.query(name, rtype)
         }
     }
@@ -266,12 +269,12 @@ mod tests {
     fn recording(store: &Arc<ZoneStore>) -> Walker<Recording> {
         Walker::new(Recording {
             inner: ZoneResolver::new(Arc::clone(store)),
-            asked: parking_lot::Mutex::new(Vec::new()),
+            asked: std::sync::Mutex::new(Vec::new()),
         })
     }
 
     fn asked(walker: &Walker<Recording>) -> Vec<Question> {
-        std::mem::take(&mut *walker.resolver().asked.lock())
+        std::mem::take(&mut *walker.resolver().asked.lock().unwrap())
     }
 
     #[test]

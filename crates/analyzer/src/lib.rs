@@ -8,9 +8,8 @@
 //! Section 7 recommendations used by the notification campaign.
 //!
 //! * [`taxonomy`] — the Figure 2 error classes and Figure 3 sub-causes;
-//! * [`walker`] — the memoizing recursive record walker;
-//! * [`cache`] — the walker's lock-striped memo cache (shard selection,
-//!   hit/miss counters, the crawl's scalability hot path);
+//! * [`walker`] — the memoizing recursive record walker (its memo is
+//!   [`spf_types::ShardedCache`]);
 //! * [`findings`] — per-domain reports (SPF + MX + DMARC + type-99);
 //! * [`mod@flatten`] — record flattening, the standard fix for
 //!   lookup-limit violations;
@@ -19,14 +18,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod findings;
 pub mod flatten;
 pub mod recommend;
 pub mod taxonomy;
 pub mod walker;
 
-pub use cache::{CacheKey, CacheStats, ShardedCache, DEFAULT_CACHE_SHARDS};
 pub use findings::{analyze_domain, DomainReport, LAX_IP_THRESHOLD};
 pub use flatten::{flatten, FlattenProblem, Flattened};
 pub use recommend::{recommend, Recommendation, Severity};

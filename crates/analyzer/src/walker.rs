@@ -15,11 +15,10 @@ use serde::{Deserialize, Serialize};
 use spf_core::parse::{self, ParsedRecord};
 use spf_dns::{DnsError, RecordData, RecordType, Resolver, ResourceRecord};
 use spf_types::{
-    DomainName, Ipv4Cidr, Ipv4Set, MacroString, Mechanism, Modifier, SpfRecord, Term,
-    MAX_DNS_LOOKUPS, MAX_VOID_LOOKUPS,
+    CacheStats, DomainName, Ipv4Cidr, Ipv4Set, MacroString, Mechanism, Modifier, ShardedCache,
+    SpfRecord, Term, MAX_DNS_LOOKUPS, MAX_VOID_LOOKUPS,
 };
 
-use crate::cache::{CacheStats, ShardedCache, DEFAULT_CACHE_SHARDS};
 use crate::taxonomy::{AnalysisError, ErrorClass, NotFoundCause};
 
 /// Walker limits (defaults mirror RFC 7208 §4.6.4).
@@ -147,8 +146,8 @@ impl RecordAnalysis {
     }
 }
 
-/// The analyzer: a resolver plus a sharded memo cache of per-domain
-/// analyses (see [`crate::cache`] for the cache's invariants).
+/// The analyzer: a resolver plus a memo of per-domain analyses (see
+/// [`ShardedCache`] for the memo's invariants).
 pub struct Walker<R> {
     resolver: R,
     policy: WalkPolicy,
@@ -156,24 +155,17 @@ pub struct Walker<R> {
 }
 
 impl<R: Resolver> Walker<R> {
-    /// Create a walker over `resolver` with default limits and the default
-    /// cache stripe count ([`DEFAULT_CACHE_SHARDS`]).
+    /// Create a walker over `resolver` with default limits.
     pub fn new(resolver: R) -> Self {
-        Self::with_shards(resolver, WalkPolicy::default(), DEFAULT_CACHE_SHARDS)
+        Self::with_policy(resolver, WalkPolicy::default())
     }
 
     /// Create a walker with explicit limits.
     pub fn with_policy(resolver: R, policy: WalkPolicy) -> Self {
-        Self::with_shards(resolver, policy, DEFAULT_CACHE_SHARDS)
-    }
-
-    /// Create a walker with explicit limits and memo-cache stripe count
-    /// (clamped to at least 1; 1 reproduces the old single-lock cache).
-    pub fn with_shards(resolver: R, policy: WalkPolicy, shards: usize) -> Self {
         Walker {
             resolver,
             policy,
-            cache: ShardedCache::new(shards),
+            cache: ShardedCache::new(),
         }
     }
 
@@ -252,19 +244,9 @@ impl<R: Resolver> Walker<R> {
         self.cache.len()
     }
 
-    /// Number of memo-cache stripes.
-    pub fn shard_count(&self) -> usize {
-        self.cache.shard_count()
-    }
-
-    /// Hit/miss/entry counters summed over all cache shards.
+    /// Hit/miss/entry counters of the memo.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Hit/miss/entry counters for each cache shard, in shard order.
-    pub fn shard_cache_stats(&self) -> Vec<CacheStats> {
-        self.cache.shard_stats()
     }
 
     /// Drop all cached analyses (used between scan rounds so a rescan sees
@@ -1056,11 +1038,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_counters_sum_to_unsharded_totals() {
-        // The same single-threaded workload against a 1-shard (the old
-        // single-lock layout) and a 16-shard cache must produce identical
-        // aggregate hit/miss counts — striping moves probes between locks,
-        // it never changes what is probed.
+    fn memo_misses_once_per_unique_domain() {
+        // Single-threaded, every domain is computed once: one miss per
+        // unique domain walked, a hit for every later probe of it.
         let s = Arc::new(ZoneStore::new());
         s.add_txt(&dom("provider.example"), "v=spf1 ip4:198.51.100.0/24 -all");
         s.add_txt(
@@ -1075,35 +1055,19 @@ mod tests {
             };
             s.add_txt(&dom(&format!("c{i}.example")), &rec);
         }
-        let run = |shards: usize| {
-            let w = Walker::with_shards(
-                ZoneResolver::new(Arc::clone(&s)),
-                WalkPolicy::default(),
-                shards,
-            );
-            for i in 0..30 {
-                w.analyze(&dom(&format!("c{i}.example")));
-            }
-            (w.cache_stats(), w.shard_cache_stats())
-        };
-        let (unsharded, _) = run(1);
-        let (aggregate, per_shard) = run(16);
-        assert_eq!(aggregate.hits, unsharded.hits);
-        assert_eq!(aggregate.misses, unsharded.misses);
-        assert_eq!(aggregate.entries, unsharded.entries);
-        assert!(aggregate.hits > 0 && aggregate.misses > 0);
-        // The per-shard counters partition the aggregate exactly.
-        assert_eq!(per_shard.len(), 16);
-        assert_eq!(
-            per_shard.iter().map(|s| s.hits).sum::<u64>(),
-            aggregate.hits
-        );
-        assert_eq!(
-            per_shard.iter().map(|s| s.misses).sum::<u64>(),
-            aggregate.misses
-        );
-        // And more than one shard actually took traffic.
-        assert!(per_shard.iter().filter(|s| s.hits + s.misses > 0).count() > 1);
+        let w = walker(&s);
+        for i in 0..30 {
+            w.analyze(&dom(&format!("c{i}.example")));
+        }
+        // 30 roots + provider + nested missed once each; the 31 include
+        // probes (10 + 20 from roots, 1 from nested) took 29 hits.
+        let stats = w.cache_stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (32, 29, 32));
+        for i in 0..30 {
+            w.analyze(&dom(&format!("c{i}.example")));
+        }
+        let again = w.cache_stats();
+        assert_eq!((again.misses, again.hits, again.entries), (32, 59, 32));
     }
 
     #[test]

@@ -39,17 +39,16 @@
 //! churn — DMARC never influences SPF evaluation. Any memo of the
 //! *stacked* outcome, however, must fold the non-SPF layers into its
 //! key, or a DMARC/MTA-STS record change would be served stale through
-//! a still-valid SPF memo. [`stack_fingerprint`] is that key component;
-//! the verdict service and the matrix-v2 row memo both use it.
+//! a still-valid SPF memo. [`stack_fingerprint`] is that key component.
+//! No cache holds a stacked outcome today: the matrix memoizes the
+//! layers per domain in an [`AuthCache`], and the verdict service in a
+//! TTL memo beside its SPF verdicts.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 use spf_dns::{DnsError, RecordData, RecordType, Resolver};
-use spf_types::{stripe_index, DomainName};
+use spf_types::{DomainName, ShardedCache};
 
 use crate::compile::CompiledPolicy;
 use crate::context::{EvalContext, SpfResult};
@@ -423,24 +422,20 @@ impl AuthOutcome {
     }
 }
 
-/// Number of lock stripes in the [`AuthCache`]; matches the sharded
-/// caches elsewhere in the workspace.
-const AUTH_CACHE_SHARDS: usize = 16;
-
-/// A lock-striped per-domain memo for the DMARC and MTA-STS layers.
+/// A per-domain memo for the DMARC and MTA-STS layers over a frozen
+/// zone: two keep-first [`ShardedCache`]s.
 ///
 /// DMARC and MTA-STS facts are per *victim domain* while the matrix
 /// evaluates per `(vantage, victim)` pair, so without this memo every
 /// extra vantage re-pays the `_dmarc` (and fallback) lookups. Hit
-/// rates feed `repro spoof-matrix --stack` and the service telemetry.
-#[derive(Debug)]
+/// rates feed `repro spoof-matrix --stack`. Nothing expires: a caller
+/// whose zone moves drops the cache or [`invalidate`](AuthCache::invalidate)s
+/// the domain (the verdict service, whose zone is live, keeps its layers
+/// in a TTL memo instead).
+#[derive(Default)]
 pub struct AuthCache {
-    dmarc: Vec<Mutex<HashMap<DomainName, DmarcDisposition>>>,
-    sts: Vec<Mutex<HashMap<DomainName, MtaStsMode>>>,
-    dmarc_hits: AtomicU64,
-    dmarc_misses: AtomicU64,
-    sts_hits: AtomicU64,
-    sts_misses: AtomicU64,
+    dmarc: ShardedCache<DmarcDisposition>,
+    sts: ShardedCache<MtaStsMode>,
 }
 
 /// Counter snapshot from an [`AuthCache`].
@@ -468,31 +463,18 @@ impl AuthCacheStats {
     }
 }
 
-impl Default for AuthCache {
-    fn default() -> Self {
-        Self::new()
+impl fmt::Debug for AuthCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AuthCache")
+            .field("stats", &self.stats())
+            .finish_non_exhaustive()
     }
 }
 
 impl AuthCache {
     /// An empty cache.
     pub fn new() -> AuthCache {
-        AuthCache {
-            dmarc: (0..AUTH_CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            sts: (0..AUTH_CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            dmarc_hits: AtomicU64::new(0),
-            dmarc_misses: AtomicU64::new(0),
-            sts_hits: AtomicU64::new(0),
-            sts_misses: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(domain: &DomainName) -> usize {
-        stripe_index(domain.precomputed_hash(), AUTH_CACHE_SHARDS)
+        AuthCache::default()
     }
 
     /// The domain's DMARC disposition, querying through `resolver` on a
@@ -502,59 +484,57 @@ impl AuthCache {
         resolver: &R,
         domain: &DomainName,
     ) -> DmarcDisposition {
-        let shard = &self.dmarc[Self::shard(domain)];
-        if let Some(hit) = shard.lock().expect("auth cache lock").get(domain) {
-            self.dmarc_hits.fetch_add(1, Ordering::Relaxed);
-            return *hit;
-        }
         // Query outside the lock: the worst case is a duplicated lookup
         // racing another worker, never a lock held across the wire.
-        let fresh = DmarcDisposition::from_lookup(&query_dmarc(resolver, domain));
-        self.dmarc_misses.fetch_add(1, Ordering::Relaxed);
-        shard
-            .lock()
-            .expect("auth cache lock")
-            .insert(domain.clone(), fresh);
-        fresh
+        self.dmarc.get(domain).unwrap_or_else(|| {
+            let fresh = DmarcDisposition::from_lookup(&query_dmarc(resolver, domain));
+            self.dmarc.insert_if_absent(domain, fresh)
+        })
     }
 
     /// The domain's MTA-STS mode, querying through `resolver` on a miss.
     pub fn mta_sts<R: Resolver + ?Sized>(&self, resolver: &R, domain: &DomainName) -> MtaStsMode {
-        let shard = &self.sts[Self::shard(domain)];
-        if let Some(hit) = shard.lock().expect("auth cache lock").get(domain) {
-            self.sts_hits.fetch_add(1, Ordering::Relaxed);
-            return *hit;
-        }
-        let fresh = query_mta_sts(resolver, domain);
-        self.sts_misses.fetch_add(1, Ordering::Relaxed);
-        shard
-            .lock()
-            .expect("auth cache lock")
-            .insert(domain.clone(), fresh);
-        fresh
+        self.sts.get(domain).unwrap_or_else(|| {
+            self.sts
+                .insert_if_absent(domain, query_mta_sts(resolver, domain))
+        })
     }
 
-    /// Drop every memoized domain (churn invalidation), keeping the
+    /// Drop `domain`'s memoized layers (churn invalidation), keeping the
     /// counters.
     pub fn invalidate(&self, domain: &DomainName) {
-        self.dmarc[Self::shard(domain)]
-            .lock()
-            .expect("auth cache lock")
-            .remove(domain);
-        self.sts[Self::shard(domain)]
-            .lock()
-            .expect("auth cache lock")
-            .remove(domain);
+        self.dmarc.remove(domain);
+        self.sts.remove(domain);
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> AuthCacheStats {
+        let (dmarc, sts) = (self.dmarc.stats(), self.sts.stats());
         AuthCacheStats {
-            dmarc_hits: self.dmarc_hits.load(Ordering::Relaxed),
-            dmarc_misses: self.dmarc_misses.load(Ordering::Relaxed),
-            sts_hits: self.sts_hits.load(Ordering::Relaxed),
-            sts_misses: self.sts_misses.load(Ordering::Relaxed),
+            dmarc_hits: dmarc.hits,
+            dmarc_misses: dmarc.misses,
+            sts_hits: sts.hits,
+            sts_misses: sts.misses,
         }
+    }
+}
+
+/// The domain's DMARC disposition and MTA-STS mode — through `cache`
+/// when given, straight from `resolver` otherwise.
+pub fn auth_layers<R: Resolver + ?Sized>(
+    resolver: &R,
+    domain: &DomainName,
+    cache: Option<&AuthCache>,
+) -> (DmarcDisposition, MtaStsMode) {
+    match cache {
+        Some(cache) => (
+            cache.dmarc(resolver, domain),
+            cache.mta_sts(resolver, domain),
+        ),
+        None => (
+            DmarcDisposition::from_lookup(&query_dmarc(resolver, domain)),
+            query_mta_sts(resolver, domain),
+        ),
     }
 }
 
@@ -582,16 +562,7 @@ pub fn evaluate_auth<R: Resolver + ?Sized>(
             None => check_host(resolver, ctx, domain, policy),
         },
     };
-    let (dmarc, mta_sts) = match auth_cache {
-        Some(cache) => (
-            cache.dmarc(resolver, domain),
-            cache.mta_sts(resolver, domain),
-        ),
-        None => (
-            DmarcDisposition::from_lookup(&query_dmarc(resolver, domain)),
-            query_mta_sts(resolver, domain),
-        ),
-    };
+    let (dmarc, mta_sts) = auth_layers(resolver, domain, auth_cache);
     AuthOutcome::compose(spf, dmarc, mta_sts)
 }
 

@@ -45,16 +45,15 @@
 //! other entry takes the direct walk, which is therefore the fallback,
 //! not a second engine.
 
-use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
 use serde::Serialize;
 use spf_dns::{DnsError, RecordData, RecordType, Resolver, ResourceRecord};
 use spf_types::{
-    DomainHashBuilder, DomainName, DualCidr, Ipv4Cidr, Ipv4Set, Ipv6Cidr, Ipv6Set, MacroLetter,
-    MacroString, MacroToken, Mechanism, SpfRecord, StatItem, Term,
+    DomainName, DualCidr, Ipv4Cidr, Ipv4Set, Ipv6Cidr, Ipv6Set, MacroLetter, MacroString,
+    MacroToken, Mechanism, ShardedCache, SpfRecord, StatItem, Term,
 };
 
 use crate::context::{EvalContext, SpfResult};
@@ -387,15 +386,6 @@ impl CompiledPolicy {
         v4.chain(v6)
     }
 
-    /// IPv4 addresses answered from the tables (out of 2³²).
-    pub fn v4_compiled_addresses(&self) -> u64 {
-        self.v4
-            .iter()
-            .filter(|e| e.idx != RESIDUE_IDX)
-            .map(|e| u64::from(e.hi) - u64::from(e.lo) + 1)
-            .sum()
-    }
-
     /// Panic unless both tables are sorted, disjoint, and cover their
     /// entire address space exactly — the structural invariant the
     /// differential suites assert before trusting any timing.
@@ -579,7 +569,7 @@ trait AddressFamily {
     /// The set's ranges as sortable keys.
     fn ranges(set: &Self::Set) -> Vec<(Self::Key, Self::Key)>;
     /// This family's half of a [`SubtreeMemo`].
-    fn subtrees(memo: &SubtreeMemo) -> &SubtreeMap<Self::Set>;
+    fn subtrees(memo: &SubtreeMemo) -> &ShardedCache<Arc<Subtree<Self::Set>>>;
 }
 
 struct V4;
@@ -632,7 +622,7 @@ impl AddressFamily for V4 {
     fn ranges(set: &Ipv4Set) -> Vec<(u32, u32)> {
         set.iter_ranges_u32().collect()
     }
-    fn subtrees(memo: &SubtreeMemo) -> &SubtreeMap<Ipv4Set> {
+    fn subtrees(memo: &SubtreeMemo) -> &ShardedCache<Arc<Subtree<Ipv4Set>>> {
         &memo.v4
     }
 }
@@ -686,7 +676,7 @@ impl AddressFamily for V6 {
             .map(|(lo, hi)| (u128::from(lo), u128::from(hi)))
             .collect()
     }
-    fn subtrees(memo: &SubtreeMemo) -> &SubtreeMap<Ipv6Set> {
+    fn subtrees(memo: &SubtreeMemo) -> &ShardedCache<Arc<Subtree<Ipv6Set>>> {
         &memo.v6
     }
 }
@@ -773,12 +763,9 @@ struct Subtree<S> {
     steps: usize,
 }
 
-type SubtreeMap<S> = RwLock<HashMap<DomainName, Arc<Subtree<S>>, DomainHashBuilder>>;
-
-const MEMO_POISONED: &str = "a thread panicked inserting into the subtree memo";
-
 /// An insert-only memo of include/redirect targets compiled standalone,
-/// one table per address family, for [`compile_policy_shared`].
+/// one keep-first [`ShardedCache`] per address family, for
+/// [`compile_policy_shared`].
 ///
 /// A subtree is a function of the zone and the [`CompileConfig`] alone,
 /// so a memo serves exactly the zone it read, at the time it read it.
@@ -791,8 +778,8 @@ const MEMO_POISONED: &str = "a thread panicked inserting into the subtree memo";
 pub struct SubtreeMemo {
     /// The config of the first compile; a different one bypasses the memo.
     config: OnceLock<CompileConfig>,
-    v4: SubtreeMap<Ipv4Set>,
-    v6: SubtreeMap<Ipv6Set>,
+    v4: ShardedCache<Arc<Subtree<Ipv4Set>>>,
+    v6: ShardedCache<Arc<Subtree<Ipv6Set>>>,
     lookups: AtomicU64,
     compiles: AtomicU64,
     composed: AtomicU64,
@@ -993,8 +980,8 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
     fn subtree(&mut self, target: &DomainName) -> Option<Arc<Subtree<F::Set>>> {
         let shared = self.shared.as_mut()?;
         let memo = shared.memo;
-        if let Some(hit) = F::subtrees(memo).read().expect(MEMO_POISONED).get(target) {
-            return Some(Arc::clone(hit));
+        if let Some(hit) = F::subtrees(memo).get(target) {
+            return Some(hit);
         }
         if shared.building.contains(target) || shared.builds_left == 0 {
             return None;
@@ -1041,8 +1028,7 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
             queries: sym.queries,
             steps: sym.steps,
         });
-        let mut map = F::subtrees(memo).write().expect(MEMO_POISONED);
-        Some(Arc::clone(map.entry(target.clone()).or_insert(built)))
+        Some(F::subtrees(memo).insert_if_absent(target, built))
     }
 
     /// Whether entering `subtree` at `depth` with `stack` and `groups`

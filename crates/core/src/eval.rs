@@ -20,6 +20,7 @@
 //!   evaluator behaves, and why the *analyzer* (which explores the whole
 //!   record) reports more lookup-limit errors than live mail flow sees.
 
+use std::hash::{Hash, Hasher};
 use std::net::IpAddr;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -27,8 +28,8 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 use spf_dns::{DnsError, RecordData, RecordType, Resolver, ResourceRecord};
 use spf_types::{
-    DomainName, DualCidr, Ipv4Cidr, Ipv6Cidr, MacroString, Mechanism, Modifier, Qualifier,
-    SpfRecord, Term, MAX_DNS_LOOKUPS, MAX_VOID_LOOKUPS,
+    CacheKey, DomainHasher, DomainName, DualCidr, Ipv4Cidr, Ipv6Cidr, MacroString, Mechanism,
+    Modifier, Qualifier, SpfRecord, Term, MAX_DNS_LOOKUPS, MAX_VOID_LOOKUPS,
 };
 
 use crate::context::{EvalContext, SpfResult};
@@ -206,6 +207,29 @@ pub struct BudgetKey {
     pub depth_left: usize,
 }
 
+/// The `(domain, ip, budget)` key a [`VerdictCache`] memoizes subtree
+/// verdicts under (see [`BudgetKey`] for why the budget is part of it).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct VerdictKey {
+    /// The include/redirect target (or root) the verdict is for.
+    pub domain: DomainName,
+    /// The sender address it was evaluated for.
+    pub ip: IpAddr,
+    /// The budget left at subtree entry.
+    pub budget: BudgetKey,
+}
+
+impl CacheKey for VerdictKey {
+    fn shard_hash(&self) -> u64 {
+        // The domain's precomputed FNV and the ip/budget words all flow
+        // through DomainHasher: one deterministic mixer for map and
+        // stripe placement alike.
+        let mut hasher = DomainHasher::default();
+        self.hash(&mut hasher);
+        hasher.finish()
+    }
+}
+
 /// A memoized include/redirect subtree evaluation: everything
 /// `check_host()` needs to replay the subtree without touching the
 /// resolver, with *byte-identical* observable effects.
@@ -276,7 +300,7 @@ pub struct SubtreeVerdict {
 /// reason.
 ///
 /// The spoofability matrix engine (`spf-crawler`) implements this over
-/// the analyzer's lock-striped `ShardedCache` so include-heavy
+/// the keep-first [`spf_types::ShardedCache`] so include-heavy
 /// populations evaluate each shared provider subtree once per vantage
 /// instead of once per customer.
 pub trait VerdictCache: Send + Sync {

@@ -28,8 +28,9 @@ pub mod macroexpand;
 pub mod parse;
 
 pub use auth::{
-    evaluate_auth, query_mta_sts, stack_fingerprint, stop_layer, AuthCache, AuthCacheStats,
-    AuthOutcome, DeploymentMix, DmarcDisposition, MtaStsMode, StopCounts, StopLayer,
+    auth_layers, evaluate_auth, query_mta_sts, stack_fingerprint, stop_layer, AuthCache,
+    AuthCacheStats, AuthOutcome, DeploymentMix, DmarcDisposition, MtaStsMode, StopCounts,
+    StopLayer,
 };
 pub use compile::{
     compile_policy, compile_policy_shared, Compilability, CompileConfig, CompiledPolicy,
@@ -43,7 +44,7 @@ pub use dmarc::{
 pub use eval::{
     check_host, check_host_cached, check_host_dyn, check_host_root, BudgetKey, EvalPolicy,
     EvalProblem, Evaluation, FetchedRecord, LookupAccounting, RecordNotFoundCause, RootRecord,
-    SubtreeVerdict, VerdictCache,
+    SubtreeVerdict, VerdictCache, VerdictKey,
 };
 pub use header::received_spf_header;
 pub use macroexpand::{expand, expand_domain, ExpandError};

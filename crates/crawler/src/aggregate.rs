@@ -229,12 +229,6 @@ impl ScanAggregates {
     pub fn lax_rate(&self) -> f64 {
         self.lax_domains as f64 / self.with_spf.max(1) as f64
     }
-
-    /// Share of SPF domains with errors (2.9 % of all domains in the
-    /// paper; they report it over all domains, so expose both).
-    pub fn error_rate_over_all(&self) -> f64 {
-        self.total_errors() as f64 / self.total_domains.max(1) as f64
-    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! The study distributed DNS requests across 150 rate-limited servers and
 //! deduplicated work through a record cache. Here a pool of worker threads
 //! claims rank-indexed *batches* of domains and runs the full per-domain
-//! analysis; the [`Walker`]'s sharded memo cache is shared across workers,
+//! analysis; the [`Walker`]'s memo is shared across workers,
 //! so each provider include is resolved exactly once no matter how many
 //! customers reference it.
 //!
@@ -13,7 +13,7 @@
 //! most `workers × batch_size` domains and synchronization is paid once
 //! per batch instead of once per domain. Results are placed by rank into a
 //! preallocated slot table as they arrive, so reports come back in input
-//! order and are bit-identical for every worker/shard/batch configuration
+//! order and are bit-identical for every worker/batch configuration
 //! (each report is a deterministic function of the zone alone).
 
 use std::time::{Duration, Instant};
@@ -206,8 +206,8 @@ pub struct CrawlOutput {
 ///
 /// Reports come back in input order, so the caller can treat the index as
 /// the Tranco rank (the top-1M cut of Table 1 is `&reports[..1_000_000]`).
-/// The report vector is bit-identical across every `workers`/`batch_size`/
-/// cache-shard configuration.
+/// The report vector is bit-identical across every `workers`/`batch_size`
+/// configuration.
 pub fn crawl<R: Resolver>(
     walker: &Walker<R>,
     domains: &[DomainName],

@@ -20,7 +20,7 @@
 //! The engine is sharded at both ends of the hot path (DESIGN.md §3):
 //!
 //! * **One analysis per include.** All workers share one walker whose
-//!   lock-striped memo cache ([`spf_analyzer::cache`]) guarantees each
+//!   keep-first memo ([`spf_types::ShardedCache`]) guarantees each
 //!   unique domain's subtree is analyzed once and then served as an `Arc`
 //!   handle — the paper's record-cache trick across 150 query endpoints.
 //! * **Bounded dispatch memory.** Workers claim
@@ -32,7 +32,7 @@
 //! * **Rank-order determinism.** Reports land in a preallocated slot table
 //!   indexed by Tranco rank; because every per-domain analysis is a pure
 //!   function of the zone, the report vector is bit-identical across all
-//!   worker / cache-shard / batch-size configurations (asserted by the
+//!   worker / batch-size configurations (asserted by the
 //!   `crawl_stress` suite).
 
 #![forbid(unsafe_code)]

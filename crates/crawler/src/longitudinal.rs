@@ -33,13 +33,12 @@
 //! shards are deep copies that do not see later zone mutations.
 
 use std::collections::HashMap;
-use std::net::Ipv4Addr;
 use std::sync::Mutex;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 use spf_analyzer::{DomainReport, Walker};
-use spf_core::{CompilerStats, SpfResult};
+use spf_core::CompilerStats;
 use spf_dns::Resolver;
 use spf_types::{CoverageMap, DomainHashBuilder, DomainName, WeightedRanges};
 
@@ -511,7 +510,7 @@ fn evaluate_rows<R: Resolver>(
 ) -> Vec<DomainMatrixRow> {
     let cache = config
         .use_cache
-        .then(|| SpoofVerdictCache::new(config.cache_shards));
+        .then(SpoofVerdictCache::with_default_shards);
     let mut rows: Vec<Option<DomainMatrixRow>> = vec![None; domains.len()];
     pool::run(
         domains,
@@ -543,20 +542,6 @@ fn evaluate_rows<R: Resolver>(
     rows.into_iter()
         .map(|r| r.expect("every rank evaluated"))
         .collect()
-}
-
-/// Convenience for trend rendering: the most-covered address of a
-/// weighted profile, if any.
-pub fn max_coverage_point(weighted: &WeightedRanges) -> Option<(Ipv4Addr, u64)> {
-    weighted.max_coverage()
-}
-
-/// Count pass verdicts in a matrix row (handy for tests).
-pub fn row_pass_count(row: &DomainMatrixRow) -> usize {
-    row.cells
-        .iter()
-        .filter(|c| c.result == SpfResult::Pass)
-        .count()
 }
 
 #[cfg(test)]

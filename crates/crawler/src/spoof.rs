@@ -23,8 +23,8 @@
 //!
 //! Include-heavy populations would re-walk each shared provider subtree
 //! once per customer per vantage; [`SpoofVerdictCache`] memoizes subtree
-//! verdicts in the analyzer's lock-striped [`ShardedCache`], keyed by
-//! `(domain precomputed-hash, vantage, remaining budget)` — the exact
+//! verdicts in the keep-first [`ShardedCache`], keyed by
+//! [`VerdictKey`] `(domain, vantage, remaining budget)` — the exact
 //! purity domain `spf_core::eval` guarantees, so cached and uncached
 //! matrices serialize byte-identically (`tests/auth_matrix_stress.rs`
 //! and the proptests pin this; the `matrix-cached` workload measures it).
@@ -34,7 +34,7 @@
 //! Every [`SpoofMatrix`] field is a sum of per-domain facts that are
 //! pure functions of `(zone, domain, vantage)`, merged commutatively
 //! from per-worker accumulators — so the serialized report is identical
-//! across worker counts, batch sizes, cache shard counts, cache on/off,
+//! across worker counts, batch sizes, cache on/off,
 //! and resolver substrates (in-memory vs wire under zero faults). The
 //! reference every engine configuration is checked against is the
 //! *bare-row fold*: [`evaluate_matrix_row`] with no cache and no
@@ -55,15 +55,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
-use spf_analyzer::{CacheKey, CacheStats, ShardedCache, DEFAULT_CACHE_SHARDS};
 use spf_core::{
-    check_host, check_host_root, compile_policy, compile_policy_shared, query_mta_sts, stop_layer,
+    auth_layers, check_host, check_host_root, compile_policy, compile_policy_shared, stop_layer,
     AuthCache, AuthCacheStats, BudgetKey, CompileConfig, CompilerStats, DeploymentMix,
     DmarcDisposition, EvalContext, EvalPolicy, Evaluation, FetchedRecord, MtaStsMode, RootRecord,
     SpfResult, StopCounts, StopLayer, SubtreeMemo, SubtreeMemoStats, SubtreeVerdict, VerdictCache,
+    VerdictKey,
 };
 use spf_dns::Resolver;
-use spf_types::{DomainName, WeightedRanges};
+use spf_types::{CacheStats, DomainName, ShardedCache, WeightedRanges};
 
 use crate::crawl::DEFAULT_BATCH_SIZE;
 use crate::pool;
@@ -222,29 +222,8 @@ pub fn select_vantages(
     vantages
 }
 
-/// The verdict-cache key: domain × vantage × remaining budget (see
-/// [`spf_core::BudgetKey`] for why the budget is part of it).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct VerdictKey {
-    domain: DomainName,
-    ip: IpAddr,
-    budget: BudgetKey,
-}
-
-impl CacheKey for VerdictKey {
-    fn shard_hash(&self) -> u64 {
-        // The canonical deterministic mixer: DomainName's component
-        // feeds its precomputed FNV through write_u64, the ip/budget
-        // words follow through the same hasher — one mixing
-        // implementation for map and stripe placement alike.
-        let mut hasher = spf_types::DomainHasher::default();
-        std::hash::Hash::hash(self, &mut hasher);
-        std::hash::Hasher::finish(&hasher)
-    }
-}
-
-/// The engine's lock-striped subtree-verdict memo: the analyzer's
-/// [`ShardedCache`] under a `(domain, ip, budget)` key, implementing
+/// The engine's subtree-verdict memo: a keep-first [`ShardedCache`]
+/// under a [`VerdictKey`], implementing
 /// [`spf_core::VerdictCache`] so `check_host_cached` can share provider
 /// subtrees across every customer that includes them, and a second one
 /// keyed by domain for the records those subtrees read — and, for the
@@ -262,21 +241,16 @@ pub struct SpoofVerdictCache {
 }
 
 impl SpoofVerdictCache {
-    /// A cache with `shards` stripes (clamped to at least 1).
-    pub fn new(shards: usize) -> Self {
+    /// An empty cache.
+    pub fn with_default_shards() -> Self {
         SpoofVerdictCache {
-            inner: ShardedCache::new(shards),
-            records: ShardedCache::new(shards),
+            inner: ShardedCache::new(),
+            records: ShardedCache::new(),
             subtrees: SubtreeMemo::new(),
         }
     }
 
-    /// A cache with the analyzer's default stripe count.
-    pub fn with_default_shards() -> Self {
-        Self::new(DEFAULT_CACHE_SHARDS)
-    }
-
-    /// Hit/miss/entry counters summed over all stripes.
+    /// Verdict-memo hit/miss/entry counters.
     pub fn stats(&self) -> CacheStats {
         self.inner.stats()
     }
@@ -295,11 +269,6 @@ impl SpoofVerdictCache {
     /// True when nothing is memoized yet.
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
-    }
-
-    /// Number of stripes.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shard_count()
     }
 }
 
@@ -357,8 +326,6 @@ pub struct SpoofMatrixConfig {
     pub batch_size: usize,
     /// Whether the shared subtree-verdict cache is consulted.
     pub use_cache: bool,
-    /// Verdict-cache stripe count (ignored when `use_cache` is false).
-    pub cache_shards: usize,
     /// Whether each domain's tree is compiled to an interval matcher
     /// first, answering vantages from the tables and falling back to the
     /// (cached) evaluator only for residual regions. The matrix stays
@@ -375,7 +342,6 @@ impl Default for SpoofMatrixConfig {
             workers: 8,
             batch_size: DEFAULT_BATCH_SIZE,
             use_cache: true,
-            cache_shards: DEFAULT_CACHE_SHARDS,
             use_compiled: false,
             policy: EvalPolicy::default(),
         }
@@ -400,12 +366,6 @@ impl SpoofMatrixConfig {
     /// Builder-style override of [`SpoofMatrixConfig::use_cache`].
     pub fn cached(mut self, use_cache: bool) -> Self {
         self.use_cache = use_cache;
-        self
-    }
-
-    /// Builder-style override of [`SpoofMatrixConfig::cache_shards`].
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards;
         self
     }
 
@@ -904,7 +864,7 @@ fn tier_index(tier: DeploymentMix) -> usize {
 /// — and layers per-vantage / per-tier stop histograms plus the
 /// residual spoofable set on top.
 /// Every field is a commutative sum of [`AuthMatrixRow`]s, preserving
-/// the determinism contract across workers, batches, shards, caches,
+/// the determinism contract across workers, batches, caches,
 /// and resolver substrates.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AuthMatrix {
@@ -1077,16 +1037,7 @@ pub fn evaluate_auth_row<R: Resolver>(
         use_compiled,
         compiler,
     );
-    let (dmarc, mta_sts) = match auth_cache {
-        Some(cache) => (
-            cache.dmarc(resolver, domain),
-            cache.mta_sts(resolver, domain),
-        ),
-        None => (
-            DmarcDisposition::from_lookup(&spf_core::query_dmarc(resolver, domain)),
-            query_mta_sts(resolver, domain),
-        ),
-    };
+    let (dmarc, mta_sts) = auth_layers(resolver, domain, auth_cache);
     let tier = DeploymentMix::classify(spf.has_record, &dmarc, mta_sts);
     let stops = spf
         .cells
@@ -1140,7 +1091,7 @@ pub fn auth_matrix_with_cache<R: Resolver>(
     let started = Instant::now();
     let cache = config
         .use_cache
-        .then(|| SpoofVerdictCache::new(config.cache_shards));
+        .then(SpoofVerdictCache::with_default_shards);
 
     let new_tally = || AuthWorkerTally {
         matrix: AuthMatrix::empty(0, vantages),
@@ -1328,13 +1279,11 @@ mod tests {
         };
         let reference = run(SpoofMatrixConfig::with_workers(1).cached(false));
         for workers in [1usize, 4] {
-            for shards in [1usize, 16] {
-                assert_eq!(
-                    reference,
-                    run(SpoofMatrixConfig::with_workers(workers).cache_shards(shards)),
-                    "diverged at workers={workers} shards={shards}"
-                );
-            }
+            assert_eq!(
+                reference,
+                run(SpoofMatrixConfig::with_workers(workers)),
+                "diverged at workers={workers}"
+            );
         }
         assert_eq!(
             reference,

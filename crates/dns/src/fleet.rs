@@ -292,13 +292,8 @@ impl WireFleet {
         Ok(WireFleet { servers })
     }
 
-    /// Number of server shards.
-    pub fn shard_count(&self) -> usize {
-        self.servers.len()
-    }
-
     /// The shard addresses, in routing order (index `i` serves names with
-    /// `precomputed_hash() % shard_count == i`).
+    /// `precomputed_hash() % shards == i`).
     pub fn addrs(&self) -> Vec<SocketAddr> {
         self.servers.iter().map(|s| s.addr()).collect()
     }
@@ -510,11 +505,6 @@ impl WireResolver {
                 .collect(),
         );
         self
-    }
-
-    /// Number of server shards this resolver routes across.
-    pub fn shard_count(&self) -> usize {
-        self.servers.len()
     }
 
     /// The shard index `name` routes to.

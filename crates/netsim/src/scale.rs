@@ -43,12 +43,6 @@ impl Scale {
         }
     }
 
-    /// Approximate number of domains a population at this scale generates
-    /// (the paper's 12,823,598 divided by the denominator, half-up).
-    pub fn approx_domains(&self) -> u64 {
-        self.of(crate::population::TOTAL_DOMAINS_FULL)
-    }
-
     /// Round a single full-scale count to this scale (half-up).
     pub fn of(&self, full: u64) -> u64 {
         (full + self.denominator / 2) / self.denominator
@@ -129,9 +123,11 @@ mod tests {
 
     #[test]
     fn presets_and_approx_domains() {
-        assert_eq!(Scale::stress().approx_domains(), 25_647);
-        assert_eq!(Scale::quick_bench().approx_domains(), 641);
-        assert_eq!(Scale::full().approx_domains(), 12_823_598);
+        // The paper's 12,823,598 domains divided by the denominator, half-up.
+        let domains = |scale: Scale| scale.of(crate::population::TOTAL_DOMAINS_FULL);
+        assert_eq!(domains(Scale::stress()), 25_647);
+        assert_eq!(domains(Scale::quick_bench()), 641);
+        assert_eq!(domains(Scale::full()), 12_823_598);
     }
 
     #[test]

@@ -56,17 +56,6 @@ pub fn degraded_shard(shards: usize, victim: usize, latency: Duration) -> Vec<Sh
     behaviors
 }
 
-/// Uniform added latency on every shard (a far-away fleet), no faults.
-pub fn uniform_latency(shards: usize, latency: Duration) -> Vec<ShardBehavior> {
-    vec![
-        ShardBehavior {
-            fault: FaultProfile::none(),
-            latency,
-        };
-        shards.max(1)
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,12 +86,8 @@ mod tests {
     }
 
     #[test]
-    fn lossy_and_latency_apply_uniformly() {
+    fn lossy_applies_uniformly() {
         let lossy = lossy(3, 0.05);
         assert!(lossy.iter().all(|s| (s.fault.timeout - 0.05).abs() < 1e-12));
-        let slow = uniform_latency(3, Duration::from_millis(10));
-        assert!(slow
-            .iter()
-            .all(|s| s.latency == Duration::from_millis(10) && s.fault == FaultProfile::none()));
     }
 }

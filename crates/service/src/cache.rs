@@ -10,7 +10,8 @@
 //!   (the service's analogue of DNS record TTLs; `VirtualClock` makes the
 //!   policy testable without wall-clock sleeps).
 //! * **LRU eviction** per stripe: capacity is divided across the same
-//!   deterministic [`CacheKey`] stripes the analyzer cache uses, and each
+//!   deterministic [`CacheKey`] stripes the keep-first
+//!   [`ShardedCache`](spf_types::ShardedCache) uses, and each
 //!   stripe evicts its least-recently-probed entry at capacity, so hot
 //!   domains stay resident under cold-miss floods.
 //!
@@ -33,10 +34,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use serde::Serialize;
-use spf_analyzer::{CacheKey, DEFAULT_CACHE_SHARDS};
-use spf_core::{BudgetKey, CompiledPolicy, FetchedRecord, SubtreeVerdict, VerdictCache};
-use spf_dns::Clock;
-use spf_types::{stripe_index, DomainHashBuilder, DomainName};
+use spf_core::{
+    auth_layers, AuthCacheStats, BudgetKey, CompiledPolicy, DmarcDisposition, FetchedRecord,
+    MtaStsMode, SubtreeVerdict, VerdictCache, VerdictKey,
+};
+use spf_dns::{Clock, Resolver};
+use spf_types::{stripe_index, CacheKey, DomainHashBuilder, DomainName, DEFAULT_CACHE_SHARDS};
 
 /// Capacity / striping / expiry policy for a [`TtlLru`].
 #[derive(Debug, Clone)]
@@ -281,10 +284,11 @@ impl<K: CacheKey, V: Clone> TtlLru<K, V> {
     }
 
     /// Admit `value` under `key`. A live resident entry wins (keep-first,
-    /// mirroring the analyzer cache: concurrent computations of the same
-    /// key produce identical values, so the race is benign); a stale
-    /// resident is expired and replaced; at capacity the stripe's least
-    /// recently probed entry is evicted first.
+    /// mirroring [`ShardedCache`](spf_types::ShardedCache): concurrent
+    /// computations of the same key produce identical values, so the
+    /// race is benign); a stale resident is expired and replaced; at
+    /// capacity the stripe's least recently probed entry is evicted
+    /// first.
     pub fn insert(&self, key: K, value: V) {
         let now = self.clock.now();
         self.admit(key, value, now, now);
@@ -406,28 +410,10 @@ impl<K: CacheKey, V: Clone> TtlLru<K, V> {
     }
 }
 
-/// The `(domain, ip, budget)` key `check_host_cached` memoizes on (see
-/// [`spf_core::BudgetKey`] for why the budget participates).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct VerdictKey {
-    domain: DomainName,
-    ip: IpAddr,
-    budget: BudgetKey,
-}
-
-impl CacheKey for VerdictKey {
-    fn shard_hash(&self) -> u64 {
-        // Same deterministic mixer as the crawler's verdict memo: the
-        // domain's precomputed FNV and the ip/budget words all flow
-        // through DomainHasher, so stripe placement is reproducible.
-        let mut hasher = spf_types::DomainHasher::default();
-        std::hash::Hash::hash(self, &mut hasher);
-        std::hash::Hasher::finish(&hasher)
-    }
-}
-
 /// The service's [`VerdictCache`]: a [`TtlLru`] over subtree verdicts
-/// and a second one, on the same config and clock, over fetched records.
+/// and two more on the same config and clock, over fetched records and
+/// over each domain's DMARC and MTA-STS layers (what a stacked query
+/// adds to its SPF verdict).
 ///
 /// Layering note: `check_host_cached` consults this memo for whole
 /// subtree verdicts, so one query's work populates entries every later
@@ -440,19 +426,48 @@ impl CacheKey for VerdictKey {
 /// only bounds *staleness* relative to zone mutation. A verdict built
 /// from memoized entries expires one TTL after the oldest of them was
 /// read ([`TtlLru::insert_as_of`]), so nothing served is older than one
-/// TTL.
+/// TTL. The layers are read live on a miss and expire a TTL later, like
+/// the verdicts, so a `_dmarc` change shows within one TTL too.
 pub struct ServiceVerdictCache {
     inner: TtlLru<VerdictKey, Arc<SubtreeVerdict>>,
     records: TtlLru<DomainName, Arc<FetchedRecord>>,
+    layers: TtlLru<DomainName, (DmarcDisposition, MtaStsMode)>,
 }
 
 impl ServiceVerdictCache {
-    /// Build the verdict and record memos with `config`'s policy on
-    /// `clock`.
+    /// Build the verdict, record and layer memos with `config`'s policy
+    /// on `clock`.
     pub fn new(config: TtlLruConfig, clock: Arc<dyn Clock>) -> ServiceVerdictCache {
         ServiceVerdictCache {
             inner: TtlLru::new(config.clone(), Arc::clone(&clock)),
-            records: TtlLru::new(config, clock),
+            records: TtlLru::new(config.clone(), Arc::clone(&clock)),
+            layers: TtlLru::new(config, clock),
+        }
+    }
+
+    /// `domain`'s DMARC disposition and MTA-STS mode, read through
+    /// `resolver` on a miss or once the memoized pair is a TTL old.
+    pub fn layers<R: Resolver + ?Sized>(
+        &self,
+        resolver: &R,
+        domain: &DomainName,
+    ) -> (DmarcDisposition, MtaStsMode) {
+        self.layers.get(domain).unwrap_or_else(|| {
+            let fresh = auth_layers(resolver, domain, None);
+            self.layers.insert(domain.clone(), fresh);
+            fresh
+        })
+    }
+
+    /// Layer-memo counters in the frozen-zone [`AuthCacheStats`] shape:
+    /// one probe reads both layers, so each counts it.
+    pub fn layer_stats(&self) -> AuthCacheStats {
+        let layers = self.layers.stats();
+        AuthCacheStats {
+            dmarc_hits: layers.hits,
+            dmarc_misses: layers.misses,
+            sts_hits: layers.hits,
+            sts_misses: layers.misses,
         }
     }
 
@@ -472,9 +487,10 @@ impl ServiceVerdictCache {
     }
 
     /// Drop every memoized verdict involving `domain` — all `(domain,
-    /// ip, budget)` keys — and its memoized record, so a churned domain
-    /// is never served a verdict computed against the old zone, even
-    /// before its TTL expires. Returns how many verdicts were dropped.
+    /// ip, budget)` keys — and its memoized record and layers, so a
+    /// churned domain is never served a verdict computed against the old
+    /// zone, even before its TTL expires. Returns how many verdicts were
+    /// dropped.
     ///
     /// Scope note: this removes the entries keyed *at* `domain`, which
     /// is exactly right under the churn locality contract (a delta
@@ -483,6 +499,7 @@ impl ServiceVerdictCache {
     /// each affected root (or simply not be modeled as a churn delta).
     pub fn invalidate_domain(&self, domain: &DomainName) -> u64 {
         self.records.invalidate(domain);
+        self.layers.invalidate(domain);
         self.inner.invalidate_where(|key| key.domain == *domain)
     }
 
@@ -696,7 +713,7 @@ mod tests {
         assert!(stats.is_consistent());
     }
 
-    /// The shard-counter-sum pin (the analyzer cache carries its twin):
+    /// The shard-counter-sum pin (`ShardedCache` carries its twin):
     /// under genuinely concurrent probes, inserts, expirations, and
     /// evictions, the per-stripe counters — mutated only inside each
     /// stripe's lock, in the same critical section as the map — must

@@ -61,7 +61,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{self, TrySendError};
 use serde::Serialize;
 use spf_core::{
-    check_host, check_host_cached, compile_policy_shared, AuthCache, AuthCacheStats, AuthOutcome,
+    auth_layers, check_host, check_host_cached, compile_policy_shared, AuthCacheStats, AuthOutcome,
     CompileConfig, CompiledPolicy, CompilerStats, EvalContext, EvalPolicy, Evaluation, SubtreeMemo,
     SubtreeMemoStats,
 };
@@ -227,7 +227,8 @@ pub struct ServiceTelemetry {
     /// Memo generations so far (0 without a compiled backend).
     pub generations: u64,
     /// DMARC/MTA-STS layer-memo counters (only stacked queries touch
-    /// the memo, so all-zero means no client asked for the stack).
+    /// the memo, so all-zero means no client asked for the stack, or
+    /// the service has no verdict memo).
     pub auth_cache: AuthCacheStats,
     /// Decode-to-reply latency distribution: from the frame decoding
     /// into a query to its reply being written (listener) or sent
@@ -562,7 +563,6 @@ struct Shared {
     policy: EvalPolicy,
     cache: Option<ServiceVerdictCache>,
     compiled: Option<CompiledBackend>,
-    auth: AuthCache,
     counters: Counters,
     latency: LogHistogram,
     shutdown: AtomicBool,
@@ -864,8 +864,11 @@ fn worker_loop(job_rx: channel::Receiver<Job>, shared: Arc<Shared>) {
         let eval = shared.evaluate(&query, tables);
         out.clear();
         if query.stack {
-            let dmarc = shared.auth.dmarc(shared.resolver.as_ref(), &query.domain);
-            let mta_sts = shared.auth.mta_sts(shared.resolver.as_ref(), &query.domain);
+            let resolver = shared.resolver.as_ref();
+            let (dmarc, mta_sts) = match &shared.cache {
+                Some(cache) => cache.layers(resolver, &query.domain),
+                None => auth_layers(resolver, &query.domain, None),
+            };
             let outcome = AuthOutcome::compose(eval, dmarc, mta_sts);
             let response = ResponseFrame::stacked(query.id, &outcome);
             if shared.reply_ok(&mut out, query.id, |out| write_response(out, &response)) {
@@ -924,7 +927,6 @@ impl VerdictService {
             compiled: config
                 .compiled
                 .map(|store| CompiledBackend::new(store, config.policy, clock)),
-            auth: AuthCache::new(),
             counters: Counters::default(),
             latency: LogHistogram::new(),
             shutdown: AtomicBool::new(false),
@@ -1006,7 +1008,10 @@ impl VerdictService {
             compiled_cache: shared.compiled.as_ref().map(|b| b.store.stats()),
             subtrees: memo.map(|(stats, _)| stats),
             generations: memo.map_or(0, |(_, count)| count),
-            auth_cache: shared.auth.stats(),
+            auth_cache: shared
+                .cache
+                .as_ref()
+                .map_or_else(AuthCacheStats::default, |c| c.layer_stats()),
             latency: shared.latency.snapshot(),
         }
     }

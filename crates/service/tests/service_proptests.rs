@@ -11,8 +11,9 @@
 //!   asks for more bytes (it cannot hang a connection);
 //! * **TTL safety** — for arbitrary interleavings of inserts, probes,
 //!   and clock advances, [`TtlLru`] never serves a value older than its
-//!   TTL; and at the service level, a verdict memoized before a zone
-//!   mutation stops being served exactly when its TTL runs out;
+//!   TTL; and at the service level, a verdict (or a stacked query's
+//!   DMARC layer) memoized before a zone mutation stops being served
+//!   exactly when its TTL runs out;
 //! * **Verdict writer** — the `ok` body the service writes by hand is,
 //!   for any [`Evaluation`], the bytes `serde_json::to_string` makes of
 //!   it, framed or not.
@@ -23,10 +24,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use spf_analyzer::CacheKey;
 use spf_core::{
-    check_host, EvalContext, EvalPolicy, EvalProblem, Evaluation, RecordNotFoundCause, SpfResult,
-    SyntaxError,
+    check_host, DmarcDisposition, DmarcPolicy, EvalContext, EvalPolicy, EvalProblem, Evaluation,
+    RecordNotFoundCause, SpfResult, StopLayer, SyntaxError,
 };
 use spf_dns::{Clock, VirtualClock, ZoneResolver, ZoneStore};
 use spf_service::proto::{
@@ -37,7 +37,7 @@ use spf_service::{
     Frame, FrameError, QueryFrame, ResponseFrame, ServiceClient, ServiceConfig, Status, Transport,
     TtlLru, TtlLruConfig, VerdictService,
 };
-use spf_types::{DomainName, Ip4ParseError, MacroError};
+use spf_types::{CacheKey, DomainName, Ip4ParseError, MacroError};
 
 fn arb_domain() -> impl Strategy<Value = DomainName> {
     proptest::collection::vec("[a-z]{1,10}", 1..4)
@@ -297,6 +297,62 @@ proptest! {
             "at +{advance_secs}s (ttl {}s) served {}",
             ttl.as_secs(),
             String::from_utf8_lossy(&second.body)
+        );
+        service.shutdown();
+    }
+
+    /// The stacked twin: a stacked query's DMARC layer is memoized on
+    /// the same TTL as its SPF verdict. After `_dmarc` moves from
+    /// `p=none` to `p=reject`, the old disposition is served strictly
+    /// inside the TTL and the new one at or past it.
+    #[test]
+    fn expired_layers_are_never_served_stale(advance_secs in 0u64..150) {
+        let ttl = Duration::from_secs(60);
+        let store = Arc::new(ZoneStore::new());
+        let domain = DomainName::parse("example.com").expect("parses");
+        let dmarc = DomainName::parse("_dmarc.example.com").expect("parses");
+        store.add_txt(&domain, "v=spf1 ip4:192.0.2.0/24 ~all");
+        store.add_txt(&dmarc, "v=DMARC1; p=none");
+        // Outside the range: a softfail, so DMARC decides the stop.
+        let ip: IpAddr = "203.0.113.9".parse().expect("parses");
+
+        let clock = Arc::new(VirtualClock::new());
+        let resolver = Arc::new(ZoneResolver::new(Arc::clone(&store)));
+        let mut service = VerdictService::spawn_at(
+            resolver,
+            ServiceConfig::with_workers(1).cache(Some(TtlLruConfig::new(64, ttl))),
+            Arc::clone(&clock) as Arc<dyn spf_dns::Clock>,
+        )
+        .expect("service spawns");
+        let mut client =
+            ServiceClient::connect(service.addr(), Transport::Udp).expect("connects");
+        let mut stacked = || {
+            client
+                .query_stacked(ip, &domain, "prop")
+                .expect("query")
+                .auth_outcome()
+                .expect("stacked body decodes")
+        };
+
+        let first = stacked();
+        prop_assert_eq!(first.dmarc, DmarcDisposition::Monitor);
+        prop_assert_eq!(first.stop, StopLayer::None);
+
+        store.replace_txt(&dmarc, "v=DMARC1; p=reject");
+        clock.advance(Duration::from_secs(advance_secs));
+        let second = stacked();
+        let expected = if advance_secs < ttl.as_secs() {
+            (DmarcDisposition::Monitor, StopLayer::None)
+        } else {
+            let reject = DmarcDisposition::Enforced { policy: DmarcPolicy::Reject, percent: 100 };
+            (reject, StopLayer::Dmarc)
+        };
+        prop_assert_eq!(
+            (second.dmarc, second.stop),
+            expected,
+            "at +{}s (ttl {}s)",
+            advance_secs,
+            ttl.as_secs()
         );
         service.shutdown();
     }

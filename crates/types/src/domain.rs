@@ -286,8 +286,9 @@ impl DomainName {
 
     /// The hash computed once at construction (64-bit FNV-1a of the
     /// normalized name). [`Hash`] feeds this value to the hasher instead of
-    /// re-walking the string, and the analyzer's sharded memo cache uses it
-    /// directly for shard selection.
+    /// re-walking the string, and the keep-first
+    /// [`ShardedCache`](crate::ShardedCache) uses it directly for shard
+    /// selection.
     pub fn precomputed_hash(&self) -> u64 {
         self.hash
     }

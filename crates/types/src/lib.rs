@@ -9,8 +9,10 @@
 //! record model ([`SpfRecord`], [`Mechanism`], [`Qualifier`],
 //! [`Modifier`], [`MacroString`]), plus two cross-crate plumbing APIs:
 //! the typed engine selection ([`Backend`], [`Transport`], [`Evaluator`])
-//! every pipeline assembler consumes, and the shared telemetry formatter
-//! ([`Stats`], [`render_stats`]) every CLI counter line renders through.
+//! every pipeline assembler consumes, the shared telemetry formatter
+//! ([`Stats`], [`render_stats`]) every CLI counter line renders through,
+//! and the keep-first memo map ([`ShardedCache`]) every engine over a
+//! frozen zone memoizes in.
 //!
 //! Reproduces the data model underlying *Lazy Gatekeepers: A Large-Scale
 //! Study on SPF Configuration in the Wild* (Czybik, Horlboge, Rieck —
@@ -20,6 +22,7 @@
 #![warn(missing_docs)]
 
 mod backend;
+mod cache;
 mod cidr;
 mod domain;
 mod interval;
@@ -31,6 +34,7 @@ mod stats;
 mod term;
 
 pub use backend::{Backend, BackendParseError, Evaluator, Transport, DEFAULT_WIRE_SERVERS};
+pub use cache::{CacheKey, CacheStats, ShardedCache, DEFAULT_CACHE_SHARDS};
 pub use cidr::{parse_ipv4_strict, DualCidr, Ip4ParseError, Ip6ParseError, Ipv4Cidr, Ipv6Cidr};
 pub use domain::{
     stripe_index, DomainError, DomainHashBuilder, DomainHasher, DomainName, MAX_LABEL_LEN,

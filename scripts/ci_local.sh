@@ -8,7 +8,9 @@
 #                     smoke
 #                     (which also builds the examples)
 #   [lint]            cargo clippy --all-targets -- -D warnings;
-#                     cargo fmt --check
+#                     cargo fmt --check; scripts/orphans.sh (advisory:
+#                     lists public items no other file names, never
+#                     fails)
 #   [benchmark]       the BENCHMARK.json crate builds and its tests pass
 #                     against this tree (cd benchmark && cargo build
 #                     --release --offline && cargo test --offline),
@@ -53,6 +55,9 @@ cargo clippy --all-targets -- -D warnings
 
 echo "== [lint] cargo fmt --check"
 cargo fmt --check
+
+echo "== [lint] scripts/orphans.sh (advisory)"
+scripts/orphans.sh
 
 # The benchmark crate is its own workspace path-depending on ../crates:
 # a deletion that breaks its surface must fail here, not in the

@@ -49,7 +49,7 @@ pub use spf_types as types;
 /// The most commonly used items, for glob import in examples.
 pub mod prelude {
     pub use spf_analyzer::{
-        analyze_domain, recommend, CacheStats, DomainReport, ErrorClass, WalkPolicy, Walker,
+        analyze_domain, recommend, DomainReport, ErrorClass, WalkPolicy, Walker,
     };
     pub use spf_core::{
         check_host, compile_policy, parse, parse_lenient, CompiledPolicy, CompilerStats,
@@ -73,7 +73,7 @@ pub mod prelude {
         ServiceClient, ServiceConfig, TrafficMix, Transport, TtlLruConfig, VerdictService,
     };
     pub use spf_types::{
-        Backend, CoverageMap, DomainName, Evaluator, Ipv4Cidr, Ipv4Set, Ipv6Set, SpfRecord, Stats,
-        WeightedRanges,
+        Backend, CacheStats, CoverageMap, DomainName, Evaluator, Ipv4Cidr, Ipv4Set, Ipv6Set,
+        SpfRecord, Stats, WeightedRanges,
     };
 }

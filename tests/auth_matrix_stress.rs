@@ -1,6 +1,6 @@
 //! Layered auth-matrix determinism under stress: the serialized
 //! [`AuthMatrix`] must be *byte-identical* across workers {1, 4, 32} ×
-//! verdict cache {on, off} × cache shards {1, 16}, across batch sizes,
+//! verdict cache {on, off}, across batch sizes,
 //! and between the in-memory and wire resolver substrates, at scale
 //! 1:500 — and its embedded SPF sub-matrix must be byte-identical to
 //! the bare-row fold (every domain's row evaluated with no pool, verdict
@@ -27,7 +27,7 @@ fn world_at(denominator: u64) -> (SpoofWorld, Vec<VantagePoint>) {
     let out = crawl(&walker, &world.domains, CrawlConfig::with_workers(4));
     let weighted = out.coverage.into_weighted();
     // A trimmed vantage set (2 shared + 2 providers ×2 + 1 control = 7):
-    // what the matrix stresses is the workers × shards × substrate grid,
+    // what the matrix stresses is the workers × cache × substrate grid,
     // and per-vantage work only scales the wall clock.
     let providers: Vec<ProviderVantage> = world
         .providers
@@ -97,18 +97,16 @@ fn matrix_byte_identical_across_memory_matrix() {
     );
     assert!(reference.contains("\"spoofable_shared\""));
     for workers in [1usize, 4, 32] {
-        for shards in [1usize, 16] {
-            let cached = auth_json(
-                &resolver,
-                &world,
-                &vantages,
-                SpoofMatrixConfig::with_workers(workers).cache_shards(shards),
-            );
-            assert!(
-                cached == reference,
-                "cached matrix diverged at workers={workers} shards={shards}"
-            );
-        }
+        let cached = auth_json(
+            &resolver,
+            &world,
+            &vantages,
+            SpoofMatrixConfig::with_workers(workers),
+        );
+        assert!(
+            cached == reference,
+            "cached matrix diverged at workers={workers}"
+        );
     }
 }
 

@@ -1,12 +1,11 @@
-//! Crawl determinism under stress: the sharded cache, batched dispatch,
+//! Crawl determinism under stress: the striped memo, batched dispatch,
 //! and worker pool may divide the work any way they like, but the report
 //! vector must stay bit-identical — DESIGN.md §3's core guarantee. This
-//! suite crawls the 1:500 population (≈25.6k domains) across the full
-//! workers × shards matrix the crawl engine ships with, then double-checks
-//! byte-level equality through the serialized form at a smaller scale.
+//! suite crawls the 1:500 population (≈25.6k domains) across worker
+//! counts and batch sizes, then double-checks byte-level equality through
+//! the serialized form at a smaller scale.
 
 use lazy_gatekeepers::prelude::*;
-use spf_analyzer::WalkPolicy;
 use std::sync::Arc;
 
 const SEED: u64 = 0x5bf1_2023;
@@ -14,18 +13,13 @@ const SEED: u64 = 0x5bf1_2023;
 fn crawl_with(
     population: &Population,
     workers: usize,
-    shards: usize,
     batch: usize,
 ) -> (Vec<DomainReport>, CrawlStats) {
-    let walker = Walker::with_shards(
-        ZoneResolver::new(Arc::clone(&population.store)),
-        WalkPolicy::default(),
-        shards,
-    );
+    let walker = Walker::new(ZoneResolver::new(Arc::clone(&population.store)));
     let config = CrawlConfig::with_workers(workers).batch_size(batch);
     let out = crawl(&walker, &population.domains, config);
     if let Err(law) = out.stats.check_conservation(&config) {
-        panic!("workers={workers} shards={shards} batch={batch}: {law}");
+        panic!("workers={workers} batch={batch}: {law}");
     }
     (out.reports, out.stats)
 }
@@ -52,35 +46,29 @@ fn fingerprint(reports: &[DomainReport]) -> Vec<(String, bool, bool, bool, u64, 
 
 #[test]
 fn crawl_results_identical_across_worker_counts() {
-    // ISSUE 2's stress matrix: workers ∈ {1, 4, 32} × shards ∈ {1, 16} at
-    // --scale 500, all compared against the single-threaded single-shard
-    // reference crawl.
+    // Workers ∈ {1, 4, 32} at --scale 500, all compared against a
+    // single-threaded reference crawl.
     let population = Population::build(PopulationConfig {
         scale: Scale::stress(),
         seed: SEED,
     });
-    let (reference, ref_stats) = crawl_with(&population, 1, 1, 64);
+    let (reference, ref_stats) = crawl_with(&population, 1, 64);
     assert_eq!(reference.len(), population.domains.len());
     let reference_fp = fingerprint(&reference);
 
     for workers in [1usize, 4, 32] {
-        for shards in [1usize, 16] {
-            if (workers, shards) == (1, 1) {
-                continue;
-            }
-            let (reports, stats) = crawl_with(&population, workers, shards, 64);
-            assert_eq!(
-                fingerprint(&reports),
-                reference_fp,
-                "diverged at workers={workers} shards={shards}"
-            );
-            // The probe pattern itself is deterministic for a fixed walk
-            // set, regardless of how it is striped or scheduled:
-            // single-threaded runs must match the reference exactly.
-            if workers == 1 {
-                assert_eq!(stats.cache_hits, ref_stats.cache_hits);
-                assert_eq!(stats.cache_misses, ref_stats.cache_misses);
-            }
+        let (reports, stats) = crawl_with(&population, workers, 64);
+        assert_eq!(
+            fingerprint(&reports),
+            reference_fp,
+            "diverged at workers={workers}"
+        );
+        // The probe pattern itself is deterministic for a fixed walk
+        // set, however it is scheduled: single-threaded runs must match
+        // the reference exactly.
+        if workers == 1 {
+            assert_eq!(stats.cache_hits, ref_stats.cache_hits);
+            assert_eq!(stats.cache_misses, ref_stats.cache_misses);
         }
     }
 }
@@ -91,10 +79,10 @@ fn crawl_results_identical_across_batch_sizes() {
         scale: Scale { denominator: 2_000 },
         seed: SEED,
     });
-    let (reference, _) = crawl_with(&population, 4, 16, 1);
+    let (reference, _) = crawl_with(&population, 4, 1);
     let reference_fp = fingerprint(&reference);
     for batch in [7usize, 64, 100_000] {
-        let (reports, _) = crawl_with(&population, 4, 16, batch);
+        let (reports, _) = crawl_with(&population, 4, batch);
         assert_eq!(
             fingerprint(&reports),
             reference_fp,
@@ -111,13 +99,13 @@ fn crawl_reports_serialize_bit_identically() {
         scale: Scale { denominator: 5_000 },
         seed: SEED,
     });
-    let serialize = |workers: usize, shards: usize, batch: usize| {
-        let (reports, _) = crawl_with(&population, workers, shards, batch);
+    let serialize = |workers: usize, batch: usize| {
+        let (reports, _) = crawl_with(&population, workers, batch);
         serde_json::to_string(&reports).expect("reports serialize")
     };
-    let reference = serialize(1, 1, 1);
-    assert_eq!(reference, serialize(32, 16, 64));
-    assert_eq!(reference, serialize(4, 1, 256));
+    let reference = serialize(1, 1);
+    assert_eq!(reference, serialize(32, 64));
+    assert_eq!(reference, serialize(4, 256));
 }
 
 #[test]
@@ -128,7 +116,7 @@ fn queue_depth_stays_bounded_under_stress() {
     });
     let workers = 4usize;
     let batch = 32usize;
-    let (_, stats) = crawl_with(&population, workers, 16, batch);
+    let (_, stats) = crawl_with(&population, workers, batch);
     // 2×workers queued batches + workers in-hand + the feeder's in-flight
     // batch — the documented dispatch window, far below the population.
     let bound = (2 * workers + workers + 1) * batch;

@@ -1,8 +1,8 @@
 //! Overlap-engine determinism under stress (ISSUE 4's acceptance
 //! matrix): the population's address-space overlap profile — the
 //! sweep-line's [`WeightedRanges`] and the distilled [`OverlapReport`] —
-//! must serialize *byte-identically* across the full workers × shards
-//! matrix, in both resolver substrates.
+//! must serialize *byte-identically* across worker counts, in both
+//! resolver substrates (and across server shards over the wire).
 //!
 //! Unlike the report slot table (deterministic by rank placement), the
 //! coverage profile is merged from per-worker accumulators whose
@@ -12,7 +12,6 @@
 
 use lazy_gatekeepers::crawler::DEFAULT_PROVIDER_ROWS;
 use lazy_gatekeepers::prelude::*;
-use spf_analyzer::WalkPolicy;
 use spf_netsim::wirelab;
 use std::sync::Arc;
 
@@ -42,13 +41,9 @@ fn overlap_json<R: Resolver>(
     )
 }
 
-/// One in-memory crawl under an explicit workers/shards configuration.
-fn memory_overlap_json(population: &Population, workers: usize, shards: usize) -> String {
-    let walker = Walker::with_shards(
-        ZoneResolver::new(Arc::clone(&population.store)),
-        WalkPolicy::default(),
-        shards,
-    );
+/// One in-memory crawl with `workers` workers.
+fn memory_overlap_json(population: &Population, workers: usize) -> String {
+    let walker = Walker::new(ZoneResolver::new(Arc::clone(&population.store)));
     let out = crawl(
         &walker,
         &population.domains,
@@ -77,31 +72,26 @@ fn wire_overlap_json(population: &Population, workers: usize, servers: usize) ->
 
 #[test]
 fn overlap_byte_identical_across_memory_matrix() {
-    // ISSUE 4's matrix: workers ∈ {1, 4, 32} × cache shards ∈ {1, 16} at
-    // scale 1:500, all compared against the single-threaded reference.
+    // Workers ∈ {4, 32} at scale 1:500, compared against the
+    // single-threaded reference.
     let population = population_at(500);
-    let reference = memory_overlap_json(&population, 1, 1);
+    let reference = memory_overlap_json(&population, 1);
     assert!(reference.contains("\"weight\""), "profile is non-trivial");
-    for workers in [1usize, 4, 32] {
-        for shards in [1usize, 16] {
-            if (workers, shards) == (1, 1) {
-                continue;
-            }
-            assert!(
-                memory_overlap_json(&population, workers, shards) == reference,
-                "overlap diverged at workers={workers} shards={shards}"
-            );
-        }
+    for workers in [4usize, 32] {
+        assert!(
+            memory_overlap_json(&population, workers) == reference,
+            "overlap diverged at workers={workers}"
+        );
     }
 }
 
 #[test]
 fn overlap_byte_identical_across_wire_matrix() {
-    // The same matrix over real sockets (server shards standing in for
-    // cache shards), compared against the *in-memory* reference: the
-    // transport must not leak into the profile either.
+    // The workers over real sockets × server shards, compared against
+    // the *in-memory* reference: the transport must not leak into the
+    // profile either.
     let population = population_at(2_000);
-    let reference = memory_overlap_json(&population, 1, 1);
+    let reference = memory_overlap_json(&population, 1);
     for workers in [1usize, 4, 32] {
         for servers in [1usize, 16] {
             assert!(

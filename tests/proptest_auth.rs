@@ -120,7 +120,7 @@ proptest! {
         let auth_cache = AuthCache::new();
         for use_cache in [false, true] {
             for use_compiled in [false, true] {
-                let spf_cache = SpoofVerdictCache::new(4);
+                let spf_cache = SpoofVerdictCache::with_default_shards();
                 let outcome = evaluate_auth(
                     &resolver,
                     &ctx,

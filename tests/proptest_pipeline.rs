@@ -257,7 +257,7 @@ proptest! {
             &resolver,
             &domains,
             &vantages,
-            SpoofMatrixConfig::with_workers(2).cache_shards(4),
+            SpoofMatrixConfig::with_workers(2),
         );
         let matrix = auth.spf;
 
