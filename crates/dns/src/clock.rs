@@ -5,10 +5,10 @@
 //! notification sender to 1 email/second; replaying those policies in a
 //! test suite demands a clock that can be advanced instantly.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use crate::lock;
 
 /// Monotonic time source.
 pub trait Clock: Send + Sync {
@@ -62,13 +62,13 @@ impl VirtualClock {
 
     /// Advance time without sleeping.
     pub fn advance(&self, d: Duration) {
-        *self.now.lock() += d;
+        *lock(&self.now) += d;
     }
 }
 
 impl Clock for VirtualClock {
     fn now(&self) -> Duration {
-        *self.now.lock()
+        *lock(&self.now)
     }
 
     fn sleep(&self, d: Duration) {

@@ -36,19 +36,21 @@
 
 use std::collections::HashMap;
 use std::io::ErrorKind;
-use std::net::{SocketAddr, SocketAddrV4, UdpSocket};
+use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use nix::sys::socket::{recv_from_batch, set_recv_buffer_size, RecvSlot, SendPacket};
-use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use spf_types::{DomainName, StatItem, Stats};
 
 use crate::clock::{Clock, SystemClock};
+use crate::inline::InlineVec;
+use crate::lock;
 use crate::record::{Question, RecordType, ResourceRecord};
 use crate::resolver::{DnsError, FaultProfile, Resolver};
 use crate::udp::{
@@ -319,32 +321,33 @@ impl WireFleet {
     }
 }
 
-/// In-flight state of one single-flight wire query. Followers block on
-/// the condvar until the leader publishes the shared result.
+/// The shared result of one single-flight wire query. The first
+/// follower to join a question creates it; followers block on the
+/// condvar until the leader publishes the result.
 struct Flight {
-    state: std::sync::Mutex<Option<Result<Vec<ResourceRecord>, DnsError>>>,
-    ready: std::sync::Condvar,
+    state: Mutex<Option<Result<Vec<ResourceRecord>, DnsError>>>,
+    ready: Condvar,
 }
 
 impl Flight {
     fn new() -> Self {
         Flight {
-            state: std::sync::Mutex::new(None),
-            ready: std::sync::Condvar::new(),
+            state: Mutex::new(None),
+            ready: Condvar::new(),
         }
     }
 
     /// Park until the result is published, then return a clone of it.
     fn wait(&self) -> Result<Vec<ResourceRecord>, DnsError> {
-        let mut st = self.state.lock().expect("flight lock");
+        let mut st = lock(&self.state);
         while st.is_none() {
-            st = self.ready.wait(st).expect("flight wait");
+            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         st.as_ref().expect("checked above").clone()
     }
 
     fn complete(&self, result: Result<Vec<ResourceRecord>, DnsError>) {
-        *self.state.lock().expect("flight lock") = Some(result);
+        *lock(&self.state) = Some(result);
         self.ready.notify_all();
     }
 }
@@ -359,12 +362,16 @@ struct CacheEntry {
 /// short, fails to decode and is discarded like any garbled datagram.
 const RECV_SLOT_BYTES: usize = 4096;
 
-/// One pooled client socket and the receive slots its drains fill. The
-/// slots live as long as the socket and grow to the widest window it has
-/// carried, so a call allocates no receive buffers.
+/// One pooled client socket and the buffers its windows reuse: the
+/// receive slots its drains fill, the window's query datagrams and its
+/// led questions. They live as long as the socket and grow to the widest
+/// window it has carried, so a call allocates none of them.
 struct PooledSocket {
     socket: UdpSocket,
     slots: Vec<RecvSlot>,
+    /// The window's query datagrams, back to back.
+    queries: Vec<u8>,
+    window: Vec<Outgoing>,
 }
 
 /// Lazily grown pool of client sockets. A socket is not tied to a shard:
@@ -382,7 +389,7 @@ impl SocketPool {
     }
 
     fn acquire(&self, timeout: Duration) -> Result<PooledSocket, DnsError> {
-        if let Some(s) = self.idle.lock().pop() {
+        if let Some(s) = lock(&self.idle).pop() {
             return Ok(s);
         }
         let socket = UdpSocket::bind(("127.0.0.1", 0))
@@ -396,11 +403,13 @@ impl SocketPool {
         Ok(PooledSocket {
             socket,
             slots: Vec::new(),
+            queries: Vec::new(),
+            window: Vec::new(),
         })
     }
 
     fn release(&self, socket: PooledSocket, cap: usize) {
-        let mut idle = self.idle.lock();
+        let mut idle = lock(&self.idle);
         if idle.len() < cap {
             idle.push(socket);
         }
@@ -413,7 +422,8 @@ struct Outgoing {
     index: usize,
     server: SocketAddrV4,
     id: u16,
-    query: Vec<u8>,
+    /// The query datagram: this range of the socket's `queries`.
+    query: Range<usize>,
     reply: Option<Message>,
 }
 
@@ -445,7 +455,10 @@ pub struct WireResolver {
     clock: Arc<dyn Clock>,
     counters: WireCounters,
     cache: RwLock<HashMap<Question, CacheEntry>>,
-    inflight: std::sync::Mutex<HashMap<Question, Arc<Flight>>>,
+    /// The questions led to the wire right now, each with the flight its
+    /// followers wait on — made by the first follower, so a question
+    /// nobody joins costs no flight and no copy of its answer.
+    inflight: Mutex<HashMap<Question, Option<Arc<Flight>>>>,
     behaviors: Option<Vec<(ShardBehavior, Mutex<StdRng>)>>,
     pool: SocketPool,
     next_id: AtomicU64,
@@ -478,7 +491,7 @@ impl WireResolver {
             clock,
             counters: WireCounters::default(),
             cache: RwLock::new(HashMap::new()),
-            inflight: std::sync::Mutex::new(HashMap::new()),
+            inflight: Mutex::new(HashMap::new()),
             behaviors: None,
             pool: SocketPool::new(),
             next_id: AtomicU64::new(1),
@@ -534,6 +547,7 @@ impl WireResolver {
         let now = self.clock.now();
         self.cache
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .values()
             .filter(|e| e.expires_at > now)
             .count()
@@ -546,7 +560,10 @@ impl WireResolver {
     /// (`wire_queries`, `retries`, `tcp_fallbacks`, `temp_errors`,
     /// `injected_faults`) keep accumulating — used between scan rounds.
     pub fn clear_cache(&self) {
-        self.cache.write().clear();
+        self.cache
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
         let c = &self.counters;
         c.queries.store(0, Ordering::Relaxed);
         c.cache_hits.store(0, Ordering::Relaxed);
@@ -555,7 +572,7 @@ impl WireResolver {
     }
 
     fn cache_get(&self, q: &Question) -> Option<Result<Vec<ResourceRecord>, DnsError>> {
-        let cache = self.cache.read();
+        let cache = self.cache.read().unwrap_or_else(PoisonError::into_inner);
         let entry = cache.get(q)?;
         if entry.expires_at <= self.clock.now() {
             self.counters.cache_expired.fetch_add(1, Ordering::Relaxed);
@@ -580,13 +597,16 @@ impl WireResolver {
         if ttl.is_zero() {
             return;
         }
-        self.cache.write().insert(
-            q.clone(),
-            CacheEntry {
-                result: result.clone(),
-                expires_at: self.clock.now() + ttl,
-            },
-        );
+        self.cache
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(
+                q.clone(),
+                CacheEntry {
+                    result: result.clone(),
+                    expires_at: self.clock.now() + ttl,
+                },
+            );
     }
 
     /// Roll the routed shard's fault profile; `Some` short-circuits the
@@ -603,7 +623,7 @@ impl WireResolver {
         if p == FaultProfile::none() {
             return None;
         }
-        let roll: f64 = rng.lock().random();
+        let roll: f64 = lock(rng).random();
         let mut acc = p.timeout;
         if roll < acc {
             return Some(Err(DnsError::Timeout));
@@ -642,15 +662,15 @@ impl WireResolver {
             }
         };
         for window in led.chunks(SERVE_BATCH) {
-            let mut outgoing = Vec::with_capacity(window.len());
+            pooled.queries.clear();
             for &i in window {
-                match self.outgoing(i, &questions[i]) {
-                    Ok(o) => outgoing.push(o),
+                match self.outgoing(i, &questions[i], &mut pooled.queries) {
+                    Ok(o) => pooled.window.push(o),
                     Err(e) => answers[i] = Err(e),
                 }
             }
-            let failure = self.exchange(&mut pooled, &mut outgoing).err();
-            for o in outgoing {
+            let failure = self.exchange(&mut pooled, questions).err();
+            for o in pooled.window.drain(..) {
                 let index = o.index;
                 answers[index] = self.settle(o, &questions[index], failure.as_ref());
             }
@@ -658,8 +678,14 @@ impl WireResolver {
         self.pool.release(pooled, self.config.max_pooled_sockets);
     }
 
-    /// Address and encode question `q`, input position `index`.
-    fn outgoing(&self, index: usize, q: &Question) -> Result<Outgoing, DnsError> {
+    /// Address question `q`, input position `index`, and write its query
+    /// datagram onto the end of `queries`.
+    fn outgoing(
+        &self,
+        index: usize,
+        q: &Question,
+        queries: &mut Vec<u8>,
+    ) -> Result<Outgoing, DnsError> {
         let server = match self.servers[self.shard_of(&q.name)] {
             SocketAddr::V4(v4) => v4,
             SocketAddr::V6(v6) => {
@@ -667,46 +693,57 @@ impl WireResolver {
             }
         };
         let id = (self.next_id.fetch_add(1, Ordering::Relaxed) % 0xFFFF) as u16 + 1;
-        let query = wire::encode(&Message::query(id, q.clone()))
-            .map_err(|e| DnsError::Network(e.to_string()))?;
+        let start = queries.len();
+        wire::encode_query_into(id, q, queries).map_err(|e| DnsError::Network(e.to_string()))?;
         Ok(Outgoing {
             index,
             server,
             id,
-            query,
+            query: start..queries.len(),
             reply: None,
         })
     }
 
-    /// The UDP attempts of one window. Each attempt sends every question
-    /// still unanswered with one `sendmmsg`, then drains replies until all
-    /// are answered or the attempt's deadline passes. The socket's receive
-    /// time-out restarts on every datagram, so a peer trickling junk could
-    /// hold a drain open for as long as it likes; the deadline is checked
-    /// after every drain, which bounds an attempt by twice the time-out.
-    /// A datagram the kernel refuses to send leaves its question
+    /// The UDP attempts of the socket's window. Each attempt sends every
+    /// question still unanswered with one `sendmmsg`, then drains replies
+    /// until all are answered or the attempt's deadline passes. A reply
+    /// is matched to its question by peer, id and the response bit, and
+    /// only a matched one is decoded. The socket's receive time-out
+    /// restarts on every datagram, so a peer trickling junk could hold a
+    /// drain open for as long as it likes; the deadline is checked after
+    /// every drain, which bounds an attempt by twice the time-out. A
+    /// datagram the kernel refuses to send leaves its question
     /// unanswered; a receive error other than the time-out ends the
     /// exchange.
-    fn exchange(&self, pooled: &mut PooledSocket, window: &mut [Outgoing]) -> Result<(), DnsError> {
-        if pooled.slots.len() < window.len() {
-            pooled
-                .slots
-                .resize_with(window.len(), || RecvSlot::new(RECV_SLOT_BYTES));
+    fn exchange(&self, pooled: &mut PooledSocket, questions: &[Question]) -> Result<(), DnsError> {
+        let PooledSocket {
+            socket,
+            slots,
+            queries,
+            window,
+        } = pooled;
+        if slots.len() < window.len() {
+            slots.resize_with(window.len(), || RecvSlot::new(RECV_SLOT_BYTES));
         }
-        let slots = &mut pooled.slots[..window.len()];
+        let slots = &mut slots[..window.len()];
+        // Each attempt fills the front of this array: a window holds at
+        // most `SERVE_BATCH` questions.
+        let mut packets: [SendPacket<'_>; SERVE_BATCH] = std::array::from_fn(|_| SendPacket {
+            data: &[],
+            to: SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, 0),
+        });
         for attempt in 0..self.config.attempts.max(1) {
-            let packets: Vec<SendPacket<'_>> = window
-                .iter()
-                .filter(|o| o.reply.is_none())
-                .map(|o| SendPacket {
-                    data: &o.query,
+            let mut waiting = 0;
+            for o in window.iter().filter(|o| o.reply.is_none()) {
+                packets[waiting] = SendPacket {
+                    data: &queries[o.query.clone()],
                     to: o.server,
-                })
-                .collect();
-            if packets.is_empty() {
+                };
+                waiting += 1;
+            }
+            if waiting == 0 {
                 break;
             }
-            let mut waiting = packets.len();
             self.counters
                 .wire_queries
                 .fetch_add(waiting as u64, Ordering::Relaxed);
@@ -716,10 +753,9 @@ impl WireResolver {
                     .fetch_add(waiting as u64, Ordering::Relaxed);
             }
             let deadline = Instant::now() + self.config.timeout;
-            send_all(&pooled.socket, &packets);
-            drop(packets);
+            send_all(socket, &packets[..waiting]);
             while waiting > 0 {
-                let received = match recv_from_batch(&pooled.socket, slots, false) {
+                let received = match recv_from_batch(socket, slots, false) {
                     Ok(n) => n,
                     Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                         break
@@ -730,18 +766,22 @@ impl WireResolver {
                 for slot in &slots[..received] {
                     // Discarded: a stray packet, a garbled one, or a late
                     // reply to an earlier call on this pooled socket.
-                    let (Some(peer), Ok(resp)) = (slot.peer, wire::decode(slot.payload())) else {
+                    let (Some(peer), &[id_hi, id_lo, ..]) = (slot.peer, slot.payload()) else {
                         continue;
                     };
-                    let matched = window.iter_mut().find(|o| {
-                        o.reply.is_none()
-                            && o.server == peer
-                            && o.id == resp.header.id
-                            && resp.header.is_response
-                    });
-                    if let Some(o) = matched {
-                        o.reply = Some(resp);
-                        waiting -= 1;
+                    let id = u16::from_be_bytes([id_hi, id_lo]);
+                    let Some(o) = window
+                        .iter_mut()
+                        .find(|o| o.reply.is_none() && o.server == peer && o.id == id)
+                    else {
+                        continue;
+                    };
+                    match wire::decode_reply(slot.payload(), &questions[o.index].name) {
+                        Ok(resp) if resp.header.is_response => {
+                            o.reply = Some(resp);
+                            waiting -= 1;
+                        }
+                        _ => {}
                     }
                 }
                 if Instant::now() >= deadline {
@@ -765,13 +805,7 @@ impl WireResolver {
         let outcome = match (o.reply, failure) {
             (Some(resp), _) if resp.header.truncated => {
                 self.counters.tcp_fallbacks.fetch_add(1, Ordering::Relaxed);
-                tcp_query(
-                    SocketAddr::V4(o.server),
-                    self.config.timeout,
-                    o.id,
-                    &q.name,
-                    q.rtype,
-                )
+                tcp_query(SocketAddr::V4(o.server), self.config.timeout, o.id, q)
             }
             (Some(resp), _) => answers_of(resp),
             (None, Some(e)) => Err(e.clone()),
@@ -802,7 +836,7 @@ impl Resolver for WireResolver {
             answers.len(),
             "one answer slot per question"
         );
-        let mut led = Vec::new();
+        let mut led = InlineVec::<usize, SERVE_BATCH>::new();
         let mut joined = Vec::new();
         let mut repeats = Vec::new();
         for (i, q) in questions.iter().enumerate() {
@@ -818,22 +852,27 @@ impl Resolver for WireResolver {
             }
             // Single flight: the first caller for a question leads it to
             // the wire; callers arriving meanwhile wait on its flight.
-            let mut inflight = self.inflight.lock().expect("inflight lock");
-            match inflight.get(q) {
+            let mut inflight = lock(&self.inflight);
+            match inflight.get_mut(q) {
                 Some(flight) => {
                     self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+                    let flight = flight.get_or_insert_with(|| Arc::new(Flight::new()));
                     joined.push((i, Arc::clone(flight)));
                 }
                 None => {
-                    inflight.insert(q.clone(), Arc::new(Flight::new()));
+                    inflight.insert(q.clone(), None);
                     led.push(i);
                 }
             }
         }
         // An injected outcome is counted the way a real wire outcome is:
-        // `injected_faults`, plus `temp_errors` for a timeout.
-        let mut wire_led = Vec::with_capacity(led.len());
-        for &i in &led {
+        // `injected_faults`, plus `temp_errors` for a timeout. The led
+        // questions that go to the wire move to the front of `led`, in
+        // input order.
+        let led = led.as_mut_slice();
+        let mut wire_led = 0;
+        for k in 0..led.len() {
+            let i = led[k];
             match self.injected_fault(self.shard_of(&questions[i].name)) {
                 Some(outcome) => {
                     self.counters
@@ -844,20 +883,24 @@ impl Resolver for WireResolver {
                     }
                     answers[i] = outcome;
                 }
-                None => wire_led.push(i),
+                None => {
+                    led.swap(wire_led, k);
+                    wire_led += 1;
+                }
             }
         }
-        if !wire_led.is_empty() {
-            self.resolve_over_wire(questions, &wire_led, answers);
+        if wire_led > 0 {
+            self.resolve_over_wire(questions, &led[..wire_led], answers);
         }
         // Every led flight is published before any joined one is waited
         // on. The cache is written *before* a flight is retired so a
         // caller arriving in between hits the cache instead of
-        // re-querying.
-        for &i in &led {
+        // re-querying. Once the question has left `inflight` nobody can
+        // join it, so a flight no follower made is never made.
+        for &i in led.iter() {
             let q = &questions[i];
             self.cache_put(q, &answers[i]);
-            let flight = self.inflight.lock().expect("inflight lock").remove(q);
+            let flight = lock(&self.inflight).remove(q).flatten();
             if let Some(flight) = flight {
                 flight.complete(answers[i].clone());
             }

@@ -24,11 +24,14 @@
 
 pub mod clock;
 pub mod fleet;
+mod inline;
 pub mod record;
 pub mod resolver;
 pub mod udp;
 pub mod wire;
 pub mod zone;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use fleet::{
@@ -42,3 +45,11 @@ pub use resolver::{
 pub use udp::{bind_udp_tcp_pair, serve_datagrams, DatagramHandler, ServerConfig, UdpNameServer};
 pub use wire::{decode, encode, encode_uncompressed, Header, Message, Rcode, WireError};
 pub use zone::{LookupOutcome, ZoneFault, ZoneStore};
+
+/// Lock `mutex`, recovering it if a holder panicked, the way
+/// `spf_types::ShardedCache` recovers its stripes: every value behind the
+/// crate's locks is whole between statements, so a panic elsewhere
+/// leaves nothing half-written to guard against.
+pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

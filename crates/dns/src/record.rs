@@ -157,7 +157,7 @@ impl TxtData {
     /// each string was ≤255 bytes on the wire, but lossy UTF-8 decoding
     /// replaces invalid bytes with U+FFFD (3 bytes), which can expand the
     /// in-memory length past 255. The encoder re-splits as needed.
-    pub(crate) fn from_decoded(strings: Vec<String>) -> Self {
+    pub(crate) fn from_decoded(strings: impl Into<Arc<[String]>>) -> Self {
         TxtData {
             strings: strings.into(),
         }

@@ -9,15 +9,15 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use spf_types::DomainName;
 
 use crate::clock::Clock;
+use crate::lock;
 use crate::record::{Question, RecordType, ResourceRecord};
 use crate::zone::{LookupOutcome, ZoneFault, ZoneStore};
 
@@ -227,7 +227,7 @@ impl<R: Resolver> RateLimitedResolver<R> {
 
     /// Total time spent waiting for tokens.
     pub fn total_wait(&self) -> Duration {
-        *self.total_wait.lock()
+        *lock(&self.total_wait)
     }
 
     /// Number of simulated endpoints.
@@ -238,7 +238,7 @@ impl<R: Resolver> RateLimitedResolver<R> {
     fn acquire(&self) {
         loop {
             let wait = {
-                let mut st = self.state.lock();
+                let mut st = lock(&self.state);
                 let now = self.clock.now();
                 let elapsed = now.saturating_sub(st.last_refill).as_secs_f64();
                 if elapsed > 0.0 {
@@ -269,7 +269,7 @@ impl<R: Resolver> RateLimitedResolver<R> {
             match wait {
                 None => return,
                 Some(d) => {
-                    *self.total_wait.lock() += d;
+                    *lock(&self.total_wait) += d;
                     self.clock.sleep(d);
                 }
             }
@@ -339,7 +339,7 @@ impl<R: Resolver> FaultInjectingResolver<R> {
 
 impl<R: Resolver> Resolver for FaultInjectingResolver<R> {
     fn query(&self, name: &DomainName, rtype: RecordType) -> Result<Vec<ResourceRecord>, DnsError> {
-        let roll: f64 = self.rng.lock().random();
+        let roll: f64 = lock(&self.rng).random();
         let p = &self.profile;
         let mut acc = p.timeout;
         if roll < acc {

@@ -25,11 +25,10 @@ use std::time::Duration;
 use nix::sys::socket::{
     recv_from_batch, send_to_batch, set_recv_buffer_size, RecvSlot, SendPacket,
 };
-use spf_types::DomainName;
 
-use crate::record::{Question, RecordType, ResourceRecord};
+use crate::record::{Question, ResourceRecord};
 use crate::resolver::DnsError;
-use crate::wire::{self, Message, Rcode};
+use crate::wire::{self, Header, Message, Rcode};
 use crate::zone::{LookupOutcome, ZoneFault, ZoneStore};
 
 /// Server configuration.
@@ -182,47 +181,64 @@ fn serve_tcp_loop(
 
 fn serve_tcp_connection(
     mut stream: TcpStream,
-    store: &Arc<ZoneStore>,
-    answered: &Arc<AtomicU64>,
+    store: &ZoneStore,
+    answered: &AtomicU64,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
+    let mut query = Vec::new();
+    let mut reply = Vec::new();
     loop {
         let mut len_buf = [0u8; 2];
         if stream.read_exact(&mut len_buf).is_err() {
             return Ok(()); // connection closed or idle
         }
-        let len = u16::from_be_bytes(len_buf) as usize;
-        let mut buf = vec![0u8; len];
-        stream.read_exact(&mut buf)?;
-        let query = match wire::decode(&buf) {
-            Ok(m) if !m.header.is_response && !m.questions.is_empty() => m,
-            _ => return Ok(()),
-        };
-        let question = &query.questions[0];
-        let (rcode, answers) = match store.lookup_question(question) {
-            LookupOutcome::Records(rrs) => (Rcode::NoError, rrs),
-            LookupOutcome::NoRecords => (Rcode::NoError, Vec::new()),
-            LookupOutcome::NxDomain => (Rcode::NxDomain, Vec::new()),
-            LookupOutcome::Fault(ZoneFault::Timeout) => return Ok(()), // silence
-            LookupOutcome::Fault(ZoneFault::ServFail) => (Rcode::ServFail, Vec::new()),
-            LookupOutcome::Fault(ZoneFault::Refused) => (Rcode::Refused, Vec::new()),
-        };
-        let response = Message::response(&query, rcode, answers);
-        let encoded = match wire::encode(&response) {
-            Ok(b) => b,
-            Err(_) => return Ok(()),
-        };
-        let len: u16 = encoded
-            .len()
+        query.resize(u16::from_be_bytes(len_buf) as usize, 0);
+        stream.read_exact(&mut query)?;
+        // The message goes behind its 2-byte length, filled in below.
+        reply.clear();
+        reply.extend_from_slice(&[0, 0]);
+        if answer(store, &query, &mut reply).is_none() {
+            return Ok(());
+        }
+        let len: u16 = (reply.len() - 2)
             .try_into()
             .map_err(|_| std::io::Error::other("response exceeds TCP message size"))?;
+        reply[..2].copy_from_slice(&len.to_be_bytes());
         // Count before the reply leaves: otherwise a client that has
         // already received the response can observe a stale counter.
         answered.fetch_add(1, Ordering::Relaxed);
-        stream.write_all(&len.to_be_bytes())?;
-        stream.write_all(&encoded)?;
+        stream.write_all(&reply)?;
         stream.flush()?;
     }
+}
+
+/// Answer one query from `store`, over UDP or TCP alike: append the
+/// encoded response to `reply` and return the position in `reply` just
+/// past its question section, or return `None` with `reply` untouched to
+/// stay silent — on a malformed query (dropped like a hardened server
+/// would), a timeout fault (silence is the timeout), or an unencodable
+/// response. The query's questions move into the response.
+fn answer(store: &ZoneStore, query: &[u8], reply: &mut Vec<u8>) -> Option<usize> {
+    let query = match wire::decode(query) {
+        Ok(m) if !m.header.is_response && !m.questions.is_empty() => m,
+        _ => return None,
+    };
+    let (rcode, answers) = match store.lookup_question(&query.questions[0]) {
+        LookupOutcome::Records(rrs) => (Rcode::NoError, rrs),
+        LookupOutcome::NoRecords => (Rcode::NoError, Vec::new()),
+        LookupOutcome::NxDomain => (Rcode::NxDomain, Vec::new()),
+        LookupOutcome::Fault(ZoneFault::Timeout) => return None,
+        LookupOutcome::Fault(ZoneFault::ServFail) => (Rcode::ServFail, Vec::new()),
+        LookupOutcome::Fault(ZoneFault::Refused) => (Rcode::Refused, Vec::new()),
+    };
+    let response = Message {
+        header: Header::response_to(&query.header, rcode),
+        questions: query.questions,
+        answers,
+        authorities: Vec::new(),
+        additionals: Vec::new(),
+    };
+    wire::write_message(&response, true, reply).ok()
 }
 
 /// Datagrams handled per `recvmmsg`/`sendmmsg` batch in [`serve_datagrams`],
@@ -357,7 +373,8 @@ pub(crate) fn send_all(socket: &UdpSocket, pkts: &[SendPacket<'_>]) {
     }
 }
 
-/// The name server's side of [`serve_datagrams`].
+/// The name server's side of [`serve_datagrams`]: [`answer`] into the
+/// reply slot, then the UDP payload limit.
 struct NameServerHandler {
     store: Arc<ZoneStore>,
     config: ServerConfig,
@@ -365,39 +382,19 @@ struct NameServerHandler {
 }
 
 impl DatagramHandler for NameServerHandler {
-    /// Build the reply for one received datagram; the server stays
-    /// silent on a malformed query (dropped like a hardened server
-    /// would), a timeout fault, or an unencodable response.
+    /// Write the reply to one received datagram into the loop's reply
+    /// slot. A reply over `max_payload` is cut in place to its header and
+    /// question, with TC set.
     fn handle(&mut self, datagram: &[u8], _peer: SocketAddrV4, reply: &mut Vec<u8>) {
-        let query = match wire::decode(datagram) {
-            Ok(m) if !m.header.is_response && !m.questions.is_empty() => m,
-            _ => return,
-        };
-        let question = &query.questions[0];
-        let (rcode, answers) = match self.store.lookup_question(question) {
-            LookupOutcome::Records(rrs) => (Rcode::NoError, rrs),
-            LookupOutcome::NoRecords => (Rcode::NoError, Vec::new()),
-            LookupOutcome::NxDomain => (Rcode::NxDomain, Vec::new()),
-            LookupOutcome::Fault(ZoneFault::Timeout) => return, // silence = timeout
-            LookupOutcome::Fault(ZoneFault::ServFail) => (Rcode::ServFail, Vec::new()),
-            LookupOutcome::Fault(ZoneFault::Refused) => (Rcode::Refused, Vec::new()),
-        };
-        let mut response = Message::response(&query, rcode, answers);
-        let Ok(mut encoded) = wire::encode(&response) else {
+        let Some(questions_end) = answer(&self.store, datagram, reply) else {
             return;
         };
-        if encoded.len() > self.config.max_payload {
-            response.header.truncated = true;
-            response.answers.clear();
-            match wire::encode(&response) {
-                Ok(truncated) => encoded = truncated,
-                Err(_) => return,
-            }
+        if reply.len() > self.config.max_payload {
+            wire::truncate_reply(reply, 0, questions_end);
         }
         // Count before the reply leaves: otherwise a client that has
         // already received a response can observe a stale counter.
         self.answered.fetch_add(1, Ordering::Relaxed);
-        *reply = encoded;
     }
 }
 
@@ -407,22 +404,22 @@ pub(crate) fn tcp_query(
     server: SocketAddr,
     timeout: Duration,
     id: u16,
-    name: &DomainName,
-    rtype: RecordType,
+    question: &Question,
 ) -> Result<Vec<ResourceRecord>, DnsError> {
     let to_net = |e: std::io::Error| DnsError::Network(format!("tcp: {e}"));
     let mut stream = TcpStream::connect(server).map_err(to_net)?;
     stream
         .set_read_timeout(Some(timeout.max(Duration::from_millis(250))))
         .map_err(to_net)?;
-    let msg = Message::query(id, Question::new(name.clone(), rtype));
-    let bytes = wire::encode(&msg).map_err(|e| DnsError::Network(e.to_string()))?;
-    let len: u16 = bytes
-        .len()
+    // The query goes behind its 2-byte length, filled in below.
+    let mut framed = vec![0, 0];
+    wire::encode_query_into(id, question, &mut framed)
+        .map_err(|e| DnsError::Network(e.to_string()))?;
+    let len: u16 = (framed.len() - 2)
         .try_into()
         .map_err(|_| DnsError::Network("query exceeds TCP message size".into()))?;
-    stream.write_all(&len.to_be_bytes()).map_err(to_net)?;
-    stream.write_all(&bytes).map_err(to_net)?;
+    framed[..2].copy_from_slice(&len.to_be_bytes());
+    stream.write_all(&framed).map_err(to_net)?;
     stream.flush().map_err(to_net)?;
     let mut len_buf = [0u8; 2];
     stream.read_exact(&mut len_buf).map_err(|e| {
@@ -435,7 +432,8 @@ pub(crate) fn tcp_query(
     let resp_len = u16::from_be_bytes(len_buf) as usize;
     let mut buf = vec![0u8; resp_len];
     stream.read_exact(&mut buf).map_err(to_net)?;
-    let resp = wire::decode(&buf).map_err(|e| DnsError::Network(e.to_string()))?;
+    let resp =
+        wire::decode_reply(&buf, &question.name).map_err(|e| DnsError::Network(e.to_string()))?;
     if resp.header.id != id || !resp.header.is_response {
         return Err(DnsError::Network("mismatched TCP response".into()));
     }
@@ -458,8 +456,9 @@ pub(crate) fn answers_of(resp: Message) -> Result<Vec<ResourceRecord>, DnsError>
 mod tests {
     use super::*;
     use crate::fleet::{WireClientConfig, WireResolver};
-    use crate::record::RecordData;
+    use crate::record::{RecordData, RecordType};
     use crate::resolver::Resolver;
+    use spf_types::DomainName;
     use std::net::Ipv4Addr;
 
     fn dom(s: &str) -> DomainName {

@@ -7,11 +7,12 @@
 //! sockets. Name compression is optional at encode time, an ablation
 //! knob (DESIGN.md §5).
 
-use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
+use std::sync::Arc;
 
 use spf_types::DomainName;
 
+use crate::inline::InlineVec;
 use crate::record::{Question, RecordData, RecordType, ResourceRecord, TxtData};
 
 /// Maximum size of a classic UDP DNS message (RFC 1035 §4.2.1).
@@ -182,58 +183,44 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Message encoder with optional name compression.
-pub struct Encoder {
-    buf: Vec<u8>,
+/// Compression-table entries kept inline before the table spills to the
+/// heap: a name of three labels adds three, and the answers of a crawl's
+/// reply point back at the question instead of adding their own.
+const INLINE_SUFFIXES: usize = 16;
+
+/// Writes one message onto the end of a caller's buffer, with optional
+/// name compression. `'m` is the lifetime of the message being written:
+/// the compression table borrows its names.
+struct Encoder<'m, 'b> {
+    buf: &'b mut Vec<u8>,
+    /// Where the message starts in `buf`; compression offsets count from
+    /// here.
+    start: usize,
     compress: bool,
-    /// Offsets of previously written names, keyed by their textual suffix.
-    name_offsets: HashMap<String, u16>,
+    /// The compression table: each suffix of a name already written — a
+    /// slice of that name's own text — with its offset from the message
+    /// start. A suffix is recorded where it is first written, so every
+    /// later name points at the earliest copy.
+    suffixes: InlineVec<(&'m str, u16), INLINE_SUFFIXES>,
 }
 
-impl Encoder {
-    /// A compressing encoder (the default for the UDP server).
-    pub fn new() -> Self {
+impl<'m, 'b> Encoder<'m, 'b> {
+    fn new(buf: &'b mut Vec<u8>, compress: bool) -> Self {
         Encoder {
-            buf: Vec::with_capacity(512),
-            compress: true,
-            name_offsets: HashMap::new(),
+            start: buf.len(),
+            buf,
+            compress,
+            suffixes: InlineVec::new(),
         }
-    }
-
-    /// An encoder that never emits compression pointers (the
-    /// [`encode_uncompressed`] ablation knob).
-    pub fn without_compression() -> Self {
-        Encoder {
-            buf: Vec::with_capacity(512),
-            compress: false,
-            name_offsets: HashMap::new(),
-        }
-    }
-
-    /// Encode a full message to bytes.
-    pub fn encode(mut self, msg: &Message) -> Result<Vec<u8>, WireError> {
-        self.put_header(&msg.header, msg)?;
-        for q in &msg.questions {
-            self.put_name(&q.name)?;
-            self.put_u16(q.rtype.code());
-            self.put_u16(1); // class IN
-        }
-        for rr in msg
-            .answers
-            .iter()
-            .chain(&msg.authorities)
-            .chain(&msg.additionals)
-        {
-            self.put_record(rr)?;
-        }
-        Ok(self.buf)
     }
 
     fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    fn put_header(&mut self, h: &Header, msg: &Message) -> Result<(), WireError> {
+    /// The header, with `counts` the lengths of the question, answer,
+    /// authority and additional sections.
+    fn put_header(&mut self, h: &Header, counts: [usize; 4]) -> Result<(), WireError> {
         self.put_u16(h.id);
         let mut flags: u16 = 0;
         if h.is_response {
@@ -244,7 +231,7 @@ impl Encoder {
             flags |= 1 << 10;
         }
         if h.truncated {
-            flags |= 1 << 9;
+            flags |= TC_BIT;
         }
         if h.recursion_desired {
             flags |= 1 << 8;
@@ -254,12 +241,6 @@ impl Encoder {
         }
         flags |= h.rcode.code() as u16;
         self.put_u16(flags);
-        let counts = [
-            msg.questions.len(),
-            msg.answers.len(),
-            msg.authorities.len(),
-            msg.additionals.len(),
-        ];
         for c in counts {
             let c: u16 = c.try_into().map_err(|_| WireError::BadRecord {
                 reason: "section too large",
@@ -269,32 +250,45 @@ impl Encoder {
         Ok(())
     }
 
-    fn put_name(&mut self, name: &DomainName) -> Result<(), WireError> {
-        let labels: Vec<&str> = name.labels().collect();
-        for i in 0..labels.len() {
-            let suffix = labels[i..].join(".");
+    fn put_question(&mut self, q: &'m Question) -> Result<(), WireError> {
+        self.put_name(&q.name)?;
+        self.put_u16(q.rtype.code());
+        self.put_u16(1); // class IN
+        Ok(())
+    }
+
+    /// Write `name` label by label until a suffix already in the table
+    /// lets a pointer stand for the rest. Each suffix is a slice of the
+    /// name's text from one label's start.
+    fn put_name(&mut self, name: &'m DomainName) -> Result<(), WireError> {
+        let text = name.as_str();
+        let mut at = 0;
+        for label in name.labels() {
             if self.compress {
-                if let Some(&offset) = self.name_offsets.get(&suffix) {
+                let suffix = &text[at..];
+                let known = self.suffixes.as_slice().iter().find(|(s, _)| *s == suffix);
+                if let Some(&(_, offset)) = known {
                     self.put_u16(0xC000 | offset);
                     return Ok(());
                 }
                 // Only offsets addressable by a 14-bit pointer can be reused.
-                if self.buf.len() <= 0x3FFF {
-                    self.name_offsets.insert(suffix, self.buf.len() as u16);
+                let offset = self.buf.len() - self.start;
+                if offset <= 0x3FFF {
+                    self.suffixes.push((suffix, offset as u16));
                 }
             }
-            let label = labels[i];
             if label.len() > 63 {
                 return Err(WireError::NameTooLong);
             }
             self.buf.push(label.len() as u8);
             self.buf.extend_from_slice(label.as_bytes());
+            at += label.len() + 1;
         }
         self.buf.push(0);
         Ok(())
     }
 
-    fn put_record(&mut self, rr: &ResourceRecord) -> Result<(), WireError> {
+    fn put_record(&mut self, rr: &'m ResourceRecord) -> Result<(), WireError> {
         self.put_name(&rr.name)?;
         self.put_u16(rr.record_type().code());
         self.put_u16(1); // class IN
@@ -339,36 +333,133 @@ impl Encoder {
         self.buf[len_pos..len_pos + 2].copy_from_slice(&rdlen.to_be_bytes());
         Ok(())
     }
+
+    /// Run `write`; on an error, take back whatever it wrote, so a failed
+    /// encode leaves the buffer as it found it.
+    fn write<T>(
+        mut self,
+        write: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        let written = write(&mut self);
+        if written.is_err() {
+            self.buf.truncate(self.start);
+        }
+        written
+    }
 }
 
-impl Default for Encoder {
-    fn default() -> Self {
-        Encoder::new()
-    }
+/// The TC flag in the header's flags word.
+const TC_BIT: u16 = 1 << 9;
+
+/// Append `msg` to `buf` and return the position in `buf` just past its
+/// question section — where [`truncate_reply`] cuts.
+pub(crate) fn write_message(
+    msg: &Message,
+    compress: bool,
+    buf: &mut Vec<u8>,
+) -> Result<usize, WireError> {
+    Encoder::new(buf, compress).write(|enc| {
+        let counts = [
+            msg.questions.len(),
+            msg.answers.len(),
+            msg.authorities.len(),
+            msg.additionals.len(),
+        ];
+        enc.put_header(&msg.header, counts)?;
+        for q in &msg.questions {
+            enc.put_question(q)?;
+        }
+        let questions_end = enc.buf.len();
+        for rr in msg
+            .answers
+            .iter()
+            .chain(&msg.authorities)
+            .chain(&msg.additionals)
+        {
+            enc.put_record(rr)?;
+        }
+        Ok(questions_end)
+    })
+}
+
+/// Cut a reply that [`write_message`] appended at `start` down to what a
+/// server sends when the whole does not fit: the header with TC set and
+/// no answers, then the question section, which ends at `questions_end`.
+/// The bytes are those of encoding the reply again with TC set and its
+/// answers removed — the question's names are written before any answer
+/// can point at them — for a reply with no authority or additional
+/// records.
+pub(crate) fn truncate_reply(buf: &mut Vec<u8>, start: usize, questions_end: usize) {
+    buf.truncate(questions_end);
+    let flags = &mut buf[start + 2..start + 4];
+    let set = u16::from_be_bytes([flags[0], flags[1]]) | TC_BIT;
+    flags.copy_from_slice(&set.to_be_bytes());
+    buf[start + 6..start + 8].fill(0); // ANCOUNT
+}
+
+/// Append `msg`, compressed, to `buf` — [`encode`] into a buffer the
+/// caller keeps. On an error `buf` is left as it was.
+pub fn encode_into(msg: &Message, buf: &mut Vec<u8>) -> Result<(), WireError> {
+    write_message(msg, true, buf).map(|_| ())
+}
+
+/// Append the query [`Message::query`]`(id, question)` to `buf`, written
+/// from the question itself: the bytes of [`encode`] on that message,
+/// without building it. On an error `buf` is left as it was.
+pub fn encode_query_into(id: u16, question: &Question, buf: &mut Vec<u8>) -> Result<(), WireError> {
+    Encoder::new(buf, true).write(|enc| {
+        enc.put_header(&Header::query(id), [1, 0, 0, 0])?;
+        enc.put_question(question)
+    })
 }
 
 /// Encode a message with compression enabled.
 pub fn encode(msg: &Message) -> Result<Vec<u8>, WireError> {
-    Encoder::new().encode(msg)
+    let mut buf = Vec::with_capacity(MAX_UDP_PAYLOAD);
+    encode_into(msg, &mut buf)?;
+    Ok(buf)
 }
 
 /// Encode a message without compression (ablation path).
 pub fn encode_uncompressed(msg: &Message) -> Result<Vec<u8>, WireError> {
-    Encoder::without_compression().encode(msg)
+    let mut buf = Vec::with_capacity(MAX_UDP_PAYLOAD);
+    write_message(msg, false, &mut buf)?;
+    Ok(buf)
 }
 
 /// Decode a full message from bytes.
 pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
-    let mut dec = Decoder { bytes, pos: 0 };
-    dec.message()
+    Decoder::new(bytes, None).message()
+}
+
+/// [`decode`] for a reply to a question about `asked`: the same result,
+/// but a name in the reply equal to `asked` — the echoed question, the
+/// answers' owner — shares `asked`'s text instead of copying it.
+pub fn decode_reply(bytes: &[u8], asked: &DomainName) -> Result<Message, WireError> {
+    Decoder::new(bytes, Some(asked.clone())).message()
 }
 
 struct Decoder<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// The first name of the message (the asked one, when known) and the
+    /// latest other: a name whose text matches one of them is a clone of
+    /// it, not a new allocation. Replies repeat their question's name as
+    /// every answer's owner.
+    first: Option<DomainName>,
+    latest: Option<DomainName>,
 }
 
 impl<'a> Decoder<'a> {
+    fn new(bytes: &'a [u8], first: Option<DomainName>) -> Self {
+        Decoder {
+            bytes,
+            pos: 0,
+            first,
+            latest: None,
+        }
+    }
+
     fn message(&mut self) -> Result<Message, WireError> {
         let h = self.take(12)?;
         let id = be_u16(h, 0);
@@ -382,12 +473,14 @@ impl<'a> Decoder<'a> {
             is_response: flags & (1 << 15) != 0,
             opcode: ((flags >> 11) & 0xF) as u8,
             authoritative: flags & (1 << 10) != 0,
-            truncated: flags & (1 << 9) != 0,
+            truncated: flags & TC_BIT != 0,
             recursion_desired: flags & (1 << 8) != 0,
             recursion_available: flags & (1 << 7) != 0,
             rcode: Rcode::from_code((flags & 0xF) as u8),
         };
-        let mut questions = Vec::with_capacity(qdcount as usize);
+        // A question takes at least six bytes (a pointer, type and
+        // class), which bounds what a forged count can reserve.
+        let mut questions = Vec::with_capacity(usize::from(qdcount).min(self.remaining() / 6));
         for _ in 0..qdcount {
             let name = self.name()?;
             let tcode = be_u16(self.take(4)?, 0); // type, then class
@@ -396,13 +489,9 @@ impl<'a> Decoder<'a> {
             })?;
             questions.push(Question::new(name, rtype));
         }
-        let mut sections = [Vec::new(), Vec::new(), Vec::new()];
-        for (i, count) in [ancount, nscount, arcount].into_iter().enumerate() {
-            for _ in 0..count {
-                sections[i].push(self.record()?);
-            }
-        }
-        let [answers, authorities, additionals] = sections;
+        let answers = self.records(ancount)?;
+        let authorities = self.records(nscount)?;
+        let additionals = self.records(arcount)?;
         Ok(Message {
             header,
             questions,
@@ -410,6 +499,20 @@ impl<'a> Decoder<'a> {
             authorities,
             additionals,
         })
+    }
+
+    /// A section of `count` records. Every record takes at least eleven
+    /// bytes, which bounds what a forged count can reserve.
+    fn records(&mut self, count: u16) -> Result<Vec<ResourceRecord>, WireError> {
+        let mut records = Vec::with_capacity(usize::from(count).min(self.remaining() / 11));
+        for _ in 0..count {
+            records.push(self.record()?);
+        }
+        Ok(records)
+    }
+
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
@@ -422,7 +525,7 @@ impl<'a> Decoder<'a> {
     }
 
     fn name(&mut self) -> Result<DomainName, WireError> {
-        let (name, next) = read_name_at(self.bytes, self.pos)?;
+        let (name, next) = self.name_at(self.pos)?;
         self.pos = next;
         Ok(name)
     }
@@ -467,30 +570,14 @@ impl<'a> Decoder<'a> {
                 let preference = be_u16(rdata, 0);
                 // Exchange name may contain a compression pointer into the
                 // full message, so decode against the whole buffer.
-                let (exchange, _) = read_name_at(self.bytes, rdata_start + 2)?;
+                let (exchange, _) = self.name_at(rdata_start + 2)?;
                 RecordData::Mx {
                     preference,
                     exchange,
                 }
             }
             RecordType::Txt | RecordType::Spf => {
-                let mut strings = Vec::new();
-                let mut p = 0;
-                while p < rdata.len() {
-                    let len = rdata[p] as usize;
-                    p += 1;
-                    if p + len > rdata.len() {
-                        return Err(WireError::BadRecord {
-                            reason: "TXT char-string length",
-                        });
-                    }
-                    strings.push(String::from_utf8_lossy(&rdata[p..p + len]).into_owned());
-                    p += len;
-                }
-                if strings.is_empty() {
-                    strings.push(String::new());
-                }
-                let txt = TxtData::from_decoded(strings);
+                let txt = TxtData::from_decoded(char_strings(rdata)?);
                 if rtype == RecordType::Txt {
                     RecordData::Txt(txt)
                 } else {
@@ -498,7 +585,7 @@ impl<'a> Decoder<'a> {
                 }
             }
             RecordType::Ptr | RecordType::Ns | RecordType::Cname => {
-                let (target, _) = read_name_at(self.bytes, rdata_start)?;
+                let (target, _) = self.name_at(rdata_start)?;
                 match rtype {
                     RecordType::Ptr => RecordData::Ptr(target),
                     RecordType::Ns => RecordData::Ns(target),
@@ -508,70 +595,133 @@ impl<'a> Decoder<'a> {
         };
         Ok(ResourceRecord { name, ttl, data })
     }
+
+    /// Read a (possibly compressed) name starting at `pos`; returns the
+    /// name and the position just after it in the *linear* stream
+    /// (pointers do not advance the linear position beyond the 2 pointer
+    /// bytes). The labels are joined on the stack, so the name's text is
+    /// its one allocation — none when it repeats a name already known.
+    fn name_at(&mut self, mut pos: usize) -> Result<(DomainName, usize), WireError> {
+        let bytes = self.bytes;
+        // The joined text: at most 254 octets once the 255-octet limit,
+        // which counts every label's length octet, has been checked.
+        let mut text = [0u8; 255];
+        let mut len = 0usize;
+        let mut jumps = 0usize;
+        let mut after: Option<usize> = None;
+        let mut total_len = 0usize;
+        loop {
+            let len_byte = *bytes.get(pos).ok_or(WireError::Truncated)?;
+            if len_byte & 0xC0 == 0xC0 {
+                let second = *bytes.get(pos + 1).ok_or(WireError::Truncated)?;
+                let target = (((len_byte & 0x3F) as usize) << 8) | second as usize;
+                if after.is_none() {
+                    after = Some(pos + 2);
+                }
+                // Pointers must point strictly backwards; cap the chain to
+                // guard against loops in hostile input.
+                if target >= pos {
+                    return Err(WireError::BadPointer);
+                }
+                jumps += 1;
+                if jumps > 64 {
+                    return Err(WireError::BadPointer);
+                }
+                pos = target;
+                continue;
+            }
+            if len_byte & 0xC0 != 0 {
+                return Err(WireError::BadLabel);
+            }
+            pos += 1;
+            if len_byte == 0 {
+                break;
+            }
+            let label_len = len_byte as usize;
+            if label_len > 63 {
+                return Err(WireError::NameTooLong);
+            }
+            let raw = bytes
+                .get(pos..pos + label_len)
+                .ok_or(WireError::Truncated)?;
+            total_len += label_len + 1;
+            if total_len > 255 {
+                return Err(WireError::NameTooLong);
+            }
+            std::str::from_utf8(raw).map_err(|_| WireError::BadLabel)?;
+            if len > 0 {
+                text[len] = b'.';
+                len += 1;
+            }
+            text[len..len + label_len].copy_from_slice(raw);
+            len += label_len;
+            pos += label_len;
+        }
+        if len == 0 {
+            // The root name; we don't use it as an owner, but decode defensively.
+            return Err(WireError::BadRecord {
+                reason: "root owner name",
+            });
+        }
+        // Labels of valid UTF-8 joined by dots are valid UTF-8.
+        let text = std::str::from_utf8(&text[..len]).map_err(|_| WireError::BadLabel)?;
+        // The same text up to ASCII case as a known name is a valid name
+        // that parses to the known one.
+        let known = [&self.first, &self.latest]
+            .into_iter()
+            .flatten()
+            .find(|known| known.as_str().eq_ignore_ascii_case(text));
+        let name = match known {
+            Some(known) => known.clone(),
+            None => {
+                let name = DomainName::parse(text).map_err(|_| WireError::BadLabel)?;
+                let slot = if self.first.is_none() {
+                    &mut self.first
+                } else {
+                    &mut self.latest
+                };
+                *slot = Some(name.clone());
+                name
+            }
+        };
+        Ok((name, after.unwrap_or(pos)))
+    }
+}
+
+/// The character-strings of TXT rdata, built straight into the shared
+/// slice [`TxtData`] keeps: one pass checks every length, the second
+/// copies each string out. Empty rdata is one empty string.
+fn char_strings(rdata: &[u8]) -> Result<Arc<[String]>, WireError> {
+    let mut count = 0;
+    let mut p = 0;
+    while p < rdata.len() {
+        p += 1 + rdata[p] as usize;
+        if p > rdata.len() {
+            return Err(WireError::BadRecord {
+                reason: "TXT char-string length",
+            });
+        }
+        count += 1;
+    }
+    let mut rest = rdata;
+    // A `Range` mapped is an iterator of known length, which `Arc<[_]>`
+    // collects into one allocation of exactly that length.
+    Ok((0..count.max(1))
+        .map(|_| match rest.split_first() {
+            Some((&len, tail)) => {
+                let (string, tail) = tail.split_at(len as usize);
+                rest = tail;
+                String::from_utf8_lossy(string).into_owned()
+            }
+            None => String::new(),
+        })
+        .collect())
 }
 
 /// The big-endian `u16` at `at`; callers index inside a slice `take`
 /// already bounded.
 fn be_u16(bytes: &[u8], at: usize) -> u16 {
     u16::from_be_bytes([bytes[at], bytes[at + 1]])
-}
-
-/// Read a (possibly compressed) name starting at `pos`; returns the name
-/// and the position just after it in the *linear* stream (pointers do not
-/// advance the linear position beyond the 2 pointer bytes).
-fn read_name_at(bytes: &[u8], mut pos: usize) -> Result<(DomainName, usize), WireError> {
-    let mut labels: Vec<String> = Vec::new();
-    let mut jumps = 0usize;
-    let mut after: Option<usize> = None;
-    let mut total_len = 0usize;
-    loop {
-        let len_byte = *bytes.get(pos).ok_or(WireError::Truncated)?;
-        if len_byte & 0xC0 == 0xC0 {
-            let second = *bytes.get(pos + 1).ok_or(WireError::Truncated)?;
-            let target = (((len_byte & 0x3F) as usize) << 8) | second as usize;
-            if after.is_none() {
-                after = Some(pos + 2);
-            }
-            // Pointers must point strictly backwards; cap the chain to
-            // guard against loops in hostile input.
-            if target >= pos {
-                return Err(WireError::BadPointer);
-            }
-            jumps += 1;
-            if jumps > 64 {
-                return Err(WireError::BadPointer);
-            }
-            pos = target;
-            continue;
-        }
-        if len_byte & 0xC0 != 0 {
-            return Err(WireError::BadLabel);
-        }
-        pos += 1;
-        if len_byte == 0 {
-            break;
-        }
-        let len = len_byte as usize;
-        if len > 63 {
-            return Err(WireError::NameTooLong);
-        }
-        let raw = bytes.get(pos..pos + len).ok_or(WireError::Truncated)?;
-        total_len += len + 1;
-        if total_len > 255 {
-            return Err(WireError::NameTooLong);
-        }
-        let label = std::str::from_utf8(raw).map_err(|_| WireError::BadLabel)?;
-        labels.push(label.to_string());
-        pos += len;
-    }
-    if labels.is_empty() {
-        // The root name; we don't use it as an owner, but decode defensively.
-        return Err(WireError::BadRecord {
-            reason: "root owner name",
-        });
-    }
-    let name = DomainName::parse(&labels.join(".")).map_err(|_| WireError::BadLabel)?;
-    Ok((name, after.unwrap_or(pos)))
 }
 
 #[cfg(test)]
@@ -737,6 +887,81 @@ mod tests {
             }
             other => panic!("unexpected rdata {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_message_appended_after_a_prefix_compresses_against_its_own_start() {
+        let msg = sample_response();
+        let mut buf = vec![0xAB, 0xCD];
+        encode_into(&msg, &mut buf).unwrap();
+        assert_eq!(&buf[2..], encode(&msg).unwrap().as_slice());
+        assert_eq!(decode(&buf[2..]).unwrap(), msg);
+    }
+
+    #[test]
+    fn a_failed_encode_leaves_the_buffer_as_it_was() {
+        let mut msg = Message::query(1, Question::new(dom("example.com"), RecordType::Txt));
+        msg.questions = vec![msg.questions[0].clone(); 0x1_0000];
+        let mut buf = vec![1, 2, 3];
+        assert_eq!(
+            encode_into(&msg, &mut buf),
+            Err(WireError::BadRecord {
+                reason: "section too large"
+            })
+        );
+        assert_eq!(buf, [1, 2, 3]);
+    }
+
+    #[test]
+    fn a_query_written_from_its_question_is_the_encoded_query() {
+        for (id, name) in [(7, "_spf.google.com"), (0xFFFF, "a.b.c.example.org")] {
+            let q = Question::new(dom(name), RecordType::Txt);
+            let mut buf = vec![9];
+            encode_query_into(id, &q, &mut buf).unwrap();
+            assert_eq!(
+                &buf[1..],
+                encode(&Message::query(id, q)).unwrap().as_slice()
+            );
+        }
+    }
+
+    /// The in-place cut gives the bytes of encoding the reply again with
+    /// TC set and no answers, also behind a prefix and with a second
+    /// question compressed against the first.
+    #[test]
+    fn a_reply_cut_in_place_is_the_truncated_reply_encoded_again() {
+        let mut two_questions = sample_response();
+        two_questions
+            .questions
+            .push(Question::new(dom("mail.example.com"), RecordType::A));
+        for msg in [sample_response(), two_questions] {
+            let mut truncated = msg.clone();
+            truncated.header.truncated = true;
+            truncated.answers.clear();
+            for prefix in [0, 2] {
+                let mut buf = vec![0; prefix];
+                let questions_end = write_message(&msg, true, &mut buf).unwrap();
+                truncate_reply(&mut buf, prefix, questions_end);
+                assert_eq!(&buf[prefix..], encode(&truncated).unwrap().as_slice());
+            }
+        }
+    }
+
+    #[test]
+    fn a_reply_shares_the_asked_names_text() {
+        let msg = sample_response();
+        let asked = dom("EXAMPLE.com");
+        let bytes = encode(&msg).unwrap();
+        let reply = decode_reply(&bytes, &asked).unwrap();
+        assert_eq!(reply, decode(&bytes).unwrap());
+        let shares = |name: &DomainName| name.as_str().as_ptr() == asked.as_str().as_ptr();
+        assert!(shares(&reply.questions[0].name));
+        assert!(shares(&reply.answers[0].name));
+        assert!(
+            !shares(&reply.answers[1].name),
+            "mail.example.com is its own name"
+        );
+        assert!(shares(&reply.answers[2].name), "after another name");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! (timeouts → `temperror`, NXDOMAIN and empty answers → void lookups).
 
 use std::collections::HashMap;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use parking_lot::RwLock;
 use spf_types::{DomainHashBuilder, DomainName};
 
 use crate::record::{Question, RecordData, RecordType, ResourceRecord, TxtData};
@@ -85,9 +85,21 @@ impl ZoneStore {
         ZoneStore::default()
     }
 
+    /// The zone for reading. A poisoned lock is recovered, as
+    /// `spf_types::ShardedCache` recovers its stripes: every edit leaves
+    /// the maps whole between statements.
+    fn read(&self) -> RwLockReadGuard<'_, ZoneInner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The zone for an edit; see [`ZoneStore::read`].
+    fn write(&self) -> RwLockWriteGuard<'_, ZoneInner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Insert a fully formed record.
     pub fn add_record(&self, rr: ResourceRecord) {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         inner
             .records
             .entry(rr.name.clone())
@@ -155,23 +167,18 @@ impl ZoneStore {
     /// queries return NOERROR with an empty answer ("Empty Result" in the
     /// paper's Figure 3).
     pub fn add_empty_name(&self, name: &DomainName) {
-        self.inner.write().records.entry(name.clone()).or_default();
+        self.write().records.entry(name.clone()).or_default();
     }
 
     /// Configure a failure mode for a name (applies to all record types).
     pub fn set_fault(&self, name: &DomainName, fault: ZoneFault) {
-        self.inner
-            .write()
-            .records
-            .entry(name.clone())
-            .or_default()
-            .fault = Some(fault);
+        self.write().records.entry(name.clone()).or_default().fault = Some(fault);
     }
 
     /// Remove all records and faults for a name. Used by the remediation
     /// model when an operator "fixes" a record.
     pub fn remove_name(&self, name: &DomainName) {
-        self.inner.write().records.remove(name);
+        self.write().records.remove(name);
     }
 
     /// Remove every record of one type from a name, leaving the name
@@ -179,7 +186,7 @@ impl ZoneStore {
     /// The churn simulator's MX-failover flip swaps a domain's exchange
     /// set this way without destroying its TXT policy.
     pub fn remove_type(&self, name: &DomainName, rtype: RecordType) {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if let Some(entry) = inner.records.get_mut(name) {
             entry.types.remove(&rtype);
         }
@@ -188,7 +195,7 @@ impl ZoneStore {
     /// Replace the TXT records of a name with a single new text.
     pub fn replace_txt(&self, name: &DomainName, text: &str) {
         {
-            let mut inner = self.inner.write();
+            let mut inner = self.write();
             if let Some(entry) = inner.records.get_mut(name) {
                 entry.types.remove(&RecordType::Txt);
             }
@@ -198,7 +205,7 @@ impl ZoneStore {
 
     /// Authoritative lookup.
     pub fn lookup(&self, name: &DomainName, rtype: RecordType) -> LookupOutcome {
-        let inner = self.inner.read();
+        let inner = self.read();
         match inner.records.get(name) {
             None => LookupOutcome::NxDomain,
             Some(entry) => {
@@ -221,18 +228,17 @@ impl ZoneStore {
     /// True if the name is present in the store (owns records, was
     /// registered empty, or carries a fault).
     pub fn name_exists(&self, name: &DomainName) -> bool {
-        self.inner.read().records.contains_key(name)
+        self.read().records.contains_key(name)
     }
 
     /// Total number of names in the store.
     pub fn name_count(&self) -> usize {
-        self.inner.read().records.len()
+        self.read().records.len()
     }
 
     /// Total number of records in the store.
     pub fn record_count(&self) -> usize {
-        self.inner
-            .read()
+        self.read()
             .records
             .values()
             .flat_map(|e| e.types.values())
@@ -253,14 +259,10 @@ impl ZoneStore {
     pub fn partition(&self, shards: usize) -> Vec<ZoneStore> {
         let shards = shards.max(1);
         let out: Vec<ZoneStore> = (0..shards).map(|_| ZoneStore::new()).collect();
-        let inner = self.inner.read();
+        let inner = self.read();
         for (name, entry) in &inner.records {
             let idx = (name.precomputed_hash() % shards as u64) as usize;
-            out[idx]
-                .inner
-                .write()
-                .records
-                .insert(name.clone(), entry.clone());
+            out[idx].write().records.insert(name.clone(), entry.clone());
         }
         out
     }

@@ -1,12 +1,14 @@
-//! Allocation budget of the record read path: what parsing one published
-//! SPF record, and crawling one domain, may ask of the allocator.
+//! Allocation budget of the record read path and of the wire path: what
+//! parsing one published SPF record, crawling one domain in memory, and
+//! crawling one domain over DNS may ask of the allocator.
 //!
 //! A counting global allocator keeps one counter per thread, so a
 //! measurement sees the allocations of the threads doing the work and
 //! nothing else: the parse budget reads its own thread's counter, the
-//! crawl budget its own plus those of the worker threads the crawl
-//! spawns. The two tests take a lock so neither runs while the other
-//! counts. Run with `--nocapture` to see the figures.
+//! crawl budgets their own plus those of the threads started for the
+//! crawl — its workers and, over DNS, the fleet's name-server threads.
+//! The tests take a lock so none runs while another counts. Run with
+//! `--nocapture` to see the figures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,6 +21,9 @@ use lazy_gatekeepers::prelude::*;
 const PARSE_BUDGET: f64 = 6.0;
 /// Mean allocations a one-worker crawl may make per domain.
 const CRAWL_BUDGET: f64 = 13.0;
+/// Mean allocations a one-worker crawl over a 2-shard [`WireFleet`] may
+/// make per domain, client and servers together.
+const WIRE_CRAWL_BUDGET: f64 = 55.0;
 
 /// The population both budgets are read on: 1:200, seed 11.
 const SCALE: u64 = 200;
@@ -167,5 +172,39 @@ fn a_crawled_domain_stays_within_its_allocation_budget() {
     assert!(
         per_domain <= CRAWL_BUDGET,
         "{per_domain:.2} allocations per domain > {CRAWL_BUDGET}"
+    );
+}
+
+#[test]
+fn a_wire_crawled_domain_stays_within_its_allocation_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let population = population();
+    let first_new_thread = NEXT_SLOT.load(Ordering::Relaxed);
+    let fleet =
+        WireFleet::spawn(&population.store, 2, ServerConfig::default()).expect("fleet spawns");
+    let resolver = Arc::new(fleet.resolver(WireClientConfig::crawl()));
+    let walker = Walker::new(Arc::clone(&resolver));
+    let config = CrawlConfig::with_workers(1).backend(Backend::wire(2));
+
+    let before = this_thread_and_newer(first_new_thread);
+    let output = crawl(&walker, &population.domains, config);
+    let after = this_thread_and_newer(first_new_thread);
+    assert!(
+        first_new_thread + 5 < SLOTS - 1,
+        "the fleet's four server threads and the crawl's worker have counters of their own"
+    );
+
+    let domains = output.reports.len() as f64;
+    let per_domain = (after.0 - before.0) as f64 / domains;
+    let bytes_per_domain = (after.1 - before.1) as f64 / domains;
+    let snapshot = resolver.snapshot();
+    println!(
+        "wire crawl (1 worker, 2 shards): {per_domain:.2} allocations ({bytes_per_domain:.0} B) \
+         per domain over {domains} domains, {:.4} datagrams per domain",
+        snapshot.amplification(output.reports.len() as u64)
+    );
+    assert!(
+        per_domain <= WIRE_CRAWL_BUDGET,
+        "{per_domain:.2} allocations per domain > {WIRE_CRAWL_BUDGET}"
     );
 }

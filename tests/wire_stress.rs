@@ -27,6 +27,19 @@ fn population_at(denominator: u64) -> Population {
     })
 }
 
+/// The crawl profile's two attempts, each waiting 250 ms instead of
+/// [`WireClientConfig::crawl`]'s 60 ms. The 60 ms is sized for a release
+/// build; a debug build on a loaded host misses it and re-sends, and the
+/// datagram count and `retries == temp_errors` then move with the host's
+/// load instead of the population. Only the population's deliberate
+/// timeout cohorts ever wait the whole 250 ms.
+fn client_config() -> WireClientConfig {
+    WireClientConfig {
+        timeout: Duration::from_millis(250),
+        ..WireClientConfig::crawl()
+    }
+}
+
 /// In-memory reference crawl, serialized.
 fn memory_reports_json(population: &Population) -> String {
     let walker = Walker::new(ZoneResolver::new(Arc::clone(&population.store)));
@@ -44,7 +57,7 @@ fn wire_crawl(
     let fleet = WireFleet::spawn(&population.store, servers, server_config).expect("fleet spawns");
     let resolver = Arc::new(
         fleet
-            .resolver(WireClientConfig::crawl())
+            .resolver(client_config())
             .with_behaviors(wirelab::zero_faults(servers), SEED),
     );
     let out = crawl(
@@ -156,7 +169,7 @@ fn degraded_shard_preset_degrades_to_temperror_not_divergence() {
         .expect("fleet spawns");
     let resolver = Arc::new(
         fleet
-            .resolver(WireClientConfig::crawl())
+            .resolver(client_config())
             .with_behaviors(wirelab::degraded_shard(servers, 1, Duration::ZERO), SEED),
     );
     let out = crawl(
@@ -243,10 +256,7 @@ fn client_discards_garbled_duplicate_and_stale_replies() {
         }
     });
 
-    let resolver = Arc::new(WireResolver::new(
-        vec![proxy_addr],
-        WireClientConfig::crawl(),
-    ));
+    let resolver = Arc::new(WireResolver::new(vec![proxy_addr], client_config()));
     let out = crawl(
         &Walker::new(Arc::clone(&resolver)),
         &population.domains,
