@@ -425,9 +425,8 @@ pub fn table2(r: &Repro, workers: usize) -> (Table, Experiment, CampaignOutcome,
     );
 
     // 3. Rescan two (virtual) weeks later — fresh walker, fresh cache, on
-    // the same substrate as the first scan. In wire mode the fleet's
-    // shard stores are deep copies, so the remediated zone needs a
-    // freshly partitioned fleet (`_rescan_wire` keeps it alive).
+    // the same substrate as the first scan (`_rescan_wire` keeps a wire
+    // fleet alive).
     let rescan_config = CrawlConfig {
         workers,
         ..r.config
@@ -1406,8 +1405,8 @@ pub fn trends(
         seed,
     });
     let store = Arc::clone(&population.store);
-    let (resolver, mut wire) = build_resolver(&store, config.backend);
-    let mut walker = Walker::new(resolver);
+    let (resolver, wire) = build_resolver(&store, config.backend);
+    let walker = Walker::new(resolver);
     let lcfg = LongitudinalConfig::default().crawl(config);
     let engine = ChurnEngine::bootstrap(&walker, population.domains.clone(), lcfg);
 
@@ -1472,15 +1471,14 @@ pub fn trends(
         }
         total_events += batch.events.len() as u64;
         batch.apply(&store);
-        if config.backend.transport != Transport::Memory {
-            // Wire fleets hold deep zone shards from spawn time, so the
-            // churned zone needs a fresh fleet + walker each epoch.
-            let (fresh_resolver, fresh_wire) = build_resolver(&store, config.backend);
-            walker = Walker::new(fresh_resolver);
-            wire = fresh_wire;
+        if let Some(run) = &wire {
+            // The fleet serves the live zone, but the client keeps each
+            // answer for its DNS TTL in real time, and a virtual month
+            // outlasts every TTL.
+            run.resolver.clear_cache();
         }
-        // The zone already mutated above (and wire fleets resharded), so
-        // the delta delivers the invalidation set with a no-op apply.
+        // The zone already mutated above, so the delta delivers the
+        // invalidation set with a no-op apply.
         engine.deliver(ZoneDelta::new(batch.domains(), || {}));
         let report = engine.step(&walker, MONTH * u32::try_from(epoch).unwrap_or(u32::MAX));
         let matrix = engine.matrix().expect("matrix attached");

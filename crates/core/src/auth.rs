@@ -34,15 +34,15 @@
 //! (`tests/proptest_auth.rs` pins this across random worlds × cache ×
 //! compiled configs).
 //!
-//! **DMARC-aware cache key.** SPF subtree memos ([`VerdictCache`]) are
-//! keyed by `(domain, ip, BudgetKey)` and stay valid across DMARC
-//! churn — DMARC never influences SPF evaluation. Any memo of the
-//! *stacked* outcome, however, must fold the non-SPF layers into its
-//! key, or a DMARC/MTA-STS record change would be served stale through
-//! a still-valid SPF memo. [`stack_fingerprint`] is that key component.
-//! No cache holds a stacked outcome today: the matrix memoizes the
-//! layers per domain in an [`AuthCache`], and the verdict service in a
-//! TTL memo beside its SPF verdicts.
+//! **Layer memos.** SPF subtree memos ([`VerdictCache`]) are keyed by
+//! `(domain, ip, BudgetKey)` and stay valid across DMARC churn — DMARC
+//! never influences SPF evaluation. The DMARC disposition and MTA-STS
+//! mode are per-domain facts, read through [`auth_layers`] and memoized
+//! by domain apart from the SPF verdicts: the matrix in an
+//! [`AuthCache`], the verdict service in a TTL memo beside its SPF
+//! verdicts. No cache holds a composed [`AuthOutcome`]; every outcome is
+//! composed from the layers as read, so a layer change is seen as soon
+//! as its own memo drops the old entry.
 
 use std::fmt;
 
@@ -199,24 +199,6 @@ impl DmarcDisposition {
     pub fn is_enforced(&self) -> bool {
         matches!(self, DmarcDisposition::Enforced { percent, .. } if *percent > 0)
     }
-
-    /// A small stable code for fingerprinting.
-    fn code(&self) -> u64 {
-        match self {
-            DmarcDisposition::Absent => 0,
-            DmarcDisposition::Invalid => 1,
-            DmarcDisposition::TempError => 2,
-            DmarcDisposition::Monitor => 3,
-            DmarcDisposition::Enforced { policy, percent } => {
-                let p = match policy {
-                    DmarcPolicy::None => 0u64,
-                    DmarcPolicy::Quarantine => 1,
-                    DmarcPolicy::Reject => 2,
-                };
-                4 | (p << 8) | ((*percent as u64) << 16)
-            }
-        }
-    }
 }
 
 impl fmt::Display for DmarcDisposition {
@@ -245,16 +227,6 @@ pub enum MtaStsMode {
     Testing,
     /// `mode=enforce`: the direct-to-MX residual path is closed.
     Enforce,
-}
-
-impl MtaStsMode {
-    fn code(&self) -> u64 {
-        match self {
-            MtaStsMode::Absent => 0,
-            MtaStsMode::Testing => 1,
-            MtaStsMode::Enforce => 2,
-        }
-    }
 }
 
 impl fmt::Display for MtaStsMode {
@@ -316,25 +288,6 @@ pub fn stop_layer(spf: SpfResult, dmarc: &DmarcDisposition, mta_sts: MtaStsMode)
         _ if mta_sts == MtaStsMode::Enforce => StopLayer::MtaSts,
         _ => StopLayer::None,
     }
-}
-
-/// The key component that makes stacked-outcome memos DMARC-aware: any
-/// cache entry holding an [`AuthOutcome`] (as opposed to a pure SPF
-/// subtree verdict) must mix this into its key, so a DMARC or MTA-STS
-/// record change can never be served stale through a still-valid SPF
-/// memo. FNV-1a over the two layer codes.
-pub fn stack_fingerprint(dmarc: &DmarcDisposition, mta_sts: MtaStsMode) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for byte in dmarc
-        .code()
-        .to_le_bytes()
-        .iter()
-        .chain(mta_sts.code().to_le_bytes().iter())
-    {
-        h ^= *byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A domain's auth-stack deployment tier — the five-preset mix the
@@ -659,37 +612,6 @@ mod tests {
             "v=STSv\u{e9}; mode=enforce",
         );
         assert_eq!(query_mta_sts(&resolver, &garbled), MtaStsMode::Absent);
-    }
-
-    #[test]
-    fn stack_fingerprint_separates_layer_states() {
-        let mut seen = std::collections::HashSet::new();
-        let dispositions = [
-            DmarcDisposition::Absent,
-            DmarcDisposition::Invalid,
-            DmarcDisposition::TempError,
-            DmarcDisposition::Monitor,
-            DmarcDisposition::Enforced {
-                policy: DmarcPolicy::Quarantine,
-                percent: 100,
-            },
-            DmarcDisposition::Enforced {
-                policy: DmarcPolicy::Reject,
-                percent: 100,
-            },
-            DmarcDisposition::Enforced {
-                policy: DmarcPolicy::Reject,
-                percent: 50,
-            },
-        ];
-        for d in &dispositions {
-            for sts in [MtaStsMode::Absent, MtaStsMode::Testing, MtaStsMode::Enforce] {
-                assert!(
-                    seen.insert(stack_fingerprint(d, sts)),
-                    "fingerprint collision at {d:?} × {sts:?}"
-                );
-            }
-        }
     }
 
     #[test]

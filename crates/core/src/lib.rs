@@ -28,9 +28,8 @@ pub mod macroexpand;
 pub mod parse;
 
 pub use auth::{
-    auth_layers, evaluate_auth, query_mta_sts, stack_fingerprint, stop_layer, AuthCache,
-    AuthCacheStats, AuthOutcome, DeploymentMix, DmarcDisposition, MtaStsMode, StopCounts,
-    StopLayer,
+    auth_layers, evaluate_auth, query_mta_sts, stop_layer, AuthCache, AuthCacheStats, AuthOutcome,
+    DeploymentMix, DmarcDisposition, MtaStsMode, StopCounts, StopLayer,
 };
 pub use compile::{
     compile_policy, compile_policy_shared, Compilability, CompileConfig, CompiledPolicy,

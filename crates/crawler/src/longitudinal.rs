@@ -25,12 +25,13 @@
 //!    recompute from scratch — not an approximation
 //!    (`tests/proptest_churn.rs` and `tests/churn_stress.rs` pin this).
 //!
-//! The engine does not own the walker: in-memory backends keep one
-//! long-lived walker and rely on [`spf_analyzer::Walker::invalidate`]
+//! The engine does not own the walker: every backend keeps one
+//! long-lived walker and relies on [`spf_analyzer::Walker::invalidate`]
 //! per churned root (sound under the churn locality contract — see
-//! `spf_netsim::churn`), while wire-backed callers rebuild their fleet
-//! and walker each epoch because [`spf_dns::ZoneStore::partition`]
-//! shards are deep copies that do not see later zone mutations.
+//! `spf_netsim::churn`). A wire fleet serves the live zone, but its
+//! client caches answers for their DNS TTL in real time, so a wire-backed
+//! caller clears that cache ([`spf_dns::WireResolver::clear_cache`])
+//! after each zone edit.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -324,10 +325,9 @@ impl ChurnEngine {
     /// re-crawl the delta'd and TTL-expired domains through `walker`
     /// and fold their old contributions out and new ones in.
     ///
-    /// Memory-backed callers pass the same long-lived walker every
-    /// epoch (churned roots are invalidated here); wire-backed callers
-    /// pass a freshly rebuilt walker because their server fleets hold
-    /// deep copies of the zone.
+    /// Callers pass the same long-lived walker every epoch, whatever the
+    /// backend (churned roots are invalidated here); a wire-backed caller
+    /// also clears its client's answer cache after editing the zone.
     pub fn step<R: Resolver>(&self, walker: &Walker<R>, now: Duration) -> EpochReport {
         let deltas: Vec<ZoneDelta> = {
             let mut inbox = self.inbox.lock().expect("engine inbox lock");

@@ -10,11 +10,13 @@
 //! machinery; this module closes the gap so the *entire* pipeline can run
 //! over real sockets:
 //!
-//! * [`WireFleet`] — the authoritative side. The zone is partitioned
-//!   across N [`UdpNameServer`] shards by
-//!   [`DomainName::precomputed_hash`], the same routing function the
-//!   client uses, so every name has exactly one authoritative home and a
-//!   correctly routed query never needs referral chasing.
+//! * [`WireFleet`] — the authoritative side: N [`UdpNameServer`]
+//!   shards, every one answering from the same live [`ZoneStore`]. The
+//!   client routes each name to one shard by
+//!   [`DomainName::precomputed_hash`], so a shard's load is its slice of
+//!   the names, and a zone edit is served by every shard at once: no
+//!   fleet is rebuilt after it, only the client's answer cache cleared
+//!   ([`WireResolver::clear_cache`]).
 //! * [`WireResolver`] — the client side: a lazily grown socket pool,
 //!   batched lookups ([`Resolver::query_many`] sends a call's questions
 //!   with one `sendmmsg` and drains the replies with `recvmmsg`, so a
@@ -273,7 +275,7 @@ impl Stats for WireStatsView {
     }
 }
 
-/// A sharded authoritative name-server fleet over one logical zone.
+/// A sharded authoritative name-server fleet over one live zone.
 ///
 /// Dropping the fleet shuts the servers down; keep it alive for the whole
 /// crawl.
@@ -282,20 +284,22 @@ pub struct WireFleet {
 }
 
 impl WireFleet {
-    /// Partition `store` into `shards` authoritative shards (see
-    /// [`ZoneStore::partition`]) and spawn one [`UdpNameServer`] per
-    /// shard, every one with the same `config`.
-    pub fn spawn(store: &ZoneStore, shards: usize, config: ServerConfig) -> std::io::Result<Self> {
-        let servers = store
-            .partition(shards)
-            .into_iter()
-            .map(|s| UdpNameServer::spawn(Arc::new(s), config.clone()))
+    /// Spawn `shards` [`UdpNameServer`]s (at least one), every one with
+    /// the same `config` and answering from `store` itself: an edit of
+    /// the store is visible to the next question any shard reads.
+    pub fn spawn(
+        store: &Arc<ZoneStore>,
+        shards: usize,
+        config: ServerConfig,
+    ) -> std::io::Result<Self> {
+        let servers = (0..shards.max(1))
+            .map(|_| UdpNameServer::spawn(Arc::clone(store), config.clone()))
             .collect::<std::io::Result<Vec<_>>>()?;
         Ok(WireFleet { servers })
     }
 
-    /// The shard addresses, in routing order (index `i` serves names with
-    /// `precomputed_hash() % shards == i`).
+    /// The shard addresses, in routing order (the client sends names with
+    /// `precomputed_hash() % shards == i` to index `i`).
     pub fn addrs(&self) -> Vec<SocketAddr> {
         self.servers.iter().map(|s| s.addr()).collect()
     }
@@ -521,7 +525,7 @@ impl WireResolver {
     }
 
     /// The shard index `name` routes to.
-    pub fn shard_of(&self, name: &DomainName) -> usize {
+    fn shard_of(&self, name: &DomainName) -> usize {
         (name.precomputed_hash() % self.servers.len() as u64) as usize
     }
 
@@ -558,7 +562,12 @@ impl WireResolver {
     /// like [`WireSnapshot::cache_hit_rate`] describe the round after the
     /// clear instead of mixing epochs. Transport-lifetime counters
     /// (`wire_queries`, `retries`, `tcp_fallbacks`, `temp_errors`,
-    /// `injected_faults`) keep accumulating — used between scan rounds.
+    /// `injected_faults`) keep accumulating.
+    ///
+    /// The fleet serves the live zone, but this cache holds an answer for
+    /// its DNS TTL in real time, so a caller that edits the zone between
+    /// crawls clears it first: `spf_bench::trends` after each epoch's
+    /// churn batch, and `tests/churn_stress.rs` after each of its batches.
     pub fn clear_cache(&self) {
         self.cache
             .write()
@@ -934,8 +943,8 @@ mod tests {
         }
     }
 
-    fn seeded_store(n: usize) -> ZoneStore {
-        let store = ZoneStore::new();
+    fn seeded_store(n: usize) -> Arc<ZoneStore> {
+        let store = Arc::new(ZoneStore::new());
         for i in 0..n {
             store.add_txt(
                 &dom(&format!("d{i}.example")),
@@ -955,22 +964,59 @@ mod tests {
             let rrs = resolver.query(&name, RecordType::Txt).unwrap();
             assert_eq!(rrs.len(), 1, "{name}");
         }
-        // Every shard with at least one routed name answered on UDP.
+        // Every shard could answer any name, so only the exact per-shard
+        // counts show that each question went to its routed shard.
         let mut routed = [0u64; 4];
         for i in 0..40 {
             routed[resolver.shard_of(&dom(&format!("d{i}.example")))] += 1;
         }
         for (i, count) in routed.iter().enumerate() {
-            if *count > 0 {
-                assert!(fleet.server(i).answered() > 0, "shard {i} never answered");
-            }
+            assert_eq!(fleet.server(i).answered(), *count, "shard {i}");
         }
         assert_eq!(fleet.answered(), 40);
     }
 
     #[test]
+    fn zone_edits_are_served_once_the_client_cache_is_cleared() {
+        let store = seeded_store(8);
+        let fleet = WireFleet::spawn(&store, 2, ServerConfig::default()).unwrap();
+        let resolver = fleet.resolver(fast_config());
+        let names: Vec<DomainName> = (0..8).map(|i| dom(&format!("d{i}.example"))).collect();
+        let served = |name: &DomainName| -> Vec<String> {
+            let rrs = resolver.query(name, RecordType::Txt).unwrap();
+            rrs.iter()
+                .filter_map(|rr| match &rr.data {
+                    RecordData::Txt(t) => Some(t.joined()),
+                    _ => None,
+                })
+                .collect()
+        };
+        let before: Vec<Vec<String>> = names.iter().map(|n| store.txt_strings(n)).collect();
+        for (name, old) in names.iter().zip(&before) {
+            assert_eq!(&served(name), old);
+        }
+        for (i, name) in names.iter().enumerate() {
+            store.replace_txt(name, &format!("v=spf1 ip4:192.0.2.{i} -all"));
+        }
+        // The client still holds every answer for its TTL…
+        for (name, old) in names.iter().zip(&before) {
+            assert_eq!(&served(name), old, "{name} asked the wire");
+        }
+        assert_eq!(fleet.answered(), 8);
+        // …and after the clear every shard serves the edited zone.
+        resolver.clear_cache();
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(served(name), [format!("v=spf1 ip4:192.0.2.{i} -all")]);
+        }
+        assert_eq!(fleet.answered(), 16);
+        for i in 0..2 {
+            assert!(fleet.server(i).answered() > 0, "shard {i} served nothing");
+        }
+    }
+
+    #[test]
     fn nxdomain_and_empty_answers_flow_through() {
-        let store = ZoneStore::new();
+        let store = Arc::new(ZoneStore::new());
         store.add_a(&dom("a-only.example"), Ipv4Addr::new(192, 0, 2, 1));
         let fleet = WireFleet::spawn(&store, 2, ServerConfig::default()).unwrap();
         let resolver = fleet.resolver(fast_config());
@@ -1003,7 +1049,7 @@ mod tests {
 
     #[test]
     fn negative_answers_are_cached_with_ttl() {
-        let store = ZoneStore::new();
+        let store = Arc::new(ZoneStore::new());
         store.add_a(&dom("exists.example"), Ipv4Addr::new(192, 0, 2, 1));
         let fleet = WireFleet::spawn(&store, 1, ServerConfig::default()).unwrap();
         let clock = Arc::new(VirtualClock::new());
@@ -1045,7 +1091,7 @@ mod tests {
 
     #[test]
     fn positive_ttl_honors_record_ttl() {
-        let store = ZoneStore::new();
+        let store = Arc::new(ZoneStore::new());
         let mut rr = ResourceRecord::new(
             dom("short.example"),
             RecordData::Txt(crate::record::TxtData::from_text("v=spf1 -all")),
@@ -1075,7 +1121,7 @@ mod tests {
 
     #[test]
     fn timeout_budget_degrades_to_temperror_and_is_not_cached() {
-        let store = ZoneStore::new();
+        let store = Arc::new(ZoneStore::new());
         store.add_txt(&dom("dead.example"), "v=spf1 -all");
         store.set_fault(&dom("dead.example"), ZoneFault::Timeout);
         let fleet = WireFleet::spawn(&store, 1, ServerConfig::default()).unwrap();
@@ -1150,7 +1196,7 @@ mod tests {
 
     #[test]
     fn servfail_and_refused_preserved_over_wire() {
-        let store = ZoneStore::new();
+        let store = Arc::new(ZoneStore::new());
         store.set_fault(&dom("sf.example"), ZoneFault::ServFail);
         store.set_fault(&dom("ref.example"), ZoneFault::Refused);
         let fleet = WireFleet::spawn(&store, 2, ServerConfig::default()).unwrap();
@@ -1202,7 +1248,7 @@ mod tests {
 
     #[test]
     fn truncated_responses_fall_back_to_tcp() {
-        let store = ZoneStore::new();
+        let store = Arc::new(ZoneStore::new());
         let long = "v=spf1 ".to_string() + &"ip4:198.51.100.0/24 ".repeat(40) + "-all";
         store.add_txt(&dom("huge.example"), &long);
         let fleet = WireFleet::spawn(&store, 2, ServerConfig { max_payload: 512 }).unwrap();

@@ -48,7 +48,7 @@ pub enum LookupOutcome {
 /// to the records means the hot-path lookup is a *single* map probe, and
 /// the outer map hashes via the name's precomputed hash
 /// ([`DomainHashBuilder`]) instead of re-running SipHash per query.
-#[derive(Default, Clone)]
+#[derive(Default)]
 struct NameEntry {
     types: HashMap<RecordType, Vec<ResourceRecord>>,
     fault: Option<ZoneFault>,
@@ -246,27 +246,6 @@ impl ZoneStore {
             .sum()
     }
 
-    /// Split the store into `shards` independent authoritative stores,
-    /// shard `i` holding every name with `precomputed_hash() % shards == i`
-    /// — the same routing function [`crate::fleet::WireResolver`] applies
-    /// on the client side, so after partitioning every name has exactly
-    /// one authoritative home and a correctly routed query never crosses
-    /// shards. Faults and empty-name registrations travel with their name.
-    ///
-    /// The shards are deep copies: later mutations of `self` are *not*
-    /// reflected in them (re-partition after remediation-style zone
-    /// edits).
-    pub fn partition(&self, shards: usize) -> Vec<ZoneStore> {
-        let shards = shards.max(1);
-        let out: Vec<ZoneStore> = (0..shards).map(|_| ZoneStore::new()).collect();
-        let inner = self.read();
-        for (name, entry) in &inner.records {
-            let idx = (name.precomputed_hash() % shards as u64) as usize;
-            out[idx].write().records.insert(name.clone(), entry.clone());
-        }
-        out
-    }
-
     /// The joined TXT strings of every TXT record at `name`, in insertion
     /// order. Convenience for tests and the analyzer's multi-record check.
     pub fn txt_strings(&self, name: &DomainName) -> Vec<String> {
@@ -378,61 +357,6 @@ mod tests {
             },
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn partition_routes_every_name_to_its_hash_shard() {
-        let store = ZoneStore::new();
-        for i in 0..64 {
-            let name = dom(&format!("d{i}.example"));
-            store.add_txt(&name, "v=spf1 -all");
-            if i % 7 == 0 {
-                store.set_fault(&name, ZoneFault::ServFail);
-            }
-        }
-        store.add_empty_name(&dom("hollow.example"));
-        let shards = store.partition(4);
-        assert_eq!(shards.len(), 4);
-        let total: usize = shards.iter().map(|s| s.name_count()).sum();
-        assert_eq!(total, store.name_count());
-        for i in 0..64 {
-            let name = dom(&format!("d{i}.example"));
-            let idx = (name.precomputed_hash() % 4) as usize;
-            // The owning shard answers authoritatively (records or fault)…
-            let owned = shards[idx].lookup(&name, RecordType::Txt);
-            if i % 7 == 0 {
-                assert_eq!(owned, LookupOutcome::Fault(ZoneFault::ServFail));
-            } else {
-                assert_eq!(owned, store.lookup(&name, RecordType::Txt));
-            }
-            // …and every other shard says NXDOMAIN.
-            for (j, shard) in shards.iter().enumerate() {
-                if j != idx {
-                    assert_eq!(
-                        shard.lookup(&name, RecordType::Txt),
-                        LookupOutcome::NxDomain
-                    );
-                }
-            }
-        }
-        // Empty-name registrations travel too (NoRecords, not NXDOMAIN).
-        let hollow = dom("hollow.example");
-        let idx = (hollow.precomputed_hash() % 4) as usize;
-        assert_eq!(
-            shards[idx].lookup(&hollow, RecordType::Txt),
-            LookupOutcome::NoRecords
-        );
-    }
-
-    #[test]
-    fn partition_is_a_deep_copy() {
-        let store = ZoneStore::new();
-        let name = dom("mutate.example");
-        store.add_txt(&name, "v=spf1 -all");
-        let shards = store.partition(2);
-        store.replace_txt(&name, "v=spf1 +all");
-        let idx = (name.precomputed_hash() % 2) as usize;
-        assert_eq!(shards[idx].txt_strings(&name), vec!["v=spf1 -all"]);
     }
 
     #[test]

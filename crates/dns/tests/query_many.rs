@@ -43,8 +43,8 @@ fn fast_config() -> WireClientConfig {
 }
 
 /// One name per outcome the wire can give.
-fn outcome_store() -> ZoneStore {
-    let store = ZoneStore::new();
+fn outcome_store() -> Arc<ZoneStore> {
+    let store = Arc::new(ZoneStore::new());
     store.add_txt(&dom("rec.example"), "v=spf1 ip4:192.0.2.0/24 -all");
     store.add_txt(&dom("cached.example"), "v=spf1 -all");
     store.add_a(&dom("a-only.example"), Ipv4Addr::new(192, 0, 2, 1));
@@ -79,7 +79,7 @@ fn outcome_table() -> Vec<Question> {
 fn query_many_answers_and_counts_like_one_query_per_question() {
     let store = outcome_store();
     let fleet = WireFleet::spawn(&store, 2, ServerConfig { max_payload: 512 }).unwrap();
-    let zone = ZoneResolver::new(Arc::new(store));
+    let zone = ZoneResolver::new(store);
     let table = outcome_table();
     let run = |batched: bool| {
         let resolver = fleet.resolver(fast_config());
@@ -170,7 +170,7 @@ fn overlapping_batched_calls_all_finish_with_the_zone_answers() {
     // each leads some questions another has joined. Silent names hold
     // their flights open for the whole retry budget, widening the window
     // in which two calls wait on each other.
-    let store = ZoneStore::new();
+    let store = Arc::new(ZoneStore::new());
     let mut names = Vec::new();
     for i in 0..12 {
         let name = format!("n{i}.example");
@@ -184,7 +184,7 @@ fn overlapping_batched_calls_all_finish_with_the_zone_answers() {
         names.push(name);
     }
     let fleet = WireFleet::spawn(&store, 2, ServerConfig::default()).unwrap();
-    let zone = ZoneResolver::new(Arc::new(store));
+    let zone = ZoneResolver::new(store);
     let config = WireClientConfig {
         timeout: Duration::from_millis(20),
         ..fast_config()

@@ -556,27 +556,15 @@ impl VerdictCache for ServiceVerdictCache {
     }
 }
 
-/// The compiled-backend store's key: compiled policies are per-domain
-/// (the policy and work cap are fixed per service instance).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CompiledKey(DomainName);
-
-impl CacheKey for CompiledKey {
-    fn shard_hash(&self) -> u64 {
-        let mut hasher = spf_types::DomainHasher::default();
-        std::hash::Hash::hash(self, &mut hasher);
-        std::hash::Hasher::finish(&hasher)
-    }
-}
-
 /// The service's compiled-policy store: a [`TtlLru`] over
 /// [`CompiledPolicy`] artifacts, invalidated **exactly like the verdict
 /// memo** — same TTL mechanism, same pluggable clock, stale entries
 /// removed on probe and never served. A compiled artifact is a batch of
 /// memoized DNS answers just like a subtree verdict, so it gets the same
-/// staleness bound relative to zone mutation.
+/// staleness bound relative to zone mutation. Keyed by domain: the
+/// policy and work cap are fixed per service instance.
 pub struct CompiledPolicyCache {
-    inner: TtlLru<CompiledKey, Arc<CompiledPolicy>>,
+    inner: TtlLru<DomainName, Arc<CompiledPolicy>>,
 }
 
 impl CompiledPolicyCache {
@@ -589,19 +577,18 @@ impl CompiledPolicyCache {
 
     /// Probe for a live compiled policy.
     pub fn get(&self, domain: &DomainName) -> Option<Arc<CompiledPolicy>> {
-        self.inner.get(&CompiledKey(domain.clone()))
+        self.inner.get(domain)
     }
 
     /// A live compiled policy, uncounted — [`TtlLru::peek`].
     pub fn peek(&self, domain: &DomainName) -> Option<Arc<CompiledPolicy>> {
-        self.inner.peek(&CompiledKey(domain.clone()))
+        self.inner.peek(domain)
     }
 
     /// Admit a policy compiled from zone data read at or after `as_of`
     /// — [`TtlLru::insert_as_of`].
     pub fn insert_as_of(&self, domain: DomainName, compiled: Arc<CompiledPolicy>, as_of: Duration) {
-        self.inner
-            .insert_as_of(CompiledKey(domain), compiled, as_of);
+        self.inner.insert_as_of(domain, compiled, as_of);
     }
 
     /// Drop `domain`'s compiled artifact, if resident, regardless of
@@ -609,7 +596,7 @@ impl CompiledPolicyCache {
     /// memoized DNS answers, so a zone delta makes it wrong *now*, not
     /// at TTL lapse. Returns whether an artifact was dropped.
     pub fn invalidate(&self, domain: &DomainName) -> bool {
-        self.inner.invalidate(&CompiledKey(domain.clone()))
+        self.inner.invalidate(domain)
     }
 
     /// Aggregated store counters.

@@ -16,11 +16,10 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use spf_core::{
     check_host, organizational_domain, query_dmarc, received_spf_header, DmarcDisposition,
@@ -178,9 +177,14 @@ impl SmtpServer {
         self.addr
     }
 
-    /// Messages accepted so far.
+    /// Messages accepted so far. A poisoned lock is recovered, as
+    /// `spf_types::ShardedCache` recovers its stripes: the only write is
+    /// one `push` of a whole message.
     pub fn received(&self) -> Vec<ReceivedMessage> {
-        self.received.lock().clone()
+        self.received
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
@@ -420,15 +424,18 @@ fn serve_session<R: Resolver>(
                 stored_body.push_str(&auth_results);
                 stored_body.push('\n');
                 stored_body.push_str(&body);
-                received.lock().push(ReceivedMessage {
-                    mail_from: state.mail_from.clone().unwrap_or_default(),
-                    rcpt_to: state.rcpt_to.clone(),
-                    body: stored_body,
-                    client_ip: state.client_ip,
-                    spf_result,
-                    from_domain: from_domain.map(|d| d.as_str().to_string()),
-                    dmarc_result,
-                });
+                received
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(ReceivedMessage {
+                        mail_from: state.mail_from.clone().unwrap_or_default(),
+                        rcpt_to: state.rcpt_to.clone(),
+                        body: stored_body,
+                        client_ip: state.client_ip,
+                        spf_result,
+                        from_domain: from_domain.map(|d| d.as_str().to_string()),
+                        dmarc_result,
+                    });
                 state.mail_from = None;
                 state.mail_from_domain = None;
                 state.rcpt_to.clear();

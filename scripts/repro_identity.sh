@@ -8,9 +8,15 @@
 # scratch directory, builds both sides `--release` into target
 # directories of their own, and on each side runs
 #
-#   repro all --scale N                  (default N = 2000)
+#   repro all --scale N                     (default N = 2000)
 #   repro spoof-matrix --stack --scale N
-#   repro all --scale N --backend wire:2 (the crawl over loopback DNS)
+#   repro all --scale N --backend wire:2    (the crawl over loopback DNS)
+#   repro trends --scale N                  (churn epochs over the live zone)
+#   repro trends --scale N --backend wire:2 (the same epochs over the fleet)
+#
+# `trends` is not part of `all`, so it runs on its own, once per
+# transport: the wire run re-crawls each epoch's edits through the one
+# fleet the run spawned.
 #
 # with the experiment log written next to the captured stdout. Timing
 # lines are stripped before comparing: `[throughput]` lines, `done in`,
@@ -66,14 +72,17 @@ strip_timing() {
 for side in parent change; do
     bin="$dir/$side-target/release/repro"
     out="$dir/$side"
-    echo "== running $side: all, spoof-matrix --stack, all --backend wire:2 at scale 1:$scale" >&2
+    echo "== running $side: all, spoof-matrix --stack, all --backend wire:2, trends, trends --backend wire:2 at scale 1:$scale" >&2
     "$bin" all --scale "$scale" --out "$out/all.md" | strip_timing > "$out/all.txt"
     "$bin" spoof-matrix --stack --scale "$scale" --out "$out/stack.md" | strip_timing > "$out/stack.txt"
     "$bin" all --scale "$scale" --backend wire:2 --out "$out/wire.md" | strip_timing > "$out/wire.txt"
+    "$bin" trends --scale "$scale" --out "$out/trends.md" | strip_timing > "$out/trends.txt"
+    "$bin" trends --scale "$scale" --backend wire:2 --out "$out/trends-wire.md" | strip_timing > "$out/trends-wire.txt"
 done
 
 status=0
-for file in all.txt all.md stack.txt stack.md wire.txt wire.md; do
+for file in all.txt all.md stack.txt stack.md wire.txt wire.md \
+    trends.txt trends.md trends-wire.txt trends-wire.md; do
     diff -u --label "parent/$file" --label "change/$file" \
         "$dir/parent/$file" "$dir/change/$file" || status=$?
 done

@@ -8,15 +8,17 @@
 //! path), and compares the serialized reports + weighted coverage of
 //! every configuration against the single-threaded in-memory reference.
 //!
-//! Backend-specific plumbing mirrors the production `trends` pipeline:
-//! memory backends keep one long-lived walker whose churned roots are
-//! invalidated in-place, while the wire backend rebuilds its server fleet
-//! and walker each epoch because the fleet's zone shards are deep
-//! copies taken at spawn time.
+//! The plumbing mirrors the production `trends` pipeline: every
+//! configuration keeps one long-lived walker whose churned roots are
+//! invalidated in place. The wire fleet serves the live zone, but its
+//! client caches answers for their DNS TTL in real time, so the wire
+//! configurations clear that cache after every zone edit; without the
+//! clear they re-crawl churned roots from stale answers and diverge.
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use lazy_gatekeepers::bench::{build_resolver, WireRun};
 use lazy_gatekeepers::prelude::*;
 
 const SEED: u64 = 0x5bf1_2023;
@@ -27,30 +29,12 @@ const MONTH: Duration = Duration::from_secs(30 * 86_400);
 const LONG_TTL: Duration = Duration::from_secs(10 * 365 * 86_400);
 const WIRE_SERVERS: usize = 2;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BackendKind {
-    Memory,
-    Wire,
-}
-
-/// Build a walker for the current zone state under the given backend.
-/// Returns the fleet too where one exists — it must stay alive for the
-/// walker's lifetime.
-fn build_walker(
-    store: &Arc<ZoneStore>,
-    backend: BackendKind,
-) -> (Walker<Arc<dyn Resolver>>, Option<WireFleet>) {
-    match backend {
-        BackendKind::Memory => {
-            let resolver: Arc<dyn Resolver> = Arc::new(ZoneResolver::new(Arc::clone(store)));
-            (Walker::new(resolver), None)
-        }
-        BackendKind::Wire => {
-            let fleet = WireFleet::spawn(store, WIRE_SERVERS, ServerConfig::default())
-                .expect("fleet spawns");
-            let resolver: Arc<dyn Resolver> = Arc::new(fleet.resolver(WireClientConfig::crawl()));
-            (Walker::new(resolver), Some(fleet))
-        }
+/// Edit the live zone, then drop the wire client's cached answers, which
+/// would otherwise outlive the edit by their DNS TTL.
+fn apply(batch: &ChurnBatch, store: &ZoneStore, wire: &Option<WireRun>) {
+    batch.apply(store);
+    if let Some(run) = wire {
+        run.resolver.clear_cache();
     }
 }
 
@@ -73,7 +57,7 @@ fn snapshot(engine: &ChurnEngine) -> String {
 /// resolves, delivery only buffers (zone mutation happened before, and
 /// the engine applies invalidation + re-crawl inside the single-threaded
 /// step), so the post-flush state is identical in every interleaving.
-fn run_scenario(workers: usize, backend: BackendKind) -> (String, String) {
+fn run_scenario(workers: usize, backend: Backend) -> (String, String) {
     let population = Population::build(PopulationConfig {
         scale: Scale::stress(),
         seed: SEED,
@@ -83,7 +67,9 @@ fn run_scenario(workers: usize, backend: BackendKind) -> (String, String) {
         .crawl(CrawlConfig::with_workers(workers))
         .ttl(LONG_TTL, Duration::ZERO);
 
-    let (mut walker, mut fleet) = build_walker(&store, backend);
+    // The configuration's one walker, built as `trends` builds it.
+    let (resolver, wire) = build_resolver(&store, backend);
+    let walker = Walker::new(resolver);
     let engine = ChurnEngine::bootstrap(&walker, population.domains.clone(), config);
     let mut sim = ChurnSimulator::new(
         Arc::clone(&store),
@@ -97,10 +83,7 @@ fn run_scenario(workers: usize, backend: BackendKind) -> (String, String) {
 
     // Epoch 1: plain deterministic delivery.
     let batch = sim.next_epoch();
-    batch.apply(&store);
-    if backend != BackendKind::Memory {
-        (walker, fleet) = build_walker(&store, backend);
-    }
+    apply(&batch, &store, &wire);
     engine.deliver(ZoneDelta::new(batch.domains(), || {}));
     let report = engine.step(&walker, MONTH);
     assert!(report.recrawled >= 1, "churn must re-crawl something");
@@ -109,10 +92,7 @@ fn run_scenario(workers: usize, backend: BackendKind) -> (String, String) {
 
     // Epoch 2: the batch lands mid-crawl, racing the step.
     let batch = sim.next_epoch();
-    batch.apply(&store);
-    if backend != BackendKind::Memory {
-        (walker, fleet) = build_walker(&store, backend);
-    }
+    apply(&batch, &store, &wire);
     let changed = batch.domains();
     std::thread::scope(|scope| {
         let engine = &engine;
@@ -127,13 +107,13 @@ fn run_scenario(workers: usize, backend: BackendKind) -> (String, String) {
     assert_eq!(engine.pending_deltas(), 0);
     let after_flush = snapshot(&engine);
 
-    drop(fleet);
+    drop(wire);
     (after_epoch1, after_flush)
 }
 
 #[test]
 fn churned_state_is_byte_identical_across_workers_and_backends() {
-    let (ref_epoch1, ref_flush) = run_scenario(1, BackendKind::Memory);
+    let (ref_epoch1, ref_flush) = run_scenario(1, Backend::memory());
 
     // The reference itself must match a from-scratch recompute of the
     // final churned zone before it judges anyone else.
@@ -168,19 +148,19 @@ fn churned_state_is_byte_identical_across_workers_and_backends() {
         );
     }
 
-    for backend in [BackendKind::Memory, BackendKind::Wire] {
+    for backend in [Backend::memory(), Backend::wire(WIRE_SERVERS)] {
         for workers in [1usize, 4, 32] {
-            if (workers, backend) == (1, BackendKind::Memory) {
+            if (workers, backend) == (1, Backend::memory()) {
                 continue;
             }
             let (epoch1, flush) = run_scenario(workers, backend);
             assert_eq!(
                 epoch1, ref_epoch1,
-                "epoch-1 state diverged at workers={workers} backend={backend:?}"
+                "epoch-1 state diverged at workers={workers} backend={backend}"
             );
             assert_eq!(
                 flush, ref_flush,
-                "post-flush state diverged at workers={workers} backend={backend:?}"
+                "post-flush state diverged at workers={workers} backend={backend}"
             );
         }
     }
