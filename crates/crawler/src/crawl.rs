@@ -40,8 +40,8 @@ pub use spf_types::DEFAULT_WIRE_SERVERS;
 /// The crawl loop itself is transport-agnostic (it only sees a
 /// [`Resolver`] through the walker); the [`Backend`] travels here so the
 /// pipeline assemblers — `bench::prepare`, the `repro` CLI, the stress
-/// suites — build the right stack. Under a zero-fault profile every
-/// transport produces byte-identical report streams.
+/// suites — build the right stack. Every transport produces
+/// byte-identical report streams, the zone's faulted names included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CrawlConfig {
     /// Number of worker threads (the paper used 150 query endpoints; CPU

@@ -35,7 +35,7 @@
 //! pure functions of `(zone, domain, vantage)`, merged commutatively
 //! from per-worker accumulators — so the serialized report is identical
 //! across worker counts, batch sizes, cache on/off,
-//! and resolver substrates (in-memory vs wire under zero faults). The
+//! and resolver substrates (in-memory vs wire). The
 //! reference every engine configuration is checked against is the
 //! *bare-row fold*: [`evaluate_matrix_row`] with no cache and no
 //! compiler for every domain, folded with [`SpoofMatrix::fold_in`].

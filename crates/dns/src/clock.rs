@@ -1,9 +1,11 @@
-//! A clock abstraction so rate limiting and campaign throttling can run on
-//! virtual time in tests/benches and on wall-clock time in live runs.
+//! A clock abstraction so everything that expires or throttles on time
+//! can run on virtual time in tests and on wall-clock time in live runs:
+//! the [`crate::WireResolver`]'s answer TTLs, the verdict service's cache
+//! expiry and the notification sender's throttle.
 //!
-//! The paper's crawler throttled DNS queries across 150 endpoints and the
-//! notification sender to 1 email/second; replaying those policies in a
-//! test suite demands a clock that can be advanced instantly.
+//! The paper's notification campaign sent 1 email/second; replaying that
+//! policy, or a cache TTL, in a test suite demands a clock that can be
+//! advanced instantly.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};

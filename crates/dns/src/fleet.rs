@@ -27,14 +27,15 @@
 //!   truncation, and a retry/timeout budget that degrades to
 //!   [`DnsError::Timeout`] — the same `temperror` surface the in-memory
 //!   fault path presents, so the walker cannot tell the transports apart.
-//! * [`ShardBehavior`] — optional per-shard fault/latency injection, so
-//!   the netsim presets can model a degraded slice of the fleet (one slow
-//!   resolver out of 150) rather than only uniform failure rates.
 //!
-//! Under a zero-fault profile the wire path is *observationally
-//! identical* to the in-memory path: the façade's `wire_stress` suite
-//! serializes both report streams at scale 1:500 and compares them byte
-//! for byte across worker × shard matrices.
+//! DNS failures come from the zone alone: a name's [`crate::ZoneFault`]
+//! makes every shard stay silent, answer SERVFAIL or refuse, exactly as
+//! [`crate::resolver::ZoneResolver`] reports it in process. So the wire
+//! path is *observationally identical* to the in-memory path: the
+//! façade's `wire_stress` suite serializes both report streams at scale
+//! 1:500 and compares them byte for byte across worker × shard matrices,
+//! and `fault_injection` does the same over a zone with a faulted slice
+//! of one shard's names.
 
 use std::collections::HashMap;
 use std::io::ErrorKind;
@@ -45,8 +46,6 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use nix::sys::socket::{recv_from_batch, set_recv_buffer_size, RecvSlot, SendPacket};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use spf_types::{DomainName, StatItem, Stats};
 
@@ -54,12 +53,23 @@ use crate::clock::{Clock, SystemClock};
 use crate::inline::InlineVec;
 use crate::lock;
 use crate::record::{Question, RecordType, ResourceRecord};
-use crate::resolver::{DnsError, FaultProfile, Resolver};
+use crate::resolver::{DnsError, Resolver};
 use crate::udp::{
     answers_of, send_all, tcp_query, ServerConfig, UdpNameServer, SERVE_BATCH, SERVE_RECV_BUFFER,
 };
 use crate::wire::{self, Message};
 use crate::zone::ZoneStore;
+
+/// Cap applied to positive TTLs taken from answer records.
+const MAX_RECORD_TTL: Duration = Duration::from_secs(3600);
+
+/// How long NXDOMAIN / empty / REFUSED answers are cached (RFC
+/// 2308-style negative caching). Transient errors are never cached.
+const NEGATIVE_TTL: Duration = Duration::from_secs(300);
+
+/// Idle sockets kept in the client's pool; bursts beyond the cap create
+/// throwaway sockets instead of blocking.
+const MAX_POOLED_SOCKETS: usize = 64;
 
 /// Client-side knobs of the wire path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,14 +79,6 @@ pub struct WireClientConfig {
     /// UDP attempts before the query degrades to [`DnsError::Timeout`]
     /// (`temperror`), mirroring the in-memory fault path.
     pub attempts: usize,
-    /// Cap applied to positive TTLs taken from answer records.
-    pub max_record_ttl: Duration,
-    /// How long NXDOMAIN / empty / REFUSED answers are cached (RFC
-    /// 2308-style negative caching). Transient errors are never cached.
-    pub negative_ttl: Duration,
-    /// Idle sockets kept in the client's pool; bursts beyond the cap
-    /// create throwaway sockets instead of blocking.
-    pub max_pooled_sockets: usize,
 }
 
 impl Default for WireClientConfig {
@@ -84,9 +86,6 @@ impl Default for WireClientConfig {
         WireClientConfig {
             timeout: Duration::from_millis(120),
             attempts: 3,
-            max_record_ttl: Duration::from_secs(3600),
-            negative_ttl: Duration::from_secs(300),
-            max_pooled_sockets: 64,
         }
     }
 }
@@ -101,34 +100,6 @@ impl WireClientConfig {
         WireClientConfig {
             timeout: Duration::from_millis(60),
             attempts: 2,
-            ..WireClientConfig::default()
-        }
-    }
-}
-
-/// Fault/latency injection for one server shard, applied on the client's
-/// send path (the shard's slice of the Internet is slow or lossy; the
-/// zone data itself is untouched). Rolls follow the same accumulation
-/// order as [`crate::resolver::FaultInjectingResolver`], so a
-/// single-shard fleet with a given profile reproduces that layer's error
-/// mix. Injected timeouts are returned directly — they model the
-/// *resolver endpoint* giving up, not one lost datagram, so they do not
-/// consume the retry budget.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardBehavior {
-    /// Fault probabilities for queries routed to this shard.
-    pub fault: FaultProfile,
-    /// Extra latency added to every query routed to this shard (slept on
-    /// the resolver's [`Clock`], so virtual-clock tests pay nothing).
-    pub latency: Duration,
-}
-
-impl ShardBehavior {
-    /// No injected faults, no added latency — the determinism profile.
-    pub fn none() -> Self {
-        ShardBehavior {
-            fault: FaultProfile::none(),
-            latency: Duration::ZERO,
         }
     }
 }
@@ -144,7 +115,6 @@ struct WireCounters {
     retries: AtomicU64,
     tcp_fallbacks: AtomicU64,
     temp_errors: AtomicU64,
-    injected_faults: AtomicU64,
 }
 
 /// Point-in-time copy of a [`WireResolver`]'s counters.
@@ -168,8 +138,6 @@ pub struct WireSnapshot {
     /// Queries that exhausted the retry budget and degraded to
     /// [`DnsError::Timeout`].
     pub temp_errors: u64,
-    /// Faults injected by [`ShardBehavior`] profiles.
-    pub injected_faults: u64,
 }
 
 impl WireSnapshot {
@@ -205,14 +173,13 @@ impl WireSnapshot {
     /// Check the counter laws of a [`WireResolver`] at rest (no call in
     /// flight); `Err` names the broken law and the counters.
     ///
-    /// * Every query is a cache hit, a coalesced join, an injected fault,
-    ///   or the first datagram of a question the resolver led:
-    ///   `queries == cache_hits + coalesced + injected_faults +
-    ///   (wire_queries − retries)`.
-    /// * With no fault injected, `retries == temp_errors`: the law of the
-    ///   crawl profile ([`WireClientConfig::crawl`], two attempts) on a
-    ///   fleet that loses no datagram, where a question is re-sent only
-    ///   when it is going to time out.
+    /// * Every query is a cache hit, a coalesced join, or the first
+    ///   datagram of a question the resolver led:
+    ///   `queries == cache_hits + coalesced + (wire_queries − retries)`.
+    /// * `retries == temp_errors`: the law of the crawl profile
+    ///   ([`WireClientConfig::crawl`], two attempts) on a fleet that
+    ///   loses no datagram, where a question is re-sent only when it is
+    ///   going to time out.
     ///
     /// The laws count from the resolver's construction, so they hold up
     /// to the first [`WireResolver::clear_cache`]: a clear resets
@@ -220,17 +187,14 @@ impl WireSnapshot {
     /// counters.
     pub fn check_conservation(&self) -> Result<(), String> {
         let first_datagrams = self.wire_queries.checked_sub(self.retries);
-        let accounted = first_datagrams
-            .map(|first| self.cache_hits + self.coalesced + self.injected_faults + first);
+        let accounted = first_datagrams.map(|first| self.cache_hits + self.coalesced + first);
         if accounted != Some(self.queries) {
             return Err(format!(
-                "queries != cache_hits + coalesced + injected_faults + (wire_queries - retries): {self:?}"
+                "queries != cache_hits + coalesced + (wire_queries - retries): {self:?}"
             ));
         }
-        if self.injected_faults == 0 && self.retries != self.temp_errors {
-            return Err(format!(
-                "retries != temp_errors with no fault injected: {self:?}"
-            ));
+        if self.retries != self.temp_errors {
+            return Err(format!("retries != temp_errors: {self:?}"));
         }
         Ok(())
     }
@@ -270,7 +234,6 @@ impl Stats for WireStatsView {
             StatItem::percent("cache_hit", s.cache_hit_rate()),
             StatItem::count("retries", s.retries),
             StatItem::count("temp_errors", s.temp_errors),
-            StatItem::count("injected", s.injected_faults),
         ]
     }
 }
@@ -439,9 +402,8 @@ struct Outgoing {
 /// Every lookup is a [`Resolver::query_many`] call; [`Resolver::query`]
 /// is a call of one question. For each question in order the call counts
 /// it in `queries`, probes the TTL cache, then joins another caller's
-/// in-flight question or leads its own. Each led question rolls its
-/// shard's [`ShardBehavior`], in input order. The led questions left go
-/// out in windows of at most `SERVE_BATCH` (64) on one pooled socket:
+/// in-flight question or leads its own. The led questions go out in
+/// windows of at most `SERVE_BATCH` (64) on one pooled socket:
 /// each attempt sends every unanswered question of the window with one
 /// `sendmmsg`, and `recvmmsg` drains match replies by peer, id and the
 /// response bit until the window is answered or the attempt's deadline
@@ -463,7 +425,6 @@ pub struct WireResolver {
     /// followers wait on — made by the first follower, so a question
     /// nobody joins costs no flight and no copy of its answer.
     inflight: Mutex<HashMap<Question, Option<Arc<Flight>>>>,
-    behaviors: Option<Vec<(ShardBehavior, Mutex<StdRng>)>>,
     pool: SocketPool,
     next_id: AtomicU64,
 }
@@ -478,8 +439,8 @@ impl WireResolver {
         Self::with_clock(servers, config, Arc::new(SystemClock::new()))
     }
 
-    /// Like [`WireResolver::new`] with an explicit clock (cache TTLs and
-    /// injected latency run on it).
+    /// Like [`WireResolver::new`] with an explicit clock (cache TTLs run
+    /// on it).
     pub fn with_clock(
         servers: Vec<SocketAddr>,
         config: WireClientConfig,
@@ -496,32 +457,9 @@ impl WireResolver {
             counters: WireCounters::default(),
             cache: RwLock::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
-            behaviors: None,
             pool: SocketPool::new(),
             next_id: AtomicU64::new(1),
         }
-    }
-
-    /// Attach per-shard fault/latency behaviors (one entry per server, in
-    /// routing order). Each shard rolls its own deterministic RNG stream
-    /// seeded `seed ^ shard_index`.
-    ///
-    /// # Panics
-    /// Panics when `behaviors.len()` differs from the server count.
-    pub fn with_behaviors(mut self, behaviors: Vec<ShardBehavior>, seed: u64) -> Self {
-        assert_eq!(
-            behaviors.len(),
-            self.servers.len(),
-            "one behavior per server shard"
-        );
-        self.behaviors = Some(
-            behaviors
-                .into_iter()
-                .enumerate()
-                .map(|(i, b)| (b, Mutex::new(StdRng::seed_from_u64(seed ^ i as u64))))
-                .collect(),
-        );
-        self
     }
 
     /// The shard index `name` routes to.
@@ -541,7 +479,6 @@ impl WireResolver {
             retries: c.retries.load(Ordering::Relaxed),
             tcp_fallbacks: c.tcp_fallbacks.load(Ordering::Relaxed),
             temp_errors: c.temp_errors.load(Ordering::Relaxed),
-            injected_faults: c.injected_faults.load(Ordering::Relaxed),
         }
     }
 
@@ -561,8 +498,8 @@ impl WireResolver {
     /// (`queries`, `cache_hits`, `cache_expired`, `coalesced`), so rates
     /// like [`WireSnapshot::cache_hit_rate`] describe the round after the
     /// clear instead of mixing epochs. Transport-lifetime counters
-    /// (`wire_queries`, `retries`, `tcp_fallbacks`, `temp_errors`,
-    /// `injected_faults`) keep accumulating.
+    /// (`wire_queries`, `retries`, `tcp_fallbacks`, `temp_errors`) keep
+    /// accumulating.
     ///
     /// The fleet serves the live zone, but this cache holds an answer for
     /// its DNS TTL in real time, so a caller that edits the zone between
@@ -594,11 +531,11 @@ impl WireResolver {
         let ttl = match result {
             Ok(rrs) if !rrs.is_empty() => {
                 let min_ttl = rrs.iter().map(|rr| rr.ttl).min().unwrap_or(0);
-                Duration::from_secs(min_ttl as u64).min(self.config.max_record_ttl)
+                Duration::from_secs(min_ttl as u64).min(MAX_RECORD_TTL)
             }
             // NOERROR/empty and NXDOMAIN/REFUSED are negative answers.
-            Ok(_) => self.config.negative_ttl,
-            Err(e) if !e.is_transient() => self.config.negative_ttl,
+            Ok(_) => NEGATIVE_TTL,
+            Err(e) if !e.is_transient() => NEGATIVE_TTL,
             // Transient errors are never cached — a rescan may succeed,
             // matching the paper's exclusion of temperror cohorts.
             Err(_) => return,
@@ -616,40 +553,6 @@ impl WireResolver {
                     expires_at: self.clock.now() + ttl,
                 },
             );
-    }
-
-    /// Roll the routed shard's fault profile; `Some` short-circuits the
-    /// wire entirely (the injected outcome is what the endpoint "said").
-    fn injected_fault(&self, shard: usize) -> Option<Result<Vec<ResourceRecord>, DnsError>> {
-        let (behavior, rng) = match &self.behaviors {
-            Some(b) => &b[shard],
-            None => return None,
-        };
-        if !behavior.latency.is_zero() {
-            self.clock.sleep(behavior.latency);
-        }
-        let p = behavior.fault;
-        if p == FaultProfile::none() {
-            return None;
-        }
-        let roll: f64 = lock(rng).random();
-        let mut acc = p.timeout;
-        if roll < acc {
-            return Some(Err(DnsError::Timeout));
-        }
-        acc += p.nxdomain;
-        if roll < acc {
-            return Some(Err(DnsError::NxDomain));
-        }
-        acc += p.empty;
-        if roll < acc {
-            return Some(Ok(Vec::new()));
-        }
-        acc += p.servfail;
-        if roll < acc {
-            return Some(Err(DnsError::ServFail));
-        }
-        None
     }
 
     /// Send the led questions at `led` over UDP in windows of at most
@@ -684,7 +587,7 @@ impl WireResolver {
                 answers[index] = self.settle(o, &questions[index], failure.as_ref());
             }
         }
-        self.pool.release(pooled, self.config.max_pooled_sockets);
+        self.pool.release(pooled, MAX_POOLED_SOCKETS);
     }
 
     /// Address question `q`, input position `index`, and write its query
@@ -874,32 +777,9 @@ impl Resolver for WireResolver {
                 }
             }
         }
-        // An injected outcome is counted the way a real wire outcome is:
-        // `injected_faults`, plus `temp_errors` for a timeout. The led
-        // questions that go to the wire move to the front of `led`, in
-        // input order.
-        let led = led.as_mut_slice();
-        let mut wire_led = 0;
-        for k in 0..led.len() {
-            let i = led[k];
-            match self.injected_fault(self.shard_of(&questions[i].name)) {
-                Some(outcome) => {
-                    self.counters
-                        .injected_faults
-                        .fetch_add(1, Ordering::Relaxed);
-                    if matches!(outcome, Err(DnsError::Timeout)) {
-                        self.counters.temp_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    answers[i] = outcome;
-                }
-                None => {
-                    led.swap(wire_led, k);
-                    wire_led += 1;
-                }
-            }
-        }
-        if wire_led > 0 {
-            self.resolve_over_wire(questions, &led[..wire_led], answers);
+        let led = led.as_slice();
+        if !led.is_empty() {
+            self.resolve_over_wire(questions, led, answers);
         }
         // Every led flight is published before any joined one is waited
         // on. The cache is written *before* a flight is retired so a
@@ -939,7 +819,6 @@ mod tests {
         WireClientConfig {
             timeout: Duration::from_millis(50),
             attempts: 2,
-            ..WireClientConfig::default()
         }
     }
 
@@ -1055,10 +934,7 @@ mod tests {
         let clock = Arc::new(VirtualClock::new());
         let resolver = WireResolver::with_clock(
             fleet.addrs(),
-            WireClientConfig {
-                negative_ttl: Duration::from_secs(30),
-                ..fast_config()
-            },
+            fast_config(),
             Arc::clone(&clock) as Arc<dyn Clock>,
         );
         // NXDOMAIN cached…
@@ -1079,7 +955,7 @@ mod tests {
         assert_eq!(snap.wire_queries, 2);
         assert_eq!(snap.cache_hits, 4);
         // Past the negative TTL the next probe goes back to the wire.
-        clock.advance(Duration::from_secs(31));
+        clock.advance(NEGATIVE_TTL + Duration::from_secs(1));
         assert_eq!(
             resolver.query(&dom("gone.example"), RecordType::Txt),
             Err(DnsError::NxDomain)
@@ -1128,7 +1004,6 @@ mod tests {
         let resolver = fleet.resolver(WireClientConfig {
             timeout: Duration::from_millis(30),
             attempts: 3,
-            ..WireClientConfig::default()
         });
         assert_eq!(
             resolver.query(&dom("dead.example"), RecordType::Txt),
@@ -1272,48 +1147,6 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_behavior_injects_faults_only_on_its_shard() {
-        let store = seeded_store(40);
-        let fleet = WireFleet::spawn(&store, 2, ServerConfig::default()).unwrap();
-        // Shard 0 always times out; shard 1 is healthy.
-        let behaviors = vec![
-            ShardBehavior {
-                fault: FaultProfile {
-                    timeout: 1.0,
-                    nxdomain: 0.0,
-                    empty: 0.0,
-                    servfail: 0.0,
-                },
-                latency: Duration::ZERO,
-            },
-            ShardBehavior::none(),
-        ];
-        let resolver = fleet.resolver(fast_config()).with_behaviors(behaviors, 7);
-        let mut dead = 0;
-        let mut alive = 0;
-        for i in 0..40 {
-            let name = dom(&format!("d{i}.example"));
-            let result = resolver.query(&name, RecordType::Txt);
-            match resolver.shard_of(&name) {
-                0 => {
-                    assert_eq!(result, Err(DnsError::Timeout));
-                    dead += 1;
-                }
-                _ => {
-                    assert!(result.is_ok());
-                    alive += 1;
-                }
-            }
-        }
-        assert!(dead > 0 && alive > 0, "hash must spread both shards");
-        let snap = resolver.snapshot();
-        assert_eq!(snap.injected_faults, dead);
-        assert_eq!(snap.temp_errors, dead);
-        // Injected faults never touched the wire.
-        assert_eq!(snap.wire_queries, alive);
-    }
-
-    #[test]
     fn clear_cache_resets_cache_epoch_counters_only() {
         let store = seeded_store(1);
         let fleet = WireFleet::spawn(&store, 1, ServerConfig::default()).unwrap();
@@ -1347,28 +1180,42 @@ mod tests {
     }
 
     #[test]
-    fn injected_latency_runs_on_the_clock() {
-        let store = seeded_store(8);
-        let fleet = WireFleet::spawn(&store, 1, ServerConfig::default()).unwrap();
-        let clock = Arc::new(VirtualClock::new());
-        let resolver = WireResolver::with_clock(
-            fleet.addrs(),
-            fast_config(),
-            Arc::clone(&clock) as Arc<dyn Clock>,
-        )
-        .with_behaviors(
-            vec![ShardBehavior {
-                fault: FaultProfile::none(),
-                latency: Duration::from_millis(40),
-            }],
-            1,
+    fn conservation_names_each_broken_law() {
+        // Five questions: two cache hits, one coalesced join and two led
+        // to the wire, one of which timed out after its retry.
+        let sound = WireSnapshot {
+            queries: 5,
+            cache_hits: 2,
+            coalesced: 1,
+            wire_queries: 3,
+            retries: 1,
+            temp_errors: 1,
+            ..WireSnapshot::default()
+        };
+        assert_eq!(sound.check_conservation(), Ok(()));
+        let unaccounted = WireSnapshot {
+            queries: 6,
+            ..sound
+        };
+        let law = unaccounted.check_conservation().unwrap_err();
+        assert!(
+            law.starts_with("queries != cache_hits + coalesced + (wire_queries - retries)"),
+            "{law}"
         );
-        for i in 0..8 {
-            resolver
-                .query(&dom(&format!("d{i}.example")), RecordType::Txt)
-                .unwrap();
-        }
-        // 8 queries × 40ms of virtual latency, paid instantly.
-        assert_eq!(clock.now(), Duration::from_millis(320));
+        let more_retries_than_datagrams = WireSnapshot {
+            retries: 4,
+            temp_errors: 4,
+            ..sound
+        };
+        let law = more_retries_than_datagrams
+            .check_conservation()
+            .unwrap_err();
+        assert!(law.starts_with("queries != "), "{law}");
+        let retried_without_timing_out = WireSnapshot {
+            temp_errors: 0,
+            ..sound
+        };
+        let law = retried_without_timing_out.check_conservation().unwrap_err();
+        assert!(law.starts_with("retries != temp_errors"), "{law}");
     }
 }

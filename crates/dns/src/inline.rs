@@ -40,14 +40,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
             &self.heap
         }
     }
-
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
-        if self.heap.is_empty() {
-            &mut self.inline[..self.len]
-        } else {
-            &mut self.heap
-        }
-    }
 }
 
 #[cfg(test)]
@@ -66,7 +58,5 @@ mod tests {
             list.push(i);
         }
         assert_eq!(list.as_slice(), (0..11).collect::<Vec<_>>().as_slice());
-        list.as_mut_slice()[10] = 99;
-        assert_eq!(list.as_slice()[10], 99);
     }
 }

@@ -7,17 +7,18 @@
 //!   A/AAAA, MX, PTR, NS, CNAME);
 //! * [`wire`]: an RFC 1035 message codec with name compression;
 //! * [`zone`]: the in-memory authoritative store, including per-name fault
-//!   configuration (timeouts, SERVFAIL) used to reproduce the paper's DNS
-//!   error cohorts;
-//! * [`resolver`]: the [`Resolver`] trait plus rate-limiting, counting
-//!   and fault-injecting layers mirroring the crawler design in Section
-//!   4.1 of the paper;
+//!   configuration (timeouts, SERVFAIL, REFUSED): the one model of the
+//!   paper's DNS error cohorts, served alike in process and over sockets;
+//! * [`resolver`]: the [`Resolver`] trait, the in-process
+//!   [`ZoneResolver`] and a query-counting layer;
 //! * [`udp`]: a real UDP + TCP name server over the wire codec, and the
 //!   batched datagram loop it shares with the verdict service;
 //! * [`fleet`]: the wire-path crawl substrate — a hash-sharded
 //!   authoritative server fleet plus the coalescing, TTL-caching
 //!   [`WireResolver`], the one DNS-over-socket client;
-//! * [`clock`]: virtual/wall clock abstraction for the throttling layers.
+//! * [`clock`]: virtual/wall clock abstraction for the wire client's
+//!   answer TTLs, the verdict service's cache expiry and the notification
+//!   campaign's throttle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,14 +35,9 @@ pub mod zone;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 pub use clock::{Clock, SystemClock, VirtualClock};
-pub use fleet::{
-    ShardBehavior, WireClientConfig, WireFleet, WireResolver, WireSnapshot, WireStatsView,
-};
+pub use fleet::{WireClientConfig, WireFleet, WireResolver, WireSnapshot, WireStatsView};
 pub use record::{Question, RecordData, RecordType, ResourceRecord, TxtData};
-pub use resolver::{
-    CountingResolver, DnsError, FaultInjectingResolver, FaultProfile, QueryStats,
-    RateLimitedResolver, Resolver, ZoneResolver,
-};
+pub use resolver::{CountingResolver, DnsError, QueryStats, Resolver, ZoneResolver};
 pub use udp::{bind_udp_tcp_pair, serve_datagrams, DatagramHandler, ServerConfig, UdpNameServer};
 pub use wire::{decode, encode, encode_uncompressed, Header, Message, Rcode, WireError};
 pub use zone::{LookupOutcome, ZoneFault, ZoneStore};

@@ -38,7 +38,6 @@ fn fast_config() -> WireClientConfig {
     WireClientConfig {
         timeout: Duration::from_millis(50),
         attempts: 2,
-        ..WireClientConfig::default()
     }
 }
 

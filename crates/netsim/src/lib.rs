@@ -20,9 +20,11 @@
 //!   longitudinal engine;
 //! * [`hosting`] — the five-provider case-study world (Table 5);
 //! * [`spooflab`] — the spoofability-matrix world: population + hosting
-//!   merged into one zone;
-//! * [`wirelab`] — per-shard fault/latency presets for the wire-path
-//!   crawl's server fleet.
+//!   merged into one zone.
+//!
+//! The population's DNS error cohorts are per-name `spf_dns::ZoneFault`s
+//! (and absent or empty names) in the zone it builds, so the in-memory
+//! and the wire crawl meet the same failures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +37,6 @@ pub mod population;
 pub mod providers;
 pub mod scale;
 pub mod spooflab;
-pub mod wirelab;
 
 pub use blocks::AddressAllocator;
 pub use churn::{

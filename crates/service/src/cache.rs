@@ -35,39 +35,27 @@ use std::time::Duration;
 
 use serde::Serialize;
 use spf_core::{
-    auth_layers, AuthCacheStats, BudgetKey, CompiledPolicy, DmarcDisposition, FetchedRecord,
-    MtaStsMode, SubtreeVerdict, VerdictCache, VerdictKey,
+    auth_layers, AuthCacheStats, BudgetKey, DmarcDisposition, FetchedRecord, MtaStsMode,
+    SubtreeVerdict, VerdictCache, VerdictKey,
 };
 use spf_dns::{Clock, Resolver};
 use spf_types::{stripe_index, CacheKey, DomainHashBuilder, DomainName, DEFAULT_CACHE_SHARDS};
 
-/// Capacity / striping / expiry policy for a [`TtlLru`].
+/// Capacity / expiry policy for a [`TtlLru`].
 #[derive(Debug, Clone)]
 pub struct TtlLruConfig {
-    /// Total entry budget, divided evenly across stripes (each stripe
-    /// holds at least one entry, so tiny capacities still admit work).
+    /// Total entry budget, divided evenly across the
+    /// [`DEFAULT_CACHE_SHARDS`] stripes (each stripe holds at least one
+    /// entry, so tiny capacities still admit work).
     pub capacity: usize,
-    /// Lock stripes; see [`DEFAULT_CACHE_SHARDS`].
-    pub shards: usize,
     /// Entries older than this are never served.
     pub ttl: Duration,
 }
 
 impl TtlLruConfig {
-    /// A config with `capacity` entries and `ttl` expiry at the default
-    /// stripe count.
+    /// A config with `capacity` entries and `ttl` expiry.
     pub fn new(capacity: usize, ttl: Duration) -> TtlLruConfig {
-        TtlLruConfig {
-            capacity,
-            shards: DEFAULT_CACHE_SHARDS,
-            ttl,
-        }
-    }
-
-    /// Override the stripe count.
-    pub fn shards(mut self, shards: usize) -> TtlLruConfig {
-        self.shards = shards.max(1);
-        self
+        TtlLruConfig { capacity, ttl }
     }
 }
 
@@ -221,10 +209,11 @@ pub struct TtlLru<K: CacheKey, V: Clone> {
 impl<K: CacheKey, V: Clone> TtlLru<K, V> {
     /// Build a cache with `config`'s policy, expiring on `clock`.
     pub fn new(config: TtlLruConfig, clock: Arc<dyn Clock>) -> TtlLru<K, V> {
-        let shards = config.shards.max(1);
-        let per_stripe_capacity = config.capacity.div_ceil(shards).max(1);
+        let per_stripe_capacity = config.capacity.div_ceil(DEFAULT_CACHE_SHARDS).max(1);
         TtlLru {
-            stripes: (0..shards).map(|_| Mutex::default()).collect(),
+            stripes: (0..DEFAULT_CACHE_SHARDS)
+                .map(|_| Mutex::default())
+                .collect(),
             per_stripe_capacity,
             ttl: config.ttl,
             clock,
@@ -556,65 +545,6 @@ impl VerdictCache for ServiceVerdictCache {
     }
 }
 
-/// The service's compiled-policy store: a [`TtlLru`] over
-/// [`CompiledPolicy`] artifacts, invalidated **exactly like the verdict
-/// memo** — same TTL mechanism, same pluggable clock, stale entries
-/// removed on probe and never served. A compiled artifact is a batch of
-/// memoized DNS answers just like a subtree verdict, so it gets the same
-/// staleness bound relative to zone mutation. Keyed by domain: the
-/// policy and work cap are fixed per service instance.
-pub struct CompiledPolicyCache {
-    inner: TtlLru<DomainName, Arc<CompiledPolicy>>,
-}
-
-impl CompiledPolicyCache {
-    /// Build the store with `config`'s policy on `clock`.
-    pub fn new(config: TtlLruConfig, clock: Arc<dyn Clock>) -> CompiledPolicyCache {
-        CompiledPolicyCache {
-            inner: TtlLru::new(config, clock),
-        }
-    }
-
-    /// Probe for a live compiled policy.
-    pub fn get(&self, domain: &DomainName) -> Option<Arc<CompiledPolicy>> {
-        self.inner.get(domain)
-    }
-
-    /// A live compiled policy, uncounted — [`TtlLru::peek`].
-    pub fn peek(&self, domain: &DomainName) -> Option<Arc<CompiledPolicy>> {
-        self.inner.peek(domain)
-    }
-
-    /// Admit a policy compiled from zone data read at or after `as_of`
-    /// — [`TtlLru::insert_as_of`].
-    pub fn insert_as_of(&self, domain: DomainName, compiled: Arc<CompiledPolicy>, as_of: Duration) {
-        self.inner.insert_as_of(domain, compiled, as_of);
-    }
-
-    /// Drop `domain`'s compiled artifact, if resident, regardless of
-    /// its TTL — the churn-delta path: a compiled policy is a batch of
-    /// memoized DNS answers, so a zone delta makes it wrong *now*, not
-    /// at TTL lapse. Returns whether an artifact was dropped.
-    pub fn invalidate(&self, domain: &DomainName) -> bool {
-        self.inner.invalidate(domain)
-    }
-
-    /// Aggregated store counters.
-    pub fn stats(&self) -> TtlLruStats {
-        self.inner.stats()
-    }
-
-    /// Resident compiled policies.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True when nothing is resident.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -628,14 +558,10 @@ mod tests {
         }
     }
 
-    fn cache(
-        capacity: usize,
-        shards: usize,
-        ttl_secs: u64,
-    ) -> (TtlLru<Key, u64>, Arc<VirtualClock>) {
+    fn cache(capacity: usize, ttl_secs: u64) -> (TtlLru<Key, u64>, Arc<VirtualClock>) {
         let clock = Arc::new(VirtualClock::new());
         let lru = TtlLru::new(
-            TtlLruConfig::new(capacity, Duration::from_secs(ttl_secs)).shards(shards),
+            TtlLruConfig::new(capacity, Duration::from_secs(ttl_secs)),
             Arc::<VirtualClock>::clone(&clock) as Arc<dyn Clock>,
         );
         (lru, clock)
@@ -643,7 +569,7 @@ mod tests {
 
     #[test]
     fn hit_then_expire_then_miss() {
-        let (lru, clock) = cache(8, 1, 10);
+        let (lru, clock) = cache(8, 10);
         lru.insert(Key(1), 100);
         assert_eq!(lru.get(&Key(1)), Some(100));
         assert_eq!((lru.peek(&Key(1)), lru.peek(&Key(2))), (Some(100), None));
@@ -660,7 +586,7 @@ mod tests {
 
     #[test]
     fn insert_as_of_expires_a_ttl_after_as_of_not_after_now() {
-        let (lru, clock) = cache(8, 1, 10);
+        let (lru, clock) = cache(8, 10);
         clock.advance(Duration::from_secs(6));
         lru.insert_as_of(Key(1), 1, Duration::ZERO);
         lru.insert(Key(2), 2);
@@ -672,14 +598,15 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_probed() {
-        let (lru, _clock) = cache(2, 1, 1_000);
+        // Two entries a stripe; keys 1, 17 and 33 share stripe 1.
+        let (lru, _clock) = cache(2 * DEFAULT_CACHE_SHARDS, 1_000);
         lru.insert(Key(1), 1);
-        lru.insert(Key(2), 2);
-        assert_eq!(lru.get(&Key(1)), Some(1)); // 2 is now LRU
-        lru.insert(Key(3), 3);
-        assert_eq!(lru.get(&Key(2)), None, "LRU victim must be key 2");
+        lru.insert(Key(17), 17);
+        assert_eq!(lru.get(&Key(1)), Some(1)); // 17 is now LRU
+        lru.insert(Key(33), 33);
+        assert_eq!(lru.get(&Key(17)), None, "LRU victim must be key 17");
         assert_eq!(lru.get(&Key(1)), Some(1));
-        assert_eq!(lru.get(&Key(3)), Some(3));
+        assert_eq!(lru.get(&Key(33)), Some(33));
         let stats = lru.stats();
         assert_eq!(stats.evictions, 1);
         assert!(stats.is_consistent());
@@ -687,7 +614,7 @@ mod tests {
 
     #[test]
     fn keep_first_on_live_resident_replace_on_stale() {
-        let (lru, clock) = cache(8, 1, 10);
+        let (lru, clock) = cache(8, 10);
         lru.insert(Key(1), 1);
         lru.insert(Key(1), 2); // live resident wins
         assert_eq!(lru.get(&Key(1)), Some(1));
@@ -707,7 +634,7 @@ mod tests {
     /// sum to a consistent whole at quiescence.
     #[test]
     fn stripe_counters_sum_consistently_under_concurrent_load() {
-        let (lru, clock) = cache(32, 4, 1);
+        let (lru, clock) = cache(32, 1);
         let lru = Arc::new(lru);
         std::thread::scope(|scope| {
             for t in 0..8u64 {
@@ -752,7 +679,7 @@ mod tests {
 
     #[test]
     fn invalidate_removes_live_entry_before_ttl_and_balances_counters() {
-        let (lru, _clock) = cache(8, 2, 1_000);
+        let (lru, _clock) = cache(8, 1_000);
         lru.insert(Key(1), 1);
         lru.insert(Key(2), 2);
         // The entry is live — no TTL has lapsed — yet invalidation
@@ -770,7 +697,7 @@ mod tests {
 
     #[test]
     fn invalidate_where_removes_the_whole_key_family() {
-        let (lru, _clock) = cache(64, 4, 1_000);
+        let (lru, _clock) = cache(64, 1_000);
         for k in 0..32u64 {
             lru.insert(Key(k), k);
         }
@@ -975,7 +902,7 @@ mod tests {
         store.add_txt(&domain, "v=spf1 ip4:198.51.100.0/24 -all");
         let resolver = ZoneResolver::new(Arc::clone(&store));
         let clock = Arc::new(VirtualClock::new());
-        let cache = CompiledPolicyCache::new(
+        let cache: TtlLru<DomainName, Arc<spf_core::CompiledPolicy>> = TtlLru::new(
             TtlLruConfig::new(64, Duration::from_secs(3600)),
             Arc::<VirtualClock>::clone(&clock) as Arc<dyn Clock>,
         );
@@ -999,7 +926,7 @@ mod tests {
 
     #[test]
     fn tiny_capacity_still_admits_per_stripe() {
-        let (lru, _clock) = cache(1, 4, 1_000);
+        let (lru, _clock) = cache(1, 1_000);
         for k in 0..4 {
             lru.insert(Key(k), k);
         }

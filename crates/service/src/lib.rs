@@ -39,7 +39,7 @@ pub mod proto;
 pub mod service;
 pub mod traffic;
 
-pub use cache::{CompiledPolicyCache, ServiceVerdictCache, TtlLru, TtlLruConfig, TtlLruStats};
+pub use cache::{ServiceVerdictCache, TtlLru, TtlLruConfig, TtlLruStats};
 pub use client::{QuerySpec, ServiceClient, Transport};
 pub use histogram::{LatencySnapshot, LogHistogram};
 pub use proto::{Frame, FrameError, QueryFrame, ResponseFrame, Status};

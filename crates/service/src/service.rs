@@ -68,7 +68,7 @@ use spf_core::{
 use spf_dns::{bind_udp_tcp_pair, serve_datagrams, Clock, DatagramHandler, Resolver, SystemClock};
 use spf_types::{render_stats, Backend, DomainName, Evaluator, StatItem, Stats};
 
-use crate::cache::{CompiledPolicyCache, ServiceVerdictCache, TtlLruConfig, TtlLruStats};
+use crate::cache::{ServiceVerdictCache, TtlLru, TtlLruConfig, TtlLruStats};
 use crate::histogram::{LatencySnapshot, LogHistogram};
 use crate::proto::{
     decode_datagram, decode_payload, peek_query_id, split_frame, write_response, write_verdict,
@@ -401,8 +401,13 @@ impl std::fmt::Display for ServiceTelemetry {
 /// `[compiler]` telemetry line. Compiles are rare (once per domain per
 /// TTL) and go through the mutexes; the per-query verdict split stays on
 /// atomics.
+///
+/// The store expires and is invalidated exactly like the verdict memo: a
+/// compiled policy is a batch of memoized DNS answers, so it gets the
+/// same staleness bound relative to zone mutation. It is keyed by domain
+/// alone because the policy and work cap are fixed per service.
 struct CompiledBackend {
-    store: CompiledPolicyCache,
+    store: TtlLru<DomainName, Arc<CompiledPolicy>>,
     config: CompileConfig,
     clock: Arc<dyn Clock>,
     generation: Mutex<Generation>,
@@ -435,7 +440,7 @@ impl CompiledBackend {
         CompiledBackend {
             max_age: store_config.ttl / 2,
             max_compiles: store_config.capacity as u64,
-            store: CompiledPolicyCache::new(store_config, Arc::clone(&clock)),
+            store: TtlLru::new(store_config, Arc::clone(&clock)),
             config: CompileConfig::with_policy(policy),
             generation: Mutex::new(Generation {
                 memo: Arc::new(SubtreeMemo::new()),

@@ -37,7 +37,7 @@ use spf_service::{
     Frame, FrameError, QueryFrame, ResponseFrame, ServiceClient, ServiceConfig, Status, Transport,
     TtlLru, TtlLruConfig, VerdictService,
 };
-use spf_types::{CacheKey, DomainName, Ip4ParseError, MacroError};
+use spf_types::{CacheKey, DomainName, Ip4ParseError, MacroError, DEFAULT_CACHE_SHARDS};
 
 fn arb_domain() -> impl Strategy<Value = DomainName> {
     proptest::collection::vec("[a-z]{1,10}", 1..4)
@@ -166,9 +166,10 @@ struct Key(u8);
 
 impl CacheKey for Key {
     fn shard_hash(&self) -> u64 {
-        // Identity-ish on purpose: adjacent keys land on different
-        // stripes, so a short op sequence still crosses stripes.
-        self.0 as u64
+        // Adjacent keys land on different stripes, so a short op sequence
+        // still crosses stripes; the sixteen keys share three stripes,
+        // five or six to a stripe that holds three, so the stripes evict.
+        (self.0 % 3) as u64
     }
 }
 
@@ -203,7 +204,7 @@ proptest! {
         let ttl = Duration::from_millis(500);
         let clock = Arc::new(VirtualClock::new());
         let lru: TtlLru<Key, u64> = TtlLru::new(
-            TtlLruConfig::new(8, ttl).shards(3),
+            TtlLruConfig::new(3 * DEFAULT_CACHE_SHARDS, ttl),
             Arc::clone(&clock) as Arc<dyn spf_dns::Clock>,
         );
         // Sound over-approximation of the cache: every insertion ever

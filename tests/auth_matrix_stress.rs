@@ -14,7 +14,6 @@
 
 use lazy_gatekeepers::prelude::*;
 use spf_dns::{DnsError, LookupOutcome, RecordType, ResourceRecord, ZoneFault};
-use spf_netsim::wirelab;
 use std::sync::{Arc, Mutex};
 
 const SEED: u64 = 0x5bf1_2023;
@@ -149,11 +148,7 @@ fn auth_matrix_byte_identical_between_wire_and_memory() {
     let (workers, servers) = (32usize, 4usize);
     let fleet =
         WireFleet::spawn(&world.store, servers, ServerConfig::default()).expect("fleet spawns");
-    let resolver = Arc::new(
-        fleet
-            .resolver(WireClientConfig::crawl())
-            .with_behaviors(wirelab::zero_faults(servers), SEED),
-    );
+    let resolver = Arc::new(fleet.resolver(WireClientConfig::crawl()));
     let checked = UnexplainedTimeouts {
         inner: &*resolver,
         zone: &world.store,

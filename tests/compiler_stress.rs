@@ -25,7 +25,6 @@ use lazy_gatekeepers::prelude::*;
 use lazy_gatekeepers::service::{
     QuerySpec, ServiceClient, ServiceConfig, Status, Transport, TtlLruConfig, VerdictService,
 };
-use spf_netsim::wirelab;
 
 const SEED: u64 = 0x5bf1_2023;
 const SENDER: &str = "stress";
@@ -195,11 +194,7 @@ fn compiled_matrix_byte_identical_between_wire_and_memory() {
     let (workers, servers) = (32usize, 4usize);
     let fleet =
         WireFleet::spawn(&world.store, servers, ServerConfig::default()).expect("fleet spawns");
-    let resolver = Arc::new(
-        fleet
-            .resolver(WireClientConfig::crawl())
-            .with_behaviors(wirelab::zero_faults(servers), SEED),
-    );
+    let resolver = Arc::new(fleet.resolver(WireClientConfig::crawl()));
     let wire = matrix_json(
         &*resolver,
         &world,

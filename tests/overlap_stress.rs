@@ -12,7 +12,6 @@
 
 use lazy_gatekeepers::crawler::DEFAULT_PROVIDER_ROWS;
 use lazy_gatekeepers::prelude::*;
-use spf_netsim::wirelab;
 use std::sync::Arc;
 
 const SEED: u64 = 0x5bf1_2023;
@@ -56,11 +55,7 @@ fn memory_overlap_json(population: &Population, workers: usize) -> String {
 fn wire_overlap_json(population: &Population, workers: usize, servers: usize) -> String {
     let fleet = WireFleet::spawn(&population.store, servers, ServerConfig::default())
         .expect("fleet spawns");
-    let resolver = Arc::new(
-        fleet
-            .resolver(WireClientConfig::crawl())
-            .with_behaviors(wirelab::zero_faults(servers), SEED),
-    );
+    let resolver = Arc::new(fleet.resolver(WireClientConfig::crawl()));
     let walker = Walker::new(Arc::clone(&resolver));
     let out = crawl(
         &walker,

@@ -101,11 +101,11 @@ fn assert_conservation(service: &VerdictService, label: &str) {
     }
 }
 
-/// A verdict memo so small (64 entries over 4 stripes) that replaying
-/// hundreds of thousands of distinct pairs evicts on nearly every
-/// insert — the LRU-churn corner of the grid.
+/// A verdict memo so small (64 entries, 4 to each of its 16 stripes)
+/// that replaying hundreds of thousands of distinct pairs evicts on
+/// nearly every insert — the LRU-churn corner of the grid.
 fn tiny_cache() -> TtlLruConfig {
-    TtlLruConfig::new(64, Duration::from_secs(300)).shards(4)
+    TtlLruConfig::new(64, Duration::from_secs(300))
 }
 
 #[test]

@@ -44,7 +44,6 @@ fn udp_crawl_matches_in_process_crawl() {
         WireClientConfig {
             timeout: std::time::Duration::from_millis(200),
             attempts: 2,
-            ..WireClientConfig::default()
         },
     ));
     let udp_walker = Walker::new(Arc::clone(&udp));
