@@ -151,11 +151,8 @@ pub fn analyze_domain<R: Resolver>(walker: &Walker<R>, domain: &DomainName) -> D
 mod tests {
     use super::*;
     use spf_dns::{ZoneResolver, ZoneStore};
+    use spf_testkit::dom;
     use std::net::Ipv4Addr;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
 
     fn setup() -> (Arc<ZoneStore>, Walker<ZoneResolver>) {
         let store = Arc::new(ZoneStore::new());

@@ -149,12 +149,8 @@ mod tests {
     use crate::walker::Walker;
     use spf_core::{check_host, EvalContext, EvalPolicy, SpfResult};
     use spf_dns::{ZoneResolver, ZoneStore};
-    use spf_types::DomainName;
+    use spf_testkit::dom;
     use std::sync::Arc;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
 
     #[test]
     fn flattening_preserves_the_authorized_set() {

@@ -259,13 +259,9 @@ mod tests {
     use crate::findings::analyze_domain;
     use crate::walker::Walker;
     use spf_dns::{ZoneResolver, ZoneStore};
-    use spf_types::DomainName;
+    use spf_testkit::dom;
     use std::net::Ipv4Addr;
     use std::sync::Arc;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
 
     fn report_for(records: &[(&str, &str)], domain: &str) -> DomainReport {
         let store = Arc::new(ZoneStore::new());

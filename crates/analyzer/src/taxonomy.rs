@@ -183,10 +183,7 @@ pub fn primary_class(errors: &[AnalysisError]) -> Option<ErrorClass> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
+    use spf_testkit::dom;
 
     #[test]
     fn class_labels_match_paper() {

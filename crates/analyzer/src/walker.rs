@@ -685,11 +685,8 @@ fn is_deny_all_only(record: &SpfRecord) -> bool {
 mod tests {
     use super::*;
     use spf_dns::{ZoneResolver, ZoneStore};
+    use spf_testkit::dom;
     use std::net::Ipv4Addr;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
 
     fn walker(store: &Arc<ZoneStore>) -> Walker<ZoneResolver> {
         Walker::new(ZoneResolver::new(Arc::clone(store)))
@@ -930,7 +927,7 @@ mod tests {
                 "v=spf1 include:provider.example -all",
             );
         }
-        let counting = spf_dns::CountingResolver::new(ZoneResolver::new(Arc::clone(&s)));
+        let counting = spf_testkit::CountingResolver::new(ZoneResolver::new(Arc::clone(&s)));
         let stats = counting.stats();
         let w = Walker::new(counting);
         for i in 0..20 {

@@ -6,11 +6,7 @@ use std::sync::Arc;
 
 use spf_analyzer::{ErrorClass, Walker};
 use spf_dns::{ZoneResolver, ZoneStore};
-use spf_types::DomainName;
-
-fn dom(s: &str) -> DomainName {
-    DomainName::parse(s).unwrap()
-}
+use spf_testkit::dom;
 
 fn walker(store: &Arc<ZoneStore>) -> Walker<ZoneResolver> {
     Walker::new(ZoneResolver::new(Arc::clone(store)))

@@ -27,14 +27,13 @@
 //! policy mode inlined — DESIGN.md §13 records the approximation).
 //!
 //! **Byte-identity rail.** The SPF component of an [`AuthOutcome`] is
-//! the `Evaluation` the existing path produces — `evaluate_auth` calls
-//! the same `check_host` / `check_host_cached` / [`CompiledPolicy`]
-//! machinery and stores the result unmodified, so serializing
-//! `outcome.spf` is byte-identical to the bare verdict
-//! (`tests/proptest_auth.rs` pins this across random worlds × cache ×
-//! compiled configs).
+//! the `Evaluation` the existing path produces — [`AuthOutcome::compose`]
+//! stores the `check_host` / `check_host_cached` / [`CompiledPolicy`](crate::CompiledPolicy)
+//! verdict unmodified, so serializing `outcome.spf` is byte-identical
+//! to the bare verdict (`tests/proptest_auth.rs` pins this across random
+//! worlds × cache × compiled configs).
 //!
-//! **Layer memos.** SPF subtree memos ([`VerdictCache`]) are keyed by
+//! **Layer memos.** SPF subtree memos ([`VerdictCache`](crate::VerdictCache)) are keyed by
 //! `(domain, ip, BudgetKey)` and stay valid across DMARC churn — DMARC
 //! never influences SPF evaluation. The DMARC disposition and MTA-STS
 //! mode are per-domain facts, read through [`auth_layers`] and memoized
@@ -50,10 +49,9 @@ use serde::{Deserialize, Serialize};
 use spf_dns::{DnsError, RecordData, RecordType, Resolver};
 use spf_types::{DomainName, ShardedCache};
 
-use crate::compile::CompiledPolicy;
-use crate::context::{EvalContext, SpfResult};
+use crate::context::SpfResult;
 use crate::dmarc::{query_dmarc, DmarcLookup, DmarcPolicy};
-use crate::eval::{check_host, check_host_cached, EvalPolicy, Evaluation, VerdictCache};
+use crate::eval::Evaluation;
 
 /// Which layer of the auth stack blocks a spoof attempt first.
 ///
@@ -491,44 +489,12 @@ pub fn auth_layers<R: Resolver + ?Sized>(
     }
 }
 
-/// Evaluate the full auth stack for one `(ip, domain)` pair.
-///
-/// The SPF component routes through exactly the machinery the caller
-/// selects — `compiled` first (falling back on a residue miss), then
-/// `spf_cache` (the subtree memo), then bare [`check_host`] — and is
-/// stored unmodified, which is what keeps it byte-identical to the v1
-/// path. DMARC and MTA-STS lookups go through `auth_cache` when given,
-/// straight to the resolver otherwise.
-pub fn evaluate_auth<R: Resolver + ?Sized>(
-    resolver: &R,
-    ctx: &EvalContext,
-    domain: &DomainName,
-    policy: &EvalPolicy,
-    compiled: Option<&CompiledPolicy>,
-    spf_cache: Option<&dyn VerdictCache>,
-    auth_cache: Option<&AuthCache>,
-) -> AuthOutcome {
-    let spf = match compiled.and_then(|c| c.verdict(ctx.ip)) {
-        Some(eval) => eval,
-        None => match spf_cache {
-            Some(cache) => check_host_cached(resolver, ctx, domain, policy, cache),
-            None => check_host(resolver, ctx, domain, policy),
-        },
-    };
-    let (dmarc, mta_sts) = auth_layers(resolver, domain, auth_cache);
-    AuthOutcome::compose(spf, dmarc, mta_sts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use spf_dns::{ZoneResolver, ZoneStore};
-    use std::net::IpAddr;
+    use spf_testkit::dom;
     use std::sync::Arc;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
 
     fn world() -> (Arc<ZoneStore>, ZoneResolver) {
         let store = Arc::new(ZoneStore::new());
@@ -631,33 +597,5 @@ mod tests {
         assert_eq!(cache.dmarc(&resolver, &d), first);
         cache.invalidate(&d);
         assert_eq!(cache.dmarc(&resolver, &d), DmarcDisposition::Monitor);
-    }
-
-    #[test]
-    fn evaluate_auth_spf_component_matches_bare_check_host() {
-        let (store, resolver) = world();
-        let d = dom("victim.example");
-        store.add_txt(&d, "v=spf1 ip4:192.0.2.0/24 -all");
-        store.add_txt(
-            &d.prepend_label("_dmarc").unwrap(),
-            "v=DMARC1; p=quarantine",
-        );
-        let policy = EvalPolicy::default();
-        for ip in ["192.0.2.5", "198.51.100.9"] {
-            let ip: IpAddr = ip.parse().unwrap();
-            let ctx = EvalContext::mail_from(ip, "attacker", d.clone());
-            let bare = check_host(&resolver, &ctx, &d, &policy);
-            let outcome = evaluate_auth(&resolver, &ctx, &d, &policy, None, None, None);
-            assert_eq!(
-                serde_json::to_string(&outcome.spf).unwrap(),
-                serde_json::to_string(&bare).unwrap()
-            );
-            let expected = if bare.result == SpfResult::Pass {
-                StopLayer::None
-            } else {
-                StopLayer::Spf
-            };
-            assert_eq!(outcome.stop, expected);
-        }
     }
 }

@@ -286,7 +286,6 @@ pub struct CompiledPolicy {
     v6: Vec<RangeEntry<u128>>,
     residues: Vec<Residue>,
     compile_queries: usize,
-    sym_steps: usize,
 }
 
 impl CompiledPolicy {
@@ -355,16 +354,8 @@ impl CompiledPolicy {
     /// composed from a [`SubtreeMemo`] is charged its *standalone*
     /// walk's count, whoever compiled it — an upper bound on the direct
     /// walk's where an `mx` short-circuits on a narrower entry set.
-    pub fn compile_queries(&self) -> usize {
+    fn compile_queries(&self) -> usize {
         self.compile_queries
-    }
-
-    /// Symbolic `(group × term)` steps spent (both families). A subtree
-    /// composed from a [`SubtreeMemo`] is charged its standalone walk's
-    /// steps once per incoming group — an upper bound on the direct
-    /// walk's, so the work cap never trips later than it would there.
-    pub fn sym_steps(&self) -> usize {
-        self.sym_steps
     }
 
     /// Every table row's first and last address, both families: the
@@ -480,7 +471,6 @@ pub fn compile_policy<R: Resolver + ?Sized>(
             }],
             residues: vec![residue],
             compile_queries: 0,
-            sym_steps: 0,
         };
     }
     compile_families(resolver, domain, config, None)
@@ -531,7 +521,6 @@ fn compile_families<R: Resolver + ?Sized>(
         v6,
         residues,
         compile_queries: f4.queries + f6.queries,
-        sym_steps: f4.steps + f6.steps,
     }
 }
 
@@ -726,7 +715,6 @@ struct FamilyOut<S> {
     terminals: Vec<Terminal<S>>,
     residual: Vec<(S, Residue)>,
     queries: usize,
-    steps: usize,
 }
 
 // ---------------------------------------------------------------------
@@ -910,7 +898,6 @@ fn compile_family<R: Resolver + ?Sized, F: AddressFamily>(
         terminals,
         residual: sym.residual,
         queries: sym.queries,
-        steps: sym.steps,
     }
 }
 
@@ -1770,11 +1757,8 @@ mod tests {
     use super::*;
     use crate::eval::check_host;
     use spf_dns::{ZoneResolver, ZoneStore};
+    use spf_testkit::dom;
     use std::sync::Arc;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
 
     fn txt(store: &ZoneStore, name: &str, text: &str) {
         store.add_txt(&dom(name), text);

@@ -1223,26 +1223,13 @@ pub(crate) fn qualifier_result(q: Qualifier) -> SpfResult {
     }
 }
 
-/// Convenience: evaluate with an `Arc<dyn Resolver>`.
-pub fn check_host_dyn(
-    resolver: &Arc<dyn Resolver>,
-    ctx: &EvalContext,
-    domain: &DomainName,
-    policy: &EvalPolicy,
-) -> Evaluation {
-    check_host(resolver.as_ref(), ctx, domain, policy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spf_dns::{ZoneResolver, ZoneStore};
+    use spf_dns::{RecordData, ResourceRecord, ZoneResolver, ZoneStore};
+    use spf_testkit::{add_reverse_v4, dom};
     use std::net::Ipv4Addr;
     use std::sync::Arc;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
 
     fn ctx(ip: &str) -> EvalContext {
         EvalContext::mail_from(ip.parse().unwrap(), "alice", dom("example.com"))
@@ -1660,17 +1647,17 @@ mod tests {
         let s = store();
         s.add_txt(&dom("p.example"), "v=spf1 ptr -all");
         // 192.0.2.7 reverse-maps to mail.p.example which forward-maps back.
-        s.add_reverse_v4(Ipv4Addr::new(192, 0, 2, 7), &dom("mail.p.example"));
+        add_reverse_v4(&s, Ipv4Addr::new(192, 0, 2, 7), &dom("mail.p.example"));
         s.add_a(&dom("mail.p.example"), Ipv4Addr::new(192, 0, 2, 7));
         assert_eq!(eval(&s, "192.0.2.7", "p.example").result, SpfResult::Pass);
 
         // 192.0.2.8 reverse-maps to a name that does NOT forward-validate.
-        s.add_reverse_v4(Ipv4Addr::new(192, 0, 2, 8), &dom("fake.p.example"));
+        add_reverse_v4(&s, Ipv4Addr::new(192, 0, 2, 8), &dom("fake.p.example"));
         s.add_a(&dom("fake.p.example"), Ipv4Addr::new(203, 0, 113, 1));
         assert_eq!(eval(&s, "192.0.2.8", "p.example").result, SpfResult::Fail);
 
         // 192.0.2.9 validates but belongs to another domain: no match.
-        s.add_reverse_v4(Ipv4Addr::new(192, 0, 2, 9), &dom("mail.other.example"));
+        add_reverse_v4(&s, Ipv4Addr::new(192, 0, 2, 9), &dom("mail.other.example"));
         s.add_a(&dom("mail.other.example"), Ipv4Addr::new(192, 0, 2, 9));
         assert_eq!(eval(&s, "192.0.2.9", "p.example").result, SpfResult::Fail);
     }
@@ -1695,10 +1682,10 @@ mod tests {
     fn dual_cidr_aaaa_match() {
         let s = store();
         s.add_txt(&dom("dual.example"), "v=spf1 a:host.dual.example//64 -all");
-        s.add_aaaa(
-            &dom("host.dual.example"),
-            "2001:db8:1:2::1".parse().unwrap(),
-        );
+        s.add_record(ResourceRecord::new(
+            dom("host.dual.example"),
+            RecordData::Aaaa("2001:db8:1:2::1".parse().unwrap()),
+        ));
         let resolver = ZoneResolver::new(Arc::clone(&s));
         let c = EvalContext::mail_from(
             "2001:db8:1:2:ffff::9".parse().unwrap(),
@@ -2292,7 +2279,7 @@ mod tests {
         s.set_fault(&dom("slow.example"), spf_dns::ZoneFault::Timeout);
         let ips = ["198.51.100.1", "198.51.100.2", "198.51.100.3"];
         let queries = |domain: &str, cache: &MapCache| {
-            let counting = spf_dns::CountingResolver::new(ZoneResolver::new(Arc::clone(&s)));
+            let counting = spf_testkit::CountingResolver::new(ZoneResolver::new(Arc::clone(&s)));
             for ip in ips {
                 let e = check_host_cached(
                     &counting,

@@ -86,12 +86,8 @@ mod tests {
     use super::*;
     use crate::eval::{check_host, EvalPolicy};
     use spf_dns::{ZoneResolver, ZoneStore};
-    use spf_types::DomainName;
+    use spf_testkit::dom;
     use std::sync::Arc;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
 
     fn ctx_and_eval(record: &str, ip: &str) -> (EvalContext, Evaluation) {
         let store = Arc::new(ZoneStore::new());

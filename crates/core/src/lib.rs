@@ -28,8 +28,8 @@ pub mod macroexpand;
 pub mod parse;
 
 pub use auth::{
-    auth_layers, evaluate_auth, query_mta_sts, stop_layer, AuthCache, AuthCacheStats, AuthOutcome,
-    DeploymentMix, DmarcDisposition, MtaStsMode, StopCounts, StopLayer,
+    auth_layers, query_mta_sts, stop_layer, AuthCache, AuthCacheStats, AuthOutcome, DeploymentMix,
+    DmarcDisposition, MtaStsMode, StopCounts, StopLayer,
 };
 pub use compile::{
     compile_policy, compile_policy_shared, Compilability, CompileConfig, CompiledPolicy,
@@ -41,9 +41,9 @@ pub use dmarc::{
     DmarcLookup, DmarcPolicy, DmarcRecord,
 };
 pub use eval::{
-    check_host, check_host_cached, check_host_dyn, check_host_root, BudgetKey, EvalPolicy,
-    EvalProblem, Evaluation, FetchedRecord, LookupAccounting, RecordNotFoundCause, RootRecord,
-    SubtreeVerdict, VerdictCache, VerdictKey,
+    check_host, check_host_cached, check_host_root, BudgetKey, EvalPolicy, EvalProblem, Evaluation,
+    FetchedRecord, LookupAccounting, RecordNotFoundCause, RootRecord, SubtreeVerdict, VerdictCache,
+    VerdictKey,
 };
 pub use header::received_spf_header;
 pub use macroexpand::{expand, expand_domain, ExpandError};

@@ -211,13 +211,6 @@ pub struct ParsedRecord {
     pub warnings: Vec<ParseWarning>,
 }
 
-impl ParsedRecord {
-    /// True when the source text parsed without a single error.
-    pub fn is_clean(&self) -> bool {
-        self.errors.is_empty()
-    }
-}
-
 /// Does this TXT string *identify* as an SPF record? (RFC 7208 §4.5:
 /// version section is `v=spf1`, terminated by space or end of record;
 /// matching is case-insensitive.) Compares bytes, so a multi-byte
@@ -722,7 +715,7 @@ mod tests {
     fn ok(text: &str) -> SpfRecord {
         let parsed = parse_lenient(text);
         assert!(
-            parsed.is_clean(),
+            parsed.errors.is_empty(),
             "unexpected errors for {text:?}: {:?}",
             parsed.errors
         );
@@ -971,7 +964,7 @@ mod tests {
         // §5.5: v=spf1 xss=<script>alert('SPF')</script> ~all
         let parsed = parse_lenient("v=spf1 xss=<script>alert('SPF')</script> ~all");
         assert!(
-            parsed.is_clean(),
+            parsed.errors.is_empty(),
             "unknown modifiers are legal: {:?}",
             parsed.errors
         );

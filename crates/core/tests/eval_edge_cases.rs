@@ -11,11 +11,8 @@ use spf_core::{
     EvalPolicy, EvalProblem, FetchedRecord, SpfResult, SubtreeVerdict, VerdictCache,
 };
 use spf_dns::{ZoneResolver, ZoneStore};
+use spf_testkit::dom;
 use spf_types::DomainName;
-
-fn dom(s: &str) -> DomainName {
-    DomainName::parse(s).unwrap()
-}
 
 fn eval_with(
     store: &Arc<ZoneStore>,

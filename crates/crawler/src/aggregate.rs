@@ -8,7 +8,7 @@ use spf_analyzer::{DomainReport, ErrorClass, NotFoundCause};
 
 /// Largest prefix length that counts as a "very large IP range" in
 /// Table 3 (/0 through /16).
-pub const LARGE_RANGE_MAX_PREFIX: u8 = 16;
+const LARGE_RANGE_MAX_PREFIX: u8 = 16;
 
 /// Aggregated statistics over one scan.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -224,11 +224,6 @@ impl ScanAggregates {
         let no_mx = self.total_domains - self.with_mx;
         self.spf_without_mx as f64 / no_mx.max(1) as f64
     }
-
-    /// Share of SPF domains allowing >100k addresses (34.7 %).
-    pub fn lax_rate(&self) -> f64 {
-        self.lax_domains as f64 / self.with_spf.max(1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -237,13 +232,10 @@ mod tests {
     use crate::crawl::{crawl, CrawlConfig};
     use spf_analyzer::Walker;
     use spf_dns::{ZoneResolver, ZoneStore};
+    use spf_testkit::dom;
     use spf_types::DomainName;
     use std::net::Ipv4Addr;
     use std::sync::Arc;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
 
     fn aggregates_for(build: impl Fn(&ZoneStore) -> Vec<DomainName>) -> ScanAggregates {
         let store = Arc::new(ZoneStore::new());
@@ -326,7 +318,7 @@ mod tests {
         assert_eq!(agg.tight_domains, 1);
         assert_eq!(agg.lax_via_direct, 1);
         assert_eq!(agg.lax_via_include, 0);
-        assert!((agg.lax_rate() - 0.5).abs() < 1e-9);
+        assert!((agg.lax_domains as f64 / agg.with_spf as f64 - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -31,10 +31,6 @@ use crate::pool;
 /// balance at small populations.
 pub const DEFAULT_BATCH_SIZE: usize = 64;
 
-/// Default server-shard count for wire-mode crawls (re-exported from
-/// `spf-types`, where the [`Backend`] selection now lives).
-pub use spf_types::DEFAULT_WIRE_SERVERS;
-
 /// Crawl configuration.
 ///
 /// The crawl loop itself is transport-agnostic (it only sees a
@@ -113,7 +109,7 @@ pub struct CrawlStats {
 
 impl CrawlStats {
     /// Crawl throughput in domains per second.
-    pub fn domains_per_sec(&self) -> f64 {
+    fn domains_per_sec(&self) -> f64 {
         if self.elapsed_secs <= 0.0 {
             0.0
         } else {
@@ -279,13 +275,10 @@ pub fn crawl<R: Resolver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spf_dns::{CountingResolver, ZoneResolver, ZoneStore};
+    use spf_dns::{ZoneResolver, ZoneStore};
+    use spf_testkit::{dom, CountingResolver};
     use std::net::Ipv4Addr;
     use std::sync::Arc;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
 
     /// [`crawl`], with the run's counter laws asserted.
     fn checked_crawl<R: Resolver>(

@@ -74,28 +74,13 @@ pub fn include_ecosystem<R: Resolver>(
     stats
 }
 
-/// The Table 4 view: top `n` includes by usage.
-pub fn top_includes(stats: &[IncludeStats], n: usize) -> &[IncludeStats] {
-    &stats[..n.min(stats.len())]
-}
-
-/// Figure 4's population: includes whose own evaluation exceeds the DNS
-/// lookup limit ("2,408 included SPF records exceeding the DNS lookup
-/// limit directly, affecting 85,915 domains").
-pub fn includes_exceeding_limit(stats: &[IncludeStats], limit: usize) -> Vec<&IncludeStats> {
-    stats.iter().filter(|s| s.dns_lookups > limit).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::crawl::{crawl, CrawlConfig};
     use spf_dns::{ZoneResolver, ZoneStore};
+    use spf_testkit::dom;
     use std::sync::Arc;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
 
     #[test]
     fn usage_counts_and_ips() {
@@ -125,7 +110,7 @@ mod tests {
         assert_eq!(eco[0].allowed_ips, 65536);
         assert_eq!(eco[1].used_by, 3);
         assert_eq!(eco[1].allowed_ips, 1);
-        let top = top_includes(&eco, 1);
+        let top = &eco[..1];
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].domain, dom("big.provider.example"));
     }
@@ -148,7 +133,7 @@ mod tests {
         let walker = Walker::new(ZoneResolver::new(store));
         let out = crawl(&walker, &[customer], CrawlConfig::with_workers(1));
         let eco = include_ecosystem(&out.reports, &walker);
-        let over = includes_exceeding_limit(&eco, 10);
+        let over: Vec<&IncludeStats> = eco.iter().filter(|s| s.dns_lookups > 10).collect();
         assert_eq!(over.len(), 1);
         assert_eq!(over[0].dns_lookups, 14); // the include itself + 13 nested
     }

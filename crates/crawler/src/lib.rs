@@ -46,11 +46,9 @@ pub mod overlap;
 mod pool;
 pub mod spoof;
 
-pub use aggregate::{ScanAggregates, LARGE_RANGE_MAX_PREFIX};
-pub use crawl::{
-    crawl, CrawlConfig, CrawlOutput, CrawlStats, DEFAULT_BATCH_SIZE, DEFAULT_WIRE_SERVERS,
-};
-pub use ecosystem::{include_ecosystem, includes_exceeding_limit, top_includes, IncludeStats};
+pub use aggregate::ScanAggregates;
+pub use crawl::{crawl, CrawlConfig, CrawlOutput, CrawlStats, DEFAULT_BATCH_SIZE};
+pub use ecosystem::{include_ecosystem, IncludeStats};
 pub use longitudinal::{ChurnEngine, EpochReport, LongitudinalConfig, ZoneDelta};
 pub use overlap::{OverlapReport, ProviderConcentration, DEFAULT_PROVIDER_ROWS};
 /// Re-export of the auth-stack layer types the layered matrix reports in.

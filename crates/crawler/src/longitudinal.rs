@@ -548,11 +548,8 @@ fn evaluate_rows<R: Resolver>(
 mod tests {
     use super::*;
     use spf_dns::{ZoneResolver, ZoneStore};
+    use spf_testkit::dom;
     use std::sync::Arc;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
 
     fn world() -> (Arc<ZoneStore>, Vec<DomainName>) {
         let store = Arc::new(ZoneStore::new());

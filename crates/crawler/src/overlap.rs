@@ -131,11 +131,8 @@ mod tests {
     use crate::ecosystem::include_ecosystem;
     use spf_analyzer::Walker;
     use spf_dns::{ZoneResolver, ZoneStore};
+    use spf_testkit::dom;
     use std::sync::Arc;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
 
     /// Two providers — a big one used by most domains and a tiny one —
     /// plus one domain with its own direct range overlapping the big

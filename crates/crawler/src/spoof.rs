@@ -257,7 +257,7 @@ impl SpoofVerdictCache {
 
     /// The compiled-subtree memo's counters (all zero unless the
     /// compiled backend ran through this cache).
-    pub fn subtree_stats(&self) -> SubtreeMemoStats {
+    fn subtree_stats(&self) -> SubtreeMemoStats {
         self.subtrees.stats()
     }
 
@@ -983,6 +983,60 @@ impl AuthMatrix {
         self.mta_sts_enforced_domains -= sts;
     }
 
+    /// The stop histograms' conservation laws, each named in the error:
+    ///
+    /// * every tier's `stops.total()` is its `domains` × the
+    ///   attacker-reachable vantages (each of its pairs stops once);
+    /// * the tiers' `residual_spoofable` sum to the matrix's;
+    /// * the tiers' `domains` sum to `spf.domains`;
+    /// * every `vantage_stops[i].total()` is `spf.domains`.
+    ///
+    /// They hold for every matrix built by folding rows in, and after
+    /// any sequence of [`AuthMatrix::fold_out`]s and re-folds.
+    pub fn check_conservation(&self) -> Result<(), String> {
+        let reachable = self
+            .spf
+            .vantages
+            .iter()
+            .filter(|v| v.kind.attacker_reachable())
+            .count() as u64;
+        for tier in &self.tiers {
+            if tier.stops.total() != tier.domains * reachable {
+                return Err(format!(
+                    "tier stops.total() != domains × attacker-reachable vantages \
+                     ({:?}: {} != {} × {reachable})",
+                    tier.tier,
+                    tier.stops.total(),
+                    tier.domains
+                ));
+            }
+        }
+        let residuals: u64 = self.tiers.iter().map(|t| t.residual_spoofable).sum();
+        if residuals != self.residual_spoofable {
+            return Err(format!(
+                "tier residuals sum != residual_spoofable ({residuals} != {})",
+                self.residual_spoofable
+            ));
+        }
+        let domains: u64 = self.tiers.iter().map(|t| t.domains).sum();
+        if domains != self.spf.domains {
+            return Err(format!(
+                "tier domains sum != spf.domains ({domains} != {})",
+                self.spf.domains
+            ));
+        }
+        for (i, stops) in self.vantage_stops.iter().enumerate() {
+            if stops.total() != self.spf.domains {
+                return Err(format!(
+                    "vantage_stops[{i}].total() != spf.domains ({} != {})",
+                    stops.total(),
+                    self.spf.domains
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Sum another layered matrix's row-derived counts in (worker
     /// merge).
     fn merge_counts(&mut self, other: &AuthMatrix) {
@@ -1148,13 +1202,10 @@ pub fn auth_matrix_with_cache<R: Resolver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spf_dns::{CountingResolver, ZoneResolver, ZoneStore};
+    use spf_dns::{ZoneResolver, ZoneStore};
+    use spf_testkit::{dom, CountingResolver};
     use spf_types::CoverageMap;
     use std::sync::atomic::Ordering;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
 
     /// Three cohorts: shared-provider customers, an open `+all` domain,
     /// and a tight direct-range domain.
@@ -1700,5 +1751,36 @@ mod tests {
             serde_json::to_string(&folded).unwrap(),
             serde_json::to_string(&AuthMatrix::empty(domains.len() as u64, &vantages)).unwrap()
         );
+    }
+
+    #[test]
+    fn auth_matrix_conservation_names_each_broken_law() {
+        let (store, domains, weighted) = build_world();
+        layer_world(&store);
+        let resolver = ZoneResolver::new(Arc::clone(&store));
+        let vantages = vantage_set(&weighted, 2);
+        let (matrix, _) = auth_matrix(
+            &resolver,
+            &domains,
+            &vantages,
+            SpoofMatrixConfig::with_workers(4),
+        );
+        assert_eq!(matrix.check_conservation(), Ok(()));
+        let broken = |law: &str, edit: &dyn Fn(&mut AuthMatrix)| {
+            let mut m = matrix.clone();
+            edit(&mut m);
+            let err = m.check_conservation().expect_err(law);
+            assert!(err.contains(law), "{law}: {err}");
+        };
+        broken("tier stops.total() != domains", &|m| {
+            m.tiers[0].stops.spf += 1
+        });
+        broken("tier residuals sum != residual_spoofable", &|m| {
+            m.residual_spoofable += 1
+        });
+        broken("tier domains sum != spf.domains", &|m| m.spf.domains += 1);
+        broken("vantage_stops[1].total() != spf.domains", &|m| {
+            m.vantage_stops[1].none += 1
+        });
     }
 }

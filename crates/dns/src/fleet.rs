@@ -809,11 +809,8 @@ mod tests {
     use crate::clock::VirtualClock;
     use crate::record::RecordData;
     use crate::zone::ZoneFault;
+    use spf_testkit::dom;
     use std::net::Ipv4Addr;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
 
     fn fast_config() -> WireClientConfig {
         WireClientConfig {

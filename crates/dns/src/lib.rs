@@ -37,7 +37,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use fleet::{WireClientConfig, WireFleet, WireResolver, WireSnapshot, WireStatsView};
 pub use record::{Question, RecordData, RecordType, ResourceRecord, TxtData};
-pub use resolver::{CountingResolver, DnsError, QueryStats, Resolver, ZoneResolver};
+pub use resolver::{DnsError, Resolver, ZoneResolver};
 pub use udp::{bind_udp_tcp_pair, serve_datagrams, DatagramHandler, ServerConfig, UdpNameServer};
 pub use wire::{decode, encode, encode_uncompressed, Header, Message, Rcode, WireError};
 pub use zone::{LookupOutcome, ZoneFault, ZoneStore};

@@ -94,7 +94,7 @@ pub struct TxtData {
 
 impl TxtData {
     /// Maximum length of a single character-string on the wire.
-    pub const MAX_CHAR_STRING: usize = 255;
+    const MAX_CHAR_STRING: usize = 255;
 
     /// Build from pre-split character strings. Panics if any exceeds 255
     /// octets (construct via [`TxtData::from_text`] to auto-split).

@@ -1,6 +1,5 @@
-//! The resolver abstraction: the [`Resolver`] trait, the in-process
-//! [`ZoneResolver`] and a [`CountingResolver`] layer that measures DNS
-//! load.
+//! The resolver abstraction: the [`Resolver`] trait and the in-process
+//! [`ZoneResolver`].
 //!
 //! The paper's DNS error cohorts (timeouts, SERVFAIL, NXDOMAIN, empty
 //! answers; Section 4.1) come from the zone itself: a name carries a
@@ -8,7 +7,6 @@
 //! [`crate::UdpNameServer`] serve it alike.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use spf_types::DomainName;
@@ -136,66 +134,17 @@ impl Resolver for ZoneResolver {
     }
 }
 
-/// Counters of a [`CountingResolver`].
-#[derive(Debug, Default)]
-pub struct QueryStats {
-    /// Total queries seen.
-    pub queries: AtomicU64,
-    /// Errors returned (any [`DnsError`]).
-    pub errors: AtomicU64,
-}
-
-/// A pure counting layer, used to measure DNS load in the cache ablation.
-pub struct CountingResolver<R> {
-    inner: R,
-    stats: Arc<QueryStats>,
-}
-
-impl<R: Resolver> CountingResolver<R> {
-    /// Wrap `inner` with counters.
-    pub fn new(inner: R) -> Self {
-        CountingResolver {
-            inner,
-            stats: Arc::new(QueryStats::default()),
-        }
-    }
-
-    /// Shared statistics handle.
-    pub fn stats(&self) -> Arc<QueryStats> {
-        Arc::clone(&self.stats)
-    }
-}
-
-impl<R: Resolver> Resolver for CountingResolver<R> {
-    fn query(&self, name: &DomainName, rtype: RecordType) -> Result<Vec<ResourceRecord>, DnsError> {
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        let result = self.inner.query(name, rtype);
-        if result.is_err() {
-            self.stats.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spf_testkit::dom;
     use std::net::Ipv4Addr;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
-
-    fn store_with_basics() -> Arc<ZoneStore> {
-        let store = Arc::new(ZoneStore::new());
-        store.add_txt(&dom("example.com"), "v=spf1 -all");
-        store.add_a(&dom("mail.example.com"), Ipv4Addr::new(192, 0, 2, 10));
-        store
-    }
 
     #[test]
     fn zone_resolver_maps_outcomes() {
-        let store = store_with_basics();
+        let store = Arc::new(ZoneStore::new());
+        store.add_txt(&dom("example.com"), "v=spf1 -all");
+        store.add_a(&dom("mail.example.com"), Ipv4Addr::new(192, 0, 2, 10));
         store.set_fault(&dom("broken.example"), ZoneFault::Timeout);
         let r = ZoneResolver::new(Arc::clone(&store));
         assert_eq!(
@@ -214,15 +163,5 @@ mod tests {
             r.query(&dom("broken.example"), RecordType::Txt),
             Err(DnsError::Timeout)
         );
-    }
-
-    #[test]
-    fn counting_resolver_counts() {
-        let r = CountingResolver::new(ZoneResolver::new(store_with_basics()));
-        let stats = r.stats();
-        r.query(&dom("example.com"), RecordType::Txt).unwrap();
-        let _ = r.query(&dom("missing.example"), RecordType::Txt);
-        assert_eq!(stats.queries.load(Ordering::Relaxed), 2);
-        assert_eq!(stats.errors.load(Ordering::Relaxed), 1);
     }
 }

@@ -458,12 +458,8 @@ mod tests {
     use crate::fleet::{WireClientConfig, WireResolver};
     use crate::record::{RecordData, RecordType};
     use crate::resolver::Resolver;
-    use spf_types::DomainName;
+    use spf_testkit::dom;
     use std::net::Ipv4Addr;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
 
     fn server_with(store: &Arc<ZoneStore>) -> UdpNameServer {
         UdpNameServer::spawn(Arc::clone(store), ServerConfig::default()).unwrap()

@@ -399,7 +399,7 @@ pub(crate) fn truncate_reply(buf: &mut Vec<u8>, start: usize, questions_end: usi
 
 /// Append `msg`, compressed, to `buf` — [`encode`] into a buffer the
 /// caller keeps. On an error `buf` is left as it was.
-pub fn encode_into(msg: &Message, buf: &mut Vec<u8>) -> Result<(), WireError> {
+fn encode_into(msg: &Message, buf: &mut Vec<u8>) -> Result<(), WireError> {
     write_message(msg, true, buf).map(|_| ())
 }
 
@@ -728,10 +728,7 @@ fn be_u16(bytes: &[u8], at: usize) -> u16 {
 mod tests {
     use super::*;
     use crate::record::TxtData;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
+    use spf_testkit::dom;
 
     fn sample_response() -> Message {
         let q = Message::query(0x1234, Question::new(dom("example.com"), RecordType::Txt));

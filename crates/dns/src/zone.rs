@@ -131,11 +131,6 @@ impl ZoneStore {
         self.add_record(ResourceRecord::new(name.clone(), RecordData::A(addr)));
     }
 
-    /// Add an AAAA record.
-    pub fn add_aaaa(&self, name: &DomainName, addr: std::net::Ipv6Addr) {
-        self.add_record(ResourceRecord::new(name.clone(), RecordData::Aaaa(addr)));
-    }
-
     /// Add an MX record.
     pub fn add_mx(&self, name: &DomainName, preference: u16, exchange: &DomainName) {
         self.add_record(ResourceRecord::new(
@@ -145,22 +140,6 @@ impl ZoneStore {
                 exchange: exchange.clone(),
             },
         ));
-    }
-
-    /// Add a PTR record (owner should be the in-addr.arpa name).
-    pub fn add_ptr(&self, name: &DomainName, target: &DomainName) {
-        self.add_record(ResourceRecord::new(
-            name.clone(),
-            RecordData::Ptr(target.clone()),
-        ));
-    }
-
-    /// Register the reverse-mapping PTR for an IPv4 address.
-    pub fn add_reverse_v4(&self, addr: std::net::Ipv4Addr, target: &DomainName) {
-        let o = addr.octets();
-        let rev = DomainName::parse(&format!("{}.{}.{}.{}.in-addr.arpa", o[3], o[2], o[1], o[0]))
-            .expect("reverse name is always valid");
-        self.add_ptr(&rev, target);
     }
 
     /// Register a name that exists in the DNS but owns no records at all —
@@ -231,11 +210,6 @@ impl ZoneStore {
         self.read().records.contains_key(name)
     }
 
-    /// Total number of names in the store.
-    pub fn name_count(&self) -> usize {
-        self.read().records.len()
-    }
-
     /// Total number of records in the store.
     pub fn record_count(&self) -> usize {
         self.read()
@@ -265,11 +239,8 @@ impl ZoneStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spf_testkit::dom;
     use std::net::Ipv4Addr;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
 
     #[test]
     fn remove_type_leaves_other_rrsets_intact() {
@@ -346,26 +317,12 @@ mod tests {
     }
 
     #[test]
-    fn reverse_v4_owner_name() {
-        let store = ZoneStore::new();
-        store.add_reverse_v4(Ipv4Addr::new(192, 0, 2, 7), &dom("mail.example.com"));
-        let rev = dom("7.2.0.192.in-addr.arpa");
-        match store.lookup(&rev, RecordType::Ptr) {
-            LookupOutcome::Records(rrs) => match &rrs[0].data {
-                RecordData::Ptr(t) => assert_eq!(t, &dom("mail.example.com")),
-                other => panic!("unexpected {other:?}"),
-            },
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
     fn counts() {
         let store = ZoneStore::new();
         store.add_a(&dom("a.example"), Ipv4Addr::new(1, 1, 1, 1));
         store.add_a(&dom("a.example"), Ipv4Addr::new(1, 1, 1, 2));
         store.add_txt(&dom("b.example"), "hello");
-        assert_eq!(store.name_count(), 2);
+        assert_eq!(store.read().records.len(), 2);
         assert_eq!(store.record_count(), 3);
         assert!(store.name_exists(&dom("a.example")));
         assert!(!store.name_exists(&dom("c.example")));

@@ -13,11 +13,8 @@ use spf_dns::{
     ResourceRecord, ServerConfig, SystemClock, WireClientConfig, WireFleet, WireResolver,
     ZoneFault, ZoneResolver, ZoneStore,
 };
+use spf_testkit::dom;
 use spf_types::DomainName;
-
-fn dom(s: &str) -> DomainName {
-    DomainName::parse(s).unwrap()
-}
 
 fn q(name: &str, rtype: RecordType) -> Question {
     Question::new(dom(name), rtype)

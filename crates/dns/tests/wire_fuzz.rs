@@ -154,7 +154,7 @@ mod pinned {
         decode, encode, encode_uncompressed, DnsError, LookupOutcome, Message, Question, Rcode,
         RecordData, RecordType, Resolver, ResourceRecord, TxtData, ZoneFault, ZoneResolver,
     };
-    use spf_netsim::{Population, PopulationConfig, Scale};
+    use spf_testkit::population_at;
     use spf_types::DomainName;
 
     /// FNV-1a 64 of every query and response a one-worker 1:500 wire
@@ -198,10 +198,7 @@ mod pinned {
     /// server builds from the zone (none for a timeout fault), plus the
     /// truncated form a 512-byte server sends when the response is longer.
     fn exchange_digest() -> (u64, usize) {
-        let population = Population::build(PopulationConfig {
-            scale: Scale { denominator: 500 },
-            seed: 0x5bf1_2023,
-        });
+        let population = population_at(500);
         let recording = Arc::new(Recording {
             zone: ZoneResolver::new(Arc::clone(&population.store)),
             asked: Mutex::new(Vec::new()),

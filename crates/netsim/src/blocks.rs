@@ -34,7 +34,7 @@ impl AddressAllocator {
     ///
     /// Panics if the region is exhausted — generation is deterministic, so
     /// exhaustion is a build-time sizing bug, not a runtime condition.
-    pub fn alloc_block(&mut self, prefix_len: u8) -> Ipv4Cidr {
+    fn alloc_block(&mut self, prefix_len: u8) -> Ipv4Cidr {
         let size = 1u64 << (32 - prefix_len as u32);
         // Align upward to the block size.
         let aligned = self.next.div_ceil(size) * size;

@@ -33,7 +33,7 @@ use spf_types::DomainName;
 
 /// Number of immutable churn-provider includes published at
 /// construction; migrations rotate among them.
-pub const CHURN_PROVIDERS: u64 = 4;
+const CHURN_PROVIDERS: u64 = 4;
 
 /// What happened to a domain in one churn epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -462,7 +462,9 @@ mod tests {
 
     fn tiny_world() -> Population {
         Population::build(PopulationConfig {
-            scale: Scale::quick_bench(),
+            scale: Scale {
+                denominator: 20_000,
+            },
             ..PopulationConfig::default()
         })
     }

@@ -18,10 +18,10 @@ use spf_dns::ZoneStore;
 use spf_types::DomainName;
 
 /// Of the domains whose DMARC policy came out enforced, one in
-/// [`MTA_STS_ENFORCED_STRIDE`] also publishes an enforce-mode MTA-STS
+/// `MTA_STS_ENFORCED_STRIDE` also publishes an enforce-mode MTA-STS
 /// policy, and the next hash slot publishes a testing-mode one.
 /// Hash-derived, not rng-derived — see the module docs.
-pub const MTA_STS_ENFORCED_STRIDE: u64 = 5;
+const MTA_STS_ENFORCED_STRIDE: u64 = 5;
 
 /// The MTA-STS discovery TXT the netsim publishes for `mode`.
 pub fn mta_sts_record(mode: &str) -> String {

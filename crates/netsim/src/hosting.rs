@@ -118,9 +118,6 @@ const SPECS: [ProviderSpec; 5] = [
     },
 ];
 
-/// Total spoofable domains in the paper's case study.
-pub const SPOOFABLE_TOTAL_FULL: u64 = 26_095;
-
 /// Build the hosting world at the given scale (provider 5's customer base
 /// is sized arbitrarily — none of them are spoofable).
 pub fn build_hosting(scale: Scale) -> HostingWorld {

@@ -39,21 +39,11 @@ pub mod scale;
 pub mod spooflab;
 
 pub use blocks::AddressAllocator;
-pub use churn::{
-    ChurnBatch, ChurnConfig, ChurnEvent, ChurnKind, ChurnPreset, ChurnSimulator, CHURN_PROVIDERS,
-};
-pub use deployment::{assign_mta_sts, mta_sts_record, MTA_STS_ENFORCED_STRIDE};
-pub use hosting::{
-    build_hosting, build_hosting_into, HostingProvider, HostingWorld, SPOOFABLE_TOTAL_FULL,
-};
-pub use population::{
-    Population, PopulationConfig, DEPRECATED_RR_FULL, TOP_DMARC_FULL, TOP_SEGMENT_FULL,
-    TOP_SPF_FULL, TOTAL_DOMAINS_FULL, WITH_DMARC_FULL, WITH_MX_FULL, WITH_SPF_FULL,
-};
-pub use providers::{
-    build_providers, ProviderEntry, ProviderSpec, ProviderWorld, FAT_INCLUDE_COUNT_FULL,
-    TABLE3_INCLUDE_COLUMN, TABLE4,
-};
+pub use churn::{ChurnBatch, ChurnConfig, ChurnEvent, ChurnKind, ChurnPreset, ChurnSimulator};
+pub use deployment::{assign_mta_sts, mta_sts_record};
+pub use hosting::{build_hosting, build_hosting_into, HostingProvider, HostingWorld};
+pub use population::{Population, PopulationConfig};
+pub use providers::{build_providers, ProviderEntry, ProviderSpec, ProviderWorld, TABLE4};
 pub use scale::{apportion, Scale};
 /// Re-export of the deployment-tier enum the presets model.
 pub use spf_core::DeploymentMix;

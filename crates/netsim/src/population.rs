@@ -23,21 +23,17 @@ use crate::providers::{build_providers, ProviderWorld};
 use crate::scale::Scale;
 
 /// The paper's scan size.
-pub const TOTAL_DOMAINS_FULL: u64 = 12_823_598;
-/// Domains with an MX record (Figure 1).
-pub const WITH_MX_FULL: u64 = 9_148_000;
-/// Domains with SPF — the sum of Figure 6's histogram.
-pub const WITH_SPF_FULL: u64 = 7_251_736;
+pub(crate) const TOTAL_DOMAINS_FULL: u64 = 12_823_598;
 /// The ranked "top 1 million" segment.
-pub const TOP_SEGMENT_FULL: u64 = 1_000_000;
+const TOP_SEGMENT_FULL: u64 = 1_000_000;
 /// SPF domains inside the top segment (60.2 % of 1M, Table 1).
-pub const TOP_SPF_FULL: u64 = 602_000;
+const TOP_SPF_FULL: u64 = 602_000;
 /// DMARC domains overall (13.6 %) and in the top segment (22.6 %).
-pub const WITH_DMARC_FULL: u64 = 1_744_009;
+const WITH_DMARC_FULL: u64 = 1_744_009;
 /// DMARC domains inside the top segment.
-pub const TOP_DMARC_FULL: u64 = 226_000;
+const TOP_DMARC_FULL: u64 = 226_000;
 /// Domains still publishing the deprecated type-99 SPF RR (§5.5).
-pub const DEPRECATED_RR_FULL: u64 = 107_646;
+const DEPRECATED_RR_FULL: u64 = 107_646;
 
 /// Generator configuration.
 #[derive(Debug, Clone, Copy)]
@@ -72,7 +68,7 @@ pub struct Population {
 }
 
 /// The cohorts. Counts in [`cohort_table`] are FULL-SCALE and sum to
-/// [`TOTAL_DOMAINS_FULL`].
+/// `TOTAL_DOMAINS_FULL`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Cohort {
     /// MX but no SPF.
@@ -811,6 +807,11 @@ impl Builder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Domains with an MX record (Figure 1).
+    const WITH_MX_FULL: u64 = 9_148_000;
+    /// Domains with SPF — the sum of Figure 6's histogram.
+    const WITH_SPF_FULL: u64 = 7_251_736;
 
     #[test]
     fn full_scale_table_sums_to_paper_total() {

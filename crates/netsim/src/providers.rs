@@ -152,11 +152,11 @@ pub const TABLE4: [ProviderSpec; 20] = [
 
 /// The paper's count of includes whose own evaluation exceeds the
 /// 10-lookup limit (Figure 4: 2,408 such includes).
-pub const FAT_INCLUDE_COUNT_FULL: u64 = 2_408;
+const FAT_INCLUDE_COUNT_FULL: u64 = 2_408;
 
 /// Table 3's include column: (prefix, number of include records carrying a
 /// network of that size).
-pub const TABLE3_INCLUDE_COLUMN: [(u8, u64); 17] = [
+const TABLE3_INCLUDE_COLUMN: [(u8, u64); 17] = [
     (0, 0),
     (1, 2),
     (2, 10),

@@ -28,21 +28,6 @@ impl Scale {
         Scale { denominator: 1 }
     }
 
-    /// The crawl determinism stress preset (1:500 ≈ 25.6k domains), used by
-    /// the façade's `crawl_stress` suite to assert bit-identical reports
-    /// across worker/shard/batch configurations.
-    pub fn stress() -> Self {
-        Scale { denominator: 500 }
-    }
-
-    /// The quick-iteration preset (1:20,000 ≈ 641 domains) used by the
-    /// churn unit tests and proptests.
-    pub fn quick_bench() -> Self {
-        Scale {
-            denominator: 20_000,
-        }
-    }
-
     /// Round a single full-scale count to this scale (half-up).
     pub fn of(&self, full: u64) -> u64 {
         (full + self.denominator / 2) / self.denominator
@@ -125,8 +110,13 @@ mod tests {
     fn presets_and_approx_domains() {
         // The paper's 12,823,598 domains divided by the denominator, half-up.
         let domains = |scale: Scale| scale.of(crate::population::TOTAL_DOMAINS_FULL);
-        assert_eq!(domains(Scale::stress()), 25_647);
-        assert_eq!(domains(Scale::quick_bench()), 641);
+        assert_eq!(domains(Scale { denominator: 500 }), 25_647);
+        assert_eq!(
+            domains(Scale {
+                denominator: 20_000
+            }),
+            641
+        );
         assert_eq!(domains(Scale::full()), 12_823_598);
     }
 

@@ -96,11 +96,6 @@ impl Campaign {
         }
     }
 
-    /// The current opt-out list.
-    pub fn opt_out_list(&self) -> &HashSet<DomainName> {
-        &self.opt_out
-    }
-
     /// Is this report eligible for notification? The paper notified every
     /// error class *except* record-not-found.
     pub fn eligible(report: &DomainReport) -> bool {
@@ -221,7 +216,7 @@ mod tests {
         let rs = reports(10);
         let first = campaign.run(&rs);
         assert_eq!(first.complaints, 10);
-        assert_eq!(campaign.opt_out_list().len(), 10);
+        assert_eq!(campaign.opt_out.len(), 10);
         let second = campaign.run(&rs);
         assert_eq!(second.sent, 0);
         assert_eq!(second.opted_out, 10);

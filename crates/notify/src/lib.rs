@@ -16,4 +16,4 @@ pub mod template;
 
 pub use campaign::{Campaign, CampaignConfig, CampaignOutcome};
 pub use remediate::{apply as apply_remediation, FixRates, RemediationOutcome};
-pub use template::{recipients_for, render, NotificationEmail};
+pub use template::{render, NotificationEmail};

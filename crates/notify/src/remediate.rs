@@ -60,7 +60,7 @@ impl Default for FixRates {
 
 impl FixRates {
     /// The probability for one error class.
-    pub fn for_class(&self, class: ErrorClass) -> f64 {
+    fn for_class(&self, class: ErrorClass) -> f64 {
         match class {
             ErrorClass::SyntaxError => self.syntax,
             ErrorClass::TooManyDnsLookups => self.too_many_lookups,

@@ -26,7 +26,7 @@ pub struct NotificationEmail {
 }
 
 /// Build the recipient list for a domain (RFC 2142 §4 mailbox names).
-pub fn recipients_for(domain: &DomainName, security_txt_contact: Option<&str>) -> Vec<String> {
+fn recipients_for(domain: &DomainName, security_txt_contact: Option<&str>) -> Vec<String> {
     let mut out = vec![format!("postmaster@{domain}"), format!("security@{domain}")];
     if let Some(contact) = security_txt_contact {
         out.push(contact.to_string());

@@ -31,7 +31,7 @@ pub struct Comparison {
 
 impl Comparison {
     /// Relative deviation `measured / paper - 1` (0 when paper is 0).
-    pub fn relative_error(&self) -> f64 {
+    fn relative_error(&self) -> f64 {
         if self.paper == 0.0 {
             if self.measured == 0.0 {
                 0.0

@@ -16,4 +16,4 @@ pub mod stats;
 
 pub use compare::{Comparison, Experiment, ExperimentLog, Unit};
 pub use render::{fmt_count, fmt_percent, render_bars, render_cdf, Table};
-pub use stats::{log2_bin, Cdf, Heatmap, Histogram};
+pub use stats::{Cdf, Heatmap, Histogram};

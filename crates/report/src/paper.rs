@@ -3,7 +3,7 @@
 
 /// One Table 1 prior-work row: (study, year, list, size-label, spf, dmarc).
 /// `None` means the study did not report DMARC.
-pub type Table1Row = (
+type Table1Row = (
     &'static str,
     u16,
     &'static str,
@@ -30,8 +30,6 @@ pub const TABLE1_PRIOR: [Table1Row; 10] = [
 pub const TABLE1_OURS_TOP1M: (f64, f64) = (0.602, 0.226);
 /// Table 1 "Our study" row for all 12M.
 pub const TABLE1_OURS_ALL: (f64, f64) = (0.565, 0.136);
-/// §5.1: SPF adoption among domains with an MX record (top 1M).
-pub const SPF_AMONG_MX: f64 = 0.793;
 /// §5.1: SPF adoption among MX-less domains.
 pub const SPF_AMONG_NO_MX: f64 = 0.104;
 /// §5.1: share of MX-less SPF records that are bare deny-alls.
@@ -89,9 +87,6 @@ pub const TABLE2: [(&str, u64, u64); 6] = [
 pub const TABLE2_TOTAL: (u64, u64) = (211_018, 204_087);
 /// §5.4: notifications sent.
 pub const NOTIFICATIONS_SENT: u64 = 111_951;
-/// §5.4: thank-you replies / complaints.
-pub const FEEDBACK: (u64, u64) = (300, 3);
-
 /// Table 3: (prefix, direct-mechanism count, include count).
 pub const TABLE3: [(u8, u64, u64); 17] = [
     (0, 54, 0),

@@ -28,7 +28,7 @@ impl Cdf {
     }
 
     /// Fraction of samples ≤ `x`.
-    pub fn fraction_at_most(&self, x: u64) -> f64 {
+    fn fraction_at_most(&self, x: u64) -> f64 {
         if self.sorted.is_empty() {
             return 0.0;
         }
@@ -125,7 +125,7 @@ impl Histogram {
 }
 
 /// The log₂ bin index of a count (0 for 0 or 1; clamped to 32).
-pub fn log2_bin(value: u64) -> u32 {
+fn log2_bin(value: u64) -> u32 {
     if value <= 1 {
         0
     } else {

@@ -115,7 +115,7 @@ impl TtlLruStats {
 
     /// This snapshot as [`spf_types::Stats`] items under the `cache`
     /// scope — the shared formatter behind every cache telemetry line.
-    pub fn stat_items(&self) -> Vec<spf_types::StatItem> {
+    fn stat_items(&self) -> Vec<spf_types::StatItem> {
         use spf_types::StatItem;
         vec![
             StatItem::percent("hit", self.hit_rate()),
@@ -233,7 +233,7 @@ impl<K: CacheKey, V: Clone> TtlLru<K, V> {
 
     /// [`get`](Self::get), with the live entry's `as_of`: the time the
     /// data it holds was read, one TTL before it expires.
-    pub fn get_as_of(&self, key: &K) -> Option<(V, Duration)> {
+    fn get_as_of(&self, key: &K) -> Option<(V, Duration)> {
         let now = self.clock.now();
         let mut stripe = self.stripe(key).lock().unwrap();
         let (live, seq) = match stripe.map.get(key) {
@@ -351,7 +351,7 @@ impl<K: CacheKey, V: Clone> TtlLru<K, V> {
     /// caches whose keys are wider than a domain (the verdict memo keys
     /// on `(domain, ip, budget)`, so one churned domain maps to a key
     /// *family*).
-    pub fn invalidate_where(&self, mut pred: impl FnMut(&K) -> bool) -> u64 {
+    fn invalidate_where(&self, mut pred: impl FnMut(&K) -> bool) -> u64 {
         let mut removed = 0u64;
         for stripe in self.stripes.iter() {
             let mut stripe = stripe.lock().unwrap();

@@ -16,7 +16,7 @@ use serde::Serialize;
 
 /// Number of log₂ buckets: `2^39` ns ≈ 550 s ceiling, far beyond any
 /// plausible query latency; longer samples clamp into the last bucket.
-pub const BUCKET_COUNT: usize = 40;
+const BUCKET_COUNT: usize = 40;
 
 /// A concurrently-writable log₂ histogram of durations.
 pub struct LogHistogram {
@@ -67,20 +67,6 @@ impl LogHistogram {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
         self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
-    }
-
-    /// Fold another histogram's samples into this one (per-thread
-    /// client histograms merging into a run total).
-    pub fn absorb(&self, other: &LogHistogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum_nanos
-            .fetch_add(other.sum_nanos.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max_nanos
-            .fetch_max(other.max_nanos.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Samples recorded so far.
@@ -176,19 +162,6 @@ mod tests {
         let snap = h.snapshot();
         assert!(snap.max_us >= 1_000.0);
         assert!(snap.mean_us > 1.0 && snap.mean_us < 1_000.0);
-    }
-
-    #[test]
-    fn absorb_merges_counts() {
-        let a = LogHistogram::new();
-        let b = LogHistogram::new();
-        a.record(Duration::from_micros(10));
-        b.record(Duration::from_micros(20));
-        b.record(Duration::from_millis(5));
-        a.absorb(&b);
-        assert_eq!(a.count(), 3);
-        let snap = a.snapshot();
-        assert!(snap.max_us >= 5_000.0);
     }
 
     #[test]

@@ -60,7 +60,7 @@ use spf_types::DomainName;
 use crate::json::write_evaluation;
 
 /// Protocol version carried in every frame.
-pub const PROTO_VERSION: u8 = 1;
+const PROTO_VERSION: u8 = 1;
 
 /// Hard ceiling on a payload (excluding the 2-byte length prefix).
 ///
@@ -585,10 +585,7 @@ pub fn peek_query_id(payload: &[u8]) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
+    use spf_testkit::dom;
 
     fn sample_query() -> Frame {
         Frame::Query(QueryFrame {

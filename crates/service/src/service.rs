@@ -125,12 +125,6 @@ impl ServiceConfig {
         }
     }
 
-    /// Override the request-queue capacity.
-    pub fn queue_capacity(mut self, capacity: usize) -> ServiceConfig {
-        self.queue_capacity = capacity.max(1);
-        self
-    }
-
     /// Set (or disable, with `None`) the verdict memo.
     pub fn cache(mut self, cache: Option<TtlLruConfig>) -> ServiceConfig {
         self.cache = cache;
@@ -238,7 +232,7 @@ pub struct ServiceTelemetry {
 
 impl ServiceTelemetry {
     /// Mean datagrams per UDP batch (0 before the first).
-    pub fn mean_udp_batch(&self) -> f64 {
+    fn mean_udp_batch(&self) -> f64 {
         if self.udp_batches == 0 {
             0.0
         } else {
@@ -1064,13 +1058,10 @@ mod tests {
     use super::*;
     use crate::client::{ServiceClient, Transport};
     use crate::proto::encode_frame;
+    use spf_testkit::dom;
 
     const SENDER: &str = "unit";
     const TTL: Duration = Duration::from_secs(60);
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).expect("domain parses")
-    }
 
     fn ip(s: &str) -> IpAddr {
         s.parse().expect("ip parses")

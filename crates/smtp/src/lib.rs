@@ -20,4 +20,4 @@ pub use codec::{Command, Reply};
 pub use server::{DmarcResult, MtaConfig, ReceivedMessage, SmtpServer, SpfEnforcement};
 /// Re-export of the layer the spoof harness attributes stops to.
 pub use spf_core::StopLayer;
-pub use spoof::{run_case_study, total_spoofable, CaseStudyRow, SpoofSuccess};
+pub use spoof::{run_case_study, CaseStudyRow, SpoofSuccess};

@@ -465,11 +465,8 @@ mod tests {
     use super::*;
     use crate::client::SmtpClient;
     use spf_dns::{ZoneResolver, ZoneStore};
+    use spf_testkit::dom;
     use std::net::Ipv4Addr;
-
-    fn dom(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
 
     fn world() -> Arc<ZoneStore> {
         let store = Arc::new(ZoneStore::new());

@@ -198,11 +198,6 @@ fn attempt(
     run().map_err(|e| std::io::Error::other(e.to_string()))
 }
 
-/// Total spoofable domains across all rows (the paper's 26,095).
-pub fn total_spoofable(rows: &[CaseStudyRow]) -> u64 {
-    rows.iter().map(|r| r.domains).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,6 +228,6 @@ mod tests {
         assert_eq!(allowed, vec![177_168, 514, 2_052, 3_074, 672]);
         // Spoofable domain counts scale with the provider customer bases.
         assert_eq!(rows[0].domains, 250); // 24,959 / 100
-        assert!(total_spoofable(&rows) >= 250);
+        assert!(rows.iter().map(|r| r.domains).sum::<u64>() >= 250);
     }
 }

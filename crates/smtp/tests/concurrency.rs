@@ -6,11 +6,7 @@ use std::sync::Arc;
 
 use spf_dns::{ZoneResolver, ZoneStore};
 use spf_smtp::{MtaConfig, SmtpClient, SmtpServer, SpfEnforcement};
-use spf_types::DomainName;
-
-fn dom(s: &str) -> DomainName {
-    DomainName::parse(s).unwrap()
-}
+use spf_testkit::dom;
 
 #[test]
 fn parallel_sessions_keep_their_own_verdicts() {

@@ -19,7 +19,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 /// Default authoritative server shards for wire transports.
-pub const DEFAULT_WIRE_SERVERS: usize = 4;
+const DEFAULT_WIRE_SERVERS: usize = 4;
 
 /// Where DNS answers come from.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -37,7 +37,7 @@ pub enum Transport {
 impl Transport {
     /// Whether this transport runs over real sockets (and therefore
     /// needs a server fleet and honors [`Backend::servers`]).
-    pub fn is_wire(self) -> bool {
+    fn is_wire(self) -> bool {
         !matches!(self, Transport::Memory)
     }
 

@@ -11,8 +11,8 @@
 //!
 //! Section 6.2 additionally distinguishes a *specific host address with a
 //! pathological prefix* (e.g. `1.2.3.4/0`, "rather a misunderstanding of
-//! CIDR prefixes") from an intentional `0.0.0.0/0`;
-//! [`Ipv4Cidr::has_host_bits`] lets the analyzer make the same distinction.
+//! CIDR prefixes") from an intentional `0.0.0.0/0`; an [`Ipv4Cidr`]
+//! keeps the address as written, so it still shows the distinction.
 
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -161,13 +161,6 @@ impl Ipv4Cidr {
         1u64 << (32 - self.prefix_len as u32)
     }
 
-    /// True if the written address has bits set below the prefix —
-    /// e.g. `198.51.100.7/0`. The paper treats such entries as CIDR
-    /// misunderstandings rather than intentional allow-everything rules.
-    pub fn has_host_bits(&self) -> bool {
-        u32::from(self.addr) & !self.mask() != 0
-    }
-
     /// Membership test.
     pub fn contains(&self, ip: Ipv4Addr) -> bool {
         u32::from(ip) & self.mask() == u32::from(self.addr) & self.mask()
@@ -199,7 +192,7 @@ impl FromStr for Ipv4Cidr {
 
 /// Parse a dotted-quad IPv4 address with the paper's error taxonomy,
 /// rejecting everything `std`'s lenient-ish parser would mask.
-pub fn parse_ipv4_strict(input: &str) -> Result<Ipv4Addr, Ip4ParseError> {
+fn parse_ipv4_strict(input: &str) -> Result<Ipv4Addr, Ip4ParseError> {
     if let Some(octets) = dotted_quad(input.as_bytes()) {
         return Ok(Ipv4Addr::from(octets));
     }
@@ -434,13 +427,6 @@ impl Default for DualCidr {
     }
 }
 
-impl DualCidr {
-    /// True when both prefixes are at their single-host defaults.
-    pub fn is_default(&self) -> bool {
-        self.v4 == 32 && self.v6 == 128
-    }
-}
-
 impl fmt::Display for DualCidr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match (self.v4, self.v6) {
@@ -477,17 +463,18 @@ mod tests {
         let c = Ipv4Cidr::parse("0.0.0.0/0").unwrap();
         assert_eq!(c.address_count(), 1u64 << 32);
         assert!(c.contains("255.255.255.255".parse().unwrap()));
-        assert!(!c.has_host_bits());
+        assert_eq!(c.addr, c.network());
     }
 
     #[test]
     fn host_bits_detected_for_misunderstood_prefix() {
         // Paper §6.2: 15 domains wrote a specific address with /0.
         let c = Ipv4Cidr::parse("198.51.100.7/0").unwrap();
-        assert!(c.has_host_bits());
+        assert_ne!(c.addr, c.network());
         assert_eq!(c.network(), Ipv4Addr::new(0, 0, 0, 0));
+        assert_eq!(c.to_string(), "198.51.100.7/0");
         let proper = Ipv4Cidr::parse("192.0.2.0/24").unwrap();
-        assert!(!proper.has_host_bits());
+        assert_eq!(proper.addr, proper.network());
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! three as distinct [`DomainError`] variants so the analyzer can classify
 //! them the same way.
 
-use std::borrow::Cow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
@@ -15,7 +14,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
 /// Maximum length of a single DNS label in octets (RFC 1035 §2.3.4).
-pub const MAX_LABEL_LEN: usize = 63;
+const MAX_LABEL_LEN: usize = 63;
 /// Maximum length of a full domain name in octets, including separating dots
 /// (RFC 1035 §2.3.4; 255 octets of wire format ≈ 253 presentation characters,
 /// we validate the presentation form against 253 plus the optional root dot).
@@ -95,7 +94,7 @@ impl std::error::Error for DomainError {}
 /// let b = DomainName::parse("example.com").unwrap();
 /// assert_eq!(a, b);
 /// assert_eq!(a.precomputed_hash(), b.precomputed_hash());
-/// assert_eq!(a.label_count(), 2);
+/// assert_eq!(a.labels().count(), 2);
 /// assert_eq!(a.to_string(), "example.com");
 /// ```
 #[derive(Clone)]
@@ -245,13 +244,6 @@ impl DomainName {
         })
     }
 
-    /// Parse a domain name from raw bytes, surfacing UTF-8 failures as the
-    /// distinct [`DomainError::InvalidUtf8`] class the paper counts.
-    pub fn parse_bytes(input: &[u8]) -> Result<Self, DomainError> {
-        let s = std::str::from_utf8(input).map_err(|_| DomainError::InvalidUtf8)?;
-        Self::parse(s)
-    }
-
     fn validate_label(label: &str) -> Result<(), DomainError> {
         let bytes = label.as_bytes();
         match bytes {
@@ -277,13 +269,6 @@ impl DomainName {
         }
     }
 
-    /// Construct without validation; used by generators that build names from
-    /// already-validated parts. Panics in debug builds if invalid.
-    pub fn from_validated(name: String) -> Self {
-        debug_assert!(DomainName::parse(&name).is_ok(), "invalid: {name}");
-        Self::intern(&name.to_ascii_lowercase())
-    }
-
     /// The hash computed once at construction (64-bit FNV-1a of the
     /// normalized name). [`Hash`] feeds this value to the hasher instead of
     /// re-walking the string, and the keep-first
@@ -301,11 +286,6 @@ impl DomainName {
     /// Iterator over labels, left to right (`www`, `example`, `com`).
     pub fn labels(&self) -> impl DoubleEndedIterator<Item = &str> {
         self.name.split('.')
-    }
-
-    /// Number of labels.
-    pub fn label_count(&self) -> usize {
-        self.labels().count()
     }
 
     /// The parent domain (`example.com` for `www.example.com`), or `None`
@@ -357,24 +337,6 @@ impl DomainName {
     /// the analyzer groups findings by this label.
     pub fn tld(&self) -> &str {
         self.labels().next_back().unwrap_or(&self.name)
-    }
-
-    /// Keep only the last `n` labels: used by SPF macro transformers
-    /// (`%{d2}` keeps two labels).
-    pub fn truncate_labels(&self, n: usize) -> Cow<'_, str> {
-        let count = self.label_count();
-        if n == 0 || n >= count {
-            return Cow::Borrowed(&self.name);
-        }
-        let skip = count - n;
-        let mut idx = 0;
-        for _ in 0..skip {
-            idx = self.name[idx..]
-                .find('.')
-                .map(|p| idx + p + 1)
-                .unwrap_or(idx);
-        }
-        Cow::Borrowed(&self.name[idx..])
     }
 
     /// Length in octets of the presentation form.
@@ -508,12 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_non_utf8_bytes() {
-        let err = DomainName::parse_bytes(&[0xff, 0xfe, b'.', b'c', b'o', b'm']).unwrap_err();
-        assert_eq!(err, DomainError::InvalidUtf8);
-    }
-
-    #[test]
     fn rejects_non_ascii_char() {
         let err = DomainName::parse("exämple.com").unwrap_err();
         assert_eq!(err, DomainError::InvalidUtf8);
@@ -571,15 +527,6 @@ mod tests {
     fn tld_is_last_label() {
         assert_eq!(DomainName::parse("foo.bar.top").unwrap().tld(), "top");
         assert_eq!(DomainName::parse("com").unwrap().tld(), "com");
-    }
-
-    #[test]
-    fn truncate_labels_keeps_rightmost() {
-        let d = DomainName::parse("a.b.c.example.com").unwrap();
-        assert_eq!(d.truncate_labels(2).as_ref(), "example.com");
-        assert_eq!(d.truncate_labels(3).as_ref(), "c.example.com");
-        assert_eq!(d.truncate_labels(0).as_ref(), "a.b.c.example.com");
-        assert_eq!(d.truncate_labels(9).as_ref(), "a.b.c.example.com");
     }
 
     #[test]

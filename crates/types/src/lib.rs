@@ -33,12 +33,11 @@ mod overlap;
 mod stats;
 mod term;
 
-pub use backend::{Backend, BackendParseError, Evaluator, Transport, DEFAULT_WIRE_SERVERS};
+pub use backend::{Backend, BackendParseError, Evaluator, Transport};
 pub use cache::{CacheKey, CacheStats, ShardedCache, DEFAULT_CACHE_SHARDS};
-pub use cidr::{parse_ipv4_strict, DualCidr, Ip4ParseError, Ip6ParseError, Ipv4Cidr, Ipv6Cidr};
+pub use cidr::{DualCidr, Ip4ParseError, Ip6ParseError, Ipv4Cidr, Ipv6Cidr};
 pub use domain::{
-    stripe_index, DomainError, DomainHashBuilder, DomainHasher, DomainName, MAX_LABEL_LEN,
-    MAX_NAME_LEN,
+    stripe_index, DomainError, DomainHashBuilder, DomainHasher, DomainName, MAX_NAME_LEN,
 };
 pub use ipset::Ipv4Set;
 pub use ipv6set::Ipv6Set;

@@ -42,7 +42,7 @@ pub enum MacroLetter {
 
 impl MacroLetter {
     /// Parse a (lowercased) macro letter.
-    pub fn from_char(c: char) -> Option<MacroLetter> {
+    fn from_char(c: char) -> Option<MacroLetter> {
         match c.to_ascii_lowercase() {
             's' => Some(MacroLetter::Sender),
             'l' => Some(MacroLetter::LocalPart),
@@ -60,7 +60,7 @@ impl MacroLetter {
     }
 
     /// The canonical lowercase letter.
-    pub fn as_char(self) -> char {
+    fn as_char(self) -> char {
         match self {
             MacroLetter::Sender => 's',
             MacroLetter::LocalPart => 'l',
@@ -77,7 +77,7 @@ impl MacroLetter {
     }
 
     /// `c`, `r`, `t` may only appear in `exp=` text (RFC 7208 §7.2).
-    pub fn exp_only(self) -> bool {
+    fn exp_only(self) -> bool {
         matches!(
             self,
             MacroLetter::SmtpClientIp | MacroLetter::ReceivingDomain | MacroLetter::Timestamp
@@ -90,7 +90,7 @@ impl MacroLetter {
     /// session-independent: they derive from the evaluated domain, the
     /// connecting address and the DNS — the inputs a per-`(domain, ip)`
     /// verdict cache keys on.
-    pub fn session_dependent(self) -> bool {
+    fn session_dependent(self) -> bool {
         matches!(
             self,
             MacroLetter::Sender
@@ -430,7 +430,7 @@ impl MacroString {
         })
     }
 
-    /// True if any expansion uses a [`MacroLetter::session_dependent`]
+    /// True if any expansion uses a session-dependent
     /// letter. An evaluation that expanded such a string is *not* a pure
     /// function of `(ip, domain, zone)`, so subtree verdict caches must
     /// skip it (see `spf_core::eval`'s cached evaluation path).

@@ -341,7 +341,7 @@ impl WeightedRanges {
 
     /// Number of addresses authorized by at least `k` domains (`k = 0`
     /// trivially yields the full space).
-    pub fn addresses_with_at_least(&self, k: u64) -> u64 {
+    fn addresses_with_at_least(&self, k: u64) -> u64 {
         if k == 0 {
             return 1u64 << 32;
         }

@@ -116,20 +116,6 @@ pub enum Mechanism {
 }
 
 impl Mechanism {
-    /// The mechanism keyword as written in a record.
-    pub fn keyword(&self) -> &'static str {
-        match self {
-            Mechanism::All => "all",
-            Mechanism::Include { .. } => "include",
-            Mechanism::A { .. } => "a",
-            Mechanism::Mx { .. } => "mx",
-            Mechanism::Ptr { .. } => "ptr",
-            Mechanism::Ip4 { .. } => "ip4",
-            Mechanism::Ip6 { .. } => "ip6",
-            Mechanism::Exists { .. } => "exists",
-        }
-    }
-
     /// True for terms that trigger a DNS query and therefore count against
     /// the 10-lookup limit (RFC 7208 §4.6.4): `include`, `a`, `mx`, `ptr`,
     /// `exists` (the `redirect` modifier also counts; see
@@ -374,15 +360,6 @@ impl SpfRecord {
         })
     }
 
-    /// Number of terms that count against the 10-lookup limit when this
-    /// record alone is evaluated (not counting recursion into includes).
-    pub fn direct_lookup_terms(&self) -> usize {
-        self.terms
-            .iter()
-            .filter(|t| t.counts_as_dns_lookup())
-            .count()
-    }
-
     /// True if the record ends the match chain restrictively: an `all`
     /// directive with `-` or `~`, or a redirect (whose target is then
     /// responsible). Mirrors the paper's "permissive all" check (§5.5).
@@ -535,7 +512,14 @@ mod tests {
             "v=spf1 +mx a:puffin.example.com/28 -all"
         );
         assert!(record.has_restrictive_all());
-        assert_eq!(record.direct_lookup_terms(), 2);
+        assert_eq!(
+            record
+                .terms
+                .iter()
+                .filter(|t| t.counts_as_dns_lookup())
+                .count(),
+            2
+        );
     }
 
     #[test]

@@ -8,9 +8,11 @@
 #                     smoke
 #                     (which also builds the examples)
 #   [lint]            cargo clippy --all-targets -- -D warnings;
-#                     cargo fmt --check; scripts/orphans.sh (advisory:
-#                     lists public items no other file names, never
-#                     fails)
+#                     cargo fmt --check; scripts/orphans.sh (fails on a
+#                     public item no other file's production code names,
+#                     unless allow-listed with a reason);
+#                     scripts/testkit_dev_only.sh (no production crate
+#                     depends on spf-testkit)
 #   [benchmark]       the BENCHMARK.json crate builds and its tests pass
 #                     against this tree (cd benchmark && cargo build
 #                     --release --offline && cargo test --offline),
@@ -57,8 +59,11 @@ cargo clippy --all-targets -- -D warnings
 echo "== [lint] cargo fmt --check"
 cargo fmt --check
 
-echo "== [lint] scripts/orphans.sh (advisory)"
+echo "== [lint] scripts/orphans.sh"
 scripts/orphans.sh
+
+echo "== [lint] scripts/testkit_dev_only.sh"
+scripts/testkit_dev_only.sh
 
 # The benchmark crate is its own workspace path-depending on ../crates:
 # a deletion that breaks its surface must fail here, not in the

@@ -14,33 +14,8 @@
 
 use lazy_gatekeepers::prelude::*;
 use spf_dns::{DnsError, LookupOutcome, RecordType, ResourceRecord, ZoneFault};
+use spf_testkit::world_at;
 use std::sync::{Arc, Mutex};
-
-const SEED: u64 = 0x5bf1_2023;
-
-/// The world plus its vantage set, built once per scale (vantage
-/// selection is deterministic, so every configuration shares it).
-fn world_at(denominator: u64) -> (SpoofWorld, Vec<VantagePoint>) {
-    let world = build_spoof_world(Scale { denominator }, SEED);
-    let walker = Walker::new(ZoneResolver::new(Arc::clone(&world.store)));
-    let out = crawl(&walker, &world.domains, CrawlConfig::with_workers(4));
-    let weighted = out.coverage.into_weighted();
-    // A trimmed vantage set (2 shared + 2 providers ×2 + 1 control = 7):
-    // what the matrix stresses is the workers × cache × substrate grid,
-    // and per-vantage work only scales the wall clock.
-    let providers: Vec<ProviderVantage> = world
-        .providers
-        .iter()
-        .take(2)
-        .map(|p| ProviderVantage {
-            label: format!("hosting{}", p.id),
-            web: p.web_ip,
-            mta: p.mta_ip,
-        })
-        .collect();
-    let vantages = select_vantages(&weighted, &providers, 2, 1, SEED);
-    (world, vantages)
-}
 
 fn auth_json<R: Resolver>(
     resolver: &R,
@@ -49,6 +24,9 @@ fn auth_json<R: Resolver>(
     config: SpoofMatrixConfig,
 ) -> String {
     let (matrix, _) = auth_matrix(resolver, &world.domains, vantages, config);
+    if let Err(law) = matrix.check_conservation() {
+        panic!("auth matrix conservation broken [{config:?}]: {law}");
+    }
     serde_json::to_string(&matrix).expect("auth matrix serializes")
 }
 
@@ -191,6 +169,7 @@ fn spf_submatrix_byte_identical_to_bare_row_fold_at_scale() {
             &vantages,
             SpoofMatrixConfig::with_workers(workers),
         );
+        assert_eq!(auth.check_conservation(), Ok(()), "workers={workers}");
         assert!(
             serde_json::to_string(&auth.spf).expect("auth.spf serializes") == bare_json,
             "SPF sub-matrix diverged from the bare-row fold at workers={workers}"
@@ -220,7 +199,8 @@ fn queue_depth_stays_bounded() {
     let (world, vantages) = world_at(2_000);
     let resolver = ZoneResolver::new(Arc::clone(&world.store));
     let config = SpoofMatrixConfig::with_workers(4).batch_size(16);
-    let (_, stats) = auth_matrix(&resolver, &world.domains, &vantages, config);
+    let (matrix, stats) = auth_matrix(&resolver, &world.domains, &vantages, config);
+    assert_eq!(matrix.check_conservation(), Ok(()));
     let stats = stats.engine;
     // 2×workers queued batches + workers in-hand + the feeder's one
     // in-flight batch — the crawl engine's dispatch bound.

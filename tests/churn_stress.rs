@@ -20,6 +20,7 @@ use std::time::Duration;
 
 use lazy_gatekeepers::bench::{build_resolver, WireRun};
 use lazy_gatekeepers::prelude::*;
+use spf_testkit::population_at;
 
 const SEED: u64 = 0x5bf1_2023;
 const CHURN_RATE: f64 = 0.01;
@@ -58,10 +59,7 @@ fn snapshot(engine: &ChurnEngine) -> String {
 /// the engine applies invalidation + re-crawl inside the single-threaded
 /// step), so the post-flush state is identical in every interleaving.
 fn run_scenario(workers: usize, backend: Backend) -> (String, String) {
-    let population = Population::build(PopulationConfig {
-        scale: Scale::stress(),
-        seed: SEED,
-    });
+    let population = population_at(500);
     let store = Arc::clone(&population.store);
     let config = LongitudinalConfig::default()
         .crawl(CrawlConfig::with_workers(workers))
@@ -118,10 +116,7 @@ fn churned_state_is_byte_identical_across_workers_and_backends() {
     // The reference itself must match a from-scratch recompute of the
     // final churned zone before it judges anyone else.
     {
-        let population = Population::build(PopulationConfig {
-            scale: Scale::stress(),
-            seed: SEED,
-        });
+        let population = population_at(500);
         let store = Arc::clone(&population.store);
         let mut sim = ChurnSimulator::new(
             Arc::clone(&store),

@@ -23,35 +23,11 @@ use lazy_gatekeepers::bench::service_lab;
 use lazy_gatekeepers::dns::VirtualClock;
 use lazy_gatekeepers::prelude::*;
 use lazy_gatekeepers::service::{
-    QuerySpec, ServiceClient, ServiceConfig, Status, Transport, TtlLruConfig, VerdictService,
+    ServiceClient, ServiceConfig, Status, Transport, TtlLruConfig, VerdictService,
 };
-
-const SEED: u64 = 0x5bf1_2023;
-const SENDER: &str = "stress";
-
-/// The world plus its vantage set, built once per scale (vantage
-/// selection is deterministic, so every configuration shares it).
-fn world_at(denominator: u64) -> (SpoofWorld, Vec<VantagePoint>) {
-    let world = build_spoof_world(Scale { denominator }, SEED);
-    let walker = Walker::new(ZoneResolver::new(Arc::clone(&world.store)));
-    let out = crawl(&walker, &world.domains, CrawlConfig::with_workers(4));
-    let weighted = out.coverage.into_weighted();
-    // A trimmed vantage set (2 shared + 2 providers ×2 + 1 control = 7):
-    // what this suite stresses is the backend × workers × substrate
-    // grid, and per-vantage work only scales the wall clock.
-    let providers: Vec<ProviderVantage> = world
-        .providers
-        .iter()
-        .take(2)
-        .map(|p| ProviderVantage {
-            label: format!("hosting{}", p.id),
-            web: p.web_ip,
-            mta: p.mta_ip,
-        })
-        .collect();
-    let vantages = select_vantages(&weighted, &providers, 2, 1, SEED);
-    (world, vantages)
-}
+use spf_testkit::{
+    assert_conservation, dom, pairs_with_reference, replay, world_at, Expected, SEED, SENDER,
+};
 
 fn matrix_json<R: Resolver>(
     resolver: &R,
@@ -207,78 +183,6 @@ fn compiled_matrix_byte_identical_between_wire_and_memory() {
     );
 }
 
-/// One query plus the bare-`check_host` JSON the service must echo.
-type Expected = (QuerySpec, String);
-
-/// Every `(domain × vantage)` pair at the given scale, with its
-/// reference verdict evaluated *uncached* through the plain resolver.
-fn pairs_with_reference(
-    lab: &lazy_gatekeepers::bench::ServiceLab,
-    vantage_ips: &[IpAddr],
-) -> Vec<Expected> {
-    let resolver = ZoneResolver::new(Arc::clone(&lab.store));
-    let policy = EvalPolicy::default();
-    let mut items = Vec::with_capacity(lab.domains.len() * vantage_ips.len());
-    for domain in &lab.domains {
-        for ip in vantage_ips {
-            let ctx = EvalContext::mail_from(*ip, SENDER, domain.clone());
-            let eval = check_host(&resolver, &ctx, domain, &policy);
-            let json = serde_json::to_string(&eval).expect("evaluation serializes");
-            items.push((
-                QuerySpec {
-                    ip: *ip,
-                    domain: domain.clone(),
-                    sender_local: SENDER.to_string(),
-                    stack: false,
-                },
-                json,
-            ));
-        }
-    }
-    items
-}
-
-/// Replay `items` through a connected client and byte-compare every
-/// response body against its reference JSON.
-fn replay(addr: std::net::SocketAddr, transport: Transport, items: &[Expected], label: &str) {
-    let mut client = ServiceClient::connect(addr, transport).expect("client connects");
-    for chunk in items.chunks(2048) {
-        let specs: Vec<QuerySpec> = chunk.iter().map(|(spec, _)| spec.clone()).collect();
-        let responses = client
-            .run(&specs, 64, None)
-            .unwrap_or_else(|e| panic!("run failed [{label}]: {e}"));
-        assert_eq!(responses.len(), specs.len(), "response count [{label}]");
-        for (response, (spec, expected)) in responses.iter().zip(chunk) {
-            assert_eq!(
-                response.status,
-                Status::Ok,
-                "non-ok verdict for {} from {} [{label}]",
-                spec.domain,
-                spec.ip
-            );
-            assert!(
-                response.body == expected.as_bytes(),
-                "verdict diverged for {} from {} [{label}]:\n served: {}\n   bare: {}",
-                spec.domain,
-                spec.ip,
-                String::from_utf8_lossy(&response.body),
-                expected
-            );
-        }
-    }
-}
-
-/// After `shutdown` the counters must balance: one store probe per
-/// query, one table-or-fallback classification per evaluated query,
-/// one latency sample each, and what the listener did not answer from
-/// the tables a worker did.
-fn assert_conservation(service: &VerdictService, label: &str) {
-    let telemetry = service.telemetry();
-    if let Err(law) = telemetry.check_conservation() {
-        panic!("conservation broken [{label}]: {law}");
-    }
-}
-
 #[test]
 fn compiled_service_verdicts_byte_identical_to_bare_check_host() {
     let lab = service_lab(500, SEED, 4);
@@ -287,7 +191,7 @@ fn compiled_service_verdicts_byte_identical_to_bare_check_host() {
     // compiled store in front, per-vantage work only scales wall clock.
     let vantage_ips: Vec<IpAddr> = lab.vantage_ips.iter().copied().step_by(3).collect();
     assert!(vantage_ips.len() >= 4, "vantage selection shrank");
-    let items = pairs_with_reference(&lab, &vantage_ips);
+    let items = pairs_with_reference(&lab.store, &lab.domains, &vantage_ips);
     assert!(items.len() > 100_000, "population shrank: {}", items.len());
     let resolver: Arc<dyn Resolver> = Arc::new(ZoneResolver::new(Arc::clone(&lab.store)));
 
@@ -360,10 +264,6 @@ struct ProviderLab {
 
 const LAB_TTL: Duration = Duration::from_secs(60);
 const LAB_IP: &str = "192.0.2.7";
-
-fn dom(name: &str) -> DomainName {
-    DomainName::parse(name).expect("domain parses")
-}
 
 impl ProviderLab {
     fn new(capacity: usize) -> ProviderLab {

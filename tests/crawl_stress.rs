@@ -6,9 +6,8 @@
 //! the serialized form at a smaller scale.
 
 use lazy_gatekeepers::prelude::*;
+use spf_testkit::population_at;
 use std::sync::Arc;
-
-const SEED: u64 = 0x5bf1_2023;
 
 fn crawl_with(
     population: &Population,
@@ -48,10 +47,7 @@ fn fingerprint(reports: &[DomainReport]) -> Vec<(String, bool, bool, bool, u64, 
 fn crawl_results_identical_across_worker_counts() {
     // Workers ∈ {1, 4, 32} at --scale 500, all compared against a
     // single-threaded reference crawl.
-    let population = Population::build(PopulationConfig {
-        scale: Scale::stress(),
-        seed: SEED,
-    });
+    let population = population_at(500);
     let (reference, ref_stats) = crawl_with(&population, 1, 64);
     assert_eq!(reference.len(), population.domains.len());
     let reference_fp = fingerprint(&reference);
@@ -75,10 +71,7 @@ fn crawl_results_identical_across_worker_counts() {
 
 #[test]
 fn crawl_results_identical_across_batch_sizes() {
-    let population = Population::build(PopulationConfig {
-        scale: Scale { denominator: 2_000 },
-        seed: SEED,
-    });
+    let population = population_at(2_000);
     let (reference, _) = crawl_with(&population, 4, 1);
     let reference_fp = fingerprint(&reference);
     for batch in [7usize, 64, 100_000] {
@@ -95,10 +88,7 @@ fn crawl_results_identical_across_batch_sizes() {
 fn crawl_reports_serialize_bit_identically() {
     // Byte-level check of the full serialized report stream (covers every
     // field, including ones the fingerprint projection might miss).
-    let population = Population::build(PopulationConfig {
-        scale: Scale { denominator: 5_000 },
-        seed: SEED,
-    });
+    let population = population_at(5_000);
     let serialize = |workers: usize, batch: usize| {
         let (reports, _) = crawl_with(&population, workers, batch);
         serde_json::to_string(&reports).expect("reports serialize")
@@ -110,10 +100,7 @@ fn crawl_reports_serialize_bit_identically() {
 
 #[test]
 fn queue_depth_stays_bounded_under_stress() {
-    let population = Population::build(PopulationConfig {
-        scale: Scale { denominator: 2_000 },
-        seed: SEED,
-    });
+    let population = population_at(2_000);
     let workers = 4usize;
     let batch = 32usize;
     let (_, stats) = crawl_with(&population, workers, batch);

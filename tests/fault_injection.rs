@@ -15,17 +15,9 @@ use std::time::Duration;
 
 use lazy_gatekeepers::prelude::*;
 use spf_dns::ZoneFault;
+use spf_testkit::population_at;
 
 const SEED: u64 = 0x5bf1_2023;
-
-fn population() -> Population {
-    Population::build(PopulationConfig {
-        scale: Scale {
-            denominator: 20_000,
-        },
-        seed: SEED,
-    })
-}
 
 /// Shares of the faulted names, in the order a name's roll meets them.
 #[derive(Debug, Clone, Copy, Default)]
@@ -87,7 +79,7 @@ fn place_faults<'a>(
 
 /// The population with a seeded share of its domains faulted.
 fn faulted_population(faults: Faults, seed: u64) -> Population {
-    let pop = population();
+    let pop = population_at(20_000);
     let faulted = place_faults(&pop.store, &pop.domains, faults, seed);
     assert!(faulted > 0, "no domain drew a fault under {faults:?}");
     pop
@@ -116,7 +108,7 @@ fn pipeline_survives_heavy_fault_injection() {
     // exclusions and/or lost records, like the paper's excluded DNS
     // errors.
     assert!(agg.dns_transient > 0, "zone timeouts must be observed");
-    let clean = ScanAggregates::compute(&memory_reports(&population()));
+    let clean = ScanAggregates::compute(&memory_reports(&population_at(20_000)));
     assert!(
         agg.with_spf < clean.with_spf,
         "faults must lose some records ({} vs {})",
@@ -165,7 +157,7 @@ fn degraded_shard_degrades_to_temperror_not_divergence() {
     // (the paper's temperror cohort), never as a hang, a crash, missing
     // reports or a report the in-memory crawl would not write.
     let servers = 4;
-    let pop = population();
+    let pop = population_at(20_000);
     let victims = pop
         .domains
         .iter()

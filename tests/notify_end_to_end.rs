@@ -8,15 +8,12 @@ use std::sync::Arc;
 use spf_analyzer::{ErrorClass, Walker};
 use spf_crawler::{crawl, CrawlConfig, ScanAggregates};
 use spf_dns::{Clock, VirtualClock, ZoneResolver};
-use spf_netsim::{Population, PopulationConfig, Scale};
 use spf_notify::{apply_remediation, Campaign, CampaignConfig, FixRates};
+use spf_testkit::population_at;
 
 #[test]
 fn campaign_and_rescan_reproduce_table2_shape() {
-    let pop = Population::build(PopulationConfig {
-        scale: Scale { denominator: 500 },
-        seed: 0x5bf1_2023,
-    });
+    let pop = population_at(500);
     let walker = Walker::new(ZoneResolver::new(Arc::clone(&pop.store)));
     let out = crawl(&walker, &pop.domains, CrawlConfig::with_workers(8));
     let before = ScanAggregates::compute(&out.reports);

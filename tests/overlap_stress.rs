@@ -12,16 +12,8 @@
 
 use lazy_gatekeepers::crawler::DEFAULT_PROVIDER_ROWS;
 use lazy_gatekeepers::prelude::*;
+use spf_testkit::population_at;
 use std::sync::Arc;
-
-const SEED: u64 = 0x5bf1_2023;
-
-fn population_at(denominator: u64) -> Population {
-    Population::build(PopulationConfig {
-        scale: Scale { denominator },
-        seed: SEED,
-    })
-}
 
 /// Serialize a crawl's full overlap state: the weighted coverage profile
 /// and the distilled report (histogram, max coverage, provider rows).

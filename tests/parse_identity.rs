@@ -16,6 +16,7 @@ use std::collections::HashSet;
 use lazy_gatekeepers::prelude::*;
 use spf_core::dmarc::{is_dmarc_record, parse_dmarc};
 use spf_core::is_spf_record;
+use spf_testkit::population_at;
 use spf_types::MacroString;
 
 /// FNV-1a 64 over every pinned byte, in corpus order.
@@ -85,10 +86,7 @@ fn fnv(hash: &mut u64, bytes: &[u8]) {
 /// Every TXT text of the population's domains and of the literal
 /// include/redirect targets reachable from them, in discovery order.
 fn population_texts() -> Vec<String> {
-    let population = Population::build(PopulationConfig {
-        scale: Scale { denominator: 1_000 },
-        ..PopulationConfig::default()
-    });
+    let population = population_at(1_000);
     let mut queue: Vec<DomainName> = population.domains.clone();
     let mut seen: HashSet<DomainName> = queue.iter().cloned().collect();
     let mut texts = Vec::new();

@@ -10,55 +10,13 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use spf_core::{
-    check_host, compile_policy, evaluate_auth, query_dmarc, query_mta_sts, stop_layer, AuthCache,
-    CompileConfig, DmarcDisposition, EvalContext, EvalPolicy, SpfResult, StopLayer,
+    check_host, compile_policy, query_dmarc, query_mta_sts, stop_layer, AuthCache, CompileConfig,
+    DmarcDisposition, EvalContext, EvalPolicy, SpfResult, StopLayer,
 };
 use spf_crawler::SpoofVerdictCache;
 use spf_dns::{ZoneResolver, ZoneStore};
+use spf_testkit::{arb_record, evaluate_auth};
 use spf_types::DomainName;
-
-fn arb_qualifier() -> impl Strategy<Value = &'static str> {
-    prop_oneof![Just(""), Just("+"), Just("-"), Just("~"), Just("?")]
-}
-
-/// A generator of syntactically valid SPF terms (the proptest_pipeline
-/// generator, trimmed to the term shapes that exercise the evaluator).
-fn arb_term() -> impl Strategy<Value = String> {
-    let ip = any::<u32>().prop_map(|v| std::net::Ipv4Addr::from(v).to_string());
-    let domain = proptest::collection::vec("[a-z]{1,8}", 1..3).prop_map(|l| l.join("."));
-    prop_oneof![
-        (arb_qualifier(), ip.clone(), 8u8..=32).prop_map(|(q, ip, p)| format!("{q}ip4:{ip}/{p}")),
-        (arb_qualifier(), ip).prop_map(|(q, ip)| format!("{q}ip4:{ip}")),
-        (arb_qualifier(), domain.clone()).prop_map(|(q, d)| format!("{q}include:{d}")),
-        (arb_qualifier(), domain.clone()).prop_map(|(q, d)| format!("{q}a:{d}")),
-        (arb_qualifier(), domain.clone()).prop_map(|(q, d)| format!("{q}mx:{d}")),
-        arb_qualifier().prop_map(|q| format!("{q}a")),
-        arb_qualifier().prop_map(|q| format!("{q}mx")),
-        (arb_qualifier(), domain).prop_map(|(q, d)| format!("{q}exists:{d}")),
-    ]
-}
-
-fn arb_record() -> impl Strategy<Value = String> {
-    (
-        proptest::collection::vec(arb_term(), 0..6),
-        prop_oneof![
-            Just(""),
-            Just(" -all"),
-            Just(" ~all"),
-            Just(" ?all"),
-            Just(" +all"),
-        ],
-    )
-        .prop_map(|(terms, all)| {
-            let mut s = String::from("v=spf1");
-            for t in &terms {
-                s.push(' ');
-                s.push_str(t);
-            }
-            s.push_str(all);
-            s
-        })
-}
 
 /// Every DMARC layer shape: absent, monitoring, enforced at both
 /// levels, sampled-down, and sampled-out (`pct=0` must behave as
@@ -91,7 +49,7 @@ proptest! {
     /// record, the upper layers, the SPF memo, or the compiled backend.
     #[test]
     fn auth_outcome_spf_byte_identical_to_bare_check_host(
-        record in arb_record(),
+        record in arb_record(0..6, false),
         dmarc in arb_dmarc(),
         sts in arb_sts(),
         ip in any::<u32>(),
@@ -166,7 +124,7 @@ proptest! {
     /// outcomes and the memo registers the hits.
     #[test]
     fn warm_auth_cache_is_transparent(
-        record in arb_record(),
+        record in arb_record(0..6, false),
         dmarc in arb_dmarc(),
         ip in any::<u32>(),
     ) {

@@ -13,11 +13,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use lazy_gatekeepers::crawler::DEFAULT_PROVIDER_ROWS;
+use lazy_gatekeepers::crawler::{evaluate_auth_row, AuthMatrixRow, DEFAULT_PROVIDER_ROWS};
 use lazy_gatekeepers::prelude::*;
 use proptest::prelude::*;
+use spf_testkit::population_at;
 
-const POPULATION_SEED: u64 = 0x5bf1_2023;
 const MONTH: Duration = Duration::from_secs(30 * 86_400);
 
 fn arb_preset() -> impl Strategy<Value = ChurnPreset> {
@@ -57,10 +57,7 @@ proptest! {
         use_compiled in any::<bool>(),
     ) {
         let rate = rate_permille as f64 / 1000.0;
-        let population = Population::build(PopulationConfig {
-            scale: Scale::quick_bench(),
-            seed: POPULATION_SEED,
-        });
+        let population = population_at(20_000);
         let store = Arc::clone(&population.store);
         let walker = Walker::new(ZoneResolver::new(Arc::clone(&store)));
         // A TTL span shorter than the simulated horizon, so later epochs
@@ -81,6 +78,27 @@ proptest! {
             population.domains.clone(),
             ChurnConfig { rate, seed: churn_seed, preset },
         );
+
+        // The layered matrix, kept the churn engine's way: every delta
+        // domain's row folded out and its re-evaluated row folded in.
+        let mut compiler = CompilerStats::default();
+        let mut auth_row = |domain: &DomainName| {
+            evaluate_auth_row(
+                walker.resolver(),
+                domain,
+                &vantages,
+                &matrix_config.policy,
+                None,
+                false,
+                &mut compiler,
+                None,
+            )
+        };
+        let mut rows: Vec<AuthMatrixRow> = population.domains.iter().map(&mut auth_row).collect();
+        let mut layered = AuthMatrix::empty(population.domains.len() as u64, &vantages);
+        for row in &rows {
+            layered.fold_in(row);
+        }
 
         for epoch in 1..=epochs {
             let batch = sim.next_epoch();
@@ -119,6 +137,19 @@ proptest! {
                 &vantages,
                 matrix_config,
             );
+            for domain in batch.domains() {
+                let rank = population.domains.iter().position(|d| *d == domain).unwrap();
+                layered.fold_out(&rows[rank]);
+                rows[rank] = auth_row(&domain);
+                layered.fold_in(&rows[rank]);
+            }
+            prop_assert_eq!(layered.check_conservation(), Ok(()), "epoch {}", epoch);
+            prop_assert_eq!(fresh_matrix.check_conservation(), Ok(()), "epoch {}", epoch);
+            prop_assert_eq!(
+                serde_json::to_string(&layered).unwrap(),
+                serde_json::to_string(&fresh_matrix).unwrap(),
+                "layered matrix diverged at epoch {}", epoch
+            );
             prop_assert_eq!(
                 serde_json::to_string(&engine.matrix().unwrap()).unwrap(),
                 serde_json::to_string(&fresh_matrix.spf).unwrap(),
@@ -153,10 +184,7 @@ proptest! {
     ) {
         let rate = rate_permille as f64 / 1000.0;
         let build = || {
-            let population = Population::build(PopulationConfig {
-                scale: Scale::quick_bench(),
-                seed: POPULATION_SEED,
-            });
+            let population = population_at(20_000);
             let mut sim = ChurnSimulator::new(
                 Arc::clone(&population.store),
                 population.domains.clone(),

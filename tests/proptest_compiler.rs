@@ -31,13 +31,10 @@ use spf_core::{
     CompiledPolicy, EvalContext, EvalPolicy, Residue, ResidueKind, SpfResult, SubtreeMemo,
 };
 use spf_dns::{ZoneResolver, ZoneStore};
+use spf_testkit::{arb_domain, arb_qualifier, build_world};
 use spf_types::DomainName;
 
 const SENDER: &str = "alice";
-
-fn arb_qualifier() -> impl Strategy<Value = &'static str> {
-    prop_oneof![Just(""), Just("+"), Just("-"), Just("~"), Just("?")]
-}
 
 /// A term generator whose include/redirect/a/mx/exists targets point
 /// back into the generated population (`d0.test` … `d{n-1}.test`), with
@@ -61,60 +58,6 @@ fn arb_compile_term(n: usize) -> impl Strategy<Value = String> {
         (arb_qualifier(), 0..n).prop_map(|(q, j)| format!("{q}exists:%{{l}}.d{j}.test")),
         (arb_qualifier(), 0..n).prop_map(|(q, j)| format!("{q}a:%{{i}}.d{j}.test")),
     ]
-}
-
-/// One random domain: an optional SPF record plus an optional A record
-/// (absent A records make `a:`/`mx:` terms void, exercising the void
-/// budget through the compiler's symbolic accounting).
-fn arb_compile_domain(n: usize) -> impl Strategy<Value = (Option<String>, Option<u32>)> {
-    (
-        0u8..10,
-        proptest::collection::vec(arb_compile_term(n), 0..5),
-        prop_oneof![Just(""), Just(" -all"), Just(" ~all"), Just(" +all")],
-        0u8..2,
-        any::<u32>(),
-    )
-        .prop_map(|(has_spf, terms, all, has_a, addr)| {
-            let record = (has_spf < 9).then(|| {
-                let mut s = String::from("v=spf1");
-                for t in &terms {
-                    s.push(' ');
-                    s.push_str(t);
-                }
-                s.push_str(all);
-                s
-            });
-            (record, (has_a == 1).then_some(addr))
-        })
-}
-
-/// Build the zone for one generated world; returns the population in
-/// index order plus one address harvested from a published `ip4` term
-/// (so pass verdicts and in-range table rows are exercised too).
-fn build_world(
-    world: &[(Option<String>, Option<u32>)],
-) -> (Arc<ZoneStore>, Vec<DomainName>, Option<Ipv4Addr>) {
-    let store = Arc::new(ZoneStore::new());
-    let mut domains = Vec::new();
-    let mut first_ip4 = None;
-    for (i, (record, a_addr)) in world.iter().enumerate() {
-        let d = DomainName::parse(&format!("d{i}.test")).unwrap();
-        if let Some(text) = record {
-            store.add_txt(&d, text);
-            if first_ip4.is_none() {
-                if let Some(pos) = text.find("ip4:") {
-                    let rest = &text[pos + 4..];
-                    let end = rest.find([' ', '/']).unwrap_or(rest.len());
-                    first_ip4 = rest[..end].parse().ok();
-                }
-            }
-        }
-        if let Some(addr) = a_addr {
-            store.add_a(&d, Ipv4Addr::from(*addr));
-        }
-        domains.push(d);
-    }
-    (store, domains, first_ip4)
 }
 
 /// The identity obligation for one `(domain, ip)` cell: a table answer
@@ -163,7 +106,7 @@ proptest! {
     /// worlds, for random v4 and v6 probes plus an in-range address.
     #[test]
     fn compiled_policies_match_check_host_on_random_worlds(
-        world in proptest::collection::vec(arb_compile_domain(6), 6),
+        world in proptest::collection::vec(arb_domain(arb_compile_term(6)), 6),
         probe_v4 in proptest::collection::vec(any::<u32>(), 2),
         probe_v6 in any::<u128>(),
     ) {
@@ -195,7 +138,7 @@ proptest! {
     /// against the same zone agree on shape and on every probed verdict.
     #[test]
     fn compilation_is_deterministic(
-        world in proptest::collection::vec(arb_compile_domain(4), 4),
+        world in proptest::collection::vec(arb_domain(arb_compile_term(4)), 4),
         probe in any::<u32>(),
     ) {
         let (store, domains, _) = build_world(&world);
@@ -266,7 +209,7 @@ proptest! {
     /// `check_host`'s.
     #[test]
     fn shared_compiles_match_direct_compiles_and_check_host(
-        world in proptest::collection::vec(arb_compile_domain(6), 6),
+        world in proptest::collection::vec(arb_domain(arb_compile_term(6)), 6),
         probe_v4 in proptest::collection::vec(any::<u32>(), 2),
         probe_v6 in any::<u128>(),
     ) {
@@ -299,7 +242,7 @@ proptest! {
     /// one, all give the direct compile's functions.
     #[test]
     fn population_order_and_sharing_threads_cannot_matter(
-        world in proptest::collection::vec(arb_compile_domain(6), 6),
+        world in proptest::collection::vec(arb_domain(arb_compile_term(6)), 6),
         probe in any::<u32>(),
     ) {
         let (store, domains, first_ip4) = build_world(&world);

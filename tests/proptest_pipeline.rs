@@ -7,50 +7,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use spf_core::{check_host, parse_lenient, EvalContext, EvalPolicy, SpfResult};
 use spf_dns::{ZoneResolver, ZoneStore};
+use spf_testkit::{arb_domain, arb_qualifier, arb_record, arb_term, build_world};
 use spf_types::{DomainName, Qualifier};
-
-fn arb_qualifier() -> impl Strategy<Value = &'static str> {
-    prop_oneof![Just(""), Just("+"), Just("-"), Just("~"), Just("?")]
-}
-
-/// A generator of syntactically valid SPF terms.
-fn arb_term() -> impl Strategy<Value = String> {
-    let ip = any::<u32>().prop_map(|v| std::net::Ipv4Addr::from(v).to_string());
-    let domain = proptest::collection::vec("[a-z]{1,8}", 1..3).prop_map(|l| l.join("."));
-    prop_oneof![
-        (arb_qualifier(), ip.clone(), 8u8..=32).prop_map(|(q, ip, p)| format!("{q}ip4:{ip}/{p}")),
-        (arb_qualifier(), ip).prop_map(|(q, ip)| format!("{q}ip4:{ip}")),
-        (arb_qualifier(), domain.clone()).prop_map(|(q, d)| format!("{q}include:{d}")),
-        (arb_qualifier(), domain.clone()).prop_map(|(q, d)| format!("{q}a:{d}")),
-        (arb_qualifier(), domain.clone()).prop_map(|(q, d)| format!("{q}mx:{d}")),
-        arb_qualifier().prop_map(|q| format!("{q}a")),
-        arb_qualifier().prop_map(|q| format!("{q}mx")),
-        (arb_qualifier(), domain.clone()).prop_map(|(q, d)| format!("{q}exists:{d}")),
-        domain.prop_map(|d| format!("redirect={d}")),
-    ]
-}
-
-fn arb_record() -> impl Strategy<Value = String> {
-    (
-        proptest::collection::vec(arb_term(), 0..8),
-        prop_oneof![
-            Just(""),
-            Just(" -all"),
-            Just(" ~all"),
-            Just(" ?all"),
-            Just(" +all"),
-        ],
-    )
-        .prop_map(|(terms, all)| {
-            let mut s = String::from("v=spf1");
-            for t in &terms {
-                s.push(' ');
-                s.push_str(t);
-            }
-            s.push_str(all);
-            s
-        })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -58,19 +16,19 @@ proptest! {
     /// Valid generated records parse cleanly and round-trip through
     /// Display → parse → Display.
     #[test]
-    fn generated_records_parse_clean_and_round_trip(record in arb_record()) {
+    fn generated_records_parse_clean_and_round_trip(record in arb_record(0..8, true)) {
         let parsed = parse_lenient(&record);
-        prop_assert!(parsed.is_clean(), "errors for {record:?}: {:?}", parsed.errors);
+        prop_assert!(parsed.errors.is_empty(), "errors for {record:?}: {:?}", parsed.errors);
         let printed = parsed.record.to_string();
         let reparsed = parse_lenient(&printed);
-        prop_assert!(reparsed.is_clean());
+        prop_assert!(reparsed.errors.is_empty());
         prop_assert_eq!(parsed.record, reparsed.record);
     }
 
     /// The evaluator is total and deterministic for any generated record,
     /// even with an empty DNS behind it.
     #[test]
-    fn evaluator_is_total_and_deterministic(record in arb_record(), ip in any::<u32>()) {
+    fn evaluator_is_total_and_deterministic(record in arb_record(0..8, true), ip in any::<u32>()) {
         let store = Arc::new(ZoneStore::new());
         let domain = DomainName::parse("prop.example").unwrap();
         store.add_txt(&domain, &record);
@@ -95,7 +53,7 @@ proptest! {
     /// `neutral` unless that all is `?all` (totality of the match chain).
     #[test]
     fn explicit_all_forecloses_neutral(
-        terms in proptest::collection::vec(arb_term(), 0..4),
+        terms in proptest::collection::vec(arb_term(true), 0..4),
         ip in any::<u32>()
     ) {
         // Filter out redirect= (which would shadow the all).
@@ -174,31 +132,6 @@ fn arb_pop_term(n: usize) -> impl Strategy<Value = String> {
     ]
 }
 
-/// One random domain: an optional SPF record plus an optional A record
-/// (present A records make `a:`/`mx:` terms resolvable; absent ones
-/// produce void lookups, exercising the void budget through the cache).
-fn arb_pop_domain(n: usize) -> impl Strategy<Value = (Option<String>, Option<u32>)> {
-    (
-        0u8..10,
-        proptest::collection::vec(arb_pop_term(n), 0..5),
-        prop_oneof![Just(""), Just(" -all"), Just(" ~all"), Just(" +all")],
-        0u8..2,
-        any::<u32>(),
-    )
-        .prop_map(|(has_spf, terms, all, has_a, addr)| {
-            let record = (has_spf < 9).then(|| {
-                let mut s = String::from("v=spf1");
-                for t in &terms {
-                    s.push(' ');
-                    s.push_str(t);
-                }
-                s.push_str(all);
-                s
-            });
-            (record, (has_a == 1).then_some(addr))
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -208,31 +141,12 @@ proptest! {
     /// populations full of shared includes, loops and void lookups.
     #[test]
     fn cached_matrix_matches_uncached_check_host(
-        world in proptest::collection::vec(arb_pop_domain(6), 6),
+        world in proptest::collection::vec(arb_domain(arb_pop_term(6)), 6),
         vantage_bits in proptest::collection::vec(any::<u32>(), 2),
     ) {
         use spf_crawler::{auth_matrix, SpoofMatrixConfig, VantageKind, VantagePoint};
 
-        let store = Arc::new(ZoneStore::new());
-        let mut domains = Vec::new();
-        let mut first_ip4: Option<std::net::Ipv4Addr> = None;
-        for (i, (record, a_addr)) in world.iter().enumerate() {
-            let d = DomainName::parse(&format!("d{i}.test")).unwrap();
-            if let Some(text) = record {
-                store.add_txt(&d, text);
-                if first_ip4.is_none() {
-                    if let Some(pos) = text.find("ip4:") {
-                        let rest = &text[pos + 4..];
-                        let end = rest.find([' ', '/']).unwrap_or(rest.len());
-                        first_ip4 = rest[..end].parse().ok();
-                    }
-                }
-            }
-            if let Some(addr) = a_addr {
-                store.add_a(&d, std::net::Ipv4Addr::from(*addr));
-            }
-            domains.push(d);
-        }
+        let (store, domains, first_ip4) = build_world(&world);
         // Two random vantages plus (when available) one drawn from a
         // published ip4 term, so pass verdicts are exercised too.
         let mut vantages: Vec<VantagePoint> = vantage_bits

@@ -19,11 +19,8 @@ use spf_core::{
     ResidueKind, SpfResult,
 };
 use spf_dns::{ZoneResolver, ZoneStore};
+use spf_testkit::{add_reverse_v4, dom};
 use spf_types::DomainName;
-
-fn dom(s: &str) -> DomainName {
-    DomainName::parse(s).unwrap()
-}
 
 /// Bare `check_host` plus ISSUE 7's differential obligation: compile
 /// the domain's tree and, wherever the tables answer the context's
@@ -69,8 +66,8 @@ fn rfc_zone() -> Arc<ZoneStore> {
     s.add_mx(&dom("bob.example.com"), 10, &dom("mail-b.example.com"));
 
     // Reverse mapping for ptr-based vectors.
-    s.add_reverse_v4("192.0.2.10".parse().unwrap(), &dom("example.com"));
-    s.add_reverse_v4("192.0.2.65".parse().unwrap(), &dom("amy.example.com"));
+    add_reverse_v4(&s, "192.0.2.10".parse().unwrap(), &dom("example.com"));
+    add_reverse_v4(&s, "192.0.2.65".parse().unwrap(), &dom("amy.example.com"));
     s
 }
 

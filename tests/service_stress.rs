@@ -18,88 +18,17 @@ use std::net::{IpAddr, UdpSocket};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use lazy_gatekeepers::bench::{service_lab, ServiceLab};
+use lazy_gatekeepers::bench::service_lab;
 use lazy_gatekeepers::dns::{
     DnsError, RecordType, Resolver, ResourceRecord, VirtualClock, ZoneResolver, ZoneStore,
 };
 use lazy_gatekeepers::prelude::{check_host, DomainName, EvalContext, EvalPolicy};
 use lazy_gatekeepers::service::proto::{decode_datagram, encode_frame};
 use lazy_gatekeepers::service::{
-    Frame, QueryFrame, QuerySpec, ServiceClient, ServiceConfig, Status, Transport, TtlLruConfig,
+    Frame, QueryFrame, ServiceClient, ServiceConfig, Status, Transport, TtlLruConfig,
     VerdictService,
 };
-
-const SEED: u64 = 0x5bf1_2023;
-const SENDER: &str = "stress";
-
-/// One query plus the bare-`check_host` JSON the service must echo.
-type Expected = (QuerySpec, String);
-
-/// Every `(domain × vantage)` pair at the given scale, with its
-/// reference verdict evaluated *uncached* through the plain resolver.
-fn pairs_with_reference(lab: &ServiceLab, vantage_ips: &[IpAddr]) -> Vec<Expected> {
-    let resolver = ZoneResolver::new(Arc::clone(&lab.store));
-    let policy = EvalPolicy::default();
-    let mut items = Vec::with_capacity(lab.domains.len() * vantage_ips.len());
-    for domain in &lab.domains {
-        for ip in vantage_ips {
-            let ctx = EvalContext::mail_from(*ip, SENDER, domain.clone());
-            let eval = check_host(&resolver, &ctx, domain, &policy);
-            let json = serde_json::to_string(&eval).expect("evaluation serializes");
-            items.push((
-                QuerySpec {
-                    ip: *ip,
-                    domain: domain.clone(),
-                    sender_local: SENDER.to_string(),
-                    stack: false,
-                },
-                json,
-            ));
-        }
-    }
-    items
-}
-
-/// Replay `items` through a connected client and byte-compare every
-/// response body against its reference JSON.
-fn replay(addr: std::net::SocketAddr, transport: Transport, items: &[Expected], label: &str) {
-    let mut client = ServiceClient::connect(addr, transport).expect("client connects");
-    for chunk in items.chunks(2048) {
-        let specs: Vec<QuerySpec> = chunk.iter().map(|(spec, _)| spec.clone()).collect();
-        let responses = client
-            .run(&specs, 64, None)
-            .unwrap_or_else(|e| panic!("run failed [{label}]: {e}"));
-        assert_eq!(responses.len(), specs.len(), "response count [{label}]");
-        for (response, (spec, expected)) in responses.iter().zip(chunk) {
-            assert_eq!(
-                response.status,
-                Status::Ok,
-                "non-ok verdict for {} from {} [{label}]",
-                spec.domain,
-                spec.ip
-            );
-            assert!(
-                response.body == expected.as_bytes(),
-                "verdict diverged for {} from {} [{label}]:\n served: {}\n   bare: {}",
-                spec.domain,
-                spec.ip,
-                String::from_utf8_lossy(&response.body),
-                expected
-            );
-        }
-    }
-}
-
-/// After `shutdown` — every admitted query answered, every thread
-/// joined — the counters must balance: frames against dispositions,
-/// evaluated queries against latency samples, nothing answered on the
-/// listener by a service without compiled tables.
-fn assert_conservation(service: &VerdictService, label: &str) {
-    let telemetry = service.telemetry();
-    if let Err(law) = telemetry.check_conservation() {
-        panic!("conservation broken [{label}]: {law}");
-    }
-}
+use spf_testkit::{assert_conservation, pairs_with_reference, replay, Expected, SEED, SENDER};
 
 /// A verdict memo so small (64 entries, 4 to each of its 16 stripes)
 /// that replaying hundreds of thousands of distinct pairs evicts on
@@ -117,7 +46,7 @@ fn served_verdicts_byte_identical_to_bare_check_host() {
     // the same trim for the same reason).
     let vantage_ips: Vec<IpAddr> = lab.vantage_ips.iter().copied().step_by(3).collect();
     assert!(vantage_ips.len() >= 4, "vantage selection shrank");
-    let items = pairs_with_reference(&lab, &vantage_ips);
+    let items = pairs_with_reference(&lab.store, &lab.domains, &vantage_ips);
     assert!(items.len() > 100_000, "population shrank: {}", items.len());
     let resolver: Arc<dyn Resolver> = Arc::new(ZoneResolver::new(Arc::clone(&lab.store)));
 
@@ -293,7 +222,11 @@ fn queue_overflow_yields_typed_overloaded_responses() {
     let (resolver, gate) = GatedResolver::closed(Arc::clone(&store));
     // One worker parked on the gate, two queue slots behind it: the
     // fourth-and-later queries *must* overflow.
-    let config = ServiceConfig::with_workers(1).queue_capacity(2).cache(None);
+    let config = ServiceConfig {
+        queue_capacity: 2,
+        ..ServiceConfig::with_workers(1)
+    }
+    .cache(None);
     let mut service = VerdictService::spawn(Arc::new(resolver), config).expect("service spawns");
 
     let socket = UdpSocket::bind(("127.0.0.1", 0)).expect("client socket");
@@ -375,9 +308,11 @@ fn shutdown_drains_admitted_queries_and_rejects_late_arrivals() {
 fn drain_scenario() -> u64 {
     let (store, domain, ip) = tiny_world();
     let (resolver, gate) = GatedResolver::closed(Arc::clone(&store));
-    let config = ServiceConfig::with_workers(1)
-        .queue_capacity(256)
-        .cache(None);
+    let config = ServiceConfig {
+        queue_capacity: 256,
+        ..ServiceConfig::with_workers(1)
+    }
+    .cache(None);
     let service = VerdictService::spawn(Arc::new(resolver), config).expect("service spawns");
     let addr = service.addr();
 

@@ -9,20 +9,11 @@ use std::sync::Arc;
 use spf_analyzer::Walker;
 use spf_crawler::{crawl, CrawlConfig, ScanAggregates};
 use spf_dns::{ServerConfig, UdpNameServer, WireClientConfig, WireResolver, ZoneResolver};
-use spf_netsim::{Population, PopulationConfig, Scale};
-
-fn small_population() -> Population {
-    Population::build(PopulationConfig {
-        scale: Scale {
-            denominator: 20_000,
-        }, // ≈641 domains
-        seed: 0x5bf1_2023,
-    })
-}
+use spf_testkit::population_at;
 
 #[test]
 fn udp_crawl_matches_in_process_crawl() {
-    let population = small_population();
+    let population = population_at(20_000); // ≈641 domains
 
     // In-process reference scan.
     let reference_walker = Walker::new(ZoneResolver::new(Arc::clone(&population.store)));
@@ -99,7 +90,7 @@ fn udp_crawl_matches_in_process_crawl() {
 fn udp_resolver_survives_provider_records_at_full_size() {
     // The biggest provider record (websitewelcome-scale, dozens of blocks)
     // must round-trip the wire within the configured payload.
-    let population = small_population();
+    let population = population_at(20_000); // ≈641 domains
     let server = UdpNameServer::spawn(
         Arc::clone(&population.store),
         ServerConfig { max_payload: 4096 },

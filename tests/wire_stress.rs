@@ -14,19 +14,11 @@
 //! datagram-discard rules under load.
 
 use lazy_gatekeepers::prelude::*;
+use spf_testkit::population_at;
 use std::net::UdpSocket;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-const SEED: u64 = 0x5bf1_2023;
-
-fn population_at(denominator: u64) -> Population {
-    Population::build(PopulationConfig {
-        scale: Scale { denominator },
-        seed: SEED,
-    })
-}
 
 /// The crawl profile's two attempts, each waiting 250 ms instead of
 /// [`WireClientConfig::crawl`]'s 60 ms. The 60 ms is sized for a release
