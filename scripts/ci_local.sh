@@ -38,10 +38,13 @@ cargo build --release
 # rides inside the full `cargo test` below). parse_identity pins the
 # SPF parser's output byte for byte; alloc_budget holds the record read
 # path to its allocation budget; fault_injection crawls a faulted zone
-# in memory and over `wire:4` and compares the reports (about 4 s).
+# in memory and over `wire:4` and compares the reports (about 4 s);
+# golden_artifacts holds every paper artifact to a committed digest
+# (about 4 s).
 echo "== [build-and-test] differential suites"
 cargo test -q --test proptest_compiler --test rfc_conformance --test proptest_auth
 cargo test -q --test parse_identity --test alloc_budget --test fault_injection
+cargo test -q --test golden_artifacts
 cargo test -q -p spf-core --lib
 cargo test -q -p spf-types --lib
 
