@@ -402,7 +402,9 @@ struct Outgoing {
 /// Every lookup is a [`Resolver::query_many`] call; [`Resolver::query`]
 /// is a call of one question. For each question in order the call counts
 /// it in `queries`, probes the TTL cache, then joins another caller's
-/// in-flight question or leads its own. The led questions go out in
+/// in-flight question or — after one more cache probe under the
+/// in-flight lock, which sees any answer a leader cached before it
+/// retired its flight — leads its own. The led questions go out in
 /// windows of at most `SERVE_BATCH` (64) on one pooled socket:
 /// each attempt sends every unanswered question of the window with one
 /// `sendmmsg`, and `recvmmsg` drains match replies by peer, id and the
@@ -517,11 +519,19 @@ impl WireResolver {
         c.coalesced.store(0, Ordering::Relaxed);
     }
 
-    fn cache_get(&self, q: &Question) -> Option<Result<Vec<ResourceRecord>, DnsError>> {
+    /// The live cached answer to `q`. An entry past its TTL reads as a
+    /// miss and, when `count_expired`, counts one `cache_expired`.
+    fn cache_get(
+        &self,
+        q: &Question,
+        count_expired: bool,
+    ) -> Option<Result<Vec<ResourceRecord>, DnsError>> {
         let cache = self.cache.read().unwrap_or_else(PoisonError::into_inner);
         let entry = cache.get(q)?;
         if entry.expires_at <= self.clock.now() {
-            self.counters.cache_expired.fetch_add(1, Ordering::Relaxed);
+            if count_expired {
+                self.counters.cache_expired.fetch_add(1, Ordering::Relaxed);
+            }
             return None;
         }
         Some(entry.result.clone())
@@ -757,7 +767,7 @@ impl Resolver for WireResolver {
                 continue;
             }
             self.counters.queries.fetch_add(1, Ordering::Relaxed);
-            if let Some(result) = self.cache_get(q) {
+            if let Some(result) = self.cache_get(q, true) {
                 self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
                 answers[i] = result;
                 continue;
@@ -772,6 +782,14 @@ impl Resolver for WireResolver {
                     joined.push((i, Arc::clone(flight)));
                 }
                 None => {
+                    // A leader caches its answer before it retires its
+                    // flight, so one that finished since the probe above
+                    // left the answer here: look again before leading.
+                    if let Some(result) = self.cache_get(q, false) {
+                        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                        answers[i] = result;
+                        continue;
+                    }
                     inflight.insert(q.clone(), None);
                     led.push(i);
                 }
@@ -1115,6 +1133,44 @@ mod tests {
         assert!(
             snap.wire_queries < 16,
             "single-flight must collapse some of the burst: {snap:?}"
+        );
+    }
+
+    #[test]
+    fn racing_callers_send_one_datagram_per_cacheable_name() {
+        // Threads walk the same names in the same order, so for every
+        // name some caller misses the cache just before the leader
+        // caches the answer and retires its flight. That caller must
+        // find the answer under the in-flight lock, not lead the name to
+        // the wire a second time.
+        const NAMES: usize = 1000;
+        const THREADS: usize = 8;
+        let store = seeded_store(NAMES);
+        let fleet = WireFleet::spawn(&store, 1, ServerConfig::default()).unwrap();
+        let config = WireClientConfig {
+            timeout: Duration::from_secs(2),
+            attempts: 2,
+        };
+        let resolver = fleet.resolver(config);
+        let names: Vec<DomainName> = (0..NAMES).map(|i| dom(&format!("d{i}.example"))).collect();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    start.wait();
+                    for name in &names {
+                        assert_eq!(resolver.query(name, RecordType::Txt).unwrap().len(), 1);
+                    }
+                });
+            }
+        });
+        let snap = resolver.snapshot();
+        snap.check_conservation().unwrap();
+        assert_eq!(snap.queries, (NAMES * THREADS) as u64, "{snap:?}");
+        assert_eq!(
+            snap.wire_queries - snap.retries,
+            NAMES as u64,
+            "one first datagram per name: {snap:?}"
         );
     }
 
