@@ -11,13 +11,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use spf_analyzer::{DomainReport, ErrorClass, NotFoundCause, Walker};
-use spf_core::{check_host, AuthCache, EvalContext, SpfResult};
+use spf_core::{check_host, AuthCache, EvalContext, EvalPolicy, SpfResult};
 use spf_crawler::{
     auth_matrix, auth_matrix_with_cache, bare_row_fold, crawl, include_ecosystem, select_vantages,
     ChurnEngine, CrawlConfig, CrawlStats, DeploymentMix, IncludeStats, LongitudinalConfig,
-    OverlapReport, ProviderVantage, ScanAggregates, SpoofMatrix, SpoofMatrixConfig,
-    SpoofMatrixStats, StopLayer, VantageKind, VantagePoint, ZoneDelta, DEFAULT_CONTROLS,
-    DEFAULT_PROVIDER_ROWS, DEFAULT_TOP_COVERAGE, SPOOF_SENDER_LOCAL,
+    OverlapReport, ProviderVantage, ScanAggregates, SpoofMatrix, SpoofMatrixStats, StopLayer,
+    VantageKind, VantagePoint, ZoneDelta, DEFAULT_CONTROLS, DEFAULT_PROVIDER_ROWS,
+    DEFAULT_TOP_COVERAGE, SPOOF_SENDER_LOCAL,
 };
 use spf_dns::{
     Resolver, ServerConfig, VirtualClock, WireClientConfig, WireFleet, WireResolver, WireSnapshot,
@@ -960,17 +960,19 @@ pub fn overlap(r: &Repro) -> (String, Experiment) {
 /// recounted through plain uncached `check_host`) plus the Table 5
 /// label replay.
 pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String, Experiment) {
-    let use_compiled = config.backend.is_compiled();
     let world = build_spoof_world(Scale { denominator }, seed);
     let (resolver, _wire) = build_resolver(&world.store, config.backend);
-    // The SPF half of the layered engine is this experiment's subject.
+    // The SPF half of the layered engine is this experiment's subject,
+    // run under `config`'s workers and `evaluator`.
     let run_spoof_matrix = |domains: &[spf_types::DomainName],
                             vantages: &[VantagePoint],
-                            matrix_config: SpoofMatrixConfig|
+                            evaluator: Evaluator|
      -> (SpoofMatrix, SpoofMatrixStats) {
-        let (auth, stats) = auth_matrix(&resolver, domains, vantages, matrix_config);
+        let config = config.backend(config.backend.evaluator(evaluator));
+        let (auth, stats) = auth_matrix(&resolver, domains, vantages, config);
         (auth.spf, stats.engine)
     };
+    let evaluator = config.backend.evaluator;
 
     // One crawl pass for the coverage profile the vantage selection
     // needs (and the SPF-domain census).
@@ -995,10 +997,7 @@ pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String
         seed,
     );
 
-    let matrix_config = SpoofMatrixConfig::with_workers(config.workers)
-        .compiled(use_compiled)
-        .cached(config.backend.evaluator != Evaluator::Interpreted);
-    let (matrix, stats) = run_spoof_matrix(&world.domains, &vantages, matrix_config);
+    let (matrix, stats) = run_spoof_matrix(&world.domains, &vantages, evaluator);
 
     let mut out = String::new();
     out.push_str("Spoof matrix: population-scale check_host() verdicts\n");
@@ -1082,7 +1081,7 @@ pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String
             },
         ];
         let (customer_matrix, _) =
-            run_spoof_matrix(&provider.customers, &provider_vantage_pair, matrix_config);
+            run_spoof_matrix(&provider.customers, &provider_vantage_pair, evaluator);
         let web_allowed = !provider.blocks_port25;
         let mta_allowed = !provider.mta_requires_auth;
         let smtp_ok = web_allowed && customer_matrix.vantages[0].pass > 0;
@@ -1125,8 +1124,8 @@ pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String
         .step_by(sample_stride)
         .cloned()
         .collect();
-    let (cached_sample, _) = run_spoof_matrix(&sample, &vantages, matrix_config);
-    let (uncached_sample, _) = run_spoof_matrix(&sample, &vantages, matrix_config.cached(false));
+    let (cached_sample, _) = run_spoof_matrix(&sample, &vantages, evaluator);
+    let (uncached_sample, _) = run_spoof_matrix(&sample, &vantages, Evaluator::Interpreted);
     let mut bare_pass = vec![0u64; vantages.len()];
     let mut sampled_cells = 0u64;
     for domain in &sample {
@@ -1136,7 +1135,7 @@ pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String
                 SPOOF_SENDER_LOCAL,
                 domain.clone(),
             );
-            let eval = check_host(resolver.as_ref(), &ctx, domain, &matrix_config.policy);
+            let eval = check_host(resolver.as_ref(), &ctx, domain, &EvalPolicy::default());
             if eval.result == SpfResult::Pass {
                 bare_pass[vi] += 1;
             }
@@ -1152,9 +1151,8 @@ pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String
         1.0,
         f64::from(cached_sample == uncached_sample),
     );
-    if use_compiled {
-        let (interpreted_sample, _) =
-            run_spoof_matrix(&sample, &vantages, matrix_config.compiled(false));
+    if evaluator == Evaluator::Compiled {
+        let (interpreted_sample, _) = run_spoof_matrix(&sample, &vantages, Evaluator::Cached);
         exp.plain(
             "Compiled and interpreted sample matrices identical",
             1.0,
@@ -1204,7 +1202,6 @@ pub fn spoof_matrix_stacked(
     seed: u64,
     config: CrawlConfig,
 ) -> (String, Experiment) {
-    let use_compiled = config.backend.is_compiled();
     let world = build_spoof_world(Scale { denominator }, seed);
     let (resolver, _wire) = build_resolver(&world.store, config.backend);
 
@@ -1232,27 +1229,14 @@ pub fn spoof_matrix_stacked(
         .filter(|v| v.kind.attacker_reachable())
         .count() as u64;
 
-    let matrix_config = SpoofMatrixConfig::with_workers(config.workers)
-        .compiled(use_compiled)
-        .cached(config.backend.evaluator != Evaluator::Interpreted);
     // A caller-owned layer memo shared across both runs: the first run
     // is cold per domain, the warm re-run must serve every DMARC and
     // MTA-STS fact from the memo (the hit rate the report prints).
     let auth_cache = AuthCache::new();
-    let (auth, stats) = auth_matrix_with_cache(
-        &resolver,
-        &world.domains,
-        &vantages,
-        matrix_config,
-        &auth_cache,
-    );
-    let (auth_warm, warm_stats) = auth_matrix_with_cache(
-        &resolver,
-        &world.domains,
-        &vantages,
-        matrix_config,
-        &auth_cache,
-    );
+    let (auth, stats) =
+        auth_matrix_with_cache(&resolver, &world.domains, &vantages, config, &auth_cache);
+    let (auth_warm, warm_stats) =
+        auth_matrix_with_cache(&resolver, &world.domains, &vantages, config, &auth_cache);
 
     let mut out = String::new();
     out.push_str("Auth-stack matrix v2: layered stop attribution (DESIGN.md §13)\n");
@@ -1315,7 +1299,7 @@ pub fn spoof_matrix_stacked(
     // The safety rail, in-run: the embedded SPF sub-matrix must be
     // byte-identical to the bare-row fold — every row evaluated with no
     // pool, verdict cache or compiler.
-    let bare = bare_row_fold(&resolver, &world.domains, &vantages, &matrix_config.policy);
+    let bare = bare_row_fold(&resolver, &world.domains, &vantages, &EvalPolicy::default());
     exp.plain(
         "SPF sub-matrix byte-identical to the bare-row fold",
         1.0,
@@ -1399,7 +1383,6 @@ pub fn trends(
     churn_rate: f64,
 ) -> (String, Experiment) {
     const MONTH: Duration = Duration::from_secs(30 * 86_400);
-    let use_compiled = config.backend.is_compiled();
     let population = Population::build(PopulationConfig {
         scale: Scale { denominator },
         seed,
@@ -1420,10 +1403,7 @@ pub fn trends(
         DEFAULT_CONTROLS,
         seed,
     );
-    let matrix_config = SpoofMatrixConfig::with_workers(config.workers)
-        .compiled(use_compiled)
-        .cached(config.backend.evaluator != Evaluator::Interpreted);
-    engine.attach_matrix(walker.resolver(), vantages.clone(), matrix_config);
+    engine.attach_matrix(walker.resolver(), vantages.clone(), config);
 
     let mut sim = ChurnSimulator::new(
         Arc::clone(&store),
@@ -1541,12 +1521,7 @@ pub fn trends(
     let weighted_identical = serde_json::to_string(&engine.weighted()).expect("serialize coverage")
         == serde_json::to_string(&full.coverage.weighted()).expect("serialize coverage");
     let fresh_resolver: Arc<dyn Resolver> = Arc::new(ZoneResolver::new(Arc::clone(&store)));
-    let (fresh_matrix, _) = auth_matrix(
-        &fresh_resolver,
-        &population.domains,
-        &vantages,
-        matrix_config,
-    );
+    let (fresh_matrix, _) = auth_matrix(&fresh_resolver, &population.domains, &vantages, config);
     let matrix_identical = serde_json::to_string(&engine.matrix().expect("matrix attached"))
         .expect("serialize matrix")
         == serde_json::to_string(&fresh_matrix.spf).expect("serialize matrix");

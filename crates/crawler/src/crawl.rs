@@ -8,13 +8,13 @@
 //! customers reference it.
 //!
 //! Dispatch is *batched and bounded* (the crate's one pool, `pool.rs`): a
-//! worker claims the next [`CrawlConfig::batch_size`] domains with one
-//! atomic add on a cursor over the input slice, so in-flight work is at
-//! most `workers × batch_size` domains and synchronization is paid once
-//! per batch instead of once per domain. Results are placed by rank into a
-//! preallocated slot table as they arrive, so reports come back in input
-//! order and are bit-identical for every worker/batch configuration
-//! (each report is a deterministic function of the zone alone).
+//! worker claims the next [`DEFAULT_BATCH_SIZE`] domains with one atomic
+//! add on a cursor over the input slice, so in-flight work is at most
+//! `workers × DEFAULT_BATCH_SIZE` domains and synchronization is paid
+//! once per batch instead of once per domain. Results are placed by rank
+//! into a preallocated slot table as they arrive, so reports come back in
+//! input order and are bit-identical for every worker count (each report
+//! is a deterministic function of the zone alone).
 
 use std::time::{Duration, Instant};
 
@@ -25,29 +25,29 @@ use spf_types::{Backend, CoverageMap, DomainName, StatItem, Stats};
 
 use crate::pool;
 
-/// Default work-batch size; the sweep in docs/history/BENCH_2.json showed
-/// throughput flat from 16 upward with the knee below 16, so 64
-/// keeps per-batch channel overhead negligible without hurting tail
-/// balance at small populations.
+/// The work-batch size of every engine (crawl, matrix, churn rows): the
+/// domains a worker claims at once. The sweep in
+/// docs/history/BENCH_2.json showed throughput flat from 16 upward with
+/// the knee below 16, so 64 keeps per-batch channel overhead negligible
+/// without hurting tail balance at small populations. It is a constant,
+/// like the memo's stripe count: no caller had a reason to set it.
 pub const DEFAULT_BATCH_SIZE: usize = 64;
 
-/// Crawl configuration.
+/// The configuration of every engine in this crate: the crawl, the spoof
+/// matrix ([`crate::auth_matrix`]) and the churn engine.
 ///
 /// The crawl loop itself is transport-agnostic (it only sees a
 /// [`Resolver`] through the walker); the [`Backend`] travels here so the
 /// pipeline assemblers — `bench::prepare`, the `repro` CLI, the stress
 /// suites — build the right stack. Every transport produces
-/// byte-identical report streams, the zone's faulted names included.
+/// byte-identical report streams, the zone's faulted names included. The
+/// matrix engines read the backend's [`spf_types::Evaluator`] and
+/// nothing else of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CrawlConfig {
     /// Number of worker threads (the paper used 150 query endpoints; CPU
     /// workers are the in-process analogue).
     pub workers: usize,
-    /// Domains a worker claims at once (clamped to ≥ 1). Larger batches
-    /// amortize the claim and the result send; smaller batches balance
-    /// the tail better and bound in-flight work at `workers ×
-    /// batch_size`. Default [`DEFAULT_BATCH_SIZE`].
-    pub batch_size: usize,
     /// The engine selection (transport × shard count × evaluator) the
     /// pipeline assembles for this crawl.
     pub backend: Backend,
@@ -57,14 +57,13 @@ impl Default for CrawlConfig {
     fn default() -> Self {
         CrawlConfig {
             workers: 8,
-            batch_size: DEFAULT_BATCH_SIZE,
             backend: Backend::default(),
         }
     }
 }
 
 impl CrawlConfig {
-    /// A config with `workers` threads and the default batch size.
+    /// A config with `workers` threads and the default backend.
     pub fn with_workers(workers: usize) -> Self {
         CrawlConfig {
             workers,
@@ -75,12 +74,6 @@ impl CrawlConfig {
     /// Builder-style override of [`CrawlConfig::backend`].
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Builder-style override of [`CrawlConfig::batch_size`].
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size;
         self
     }
 }
@@ -99,11 +92,11 @@ pub struct CrawlStats {
     /// Walker memo-cache misses during this crawl (delta, not lifetime).
     pub cache_misses: u64,
     /// Highest number of claimed-but-unfinished domains observed —
-    /// bounded by `workers × batch_size` (a worker holds one batch at a
-    /// time), the proof that dispatch memory does not grow with
-    /// population size.
+    /// bounded by `workers × DEFAULT_BATCH_SIZE` (a worker holds one
+    /// batch at a time), the proof that dispatch memory does not grow
+    /// with population size.
     pub peak_queue_depth: usize,
-    /// Batches the workers claimed: `ceil(domains / batch_size)`.
+    /// Batches the workers claimed: `ceil(domains / DEFAULT_BATCH_SIZE)`.
     pub batches: u64,
 }
 
@@ -131,25 +124,23 @@ impl CrawlStats {
     /// the broken law and the counters.
     ///
     /// * Every domain sits in exactly one claimed batch:
-    ///   `batches == ceil(domains / batch_size)`.
+    ///   `batches == ceil(domains / DEFAULT_BATCH_SIZE)`.
     /// * A worker holds one batch at a time:
-    ///   `peak_queue_depth <= workers × batch_size`.
+    ///   `peak_queue_depth <= workers × DEFAULT_BATCH_SIZE`.
     /// * Every domain probes the walker memo once for its root:
     ///   `cache_hits + cache_misses >= domains`.
     ///
-    /// Worker and batch counts are clamped to at least 1, as the pool
-    /// clamps them.
+    /// The worker count is clamped to at least 1, as the pool clamps it.
     pub fn check_conservation(&self, config: &CrawlConfig) -> Result<(), String> {
-        let batch_size = config.batch_size.max(1);
         let workers = config.workers.max(1);
-        if self.batches != self.domains.div_ceil(batch_size as u64) {
+        if self.batches != self.domains.div_ceil(DEFAULT_BATCH_SIZE as u64) {
             return Err(format!(
-                "batches != ceil(domains / batch_size = {batch_size}): {self:?}"
+                "batches != ceil(domains / {DEFAULT_BATCH_SIZE}): {self:?}"
             ));
         }
-        if self.peak_queue_depth > workers.saturating_mul(batch_size) {
+        if self.peak_queue_depth > workers.saturating_mul(DEFAULT_BATCH_SIZE) {
             return Err(format!(
-                "peak_queue_depth > workers = {workers} × batch_size = {batch_size}: {self:?}"
+                "peak_queue_depth > workers = {workers} × {DEFAULT_BATCH_SIZE}: {self:?}"
             ));
         }
         if self.cache_hits + self.cache_misses < self.domains {
@@ -202,8 +193,7 @@ pub struct CrawlOutput {
 ///
 /// Reports come back in input order, so the caller can treat the index as
 /// the Tranco rank (the top-1M cut of Table 1 is `&reports[..1_000_000]`).
-/// The report vector is bit-identical across every `workers`/`batch_size`
-/// configuration.
+/// The report vector is bit-identical across every worker count.
 pub fn crawl<R: Resolver>(
     walker: &Walker<R>,
     domains: &[DomainName],
@@ -220,7 +210,7 @@ pub fn crawl<R: Resolver>(
     let (worker_coverage, dispatch) = pool::run(
         domains,
         config.workers,
-        config.batch_size,
+        DEFAULT_BATCH_SIZE,
         CoverageMap::new,
         |coverage, batch| {
             batch
@@ -324,7 +314,8 @@ mod tests {
 
     #[test]
     fn crawl_results_identical_across_worker_counts() {
-        let (store, domains) = build_world(40);
+        // Five batches, so eight workers really split the input.
+        let (store, domains) = build_world(5 * DEFAULT_BATCH_SIZE);
         let run = |workers| {
             let walker = Walker::new(ZoneResolver::new(Arc::clone(&store)));
             checked_crawl(&walker, &domains, CrawlConfig::with_workers(workers))
@@ -334,25 +325,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(1), run(8));
-    }
-
-    #[test]
-    fn crawl_results_identical_across_batch_sizes() {
-        let (store, domains) = build_world(40);
-        let run = |batch: usize| {
-            let walker = Walker::new(ZoneResolver::new(Arc::clone(&store)));
-            checked_crawl(
-                &walker,
-                &domains,
-                CrawlConfig::with_workers(4).batch_size(batch),
-            )
-            .reports
-            .iter()
-            .map(|r| (r.domain.clone(), r.has_spf, r.allowed_ip_count()))
-            .collect::<Vec<_>>()
-        };
-        assert_eq!(run(1), run(7));
-        assert_eq!(run(1), run(256)); // one batch larger than the input
     }
 
     #[test]
@@ -371,34 +343,34 @@ mod tests {
 
     #[test]
     fn crawl_stats_track_cache_and_queue() {
-        let (store, domains) = build_world(50);
+        let n = 3 * DEFAULT_BATCH_SIZE + 10;
+        let (store, domains) = build_world(n);
         let walker = Walker::new(ZoneResolver::new(store));
-        let config = CrawlConfig::with_workers(2).batch_size(8);
-        let out = checked_crawl(&walker, &domains, config);
+        let out = checked_crawl(&walker, &domains, CrawlConfig::with_workers(2));
         let stats = out.stats;
-        assert_eq!(stats.domains, 50);
+        assert_eq!(stats.domains, n as u64);
         // Every domain probes the cache at least once (its own root miss),
-        // and the 50 customers share one provider include → hits (racing
+        // and the customers share one provider include → hits (racing
         // workers may take a handful of extra misses before the first
         // provider analysis lands).
-        assert!(stats.cache_misses >= 50, "misses = {}", stats.cache_misses);
-        assert!(stats.cache_hits >= 40, "hits = {}", stats.cache_hits);
+        assert!(
+            stats.cache_misses >= n as u64,
+            "misses = {}",
+            stats.cache_misses
+        );
+        assert!(
+            stats.cache_hits >= n as u64 - 10,
+            "hits = {}",
+            stats.cache_hits
+        );
         assert!(stats.cache_hit_rate() > 0.0 && stats.cache_hit_rate() < 1.0);
-        assert_eq!(stats.batches, 50u64.div_ceil(8));
-        // Queue depth is bounded by the dispatch window, not the population:
-        // 2×workers queued batches + workers in-hand batches + the feeder's
-        // one in-flight batch.
-        let bound = (2 * 2 + 2 + 1) * 8;
+        assert_eq!(stats.batches, 4);
+        // Queue depth is bounded by the dispatch window, not the
+        // population: a worker holds one batch at a time.
         assert!(stats.peak_queue_depth >= 1);
         assert!(
-            stats.peak_queue_depth <= bound,
-            "peak {} > bound {bound}",
-            stats.peak_queue_depth
-        );
-        // The cursor's tighter bound: a worker holds one batch at a time.
-        assert!(
-            stats.peak_queue_depth <= 2 * 8,
-            "peak {} > workers × batch_size",
+            stats.peak_queue_depth <= 2 * DEFAULT_BATCH_SIZE,
+            "peak {} > workers × DEFAULT_BATCH_SIZE",
             stats.peak_queue_depth
         );
         assert!(stats.domains_per_sec() > 0.0);
@@ -419,27 +391,27 @@ mod tests {
 
     #[test]
     fn conservation_names_each_broken_law() {
-        let config = CrawlConfig::with_workers(2).batch_size(8);
+        let config = CrawlConfig::with_workers(2);
         let sound = CrawlStats {
-            domains: 50,
+            domains: 200,
             elapsed_secs: 0.1,
-            cache_hits: 40,
+            cache_hits: 190,
             cache_misses: 10,
-            peak_queue_depth: 16,
-            batches: 7,
+            peak_queue_depth: 2 * DEFAULT_BATCH_SIZE,
+            batches: 4,
         };
         assert_eq!(sound.check_conservation(&config), Ok(()));
         let broken = [
             CrawlStats {
-                batches: 6,
+                batches: 3,
                 ..sound
             },
             CrawlStats {
-                peak_queue_depth: 17,
+                peak_queue_depth: 2 * DEFAULT_BATCH_SIZE + 1,
                 ..sound
             },
             CrawlStats {
-                cache_hits: 39,
+                cache_hits: 189,
                 ..sound
             },
         ];
@@ -450,14 +422,18 @@ mod tests {
             let err = stats.check_conservation(&config).unwrap_err();
             assert!(err.starts_with(law), "{err}");
         }
-        // A zero worker or batch count is clamped to one, as the pool does.
-        let clamped = CrawlConfig::with_workers(0).batch_size(0);
-        let one_by_one = CrawlStats {
-            batches: 50,
-            peak_queue_depth: 1,
+        // A zero worker count is clamped to one, as the pool does.
+        let clamped = CrawlConfig::with_workers(0);
+        let one_worker = CrawlStats {
+            peak_queue_depth: DEFAULT_BATCH_SIZE,
             ..sound
         };
-        assert_eq!(one_by_one.check_conservation(&clamped), Ok(()));
+        assert_eq!(one_worker.check_conservation(&clamped), Ok(()));
+        let over = CrawlStats {
+            peak_queue_depth: DEFAULT_BATCH_SIZE + 1,
+            ..sound
+        };
+        assert!(over.check_conservation(&clamped).is_err());
     }
 
     #[test]
@@ -476,19 +452,16 @@ mod tests {
         // Every customer includes the same /24, so the merged coverage is
         // one range at weight = population — and it must come out the
         // same whether one worker saw everything or eight split it.
-        let (store, domains) = build_world(40);
+        let n = 5 * DEFAULT_BATCH_SIZE;
+        let (store, domains) = build_world(n);
         let run = |workers: usize| {
             let walker = Walker::new(ZoneResolver::new(Arc::clone(&store)));
-            let out = checked_crawl(
-                &walker,
-                &domains,
-                CrawlConfig::with_workers(workers).batch_size(4),
-            );
-            assert_eq!(out.coverage.set_count(), 40);
+            let out = checked_crawl(&walker, &domains, CrawlConfig::with_workers(workers));
+            assert_eq!(out.coverage.set_count(), n as u64);
             out.coverage.into_weighted()
         };
         let reference = run(1);
-        assert_eq!(reference.max_weight(), 40);
+        assert_eq!(reference.max_weight(), n as u64);
         assert_eq!(reference.total_covered(), 256);
         assert_eq!(reference, run(8));
     }

@@ -23,17 +23,17 @@
 //!   keep-first memo ([`spf_types::ShardedCache`]) guarantees each
 //!   unique domain's subtree is analyzed once and then served as an `Arc`
 //!   handle — the paper's record-cache trick across 150 query endpoints.
-//! * **Bounded dispatch memory.** Workers claim
-//!   [`CrawlConfig::batch_size`] domains at a time from a cursor over the
-//!   input slice, so in-flight work is at most `workers × batch_size`
-//!   regardless of population size ([`CrawlStats::peak_queue_depth`]
-//!   observes the bound). The crawl, the matrix and the churn engine's
-//!   row evaluation share this one pool.
+//! * **Bounded dispatch memory.** Workers claim [`DEFAULT_BATCH_SIZE`]
+//!   domains at a time from a cursor over the input slice, so in-flight
+//!   work is at most `workers × DEFAULT_BATCH_SIZE` regardless of
+//!   population size ([`CrawlStats::peak_queue_depth`] observes the
+//!   bound). The crawl, the matrix and the churn engine's row evaluation
+//!   share this one pool, and one [`CrawlConfig`]: its workers and its
+//!   backend's evaluator.
 //! * **Rank-order determinism.** Reports land in a preallocated slot table
 //!   indexed by Tranco rank; because every per-domain analysis is a pure
-//!   function of the zone, the report vector is bit-identical across all
-//!   worker / batch-size configurations (asserted by the
-//!   `crawl_stress` suite).
+//!   function of the zone, the report vector is bit-identical across
+//!   worker counts (asserted by the `crawl_stress` suite).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

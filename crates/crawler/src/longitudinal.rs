@@ -39,15 +39,14 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 use spf_analyzer::{DomainReport, Walker};
-use spf_core::CompilerStats;
+use spf_core::{CompilerStats, EvalPolicy};
 use spf_dns::Resolver;
 use spf_types::{CoverageMap, DomainHashBuilder, DomainName, WeightedRanges};
 
-use crate::crawl::{crawl, CrawlConfig, CrawlStats};
+use crate::crawl::{crawl, CrawlConfig, CrawlStats, DEFAULT_BATCH_SIZE};
 use crate::pool;
 use crate::spoof::{
-    evaluate_matrix_row, DomainMatrixRow, SpoofMatrix, SpoofMatrixConfig, SpoofVerdictCache,
-    VantagePoint,
+    evaluate_matrix_row, DomainMatrixRow, SpoofMatrix, SpoofVerdictCache, VantagePoint,
 };
 
 /// Wheel slots; one tour spans `slots × tick` of virtual time.
@@ -215,7 +214,7 @@ pub struct EpochReport {
 /// The per-domain spoof-matrix state the engine folds deltas through.
 struct MatrixState {
     vantages: Vec<VantagePoint>,
-    config: SpoofMatrixConfig,
+    config: CrawlConfig,
     rows: Vec<DomainMatrixRow>,
     matrix: SpoofMatrix,
 }
@@ -285,7 +284,8 @@ impl ChurnEngine {
     }
 
     /// Attach spoof-matrix tracking: evaluate every domain's row from
-    /// the fixed `vantages` set and fold them into a live matrix.
+    /// the fixed `vantages` set under `config`'s workers and evaluator
+    /// (as [`crate::auth_matrix`] does) and fold them into a live matrix.
     ///
     /// The vantage set is chosen once (normally from the bootstrap
     /// coverage profile) and held constant across epochs — the right
@@ -295,7 +295,7 @@ impl ChurnEngine {
         &self,
         resolver: &R,
         vantages: Vec<VantagePoint>,
-        config: SpoofMatrixConfig,
+        config: CrawlConfig,
     ) {
         let rows = evaluate_rows(resolver, &self.domains, &vantages, &config);
         let mut matrix = SpoofMatrix::empty(self.domains.len() as u64, &vantages);
@@ -506,16 +506,14 @@ fn evaluate_rows<R: Resolver>(
     resolver: &R,
     domains: &[DomainName],
     vantages: &[VantagePoint],
-    config: &SpoofMatrixConfig,
+    config: &CrawlConfig,
 ) -> Vec<DomainMatrixRow> {
-    let cache = config
-        .use_cache
-        .then(SpoofVerdictCache::with_default_shards);
+    let cache = SpoofVerdictCache::for_run(config.backend.evaluator);
     let mut rows: Vec<Option<DomainMatrixRow>> = vec![None; domains.len()];
     pool::run(
         domains,
         config.workers,
-        config.batch_size,
+        DEFAULT_BATCH_SIZE,
         CompilerStats::default,
         |compiler, batch| {
             batch
@@ -525,9 +523,9 @@ fn evaluate_rows<R: Resolver>(
                         resolver,
                         domain,
                         vantages,
-                        &config.policy,
+                        &EvalPolicy::default(),
                         cache.as_ref(),
-                        config.use_compiled,
+                        config.backend.is_compiled(),
                         compiler,
                     )
                 })
@@ -681,7 +679,7 @@ mod tests {
             engine.attach_matrix(
                 walker.resolver(),
                 vantages.clone(),
-                SpoofMatrixConfig::with_workers(attach_workers),
+                CrawlConfig::with_workers(attach_workers),
             );
             let s2 = Arc::clone(&store);
             engine.deliver(ZoneDelta::new(vec![dom("site5.example")], move || {
@@ -693,7 +691,7 @@ mod tests {
                 fresh_walker.resolver(),
                 &domains,
                 &vantages,
-                SpoofMatrixConfig::with_workers(4),
+                CrawlConfig::with_workers(4),
             );
             assert_eq!(
                 serde_json::to_string(&engine.matrix().unwrap()).unwrap(),

@@ -5,7 +5,10 @@
 //! to scoped worker threads through [`run`]. There is no feeder thread
 //! and no work channel: a worker claims its next batch with one
 //! `fetch_add` on a shared cursor and reads the batch straight out of
-//! the caller's slice, so no item is cloned to be dispatched.
+//! the caller's slice, so no item is cloned to be dispatched. Every
+//! engine claims [`crate::DEFAULT_BATCH_SIZE`] items at a time; the
+//! batch size stays a parameter here only so the pool's own tests can
+//! sweep it.
 //!
 //! A worker folds what it may keep private (coverage deltas, matrix
 //! tallies, compiler counters) into its own accumulator, which comes

@@ -34,8 +34,8 @@
 //! Every [`SpoofMatrix`] field is a sum of per-domain facts that are
 //! pure functions of `(zone, domain, vantage)`, merged commutatively
 //! from per-worker accumulators — so the serialized report is identical
-//! across worker counts, batch sizes, cache on/off,
-//! and resolver substrates (in-memory vs wire). The
+//! across worker counts, evaluators (`Backend::evaluator`) and resolver
+//! substrates (in-memory vs wire). The
 //! reference every engine configuration is checked against is the
 //! *bare-row fold*: [`evaluate_matrix_row`] with no cache and no
 //! compiler for every domain, folded with [`SpoofMatrix::fold_in`].
@@ -63,9 +63,9 @@ use spf_core::{
     VerdictKey,
 };
 use spf_dns::Resolver;
-use spf_types::{CacheStats, DomainName, ShardedCache, WeightedRanges};
+use spf_types::{CacheStats, DomainName, Evaluator, ShardedCache, WeightedRanges};
 
-use crate::crawl::DEFAULT_BATCH_SIZE;
+use crate::crawl::{CrawlConfig, DEFAULT_BATCH_SIZE};
 use crate::pool;
 
 /// The MAIL FROM local-part every matrix evaluation claims. A constant:
@@ -250,6 +250,14 @@ impl SpoofVerdictCache {
         }
     }
 
+    /// The cache one engine run under `evaluator` shares across its rows:
+    /// none for [`Evaluator::Interpreted`], a fresh one otherwise —
+    /// [`Evaluator::Compiled`] compiles through its [`SubtreeMemo`] and
+    /// falls back through its verdict memo.
+    pub(crate) fn for_run(evaluator: Evaluator) -> Option<Self> {
+        (evaluator != Evaluator::Interpreted).then(SpoofVerdictCache::with_default_shards)
+    }
+
     /// Verdict-memo hit/miss/entry counters.
     pub fn stats(&self) -> CacheStats {
         self.inner.stats()
@@ -317,61 +325,35 @@ impl VerdictCache for SpoofVerdictCache {
     }
 }
 
-/// Matrix-engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SpoofMatrixConfig {
-    /// Worker threads evaluating `(domain, vantage)` cells.
-    pub workers: usize,
-    /// Domains per dispatch batch (clamped to ≥ 1).
-    pub batch_size: usize,
-    /// Whether the shared subtree-verdict cache is consulted.
-    pub use_cache: bool,
-    /// Whether each domain's tree is compiled to an interval matcher
-    /// first, answering vantages from the tables and falling back to the
-    /// (cached) evaluator only for residual regions. The matrix stays
-    /// byte-identical — compiled verdicts equal `check_host`'s.
-    #[serde(default)]
-    pub use_compiled: bool,
-    /// The `check_host()` limits and accounting mode to evaluate under.
-    pub policy: EvalPolicy,
-}
+/// The matrix engines run on the crawl's own [`CrawlConfig`]: its
+/// workers, and its backend's [`Evaluator`] — `Interpreted` evaluates
+/// every cell bare, `Cached` through one [`SpoofVerdictCache`] per run,
+/// `Compiled` from each domain's interval tables, compiled through that
+/// cache's [`SubtreeMemo`]. The name stays for the benchmark's callers.
+pub type SpoofMatrixConfig = CrawlConfig;
 
-impl Default for SpoofMatrixConfig {
-    fn default() -> Self {
-        SpoofMatrixConfig {
-            workers: 8,
-            batch_size: DEFAULT_BATCH_SIZE,
-            use_cache: true,
-            use_compiled: false,
-            policy: EvalPolicy::default(),
+/// Boolean spellings of the evaluator choice, kept for the benchmark's
+/// callers; first-party code sets [`spf_types::Backend::evaluator`].
+impl CrawlConfig {
+    /// `true` selects [`Evaluator::Compiled`]; `false` turns `Compiled`
+    /// into `Cached` and leaves the other two alone.
+    pub fn compiled(mut self, compiled: bool) -> Self {
+        if compiled {
+            self.backend.evaluator = Evaluator::Compiled;
+        } else if self.backend.evaluator == Evaluator::Compiled {
+            self.backend.evaluator = Evaluator::Cached;
         }
-    }
-}
-
-impl SpoofMatrixConfig {
-    /// A config with `workers` threads and defaults elsewhere.
-    pub fn with_workers(workers: usize) -> Self {
-        SpoofMatrixConfig {
-            workers,
-            ..SpoofMatrixConfig::default()
-        }
-    }
-
-    /// Builder-style override of [`SpoofMatrixConfig::batch_size`].
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size;
         self
     }
 
-    /// Builder-style override of [`SpoofMatrixConfig::use_cache`].
-    pub fn cached(mut self, use_cache: bool) -> Self {
-        self.use_cache = use_cache;
-        self
-    }
-
-    /// Builder-style override of [`SpoofMatrixConfig::use_compiled`].
-    pub fn compiled(mut self, use_compiled: bool) -> Self {
-        self.use_compiled = use_compiled;
+    /// `false` selects [`Evaluator::Interpreted`]; `true` turns
+    /// `Interpreted` into `Cached` and leaves the other two alone.
+    pub fn cached(mut self, cached: bool) -> Self {
+        if !cached {
+            self.backend.evaluator = Evaluator::Interpreted;
+        } else if self.backend.evaluator == Evaluator::Interpreted {
+            self.backend.evaluator = Evaluator::Cached;
+        }
         self
     }
 }
@@ -647,18 +629,8 @@ impl SpoofMatrixStats {
     }
 }
 
-/// The compiled backend's memo counters for a run's stats.
-fn subtree_stats(
-    config: &SpoofMatrixConfig,
-    cache: Option<&SpoofVerdictCache>,
-) -> Option<SubtreeMemoStats> {
-    cache
-        .filter(|_| config.use_compiled)
-        .map(SpoofVerdictCache::subtree_stats)
-}
-
 /// Evaluate one domain's complete [`DomainMatrixRow`] from every
-/// vantage. With the compiled backend, the tree is compiled once —
+/// vantage. With `compile`, the tree is compiled once —
 /// through `cache`'s [`SubtreeMemo`] when there is one, so a provider
 /// subtree is compiled once per cache rather than once per customer —
 /// and every vantage answers from the interval tables; residual regions
@@ -682,10 +654,10 @@ pub fn evaluate_matrix_row<R: Resolver>(
     vantages: &[VantagePoint],
     policy: &EvalPolicy,
     cache: Option<&SpoofVerdictCache>,
-    use_compiled: bool,
+    compile: bool,
     compiler: &mut CompilerStats,
 ) -> DomainMatrixRow {
-    let compiled = use_compiled.then(|| {
+    let compiled = compile.then(|| {
         let config = CompileConfig::with_policy(*policy);
         let compiled = match cache {
             Some(cache) => compile_policy_shared(resolver, domain, &config, &cache.subtrees),
@@ -1078,19 +1050,11 @@ pub fn evaluate_auth_row<R: Resolver>(
     vantages: &[VantagePoint],
     policy: &EvalPolicy,
     cache: Option<&SpoofVerdictCache>,
-    use_compiled: bool,
+    compile: bool,
     compiler: &mut CompilerStats,
     auth_cache: Option<&AuthCache>,
 ) -> AuthMatrixRow {
-    let spf = evaluate_matrix_row(
-        resolver,
-        domain,
-        vantages,
-        policy,
-        cache,
-        use_compiled,
-        compiler,
-    );
+    let spf = evaluate_matrix_row(resolver, domain, vantages, policy, cache, compile, compiler);
     let (dmarc, mta_sts) = auth_layers(resolver, domain, auth_cache);
     let tier = DeploymentMix::classify(spf.has_record, &dmarc, mta_sts);
     let stops = spf
@@ -1115,7 +1079,9 @@ struct AuthWorkerTally {
 }
 
 /// Evaluate the layered verdict matrix for `domains` × `vantages` over
-/// `resolver`, through the crate's batch-cursor worker pool. Returns the
+/// `resolver`, through the crate's batch-cursor worker pool: `config`'s
+/// workers evaluate every row under its backend's [`Evaluator`] (its
+/// transport is the resolver's concern, chosen by the caller). Returns the
 /// deterministic [`AuthMatrix`] — whose `.spf` field is the SPF verdict
 /// matrix — and the run's scheduling-dependent [`AuthMatrixStats`]. The
 /// DMARC / MTA-STS layers ride a shared [`AuthCache`] whose hit rate
@@ -1124,7 +1090,7 @@ pub fn auth_matrix<R: Resolver>(
     resolver: &R,
     domains: &[DomainName],
     vantages: &[VantagePoint],
-    config: SpoofMatrixConfig,
+    config: CrawlConfig,
 ) -> (AuthMatrix, AuthMatrixStats) {
     auth_matrix_with_cache(resolver, domains, vantages, config, &AuthCache::new())
 }
@@ -1139,13 +1105,12 @@ pub fn auth_matrix_with_cache<R: Resolver>(
     resolver: &R,
     domains: &[DomainName],
     vantages: &[VantagePoint],
-    config: SpoofMatrixConfig,
+    config: CrawlConfig,
     auth_cache: &AuthCache,
 ) -> (AuthMatrix, AuthMatrixStats) {
     let started = Instant::now();
-    let cache = config
-        .use_cache
-        .then(SpoofVerdictCache::with_default_shards);
+    let compiled = config.backend.is_compiled();
+    let cache = SpoofVerdictCache::for_run(config.backend.evaluator);
 
     let new_tally = || AuthWorkerTally {
         matrix: AuthMatrix::empty(0, vantages),
@@ -1154,7 +1119,7 @@ pub fn auth_matrix_with_cache<R: Resolver>(
     let (tallies, dispatch) = pool::run(
         domains,
         config.workers,
-        config.batch_size,
+        DEFAULT_BATCH_SIZE,
         new_tally,
         |tally, batch| {
             for domain in batch {
@@ -1162,9 +1127,9 @@ pub fn auth_matrix_with_cache<R: Resolver>(
                     resolver,
                     domain,
                     vantages,
-                    &config.policy,
+                    &EvalPolicy::default(),
                     cache.as_ref(),
-                    config.use_compiled,
+                    compiled,
                     &mut tally.compiler,
                     Some(auth_cache),
                 );
@@ -1191,8 +1156,11 @@ pub fn auth_matrix_with_cache<R: Resolver>(
             cache_misses: cache_stats.misses,
             peak_queue_depth: dispatch.peak_queue_depth,
             batches: dispatch.batches,
-            compiler: config.use_compiled.then_some(merged.compiler),
-            subtrees: subtree_stats(&config, cache.as_ref()),
+            compiler: compiled.then_some(merged.compiler),
+            subtrees: cache
+                .as_ref()
+                .filter(|_| compiled)
+                .map(SpoofVerdictCache::subtree_stats),
         },
         auth_cache: auth_cache.stats(),
     };
@@ -1204,8 +1172,13 @@ mod tests {
     use super::*;
     use spf_dns::{ZoneResolver, ZoneStore};
     use spf_testkit::{dom, CountingResolver};
-    use spf_types::CoverageMap;
+    use spf_types::{Backend, CoverageMap};
     use std::sync::atomic::Ordering;
+
+    /// A matrix config with `workers` threads under `evaluator`.
+    fn under(workers: usize, evaluator: Evaluator) -> CrawlConfig {
+        CrawlConfig::with_workers(workers).backend(Backend::memory().evaluator(evaluator))
+    }
 
     /// Three cohorts: shared-provider customers, an open `+all` domain,
     /// and a tight direct-range domain.
@@ -1295,12 +1268,8 @@ mod tests {
         let (store, domains, weighted) = build_world();
         let resolver = ZoneResolver::new(store);
         let vantages = vantage_set(&weighted, 1);
-        let (auth, stats) = auth_matrix(
-            &resolver,
-            &domains,
-            &vantages,
-            SpoofMatrixConfig::with_workers(4),
-        );
+        let (auth, stats) =
+            auth_matrix(&resolver, &domains, &vantages, CrawlConfig::with_workers(4));
         let (matrix, stats) = (auth.spf, stats.engine);
         assert_eq!(matrix.domains, 9);
         assert_eq!(matrix.spf_domains, 8);
@@ -1323,36 +1292,37 @@ mod tests {
     fn cached_and_uncached_matrices_serialize_identically() {
         let (store, domains, weighted) = build_world();
         let vantages = vantage_set(&weighted, 2);
-        let run = |config: SpoofMatrixConfig| {
+        let run = |config: CrawlConfig| {
             let resolver = ZoneResolver::new(Arc::clone(&store));
             let (matrix, _) = auth_matrix(&resolver, &domains, &vantages, config);
             serde_json::to_string(&matrix.spf).unwrap()
         };
-        let reference = run(SpoofMatrixConfig::with_workers(1).cached(false));
+        let reference = run(under(1, Evaluator::Interpreted));
+        // The cached and compiled evaluators are two more ways to the
+        // same bytes.
         for workers in [1usize, 4] {
-            assert_eq!(
-                reference,
-                run(SpoofMatrixConfig::with_workers(workers)),
-                "diverged at workers={workers}"
-            );
+            for evaluator in Evaluator::ALL {
+                assert_eq!(
+                    reference,
+                    run(under(workers, evaluator)),
+                    "diverged at workers={workers} +{evaluator}"
+                );
+            }
         }
+        // The benchmark's boolean spellings map onto the evaluator.
+        let base = CrawlConfig::with_workers(2);
+        let ev = |config: CrawlConfig| config.backend.evaluator;
+        assert_eq!(ev(base), Evaluator::Cached);
+        assert_eq!(ev(base.compiled(true)), Evaluator::Compiled);
+        assert_eq!(ev(base.compiled(false)), Evaluator::Cached);
+        assert_eq!(ev(base.compiled(true).compiled(false)), Evaluator::Cached);
+        assert_eq!(ev(base.cached(false)), Evaluator::Interpreted);
+        assert_eq!(ev(base.cached(true)), Evaluator::Cached);
+        assert_eq!(ev(base.cached(false).cached(true)), Evaluator::Cached);
+        assert_eq!(ev(base.compiled(true).cached(true)), Evaluator::Compiled);
         assert_eq!(
-            reference,
-            run(SpoofMatrixConfig::with_workers(4).batch_size(1))
-        );
-        // The compiled backend is the third way to the same bytes.
-        for workers in [1usize, 4] {
-            assert_eq!(
-                reference,
-                run(SpoofMatrixConfig::with_workers(workers).compiled(true)),
-                "compiled backend diverged at workers={workers}"
-            );
-        }
-        assert_eq!(
-            reference,
-            run(SpoofMatrixConfig::with_workers(4)
-                .compiled(true)
-                .cached(false))
+            ev(base.compiled(true).cached(false).compiled(false)),
+            Evaluator::Interpreted
         );
     }
 
@@ -1365,7 +1335,7 @@ mod tests {
             &resolver,
             &domains,
             &vantages,
-            SpoofMatrixConfig::with_workers(2).compiled(true),
+            under(2, Evaluator::Compiled),
         );
         let compiler = stats.engine.compiler.expect("compiled backend ran");
         assert_eq!(compiler.domains_compiled, domains.len() as u64);
@@ -1380,12 +1350,7 @@ mod tests {
         assert!((compiler.compiled_hit_rate() - 1.0).abs() < 1e-12);
 
         // The uncompiled backends report no compiler stats.
-        let (_, plain) = auth_matrix(
-            &resolver,
-            &domains,
-            &vantages,
-            SpoofMatrixConfig::with_workers(2),
-        );
+        let (_, plain) = auth_matrix(&resolver, &domains, &vantages, CrawlConfig::with_workers(2));
         assert!(plain.engine.compiler.is_none());
     }
 
@@ -1394,12 +1359,7 @@ mod tests {
         let (store, domains, weighted) = build_world();
         let resolver = ZoneResolver::new(store);
         let vantages = vantage_set(&weighted, 2);
-        let (_, stats) = auth_matrix(
-            &resolver,
-            &domains,
-            &vantages,
-            SpoofMatrixConfig::with_workers(1),
-        );
+        let (_, stats) = auth_matrix(&resolver, &domains, &vantages, CrawlConfig::with_workers(1));
         let stats = stats.engine;
         // Six customers share one provider subtree per vantage: at least
         // five of the six probes per vantage hit the memo.
@@ -1464,12 +1424,7 @@ mod tests {
         let (store, domains, weighted) = build_world();
         let resolver = ZoneResolver::new(Arc::clone(&store));
         let vantages = vantage_set(&weighted, 2);
-        let (batch, _) = auth_matrix(
-            &resolver,
-            &domains,
-            &vantages,
-            SpoofMatrixConfig::with_workers(4),
-        );
+        let (batch, _) = auth_matrix(&resolver, &domains, &vantages, CrawlConfig::with_workers(4));
         let batch = batch.spf;
         let mut compiler = CompilerStats::default();
         let rows: Vec<DomainMatrixRow> = domains
@@ -1516,7 +1471,7 @@ mod tests {
     fn empty_inputs() {
         let store = Arc::new(ZoneStore::new());
         let resolver = ZoneResolver::new(store);
-        let (auth, stats) = auth_matrix(&resolver, &[], &[], SpoofMatrixConfig::default());
+        let (auth, stats) = auth_matrix(&resolver, &[], &[], CrawlConfig::default());
         let (matrix, stats) = (auth.spf, stats.engine);
         assert_eq!(matrix.domains, 0);
         assert_eq!(matrix.spf_domains, 0);
@@ -1527,21 +1482,34 @@ mod tests {
 
     #[test]
     fn batches_count_successful_claims() {
-        let (store, domains, weighted) = build_world();
+        let (store, world, weighted) = build_world();
         let resolver = ZoneResolver::new(store);
         let vantages = vantage_set(&weighted, 1);
-        let n = domains.len();
-        for (workers, batch_size) in [(1usize, 1usize), (4, 2), (4, 4), (2, n), (4, n + 7)] {
-            let config = SpoofMatrixConfig::with_workers(workers).batch_size(batch_size);
-            let (_, stats) = auth_matrix(&resolver, &domains, &vantages, config);
-            assert_eq!(
-                stats.engine.batches,
-                n.div_ceil(batch_size) as u64,
-                "workers={workers} batch_size={batch_size}"
-            );
-            assert!(stats.engine.peak_queue_depth <= workers * batch_size);
+        // The world repeated past two batches, and a world under one.
+        let many: Vec<DomainName> = world
+            .iter()
+            .cycle()
+            .take(2 * DEFAULT_BATCH_SIZE + 7)
+            .cloned()
+            .collect();
+        for domains in [&world, &many] {
+            let n = domains.len();
+            for workers in [1usize, 2, 4] {
+                let (_, stats) = auth_matrix(
+                    &resolver,
+                    domains,
+                    &vantages,
+                    CrawlConfig::with_workers(workers),
+                );
+                assert_eq!(
+                    stats.engine.batches,
+                    n.div_ceil(DEFAULT_BATCH_SIZE) as u64,
+                    "workers={workers} domains={n}"
+                );
+                assert!(stats.engine.peak_queue_depth <= workers * DEFAULT_BATCH_SIZE);
+            }
         }
-        let (_, empty) = auth_matrix(&resolver, &[], &vantages, SpoofMatrixConfig::default());
+        let (_, empty) = auth_matrix(&resolver, &[], &vantages, CrawlConfig::default());
         assert_eq!(empty.engine.batches, 0);
     }
 
@@ -1580,39 +1548,26 @@ mod tests {
             &EvalPolicy::default(),
         ))
         .unwrap();
-        let spf = |config: SpoofMatrixConfig| {
+        let run = |config: CrawlConfig| {
             let resolver = ZoneResolver::new(Arc::clone(&store));
-            let (matrix, _) = auth_matrix(&resolver, &domains, &vantages, config);
-            serde_json::to_string(&matrix.spf).unwrap()
+            auth_matrix(&resolver, &domains, &vantages, config).0
         };
-        for workers in [1usize, 4] {
-            for compiled in [false, true] {
-                for cached in [false, true] {
-                    let config = SpoofMatrixConfig::with_workers(workers)
-                        .compiled(compiled)
-                        .cached(cached);
-                    assert_eq!(
-                        reference,
-                        spf(config),
-                        "SPF sub-matrix diverged at workers={workers} \
-                         compiled={compiled} cached={cached}"
-                    );
-                }
-            }
-        }
         // And the full layered report itself is config-independent.
-        let full = |config: SpoofMatrixConfig| {
-            let resolver = ZoneResolver::new(Arc::clone(&store));
-            let (matrix, _) = auth_matrix(&resolver, &domains, &vantages, config);
-            serde_json::to_string(&matrix).unwrap()
-        };
-        let full_ref = full(SpoofMatrixConfig::with_workers(1).cached(false));
+        let full_ref = serde_json::to_string(&run(under(1, Evaluator::Interpreted))).unwrap();
         for workers in [1usize, 4] {
-            assert_eq!(
-                full_ref,
-                full(SpoofMatrixConfig::with_workers(workers).compiled(true)),
-                "full v2 report diverged at workers={workers}"
-            );
+            for evaluator in Evaluator::ALL {
+                let matrix = run(under(workers, evaluator));
+                assert_eq!(
+                    reference,
+                    serde_json::to_string(&matrix.spf).unwrap(),
+                    "SPF sub-matrix diverged at workers={workers} +{evaluator}"
+                );
+                assert_eq!(
+                    full_ref,
+                    serde_json::to_string(&matrix).unwrap(),
+                    "full v2 report diverged at workers={workers} +{evaluator}"
+                );
+            }
         }
     }
 
@@ -1622,12 +1577,8 @@ mod tests {
         layer_world(&store);
         let resolver = ZoneResolver::new(Arc::clone(&store));
         let vantages = vantage_set(&weighted, 1);
-        let (matrix, stats) = auth_matrix(
-            &resolver,
-            &domains,
-            &vantages,
-            SpoofMatrixConfig::with_workers(4),
-        );
+        let (matrix, stats) =
+            auth_matrix(&resolver, &domains, &vantages, CrawlConfig::with_workers(4));
         // Every preset bucket is present, in ALL order, even when empty.
         assert_eq!(matrix.tiers.len(), DeploymentMix::ALL.len());
         for (bucket, tier) in matrix.tiers.iter().zip(DeploymentMix::ALL) {
@@ -1690,7 +1641,7 @@ mod tests {
         let resolver = ZoneResolver::new(Arc::clone(&store));
         let vantages = vantage_set(&weighted, 1);
         let cache = AuthCache::new();
-        let config = SpoofMatrixConfig::with_workers(2);
+        let config = CrawlConfig::with_workers(2);
         let (cold, _) = auth_matrix_with_cache(&resolver, &domains, &vantages, config, &cache);
         let (warm, stats) = auth_matrix_with_cache(&resolver, &domains, &vantages, config, &cache);
         assert_eq!(
@@ -1708,12 +1659,7 @@ mod tests {
         layer_world(&store);
         let resolver = ZoneResolver::new(Arc::clone(&store));
         let vantages = vantage_set(&weighted, 2);
-        let (batch, _) = auth_matrix(
-            &resolver,
-            &domains,
-            &vantages,
-            SpoofMatrixConfig::with_workers(4),
-        );
+        let (batch, _) = auth_matrix(&resolver, &domains, &vantages, CrawlConfig::with_workers(4));
         let mut compiler = CompilerStats::default();
         let rows: Vec<AuthMatrixRow> = domains
             .iter()
@@ -1759,12 +1705,7 @@ mod tests {
         layer_world(&store);
         let resolver = ZoneResolver::new(Arc::clone(&store));
         let vantages = vantage_set(&weighted, 2);
-        let (matrix, _) = auth_matrix(
-            &resolver,
-            &domains,
-            &vantages,
-            SpoofMatrixConfig::with_workers(4),
-        );
+        let (matrix, _) = auth_matrix(&resolver, &domains, &vantages, CrawlConfig::with_workers(4));
         assert_eq!(matrix.check_conservation(), Ok(()));
         let broken = |law: &str, edit: &dyn Fn(&mut AuthMatrix)| {
             let mut m = matrix.clone();

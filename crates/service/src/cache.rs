@@ -42,7 +42,7 @@ use spf_dns::{Clock, Resolver};
 use spf_types::{stripe_index, CacheKey, DomainHashBuilder, DomainName, DEFAULT_CACHE_SHARDS};
 
 /// Capacity / expiry policy for a [`TtlLru`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TtlLruConfig {
     /// Total entry budget, divided evenly across the
     /// [`DEFAULT_CACHE_SHARDS`] stripes (each stripe holds at least one
@@ -428,8 +428,8 @@ impl ServiceVerdictCache {
     /// on `clock`.
     pub fn new(config: TtlLruConfig, clock: Arc<dyn Clock>) -> ServiceVerdictCache {
         ServiceVerdictCache {
-            inner: TtlLru::new(config.clone(), Arc::clone(&clock)),
-            records: TtlLru::new(config.clone(), Arc::clone(&clock)),
+            inner: TtlLru::new(config, Arc::clone(&clock)),
+            records: TtlLru::new(config, Arc::clone(&clock)),
             layers: TtlLru::new(config, clock),
         }
     }

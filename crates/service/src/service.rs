@@ -24,7 +24,8 @@
 //!   store is probed once per query; a full queue yields an immediate
 //!   typed `overloaded` response, never a silently dropped datagram.
 //! * **Workers** — a fixed pool drains the queue, runs `check_host`
-//!   (through the TTL/LRU [`ServiceVerdictCache`] when configured), and
+//!   (through the TTL/LRU [`ServiceVerdictCache`] unless the evaluator is
+//!   [`Evaluator::Interpreted`]), and
 //!   replies on the transport the query arrived on. On both paths
 //!   counters increment before the reply leaves, so a client that has
 //!   seen its response can never observe a stale counter.
@@ -75,7 +76,8 @@ use crate::proto::{
     Frame, FrameError, QueryFrame, ResponseFrame, Status, LEN_PREFIX, MAX_PAYLOAD,
 };
 
-/// Daemon sizing and policy.
+/// Daemon sizing and engine. Every verdict is evaluated under RFC
+/// 7208's limits ([`EvalPolicy::default`]).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads draining the request queue.
@@ -83,22 +85,22 @@ pub struct ServiceConfig {
     /// Bounded request-queue capacity; the `try_send` overflow beyond
     /// it is answered with a typed `overloaded` response.
     pub queue_capacity: usize,
-    /// Verdict-memo policy, or `None` to evaluate every query bare.
-    pub cache: Option<TtlLruConfig>,
-    /// Compiled-backend store policy, or `None` to tree-walk every
-    /// query. When set, each domain's SPF tree is compiled to an
-    /// interval matcher on first query and verdicts answer from the
-    /// tables; residual regions fall back to the (cached) evaluator.
-    /// Compiles share include/redirect subtrees through one
-    /// [`SubtreeMemo`] per generation, which rolls over at half this
-    /// TTL or after `capacity` subtree compiles. A table is stamped
-    /// fresh as of its generation's birth, so it expires one TTL after
-    /// the oldest zone data it may hold: the store expires on the same
-    /// TTL mechanism and clock as the verdict memo, and no table older
-    /// than one TTL is served.
-    pub compiled: Option<TtlLruConfig>,
-    /// RFC 7208 limits applied to every evaluation.
-    pub policy: EvalPolicy,
+    /// How verdicts are produced. [`Evaluator::Interpreted`] evaluates
+    /// every query bare; [`Evaluator::Cached`] keeps the verdict memo;
+    /// [`Evaluator::Compiled`] adds the compiled-policy store on top of
+    /// it: each domain's SPF tree is compiled to an interval matcher on
+    /// first query and verdicts answer from the tables, residual regions
+    /// falling back to the memoized evaluator.
+    pub evaluator: Evaluator,
+    /// Capacity and TTL of each store the evaluator keeps. Compiles
+    /// share include/redirect subtrees through one [`SubtreeMemo`] per
+    /// generation, which rolls over at half this TTL or after `capacity`
+    /// subtree compiles. A table is stamped fresh as of its generation's
+    /// birth, so it expires one TTL after the oldest zone data it may
+    /// hold: the compiled store expires on the same TTL mechanism and
+    /// clock as the verdict memo, and no table older than one TTL is
+    /// served.
+    pub store: TtlLruConfig,
 }
 
 impl ServiceConfig {
@@ -110,37 +112,15 @@ impl ServiceConfig {
         }
     }
 
-    /// Map a [`Backend`]'s evaluator onto the service's cache knobs:
-    /// `Interpreted` evaluates every query bare (no memo),
-    /// `Cached` keeps the default verdict memo, and `Compiled` adds the
-    /// compiled-policy store on top of it. The backend's transport is
-    /// the *resolver's* concern — the caller assembles that stack (see
-    /// `spf_bench::build_resolver`) and hands the resolver in.
+    /// A config with `workers` threads under `backend`'s evaluator. The
+    /// backend's transport is the *resolver's* concern — the caller
+    /// assembles that stack (see `spf_bench::build_resolver`) and hands
+    /// the resolver in.
     pub fn from_backend(backend: Backend, workers: usize) -> ServiceConfig {
-        let base = ServiceConfig::with_workers(workers);
-        match backend.evaluator {
-            Evaluator::Interpreted => base.cache(None),
-            Evaluator::Cached => base,
-            Evaluator::Compiled => base.compiled(Some(TtlLruConfig::default())),
+        ServiceConfig {
+            evaluator: backend.evaluator,
+            ..ServiceConfig::with_workers(workers)
         }
-    }
-
-    /// Set (or disable, with `None`) the verdict memo.
-    pub fn cache(mut self, cache: Option<TtlLruConfig>) -> ServiceConfig {
-        self.cache = cache;
-        self
-    }
-
-    /// Set (or disable, with `None`) the compiled backend.
-    pub fn compiled(mut self, compiled: Option<TtlLruConfig>) -> ServiceConfig {
-        self.compiled = compiled;
-        self
-    }
-
-    /// Override the evaluation policy.
-    pub fn policy(mut self, policy: EvalPolicy) -> ServiceConfig {
-        self.policy = policy;
-        self
     }
 }
 
@@ -149,9 +129,8 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 4,
             queue_capacity: 1024,
-            cache: Some(TtlLruConfig::default()),
-            compiled: None,
-            policy: EvalPolicy::default(),
+            evaluator: Evaluator::Cached,
+            store: TtlLruConfig::default(),
         }
     }
 }
@@ -258,7 +237,8 @@ impl ServiceTelemetry {
     /// * summed over memo generations, every subtree lookup was composed
     ///   or fell back, and no more subtrees were compiled than looked up;
     /// * without one, the listener answered nothing;
-    /// * every record the memo admitted is still resident, was evicted,
+    /// * every entry each store admitted — the verdict memo, the record
+    ///   memo and the compiled store — is still resident, was evicted,
     ///   expired or was invalidated.
     pub fn check_conservation(&self) -> Result<(), String> {
         let law = |holds: bool, what: &str| {
@@ -279,11 +259,19 @@ impl ServiceTelemetry {
             "latency samples != served + oversized",
         )?;
         law(self.inline_served <= self.served, "inline > served")?;
-        if let Some(records) = &self.records {
-            law(
-                records.is_consistent(),
-                "record memo inserts != entries + evictions + expirations + invalidations",
-            )?;
+        for (stats, store) in [
+            (&self.cache, "verdict memo"),
+            (&self.records, "record memo"),
+            (&self.compiled_cache, "compiled store"),
+        ] {
+            if let Some(stats) = stats {
+                law(
+                    stats.is_consistent(),
+                    &format!(
+                        "{store} inserts != entries + evictions + expirations + invalidations"
+                    ),
+                )?;
+            }
         }
         let (Some(compiler), Some(store)) = (&self.compiled, &self.compiled_cache) else {
             return law(self.inline_served == 0, "inline answers without tables");
@@ -430,12 +418,12 @@ struct Generation {
 }
 
 impl CompiledBackend {
-    fn new(store_config: TtlLruConfig, policy: EvalPolicy, clock: Arc<dyn Clock>) -> Self {
+    fn new(store_config: TtlLruConfig, clock: Arc<dyn Clock>) -> Self {
         CompiledBackend {
             max_age: store_config.ttl / 2,
             max_compiles: store_config.capacity as u64,
             store: TtlLru::new(store_config, Arc::clone(&clock)),
-            config: CompileConfig::with_policy(policy),
+            config: CompileConfig::default(),
             generation: Mutex::new(Generation {
                 memo: Arc::new(SubtreeMemo::new()),
                 born: clock.now(),
@@ -559,7 +547,6 @@ fn write_error(out: &mut Vec<u8>, id: u64, status: Status, message: &str) {
 /// Everything the daemon's threads share.
 struct Shared {
     resolver: Arc<dyn Resolver>,
-    policy: EvalPolicy,
     cache: Option<ServiceVerdictCache>,
     compiled: Option<CompiledBackend>,
     counters: Counters,
@@ -619,10 +606,15 @@ impl Shared {
                 self.resolver.as_ref(),
                 &ctx,
                 &query.domain,
-                &self.policy,
+                &EvalPolicy::default(),
                 memo,
             ),
-            None => check_host(self.resolver.as_ref(), &ctx, &query.domain, &self.policy),
+            None => check_host(
+                self.resolver.as_ref(),
+                &ctx,
+                &query.domain,
+                &EvalPolicy::default(),
+            ),
         }
     }
 }
@@ -919,13 +911,10 @@ impl VerdictService {
 
         let shared = Arc::new(Shared {
             resolver,
-            policy: config.policy,
-            cache: config
-                .cache
-                .map(|policy| ServiceVerdictCache::new(policy, Arc::clone(&clock))),
-            compiled: config
-                .compiled
-                .map(|store| CompiledBackend::new(store, config.policy, clock)),
+            cache: (config.evaluator != Evaluator::Interpreted)
+                .then(|| ServiceVerdictCache::new(config.store, Arc::clone(&clock))),
+            compiled: (config.evaluator == Evaluator::Compiled)
+                .then(|| CompiledBackend::new(config.store, clock)),
             counters: Counters::default(),
             latency: LogHistogram::new(),
             shutdown: AtomicBool::new(false),
@@ -1067,6 +1056,14 @@ mod tests {
         s.parse().expect("ip parses")
     }
 
+    /// A config with `workers` threads under `evaluator`.
+    fn under(workers: usize, evaluator: Evaluator) -> ServiceConfig {
+        ServiceConfig {
+            evaluator,
+            ..ServiceConfig::with_workers(workers)
+        }
+    }
+
     /// What bare `check_host` serializes to for the query.
     fn bare(store: &Arc<ZoneStore>, ip: IpAddr, domain: &DomainName) -> String {
         let resolver = ZoneResolver::new(Arc::clone(store));
@@ -1165,7 +1162,10 @@ mod tests {
     }
 
     fn compiled_config() -> ServiceConfig {
-        ServiceConfig::with_workers(2).compiled(Some(TtlLruConfig::new(1024, TTL)))
+        ServiceConfig {
+            store: TtlLruConfig::new(1024, TTL),
+            ..under(2, Evaluator::Compiled)
+        }
     }
 
     #[test]
@@ -1216,15 +1216,22 @@ mod tests {
         assert_eq!(compiler.domains_compiled, 3, "{compiler:?}");
         assert_eq!(compiler.fallback_verdicts, 6, "{compiler:?}");
         assert!(telemetry.compiled_cache.expect("store").expirations >= 1);
+
+        // Every store's admission law is checked, and named when broken.
+        let mut broken = telemetry.clone();
+        broken.cache.as_mut().expect("verdict memo").inserts += 1;
+        let law = broken.check_conservation().unwrap_err();
+        assert!(law.starts_with("verdict memo inserts"), "{law}");
+        let mut broken = telemetry.clone();
+        broken.compiled_cache.as_mut().expect("store").inserts += 1;
+        let law = broken.check_conservation().unwrap_err();
+        assert!(law.starts_with("compiled store inserts"), "{law}");
     }
 
     #[test]
     fn a_service_without_tables_answers_nothing_inline() {
-        for config in [
-            ServiceConfig::with_workers(2),
-            ServiceConfig::with_workers(2).cache(None),
-        ] {
-            let mut lab = Lab::new(config);
+        for evaluator in [Evaluator::Cached, Evaluator::Interpreted] {
+            let mut lab = Lab::new(under(2, evaluator));
             for transport in [Transport::Udp, Transport::Tcp] {
                 lab.ask(transport, "static.example", IN_RANGE, false);
                 lab.ask(transport, "static.example", IN_RANGE, false);
@@ -1277,16 +1284,11 @@ mod tests {
         // One unknown "mechanism" 20 000 characters long: a permerror
         // whose `problem` quotes it back, for every address — so the
         // compiled service hits it on a worker (cold) and then on the
-        // listener (resident), the plain one on its only worker twice.
+        // listener (resident), the others on their only worker twice.
         let record = format!("v=spf1 {} -all", "x".repeat(20_000));
-        for (config, listener_answers) in [
-            (
-                ServiceConfig::with_workers(1).compiled(Some(TtlLruConfig::default())),
-                true,
-            ),
-            (ServiceConfig::with_workers(1).cache(None), false),
-        ] {
-            let mut lab = Lab::new(config);
+        for evaluator in Evaluator::ALL {
+            let listener_answers = evaluator == Evaluator::Compiled;
+            let mut lab = Lab::new(under(1, evaluator));
             let big = dom("big.example");
             lab.store.add_txt(&big, &record);
             assert!(bare(&lab.store, ip(IN_RANGE), &big).len() > MAX_PAYLOAD);
@@ -1317,12 +1319,10 @@ mod tests {
     fn a_multi_byte_character_in_a_version_tag_does_not_kill_the_worker() {
         // `é` straddles the byte where `v=spf1` would end. The record is
         // not SPF, so the verdict is `none` — and the only worker there
-        // is answers the next query too.
-        for config in [
-            ServiceConfig::with_workers(1),
-            ServiceConfig::with_workers(1).cache(None),
-        ] {
-            let mut lab = Lab::new(config);
+        // is answers the next query too (a compiled service compiles
+        // each domain there first).
+        for evaluator in Evaluator::ALL {
+            let mut lab = Lab::new(under(1, evaluator));
             lab.store
                 .add_txt(&dom("garbled.example"), "v=spf\u{e9} -all");
             lab.ask(Transport::Udp, "garbled.example", IN_RANGE, false);

@@ -37,7 +37,7 @@ use spf_service::{
     Frame, FrameError, QueryFrame, ResponseFrame, ServiceClient, ServiceConfig, Status, Transport,
     TtlLru, TtlLruConfig, VerdictService,
 };
-use spf_types::{CacheKey, DomainName, Ip4ParseError, MacroError, DEFAULT_CACHE_SHARDS};
+use spf_types::{CacheKey, DomainName, Evaluator, Ip4ParseError, MacroError, DEFAULT_CACHE_SHARDS};
 
 fn arb_domain() -> impl Strategy<Value = DomainName> {
     proptest::collection::vec("[a-z]{1,10}", 1..4)
@@ -246,6 +246,16 @@ proptest! {
     }
 }
 
+/// A one-worker service under `evaluator` whose stores hold 64 entries
+/// for `ttl`.
+fn memo_config(evaluator: Evaluator, ttl: Duration) -> ServiceConfig {
+    ServiceConfig {
+        evaluator,
+        store: TtlLruConfig::new(64, ttl),
+        ..ServiceConfig::with_workers(1)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -253,7 +263,9 @@ proptest! {
     /// memoize a verdict, mutate the included zone, advance an
     /// arbitrary virtual duration — the service serves the stale
     /// verdict strictly inside the TTL and the revalidated one at or
-    /// past it. An expired entry is never served.
+    /// past it — from the verdict memo, and from the compiled tables,
+    /// which expire on the same TTL. An expired entry is never served;
+    /// the interpreted service memoizes nothing and is never stale.
     #[test]
     fn expired_verdicts_are_never_served_stale(advance_secs in 0u64..150) {
         let ttl = Duration::from_secs(60);
@@ -270,42 +282,47 @@ proptest! {
                 .expect("serializes")
         };
 
-        let clock = Arc::new(VirtualClock::new());
-        let resolver = Arc::new(ZoneResolver::new(Arc::clone(&store)));
-        let mut service = VerdictService::spawn_at(
-            resolver,
-            ServiceConfig::with_workers(1).cache(Some(TtlLruConfig::new(64, ttl))),
-            Arc::clone(&clock) as Arc<dyn spf_dns::Clock>,
-        )
-        .expect("service spawns");
-        let mut client =
-            ServiceClient::connect(service.addr(), Transport::Udp).expect("connects");
+        for evaluator in Evaluator::ALL {
+            store.replace_txt(&included, "v=spf1 ip4:192.0.2.0/24 -all");
+            let clock = Arc::new(VirtualClock::new());
+            let resolver = Arc::new(ZoneResolver::new(Arc::clone(&store)));
+            let mut service = VerdictService::spawn_at(
+                resolver,
+                memo_config(evaluator, ttl),
+                Arc::clone(&clock) as Arc<dyn spf_dns::Clock>,
+            )
+            .expect("service spawns");
+            let mut client =
+                ServiceClient::connect(service.addr(), Transport::Udp).expect("connects");
 
-        let before = bare(&store);
-        let first = client.query(ip, &domain, "prop").expect("query");
-        prop_assert_eq!(first.status, Status::Ok);
-        prop_assert!(first.body == before.as_bytes(), "first verdict diverged");
+            let before = bare(&store);
+            let first = client.query(ip, &domain, "prop").expect("query");
+            prop_assert_eq!(first.status, Status::Ok);
+            prop_assert!(first.body == before.as_bytes(), "first verdict diverged");
 
-        store.replace_txt(&included, "v=spf1 -all");
-        let after = bare(&store);
-        prop_assert!(before != after, "mutation must change the verdict");
+            store.replace_txt(&included, "v=spf1 -all");
+            let after = bare(&store);
+            prop_assert!(before != after, "mutation must change the verdict");
 
-        clock.advance(Duration::from_secs(advance_secs));
-        let second = client.query(ip, &domain, "prop").expect("query");
-        let expected = if advance_secs < ttl.as_secs() { &before } else { &after };
-        prop_assert!(
-            second.body == expected.as_bytes(),
-            "at +{advance_secs}s (ttl {}s) served {}",
-            ttl.as_secs(),
-            String::from_utf8_lossy(&second.body)
-        );
-        service.shutdown();
+            clock.advance(Duration::from_secs(advance_secs));
+            let second = client.query(ip, &domain, "prop").expect("query");
+            let stale = evaluator != Evaluator::Interpreted && advance_secs < ttl.as_secs();
+            let expected = if stale { &before } else { &after };
+            prop_assert!(
+                second.body == expected.as_bytes(),
+                "+{evaluator} at +{advance_secs}s (ttl {}s) served {}",
+                ttl.as_secs(),
+                String::from_utf8_lossy(&second.body)
+            );
+            service.shutdown();
+        }
     }
 
     /// The stacked twin: a stacked query's DMARC layer is memoized on
     /// the same TTL as its SPF verdict. After `_dmarc` moves from
     /// `p=none` to `p=reject`, the old disposition is served strictly
-    /// inside the TTL and the new one at or past it.
+    /// inside the TTL and the new one at or past it (at once without a
+    /// memo).
     #[test]
     fn expired_layers_are_never_served_stale(advance_secs in 0u64..150) {
         let ttl = Duration::from_secs(60);
@@ -317,45 +334,49 @@ proptest! {
         // Outside the range: a softfail, so DMARC decides the stop.
         let ip: IpAddr = "203.0.113.9".parse().expect("parses");
 
-        let clock = Arc::new(VirtualClock::new());
-        let resolver = Arc::new(ZoneResolver::new(Arc::clone(&store)));
-        let mut service = VerdictService::spawn_at(
-            resolver,
-            ServiceConfig::with_workers(1).cache(Some(TtlLruConfig::new(64, ttl))),
-            Arc::clone(&clock) as Arc<dyn spf_dns::Clock>,
-        )
-        .expect("service spawns");
-        let mut client =
-            ServiceClient::connect(service.addr(), Transport::Udp).expect("connects");
-        let mut stacked = || {
-            client
-                .query_stacked(ip, &domain, "prop")
-                .expect("query")
-                .auth_outcome()
-                .expect("stacked body decodes")
-        };
+        for evaluator in Evaluator::ALL {
+            store.replace_txt(&dmarc, "v=DMARC1; p=none");
+            let clock = Arc::new(VirtualClock::new());
+            let resolver = Arc::new(ZoneResolver::new(Arc::clone(&store)));
+            let mut service = VerdictService::spawn_at(
+                resolver,
+                memo_config(evaluator, ttl),
+                Arc::clone(&clock) as Arc<dyn spf_dns::Clock>,
+            )
+            .expect("service spawns");
+            let mut client =
+                ServiceClient::connect(service.addr(), Transport::Udp).expect("connects");
+            let mut stacked = || {
+                client
+                    .query_stacked(ip, &domain, "prop")
+                    .expect("query")
+                    .auth_outcome()
+                    .expect("stacked body decodes")
+            };
 
-        let first = stacked();
-        prop_assert_eq!(first.dmarc, DmarcDisposition::Monitor);
-        prop_assert_eq!(first.stop, StopLayer::None);
+            let first = stacked();
+            prop_assert_eq!(first.dmarc, DmarcDisposition::Monitor);
+            prop_assert_eq!(first.stop, StopLayer::None);
 
-        store.replace_txt(&dmarc, "v=DMARC1; p=reject");
-        clock.advance(Duration::from_secs(advance_secs));
-        let second = stacked();
-        let expected = if advance_secs < ttl.as_secs() {
-            (DmarcDisposition::Monitor, StopLayer::None)
-        } else {
-            let reject = DmarcDisposition::Enforced { policy: DmarcPolicy::Reject, percent: 100 };
-            (reject, StopLayer::Dmarc)
-        };
-        prop_assert_eq!(
-            (second.dmarc, second.stop),
-            expected,
-            "at +{}s (ttl {}s)",
-            advance_secs,
-            ttl.as_secs()
-        );
-        service.shutdown();
+            store.replace_txt(&dmarc, "v=DMARC1; p=reject");
+            clock.advance(Duration::from_secs(advance_secs));
+            let second = stacked();
+            let expected = if evaluator != Evaluator::Interpreted && advance_secs < ttl.as_secs() {
+                (DmarcDisposition::Monitor, StopLayer::None)
+            } else {
+                let reject = DmarcDisposition::Enforced { policy: DmarcPolicy::Reject, percent: 100 };
+                (reject, StopLayer::Dmarc)
+            };
+            prop_assert_eq!(
+                (second.dmarc, second.stop),
+                expected,
+                "+{} at +{}s (ttl {}s)",
+                evaluator,
+                advance_secs,
+                ttl.as_secs()
+            );
+            service.shutdown();
+        }
     }
 }
 

@@ -6,7 +6,7 @@ use spf_analyzer::Walker;
 use spf_crawler::{crawl, select_vantages, CrawlConfig, ProviderVantage, VantagePoint};
 use spf_dns::ZoneResolver;
 use spf_netsim::{build_spoof_world, Population, PopulationConfig, Scale, SpoofWorld};
-use spf_types::DomainName;
+use spf_types::{Backend, DomainName, Evaluator};
 
 /// The stress suites' seed.
 pub const SEED: u64 = 0x5bf1_2023;
@@ -14,6 +14,13 @@ pub const SEED: u64 = 0x5bf1_2023;
 /// Parse a domain name literal; panics on an invalid one.
 pub fn dom(name: &str) -> DomainName {
     DomainName::parse(name).expect("domain parses")
+}
+
+/// An engine config with `workers` threads under `evaluator`, on the
+/// memory transport: what the suites sweep the matrix and churn engines
+/// over.
+pub fn engine_config(workers: usize, evaluator: Evaluator) -> CrawlConfig {
+    CrawlConfig::with_workers(workers).backend(Backend::memory().evaluator(evaluator))
 }
 
 /// The calibrated population at `1:denominator`, seeded with [`SEED`].

@@ -2,8 +2,8 @@
 //!
 //! Every entry point that assembles a resolver/evaluator stack — the
 //! `repro` CLI, the spoof matrix, the verdict service, the benchmark —
-//! selects it through one typed [`Backend`] value instead of
-//! scattered `mode`/`wire_servers`/`use_compiled` knobs:
+//! selects it through one typed [`Backend`] value, the only encoding of
+//! the engine choice:
 //!
 //! * [`Transport`] — where DNS answers come from: the in-process zone
 //!   store or the socket-pool wire client.
@@ -77,6 +77,13 @@ pub enum Evaluator {
 }
 
 impl Evaluator {
+    /// Every evaluator, from bare tree-walks to compiled tables.
+    pub const ALL: [Evaluator; 3] = [
+        Evaluator::Interpreted,
+        Evaluator::Cached,
+        Evaluator::Compiled,
+    ];
+
     /// Parse an evaluator name.
     pub fn parse(s: &str) -> Option<Evaluator> {
         match s {
@@ -317,6 +324,9 @@ mod tests {
         ];
         for b in cases {
             assert_eq!(Backend::parse(&b.to_string()).unwrap(), b, "{b}");
+        }
+        for e in Evaluator::ALL {
+            assert_eq!(Evaluator::parse(&e.to_string()), Some(e));
         }
         assert_eq!(Backend::memory().to_string(), "memory");
         assert_eq!(Backend::wire(4).to_string(), "wire:4");

@@ -58,8 +58,8 @@ pub mod prelude {
     pub use spf_crawler::{
         auth_matrix, auth_matrix_with_cache, bare_row_fold, crawl, include_ecosystem,
         select_vantages, AuthMatrix, ChurnEngine, CrawlConfig, CrawlStats, EpochReport,
-        LongitudinalConfig, OverlapReport, ProviderVantage, ScanAggregates, SpoofMatrix,
-        SpoofMatrixConfig, StopLayer, VantagePoint, ZoneDelta,
+        LongitudinalConfig, OverlapReport, ProviderVantage, ScanAggregates, SpoofMatrix, StopLayer,
+        VantagePoint, ZoneDelta,
     };
     pub use spf_dns::{
         Resolver, ServerConfig, WireClientConfig, WireFleet, WireResolver, WireSnapshot,

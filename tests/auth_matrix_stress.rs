@@ -1,6 +1,6 @@
 //! Layered auth-matrix determinism under stress: the serialized
 //! [`AuthMatrix`] must be *byte-identical* across workers {1, 4, 32} ×
-//! verdict cache {on, off}, across batch sizes,
+//! every evaluator (interpreted, cached, compiled),
 //! and between the in-memory and wire resolver substrates, at scale
 //! 1:500 — and its embedded SPF sub-matrix must be byte-identical to
 //! the bare-row fold (every domain's row evaluated with no pool, verdict
@@ -12,16 +12,17 @@
 //! DESIGN.md §8's claim that neither scheduling freedom nor the cache is
 //! observable in the report.
 
+use lazy_gatekeepers::crawler::DEFAULT_BATCH_SIZE;
 use lazy_gatekeepers::prelude::*;
 use spf_dns::{DnsError, LookupOutcome, RecordType, ResourceRecord, ZoneFault};
-use spf_testkit::world_at;
+use spf_testkit::{engine_config, world_at};
 use std::sync::{Arc, Mutex};
 
 fn auth_json<R: Resolver>(
     resolver: &R,
     world: &SpoofWorld,
     vantages: &[VantagePoint],
-    config: SpoofMatrixConfig,
+    config: CrawlConfig,
 ) -> String {
     let (matrix, _) = auth_matrix(resolver, &world.domains, vantages, config);
     if let Err(law) = matrix.check_conservation() {
@@ -38,28 +39,26 @@ fn auth_matrix_byte_identical_across_worker_and_cache_grid() {
         &resolver,
         &world,
         &vantages,
-        SpoofMatrixConfig::with_workers(1).cached(false),
+        engine_config(1, Evaluator::Interpreted),
     );
     assert!(reference.contains("\"residual_spoofable\""));
     for workers in [1usize, 4, 32] {
-        let cached = auth_json(
-            &resolver,
-            &world,
-            &vantages,
-            SpoofMatrixConfig::with_workers(workers),
-        );
-        assert!(
-            cached == reference,
-            "cached v2 diverged at workers={workers}"
-        );
+        for evaluator in Evaluator::ALL {
+            if (workers, evaluator) == (1, Evaluator::Interpreted) {
+                continue;
+            }
+            let json = auth_json(
+                &resolver,
+                &world,
+                &vantages,
+                engine_config(workers, evaluator),
+            );
+            assert!(
+                json == reference,
+                "+{evaluator} v2 diverged at workers={workers}"
+            );
+        }
     }
-    let uncached = auth_json(
-        &resolver,
-        &world,
-        &vantages,
-        SpoofMatrixConfig::with_workers(32).cached(false),
-    );
-    assert!(uncached == reference, "uncached v2 diverged at workers=32");
 }
 
 #[test]
@@ -70,7 +69,7 @@ fn matrix_byte_identical_across_memory_matrix() {
         &resolver,
         &world,
         &vantages,
-        SpoofMatrixConfig::with_workers(1).cached(false),
+        engine_config(1, Evaluator::Interpreted),
     );
     assert!(reference.contains("\"spoofable_shared\""));
     for workers in [1usize, 4, 32] {
@@ -78,7 +77,7 @@ fn matrix_byte_identical_across_memory_matrix() {
             &resolver,
             &world,
             &vantages,
-            SpoofMatrixConfig::with_workers(workers),
+            CrawlConfig::with_workers(workers),
         );
         assert!(
             cached == reference,
@@ -121,7 +120,7 @@ fn auth_matrix_byte_identical_between_wire_and_memory() {
         &memory_resolver,
         &world,
         &vantages,
-        SpoofMatrixConfig::with_workers(1).cached(false),
+        engine_config(1, Evaluator::Interpreted),
     );
     let (workers, servers) = (32usize, 4usize);
     let fleet =
@@ -136,7 +135,7 @@ fn auth_matrix_byte_identical_between_wire_and_memory() {
         &checked,
         &world,
         &vantages,
-        SpoofMatrixConfig::with_workers(workers),
+        CrawlConfig::with_workers(workers),
     );
     // A query that timed out under host load answers `temperror`, which
     // the byte comparison would report as a divergence: name it first.
@@ -167,7 +166,7 @@ fn spf_submatrix_byte_identical_to_bare_row_fold_at_scale() {
             &resolver,
             &world.domains,
             &vantages,
-            SpoofMatrixConfig::with_workers(workers),
+            CrawlConfig::with_workers(workers),
         );
         assert_eq!(auth.check_conservation(), Ok(()), "workers={workers}");
         assert!(
@@ -178,46 +177,25 @@ fn spf_submatrix_byte_identical_to_bare_row_fold_at_scale() {
 }
 
 #[test]
-fn matrix_is_independent_of_batch_size() {
-    let (world, vantages) = world_at(2_000);
-    let resolver = ZoneResolver::new(Arc::clone(&world.store));
-    let run = |batch: usize| {
-        auth_json(
-            &resolver,
-            &world,
-            &vantages,
-            SpoofMatrixConfig::with_workers(4).batch_size(batch),
-        )
-    };
-    let reference = run(1);
-    assert_eq!(reference, run(7));
-    assert_eq!(reference, run(1_000_000)); // one batch larger than the input
-}
-
-#[test]
 fn queue_depth_stays_bounded() {
     let (world, vantages) = world_at(2_000);
     let resolver = ZoneResolver::new(Arc::clone(&world.store));
-    let config = SpoofMatrixConfig::with_workers(4).batch_size(16);
+    let config = CrawlConfig::with_workers(4);
     let (matrix, stats) = auth_matrix(&resolver, &world.domains, &vantages, config);
     assert_eq!(matrix.check_conservation(), Ok(()));
     let stats = stats.engine;
-    // 2×workers queued batches + workers in-hand + the feeder's one
-    // in-flight batch — the crawl engine's dispatch bound.
-    let bound = (2 * 4 + 4 + 1) * 16;
+    // A worker holds one batch at a time: the crawl engine's dispatch
+    // bound, far below the population.
     assert!(stats.peak_queue_depth >= 1);
     assert!(
-        stats.peak_queue_depth <= bound,
-        "peak {} > bound {bound}",
+        stats.peak_queue_depth <= 4 * DEFAULT_BATCH_SIZE,
+        "peak {} > workers × DEFAULT_BATCH_SIZE",
         stats.peak_queue_depth
     );
-    // The cursor's tighter bound: a worker holds one batch at a time.
-    assert!(
-        stats.peak_queue_depth <= 4 * 16,
-        "peak {} > workers × batch_size",
-        stats.peak_queue_depth
+    assert_eq!(
+        stats.batches,
+        world.domains.len().div_ceil(DEFAULT_BATCH_SIZE) as u64
     );
-    assert_eq!(stats.batches, world.domains.len().div_ceil(16) as u64);
     assert!(stats.evals_per_sec() > 0.0);
     assert!(stats.cache_hit_rate() > 0.0);
 }

@@ -26,14 +26,15 @@ use lazy_gatekeepers::service::{
     ServiceClient, ServiceConfig, Status, Transport, TtlLruConfig, VerdictService,
 };
 use spf_testkit::{
-    assert_conservation, dom, pairs_with_reference, replay, world_at, Expected, SEED, SENDER,
+    assert_conservation, dom, engine_config, pairs_with_reference, replay, world_at, Expected,
+    SEED, SENDER,
 };
 
 fn matrix_json<R: Resolver>(
     resolver: &R,
     world: &SpoofWorld,
     vantages: &[VantagePoint],
-    config: SpoofMatrixConfig,
+    config: CrawlConfig,
 ) -> String {
     let (matrix, _) = auth_matrix(resolver, &world.domains, vantages, config);
     serde_json::to_string(&matrix.spf).expect("matrix serializes")
@@ -49,35 +50,25 @@ fn compiled_matrix_byte_identical_across_memory_grid() {
         &resolver,
         &world,
         &vantages,
-        SpoofMatrixConfig::with_workers(1).cached(false),
+        engine_config(1, Evaluator::Interpreted),
     );
     assert!(reference.contains("\"spoofable_shared\""));
     for workers in [1usize, 4, 32] {
-        let compiled = matrix_json(
-            &resolver,
-            &world,
-            &vantages,
-            SpoofMatrixConfig::with_workers(workers).compiled(true),
-        );
-        assert!(
-            compiled == reference,
-            "compiled matrix diverged at workers={workers}"
-        );
-        // The compiled backend with the residue-fallback memo *off*:
-        // residual regions go through plain `check_host` instead, and
-        // the bytes still must not move.
-        let compiled_uncached = matrix_json(
-            &resolver,
-            &world,
-            &vantages,
-            SpoofMatrixConfig::with_workers(workers)
-                .compiled(true)
-                .cached(false),
-        );
-        assert!(
-            compiled_uncached == reference,
-            "compiled+uncached matrix diverged at workers={workers}"
-        );
+        for evaluator in Evaluator::ALL {
+            if (workers, evaluator) == (1, Evaluator::Interpreted) {
+                continue;
+            }
+            let json = matrix_json(
+                &resolver,
+                &world,
+                &vantages,
+                engine_config(workers, evaluator),
+            );
+            assert!(
+                json == reference,
+                "+{evaluator} matrix diverged at workers={workers}"
+            );
+        }
     }
 
     // The compiled run must actually exercise the fast path (a backend
@@ -87,7 +78,7 @@ fn compiled_matrix_byte_identical_across_memory_grid() {
         &resolver,
         &world.domains,
         &vantages,
-        SpoofMatrixConfig::with_workers(4).compiled(true),
+        engine_config(4, Evaluator::Compiled),
     );
     let stats = stats.engine;
     let compiler = stats.compiler.expect("compiled run reports stats");
@@ -114,7 +105,7 @@ fn compiled_matrix_byte_identical_across_memory_grid() {
         &resolver,
         &world.domains,
         &vantages,
-        SpoofMatrixConfig::with_workers(1).compiled(true),
+        engine_config(1, Evaluator::Compiled),
     );
     assert_eq!(serial.engine.compiler, Some(compiler));
 }
@@ -163,7 +154,7 @@ fn compiled_matrix_byte_identical_between_wire_and_memory() {
         &memory_resolver,
         &world,
         &vantages,
-        SpoofMatrixConfig::with_workers(1).cached(false),
+        engine_config(1, Evaluator::Interpreted),
     );
     // The compiler's own DNS queries (symbolic walk, both families) go
     // over real UDP/TCP sockets here, like every crawl query.
@@ -175,7 +166,7 @@ fn compiled_matrix_byte_identical_between_wire_and_memory() {
         &*resolver,
         &world,
         &vantages,
-        SpoofMatrixConfig::with_workers(workers).compiled(true),
+        engine_config(workers, Evaluator::Compiled),
     );
     assert!(
         wire == reference,
@@ -202,8 +193,7 @@ fn compiled_service_verdicts_byte_identical_to_bare_check_host() {
     for workers in [1usize, 4, 32] {
         for transport in [Transport::Udp, Transport::Tcp] {
             let label = format!("compiled workers={workers} transport={transport}");
-            let config =
-                ServiceConfig::with_workers(workers).compiled(Some(TtlLruConfig::default()));
+            let config = compiled_service(workers);
             let mut service =
                 VerdictService::spawn(Arc::clone(&resolver), config).expect("service spawns");
             let slice: Vec<Expected> = items.iter().skip(cell % 6).step_by(6).cloned().collect();
@@ -225,11 +215,8 @@ fn compiled_service_verdicts_byte_identical_to_bare_check_host() {
     // Full replay — every pair over TCP at 32 workers through the
     // compiled store *and* the verdict memo together: the two caches
     // must compose without a byte moving.
-    let mut service = VerdictService::spawn(
-        Arc::clone(&resolver),
-        ServiceConfig::with_workers(32).compiled(Some(TtlLruConfig::default())),
-    )
-    .expect("service spawns");
+    let mut service =
+        VerdictService::spawn(Arc::clone(&resolver), compiled_service(32)).expect("service spawns");
     replay(service.addr(), Transport::Tcp, &items, "compiled full tcp");
     let telemetry = service.telemetry();
     assert_eq!(telemetry.served, items.len() as u64, "{telemetry:?}");
@@ -252,9 +239,26 @@ fn compiled_service_verdicts_byte_identical_to_bare_check_host() {
     assert!(subtrees.composed > 0, "{subtrees:?}");
 }
 
-/// A compiled service (verdict memo off, so every answer is the compiled
-/// store's) on a virtual clock, in front of `a.example` and `b.example`,
-/// which both include `p.example`, plus whatever a test adds.
+/// A compiled service with `workers` threads.
+fn compiled_service(workers: usize) -> ServiceConfig {
+    ServiceConfig {
+        evaluator: Evaluator::Compiled,
+        ..ServiceConfig::with_workers(workers)
+    }
+}
+
+/// A compiled service whose stores hold `capacity` entries for `ttl`.
+fn compiled_store(capacity: usize, ttl: Duration) -> ServiceConfig {
+    ServiceConfig {
+        store: TtlLruConfig::new(capacity, ttl),
+        ..compiled_service(1)
+    }
+}
+
+/// A compiled service on a virtual clock, in front of `a.example` and
+/// `b.example`, which both include `p.example`, plus whatever a test
+/// adds. Every record compiles fully static, so the compiled store
+/// answers every query and the verdict memo none (`finish` checks).
 struct ProviderLab {
     store: Arc<ZoneStore>,
     clock: Arc<VirtualClock>,
@@ -274,9 +278,7 @@ impl ProviderLab {
         let clock = Arc::new(VirtualClock::new());
         let service = VerdictService::spawn_at(
             Arc::new(ZoneResolver::new(Arc::clone(&store))),
-            ServiceConfig::with_workers(1)
-                .cache(None)
-                .compiled(Some(TtlLruConfig::new(capacity, LAB_TTL))),
+            compiled_store(capacity, LAB_TTL),
             Arc::clone(&clock) as Arc<dyn lazy_gatekeepers::dns::Clock>,
         )
         .expect("service spawns");
@@ -311,11 +313,15 @@ impl ProviderLab {
         self.store.replace_txt(&dom("p.example"), "v=spf1 -all");
     }
 
-    /// Shut down, hold the laws, and hand back the telemetry.
+    /// Shut down, hold the laws — and that the tables answered every
+    /// verdict — and hand back the telemetry.
     fn finish(mut self) -> lazy_gatekeepers::service::ServiceTelemetry {
         self.service.shutdown();
         assert_conservation(&self.service, "provider lab");
-        self.service.telemetry()
+        let telemetry = self.service.telemetry();
+        let compiler = telemetry.compiled.expect("compiled backend reports stats");
+        assert_eq!(compiler.fallback_verdicts, 0, "{compiler:?}");
+        telemetry
     }
 }
 
@@ -408,13 +414,12 @@ fn expired_compiled_policy_is_recompiled_against_the_mutated_zone() {
     let clock = Arc::new(VirtualClock::new());
     let ttl = Duration::from_secs(60);
     let resolver: Arc<dyn Resolver> = Arc::new(ZoneResolver::new(Arc::clone(&store)));
-    // Verdict memo off: every within-TTL replay below is attributable
-    // to the compiled store alone.
+    // The record compiles fully static, so every within-TTL replay below
+    // is attributable to the compiled store alone (the verdict memo is
+    // never consulted: no verdict falls back).
     let mut service = VerdictService::spawn_at(
         resolver,
-        ServiceConfig::with_workers(1)
-            .cache(None)
-            .compiled(Some(TtlLruConfig::new(1024, ttl))),
+        compiled_store(1024, ttl),
         Arc::clone(&clock) as Arc<dyn lazy_gatekeepers::dns::Clock>,
     )
     .expect("service spawns");
@@ -466,6 +471,7 @@ fn expired_compiled_policy_is_recompiled_against_the_mutated_zone() {
     // tables (the example record is fully static).
     assert_eq!(compiler.domains_compiled, 2, "{compiler:?}");
     assert_eq!(compiler.compiled_verdicts, 3, "{compiler:?}");
+    assert_eq!(compiler.fallback_verdicts, 0, "{compiler:?}");
     let stats = telemetry.compiled_cache.expect("compiled store reports");
     assert!(stats.expirations >= 1, "{stats:?}");
     assert!(stats.is_consistent(), "{stats:?}");

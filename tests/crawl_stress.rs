@@ -2,23 +2,20 @@
 //! and worker pool may divide the work any way they like, but the report
 //! vector must stay bit-identical — DESIGN.md §3's core guarantee. This
 //! suite crawls the 1:500 population (≈25.6k domains) across worker
-//! counts and batch sizes, then double-checks byte-level equality through
-//! the serialized form at a smaller scale.
+//! counts, then double-checks byte-level equality through the serialized
+//! form at a smaller scale.
 
+use lazy_gatekeepers::crawler::DEFAULT_BATCH_SIZE;
 use lazy_gatekeepers::prelude::*;
 use spf_testkit::population_at;
 use std::sync::Arc;
 
-fn crawl_with(
-    population: &Population,
-    workers: usize,
-    batch: usize,
-) -> (Vec<DomainReport>, CrawlStats) {
+fn crawl_with(population: &Population, workers: usize) -> (Vec<DomainReport>, CrawlStats) {
     let walker = Walker::new(ZoneResolver::new(Arc::clone(&population.store)));
-    let config = CrawlConfig::with_workers(workers).batch_size(batch);
+    let config = CrawlConfig::with_workers(workers);
     let out = crawl(&walker, &population.domains, config);
     if let Err(law) = out.stats.check_conservation(&config) {
-        panic!("workers={workers} batch={batch}: {law}");
+        panic!("workers={workers}: {law}");
     }
     (out.reports, out.stats)
 }
@@ -48,12 +45,12 @@ fn crawl_results_identical_across_worker_counts() {
     // Workers ∈ {1, 4, 32} at --scale 500, all compared against a
     // single-threaded reference crawl.
     let population = population_at(500);
-    let (reference, ref_stats) = crawl_with(&population, 1, 64);
+    let (reference, ref_stats) = crawl_with(&population, 1);
     assert_eq!(reference.len(), population.domains.len());
     let reference_fp = fingerprint(&reference);
 
     for workers in [1usize, 4, 32] {
-        let (reports, stats) = crawl_with(&population, workers, 64);
+        let (reports, stats) = crawl_with(&population, workers);
         assert_eq!(
             fingerprint(&reports),
             reference_fp,
@@ -70,45 +67,26 @@ fn crawl_results_identical_across_worker_counts() {
 }
 
 #[test]
-fn crawl_results_identical_across_batch_sizes() {
-    let population = population_at(2_000);
-    let (reference, _) = crawl_with(&population, 4, 1);
-    let reference_fp = fingerprint(&reference);
-    for batch in [7usize, 64, 100_000] {
-        let (reports, _) = crawl_with(&population, 4, batch);
-        assert_eq!(
-            fingerprint(&reports),
-            reference_fp,
-            "diverged at batch={batch}"
-        );
-    }
-}
-
-#[test]
 fn crawl_reports_serialize_bit_identically() {
     // Byte-level check of the full serialized report stream (covers every
     // field, including ones the fingerprint projection might miss).
     let population = population_at(5_000);
-    let serialize = |workers: usize, batch: usize| {
-        let (reports, _) = crawl_with(&population, workers, batch);
+    let serialize = |workers: usize| {
+        let (reports, _) = crawl_with(&population, workers);
         serde_json::to_string(&reports).expect("reports serialize")
     };
-    let reference = serialize(1, 1);
-    assert_eq!(reference, serialize(32, 64));
-    assert_eq!(reference, serialize(4, 256));
+    let reference = serialize(1);
+    assert_eq!(reference, serialize(32));
+    assert_eq!(reference, serialize(4));
 }
 
 #[test]
 fn queue_depth_stays_bounded_under_stress() {
     let population = population_at(2_000);
     let workers = 4usize;
-    let batch = 32usize;
-    let (_, stats) = crawl_with(&population, workers, batch);
-    // 2×workers queued batches + workers in-hand + the feeder's in-flight
-    // batch — the documented dispatch window, far below the population.
-    let bound = (2 * workers + workers + 1) * batch;
-    assert!(stats.peak_queue_depth <= bound);
+    let (_, stats) = crawl_with(&population, workers);
+    // A worker holds one batch at a time — the dispatch window, far
+    // below the population.
+    assert!(stats.peak_queue_depth <= workers * DEFAULT_BATCH_SIZE);
     assert!((stats.peak_queue_depth as u64) < stats.domains);
-    // The cursor's tighter bound: a worker holds one batch at a time.
-    assert!(stats.peak_queue_depth <= workers * batch);
 }

@@ -88,20 +88,3 @@ fn overlap_byte_identical_across_wire_matrix() {
         }
     }
 }
-
-#[test]
-fn overlap_is_independent_of_batch_size() {
-    let population = population_at(2_000);
-    let run = |batch: usize| {
-        let walker = Walker::new(ZoneResolver::new(Arc::clone(&population.store)));
-        let out = crawl(
-            &walker,
-            &population.domains,
-            CrawlConfig::with_workers(4).batch_size(batch),
-        );
-        overlap_json(&walker, out)
-    };
-    let reference = run(1);
-    assert_eq!(reference, run(7));
-    assert_eq!(reference, run(100_000)); // one batch larger than the input
-}

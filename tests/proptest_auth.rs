@@ -76,22 +76,22 @@ proptest! {
         let expected_sts = query_mta_sts(&resolver, &domain);
         let compiled = compile_policy(&resolver, &domain, &CompileConfig::default());
         let auth_cache = AuthCache::new();
-        for use_cache in [false, true] {
-            for use_compiled in [false, true] {
+        for with_cache in [false, true] {
+            for with_tables in [false, true] {
                 let spf_cache = SpoofVerdictCache::with_default_shards();
                 let outcome = evaluate_auth(
                     &resolver,
                     &ctx,
                     &domain,
                     &policy,
-                    use_compiled.then_some(&compiled),
-                    if use_cache { Some(&spf_cache) } else { None },
+                    with_tables.then_some(&compiled),
+                    with_cache.then_some(&spf_cache),
                     Some(&auth_cache),
                 );
                 prop_assert_eq!(
                     serde_json::to_string(&outcome.spf).unwrap(),
                     bare_json.clone(),
-                    "spf diverged for {:?} (cache={use_cache} compiled={use_compiled})",
+                    "spf diverged for {:?} (cache={with_cache} tables={with_tables})",
                     record
                 );
                 // The layer facts are exactly the direct queries, and the

@@ -16,7 +16,7 @@ use std::time::Duration;
 use lazy_gatekeepers::crawler::{evaluate_auth_row, AuthMatrixRow, DEFAULT_PROVIDER_ROWS};
 use lazy_gatekeepers::prelude::*;
 use proptest::prelude::*;
-use spf_testkit::population_at;
+use spf_testkit::{engine_config, population_at};
 
 const MONTH: Duration = Duration::from_secs(30 * 86_400);
 
@@ -27,6 +27,10 @@ fn arb_preset() -> impl Strategy<Value = ChurnPreset> {
         Just(ChurnPreset::ProviderShuffle),
         Just(ChurnPreset::FailoverFlap),
     ]
+}
+
+fn arb_evaluator() -> impl Strategy<Value = Evaluator> {
+    (0..Evaluator::ALL.len()).prop_map(|i| Evaluator::ALL[i])
 }
 
 /// Serialize the §6 overlap artifact for a report/coverage snapshot.
@@ -46,15 +50,14 @@ proptest! {
 
     /// The tentpole property: random churn sequences, incremental vs
     /// full re-crawl, byte-identical serialized artifacts every epoch,
-    /// across cache on/off and compiled/interpreted matrix evaluation.
+    /// under every matrix evaluator (interpreted, cached, compiled).
     #[test]
     fn incremental_folding_is_byte_identical_to_full_recompute(
         churn_seed in any::<u64>(),
         rate_permille in 5u64..100,
         preset in arb_preset(),
         epochs in 1u64..4,
-        use_cache in any::<bool>(),
-        use_compiled in any::<bool>(),
+        evaluator in arb_evaluator(),
     ) {
         let rate = rate_permille as f64 / 1000.0;
         let population = population_at(20_000);
@@ -68,9 +71,7 @@ proptest! {
         let engine = ChurnEngine::bootstrap(&walker, population.domains.clone(), config);
 
         let vantages = select_vantages(&engine.weighted(), &[], 3, 2, churn_seed);
-        let matrix_config = SpoofMatrixConfig::with_workers(2)
-            .compiled(use_compiled)
-            .cached(use_cache);
+        let matrix_config = engine_config(2, evaluator);
         engine.attach_matrix(walker.resolver(), vantages.clone(), matrix_config);
 
         let mut sim = ChurnSimulator::new(
@@ -87,7 +88,7 @@ proptest! {
                 walker.resolver(),
                 domain,
                 &vantages,
-                &matrix_config.policy,
+                &EvalPolicy::default(),
                 None,
                 false,
                 &mut compiler,
@@ -163,7 +164,7 @@ proptest! {
                 fresh_walker.resolver(),
                 &population.domains,
                 &vantages,
-                &matrix_config.policy,
+                &EvalPolicy::default(),
             );
             prop_assert_eq!(
                 serde_json::to_string(&engine.matrix().unwrap()).unwrap(),

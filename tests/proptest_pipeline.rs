@@ -144,7 +144,7 @@ proptest! {
         world in proptest::collection::vec(arb_domain(arb_pop_term(6)), 6),
         vantage_bits in proptest::collection::vec(any::<u32>(), 2),
     ) {
-        use spf_crawler::{auth_matrix, SpoofMatrixConfig, VantageKind, VantagePoint};
+        use spf_crawler::{auth_matrix, CrawlConfig, VantageKind, VantagePoint};
 
         let (store, domains, first_ip4) = build_world(&world);
         // Two random vantages plus (when available) one drawn from a
@@ -171,7 +171,7 @@ proptest! {
             &resolver,
             &domains,
             &vantages,
-            SpoofMatrixConfig::with_workers(2),
+            CrawlConfig::with_workers(2),
         );
         let matrix = auth.spf;
 

@@ -2,8 +2,8 @@
 //! every response the resident daemon serves over real sockets must be
 //! *byte-identical* to what bare `check_host` returns for the same
 //! `(client-ip, domain, sender)` triple against the same zones — across
-//! workers {1, 4, 32} × verdict cache {on, off, tiny-forcing-eviction}
-//! × UDP vs TCP, at scale 1:500.
+//! workers {1, 4, 32} × evaluator {interpreted, cached, compiled, cached
+//! with a tiny store forcing eviction} × UDP vs TCP, at scale 1:500.
 //!
 //! The service's answer takes a longer road than the bare call: socket
 //! decode → bounded queue → worker pool → TTL/LRU memo → serialize →
@@ -22,7 +22,7 @@ use lazy_gatekeepers::bench::service_lab;
 use lazy_gatekeepers::dns::{
     DnsError, RecordType, Resolver, ResourceRecord, VirtualClock, ZoneResolver, ZoneStore,
 };
-use lazy_gatekeepers::prelude::{check_host, DomainName, EvalContext, EvalPolicy};
+use lazy_gatekeepers::prelude::{check_host, DomainName, EvalContext, EvalPolicy, Evaluator};
 use lazy_gatekeepers::service::proto::{decode_datagram, encode_frame};
 use lazy_gatekeepers::service::{
     Frame, QueryFrame, ServiceClient, ServiceConfig, Status, Transport, TtlLruConfig,
@@ -30,18 +30,30 @@ use lazy_gatekeepers::service::{
 };
 use spf_testkit::{assert_conservation, pairs_with_reference, replay, Expected, SEED, SENDER};
 
-/// A verdict memo so small (64 entries, 4 to each of its 16 stripes)
-/// that replaying hundreds of thousands of distinct pairs evicts on
-/// nearly every insert — the LRU-churn corner of the grid.
-fn tiny_cache() -> TtlLruConfig {
-    TtlLruConfig::new(64, Duration::from_secs(300))
+/// A service with `workers` threads under `evaluator`.
+fn under(workers: usize, evaluator: Evaluator) -> ServiceConfig {
+    ServiceConfig {
+        evaluator,
+        ..ServiceConfig::with_workers(workers)
+    }
+}
+
+/// A cached service whose verdict memo is so small (64 entries, 4 to
+/// each of its 16 stripes) that replaying hundreds of thousands of
+/// distinct pairs evicts on nearly every insert — the LRU-churn corner
+/// of the grid.
+fn tiny_cache(workers: usize) -> ServiceConfig {
+    ServiceConfig {
+        store: TtlLruConfig::new(64, Duration::from_secs(300)),
+        ..under(workers, Evaluator::Cached)
+    }
 }
 
 #[test]
 fn served_verdicts_byte_identical_to_bare_check_host() {
     let lab = service_lab(500, SEED, 4);
     // A trimmed vantage set (every 3rd of the selected 18): what the
-    // grid stresses is workers × cache × transport, and per-vantage
+    // grid stresses is workers × evaluator × transport, and per-vantage
     // work only scales the wall clock (the spoof-matrix suite applies
     // the same trim for the same reason).
     let vantage_ips: Vec<IpAddr> = lab.vantage_ips.iter().copied().step_by(3).collect();
@@ -54,17 +66,16 @@ fn served_verdicts_byte_identical_to_bare_check_host() {
     // pair list (the full-replay passes below cover every pair), so the
     // twelve offsets rotate through the cells and every cell still sees
     // tens of thousands of queries.
-    let caches: [(&str, Option<TtlLruConfig>); 3] = [
-        ("on", Some(TtlLruConfig::default())),
-        ("off", None),
-        ("tiny", Some(tiny_cache())),
-    ];
     let mut cell = 0usize;
     for workers in [1usize, 4, 32] {
-        for (cache_label, cache) in &caches {
+        let configs = Evaluator::ALL
+            .map(|evaluator| (evaluator.to_string(), under(workers, evaluator)))
+            .into_iter()
+            .chain([("cached-tiny".to_string(), tiny_cache(workers))]);
+        for (evaluator, config) in configs {
             for transport in [Transport::Udp, Transport::Tcp] {
-                let label = format!("workers={workers} cache={cache_label} transport={transport}");
-                let config = ServiceConfig::with_workers(workers).cache(cache.clone());
+                let label = format!("workers={workers} +{evaluator} transport={transport}");
+                let config = config.clone();
                 let mut service =
                     VerdictService::spawn(Arc::clone(&resolver), config).expect("service spawns");
                 let slice: Vec<Expected> =
@@ -102,11 +113,8 @@ fn served_verdicts_byte_identical_to_bare_check_host() {
 
     // Full replay B — every pair over TCP at 32 workers through the
     // tiny memo: constant LRU eviction under maximum concurrency.
-    let mut service = VerdictService::spawn(
-        Arc::clone(&resolver),
-        ServiceConfig::with_workers(32).cache(Some(tiny_cache())),
-    )
-    .expect("service spawns");
+    let mut service =
+        VerdictService::spawn(Arc::clone(&resolver), tiny_cache(32)).expect("service spawns");
     replay(
         service.addr(),
         Transport::Tcp,
@@ -224,9 +232,8 @@ fn queue_overflow_yields_typed_overloaded_responses() {
     // fourth-and-later queries *must* overflow.
     let config = ServiceConfig {
         queue_capacity: 2,
-        ..ServiceConfig::with_workers(1)
-    }
-    .cache(None);
+        ..under(1, Evaluator::Interpreted)
+    };
     let mut service = VerdictService::spawn(Arc::new(resolver), config).expect("service spawns");
 
     let socket = UdpSocket::bind(("127.0.0.1", 0)).expect("client socket");
@@ -310,9 +317,8 @@ fn drain_scenario() -> u64 {
     let (resolver, gate) = GatedResolver::closed(Arc::clone(&store));
     let config = ServiceConfig {
         queue_capacity: 256,
-        ..ServiceConfig::with_workers(1)
-    }
-    .cache(None);
+        ..under(1, Evaluator::Interpreted)
+    };
     let service = VerdictService::spawn(Arc::new(resolver), config).expect("service spawns");
     let addr = service.addr();
 
@@ -424,7 +430,10 @@ fn ttl_expiry_revalidates_against_the_mutated_zone() {
     let resolver: Arc<dyn Resolver> = Arc::new(ZoneResolver::new(Arc::clone(&store)));
     let mut service = VerdictService::spawn_at(
         resolver,
-        ServiceConfig::with_workers(1).cache(Some(TtlLruConfig::new(1024, ttl))),
+        ServiceConfig {
+            store: TtlLruConfig::new(1024, ttl),
+            ..ServiceConfig::with_workers(1)
+        },
         Arc::clone(&clock) as Arc<dyn lazy_gatekeepers::dns::Clock>,
     )
     .expect("service spawns");
