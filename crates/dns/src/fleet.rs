@@ -402,9 +402,9 @@ struct Outgoing {
 /// Every lookup is a [`Resolver::query_many`] call; [`Resolver::query`]
 /// is a call of one question. For each question in order the call counts
 /// it in `queries`, probes the TTL cache, then joins another caller's
-/// in-flight question or — after one more cache probe under the
-/// in-flight lock, which sees any answer a leader cached before it
-/// retired its flight — leads its own. The led questions go out in
+/// in-flight question or claims it; a claimed question is probed in the
+/// cache once more, which sees any answer a leader cached before it
+/// retired its flight, and led only on a miss. The led questions go out in
 /// windows of at most `SERVE_BATCH` (64) on one pooled socket:
 /// each attempt sends every unanswered question of the window with one
 /// `sendmmsg`, and `recvmmsg` drains match replies by peer, id and the
@@ -563,6 +563,15 @@ impl WireResolver {
                     expires_at: self.clock.now() + ttl,
                 },
             );
+    }
+
+    /// Release the claim on `q` and hand `result` to the callers that
+    /// joined its flight, if any did.
+    fn retire(&self, q: &Question, result: &Result<Vec<ResourceRecord>, DnsError>) {
+        let flight = lock(&self.inflight).remove(q).flatten();
+        if let Some(flight) = flight {
+            flight.complete(result.clone());
+        }
     }
 
     /// Send the led questions at `led` over UDP in windows of at most
@@ -782,16 +791,20 @@ impl Resolver for WireResolver {
                     joined.push((i, Arc::clone(flight)));
                 }
                 None => {
-                    // A leader caches its answer before it retires its
-                    // flight, so one that finished since the probe above
-                    // left the answer here: look again before leading.
-                    if let Some(result) = self.cache_get(q, false) {
-                        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        answers[i] = result;
-                        continue;
-                    }
                     inflight.insert(q.clone(), None);
-                    led.push(i);
+                    drop(inflight);
+                    // A leader caches its answer before it retires its
+                    // flight, so one that retired since the probe above
+                    // left the answer there: now that the question is
+                    // claimed, look again, and lead only on a miss.
+                    match self.cache_get(q, false) {
+                        Some(result) => {
+                            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                            self.retire(q, &result);
+                            answers[i] = result;
+                        }
+                        None => led.push(i),
+                    }
                 }
             }
         }
@@ -805,12 +818,8 @@ impl Resolver for WireResolver {
         // re-querying. Once the question has left `inflight` nobody can
         // join it, so a flight no follower made is never made.
         for &i in led.iter() {
-            let q = &questions[i];
-            self.cache_put(q, &answers[i]);
-            let flight = lock(&self.inflight).remove(q).flatten();
-            if let Some(flight) = flight {
-                flight.complete(answers[i].clone());
-            }
+            self.cache_put(&questions[i], &answers[i]);
+            self.retire(&questions[i], &answers[i]);
         }
         for (i, flight) in joined {
             answers[i] = flight.wait();
