@@ -14,13 +14,12 @@
 //! tallies, compiler counters) into its own accumulator, which comes
 //! back through its join handle. What the caller must place by rank
 //! (crawl reports, matrix rows) travels as one message per batch over
-//! an unbounded result channel that the calling thread drains while the
-//! workers run, so results stream into the caller's slot table instead
-//! of piling up per worker.
+//! an unbounded `std::sync::mpsc` channel that the calling thread
+//! drains while the workers run, so results stream into the caller's
+//! slot table instead of piling up per worker.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crossbeam::channel;
+use std::sync::mpsc;
 
 /// Scheduling counters of one [`run`].
 #[derive(Debug, Clone, Copy)]
@@ -67,7 +66,7 @@ where
     let batches = AtomicUsize::new(0);
 
     let accumulators = std::thread::scope(|scope| {
-        let (result_tx, result_rx) = channel::unbounded::<(usize, R)>();
+        let (result_tx, result_rx) = mpsc::channel::<(usize, R)>();
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let result_tx = result_tx.clone();

@@ -22,7 +22,8 @@
 //!   with one `sendmmsg` and drains the replies with `recvmmsg`, so a
 //!   crawled domain's root questions wait on the network once),
 //!   single-flight query coalescing (concurrent workers asking for the
-//!   same `include:` target share one in-flight datagram), TTL-aware
+//!   same `include:` target share one in-flight datagram, and wait for
+//!   its answer on a `std::sync::OnceLock` the leader sets), TTL-aware
 //!   positive *and* negative caching, RFC 7766 TCP fallback on
 //!   truncation, and a retry/timeout budget that degrades to
 //!   [`DnsError::Timeout`] — the same `temperror` surface the in-memory
@@ -42,7 +43,7 @@ use std::io::ErrorKind;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use nix::sys::socket::{recv_from_batch, set_recv_buffer_size, RecvSlot, SendPacket};
@@ -288,40 +289,12 @@ impl WireFleet {
     }
 }
 
-/// The shared result of one single-flight wire query. The first
-/// follower to join a question creates it; followers block on the
-/// condvar until the leader publishes the result.
-struct Flight {
-    state: Mutex<Option<Result<Vec<ResourceRecord>, DnsError>>>,
-    ready: Condvar,
-}
-
-impl Flight {
-    fn new() -> Self {
-        Flight {
-            state: Mutex::new(None),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Park until the result is published, then return a clone of it.
-    fn wait(&self) -> Result<Vec<ResourceRecord>, DnsError> {
-        let mut st = lock(&self.state);
-        while st.is_none() {
-            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-        st.as_ref().expect("checked above").clone()
-    }
-
-    fn complete(&self, result: Result<Vec<ResourceRecord>, DnsError>) {
-        *lock(&self.state) = Some(result);
-        self.ready.notify_all();
-    }
-}
+/// What a question resolves to, as [`Resolver::query`] reports it.
+type Answer = Result<Vec<ResourceRecord>, DnsError>;
 
 /// One cached answer with its expiry instant (on the resolver's clock).
 struct CacheEntry {
-    result: Result<Vec<ResourceRecord>, DnsError>,
+    result: Answer,
     expires_at: Duration,
 }
 
@@ -412,8 +385,9 @@ struct Outgoing {
 /// passes. A re-sent datagram counts one `retries`; a question still
 /// unanswered after the last attempt becomes [`DnsError::Timeout`] and
 /// counts one `temp_errors`; a truncated reply is fetched again over TCP
-/// for that question alone. The call then caches and completes every
-/// flight it leads *before* it waits on any flight it joined, so two
+/// for that question alone. The call then caches and retires every
+/// question it leads — `set`ting the `OnceLock` its followers `wait` on,
+/// if any joined — *before* it waits on any flight it joined, so two
 /// calls that each lead the other's questions cannot deadlock. A
 /// question asked twice in one call is answered after the first, as if
 /// asked by a later call.
@@ -424,9 +398,10 @@ pub struct WireResolver {
     counters: WireCounters,
     cache: RwLock<HashMap<Question, CacheEntry>>,
     /// The questions led to the wire right now, each with the flight its
-    /// followers wait on — made by the first follower, so a question
-    /// nobody joins costs no flight and no copy of its answer.
-    inflight: Mutex<HashMap<Question, Option<Arc<Flight>>>>,
+    /// followers wait on — the cell its leader sets once with the
+    /// answer, made by the first follower, so a question nobody joins
+    /// costs no flight and no copy of its answer.
+    inflight: Mutex<HashMap<Question, Option<Arc<OnceLock<Answer>>>>>,
     pool: SocketPool,
     next_id: AtomicU64,
 }
@@ -521,11 +496,7 @@ impl WireResolver {
 
     /// The live cached answer to `q`. An entry past its TTL reads as a
     /// miss and, when `count_expired`, counts one `cache_expired`.
-    fn cache_get(
-        &self,
-        q: &Question,
-        count_expired: bool,
-    ) -> Option<Result<Vec<ResourceRecord>, DnsError>> {
+    fn cache_get(&self, q: &Question, count_expired: bool) -> Option<Answer> {
         let cache = self.cache.read().unwrap_or_else(PoisonError::into_inner);
         let entry = cache.get(q)?;
         if entry.expires_at <= self.clock.now() {
@@ -537,7 +508,7 @@ impl WireResolver {
         Some(entry.result.clone())
     }
 
-    fn cache_put(&self, q: &Question, result: &Result<Vec<ResourceRecord>, DnsError>) {
+    fn cache_put(&self, q: &Question, result: &Answer) {
         let ttl = match result {
             Ok(rrs) if !rrs.is_empty() => {
                 let min_ttl = rrs.iter().map(|rr| rr.ttl).min().unwrap_or(0);
@@ -567,22 +538,18 @@ impl WireResolver {
 
     /// Release the claim on `q` and hand `result` to the callers that
     /// joined its flight, if any did.
-    fn retire(&self, q: &Question, result: &Result<Vec<ResourceRecord>, DnsError>) {
+    fn retire(&self, q: &Question, result: &Answer) {
         let flight = lock(&self.inflight).remove(q).flatten();
         if let Some(flight) = flight {
-            flight.complete(result.clone());
+            // Only the question's leader retires it, once.
+            let _ = flight.set(result.clone());
         }
     }
 
     /// Send the led questions at `led` over UDP in windows of at most
     /// `SERVE_BATCH` on one pooled socket, and store each outcome in
     /// `answers`.
-    fn resolve_over_wire(
-        &self,
-        questions: &[Question],
-        led: &[usize],
-        answers: &mut [Result<Vec<ResourceRecord>, DnsError>],
-    ) {
+    fn resolve_over_wire(&self, questions: &[Question], led: &[usize], answers: &mut [Answer]) {
         let mut pooled = match self.pool.acquire(self.config.timeout) {
             Ok(pooled) => pooled,
             Err(e) => {
@@ -727,12 +694,7 @@ impl WireResolver {
     /// reply's answers, a TCP re-fetch when the reply was truncated (RFC
     /// 7766), the exchange's socket error, or the budget-exhausted
     /// degradation to `temperror`.
-    fn settle(
-        &self,
-        o: Outgoing,
-        q: &Question,
-        failure: Option<&DnsError>,
-    ) -> Result<Vec<ResourceRecord>, DnsError> {
+    fn settle(&self, o: Outgoing, q: &Question, failure: Option<&DnsError>) -> Answer {
         let outcome = match (o.reply, failure) {
             (Some(resp), _) if resp.header.truncated => {
                 self.counters.tcp_fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -787,7 +749,7 @@ impl Resolver for WireResolver {
             match inflight.get_mut(q) {
                 Some(flight) => {
                     self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                    let flight = flight.get_or_insert_with(|| Arc::new(Flight::new()));
+                    let flight = flight.get_or_insert_with(Arc::default);
                     joined.push((i, Arc::clone(flight)));
                 }
                 None => {
@@ -822,7 +784,7 @@ impl Resolver for WireResolver {
             self.retire(&questions[i], &answers[i]);
         }
         for (i, flight) in joined {
-            answers[i] = flight.wait();
+            answers[i] = flight.wait().clone();
         }
         for i in repeats {
             self.query_many(&questions[i..=i], &mut answers[i..=i]);

@@ -12,7 +12,7 @@
 //! * [`resolver`]: the [`Resolver`] trait, the in-process
 //!   [`ZoneResolver`] and a query-counting layer;
 //! * [`udp`]: a real UDP + TCP name server over the wire codec, and the
-//!   batched datagram loop it shares with the verdict service;
+//!   datagram and accept loops it shares with the verdict service;
 //! * [`fleet`]: the wire-path crawl substrate — a hash-sharded
 //!   authoritative server fleet plus the coalescing, TTL-caching
 //!   [`WireResolver`], the one DNS-over-socket client;
@@ -38,7 +38,10 @@ pub use clock::{Clock, SystemClock, VirtualClock};
 pub use fleet::{WireClientConfig, WireFleet, WireResolver, WireSnapshot, WireStatsView};
 pub use record::{Question, RecordData, RecordType, ResourceRecord, TxtData};
 pub use resolver::{DnsError, Resolver, ZoneResolver};
-pub use udp::{bind_udp_tcp_pair, serve_datagrams, DatagramHandler, ServerConfig, UdpNameServer};
+pub use udp::{
+    bind_udp_tcp_pair, serve_connections, serve_datagrams, DatagramHandler, ServerConfig,
+    UdpNameServer,
+};
 pub use wire::{decode, encode, encode_uncompressed, Header, Message, Rcode, WireError};
 pub use zone::{LookupOutcome, ZoneFault, ZoneStore};
 

@@ -14,6 +14,8 @@
 //! `recvmmsg` / `sendmmsg` loop in the workspace; the verdict service's
 //! UDP listener runs on it too, with its own [`DatagramHandler`]. The
 //! client batches the same way per lookup call and shares `send_all`.
+//! The TCP half runs on [`serve_connections`], the one accept loop,
+//! which the verdict service and the receiving MTA share.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, SocketAddrV4, TcpListener, TcpStream, UdpSocket};
@@ -54,8 +56,8 @@ impl Default for ServerConfig {
 pub struct UdpNameServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-    tcp_handle: Option<JoinHandle<()>>,
+    /// The UDP and TCP server threads.
+    threads: Vec<JoinHandle<()>>,
     answered: Arc<AtomicU64>,
     tcp_answered: Arc<AtomicU64>,
 }
@@ -67,7 +69,6 @@ impl UdpNameServer {
         // never truncated.
         let (socket, tcp_listener) = bind_udp_tcp_pair()?;
         socket.set_read_timeout(Some(Duration::from_millis(25)))?;
-        tcp_listener.set_nonblocking(true)?;
         let addr = socket.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let answered = Arc::new(AtomicU64::new(0));
@@ -83,16 +84,16 @@ impl UdpNameServer {
         let tcp_shutdown = Arc::clone(&shutdown);
         let tcp_answered = Arc::new(AtomicU64::new(0));
         let tcp_counter = Arc::clone(&tcp_answered);
+        let serve = move |stream, _| {
+            let _ = serve_tcp_connection(stream, &store, &tcp_counter);
+        };
         let tcp_handle = std::thread::Builder::new()
             .name("tcp-nameserver".into())
-            .spawn(move || {
-                serve_tcp_loop(tcp_listener, store, tcp_shutdown, tcp_counter);
-            })?;
+            .spawn(move || serve_connections(tcp_listener, &tcp_shutdown, "tcp-ns-conn", serve))?;
         Ok(UdpNameServer {
             addr,
             shutdown,
-            handle: Some(handle),
-            tcp_handle: Some(tcp_handle),
+            threads: vec![handle, tcp_handle],
             answered,
             tcp_answered,
         })
@@ -117,11 +118,8 @@ impl UdpNameServer {
 impl Drop for UdpNameServer {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.tcp_handle.take() {
-            let _ = h.join();
+        for handle in self.threads.drain(..) {
+            let _ = handle.join();
         }
     }
 }
@@ -160,22 +158,76 @@ fn bind_pair_with(
     ))
 }
 
-fn serve_tcp_loop(
+/// How often [`serve_connections`] polls its listener and `shutdown`.
+const ACCEPT_POLL: Duration = Duration::from_millis(5);
+
+/// The TCP accept loop of [`UdpNameServer`]'s RFC 7766 listener, the
+/// verdict service's TCP side and the receiving MTA. It makes `listener`
+/// non-blocking and polls it every `ACCEPT_POLL` until `shutdown` is
+/// set, serving each connection on a thread named `name` that runs a
+/// clone of `handler`; a connection whose thread cannot be spawned is
+/// dropped, which closes it. Finished threads are joined after every
+/// accept and every idle poll, so an exited thread's stack is released
+/// at once, not when the server stops. On shutdown the live ones are
+/// joined, so a handler must end by itself: on a read timeout that
+/// checks the flag, or when its peer hangs up.
+pub fn serve_connections<F>(listener: TcpListener, shutdown: &AtomicBool, name: &str, handler: F)
+where
+    F: FnOnce(TcpStream, SocketAddr) + Clone + Send + 'static,
+{
+    accept_loop(listener, shutdown, name, handler);
+}
+
+/// [`serve_connections`], returning its bookkeeping for a test to read.
+fn accept_loop<F>(
     listener: TcpListener,
-    store: Arc<ZoneStore>,
-    shutdown: Arc<AtomicBool>,
-    answered: Arc<AtomicU64>,
-) {
+    shutdown: &AtomicBool,
+    name: &str,
+    handler: F,
+) -> Connections
+where
+    F: FnOnce(TcpStream, SocketAddr) + Clone + Send + 'static,
+{
+    let mut connections = Connections::default();
+    // A blocking accept would never look at the flag.
+    if listener.set_nonblocking(true).is_err() {
+        return connections;
+    }
     while !shutdown.load(Ordering::Relaxed) {
         match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = serve_tcp_connection(stream, &store, &answered);
+            Ok((stream, peer)) => {
+                let handler = handler.clone();
+                let thread = std::thread::Builder::new().name(name.into());
+                // A failed spawn drops the closure, and the stream with it.
+                let spawned = thread.spawn(move || handler(stream, peer));
+                connections.live.extend(spawned.ok());
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
             Err(_) => break,
         }
+        connections.reap();
+    }
+    for handle in connections.live.drain(..) {
+        let _ = handle.join();
+    }
+    connections
+}
+
+/// The connection threads of one [`accept_loop`].
+#[derive(Default)]
+struct Connections {
+    live: Vec<JoinHandle<()>>,
+    /// The most threads `live` held after a reap.
+    peak: usize,
+}
+
+impl Connections {
+    /// Join the threads that have finished.
+    fn reap(&mut self) {
+        for handle in self.live.extract_if(.., |handle| handle.is_finished()) {
+            let _ = handle.join();
+        }
+        self.peak = self.peak.max(self.live.len());
     }
 }
 
@@ -460,6 +512,7 @@ mod tests {
     use crate::resolver::Resolver;
     use spf_testkit::dom;
     use std::net::Ipv4Addr;
+    use std::time::Instant;
 
     fn server_with(store: &Arc<ZoneStore>) -> UdpNameServer {
         UdpNameServer::spawn(Arc::clone(store), ServerConfig::default()).unwrap()
@@ -474,6 +527,82 @@ mod tests {
         fn handle(&mut self, datagram: &[u8], _peer: SocketAddrV4, reply: &mut Vec<u8>) {
             reply.extend_from_slice(datagram);
         }
+    }
+
+    /// A hundred short connections, one after another, are each served,
+    /// and the loop holds at most two connection threads at any time
+    /// (the one it just accepted, and one that has answered but not yet
+    /// exited) rather than one per connection ever served. Shutdown then
+    /// joins a connection that is still open, within one poll plus the
+    /// handler's read timeout (and an allowance for a loaded host).
+    #[test]
+    fn finished_connections_are_reaped_and_shutdown_joins_the_live_ones() {
+        const CONNECTIONS: usize = 100;
+        const READ_TIMEOUT: Duration = Duration::from_millis(100);
+        const SCHEDULING: Duration = Duration::from_millis(150);
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let handled = Arc::new(AtomicU64::new(0));
+        // Echo each byte until the peer hangs up, or until a read times
+        // out after shutdown was set.
+        let handler = {
+            let (shutdown, handled) = (Arc::clone(&shutdown), Arc::clone(&handled));
+            move |mut stream: TcpStream, _peer: SocketAddr| {
+                stream.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+                let mut byte = [0u8; 1];
+                loop {
+                    match stream.read(&mut byte) {
+                        Ok(0) => return,
+                        Ok(_) => {
+                            handled.fetch_add(1, Ordering::Relaxed);
+                            if stream.write_all(&byte).is_err() {
+                                return;
+                            }
+                        }
+                        Err(_) if shutdown.load(Ordering::Relaxed) => return,
+                        Err(_) => {}
+                    }
+                }
+            }
+        };
+        let server = std::thread::spawn({
+            let shutdown = Arc::clone(&shutdown);
+            move || accept_loop(listener, &shutdown, "test-conn", handler)
+        });
+        let echo = |stream: &mut TcpStream, byte: u8| {
+            stream.write_all(&[byte]).unwrap();
+            let mut back = [0u8; 1];
+            stream.read_exact(&mut back).unwrap();
+            assert_eq!(back[0], byte);
+        };
+        for i in 0..CONNECTIONS {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            echo(&mut stream, i as u8);
+            // Hang up and wait for the handler's end of the stream to
+            // close: its closure has returned.
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+            assert_eq!(stream.read(&mut [0u8; 1]).unwrap(), 0);
+        }
+        assert_eq!(handled.load(Ordering::Relaxed), CONNECTIONS as u64);
+
+        let mut open = TcpStream::connect(addr).unwrap();
+        echo(&mut open, 0xff);
+        let asked = Instant::now();
+        shutdown.store(true, Ordering::Relaxed);
+        let connections = server.join().unwrap();
+        let took = asked.elapsed();
+        assert!(
+            took <= ACCEPT_POLL + READ_TIMEOUT + SCHEDULING,
+            "shutdown took {took:?}"
+        );
+        assert!(connections.live.is_empty());
+        assert!(
+            connections.peak <= 2,
+            "{} connection threads held at once",
+            connections.peak
+        );
+        assert_eq!(handled.load(Ordering::Relaxed), CONNECTIONS as u64 + 1);
     }
 
     /// The UDP side of a port can be free while its TCP side is held by

@@ -9,6 +9,7 @@
 //!   crate's batched datagram loop ([`spf_dns::serve_datagrams`], shared
 //!   with [`UdpNameServer`](spf_dns::UdpNameServer)): one `recvmmsg` per
 //!   batch of queries, one `sendmmsg` for every reply the listener wrote.
+//!   The TCP listener is its accept loop, [`spf_dns::serve_connections`].
 //! * **Inline answers** — `dispatch` (shared by the UDP listener and
 //!   the TCP connection threads) decodes a frame, probes the compiled
 //!   store once, and answers on the spot a plain query whose domain's
@@ -20,7 +21,8 @@
 //! * **Queue** — everything that can touch the resolver (a first-time
 //!   or TTL-expired compile, a residual address, a stacked query, every
 //!   query of a service without a compiled backend) is `try_send`-ed as
-//!   a job into one bounded channel, carrying the probe's result so the
+//!   a job into one bounded queue (a `Mutex<VecDeque>` and a `Condvar`),
+//!   carrying the probe's result so the
 //!   store is probed once per query; a full queue yields an immediate
 //!   typed `overloaded` response, never a silently dropped datagram.
 //! * **Workers** — a fixed pool drains the queue, runs `check_host`
@@ -29,9 +31,9 @@
 //!   replies on the transport the query arrived on. On both paths
 //!   counters increment before the reply leaves, so a client that has
 //!   seen its response can never observe a stale counter.
-//! * **Shutdown** — the flag stops the listeners; dropping the last
-//!   queue sender lets workers drain every job already admitted before
-//!   exiting, so accepted queries are always answered. Queries arriving
+//! * **Shutdown** — the flag stops the listeners; closing the queue
+//!   once they are joined lets workers drain every job already admitted
+//!   before exiting, so accepted queries are always answered. Queries arriving
 //!   *during* the drain get a typed `shutting-down` response.
 //!
 //! Answering inline and batching the socket calls are one change, not
@@ -52,21 +54,24 @@
 //! whose transparency DESIGN.md §8 establishes and §9 extends to the
 //! TTL/LRU layers.
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, SocketAddrV4, TcpListener, TcpStream, UdpSocket};
+use std::net::{SocketAddr, SocketAddrV4, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, TrySendError};
 use serde::Serialize;
 use spf_core::{
     auth_layers, check_host, check_host_cached, compile_policy_shared, AuthCacheStats, AuthOutcome,
     CompileConfig, CompiledPolicy, CompilerStats, EvalContext, EvalPolicy, Evaluation, SubtreeMemo,
     SubtreeMemoStats,
 };
-use spf_dns::{bind_udp_tcp_pair, serve_datagrams, Clock, DatagramHandler, Resolver, SystemClock};
+use spf_dns::{
+    bind_udp_tcp_pair, serve_connections, serve_datagrams, Clock, DatagramHandler, Resolver,
+    SystemClock,
+};
 use spf_types::{render_stats, Backend, DomainName, Evaluator, StatItem, Stats};
 
 use crate::cache::{ServiceVerdictCache, TtlLru, TtlLruConfig, TtlLruStats};
@@ -544,6 +549,72 @@ fn write_error(out: &mut Vec<u8>, id: u64, status: Status, message: &str) {
         .expect("status messages are a few dozen bytes");
 }
 
+/// The bounded request queue from the listeners to the workers, who
+/// sleep on `ready` while it is empty (DESIGN.md §9 says why this is not
+/// a `sync_channel`). A poisoned lock is recovered: a push, a pop and
+/// closing each leave the queue whole.
+struct JobQueue {
+    state: Mutex<Queued>,
+    ready: Condvar,
+    capacity: usize,
+}
+
+struct Queued {
+    jobs: VecDeque<Job>,
+    /// Cleared once at shutdown, after every listener has stopped.
+    open: bool,
+}
+
+impl JobQueue {
+    fn new(capacity: usize) -> Self {
+        JobQueue {
+            state: Mutex::new(Queued {
+                jobs: VecDeque::new(),
+                open: true,
+            }),
+            ready: Condvar::new(),
+            capacity,
+        }
+    }
+
+    /// Admit `job` and wake one sleeping worker, or refuse it with the
+    /// status a full (`Overloaded`) or closed (`ShuttingDown`) queue
+    /// answers.
+    fn try_send(&self, job: Job) -> Result<(), Status> {
+        let mut queued = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if !queued.open {
+            return Err(Status::ShuttingDown);
+        }
+        if queued.jobs.len() >= self.capacity {
+            return Err(Status::Overloaded);
+        }
+        queued.jobs.push_back(job);
+        drop(queued);
+        self.ready.notify_one();
+        Ok(())
+    }
+
+    /// The next job, waiting for one while the queue is open; `None`
+    /// once it is closed and empty.
+    fn recv(&self) -> Option<Job> {
+        let queued = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut queued = self
+            .ready
+            .wait_while(queued, |queued| queued.jobs.is_empty() && queued.open)
+            .unwrap_or_else(PoisonError::into_inner);
+        queued.jobs.pop_front()
+    }
+
+    /// Refuse new jobs; the workers finish the admitted ones and exit.
+    fn close(&self) {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .open = false;
+        self.ready.notify_all();
+    }
+}
+
 /// Everything the daemon's threads share.
 struct Shared {
     resolver: Arc<dyn Resolver>,
@@ -551,6 +622,7 @@ struct Shared {
     compiled: Option<CompiledBackend>,
     counters: Counters,
     latency: LogHistogram,
+    queue: JobQueue,
     shutdown: AtomicBool,
 }
 
@@ -631,7 +703,6 @@ impl Shared {
 /// and, from `reply_path`, the way back.
 fn dispatch(
     shared: &Shared,
-    job_tx: &channel::Sender<Job>,
     decoded: Result<Frame, FrameError>,
     raw_payload: &[u8],
     reply_path: impl FnOnce() -> ReplyPath,
@@ -674,6 +745,7 @@ fn dispatch(
             return;
         }
     }
+    let id = query.id;
     let job = Job {
         query,
         decoded_at,
@@ -688,25 +760,20 @@ fn dispatch(
     counters
         .peak_queue_depth
         .fetch_max(depth, Ordering::Relaxed);
-    match job_tx.try_send(job) {
-        Ok(()) => {}
-        Err(TrySendError::Full(job)) => {
-            counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            counters.overloaded.fetch_add(1, Ordering::Relaxed);
-            write_error(out, job.query.id, Status::Overloaded, "request queue full");
-        }
-        Err(TrySendError::Disconnected(job)) => {
-            counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            counters.shutdown_rejects.fetch_add(1, Ordering::Relaxed);
-            write_error(out, job.query.id, Status::ShuttingDown, "service stopped");
-        }
+    if let Err(status) = shared.queue.try_send(job) {
+        counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        let (refusals, message) = match status {
+            Status::Overloaded => (&counters.overloaded, "request queue full"),
+            _ => (&counters.shutdown_rejects, "service stopped"),
+        };
+        refusals.fetch_add(1, Ordering::Relaxed);
+        write_error(out, id, status, message);
     }
 }
 
 /// The UDP listener's side of [`serve_datagrams`].
 struct UdpListener {
     shared: Arc<Shared>,
-    job_tx: channel::Sender<Job>,
     /// The way back for queued queries; the loop itself sends what
     /// `dispatch` answered inline.
     socket: Arc<UdpSocket>,
@@ -727,7 +794,6 @@ impl DatagramHandler for UdpListener {
             .fetch_add(1, Ordering::Relaxed);
         dispatch(
             &self.shared,
-            &self.job_tx,
             decode_datagram(datagram),
             datagram.get(LEN_PREFIX..).unwrap_or(&[]),
             || ReplyPath::Udp {
@@ -739,38 +805,7 @@ impl DatagramHandler for UdpListener {
     }
 }
 
-fn tcp_accept_loop(listener: TcpListener, job_tx: channel::Sender<Job>, shared: Arc<Shared>) {
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let tx = job_tx.clone();
-                let shared = Arc::clone(&shared);
-                if let Ok(handle) = std::thread::Builder::new()
-                    .name("svc-tcp-conn".into())
-                    .spawn(move || {
-                        let _ = tcp_connection_loop(stream, tx, shared);
-                    })
-                {
-                    connections.push(handle);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
-    for handle in connections {
-        let _ = handle.join();
-    }
-}
-
-fn tcp_connection_loop(
-    mut stream: TcpStream,
-    job_tx: channel::Sender<Job>,
-    shared: Arc<Shared>,
-) -> std::io::Result<()> {
+fn tcp_connection_loop(mut stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(25)))?;
     stream.set_nodelay(true)?;
     // Responses go through a shared, mutex-guarded clone so pipelined
@@ -792,8 +827,7 @@ fn tcp_connection_loop(
                         Ok(Some((used, payload))) => {
                             shared.counters.tcp_frames.fetch_add(1, Ordering::Relaxed);
                             dispatch(
-                                &shared,
-                                &job_tx,
+                                shared,
                                 decode_payload(payload),
                                 payload,
                                 || ReplyPath::Tcp {
@@ -838,9 +872,9 @@ fn tcp_connection_loop(
     }
 }
 
-fn worker_loop(job_rx: channel::Receiver<Job>, shared: Arc<Shared>) {
+fn worker_loop(shared: &Shared) {
     let mut out: Vec<u8> = Vec::new();
-    while let Ok(job) = job_rx.recv() {
+    while let Some(job) = shared.queue.recv() {
         shared.counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
         let Job {
             query,
@@ -883,10 +917,9 @@ fn worker_loop(job_rx: channel::Receiver<Job>, shared: Arc<Shared>) {
 pub struct VerdictService {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    udp_handle: Option<JoinHandle<()>>,
-    tcp_handle: Option<JoinHandle<()>>,
+    /// The UDP and TCP listener threads.
+    listeners: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    job_tx: Option<channel::Sender<Job>>,
 }
 
 impl VerdictService {
@@ -907,7 +940,6 @@ impl VerdictService {
         let socket = Arc::new(socket);
         socket.set_read_timeout(Some(Duration::from_millis(25)))?;
         let addr = socket.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let shared = Arc::new(Shared {
             resolver,
@@ -917,15 +949,14 @@ impl VerdictService {
                 .then(|| CompiledBackend::new(config.store, clock)),
             counters: Counters::default(),
             latency: LogHistogram::new(),
+            queue: JobQueue::new(config.queue_capacity.max(1)),
             shutdown: AtomicBool::new(false),
         });
-        let (job_tx, job_rx) = channel::bounded::<Job>(config.queue_capacity.max(1));
 
         let udp_handle = std::thread::Builder::new().name("svc-udp".into()).spawn({
             let shared = Arc::clone(&shared);
             let mut handler = UdpListener {
                 shared: Arc::clone(&shared),
-                job_tx: job_tx.clone(),
                 socket: Arc::clone(&socket),
             };
             move || {
@@ -938,9 +969,14 @@ impl VerdictService {
             }
         })?;
         let tcp_handle = std::thread::Builder::new().name("svc-tcp".into()).spawn({
-            let job_tx = job_tx.clone();
             let shared = Arc::clone(&shared);
-            move || tcp_accept_loop(listener, job_tx, shared)
+            let serve = {
+                let shared = Arc::clone(&shared);
+                move |stream, _| {
+                    let _ = tcp_connection_loop(stream, &shared);
+                }
+            };
+            move || serve_connections(listener, &shared.shutdown, "svc-tcp-conn", serve)
         })?;
 
         let mut workers = Vec::with_capacity(config.workers.max(1));
@@ -948,21 +984,17 @@ impl VerdictService {
             let handle = std::thread::Builder::new()
                 .name(format!("svc-worker-{i}"))
                 .spawn({
-                    let job_rx = job_rx.clone();
                     let shared = Arc::clone(&shared);
-                    move || worker_loop(job_rx, shared)
+                    move || worker_loop(&shared)
                 })?;
             workers.push(handle);
         }
-        drop(job_rx);
 
         Ok(VerdictService {
             addr,
             shared,
-            udp_handle: Some(udp_handle),
-            tcp_handle: Some(tcp_handle),
+            listeners: vec![udp_handle, tcp_handle],
             workers,
-            job_tx: Some(job_tx),
         })
     }
 
@@ -1015,16 +1047,13 @@ impl VerdictService {
     /// during the drain get a typed `shutting-down` response. Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.udp_handle.take() {
-            let _ = h.join();
+        for handle in self.listeners.drain(..) {
+            let _ = handle.join();
         }
-        if let Some(h) = self.tcp_handle.take() {
-            let _ = h.join();
-        }
-        // With the listeners (and their connection threads) joined, ours
-        // is the last sender: dropping it lets workers finish the queue
-        // and observe the disconnect.
-        self.job_tx = None;
+        // With the listeners (and their connection threads) joined,
+        // nothing sends any more: closing the queue lets the workers
+        // finish it and exit.
+        self.shared.queue.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }

@@ -25,7 +25,7 @@ use spf_core::{
     check_host, organizational_domain, query_dmarc, received_spf_header, DmarcDisposition,
     EvalContext, EvalPolicy, SpfResult,
 };
-use spf_dns::Resolver;
+use spf_dns::{serve_connections, Resolver};
 use spf_types::DomainName;
 
 use crate::codec::{Command, Reply};
@@ -128,42 +128,17 @@ impl SmtpServer {
         config: MtaConfig,
     ) -> std::io::Result<SmtpServer> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let received = Arc::new(Mutex::new(Vec::new()));
         let t_shutdown = Arc::clone(&shutdown);
         let t_received = Arc::clone(&received);
+        let session = move |stream, peer| {
+            let _ = serve_session(stream, peer, resolver, config, t_received);
+        };
         let handle = std::thread::Builder::new()
             .name("smtp-server".into())
-            .spawn(move || {
-                let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-                while !t_shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, peer)) => {
-                            let resolver = Arc::clone(&resolver);
-                            let config = config.clone();
-                            let received = Arc::clone(&t_received);
-                            sessions.push(
-                                std::thread::Builder::new()
-                                    .name("smtp-session".into())
-                                    .spawn(move || {
-                                        let _ =
-                                            serve_session(stream, peer, resolver, config, received);
-                                    })
-                                    .expect("spawn session"),
-                            );
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
-                    }
-                }
-                for s in sessions {
-                    let _ = s.join();
-                }
-            })?;
+            .spawn(move || serve_connections(listener, &t_shutdown, "smtp-session", session))?;
         Ok(SmtpServer {
             addr,
             shutdown,

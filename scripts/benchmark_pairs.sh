@@ -5,9 +5,13 @@
 #   scripts/benchmark_pairs.sh <workload> [--pairs N] [--seconds S]
 #       [--parent <ref>] [--seed <first>] [--dir <scratch>]
 #
-# Builds the parent (`git archive <ref>`, default HEAD, unpacked under
-# the scratch directory) and the change (this working tree) into two
-# target directories of their own, then makes N pairs of runs (default
+# Builds the parent (`git archive <ref>`, default HEAD, unpacked into
+# <scratch>/parent-src) and the change (this working tree, uncommitted
+# edits and untracked files git does not ignore included, copied into
+# <scratch>/change-src) into two target directories of their own. Both
+# sides build from paths of equal length outside the checkout: one tree
+# built in the checkout and under the scratch directory read
+# `crawl-wire` about 5 % apart. Then it makes N pairs of runs (default
 # 10, `--seconds` default BENCHMARK.json's `run_seconds`): pair i runs
 # both sides on seed `first + i`, the parent first in even pairs and the
 # change first in odd ones. `first` defaults to the clock, so no two
@@ -22,8 +26,6 @@
 # gain (the nine-in-ten rule) is still the reader's to check.
 #
 # The scratch directory defaults to .bench_build/pairs (ignored by git).
-# Building the benchmark may rewrite benchmark/Cargo.lock; it is
-# restored on exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,16 +51,20 @@ grep -q "{\"name\": \"$workload\"" BENCHMARK.json \
 
 mkdir -p "$dir"
 dir="$(cd "$dir" && pwd)"
-trap 'git checkout -q -- benchmark/Cargo.lock' EXIT
 
 rev="$(git rev-parse --short "$parent")"
-rm -rf "$dir/parent-src"
-mkdir -p "$dir/parent-src"
+rm -rf "$dir/parent-src" "$dir/change-src"
+mkdir -p "$dir/parent-src" "$dir/change-src"
 git archive "$parent" | tar -x -C "$dir/parent-src"
+# Every file git tracks or would track, as it is on disk now; a tracked
+# file deleted in the working tree is left out.
+git ls-files -z --cached --others --exclude-standard \
+    | while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done \
+    | tar --null -T - -cf - | tar -x -C "$dir/change-src"
 echo "== building parent ($rev)" >&2
 parent_bin="$(CARGO_TARGET_DIR="$dir/parent-target" bash "$dir/parent-src/benchmark/run.sh" --build-only)"
 echo "== building change (working tree)" >&2
-change_bin="$(CARGO_TARGET_DIR="$dir/change-target" bash benchmark/run.sh --build-only)"
+change_bin="$(CARGO_TARGET_DIR="$dir/change-target" bash "$dir/change-src/benchmark/run.sh" --build-only)"
 
 python3 - "$workload" "$pairs" "$seconds" "$first_seed" "$rev" "$parent_bin" "$change_bin" <<'PY'
 import json, statistics, subprocess, sys

@@ -42,6 +42,7 @@ fn auth_matrix_byte_identical_across_worker_and_cache_grid() {
         engine_config(1, Evaluator::Interpreted),
     );
     assert!(reference.contains("\"residual_spoofable\""));
+    assert!(reference.contains("\"spoofable_shared\""));
     for workers in [1usize, 4, 32] {
         for evaluator in Evaluator::ALL {
             if (workers, evaluator) == (1, Evaluator::Interpreted) {
@@ -58,31 +59,6 @@ fn auth_matrix_byte_identical_across_worker_and_cache_grid() {
                 "+{evaluator} v2 diverged at workers={workers}"
             );
         }
-    }
-}
-
-#[test]
-fn matrix_byte_identical_across_memory_matrix() {
-    let (world, vantages) = world_at(500);
-    let resolver = ZoneResolver::new(Arc::clone(&world.store));
-    let reference = auth_json(
-        &resolver,
-        &world,
-        &vantages,
-        engine_config(1, Evaluator::Interpreted),
-    );
-    assert!(reference.contains("\"spoofable_shared\""));
-    for workers in [1usize, 4, 32] {
-        let cached = auth_json(
-            &resolver,
-            &world,
-            &vantages,
-            CrawlConfig::with_workers(workers),
-        );
-        assert!(
-            cached == reference,
-            "cached matrix diverged at workers={workers}"
-        );
     }
 }
 

@@ -222,11 +222,11 @@ fn spoof_matrices_match_golden_digests_under_every_evaluator() {
         &computed,
         &[
             ("spoof-matrix+interpreted", 0x9be7_2431_597c_6340),
-            ("spoof-matrix --stack+interpreted", 0x8060_5abf_95cd_9a8e),
+            ("spoof-matrix --stack+interpreted", 0xca29_d90e_d57c_3543),
             ("spoof-matrix+cached", 0x9be7_2431_597c_6340),
-            ("spoof-matrix --stack+cached", 0x8060_5abf_95cd_9a8e),
-            ("spoof-matrix+compiled", 0x7a73_5383_0c19_2f8d),
-            ("spoof-matrix --stack+compiled", 0x8060_5abf_95cd_9a8e),
+            ("spoof-matrix --stack+cached", 0xca29_d90e_d57c_3543),
+            ("spoof-matrix+compiled", 0x541f_a641_0eb5_bbf5),
+            ("spoof-matrix --stack+compiled", 0xca29_d90e_d57c_3543),
         ],
     );
 }
