@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use spf_core::dmarc::{self, DmarcLookup};
-use spf_dns::{DnsError, Question, RecordType, Resolver, ResourceRecord};
+use spf_dns::{DnsError, Question, RecordType, Resolver, RrSet};
 use spf_types::DomainName;
 
 use crate::taxonomy::{primary_class, ErrorClass};
@@ -91,7 +91,7 @@ pub fn analyze_domain<R: Resolver>(walker: &Walker<R>, domain: &DomainName) -> D
     let root = || Question::new(domain.clone(), RecordType::Txt);
     // Questions and answers both stay on the stack: on the in-memory path
     // batching allocates nothing.
-    let mut answers: [Result<Vec<ResourceRecord>, DnsError>; 4] = [const { Ok(Vec::new()) }; 4];
+    let mut answers: [Result<RrSet, DnsError>; 4] = [const { Ok(RrSet::EMPTY) }; 4];
     match (dmarc_question, memoized.is_none()) {
         (Some(dmarc), true) => resolver.query_many(&[mx, spf, dmarc, root()], &mut answers),
         (Some(dmarc), false) => resolver.query_many(&[mx, spf, dmarc], &mut answers[..3]),
@@ -250,11 +250,7 @@ mod tests {
     }
 
     impl Resolver for Recording {
-        fn query(
-            &self,
-            name: &DomainName,
-            rtype: RecordType,
-        ) -> Result<Vec<spf_dns::ResourceRecord>, spf_dns::DnsError> {
+        fn query(&self, name: &DomainName, rtype: RecordType) -> Result<RrSet, DnsError> {
             self.asked
                 .lock()
                 .unwrap()
@@ -338,8 +334,8 @@ mod tests {
                 for (query, peer) in held.drain(..) {
                     let (rcode, answers) = match store.lookup_question(&query.questions[0]) {
                         LookupOutcome::Records(rrs) => (Rcode::NoError, rrs),
-                        LookupOutcome::NxDomain => (Rcode::NxDomain, Vec::new()),
-                        _ => (Rcode::NoError, Vec::new()),
+                        LookupOutcome::NxDomain => (Rcode::NxDomain, RrSet::EMPTY),
+                        _ => (Rcode::NoError, RrSet::EMPTY),
                     };
                     let reply = spf_dns::encode(&Message::response(&query, rcode, answers));
                     socket.send_to(&reply.unwrap(), peer).unwrap();

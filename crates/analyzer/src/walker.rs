@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use spf_core::parse::{self, ParsedRecord};
-use spf_dns::{DnsError, RecordData, RecordType, Resolver, ResourceRecord};
+use spf_dns::{DnsError, RecordData, RecordType, Resolver, RrSet};
 use spf_types::{
     CacheStats, DomainName, Ipv4Cidr, Ipv4Set, MacroString, Mechanism, Modifier, ShardedCache,
     SpfRecord, Term, MAX_DNS_LOOKUPS, MAX_VOID_LOOKUPS,
@@ -203,7 +203,7 @@ impl<R: Resolver> Walker<R> {
     pub(crate) fn analyze_answered(
         &self,
         domain: &DomainName,
-        answer: Result<Vec<ResourceRecord>, DnsError>,
+        answer: Result<RrSet, DnsError>,
     ) -> Arc<RecordAnalysis> {
         let mut stack = Vec::new();
         let (analysis, complete) = self.walk_fresh(domain, answer, &mut stack, 0);
@@ -279,7 +279,7 @@ impl<R: Resolver> Walker<R> {
     fn walk_fresh(
         &self,
         domain: &DomainName,
-        answer: Result<Vec<ResourceRecord>, DnsError>,
+        answer: Result<RrSet, DnsError>,
         stack: &mut Vec<DomainName>,
         depth: usize,
     ) -> (RecordAnalysis, bool) {
@@ -576,7 +576,7 @@ impl<R: Resolver> Walker<R> {
         match self.resolver.query(name, RecordType::A) {
             Ok(rrs) if rrs.is_empty() => analysis.subtree_void_lookups += 1,
             Ok(rrs) => {
-                for rr in rrs {
+                for rr in &rrs {
                     if let RecordData::A(addr) = rr.data {
                         let net = Ipv4Cidr::new(addr, prefix).expect("prefix validated");
                         analysis.ips.insert_cidr(&net);
@@ -602,9 +602,9 @@ impl<R: Resolver> Walker<R> {
             }
             Err(_) => return,
         };
-        for rr in exchanges {
-            if let RecordData::Mx { exchange, .. } = rr.data {
-                self.collect_a_records(&exchange, prefix, analysis);
+        for rr in &exchanges {
+            if let RecordData::Mx { exchange, .. } = &rr.data {
+                self.collect_a_records(exchange, prefix, analysis);
             }
         }
     }
@@ -635,9 +635,7 @@ impl<R: Resolver> Walker<R> {
 }
 
 /// Select and parse the one SPF record of a TXT answer.
-fn select_record(
-    answer: Result<Vec<ResourceRecord>, DnsError>,
-) -> Result<(String, ParsedRecord), FetchOutcome> {
+fn select_record(answer: Result<RrSet, DnsError>) -> Result<(String, ParsedRecord), FetchOutcome> {
     let answers = match answer {
         Ok(a) => a,
         Err(DnsError::NxDomain) => return Err(FetchOutcome::NxDomain),

@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use serde::Serialize;
-use spf_dns::{DnsError, RecordData, RecordType, Resolver, ResourceRecord};
+use spf_dns::{DnsError, RecordData, RecordType, Resolver, ResourceRecord, RrSet};
 use spf_types::{
     DomainName, DualCidr, Ipv4Cidr, Ipv4Set, Ipv6Cidr, Ipv6Set, MacroLetter, MacroString,
     MacroToken, Mechanism, ShardedCache, SpfRecord, StatItem, Term,
@@ -1093,11 +1093,7 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
         out
     }
 
-    fn query(
-        &mut self,
-        name: &DomainName,
-        rtype: RecordType,
-    ) -> Result<Vec<ResourceRecord>, DnsError> {
+    fn query(&mut self, name: &DomainName, rtype: RecordType) -> Result<RrSet, DnsError> {
         self.queries += 1;
         self.resolver.query(name, rtype)
     }
@@ -1607,7 +1603,7 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
                 for g in &mut groups {
                     g.voids += 1;
                 }
-                Vec::new()
+                RrSet::EMPTY
             }
             Err(e) if e.is_transient() => {
                 self.park_residue(
@@ -1618,7 +1614,7 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
                 );
                 return MatchOut::empty();
             }
-            Err(_) => Vec::new(),
+            Err(_) => RrSet::EMPTY,
         };
         let mut names: Vec<DomainName> = exchanges
             .iter()

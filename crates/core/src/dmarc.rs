@@ -5,7 +5,7 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use spf_dns::{DnsError, Question, RecordData, RecordType, Resolver, ResourceRecord};
+use spf_dns::{DnsError, Question, RecordData, RecordType, Resolver, RrSet};
 use spf_types::DomainName;
 
 /// The `p=`/`sp=` policy values.
@@ -301,7 +301,7 @@ fn query_dmarc_at<R: Resolver + ?Sized>(resolver: &R, domain: &DomainName) -> Dm
 
 /// Read the DMARC record out of a `_dmarc` TXT answer (`None`: no
 /// question could be asked).
-fn dmarc_lookup(answer: Option<Result<Vec<ResourceRecord>, DnsError>>) -> DmarcLookup {
+fn dmarc_lookup(answer: Option<Result<RrSet, DnsError>>) -> DmarcLookup {
     let answers = match answer {
         None | Some(Err(DnsError::NxDomain)) => return DmarcLookup::NotFound,
         Some(Err(_)) => return DmarcLookup::TempError,
@@ -339,7 +339,7 @@ pub fn query_dmarc<R: Resolver + ?Sized>(resolver: &R, domain: &DomainName) -> D
 pub fn query_dmarc_answered<R: Resolver + ?Sized>(
     resolver: &R,
     domain: &DomainName,
-    answer: Option<Result<Vec<ResourceRecord>, DnsError>>,
+    answer: Option<Result<RrSet, DnsError>>,
 ) -> DmarcLookup {
     let direct = dmarc_lookup(answer);
     if !matches!(direct, DmarcLookup::NotFound) {

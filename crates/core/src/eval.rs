@@ -26,7 +26,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use spf_dns::{DnsError, RecordData, RecordType, Resolver, ResourceRecord};
+use spf_dns::{DnsError, RecordData, RecordType, Resolver, RrSet};
 use spf_types::{
     CacheKey, DomainHasher, DomainName, DualCidr, Ipv4Cidr, Ipv6Cidr, MacroString, Mechanism,
     Modifier, Qualifier, SpfRecord, Term, MAX_DNS_LOOKUPS, MAX_VOID_LOOKUPS,
@@ -934,12 +934,12 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
                     }
                     Err(DnsError::NxDomain) => {
                         self.count_void();
-                        Vec::new()
+                        RrSet::EMPTY
                     }
                     Err(e) if e.is_transient() => {
                         return Err(EvalProblem::DnsTransient { domain: name })
                     }
-                    Err(_) => Vec::new(),
+                    Err(_) => RrSet::EMPTY,
                 };
                 let mut names: Vec<DomainName> = exchanges
                     .iter()
@@ -1060,7 +1060,7 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
                     }
                     Err(_) => return Ok(false),
                 };
-                for rr in rrs {
+                for rr in &rrs {
                     if let RecordData::A(addr) = rr.data {
                         let net = Ipv4Cidr::new(addr, cidr.v4).expect("prefix validated at parse");
                         if net.contains(v4) {
@@ -1089,7 +1089,7 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
                     }
                     Err(_) => return Ok(false),
                 };
-                for rr in rrs {
+                for rr in &rrs {
                     if let RecordData::Aaaa(addr) = rr.data {
                         let net = Ipv6Cidr::new(addr, cidr.v6).expect("prefix validated at parse");
                         if net.contains(v6) {
@@ -1182,9 +1182,7 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
 /// must be. The one selection the evaluator and the compiler share;
 /// each charges the void lookup an NXDOMAIN or empty answer incurs
 /// itself.
-pub(crate) fn select_record(
-    answer: Result<Vec<ResourceRecord>, DnsError>,
-) -> Result<SpfRecord, FetchFailure> {
+pub(crate) fn select_record(answer: Result<RrSet, DnsError>) -> Result<SpfRecord, FetchFailure> {
     let answers = match answer {
         Ok(a) => a,
         Err(DnsError::NxDomain) => return Err(FetchFailure::NxDomain),

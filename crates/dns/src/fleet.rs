@@ -53,7 +53,7 @@ use spf_types::{DomainName, StatItem, Stats};
 use crate::clock::{Clock, SystemClock};
 use crate::inline::InlineVec;
 use crate::lock;
-use crate::record::{Question, RecordType, ResourceRecord};
+use crate::record::{Question, RecordType, RrSet};
 use crate::resolver::{DnsError, Resolver};
 use crate::udp::{
     answers_of, send_all, tcp_query, ServerConfig, UdpNameServer, SERVE_BATCH, SERVE_RECV_BUFFER,
@@ -289,8 +289,10 @@ impl WireFleet {
     }
 }
 
-/// What a question resolves to, as [`Resolver::query`] reports it.
-type Answer = Result<Vec<ResourceRecord>, DnsError>;
+/// What a question resolves to, as [`Resolver::query`] reports it: the
+/// decoded reply's set, which the cache, the question's flight and every
+/// caller that reads either share.
+type Answer = Result<RrSet, DnsError>;
 
 /// One cached answer with its expiry instant (on the resolver's clock).
 struct CacheEntry {
@@ -546,6 +548,24 @@ impl WireResolver {
         }
     }
 
+    /// Resolve the questions at `led`, which this call claimed, over the
+    /// wire, then cache each answer and retire its flight with it. The
+    /// cache is written *before* a flight is retired so a caller arriving
+    /// in between hits the cache instead of re-querying. Once the question
+    /// has left `inflight` nobody can join it, so a flight no follower
+    /// made is never made. The cache, the flight and this call's slot all
+    /// hold the one set decoded from the reply.
+    fn lead(&self, questions: &[Question], led: &[usize], answers: &mut [Answer]) {
+        if led.is_empty() {
+            return;
+        }
+        self.resolve_over_wire(questions, led, answers);
+        for &i in led {
+            self.cache_put(&questions[i], &answers[i]);
+            self.retire(&questions[i], &answers[i]);
+        }
+    }
+
     /// Send the led questions at `led` over UDP in windows of at most
     /// `SERVE_BATCH` on one pooled socket, and store each outcome in
     /// `answers`.
@@ -712,18 +732,14 @@ impl WireResolver {
 }
 
 impl Resolver for WireResolver {
-    fn query(&self, name: &DomainName, rtype: RecordType) -> Result<Vec<ResourceRecord>, DnsError> {
+    fn query(&self, name: &DomainName, rtype: RecordType) -> Result<RrSet, DnsError> {
         let mut answer = [Err(DnsError::Timeout)];
         self.query_many(&[Question::new(name.clone(), rtype)], &mut answer);
         let [answer] = answer;
         answer
     }
 
-    fn query_many(
-        &self,
-        questions: &[Question],
-        answers: &mut [Result<Vec<ResourceRecord>, DnsError>],
-    ) {
+    fn query_many(&self, questions: &[Question], answers: &mut [Answer]) {
         assert_eq!(
             questions.len(),
             answers.len(),
@@ -770,19 +786,9 @@ impl Resolver for WireResolver {
                 }
             }
         }
-        let led = led.as_slice();
-        if !led.is_empty() {
-            self.resolve_over_wire(questions, led, answers);
-        }
         // Every led flight is published before any joined one is waited
-        // on. The cache is written *before* a flight is retired so a
-        // caller arriving in between hits the cache instead of
-        // re-querying. Once the question has left `inflight` nobody can
-        // join it, so a flight no follower made is never made.
-        for &i in led.iter() {
-            self.cache_put(&questions[i], &answers[i]);
-            self.retire(&questions[i], &answers[i]);
-        }
+        // on.
+        self.lead(questions, led.as_slice(), answers);
         for (i, flight) in joined {
             answers[i] = flight.wait().clone();
         }
@@ -796,7 +802,7 @@ impl Resolver for WireResolver {
 mod tests {
     use super::*;
     use crate::clock::VirtualClock;
-    use crate::record::RecordData;
+    use crate::record::{RecordData, ResourceRecord};
     use crate::zone::ZoneFault;
     use spf_testkit::dom;
     use std::net::Ipv4Addr;
@@ -891,7 +897,7 @@ mod tests {
         );
         assert_eq!(
             resolver.query(&dom("a-only.example"), RecordType::Txt),
-            Ok(vec![])
+            Ok(RrSet::EMPTY)
         );
     }
 
@@ -934,7 +940,7 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(
                 resolver.query(&dom("exists.example"), RecordType::Txt),
-                Ok(vec![])
+                Ok(RrSet::EMPTY)
             );
         }
         let snap = resolver.snapshot();
@@ -1104,6 +1110,41 @@ mod tests {
         assert!(
             snap.wire_queries < 16,
             "single-flight must collapse some of the burst: {snap:?}"
+        );
+    }
+
+    /// A caller that joined a flight and a later cache hit are handed
+    /// the set the leader decoded, not copies of it.
+    #[test]
+    fn a_joined_follower_and_a_cache_hit_share_the_leaders_set() {
+        let store = seeded_store(1);
+        let fleet = WireFleet::spawn(&store, 1, ServerConfig::default()).unwrap();
+        let resolver = fleet.resolver(fast_config());
+        let q = Question::new(dom("d0.example"), RecordType::Txt);
+        // Claim the question as a leading call does, so the follower
+        // joins it.
+        lock(&resolver.inflight).insert(q.clone(), None);
+        std::thread::scope(|scope| {
+            let follower = scope.spawn(|| resolver.query(&q.name, q.rtype).unwrap());
+            while lock(&resolver.inflight)[&q].is_none() {
+                std::thread::yield_now();
+            }
+            let mut led = [Err(DnsError::Timeout)];
+            resolver.lead(std::slice::from_ref(&q), &[0], &mut led);
+            let [Ok(led)] = led else {
+                panic!("the leader's question failed: {led:?}")
+            };
+            assert_eq!(led.len(), 1);
+            let followed = follower.join().unwrap();
+            assert_eq!(followed.as_ptr(), led.as_ptr(), "the follower got a copy");
+            let hit = resolver.query(&q.name, q.rtype).unwrap();
+            assert_eq!(hit.as_ptr(), led.as_ptr(), "the cache hit got a copy");
+        });
+        let snap = resolver.snapshot();
+        assert_eq!(
+            (snap.coalesced, snap.cache_hits, snap.wire_queries),
+            (1, 1, 1),
+            "{snap:?}"
         );
     }
 

@@ -36,7 +36,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use fleet::{WireClientConfig, WireFleet, WireResolver, WireSnapshot, WireStatsView};
-pub use record::{Question, RecordData, RecordType, ResourceRecord, TxtData};
+pub use record::{Question, RecordData, RecordType, ResourceRecord, RrSet, TxtData};
 pub use resolver::{DnsError, Resolver, ZoneResolver};
 pub use udp::{
     bind_udp_tcp_pair, serve_connections, serve_datagrams, DatagramHandler, ServerConfig,

@@ -84,9 +84,7 @@ impl fmt::Display for RecordType {
 /// and the verifier concatenates them *without* separators (RFC 7208 §3.3).
 ///
 /// The strings live behind an `Arc` so that cloning a TXT resource record
-/// — which the zone store does on every lookup and the crawl hot path
-/// performs twice per domain (SPF TXT + `_dmarc` TXT) — bumps a reference
-/// count instead of deep-copying record text.
+/// bumps a reference count instead of deep-copying record text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TxtData {
     strings: Arc<[String]>,
@@ -274,6 +272,77 @@ impl fmt::Display for ResourceRecord {
     }
 }
 
+/// One answer: the records a name owns of one type (an RRset), as the
+/// zone keeps them and every reader sees them. The set is immutable and
+/// shared, so handing it on — from the [`crate::ZoneStore`] to a
+/// resolver's caller, from the wire client's cache or a flight to each
+/// waiter, into a server's reply — costs one reference count, and the
+/// records are never copied. The empty set holds no allocation.
+#[derive(Clone, Default)]
+pub struct RrSet(Option<Arc<[ResourceRecord]>>);
+
+impl RrSet {
+    /// The empty answer: NOERROR with no records.
+    pub const EMPTY: RrSet = RrSet(None);
+
+    /// The records of `scratch` as a set, built with one allocation;
+    /// `scratch` is left empty and keeps its capacity for the next set.
+    pub(crate) fn take(scratch: &mut Vec<ResourceRecord>) -> RrSet {
+        if scratch.is_empty() {
+            return RrSet::EMPTY;
+        }
+        RrSet(Some(scratch.drain(..).collect()))
+    }
+
+    /// A new set of this one's records followed by `rr`, built with one
+    /// allocation; readers holding this set keep it as it was.
+    pub(crate) fn with(&self, rr: ResourceRecord) -> RrSet {
+        RrSet(Some(self.iter().cloned().chain([rr]).collect()))
+    }
+}
+
+impl std::ops::Deref for RrSet {
+    type Target = [ResourceRecord];
+
+    fn deref(&self) -> &[ResourceRecord] {
+        self.0.as_deref().unwrap_or(&[])
+    }
+}
+
+impl From<Vec<ResourceRecord>> for RrSet {
+    fn from(records: Vec<ResourceRecord>) -> Self {
+        if records.is_empty() {
+            RrSet::EMPTY
+        } else {
+            RrSet(Some(records.into()))
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a RrSet {
+    type Item = &'a ResourceRecord;
+    type IntoIter = std::slice::Iter<'a, ResourceRecord>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for RrSet {
+    fn eq(&self, other: &RrSet) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for RrSet {}
+
+/// Formats as the list of its records, exactly as a `Vec` of them would.
+impl fmt::Debug for RrSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A DNS question: name + type (class is always IN here).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Question {
@@ -373,6 +442,26 @@ mod tests {
             RecordType::Txt
         );
         assert_eq!(RecordData::Ptr(d).record_type(), RecordType::Ptr);
+    }
+
+    /// The empty set is the answer an empty answer section decodes to,
+    /// and reads like an empty `Vec`.
+    #[test]
+    fn the_empty_set_is_the_empty_decoded_answer() {
+        let query = crate::Message::query(
+            7,
+            Question::new(DomainName::parse("example.com").unwrap(), RecordType::Txt),
+        );
+        let reply = crate::Message::response(&query, crate::Rcode::NoError, RrSet::EMPTY);
+        let decoded = crate::decode(&crate::encode(&reply).unwrap()).unwrap();
+        assert_eq!(decoded.answers, RrSet::EMPTY);
+        assert_eq!(RrSet::from(Vec::new()), RrSet::EMPTY);
+        assert_eq!(RrSet::default(), RrSet::EMPTY);
+        assert!(RrSet::EMPTY.is_empty());
+        assert_eq!(
+            format!("{:?}", RrSet::EMPTY),
+            format!("{:?}", Vec::<ResourceRecord>::new())
+        );
     }
 
     #[test]

@@ -11,14 +11,14 @@ use std::sync::Arc;
 
 use spf_types::DomainName;
 
-use crate::record::{Question, RecordType, ResourceRecord};
+use crate::record::{Question, RecordType, RrSet};
 use crate::zone::{LookupOutcome, ZoneFault, ZoneStore};
 
 /// DNS-level errors as seen by a stub resolver.
 ///
-/// `Ok(vec![])` from [`Resolver::query`] means NOERROR with an empty answer
-/// section; it is *not* an error here, but SPF evaluation counts it as a
-/// void lookup.
+/// `Ok(RrSet::EMPTY)` from [`Resolver::query`] means NOERROR with an
+/// empty answer section; it is *not* an error here, but SPF evaluation
+/// counts it as a void lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DnsError {
     /// The name does not exist (NXDOMAIN). A void lookup in SPF terms.
@@ -59,10 +59,14 @@ impl fmt::Display for DnsError {
 
 impl std::error::Error for DnsError {}
 
-/// A stub resolver: one question in, records (or a DNS error) out.
+/// A stub resolver: one question in, its answer's [`RrSet`] (or a DNS
+/// error) out. The set is shared with wherever the resolver got it — the
+/// zone, a cache, a flight another caller led — so an answer costs no
+/// copy of its records.
 pub trait Resolver: Send + Sync {
-    /// Resolve `name`/`rtype`. `Ok(vec![])` is NOERROR with no answers.
-    fn query(&self, name: &DomainName, rtype: RecordType) -> Result<Vec<ResourceRecord>, DnsError>;
+    /// Resolve `name`/`rtype`. `Ok(RrSet::EMPTY)` is NOERROR with no
+    /// answers.
+    fn query(&self, name: &DomainName, rtype: RecordType) -> Result<RrSet, DnsError>;
 
     /// Resolve several independent questions at once: `answers[i]`
     /// receives the value [`Resolver::query`] would have given for
@@ -74,11 +78,7 @@ pub trait Resolver: Send + Sync {
     ///
     /// # Panics
     /// Panics when the two slices differ in length.
-    fn query_many(
-        &self,
-        questions: &[Question],
-        answers: &mut [Result<Vec<ResourceRecord>, DnsError>],
-    ) {
+    fn query_many(&self, questions: &[Question], answers: &mut [Result<RrSet, DnsError>]) {
         assert_eq!(
             questions.len(),
             answers.len(),
@@ -91,15 +91,11 @@ pub trait Resolver: Send + Sync {
 }
 
 impl<R: Resolver + ?Sized> Resolver for Arc<R> {
-    fn query(&self, name: &DomainName, rtype: RecordType) -> Result<Vec<ResourceRecord>, DnsError> {
+    fn query(&self, name: &DomainName, rtype: RecordType) -> Result<RrSet, DnsError> {
         (**self).query(name, rtype)
     }
 
-    fn query_many(
-        &self,
-        questions: &[Question],
-        answers: &mut [Result<Vec<ResourceRecord>, DnsError>],
-    ) {
+    fn query_many(&self, questions: &[Question], answers: &mut [Result<RrSet, DnsError>]) {
         (**self).query_many(questions, answers)
     }
 }
@@ -122,10 +118,10 @@ impl ZoneResolver {
 }
 
 impl Resolver for ZoneResolver {
-    fn query(&self, name: &DomainName, rtype: RecordType) -> Result<Vec<ResourceRecord>, DnsError> {
+    fn query(&self, name: &DomainName, rtype: RecordType) -> Result<RrSet, DnsError> {
         match self.store.lookup(name, rtype) {
-            LookupOutcome::Records(rrs) => Ok(rrs),
-            LookupOutcome::NoRecords => Ok(Vec::new()),
+            LookupOutcome::Records(set) => Ok(set),
+            LookupOutcome::NoRecords => Ok(RrSet::EMPTY),
             LookupOutcome::NxDomain => Err(DnsError::NxDomain),
             LookupOutcome::Fault(ZoneFault::Timeout) => Err(DnsError::Timeout),
             LookupOutcome::Fault(ZoneFault::ServFail) => Err(DnsError::ServFail),
@@ -163,5 +159,19 @@ mod tests {
             r.query(&dom("broken.example"), RecordType::Txt),
             Err(DnsError::Timeout)
         );
+    }
+
+    /// Every lookup of a name hands out the zone's one set: the same
+    /// allocation, not a copy of its records.
+    #[test]
+    fn lookups_of_one_name_share_the_zones_set() {
+        let store = Arc::new(ZoneStore::new());
+        store.add_txt(&dom("example.com"), "v=spf1 -all");
+        store.add_txt(&dom("example.com"), "v=spf1 +all");
+        let r = ZoneResolver::new(store);
+        let first = r.query(&dom("example.com"), RecordType::Txt).unwrap();
+        let second = r.query(&dom("example.com"), RecordType::Txt).unwrap();
+        assert_eq!(first.len(), 2);
+        assert_eq!(first.as_ptr(), second.as_ptr());
     }
 }

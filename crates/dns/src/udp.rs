@@ -25,10 +25,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use nix::sys::socket::{
-    recv_from_batch, send_to_batch, set_recv_buffer_size, RecvSlot, SendPacket,
+    recv_from_batch, send_to_batch, set_recv_buffer_size, set_recv_timeout, RecvSlot, SendPacket,
 };
 
-use crate::record::{Question, ResourceRecord};
+use crate::record::{Question, RrSet};
 use crate::resolver::DnsError;
 use crate::wire::{self, Header, Message, Rcode};
 use crate::zone::{LookupOutcome, ZoneFault, ZoneStore};
@@ -158,19 +158,23 @@ fn bind_pair_with(
     ))
 }
 
-/// How often [`serve_connections`] polls its listener and `shutdown`.
+/// The longest [`serve_connections`] waits in `accept` before it looks
+/// at `shutdown` again.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// The TCP accept loop of [`UdpNameServer`]'s RFC 7766 listener, the
-/// verdict service's TCP side and the receiving MTA. It makes `listener`
-/// non-blocking and polls it every `ACCEPT_POLL` until `shutdown` is
-/// set, serving each connection on a thread named `name` that runs a
-/// clone of `handler`; a connection whose thread cannot be spawned is
-/// dropped, which closes it. Finished threads are joined after every
-/// accept and every idle poll, so an exited thread's stack is released
-/// at once, not when the server stops. On shutdown the live ones are
-/// joined, so a handler must end by itself: on a read timeout that
-/// checks the flag, or when its peer hangs up.
+/// verdict service's TCP side and the receiving MTA. It blocks in
+/// `accept` for at most `ACCEPT_POLL` at a time (the listener's
+/// `SO_RCVTIMEO`, which Linux applies to `accept`) until `shutdown` is
+/// set, so a connection is served the moment it arrives. Each
+/// connection runs on a thread named `name` that runs a clone of
+/// `handler`, on a blocking stream with no read timeout of its own; a
+/// connection whose thread cannot be spawned is dropped, which closes
+/// it. Finished threads are joined after every accept and every idle
+/// wait, so an exited thread's stack is released at once, not when the
+/// server stops. On shutdown the live ones are joined, so a handler must
+/// end by itself: on a read timeout that checks the flag, or when its
+/// peer hangs up.
 pub fn serve_connections<F>(listener: TcpListener, shutdown: &AtomicBool, name: &str, handler: F)
 where
     F: FnOnce(TcpStream, SocketAddr) + Clone + Send + 'static,
@@ -189,20 +193,28 @@ where
     F: FnOnce(TcpStream, SocketAddr) + Clone + Send + 'static,
 {
     let mut connections = Connections::default();
-    // A blocking accept would never look at the flag.
-    if listener.set_nonblocking(true).is_err() {
+    // An accept that blocked for good would never look at the flag.
+    let bounded = listener
+        .set_nonblocking(false)
+        .and_then(|()| set_recv_timeout(&listener, ACCEPT_POLL));
+    if bounded.is_err() {
         return connections;
     }
     while !shutdown.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, peer)) => {
+                // The stream inherits the listener's time-out; a handler
+                // starts from a plain blocking stream and sets its own.
+                if stream.set_read_timeout(None).is_err() {
+                    continue;
+                }
                 let handler = handler.clone();
                 let thread = std::thread::Builder::new().name(name.into());
                 // A failed spawn drops the closure, and the stream with it.
                 let spawned = thread.spawn(move || handler(stream, peer));
                 connections.live.extend(spawned.ok());
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
             Err(_) => break,
         }
         connections.reap();
@@ -276,19 +288,20 @@ fn answer(store: &ZoneStore, query: &[u8], reply: &mut Vec<u8>) -> Option<usize>
         _ => return None,
     };
     let (rcode, answers) = match store.lookup_question(&query.questions[0]) {
-        LookupOutcome::Records(rrs) => (Rcode::NoError, rrs),
-        LookupOutcome::NoRecords => (Rcode::NoError, Vec::new()),
-        LookupOutcome::NxDomain => (Rcode::NxDomain, Vec::new()),
+        LookupOutcome::Records(set) => (Rcode::NoError, set),
+        LookupOutcome::NoRecords => (Rcode::NoError, RrSet::EMPTY),
+        LookupOutcome::NxDomain => (Rcode::NxDomain, RrSet::EMPTY),
         LookupOutcome::Fault(ZoneFault::Timeout) => return None,
-        LookupOutcome::Fault(ZoneFault::ServFail) => (Rcode::ServFail, Vec::new()),
-        LookupOutcome::Fault(ZoneFault::Refused) => (Rcode::Refused, Vec::new()),
+        LookupOutcome::Fault(ZoneFault::ServFail) => (Rcode::ServFail, RrSet::EMPTY),
+        LookupOutcome::Fault(ZoneFault::Refused) => (Rcode::Refused, RrSet::EMPTY),
     };
+    // The reply is written from the zone's own set.
     let response = Message {
         header: Header::response_to(&query.header, rcode),
         questions: query.questions,
         answers,
-        authorities: Vec::new(),
-        additionals: Vec::new(),
+        authorities: RrSet::EMPTY,
+        additionals: RrSet::EMPTY,
     };
     wire::write_message(&response, true, reply).ok()
 }
@@ -457,7 +470,7 @@ pub(crate) fn tcp_query(
     timeout: Duration,
     id: u16,
     question: &Question,
-) -> Result<Vec<ResourceRecord>, DnsError> {
+) -> Result<RrSet, DnsError> {
     let to_net = |e: std::io::Error| DnsError::Network(format!("tcp: {e}"));
     let mut stream = TcpStream::connect(server).map_err(to_net)?;
     stream
@@ -494,7 +507,7 @@ pub(crate) fn tcp_query(
 
 /// A response's outcome as the [`crate::Resolver`] surface reports it:
 /// its answers on NOERROR, the matching [`DnsError`] otherwise.
-pub(crate) fn answers_of(resp: Message) -> Result<Vec<ResourceRecord>, DnsError> {
+pub(crate) fn answers_of(resp: Message) -> Result<RrSet, DnsError> {
     match resp.header.rcode {
         Rcode::NoError => Ok(resp.answers),
         Rcode::NxDomain => Err(DnsError::NxDomain),
@@ -603,6 +616,44 @@ mod tests {
             connections.peak
         );
         assert_eq!(handled.load(Ordering::Relaxed), CONNECTIONS as u64 + 1);
+    }
+
+    /// A connection is served as soon as it arrives, not at the loop's
+    /// next look at the flag: sequential connect-and-echo exchanges take
+    /// well under half an `ACCEPT_POLL` each. The handler's stream has no
+    /// read timeout: the listener's does not leak into it.
+    #[test]
+    fn a_new_connection_is_served_without_waiting_for_a_poll() {
+        const EXCHANGES: u32 = 40;
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let handler = |mut stream: TcpStream, _peer: SocketAddr| {
+            assert_eq!(stream.read_timeout().unwrap(), None);
+            let mut byte = [0u8; 1];
+            if stream.read_exact(&mut byte).is_ok() {
+                let _ = stream.write_all(&byte);
+            }
+        };
+        let server = std::thread::spawn({
+            let shutdown = Arc::clone(&shutdown);
+            move || serve_connections(listener, &shutdown, "test-echo", handler)
+        });
+        let started = Instant::now();
+        for i in 0..EXCHANGES {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(&[i as u8]).unwrap();
+            let mut back = [0u8; 1];
+            stream.read_exact(&mut back).unwrap();
+            assert_eq!(back[0], i as u8);
+        }
+        let took = started.elapsed();
+        shutdown.store(true, Ordering::Relaxed);
+        server.join().unwrap();
+        assert!(
+            took < ACCEPT_POLL * EXCHANGES / 2,
+            "{EXCHANGES} exchanges took {took:?}"
+        );
     }
 
     /// The UDP side of a port can be free while its TCP side is held by
@@ -749,7 +800,7 @@ mod tests {
         let resolver = client_of(&server);
         assert_eq!(
             resolver.query(&dom("example.com"), RecordType::Txt),
-            Ok(vec![])
+            Ok(RrSet::EMPTY)
         );
     }
 

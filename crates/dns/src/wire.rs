@@ -7,13 +7,14 @@
 //! sockets. Name compression is optional at encode time, an ablation
 //! knob (DESIGN.md §5).
 
+use std::cell::RefCell;
 use std::net::{Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 
 use spf_types::DomainName;
 
 use crate::inline::InlineVec;
-use crate::record::{Question, RecordData, RecordType, ResourceRecord, TxtData};
+use crate::record::{Question, RecordData, RecordType, ResourceRecord, RrSet, TxtData};
 
 /// Maximum size of a classic UDP DNS message (RFC 1035 §4.2.1).
 pub const MAX_UDP_PAYLOAD: usize = 512;
@@ -119,12 +120,13 @@ pub struct Message {
     pub header: Header,
     /// Question section.
     pub questions: Vec<Question>,
-    /// Answer section.
-    pub answers: Vec<ResourceRecord>,
+    /// Answer section: a server's reply carries the zone's set itself,
+    /// and a decoded reply's set is what the client caches and hands on.
+    pub answers: RrSet,
     /// Authority section.
-    pub authorities: Vec<ResourceRecord>,
+    pub authorities: RrSet,
     /// Additional section.
-    pub additionals: Vec<ResourceRecord>,
+    pub additionals: RrSet,
 }
 
 impl Message {
@@ -133,20 +135,21 @@ impl Message {
         Message {
             header: Header::query(id),
             questions: vec![question],
-            answers: Vec::new(),
-            authorities: Vec::new(),
-            additionals: Vec::new(),
+            answers: RrSet::EMPTY,
+            authorities: RrSet::EMPTY,
+            additionals: RrSet::EMPTY,
         }
     }
 
-    /// A response to `query` carrying `answers`.
-    pub fn response(query: &Message, rcode: Rcode, answers: Vec<ResourceRecord>) -> Self {
+    /// A response to `query` carrying `answers`: a set, shared, or the
+    /// records of a `Vec`.
+    pub fn response(query: &Message, rcode: Rcode, answers: impl Into<RrSet>) -> Self {
         Message {
             header: Header::response_to(&query.header, rcode),
             questions: query.questions.clone(),
-            answers,
-            authorities: Vec::new(),
-            additionals: Vec::new(),
+            answers: answers.into(),
+            authorities: RrSet::EMPTY,
+            additionals: RrSet::EMPTY,
         }
     }
 }
@@ -439,6 +442,13 @@ pub fn decode_reply(bytes: &[u8], asked: &DomainName) -> Result<Message, WireErr
     Decoder::new(bytes, Some(asked.clone())).message()
 }
 
+thread_local! {
+    /// Where a section's records gather before they move into its set,
+    /// kept by each decoding thread between messages: a section then
+    /// costs one allocation, the set's own.
+    static SECTION: RefCell<Vec<ResourceRecord>> = const { RefCell::new(Vec::new()) };
+}
+
 struct Decoder<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -503,12 +513,19 @@ impl<'a> Decoder<'a> {
 
     /// A section of `count` records. Every record takes at least eleven
     /// bytes, which bounds what a forged count can reserve.
-    fn records(&mut self, count: u16) -> Result<Vec<ResourceRecord>, WireError> {
-        let mut records = Vec::with_capacity(usize::from(count).min(self.remaining() / 11));
-        for _ in 0..count {
-            records.push(self.record()?);
+    fn records(&mut self, count: u16) -> Result<RrSet, WireError> {
+        if count == 0 {
+            return Ok(RrSet::EMPTY);
         }
-        Ok(records)
+        SECTION.with_borrow_mut(|section| {
+            // A message that failed to decode may have left records behind.
+            section.clear();
+            section.reserve(usize::from(count).min(self.remaining() / 11));
+            for _ in 0..count {
+                section.push(self.record()?);
+            }
+            Ok(RrSet::take(section))
+        })
     }
 
     fn remaining(&self) -> usize {
@@ -934,7 +951,7 @@ mod tests {
         for msg in [sample_response(), two_questions] {
             let mut truncated = msg.clone();
             truncated.header.truncated = true;
-            truncated.answers.clear();
+            truncated.answers = RrSet::EMPTY;
             for prefix in [0, 2] {
                 let mut buf = vec![0; prefix];
                 let questions_end = write_message(&msg, true, &mut buf).unwrap();
@@ -968,9 +985,9 @@ mod tests {
         let msg = Message {
             header: h,
             questions: vec![],
-            answers: vec![],
-            authorities: vec![],
-            additionals: vec![],
+            answers: RrSet::EMPTY,
+            authorities: RrSet::EMPTY,
+            additionals: RrSet::EMPTY,
         };
         let back = decode(&encode(&msg).unwrap()).unwrap();
         assert!(back.header.truncated);

@@ -15,7 +15,7 @@ use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use spf_types::{DomainHashBuilder, DomainName};
 
-use crate::record::{Question, RecordData, RecordType, ResourceRecord, TxtData};
+use crate::record::{Question, RecordData, RecordType, ResourceRecord, RrSet, TxtData};
 
 /// A simulated per-name DNS failure mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,8 +32,8 @@ pub enum ZoneFault {
 /// Outcome of an authoritative lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LookupOutcome {
-    /// NOERROR with answer records.
-    Records(Vec<ResourceRecord>),
+    /// NOERROR with answer records: the zone's own set, shared.
+    Records(RrSet),
     /// NOERROR but the name owns no records of the asked type
     /// (a "void lookup" of the empty-answer kind when it happens inside
     /// SPF processing).
@@ -47,11 +47,37 @@ pub enum LookupOutcome {
 /// Everything the store knows about one owner name. Keeping the fault next
 /// to the records means the hot-path lookup is a *single* map probe, and
 /// the outer map hashes via the name's precomputed hash
-/// ([`DomainHashBuilder`]) instead of re-running SipHash per query.
+/// ([`DomainHashBuilder`]) instead of re-running SipHash per query. A name
+/// owns a few types at most, so its sets are a short list scanned in
+/// order, each the [`RrSet`] every lookup of it hands out: a lookup costs
+/// one reference count, and an edit replaces the set it touches, leaving
+/// the one a reader holds as it was.
 #[derive(Default)]
 struct NameEntry {
-    types: HashMap<RecordType, Vec<ResourceRecord>>,
+    types: Vec<(RecordType, RrSet)>,
     fault: Option<ZoneFault>,
+}
+
+impl NameEntry {
+    fn set(&self, rtype: RecordType) -> Option<&RrSet> {
+        self.types
+            .iter()
+            .find(|(t, _)| *t == rtype)
+            .map(|(_, set)| set)
+    }
+
+    /// Append `rr` to the set of its type, after the records it holds.
+    fn push(&mut self, rr: ResourceRecord) {
+        let rtype = rr.record_type();
+        match self.types.iter_mut().find(|(t, _)| *t == rtype) {
+            Some((_, set)) => *set = set.with(rr),
+            None => self.types.push((rtype, RrSet::from(vec![rr]))),
+        }
+    }
+
+    fn remove(&mut self, rtype: RecordType) {
+        self.types.retain(|(t, _)| *t != rtype);
+    }
 }
 
 #[derive(Default)]
@@ -99,13 +125,9 @@ impl ZoneStore {
 
     /// Insert a fully formed record.
     pub fn add_record(&self, rr: ResourceRecord) {
-        let mut inner = self.write();
-        inner
+        self.write()
             .records
             .entry(rr.name.clone())
-            .or_default()
-            .types
-            .entry(rr.record_type())
             .or_default()
             .push(rr);
     }
@@ -165,24 +187,21 @@ impl ZoneStore {
     /// The churn simulator's MX-failover flip swaps a domain's exchange
     /// set this way without destroying its TXT policy.
     pub fn remove_type(&self, name: &DomainName, rtype: RecordType) {
-        let mut inner = self.write();
-        if let Some(entry) = inner.records.get_mut(name) {
-            entry.types.remove(&rtype);
+        if let Some(entry) = self.write().records.get_mut(name) {
+            entry.remove(rtype);
         }
     }
 
     /// Replace the TXT records of a name with a single new text.
     pub fn replace_txt(&self, name: &DomainName, text: &str) {
-        {
-            let mut inner = self.write();
-            if let Some(entry) = inner.records.get_mut(name) {
-                entry.types.remove(&RecordType::Txt);
-            }
-        }
-        self.add_txt(name, text);
+        let rr = ResourceRecord::new(name.clone(), RecordData::Txt(TxtData::from_text(text)));
+        let mut inner = self.write();
+        let entry = inner.records.entry(name.clone()).or_default();
+        entry.remove(RecordType::Txt);
+        entry.push(rr);
     }
 
-    /// Authoritative lookup.
+    /// Authoritative lookup. A hit hands out the zone's own set.
     pub fn lookup(&self, name: &DomainName, rtype: RecordType) -> LookupOutcome {
         let inner = self.read();
         match inner.records.get(name) {
@@ -191,9 +210,9 @@ impl ZoneStore {
                 if let Some(fault) = entry.fault {
                     return LookupOutcome::Fault(fault);
                 }
-                match entry.types.get(&rtype) {
-                    Some(rrs) if !rrs.is_empty() => LookupOutcome::Records(rrs.clone()),
-                    _ => LookupOutcome::NoRecords,
+                match entry.set(rtype) {
+                    Some(set) => LookupOutcome::Records(set.clone()),
+                    None => LookupOutcome::NoRecords,
                 }
             }
         }
@@ -215,8 +234,8 @@ impl ZoneStore {
         self.read()
             .records
             .values()
-            .flat_map(|e| e.types.values())
-            .map(|v| v.len())
+            .flat_map(|e| &e.types)
+            .map(|(_, set)| set.len())
             .sum()
     }
 
@@ -288,6 +307,38 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(store.txt_strings(&name).len(), 2);
+    }
+
+    /// Records of one type come back in the order they were added, when
+    /// adds of another type fall between them; a reader's set stays as it
+    /// was when a later add replaces it.
+    #[test]
+    fn insertion_order_holds_within_a_type_across_interleaved_adds() {
+        let store = ZoneStore::new();
+        let name = dom("mixed.example");
+        store.add_txt(&name, "first");
+        store.add_mx(&name, 20, &dom("mx2.example"));
+        let held = store.lookup(&name, RecordType::Txt);
+        store.add_txt(&name, "second");
+        store.add_mx(&name, 10, &dom("mx1.example"));
+        store.add_txt(&name, "third");
+        assert_eq!(store.txt_strings(&name), ["first", "second", "third"]);
+        let LookupOutcome::Records(mx) = store.lookup(&name, RecordType::Mx) else {
+            panic!("no MX set");
+        };
+        let exchanges: Vec<String> = mx
+            .iter()
+            .map(|rr| match &rr.data {
+                RecordData::Mx { exchange, .. } => exchange.to_string(),
+                other => panic!("{other:?} in the MX set"),
+            })
+            .collect();
+        assert_eq!(exchanges, ["mx2.example", "mx1.example"]);
+        let LookupOutcome::Records(held) = held else {
+            panic!("no TXT set");
+        };
+        assert_eq!(held.len(), 1);
+        assert_eq!(store.record_count(), 5);
     }
 
     #[test]

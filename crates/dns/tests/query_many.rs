@@ -10,8 +10,8 @@ use std::time::{Duration, Instant};
 
 use spf_dns::{
     decode, encode, Clock, DnsError, LookupOutcome, Message, Question, Rcode, RecordType, Resolver,
-    ResourceRecord, ServerConfig, SystemClock, WireClientConfig, WireFleet, WireResolver,
-    ZoneFault, ZoneResolver, ZoneStore,
+    RrSet, ServerConfig, SystemClock, WireClientConfig, WireFleet, WireResolver, ZoneFault,
+    ZoneResolver, ZoneStore,
 };
 use spf_testkit::dom;
 use spf_types::DomainName;
@@ -21,11 +21,8 @@ fn q(name: &str, rtype: RecordType) -> Question {
 }
 
 /// One `query_many` call, with an answer slot per question.
-fn ask_all(
-    resolver: &impl Resolver,
-    questions: &[Question],
-) -> Vec<Result<Vec<ResourceRecord>, DnsError>> {
-    let mut answers = vec![Ok(Vec::new()); questions.len()];
+fn ask_all(resolver: &impl Resolver, questions: &[Question]) -> Vec<Result<RrSet, DnsError>> {
+    let mut answers = vec![Ok(RrSet::EMPTY); questions.len()];
     resolver.query_many(questions, &mut answers);
     answers
 }

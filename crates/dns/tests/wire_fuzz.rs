@@ -152,7 +152,7 @@ mod pinned {
     use spf_dns::wire::{decode_reply, encode_query_into, MAX_UDP_PAYLOAD};
     use spf_dns::{
         decode, encode, encode_uncompressed, DnsError, LookupOutcome, Message, Question, Rcode,
-        RecordData, RecordType, Resolver, ResourceRecord, TxtData, ZoneFault, ZoneResolver,
+        RecordData, RecordType, Resolver, ResourceRecord, RrSet, TxtData, ZoneFault, ZoneResolver,
     };
     use spf_testkit::population_at;
     use spf_types::DomainName;
@@ -178,11 +178,7 @@ mod pinned {
     }
 
     impl Resolver for Recording {
-        fn query(
-            &self,
-            name: &DomainName,
-            rtype: RecordType,
-        ) -> Result<Vec<ResourceRecord>, DnsError> {
+        fn query(&self, name: &DomainName, rtype: RecordType) -> Result<RrSet, DnsError> {
             self.asked
                 .lock()
                 .unwrap()
@@ -230,16 +226,16 @@ mod pinned {
             );
             let (rcode, answers) = match population.store.lookup_question(q) {
                 LookupOutcome::Records(rrs) => (Rcode::NoError, rrs),
-                LookupOutcome::NoRecords => (Rcode::NoError, Vec::new()),
-                LookupOutcome::NxDomain => (Rcode::NxDomain, Vec::new()),
+                LookupOutcome::NoRecords => (Rcode::NoError, RrSet::EMPTY),
+                LookupOutcome::NxDomain => (Rcode::NxDomain, RrSet::EMPTY),
                 LookupOutcome::Fault(ZoneFault::Timeout) => continue,
-                LookupOutcome::Fault(ZoneFault::ServFail) => (Rcode::ServFail, Vec::new()),
-                LookupOutcome::Fault(ZoneFault::Refused) => (Rcode::Refused, Vec::new()),
+                LookupOutcome::Fault(ZoneFault::ServFail) => (Rcode::ServFail, RrSet::EMPTY),
+                LookupOutcome::Fault(ZoneFault::Refused) => (Rcode::Refused, RrSet::EMPTY),
             };
             let mut response = Message::response(&query, rcode, answers);
             if put(&response) > MAX_UDP_PAYLOAD {
                 response.header.truncated = true;
-                response.answers.clear();
+                response.answers = RrSet::EMPTY;
                 put(&response);
             }
         }
@@ -293,7 +289,7 @@ mod pinned {
         if rng.random_bool(0.2) {
             return query;
         }
-        let answers = (0..rng.random_range(0..6usize))
+        let answers: Vec<ResourceRecord> = (0..rng.random_range(0..6usize))
             .map(|_| {
                 let owner = pool[rng.random_range(0..pool.len())].clone();
                 let target = pool[rng.random_range(0..pool.len())].clone();

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use spf_dns::{DnsError, RecordType, Resolver, ResourceRecord};
+use spf_dns::{DnsError, RecordType, Resolver, RrSet};
 use spf_types::DomainName;
 
 /// Counters of a [`CountingResolver`].
@@ -38,7 +38,7 @@ impl<R: Resolver> CountingResolver<R> {
 }
 
 impl<R: Resolver> Resolver for CountingResolver<R> {
-    fn query(&self, name: &DomainName, rtype: RecordType) -> Result<Vec<ResourceRecord>, DnsError> {
+    fn query(&self, name: &DomainName, rtype: RecordType) -> Result<RrSet, DnsError> {
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
         let result = self.inner.query(name, rtype);
         if result.is_err() {

@@ -23,7 +23,10 @@
 # BENCHMARK.json `bound` times the parent median, `ok` otherwise. Exits
 # 1 if any metric regressed or fewer change runs than parent runs were
 # correct with 0 failed. This is the repo's one timing gate; a claimed
-# gain (the nine-in-ten rule) is still the reader's to check.
+# gain (the nine-in-ten rule) is still the reader's to check. Each run's
+# standard error is kept in <scratch>/logs/<side>-<seed>.err; for a run
+# that was not correct or failed operations, its path and last lines are
+# printed below the run.
 #
 # The scratch directory defaults to .bench_build/pairs (ignored by git).
 set -euo pipefail
@@ -51,6 +54,8 @@ grep -q "{\"name\": \"$workload\"" BENCHMARK.json \
 
 mkdir -p "$dir"
 dir="$(cd "$dir" && pwd)"
+rm -rf "$dir/logs"
+mkdir -p "$dir/logs"
 
 rev="$(git rev-parse --short "$parent")"
 rm -rf "$dir/parent-src" "$dir/change-src"
@@ -66,29 +71,38 @@ parent_bin="$(CARGO_TARGET_DIR="$dir/parent-target" bash "$dir/parent-src/benchm
 echo "== building change (working tree)" >&2
 change_bin="$(CARGO_TARGET_DIR="$dir/change-target" bash "$dir/change-src/benchmark/run.sh" --build-only)"
 
-python3 - "$workload" "$pairs" "$seconds" "$first_seed" "$rev" "$parent_bin" "$change_bin" <<'PY'
+python3 - "$workload" "$pairs" "$seconds" "$first_seed" "$rev" "$parent_bin" "$change_bin" "$dir/logs" <<'PY'
 import json, statistics, subprocess, sys
 
-workload, pairs, seconds, first_seed, rev, parent_bin, change_bin = sys.argv[1:8]
+workload, pairs, seconds, first_seed, rev, parent_bin, change_bin, logs = sys.argv[1:9]
 pairs, first_seed = int(pairs), int(first_seed)
 spec = json.load(open("BENCHMARK.json"))
 seconds = seconds or str(spec["run_seconds"])
 metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
 bins = {"parent": parent_bin, "change": change_bin}
 
+def tail(path, lines=20):
+    with open(path, errors="replace") as f:
+        return "".join(f.readlines()[-lines:])
+
 def run(side, seed):
-    done = subprocess.run(
-        [bins[side], "--workload", workload, "--seed", str(seed), "--seconds", seconds, "--trace", "0"],
-        capture_output=True, text=True)
+    err = f"{logs}/{side}-{seed}.err"
+    with open(err, "w") as stderr:
+        done = subprocess.run(
+            [bins[side], "--workload", workload, "--seed", str(seed), "--seconds", seconds, "--trace", "0"],
+            stdout=subprocess.PIPE, stderr=stderr, text=True)
     try:
         result = json.loads(done.stdout.splitlines()[-1])
     except (IndexError, ValueError):
-        sys.exit(f"{side} seed {seed}: no result line (exit {done.returncode})\n{done.stderr[-2000:]}")
+        sys.exit(f"{side} seed {seed}: no result line (exit {done.returncode}); stderr in {err}:\n{tail(err)}")
     values = {name: result["metrics"][name]["value"] for name, _, _ in metrics}
+    ok = result["correct"] and result["failed"] == 0
     print(f"pair {seed - first_seed:2d} seed {seed} {side:6s} "
           + " ".join(f"{name}={values[name]:.4g}" for name, _, _ in metrics)
           + f" correct={str(result['correct']).lower()} failed={result['failed']}", flush=True)
-    return values, result["correct"] and result["failed"] == 0
+    if not ok:
+        print(f"  {side} seed {seed} stderr ({err}), last lines:\n{tail(err)}", flush=True)
+    return values, ok
 
 print(f"{workload}: {pairs} pairs, --seconds {seconds}, seeds {first_seed}..{first_seed + pairs - 1}, "
       f"parent {rev}, change = working tree")

@@ -20,7 +20,7 @@ use lazy_gatekeepers::prelude::*;
 /// Mean allocations one `parse_lenient` of a population SPF root may make.
 const PARSE_BUDGET: f64 = 6.0;
 /// Mean allocations a one-worker crawl may make per domain.
-const CRAWL_BUDGET: f64 = 13.0;
+const CRAWL_BUDGET: f64 = 9.0;
 /// Mean allocations a one-worker crawl over a 2-shard [`WireFleet`] may
 /// make per domain, client and servers together.
 const WIRE_CRAWL_BUDGET: f64 = 55.0;

@@ -14,7 +14,7 @@
 
 use lazy_gatekeepers::crawler::DEFAULT_BATCH_SIZE;
 use lazy_gatekeepers::prelude::*;
-use spf_dns::{DnsError, LookupOutcome, RecordType, ResourceRecord, ZoneFault};
+use spf_dns::{DnsError, LookupOutcome, RecordType, RrSet, ZoneFault};
 use spf_testkit::{engine_config, world_at};
 use std::sync::{Arc, Mutex};
 
@@ -74,7 +74,7 @@ struct UnexplainedTimeouts<'a, R> {
 }
 
 impl<R: Resolver> Resolver for UnexplainedTimeouts<'_, R> {
-    fn query(&self, name: &DomainName, rtype: RecordType) -> Result<Vec<ResourceRecord>, DnsError> {
+    fn query(&self, name: &DomainName, rtype: RecordType) -> Result<RrSet, DnsError> {
         let answer = self.inner.query(name, rtype);
         if matches!(answer, Err(DnsError::Timeout))
             && !matches!(

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use lazy_gatekeepers::bench::service_lab;
 use lazy_gatekeepers::dns::{
-    DnsError, RecordType, Resolver, ResourceRecord, VirtualClock, ZoneResolver, ZoneStore,
+    DnsError, RecordType, Resolver, RrSet, VirtualClock, ZoneResolver, ZoneStore,
 };
 use lazy_gatekeepers::prelude::{check_host, DomainName, EvalContext, EvalPolicy, Evaluator};
 use lazy_gatekeepers::service::proto::{decode_datagram, encode_frame};
@@ -158,7 +158,7 @@ fn open_gate(gate: &Arc<(Mutex<bool>, Condvar)>) {
 }
 
 impl Resolver for GatedResolver {
-    fn query(&self, name: &DomainName, rtype: RecordType) -> Result<Vec<ResourceRecord>, DnsError> {
+    fn query(&self, name: &DomainName, rtype: RecordType) -> Result<RrSet, DnsError> {
         let (lock, cvar) = &*self.gate;
         let mut blocked = lock.lock().expect("gate lock");
         while *blocked {
