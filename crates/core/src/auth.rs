@@ -197,6 +197,16 @@ impl DmarcDisposition {
     pub fn is_enforced(&self) -> bool {
         matches!(self, DmarcDisposition::Enforced { percent, .. } if *percent > 0)
     }
+
+    /// Does a receiver act on this disposition at all — report, and
+    /// enforce where it says so? A published, parseable policy is usable
+    /// even at `pct=0`; an absent, invalid or unreachable one is not.
+    pub fn is_usable(&self) -> bool {
+        matches!(
+            self,
+            DmarcDisposition::Monitor | DmarcDisposition::Enforced { .. }
+        )
+    }
 }
 
 impl fmt::Display for DmarcDisposition {
@@ -543,6 +553,27 @@ mod tests {
             stop_layer(SpfResult::None, &sampled_out, MtaStsMode::Absent),
             StopLayer::None
         );
+    }
+
+    #[test]
+    fn usable_and_enforced_per_disposition() {
+        let enforced = |percent| DmarcDisposition::Enforced {
+            policy: DmarcPolicy::Quarantine,
+            percent,
+        };
+        // (disposition, usable, enforced)
+        let table = [
+            (DmarcDisposition::Absent, false, false),
+            (DmarcDisposition::Invalid, false, false),
+            (DmarcDisposition::TempError, false, false),
+            (DmarcDisposition::Monitor, true, false),
+            (enforced(0), true, false),
+            (enforced(100), true, true),
+        ];
+        for (disposition, usable, is_enforced) in table {
+            assert_eq!(disposition.is_usable(), usable, "{disposition}");
+            assert_eq!(disposition.is_enforced(), is_enforced, "{disposition}");
+        }
     }
 
     #[test]

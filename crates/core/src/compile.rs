@@ -50,10 +50,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use serde::Serialize;
-use spf_dns::{DnsError, RecordData, RecordType, Resolver, ResourceRecord, RrSet};
+use spf_dns::{DnsError, RecordData, RecordType, Resolver, RrSet};
 use spf_types::{
-    DomainName, DualCidr, Ipv4Cidr, Ipv4Set, Ipv6Cidr, Ipv6Set, MacroLetter, MacroString,
-    MacroToken, Mechanism, ShardedCache, SpfRecord, StatItem, Term,
+    DomainName, DualCidr, IpSet, Ipv4Set, Ipv6Set, MacroLetter, MacroString, MacroToken, Mechanism,
+    ShardedCache, SpfRecord, StatItem, Term,
 };
 
 use crate::context::{EvalContext, SpfResult};
@@ -61,6 +61,7 @@ use crate::eval::{
     problem_result, qualifier_result, select_record, EvalPolicy, EvalProblem, Evaluation,
     FetchFailure, RecordNotFoundCause,
 };
+use crate::family::Family;
 use crate::macroexpand::expand_domain;
 
 /// Knobs for [`compile_policy`].
@@ -509,10 +510,10 @@ fn compile_families<R: Resolver + ?Sized>(
     let mut outcomes: Vec<Evaluation> = Vec::new();
     let mut residues: Vec<Residue> = Vec::new();
 
-    let f4 = compile_family::<R, V4>(resolver, domain, config, memo);
-    let v4 = flatten_family::<V4>(f4.terminals, f4.residual, &mut outcomes, &mut residues);
-    let f6 = compile_family::<R, V6>(resolver, domain, config, memo);
-    let v6 = flatten_family::<V6>(f6.terminals, f6.residual, &mut outcomes, &mut residues);
+    let f4 = compile_family::<R, Ipv4Addr>(resolver, domain, config, memo);
+    let v4 = flatten_family::<Ipv4Addr>(f4.terminals, f4.residual, &mut outcomes, &mut residues);
+    let f6 = compile_family::<R, Ipv6Addr>(resolver, domain, config, memo);
+    let v6 = flatten_family::<Ipv6Addr>(f6.terminals, f6.residual, &mut outcomes, &mut residues);
 
     CompiledPolicy {
         domain: domain.clone(),
@@ -521,152 +522,6 @@ fn compile_families<R: Resolver + ?Sized>(
         v6,
         residues,
         compile_queries: f4.queries + f6.queries,
-    }
-}
-
-// ---------------------------------------------------------------------
-// The address-family abstraction: one symbolic engine, two instantiations.
-// ---------------------------------------------------------------------
-
-/// What the symbolic engine needs from an address family: set algebra
-/// over the family's space plus the family-specific record queries the
-/// concrete evaluator would issue.
-trait AddressFamily {
-    /// The interval-set type covering this family's space.
-    type Set: Clone;
-    /// The integer key the flattened table sorts on.
-    type Key: Copy + Ord;
-
-    fn full() -> Self::Set;
-    fn is_empty(set: &Self::Set) -> bool;
-    fn intersect(a: &Self::Set, b: &Self::Set) -> Self::Set;
-    fn difference(a: &Self::Set, b: &Self::Set) -> Self::Set;
-    fn union_with(a: &mut Self::Set, b: &Self::Set);
-    /// The match set of an `ip4:` mechanism within this family.
-    fn ip4_set(cidr: &Ipv4Cidr) -> Self::Set;
-    /// The match set of an `ip6:` mechanism within this family.
-    fn ip6_set(cidr: &Ipv6Cidr) -> Self::Set;
-    /// The address record type `a`/`mx` query for senders in this family.
-    fn addr_rtype() -> RecordType;
-    /// The addresses authorized by an RRset under the per-family prefix
-    /// of `cidr` — mirrors `EvalState::address_match` exactly, including
-    /// skipping non-address record data.
-    fn rr_match_set(rrs: &[ResourceRecord], cidr: &DualCidr) -> Self::Set;
-    /// A placeholder sender IP of this family for `%{v}` expansion
-    /// fidelity (never consulted by any other compiled macro letter).
-    fn dummy_ip() -> IpAddr;
-    /// The set's ranges as sortable keys.
-    fn ranges(set: &Self::Set) -> Vec<(Self::Key, Self::Key)>;
-    /// This family's half of a [`SubtreeMemo`].
-    fn subtrees(memo: &SubtreeMemo) -> &ShardedCache<Arc<Subtree<Self::Set>>>;
-}
-
-struct V4;
-struct V6;
-
-impl AddressFamily for V4 {
-    type Set = Ipv4Set;
-    type Key = u32;
-
-    fn full() -> Ipv4Set {
-        Ipv4Set::full()
-    }
-    fn is_empty(set: &Ipv4Set) -> bool {
-        set.is_empty()
-    }
-    fn intersect(a: &Ipv4Set, b: &Ipv4Set) -> Ipv4Set {
-        a.intersect(b)
-    }
-    fn difference(a: &Ipv4Set, b: &Ipv4Set) -> Ipv4Set {
-        a.difference(b)
-    }
-    fn union_with(a: &mut Ipv4Set, b: &Ipv4Set) {
-        a.union_with(b);
-    }
-    fn ip4_set(cidr: &Ipv4Cidr) -> Ipv4Set {
-        let mut s = Ipv4Set::new();
-        s.insert_cidr(cidr);
-        s
-    }
-    fn ip6_set(_cidr: &Ipv6Cidr) -> Ipv4Set {
-        // An `ip6:` mechanism never matches an IPv4 sender.
-        Ipv4Set::new()
-    }
-    fn addr_rtype() -> RecordType {
-        RecordType::A
-    }
-    fn rr_match_set(rrs: &[ResourceRecord], cidr: &DualCidr) -> Ipv4Set {
-        let mut s = Ipv4Set::new();
-        for rr in rrs {
-            if let RecordData::A(addr) = rr.data {
-                let net = Ipv4Cidr::new(addr, cidr.v4).expect("prefix validated at parse");
-                s.insert_cidr(&net);
-            }
-        }
-        s
-    }
-    fn dummy_ip() -> IpAddr {
-        IpAddr::V4(Ipv4Addr::UNSPECIFIED)
-    }
-    fn ranges(set: &Ipv4Set) -> Vec<(u32, u32)> {
-        set.iter_ranges_u32().collect()
-    }
-    fn subtrees(memo: &SubtreeMemo) -> &ShardedCache<Arc<Subtree<Ipv4Set>>> {
-        &memo.v4
-    }
-}
-
-impl AddressFamily for V6 {
-    type Set = Ipv6Set;
-    type Key = u128;
-
-    fn full() -> Ipv6Set {
-        Ipv6Set::full()
-    }
-    fn is_empty(set: &Ipv6Set) -> bool {
-        set.is_empty()
-    }
-    fn intersect(a: &Ipv6Set, b: &Ipv6Set) -> Ipv6Set {
-        a.intersect(b)
-    }
-    fn difference(a: &Ipv6Set, b: &Ipv6Set) -> Ipv6Set {
-        a.difference(b)
-    }
-    fn union_with(a: &mut Ipv6Set, b: &Ipv6Set) {
-        a.union_with(b);
-    }
-    fn ip4_set(_cidr: &Ipv4Cidr) -> Ipv6Set {
-        // An `ip4:` mechanism never matches an IPv6 sender.
-        Ipv6Set::new()
-    }
-    fn ip6_set(cidr: &Ipv6Cidr) -> Ipv6Set {
-        let mut s = Ipv6Set::new();
-        s.insert_cidr(cidr);
-        s
-    }
-    fn addr_rtype() -> RecordType {
-        RecordType::Aaaa
-    }
-    fn rr_match_set(rrs: &[ResourceRecord], cidr: &DualCidr) -> Ipv6Set {
-        let mut s = Ipv6Set::new();
-        for rr in rrs {
-            if let RecordData::Aaaa(addr) = rr.data {
-                let net = Ipv6Cidr::new(addr, cidr.v6).expect("prefix validated at parse");
-                s.insert_cidr(&net);
-            }
-        }
-        s
-    }
-    fn dummy_ip() -> IpAddr {
-        IpAddr::V6(Ipv6Addr::UNSPECIFIED)
-    }
-    fn ranges(set: &Ipv6Set) -> Vec<(u128, u128)> {
-        set.iter_ranges()
-            .map(|(lo, hi)| (u128::from(lo), u128::from(hi)))
-            .collect()
-    }
-    fn subtrees(memo: &SubtreeMemo) -> &ShardedCache<Arc<Subtree<Ipv6Set>>> {
-        &memo.v6
     }
 }
 
@@ -737,7 +592,7 @@ struct Footprint {
 
 /// One include/redirect target compiled standalone: entered with the
 /// whole address space, zero counters, an empty stack, `initial = false`.
-struct Subtree<S> {
+pub(crate) struct Subtree<S> {
     /// `Pass` terminals with their narratives, which a `redirect=` keeps.
     passes: Vec<Group<S>>,
     /// `passes` merged by `(lookups, voids)` — all an `include:` reads,
@@ -766,8 +621,8 @@ struct Subtree<S> {
 pub struct SubtreeMemo {
     /// The config of the first compile; a different one bypasses the memo.
     config: OnceLock<CompileConfig>,
-    v4: ShardedCache<Arc<Subtree<Ipv4Set>>>,
-    v6: ShardedCache<Arc<Subtree<Ipv6Set>>>,
+    pub(crate) v4: ShardedCache<Arc<Subtree<Ipv4Set>>>,
+    pub(crate) v6: ShardedCache<Arc<Subtree<Ipv6Set>>>,
     lookups: AtomicU64,
     compiles: AtomicU64,
     composed: AtomicU64,
@@ -843,7 +698,7 @@ struct Shared<'a> {
     builds_left: usize,
 }
 
-struct Sym<'a, R: ?Sized, F: AddressFamily> {
+struct Sym<'a, R: ?Sized, F: Family> {
     resolver: &'a R,
     policy: &'a EvalPolicy,
     max_steps: usize,
@@ -852,7 +707,7 @@ struct Sym<'a, R: ?Sized, F: AddressFamily> {
     /// The placeholder context compile-time macro expansion runs under;
     /// only `%{d}` (current domain) and `%{v}` (family tag) ever read it.
     ctx: EvalContext,
-    residual: Vec<(F::Set, Residue)>,
+    residual: Vec<(IpSet<F>, Residue)>,
     /// The subtree memo, when compiling through one.
     shared: Option<Shared<'a>>,
     /// `Some` while compiling a target standalone for the memo.
@@ -863,9 +718,9 @@ struct Sym<'a, R: ?Sized, F: AddressFamily> {
 
 /// The group a walk of `domain` starts from: every address, nothing
 /// charged.
-fn entry_group<F: AddressFamily>(domain: &DomainName) -> Group<F::Set> {
+fn entry_group<F: Family>(domain: &DomainName) -> Group<IpSet<F>> {
     Group {
-        set: F::full(),
+        set: IpSet::full(),
         lookups: 0,
         voids: 0,
         matched: None,
@@ -873,12 +728,12 @@ fn entry_group<F: AddressFamily>(domain: &DomainName) -> Group<F::Set> {
     }
 }
 
-fn compile_family<R: Resolver + ?Sized, F: AddressFamily>(
+fn compile_family<R: Resolver + ?Sized, F: Family>(
     resolver: &R,
     domain: &DomainName,
     config: &CompileConfig,
     memo: Option<&SubtreeMemo>,
-) -> FamilyOut<F::Set> {
+) -> FamilyOut<IpSet<F>> {
     let shared = memo.map(|memo| Shared {
         memo,
         building: Vec::new(),
@@ -904,12 +759,12 @@ fn compile_family<R: Resolver + ?Sized, F: AddressFamily>(
 /// `inner`, a group of a standalone walk, as the direct walk would have
 /// left it had it entered with `entry`; `None` where the two are
 /// disjoint.
-fn compose_group<F: AddressFamily>(
-    entry: &Group<F::Set>,
-    inner: &Group<F::Set>,
-) -> Option<Group<F::Set>> {
-    let set = F::intersect(&entry.set, &inner.set);
-    (!F::is_empty(&set)).then(|| Group {
+fn compose_group<F: Family>(
+    entry: &Group<IpSet<F>>,
+    inner: &Group<IpSet<F>>,
+) -> Option<Group<IpSet<F>>> {
+    let set = entry.set.intersect(&inner.set);
+    (!set.is_empty()).then(|| Group {
         set,
         lookups: entry.lookups + inner.lookups,
         voids: entry.voids + inner.voids,
@@ -918,7 +773,7 @@ fn compose_group<F: AddressFamily>(
     })
 }
 
-impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
+impl<'a, R: Resolver + ?Sized, F: Family> Sym<'a, R, F> {
     /// A memo-less walk rooted at `domain`, nothing spent yet.
     fn new(resolver: &'a R, policy: &'a EvalPolicy, max_steps: usize, domain: &DomainName) -> Self {
         Sym {
@@ -927,7 +782,7 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
             max_steps,
             steps: 0,
             queries: 0,
-            ctx: EvalContext::mail_from(F::dummy_ip(), "compiler", domain.clone()),
+            ctx: EvalContext::mail_from(F::UNSPECIFIED.into(), "compiler", domain.clone()),
             residual: Vec::new(),
             shared: None,
             footprint: None,
@@ -944,9 +799,9 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
         target: &DomainName,
         depth: usize,
         stack: &mut Vec<DomainName>,
-        groups: Vec<Group<F::Set>>,
+        groups: Vec<Group<IpSet<F>>>,
         merge_passes: bool,
-    ) -> Vec<Terminal<F::Set>> {
+    ) -> Vec<Terminal<IpSet<F>>> {
         if let Some(memo) = self.shared.as_ref().map(|shared| shared.memo) {
             memo.lookups.fetch_add(1, Ordering::Relaxed);
             if let Some(subtree) = self.subtree(target) {
@@ -964,7 +819,7 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
     /// lock, first insert wins — when nobody has yet. `None` when
     /// `target` is being compiled up the call chain (an include cycle)
     /// or the root's allowance of standalone compiles is spent.
-    fn subtree(&mut self, target: &DomainName) -> Option<Arc<Subtree<F::Set>>> {
+    fn subtree(&mut self, target: &DomainName) -> Option<Arc<Subtree<IpSet<F>>>> {
         let shared = self.shared.as_mut()?;
         let memo = shared.memo;
         if let Some(hit) = F::subtrees(memo).get(target) {
@@ -995,7 +850,7 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
         let (passes, others): (Vec<_>, Vec<_>) = terminals
             .into_iter()
             .partition(|(_, outcome)| matches!(outcome, Ok(SpfResult::Pass)));
-        let passes: Vec<Group<F::Set>> = passes.into_iter().map(|(g, _)| g).collect();
+        let passes: Vec<Group<IpSet<F>>> = passes.into_iter().map(|(g, _)| g).collect();
         let merged_passes = merge_groups::<F>(
             passes
                 .iter()
@@ -1025,10 +880,10 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
     /// under every entry, since the peaks are taken before each check.
     fn composable(
         &self,
-        subtree: &Subtree<F::Set>,
+        subtree: &Subtree<IpSet<F>>,
         depth: usize,
         stack: &[DomainName],
-        groups: &[Group<F::Set>],
+        groups: &[Group<IpSet<F>>],
     ) -> bool {
         let footprint = &subtree.footprint;
         let entry_lookups = groups.iter().map(|g| g.lookups).max().unwrap_or(0);
@@ -1045,11 +900,11 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
     /// subtree set one, its parked residues intersected the same way.
     fn compose(
         &mut self,
-        subtree: &Subtree<F::Set>,
+        subtree: &Subtree<IpSet<F>>,
         depth: usize,
-        groups: Vec<Group<F::Set>>,
+        groups: Vec<Group<IpSet<F>>>,
         merge_passes: bool,
-    ) -> Vec<Terminal<F::Set>> {
+    ) -> Vec<Terminal<IpSet<F>>> {
         self.queries += subtree.queries;
         // Each incoming group splits at most as the whole space did.
         self.steps += groups.len() * subtree.steps;
@@ -1084,8 +939,8 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
                 }
             }
             for (set, residue) in &subtree.residual {
-                let hit = F::intersect(&g.set, set);
-                if !F::is_empty(&hit) {
+                let hit = g.set.intersect(set);
+                if !hit.is_empty() {
                     self.residual.push((hit, residue.clone()));
                 }
             }
@@ -1100,13 +955,13 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
 
     fn park_residue(
         &mut self,
-        groups: Vec<Group<F::Set>>,
+        groups: Vec<Group<IpSet<F>>>,
         kind: ResidueKind,
         domain: &DomainName,
         term: String,
     ) {
         for g in groups {
-            if !F::is_empty(&g.set) {
+            if !g.set.is_empty() {
                 self.residual.push((
                     g.set,
                     Residue {
@@ -1124,10 +979,10 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
     /// terminals; survivors are returned.
     fn charge_lookup(
         &mut self,
-        groups: Vec<Group<F::Set>>,
+        groups: Vec<Group<IpSet<F>>>,
         local_counter: &mut usize,
-        terminals: &mut Vec<Terminal<F::Set>>,
-    ) -> Vec<Group<F::Set>> {
+        terminals: &mut Vec<Terminal<IpSet<F>>>,
+    ) -> Vec<Group<IpSet<F>>> {
         *local_counter += 1;
         let mut survivors = Vec::new();
         for mut g in groups {
@@ -1152,9 +1007,9 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
     /// mechanism to both its matched and unmatched groups.
     fn check_void_budget(
         &mut self,
-        groups: Vec<Group<F::Set>>,
-        terminals: &mut Vec<Terminal<F::Set>>,
-    ) -> Vec<Group<F::Set>> {
+        groups: Vec<Group<IpSet<F>>>,
+        terminals: &mut Vec<Terminal<IpSet<F>>>,
+    ) -> Vec<Group<IpSet<F>>> {
         let mut survivors = Vec::new();
         for g in groups {
             if let Some(footprint) = &mut self.footprint {
@@ -1202,8 +1057,8 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
         depth: usize,
         initial: bool,
         stack: &mut Vec<DomainName>,
-        groups: Vec<Group<F::Set>>,
-    ) -> Vec<Terminal<F::Set>> {
+        groups: Vec<Group<IpSet<F>>>,
+    ) -> Vec<Terminal<IpSet<F>>> {
         if let Some(footprint) = &mut self.footprint {
             footprint.height = footprint.height.max(depth);
             if !footprint.visited.contains(domain) {
@@ -1242,8 +1097,8 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
         &mut self,
         domain: &DomainName,
         initial: bool,
-        mut groups: Vec<Group<F::Set>>,
-    ) -> Result<(SpfRecord, Vec<Group<F::Set>>), Vec<Terminal<F::Set>>> {
+        mut groups: Vec<Group<IpSet<F>>>,
+    ) -> Result<(SpfRecord, Vec<Group<IpSet<F>>>), Vec<Terminal<IpSet<F>>>> {
         let not_found = |cause| {
             if initial {
                 EvalProblem::NoRecord
@@ -1300,9 +1155,9 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
         domain: &DomainName,
         depth: usize,
         stack: &mut Vec<DomainName>,
-        mut groups: Vec<Group<F::Set>>,
-    ) -> Vec<Terminal<F::Set>> {
-        let mut terminals: Vec<Terminal<F::Set>> = Vec::new();
+        mut groups: Vec<Group<IpSet<F>>>,
+    ) -> Vec<Terminal<IpSet<F>>> {
+        let mut terminals: Vec<Terminal<IpSet<F>>> = Vec::new();
         let mut local_counter = 0usize;
         let mut saw_all = false;
         for term in &record.terms {
@@ -1406,8 +1261,8 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
         domain: &DomainName,
         depth: usize,
         stack: &mut Vec<DomainName>,
-        groups: Vec<Group<F::Set>>,
-    ) -> MatchOut<F::Set> {
+        groups: Vec<Group<IpSet<F>>>,
+    ) -> MatchOut<IpSet<F>> {
         match &directive.mechanism {
             Mechanism::All => MatchOut {
                 matched: groups,
@@ -1503,8 +1358,8 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
         target: Option<&MacroString>,
         domain: &DomainName,
         term_text: &str,
-        groups: Vec<Group<F::Set>>,
-    ) -> Result<(DomainName, Vec<Group<F::Set>>), MatchOut<F::Set>> {
+        groups: Vec<Group<IpSet<F>>>,
+    ) -> Result<(DomainName, Vec<Group<IpSet<F>>>), MatchOut<IpSet<F>>> {
         match target {
             None => Ok((domain.clone(), groups)),
             Some(ms) => match self.expand_compile(ms, domain) {
@@ -1531,9 +1386,9 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
         cidr: &DualCidr,
         term_text: &str,
         record_domain: &DomainName,
-        mut groups: Vec<Group<F::Set>>,
-    ) -> MatchOut<F::Set> {
-        match self.query(name, F::addr_rtype()) {
+        mut groups: Vec<Group<IpSet<F>>>,
+    ) -> MatchOut<IpSet<F>> {
+        match self.query(name, F::RTYPE) {
             Ok(rrs) => {
                 if rrs.is_empty() {
                     for g in &mut groups {
@@ -1545,7 +1400,12 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
                         failed: Vec::new(),
                     };
                 }
-                split_groups::<F>(groups, &F::rr_match_set(&rrs, cidr))
+                let mset = rrs
+                    .iter()
+                    .filter_map(|rr| F::record_addr(&rr.data))
+                    .map(|addr| F::network(addr, cidr))
+                    .collect();
+                split_groups::<F>(groups, &mset)
             }
             Err(DnsError::NxDomain) => {
                 for g in &mut groups {
@@ -1588,8 +1448,8 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
         cidr: &DualCidr,
         term_text: &str,
         record_domain: &DomainName,
-        mut groups: Vec<Group<F::Set>>,
-    ) -> MatchOut<F::Set> {
+        mut groups: Vec<Group<IpSet<F>>>,
+    ) -> MatchOut<IpSet<F>> {
         let exchanges = match self.query(name, RecordType::Mx) {
             Ok(rrs) => {
                 if rrs.is_empty() {
@@ -1653,18 +1513,18 @@ impl<'a, R: Resolver + ?Sized, F: AddressFamily> Sym<'a, R, F> {
 }
 
 /// Split every group against a mechanism's match set.
-fn split_groups<F: AddressFamily>(groups: Vec<Group<F::Set>>, mset: &F::Set) -> MatchOut<F::Set> {
+fn split_groups<F: Family>(groups: Vec<Group<IpSet<F>>>, mset: &IpSet<F>) -> MatchOut<IpSet<F>> {
     let mut out = MatchOut::empty();
     for g in groups {
-        let hit = F::intersect(&g.set, mset);
-        let miss = F::difference(&g.set, mset);
-        if !F::is_empty(&hit) {
+        let hit = g.set.intersect(mset);
+        let miss = g.set.difference(mset);
+        if !hit.is_empty() {
             out.matched.push(Group {
                 set: hit,
                 ..g.clone()
             });
         }
-        if !F::is_empty(&miss) {
+        if !miss.is_empty() {
             out.unmatched.push(Group { set: miss, ..g });
         }
     }
@@ -1673,10 +1533,10 @@ fn split_groups<F: AddressFamily>(groups: Vec<Group<F::Set>>, mset: &F::Set) -> 
 
 /// Coalesce groups whose evaluator state is identical — include returns
 /// routinely hand back several regions that re-converged.
-fn merge_groups<F: AddressFamily>(groups: Vec<Group<F::Set>>) -> Vec<Group<F::Set>> {
-    let mut out: Vec<Group<F::Set>> = Vec::new();
+fn merge_groups<F: Family>(groups: Vec<Group<IpSet<F>>>) -> Vec<Group<IpSet<F>>> {
+    let mut out: Vec<Group<IpSet<F>>> = Vec::new();
     for g in groups {
-        if F::is_empty(&g.set) {
+        if g.set.is_empty() {
             continue;
         }
         match out.iter_mut().find(|e| {
@@ -1685,7 +1545,7 @@ fn merge_groups<F: AddressFamily>(groups: Vec<Group<F::Set>>) -> Vec<Group<F::Se
                 && e.matched == g.matched
                 && e.final_domain == g.final_domain
         }) {
-            Some(existing) => F::union_with(&mut existing.set, &g.set),
+            Some(existing) => existing.set.union_with(&g.set),
             None => out.push(g),
         }
     }
@@ -1694,15 +1554,15 @@ fn merge_groups<F: AddressFamily>(groups: Vec<Group<F::Set>>) -> Vec<Group<F::Se
 
 /// Turn one family's terminals + residual regions into sorted table rows,
 /// deduplicating outcome templates and residue records globally.
-fn flatten_family<F: AddressFamily>(
-    terminals: Vec<Terminal<F::Set>>,
-    residual: Vec<(F::Set, Residue)>,
+fn flatten_family<F: Family>(
+    terminals: Vec<Terminal<IpSet<F>>>,
+    residual: Vec<(IpSet<F>, Residue)>,
     outcomes: &mut Vec<Evaluation>,
     residues: &mut Vec<Residue>,
-) -> Vec<RangeEntry<F::Key>> {
-    let mut entries: Vec<RangeEntry<F::Key>> = Vec::new();
+) -> Vec<RangeEntry<F::Bound>> {
+    let mut entries: Vec<RangeEntry<F::Bound>> = Vec::new();
     for (group, outcome) in terminals {
-        if F::is_empty(&group.set) {
+        if group.set.is_empty() {
             continue;
         }
         let (result, problem) = match outcome {
@@ -1725,18 +1585,18 @@ fn flatten_family<F: AddressFamily>(
                 (outcomes.len() - 1) as u32
             }
         };
-        for (lo, hi) in F::ranges(&group.set) {
+        for (lo, hi) in group.set.iter_bounds() {
             entries.push(RangeEntry { lo, hi, idx });
         }
     }
     for (set, residue) in residual {
-        if F::is_empty(&set) {
+        if set.is_empty() {
             continue;
         }
         if !residues.contains(&residue) {
             residues.push(residue);
         }
-        for (lo, hi) in F::ranges(&set) {
+        for (lo, hi) in set.iter_bounds() {
             entries.push(RangeEntry {
                 lo,
                 hi,

@@ -28,11 +28,12 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 use spf_dns::{DnsError, RecordData, RecordType, Resolver, RrSet};
 use spf_types::{
-    CacheKey, DomainHasher, DomainName, DualCidr, Ipv4Cidr, Ipv6Cidr, MacroString, Mechanism,
-    Modifier, Qualifier, SpfRecord, Term, MAX_DNS_LOOKUPS, MAX_VOID_LOOKUPS,
+    CacheKey, DomainHasher, DomainName, DualCidr, MacroString, Mechanism, Modifier, Qualifier,
+    SpfRecord, Term, MAX_DNS_LOOKUPS, MAX_VOID_LOOKUPS,
 };
 
 use crate::context::{EvalContext, SpfResult};
+use crate::family::Family;
 use crate::macroexpand::expand_domain;
 use crate::parse::{self, SyntaxError};
 
@@ -1041,65 +1042,44 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
     /// A/AAAA lookup + dual-CIDR match against the sending IP.
     fn address_match(&mut self, name: &DomainName, cidr: &DualCidr) -> Result<bool, EvalProblem> {
         match self.ctx.ip {
-            IpAddr::V4(v4) => {
-                let rrs = match self.resolver.query(name, RecordType::A) {
-                    Ok(rrs) => {
-                        if rrs.is_empty() {
-                            self.count_void();
-                        }
-                        rrs
-                    }
-                    Err(DnsError::NxDomain) => {
-                        self.count_void();
-                        return Ok(false);
-                    }
-                    Err(e) if e.is_transient() => {
-                        return Err(EvalProblem::DnsTransient {
-                            domain: name.clone(),
-                        })
-                    }
-                    Err(_) => return Ok(false),
-                };
-                for rr in &rrs {
-                    if let RecordData::A(addr) = rr.data {
-                        let net = Ipv4Cidr::new(addr, cidr.v4).expect("prefix validated at parse");
-                        if net.contains(v4) {
-                            return Ok(true);
-                        }
-                    }
-                }
-                Ok(false)
-            }
-            IpAddr::V6(v6) => {
-                let rrs = match self.resolver.query(name, RecordType::Aaaa) {
-                    Ok(rrs) => {
-                        if rrs.is_empty() {
-                            self.count_void();
-                        }
-                        rrs
-                    }
-                    Err(DnsError::NxDomain) => {
-                        self.count_void();
-                        return Ok(false);
-                    }
-                    Err(e) if e.is_transient() => {
-                        return Err(EvalProblem::DnsTransient {
-                            domain: name.clone(),
-                        })
-                    }
-                    Err(_) => return Ok(false),
-                };
-                for rr in &rrs {
-                    if let RecordData::Aaaa(addr) = rr.data {
-                        let net = Ipv6Cidr::new(addr, cidr.v6).expect("prefix validated at parse");
-                        if net.contains(v6) {
-                            return Ok(true);
-                        }
-                    }
-                }
-                Ok(false)
-            }
+            IpAddr::V4(ip) => self.family_address_match(name, cidr, ip),
+            IpAddr::V6(ip) => self.family_address_match(name, cidr, ip),
         }
+    }
+
+    /// [`Self::address_match`] for a sender `ip` of family `F`.
+    fn family_address_match<F: Family>(
+        &mut self,
+        name: &DomainName,
+        cidr: &DualCidr,
+        ip: F,
+    ) -> Result<bool, EvalProblem> {
+        let rrs = match self.resolver.query(name, F::RTYPE) {
+            Ok(rrs) => {
+                if rrs.is_empty() {
+                    self.count_void();
+                }
+                rrs
+            }
+            Err(DnsError::NxDomain) => {
+                self.count_void();
+                return Ok(false);
+            }
+            Err(e) if e.is_transient() => {
+                return Err(EvalProblem::DnsTransient {
+                    domain: name.clone(),
+                })
+            }
+            Err(_) => return Ok(false),
+        };
+        let ip = ip.to_bound();
+        Ok(rrs
+            .iter()
+            .filter_map(|rr| F::record_addr(&rr.data))
+            .any(|addr| {
+                let (lo, hi) = F::cidr_bounds(&F::network(addr, cidr));
+                (lo..=hi).contains(&ip)
+            }))
     }
 
     /// The deprecated `ptr` mechanism (RFC 7208 §5.5): reverse-map the IP,
@@ -1138,26 +1118,23 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
             let RecordData::Ptr(candidate) = &rr.data else {
                 continue;
             };
-            // Forward-validate the candidate.
             let validated = match self.ctx.ip {
-                IpAddr::V4(v4) => match self.resolver.query(candidate, RecordType::A) {
-                    Ok(rrs) => rrs
-                        .iter()
-                        .any(|rr| matches!(rr.data, RecordData::A(a) if a == v4)),
-                    Err(_) => false,
-                },
-                IpAddr::V6(v6) => match self.resolver.query(candidate, RecordType::Aaaa) {
-                    Ok(rrs) => rrs
-                        .iter()
-                        .any(|rr| matches!(rr.data, RecordData::Aaaa(a) if a == v6)),
-                    Err(_) => false,
-                },
+                IpAddr::V4(ip) => self.forward_validates(candidate, ip),
+                IpAddr::V6(ip) => self.forward_validates(candidate, ip),
             };
             if validated && candidate.is_subdomain_of(scope) {
                 return Ok(true);
             }
         }
         Ok(false)
+    }
+
+    /// Whether `candidate`'s A/AAAA answer holds the sender `ip` — the
+    /// forward validation of a `ptr` candidate (DNS errors: no).
+    fn forward_validates<F: Family>(&self, candidate: &DomainName, ip: F) -> bool {
+        self.resolver
+            .query(candidate, F::RTYPE)
+            .is_ok_and(|rrs| rrs.iter().any(|rr| F::record_addr(&rr.data) == Some(ip)))
     }
 
     /// Fetch and expand the `exp=` explanation after a `fail`.

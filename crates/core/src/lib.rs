@@ -23,6 +23,7 @@ pub mod compile;
 pub mod context;
 pub mod dmarc;
 pub mod eval;
+mod family;
 pub mod header;
 pub mod macroexpand;
 pub mod parse;

@@ -12,10 +12,10 @@
 //!    mutation happens exclusively inside the single-threaded
 //!    [`ChurnEngine::step`], so a delta landing mid-crawl deterministically
 //!    defers to the next epoch — the scheduler quiesces by construction.
-//! 2. **Schedule.** A timer wheel (`RecrawlScheduler`, over *virtual*
-//!    time) arms one deadline per domain at its deterministic per-domain
-//!    TTL; `step(now)` drains the domains whose TTL expired plus every
-//!    delta'd domain.
+//! 2. **Schedule.** Each domain holds one deadline in *virtual* time,
+//!    its deterministic per-domain TTL after its last crawl; `step(now)`
+//!    takes the domains whose deadline has passed plus every delta'd
+//!    domain.
 //! 3. **Re-crawl & fold.** Only the due subset goes through the normal
 //!    worker pool, for its [`crawl`] and (when a matrix is attached) its
 //!    matrix rows; each due domain's old contribution is folded
@@ -49,9 +49,6 @@ use crate::spoof::{
     evaluate_matrix_row, DomainMatrixRow, SpoofMatrix, SpoofVerdictCache, VantagePoint,
 };
 
-/// Wheel slots; one tour spans `slots × tick` of virtual time.
-const WHEEL_SLOTS: usize = 512;
-
 /// A batched zone change, delivered to the engine for deterministic
 /// application at the next epoch boundary.
 ///
@@ -81,74 +78,6 @@ impl std::fmt::Debug for ZoneDelta {
         f.debug_struct("ZoneDelta")
             .field("changed", &self.changed.len())
             .finish()
-    }
-}
-
-/// The TTL-driven re-crawl timer wheel over virtual [`Duration`] time,
-/// with lazy cancellation — re-arming a rank leaves
-/// the stale entry in place and the sweep drops any entry whose
-/// deadline no longer matches the rank's current one.
-struct RecrawlScheduler {
-    slots: Vec<Vec<(Duration, usize)>>,
-    tick: Duration,
-    swept_tick: u64,
-    len: usize,
-}
-
-impl RecrawlScheduler {
-    fn new(tick: Duration) -> Self {
-        RecrawlScheduler {
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            tick: tick.max(Duration::from_millis(1)),
-            swept_tick: 0,
-            len: 0,
-        }
-    }
-
-    fn tick_of(&self, t: Duration) -> u64 {
-        (t.as_micros() / self.tick.as_micros().max(1)) as u64
-    }
-
-    fn arm(&mut self, rank: usize, deadline: Duration) {
-        let slot = (self.tick_of(deadline) % WHEEL_SLOTS as u64) as usize;
-        self.slots[slot].push((deadline, rank));
-        self.len += 1;
-    }
-
-    /// Extract every live entry due at or before `now`. `deadline_of`
-    /// is the per-rank current deadline: entries that no longer match
-    /// were superseded by a re-arm and are dropped unreturned.
-    fn expire(&mut self, now: Duration, deadline_of: &[Duration]) -> Vec<usize> {
-        let mut due = Vec::new();
-        let target = self.tick_of(now);
-        if self.len == 0 {
-            self.swept_tick = target;
-            return due;
-        }
-        let span = target
-            .saturating_sub(self.swept_tick)
-            .min(WHEEL_SLOTS as u64 - 1);
-        for tick in self.swept_tick..=self.swept_tick + span {
-            let slot = (tick % WHEEL_SLOTS as u64) as usize;
-            let entries = &mut self.slots[slot];
-            let mut i = 0;
-            while i < entries.len() {
-                let (deadline, rank) = entries[i];
-                if deadline != deadline_of[rank] {
-                    // Superseded by a re-arm: lazily cancelled.
-                    entries.swap_remove(i);
-                    self.len -= 1;
-                } else if deadline <= now {
-                    due.push(rank);
-                    entries.swap_remove(i);
-                    self.len -= 1;
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        self.swept_tick = target;
-        due
     }
 }
 
@@ -220,8 +149,7 @@ struct MatrixState {
 }
 
 struct EngineState {
-    scheduler: RecrawlScheduler,
-    /// Each rank's currently armed deadline (the lazy-cancel witness).
+    /// Each rank's re-crawl deadline in virtual time: the schedule.
     deadline_of: Vec<Duration>,
     reports: Vec<DomainReport>,
     coverage: CoverageMap,
@@ -245,7 +173,7 @@ pub struct ChurnEngine {
 
 impl ChurnEngine {
     /// Bootstrap the engine with a full crawl of `domains` at virtual
-    /// time zero, arming every domain's TTL deadline.
+    /// time zero, setting every domain's TTL deadline.
     pub fn bootstrap<R: Resolver>(
         walker: &Walker<R>,
         domains: Vec<DomainName>,
@@ -257,22 +185,13 @@ impl ChurnEngine {
             .enumerate()
             .map(|(i, d)| (d.clone(), i))
             .collect();
-        // One wheel tour covers the base TTL + jitter span.
-        let horizon = config.base_ttl + config.ttl_jitter;
-        let mut scheduler = RecrawlScheduler::new(horizon / WHEEL_SLOTS as u32);
-        let mut deadline_of = Vec::with_capacity(domains.len());
-        for (rank, domain) in domains.iter().enumerate() {
-            let deadline = ttl_of(domain, &config);
-            deadline_of.push(deadline);
-            scheduler.arm(rank, deadline);
-        }
+        let deadline_of = domains.iter().map(|d| ttl_of(d, &config)).collect();
         ChurnEngine {
             domains,
             index,
             config,
             inbox: Mutex::new(Vec::new()),
             state: Mutex::new(EngineState {
-                scheduler,
                 deadline_of,
                 reports: output.reports,
                 coverage: output.coverage,
@@ -353,10 +272,9 @@ impl ChurnEngine {
         delta_ranks.sort_unstable();
         delta_ranks.dedup();
 
-        let expired = state.scheduler.expire(now, &state.deadline_of);
         let delta_count = delta_ranks.len() as u64;
         let mut due = delta_ranks;
-        due.extend(expired);
+        due.extend((0..self.domains.len()).filter(|&rank| state.deadline_of[rank] <= now));
         due.sort_unstable();
         due.dedup();
         let expired_count = due.len() as u64 - delta_count;
@@ -396,9 +314,7 @@ impl ChurnEngine {
             state.reports[rank] = report;
         }
         for &rank in &due {
-            let deadline = now + ttl_of(&self.domains[rank], &self.config);
-            state.deadline_of[rank] = deadline;
-            state.scheduler.arm(rank, deadline);
+            state.deadline_of[rank] = now + ttl_of(&self.domains[rank], &self.config);
         }
 
         state.epoch += 1;

@@ -63,7 +63,7 @@ use spf_core::{
     VerdictKey,
 };
 use spf_dns::Resolver;
-use spf_types::{CacheStats, DomainName, Evaluator, ShardedCache, WeightedRanges};
+use spf_types::{splitmix64, CacheStats, DomainName, Evaluator, ShardedCache, WeightedRanges};
 
 use crate::crawl::{CrawlConfig, DEFAULT_BATCH_SIZE};
 use crate::pool;
@@ -124,15 +124,6 @@ pub struct ProviderVantage {
     pub web: Ipv4Addr,
     /// The provider MTA address.
     pub mta: Ipv4Addr,
-}
-
-/// splitmix64: the control sampler's deterministic stream.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Assemble the matrix's vantage set: the `top_k` most-covered addresses
@@ -893,12 +884,8 @@ impl AuthMatrix {
     }
 
     fn layer_facts(row: &AuthMatrixRow) -> (u64, u64, u64) {
-        let usable = matches!(
-            row.dmarc,
-            DmarcDisposition::Monitor | DmarcDisposition::Enforced { .. }
-        );
         (
-            u64::from(usable),
+            u64::from(row.dmarc.is_usable()),
             u64::from(row.dmarc.is_enforced()),
             u64::from(row.mta_sts == MtaStsMode::Enforce),
         )

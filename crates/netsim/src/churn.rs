@@ -29,7 +29,7 @@
 use std::sync::Arc;
 
 use spf_dns::{LookupOutcome, RecordData, RecordType, ZoneStore};
-use spf_types::DomainName;
+use spf_types::{splitmix64, DomainName};
 
 /// Number of immutable churn-provider includes published at
 /// construction; migrations rotate among them.
@@ -442,16 +442,6 @@ fn direct_record(h: u64, all: &str) -> String {
 
 fn name(s: &str) -> DomainName {
     DomainName::parse(s).expect("static churn infrastructure name is valid")
-}
-
-/// The same splitmix64 stream the spoof-matrix vantage selection uses —
-/// deterministic across platforms, no external RNG state.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //!   pair: the worst case where the verdict memo cannot help at all and
 //!   eviction pressure is highest.
 //!
-//! Plans are pregenerated with the crawler's splitmix64 idiom from a
+//! Plans are pregenerated with `spf_types::splitmix64` from a
 //! caller seed, so a mix is reproducible bit-for-bit across runs; the
 //! driver then replays a plan through real sockets with N client
 //! threads × a pipelining window, recording per-query round trips.
@@ -23,7 +23,7 @@ use std::net::{IpAddr, SocketAddr};
 use std::time::Instant;
 
 use serde::Serialize;
-use spf_types::DomainName;
+use spf_types::{splitmix64, DomainName};
 
 use crate::client::{QuerySpec, ServiceClient, Transport};
 use crate::histogram::{LatencySnapshot, LogHistogram};
@@ -73,14 +73,6 @@ impl std::fmt::Display for TrafficMix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
     }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn unit_f64(state: &mut u64) -> f64 {

@@ -219,11 +219,7 @@ fn dmarc_verdict<R: Resolver>(
     from_domain: &DomainName,
 ) -> (DmarcResult, DmarcDisposition) {
     let disposition = DmarcDisposition::from_lookup(&query_dmarc(resolver, from_domain));
-    let usable = matches!(
-        disposition,
-        DmarcDisposition::Monitor | DmarcDisposition::Enforced { .. }
-    );
-    if !usable {
+    if !disposition.is_usable() {
         return (DmarcResult::None, disposition);
     }
     let aligned = mail_from_domain

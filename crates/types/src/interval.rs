@@ -1,45 +1,46 @@
-//! The shared interval-set core behind [`crate::Ipv4Set`] and
-//! [`crate::Ipv6Set`].
+//! The interval-set core behind [`crate::IpSet`].
 //!
-//! Both sets store sorted, disjoint, *non-adjacent* inclusive ranges over
+//! A set stores sorted, disjoint, *non-adjacent* inclusive ranges over
 //! an unsigned integer address space — `u32` for IPv4, `u128` for IPv6 —
 //! which makes the representation canonical: two sets are equal exactly
 //! when their range vectors are equal. Every operation here preserves
-//! that invariant, so the public wrappers never have to re-normalize.
+//! that invariant, so [`crate::IpSet`] never has to re-normalize.
 //!
 //! The algebra (union, intersection, difference, subset/overlap tests) is
 //! implemented once over a [`Bound`] trait rather than twice over the two
-//! integer widths; the wrappers add only address-type conversions and the
-//! width-specific counting rules (IPv4 counts fit `u64`, IPv6 counts
-//! saturate `u128`).
+//! integer widths.
 
 /// An integer-like interval endpoint: totally ordered, with checked
 /// successor/predecessor so boundary arithmetic at the ends of the
-/// address space cannot wrap.
-pub(crate) trait Bound: Copy + Ord {
+/// address space cannot wrap. Public but unnameable outside the crate:
+/// it only bounds [`crate::IpFamily::Bound`].
+pub trait Bound: Copy + Ord {
+    /// The bottom of the address space.
+    const MIN: Self;
+    /// The top of the address space.
+    const MAX: Self;
     /// `self + 1`, or `None` at the top of the address space.
     fn succ(self) -> Option<Self>;
     /// `self - 1`, or `None` at the bottom of the address space.
     fn pred(self) -> Option<Self>;
 }
 
-impl Bound for u32 {
-    fn succ(self) -> Option<Self> {
-        self.checked_add(1)
-    }
-    fn pred(self) -> Option<Self> {
-        self.checked_sub(1)
-    }
+macro_rules! impl_bound {
+    ($($t:ty),*) => {$(
+        impl Bound for $t {
+            const MIN: Self = <$t>::MIN;
+            const MAX: Self = <$t>::MAX;
+            fn succ(self) -> Option<Self> {
+                self.checked_add(1)
+            }
+            fn pred(self) -> Option<Self> {
+                self.checked_sub(1)
+            }
+        }
+    )*};
 }
 
-impl Bound for u128 {
-    fn succ(self) -> Option<Self> {
-        self.checked_add(1)
-    }
-    fn pred(self) -> Option<Self> {
-        self.checked_sub(1)
-    }
-}
+impl_bound!(u32, u128);
 
 /// Insert the inclusive range `[lo, hi]`, merging every stored range it
 /// overlaps or touches. `O(log n)` to find the merge window plus the

@@ -1,28 +1,88 @@
-//! Interval-set arithmetic over the IPv4 address space.
+//! Interval-set arithmetic over the IPv4 and IPv6 address spaces.
 //!
 //! Counting the *number of authorized IPv4 addresses* per domain is the
 //! central quantitative measurement of the paper (Figure 5: CDF of allowed
 //! IPs; Table 4: allowed IPs per include). SPF records routinely authorize
 //! `/8`…`/0` networks — 2^24 to 2^32 addresses — so the set must be
-//! represented symbolically. [`Ipv4Set`] keeps a sorted list of disjoint
-//! inclusive `u32` ranges; union/insert are `O(n log n)` in the number of
-//! ranges, and counting is a sum of range widths; the proptests pin it
+//! represented symbolically. [`IpSet`] keeps a sorted list of disjoint
+//! inclusive integer ranges; union/insert are `O(n log n)` in the number
+//! of ranges, and counting is a sum of range widths; the proptests pin it
 //! against a naive bit-vector model (DESIGN.md §7).
 //!
-//! The range algebra itself (union / intersection / difference / subset
-//! and overlap tests) lives in the width-generic `interval` core shared
-//! with [`crate::Ipv6Set`]; DESIGN.md §7 states the invariants.
+//! One generic body serves both families through the sealed [`IpFamily`]
+//! trait ([`Ipv4Set`] and [`Ipv6Set`] are its two instantiations); only
+//! counting and CIDR decomposition are written per family. The range
+//! algebra itself lives in the width-generic `interval` core.
 
 use std::fmt;
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, Ipv6Addr};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
-use crate::cidr::Ipv4Cidr;
-use crate::interval;
+use crate::cidr::{Ipv4Cidr, Ipv6Cidr};
+use crate::interval::{self, Bound};
 
-/// A set of IPv4 addresses stored as sorted, disjoint, non-adjacent
-/// inclusive ranges.
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for std::net::Ipv4Addr {}
+    impl Sealed for std::net::Ipv6Addr {}
+}
+
+/// An address family an [`IpSet`] ranges over: [`Ipv4Addr`] or
+/// [`Ipv6Addr`] (sealed). It names the integer the family's addresses
+/// map onto and the family's CIDR type.
+pub trait IpFamily: Copy + Eq + fmt::Debug + fmt::Display + sealed::Sealed {
+    /// The address space as an unsigned integer: `u32` or `u128`.
+    type Bound: Bound + fmt::Debug + Serialize + Deserialize;
+    /// The family's CIDR network: [`Ipv4Cidr`] or [`Ipv6Cidr`].
+    type Cidr;
+    /// The address as an integer.
+    fn to_bound(self) -> Self::Bound;
+    /// The integer as an address.
+    fn from_bound(bound: Self::Bound) -> Self;
+    /// A network's first and last address as integers.
+    fn cidr_bounds(cidr: &Self::Cidr) -> (Self::Bound, Self::Bound);
+}
+
+impl IpFamily for Ipv4Addr {
+    type Bound = u32;
+    type Cidr = Ipv4Cidr;
+    fn to_bound(self) -> u32 {
+        u32::from(self)
+    }
+    fn from_bound(bound: u32) -> Self {
+        Ipv4Addr::from(bound)
+    }
+    fn cidr_bounds(cidr: &Ipv4Cidr) -> (u32, u32) {
+        cidr.range_u32()
+    }
+}
+
+impl IpFamily for Ipv6Addr {
+    type Bound = u128;
+    type Cidr = Ipv6Cidr;
+    fn to_bound(self) -> u128 {
+        u128::from(self)
+    }
+    fn from_bound(bound: u128) -> Self {
+        Ipv6Addr::from(bound)
+    }
+    fn cidr_bounds(cidr: &Ipv6Cidr) -> (u128, u128) {
+        cidr.range_u128()
+    }
+}
+
+/// A set of addresses of one family stored as sorted, disjoint,
+/// non-adjacent inclusive integer ranges. Use it as [`Ipv4Set`] or
+/// [`Ipv6Set`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IpSet<A: IpFamily> {
+    /// Invariant: sorted by start; `ranges[i].1 + 1 < ranges[i+1].0`
+    /// (disjoint and non-adjacent, so the representation is canonical).
+    ranges: Vec<(A::Bound, A::Bound)>,
+}
+
+/// A set of IPv4 addresses.
 ///
 /// ```
 /// use spf_types::{Ipv4Set, Ipv4Cidr};
@@ -33,23 +93,34 @@ use crate::interval;
 /// assert_eq!(set.range_count(), 1);
 /// assert_eq!(set.address_count(), 512);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Ipv4Set {
-    /// Invariant: sorted by start; `ranges[i].1 + 1 < ranges[i+1].0`
-    /// (disjoint and non-adjacent, so the representation is canonical).
-    ranges: Vec<(u32, u32)>,
-}
+pub type Ipv4Set = IpSet<Ipv4Addr>;
 
-impl Ipv4Set {
+/// A set of IPv6 addresses. The paper restricts its quantitative analysis
+/// to IPv4 (only 0.5 % of records carry `ip6` terms), but the compiler
+/// splits the IPv6 space with the same algebra.
+///
+/// ```
+/// use spf_types::{Ipv6Set, Ipv6Cidr};
+/// let mut set = Ipv6Set::new();
+/// set.insert_cidr(&"2001:db8::/126".parse::<Ipv6Cidr>().unwrap());
+/// set.insert_cidr(&"2001:db8::4/126".parse::<Ipv6Cidr>().unwrap());
+/// // Adjacent ranges coalesce:
+/// assert_eq!(set.range_count(), 1);
+/// assert_eq!(set.address_count(), 8);
+/// ```
+pub type Ipv6Set = IpSet<Ipv6Addr>;
+
+impl<A: IpFamily> IpSet<A> {
     /// The empty set.
     pub fn new() -> Self {
-        Ipv4Set { ranges: Vec::new() }
+        IpSet { ranges: Vec::new() }
     }
 
-    /// The full IPv4 space (what `ip4:0.0.0.0/0` authorizes).
+    /// The whole address space (what `ip4:0.0.0.0/0` or `ip6:::/0`
+    /// authorizes).
     pub fn full() -> Self {
-        Ipv4Set {
-            ranges: vec![(0, u32::MAX)],
+        IpSet {
+            ranges: vec![(A::Bound::MIN, A::Bound::MAX)],
         }
     }
 
@@ -59,24 +130,24 @@ impl Ipv4Set {
     }
 
     /// Insert a single address.
-    pub fn insert_addr(&mut self, addr: Ipv4Addr) {
-        let v = u32::from(addr);
+    pub fn insert_addr(&mut self, addr: A) {
+        let v = addr.to_bound();
         self.insert_range(v, v);
     }
 
     /// Insert every address of a CIDR network.
-    pub fn insert_cidr(&mut self, cidr: &Ipv4Cidr) {
-        let (lo, hi) = cidr.range_u32();
+    pub fn insert_cidr(&mut self, cidr: &A::Cidr) {
+        let (lo, hi) = A::cidr_bounds(cidr);
         self.insert_range(lo, hi);
     }
 
     /// Insert an inclusive range, merging with overlapping/adjacent ranges.
-    pub fn insert_range(&mut self, lo: u32, hi: u32) {
+    pub fn insert_range(&mut self, lo: A::Bound, hi: A::Bound) {
         interval::insert_range(&mut self.ranges, lo, hi);
     }
 
     /// Union with another set, in place.
-    pub fn union_with(&mut self, other: &Ipv4Set) {
+    pub fn union_with(&mut self, other: &Self) {
         if self.ranges.is_empty() {
             // Both sides are canonical, so the union is `other` itself.
             self.ranges.clone_from(&other.ranges);
@@ -92,7 +163,7 @@ impl Ipv4Set {
     }
 
     /// Union, returning a new set.
-    pub fn union(&self, other: &Ipv4Set) -> Ipv4Set {
+    pub fn union(&self, other: &Self) -> Self {
         let mut out = self.clone();
         out.union_with(other);
         out
@@ -102,15 +173,21 @@ impl Ipv4Set {
     /// *share*, the primitive behind the cross-population overlap engine.
     ///
     /// ```
-    /// use spf_types::Ipv4Set;
+    /// use spf_types::{Ipv4Set, Ipv6Set};
     /// let mut a = Ipv4Set::new();
     /// a.insert_cidr(&"10.0.0.0/24".parse().unwrap());
     /// let mut b = Ipv4Set::new();
     /// b.insert_cidr(&"10.0.0.128/25".parse().unwrap());
     /// assert_eq!(a.intersect(&b).address_count(), 128);
+    ///
+    /// let mut a = Ipv6Set::new();
+    /// a.insert_cidr(&"2001:db8::/64".parse().unwrap());
+    /// let mut b = Ipv6Set::new();
+    /// b.insert_cidr(&"2001:db8::/65".parse().unwrap());
+    /// assert_eq!(a.intersect(&b).address_count(), 1u128 << 63);
     /// ```
-    pub fn intersect(&self, other: &Ipv4Set) -> Ipv4Set {
-        Ipv4Set {
+    pub fn intersect(&self, other: &Self) -> Self {
+        IpSet {
             ranges: interval::intersect(&self.ranges, &other.ranges),
         }
     }
@@ -119,7 +196,7 @@ impl Ipv4Set {
     /// space a domain authorizes *beyond* its provider's include.
     ///
     /// ```
-    /// use spf_types::Ipv4Set;
+    /// use spf_types::{Ipv4Set, Ipv6Set};
     /// let mut a = Ipv4Set::new();
     /// a.insert_cidr(&"10.0.0.0/24".parse().unwrap());
     /// let mut b = Ipv4Set::new();
@@ -128,9 +205,17 @@ impl Ipv4Set {
     /// assert_eq!(only_a.address_count(), 128);
     /// assert!(!only_a.contains("10.0.0.1".parse().unwrap()));
     /// assert!(only_a.contains("10.0.0.200".parse().unwrap()));
+    ///
+    /// let mut a = Ipv6Set::new();
+    /// a.insert_range(0, 15);
+    /// let mut b = Ipv6Set::new();
+    /// b.insert_range(4, 7);
+    /// let d = a.difference(&b);
+    /// assert_eq!(d.address_count(), 12);
+    /// assert!(!d.intersects(&b));
     /// ```
-    pub fn difference(&self, other: &Ipv4Set) -> Ipv4Set {
-        Ipv4Set {
+    pub fn difference(&self, other: &Self) -> Self {
+        IpSet {
             ranges: interval::difference(&self.ranges, &other.ranges),
         }
     }
@@ -139,7 +224,7 @@ impl Ipv4Set {
     /// sweep; no allocation).
     ///
     /// ```
-    /// use spf_types::Ipv4Set;
+    /// use spf_types::{Ipv4Set, Ipv6Set};
     /// let mut a = Ipv4Set::new();
     /// a.insert_range(0, 10);
     /// let mut b = Ipv4Set::new();
@@ -148,15 +233,21 @@ impl Ipv4Set {
     /// b = Ipv4Set::new();
     /// b.insert_range(11, 20);
     /// assert!(!a.intersects(&b));
+    ///
+    /// let mut a = Ipv6Set::new();
+    /// a.insert_cidr(&"2001:db8::/32".parse().unwrap());
+    /// let mut b = Ipv6Set::new();
+    /// b.insert_addr("2001:db8::1".parse().unwrap());
+    /// assert!(a.intersects(&b));
     /// ```
-    pub fn intersects(&self, other: &Ipv4Set) -> bool {
+    pub fn intersects(&self, other: &Self) -> bool {
         interval::intersects(&self.ranges, &other.ranges)
     }
 
     /// True when every address of `self` is in `other`.
     ///
     /// ```
-    /// use spf_types::Ipv4Set;
+    /// use spf_types::{Ipv4Set, Ipv6Set};
     /// let mut provider = Ipv4Set::new();
     /// provider.insert_cidr(&"198.51.100.0/24".parse().unwrap());
     /// let mut customer = Ipv4Set::new();
@@ -164,23 +255,21 @@ impl Ipv4Set {
     /// assert!(customer.is_subset(&provider));
     /// assert!(!provider.is_subset(&customer));
     /// assert!(Ipv4Set::new().is_subset(&customer));
+    ///
+    /// let mut provider = Ipv6Set::new();
+    /// provider.insert_cidr(&"2001:db8::/48".parse().unwrap());
+    /// let mut customer = Ipv6Set::new();
+    /// customer.insert_cidr(&"2001:db8:0:42::/64".parse().unwrap());
+    /// assert!(customer.is_subset(&provider));
+    /// assert!(!provider.is_subset(&customer));
     /// ```
-    pub fn is_subset(&self, other: &Ipv4Set) -> bool {
+    pub fn is_subset(&self, other: &Self) -> bool {
         interval::is_subset(&self.ranges, &other.ranges)
     }
 
     /// Membership test (binary search).
-    pub fn contains(&self, addr: Ipv4Addr) -> bool {
-        interval::contains(&self.ranges, u32::from(addr))
-    }
-
-    /// Total number of addresses in the set. `2^32` for the full space,
-    /// hence `u64`.
-    pub fn address_count(&self) -> u64 {
-        self.ranges
-            .iter()
-            .map(|&(lo, hi)| (hi as u64) - (lo as u64) + 1)
-            .sum()
+    pub fn contains(&self, addr: A) -> bool {
+        interval::contains(&self.ranges, addr.to_bound())
     }
 
     /// Number of disjoint ranges (representation size).
@@ -189,22 +278,34 @@ impl Ipv4Set {
     }
 
     /// Iterate the disjoint inclusive ranges in ascending order.
-    pub fn iter_ranges(&self) -> impl Iterator<Item = (Ipv4Addr, Ipv4Addr)> + '_ {
+    fn iter_ranges(&self) -> impl Iterator<Item = (A, A)> + '_ {
         self.ranges
             .iter()
-            .map(|&(lo, hi)| (Ipv4Addr::from(lo), Ipv4Addr::from(hi)))
+            .map(|&(lo, hi)| (A::from_bound(lo), A::from_bound(hi)))
     }
 
-    /// Iterate the disjoint inclusive ranges as raw `u32` bounds, in
-    /// ascending order — the form the coverage sweep consumes.
-    pub fn iter_ranges_u32(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+    /// Iterate the disjoint inclusive ranges as raw integer bounds, in
+    /// ascending order — the form the coverage sweep and the compiled
+    /// tables consume.
+    pub fn iter_bounds(&self) -> impl Iterator<Item = (A::Bound, A::Bound)> + '_ {
         self.ranges.iter().copied()
     }
 
     /// An arbitrary member address, if the set is non-empty. The spoofing
     /// case study uses this to pick a connectable source address.
-    pub fn sample_first(&self) -> Option<Ipv4Addr> {
-        self.ranges.first().map(|&(lo, _)| Ipv4Addr::from(lo))
+    pub fn sample_first(&self) -> Option<A> {
+        self.ranges.first().map(|&(lo, _)| A::from_bound(lo))
+    }
+}
+
+impl Ipv4Set {
+    /// Total number of addresses in the set. `2^32` for the full space,
+    /// hence `u64`.
+    pub fn address_count(&self) -> u64 {
+        self.ranges
+            .iter()
+            .map(|&(lo, hi)| (hi as u64) - (lo as u64) + 1)
+            .sum()
     }
 
     /// Decompose the set into the minimal list of CIDR blocks covering it
@@ -238,9 +339,50 @@ impl Ipv4Set {
     }
 }
 
-impl FromIterator<Ipv4Cidr> for Ipv4Set {
-    fn from_iter<T: IntoIterator<Item = Ipv4Cidr>>(iter: T) -> Self {
-        let mut set = Ipv4Set::new();
+impl Ipv6Set {
+    /// Total number of addresses in the set, saturating at `u128::MAX`
+    /// (the full space holds 2^128 addresses, one more than `u128`
+    /// expresses — like [`Ipv6Cidr::address_count`]).
+    pub fn address_count(&self) -> u128 {
+        self.ranges.iter().fold(0u128, |acc, &(lo, hi)| {
+            let width = if lo == 0 && hi == u128::MAX {
+                u128::MAX
+            } else {
+                hi - lo + 1
+            };
+            acc.saturating_add(width)
+        })
+    }
+}
+
+impl<A: IpFamily> Default for IpSet<A> {
+    fn default() -> Self {
+        IpSet::new()
+    }
+}
+
+/// `{"ranges": [[lo, hi], …]}` — written out because the vendored derive
+/// takes no generics; the shape is the one the derive gave.
+impl<A: IpFamily> Serialize for IpSet<A> {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![("ranges".to_string(), self.ranges.to_value())])
+    }
+}
+
+impl<A: IpFamily> Deserialize for IpSet<A> {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        match v {
+            Value::Map(m) => Ok(IpSet {
+                ranges: Deserialize::from_value(serde::map_get(m, "ranges")?)?,
+            }),
+            _ => Err(serde::Error::custom("expected map for struct IpSet")),
+        }
+    }
+}
+
+impl<A: IpFamily> FromIterator<A::Cidr> for IpSet<A> {
+    fn from_iter<T: IntoIterator<Item = A::Cidr>>(iter: T) -> Self {
+        let mut set = IpSet::new();
         for cidr in iter {
             set.insert_cidr(&cidr);
         }
@@ -248,7 +390,7 @@ impl FromIterator<Ipv4Cidr> for Ipv4Set {
     }
 }
 
-impl fmt::Display for Ipv4Set {
+impl<A: IpFamily> fmt::Display for IpSet<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
         for (i, (lo, hi)) in self.iter_ranges().enumerate() {
@@ -488,11 +630,135 @@ mod tests {
     }
 
     #[test]
+    fn serde_bytes_are_pinned() {
+        // The serialized shape is part of every JSON artifact that carries
+        // a set; pin the exact bytes, not just a round trip.
+        assert_eq!(
+            serde_json::to_string(&Ipv4Set::new()).unwrap(),
+            r#"{"ranges":[]}"#
+        );
+        let mut one = Ipv4Set::new();
+        one.insert_cidr(&cidr("192.168.0.0/24"));
+        assert_eq!(
+            serde_json::to_string(&one).unwrap(),
+            r#"{"ranges":[[3232235520,3232235775]]}"#
+        );
+        assert_eq!(
+            serde_json::to_string(&Ipv4Set::full()).unwrap(),
+            r#"{"ranges":[[0,4294967295]]}"#
+        );
+        // u128 bounds past u64::MAX are carried as decimal strings.
+        let mut v6 = Ipv6Set::new();
+        v6.insert_range(u64::MAX as u128, u64::MAX as u128 + 1);
+        v6.insert_cidr(&"2001:db8::/32".parse().unwrap());
+        assert_eq!(
+            serde_json::to_string(&v6).unwrap(),
+            concat!(
+                r#"{"ranges":[[18446744073709551615,"18446744073709551616"],"#,
+                r#"["42540766411282592856903984951653826560","#,
+                r#""42540766490510755371168322545197776895"]]}"#
+            )
+        );
+        assert_eq!(
+            serde_json::to_string(&Ipv6Set::full()).unwrap(),
+            r#"{"ranges":[[0,"340282366920938463463374607431768211455"]]}"#
+        );
+    }
+
+    #[test]
     fn sample_first_returns_lowest() {
         let mut set = Ipv4Set::new();
         set.insert_cidr(&cidr("192.0.2.0/24"));
         set.insert_cidr(&cidr("10.0.0.0/24"));
         assert_eq!(set.sample_first(), Some(Ipv4Addr::new(10, 0, 0, 0)));
         assert_eq!(Ipv4Set::new().sample_first(), None);
+    }
+
+    /// The IPv6 instantiation's own cases.
+    mod v6 {
+        use super::*;
+
+        fn cidr(s: &str) -> Ipv6Cidr {
+            s.parse().unwrap()
+        }
+
+        #[test]
+        fn empty_and_full() {
+            let empty = Ipv6Set::new();
+            assert!(empty.is_empty());
+            assert_eq!(empty.address_count(), 0);
+            let full = Ipv6Set::full();
+            assert_eq!(full.address_count(), u128::MAX); // saturated
+            assert!(full.contains("2001:db8::1".parse().unwrap()));
+            let mut via_cidr = Ipv6Set::new();
+            via_cidr.insert_cidr(&cidr("::/0"));
+            assert_eq!(via_cidr, full);
+        }
+
+        #[test]
+        fn insert_and_coalesce() {
+            let mut set = Ipv6Set::new();
+            set.insert_cidr(&cidr("2001:db8::/64"));
+            set.insert_cidr(&cidr("2001:db8:0:1::/64")); // adjacent
+            assert_eq!(set.range_count(), 1);
+            assert_eq!(set.address_count(), 1u128 << 65);
+            set.insert_cidr(&cidr("2001:db8::/63")); // already covered
+            assert_eq!(set.range_count(), 1);
+        }
+
+        #[test]
+        fn membership_and_sampling() {
+            let mut set = Ipv6Set::new();
+            set.insert_cidr(&cidr("2001:db8::/32"));
+            assert!(set.contains("2001:db8:ffff::1".parse().unwrap()));
+            assert!(!set.contains("2001:db9::1".parse().unwrap()));
+            assert_eq!(set.sample_first(), Some("2001:db8::".parse().unwrap()));
+            assert_eq!(Ipv6Set::new().sample_first(), None);
+        }
+
+        #[test]
+        fn algebra_round_trip() {
+            let mut a = Ipv6Set::new();
+            a.insert_cidr(&cidr("2001:db8::/48"));
+            let mut b = Ipv6Set::new();
+            b.insert_cidr(&cidr("2001:db8:0:8000::/49"));
+            b.insert_cidr(&cidr("2001:db9::/48"));
+            let i = a.intersect(&b);
+            assert_eq!(i.address_count(), 1u128 << 79);
+            assert!(i.is_subset(&a) && i.is_subset(&b));
+            let d = a.difference(&b);
+            assert!(!d.intersects(&b));
+            assert_eq!(d.union(&i), a);
+        }
+
+        #[test]
+        fn boundary_at_u128_max() {
+            let mut set = Ipv6Set::new();
+            set.insert_range(u128::MAX - 1, u128::MAX);
+            set.insert_range(u128::MAX - 3, u128::MAX - 2);
+            assert_eq!(set.range_count(), 1);
+            assert_eq!(set.address_count(), 4);
+            assert!(set.contains(Ipv6Addr::from(u128::MAX)));
+        }
+
+        #[test]
+        fn display_formats_ranges() {
+            let mut set = Ipv6Set::new();
+            set.insert_addr("2001:db8::1".parse().unwrap());
+            set.insert_cidr(&cidr("2001:db8:1::/127"));
+            assert_eq!(set.to_string(), "{2001:db8::1, 2001:db8:1::-2001:db8:1::1}");
+        }
+
+        #[test]
+        fn serde_round_trips_past_u64() {
+            // Range endpoints beyond u64 exercise the stub's string-encoded
+            // u128 path.
+            let mut set = Ipv6Set::new();
+            set.insert_cidr(&cidr("2001:db8::/32"));
+            set.insert_range(u128::MAX - 10, u128::MAX);
+            let json = serde_json::to_string(&set).unwrap();
+            let back: Ipv6Set = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, set);
+        }
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! Shared, dependency-free types used by every other crate in the
 //! workspace: validated [`DomainName`]s, IPv4/IPv6 [`Ipv4Cidr`]/[`Ipv6Cidr`]
-//! networks with the paper's invalid-IP error taxonomy, the [`Ipv4Set`]/
-//! [`Ipv6Set`] interval sets used to count and intersect authorized
-//! addresses (Figure 5 / Table 4), the [`CoverageMap`]/[`WeightedRanges`]
-//! cross-population overlap primitives (DESIGN.md §7), and the typed SPF
+//! networks with the paper's invalid-IP error taxonomy, the one interval
+//! set [`IpSet`], generic over the [`IpFamily`] and used as [`Ipv4Set`] and
+//! [`Ipv6Set`], that counts and intersects authorized addresses (Figure 5
+//! / Table 4), the [`CoverageMap`]/[`WeightedRanges`] cross-population
+//! overlap primitives (DESIGN.md §7), and the typed SPF
 //! record model ([`SpfRecord`], [`Mechanism`], [`Qualifier`],
 //! [`Modifier`], [`MacroString`]), plus two cross-crate plumbing APIs:
 //! the typed engine selection ([`Backend`], [`Transport`], [`Evaluator`])
@@ -27,7 +28,6 @@ mod cidr;
 mod domain;
 mod interval;
 mod ipset;
-mod ipv6set;
 mod macrostring;
 mod overlap;
 mod stats;
@@ -39,8 +39,7 @@ pub use cidr::{DualCidr, Ip4ParseError, Ip6ParseError, Ipv4Cidr, Ipv6Cidr};
 pub use domain::{
     stripe_index, DomainError, DomainHashBuilder, DomainHasher, DomainName, MAX_NAME_LEN,
 };
-pub use ipset::Ipv4Set;
-pub use ipv6set::Ipv6Set;
+pub use ipset::{IpFamily, IpSet, Ipv4Set, Ipv6Set};
 pub use macrostring::{MacroError, MacroExpand, MacroLetter, MacroString, MacroToken};
 pub use overlap::{CoverageMap, WeightedRange, WeightedRanges};
 pub use stats::{render_stats, StatItem, StatValue, Stats};
@@ -55,3 +54,16 @@ pub const MAX_DNS_LOOKUPS: usize = 10;
 /// The RFC 7208 §4.6.4 limit on "void lookups" (NXDOMAIN or empty answers)
 /// per evaluation.
 pub const MAX_VOID_LOOKUPS: usize = 2;
+
+/// One step of the splitmix64 generator: advance `state` and return the
+/// next value of its stream. The deterministic sampler behind the spoof
+/// matrix's control vantages, the churn simulator and the service's
+/// traffic plans: no external RNG state, the same stream on every
+/// platform.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}

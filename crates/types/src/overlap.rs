@@ -74,7 +74,7 @@ impl CoverageMap {
 
     /// Fold one domain's flattened range set into the accumulator.
     pub fn add_set(&mut self, set: &Ipv4Set) {
-        for (lo, hi) in set.iter_ranges_u32() {
+        for (lo, hi) in set.iter_bounds() {
             self.push_event(lo as u64, 1);
             self.push_event(hi as u64 + 1, -1);
         }
@@ -96,7 +96,7 @@ impl CoverageMap {
     /// a set that was never added trips the sweep's non-negative-weight
     /// debug assertion.
     pub fn remove_set(&mut self, set: &Ipv4Set) {
-        for (lo, hi) in set.iter_ranges_u32() {
+        for (lo, hi) in set.iter_bounds() {
             self.push_event(lo as u64, -1);
             self.push_event(hi as u64 + 1, 1);
         }

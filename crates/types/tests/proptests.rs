@@ -235,7 +235,7 @@ proptest! {
         let (b4, _) = bitvec_set(&b_ops);
         let lift = |s: &Ipv4Set| -> Ipv6Set {
             let mut out = Ipv6Set::new();
-            for (lo, hi) in s.iter_ranges_u32() {
+            for (lo, hi) in s.iter_bounds() {
                 out.insert_range(lo as u128, hi as u128);
             }
             out

@@ -7,7 +7,7 @@
 #     RUSTDOCFLAGS="--deny missing_docs", missing docs on any public item
 #     of any workspace crate — the ten spf-* crates, the façade, and the
 #     vendored stand-ins — are a build error, not a grep.
-#  3. The set-algebra doctests (Ipv4Set / Ipv6Set / CoverageMap rustdoc
+#  3. The set-algebra doctests (IpSet / CoverageMap rustdoc
 #     examples) must run, so the examples stay executable, not decorative.
 #  4. Every example must build.
 set -euo pipefail

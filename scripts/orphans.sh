@@ -91,6 +91,8 @@ crates/service/src/service.rs spawn_at `VerdictService::spawn` with an injected 
 crates/service/src/service.rs cache_stripe_stats reads the private memo stripes (service_stress)
 crates/types/src/overlap.rs set_count reads the private set counter (the coverage proptests)
 crates/types/src/overlap.rs max_weight also used by `top_coverage`; the proptests check it against a naive count
+# Language plumbing no caller writes.
+crates/types/src/ipset.rs Sealed supertrait that seals `IpFamily`; public so it may bound a public trait, unnameable outside the crate
 EOF
 }
 
