@@ -171,21 +171,6 @@ impl<A: IpFamily> IpSet<A> {
 
     /// Intersection, returning a new set — the addresses two SPF trees
     /// *share*, the primitive behind the cross-population overlap engine.
-    ///
-    /// ```
-    /// use spf_types::{Ipv4Set, Ipv6Set};
-    /// let mut a = Ipv4Set::new();
-    /// a.insert_cidr(&"10.0.0.0/24".parse().unwrap());
-    /// let mut b = Ipv4Set::new();
-    /// b.insert_cidr(&"10.0.0.128/25".parse().unwrap());
-    /// assert_eq!(a.intersect(&b).address_count(), 128);
-    ///
-    /// let mut a = Ipv6Set::new();
-    /// a.insert_cidr(&"2001:db8::/64".parse().unwrap());
-    /// let mut b = Ipv6Set::new();
-    /// b.insert_cidr(&"2001:db8::/65".parse().unwrap());
-    /// assert_eq!(a.intersect(&b).address_count(), 1u128 << 63);
-    /// ```
     pub fn intersect(&self, other: &Self) -> Self {
         IpSet {
             ranges: interval::intersect(&self.ranges, &other.ranges),
@@ -194,26 +179,6 @@ impl<A: IpFamily> IpSet<A> {
 
     /// Set difference `self \ other`, returning a new set — e.g. the
     /// space a domain authorizes *beyond* its provider's include.
-    ///
-    /// ```
-    /// use spf_types::{Ipv4Set, Ipv6Set};
-    /// let mut a = Ipv4Set::new();
-    /// a.insert_cidr(&"10.0.0.0/24".parse().unwrap());
-    /// let mut b = Ipv4Set::new();
-    /// b.insert_cidr(&"10.0.0.0/25".parse().unwrap());
-    /// let only_a = a.difference(&b);
-    /// assert_eq!(only_a.address_count(), 128);
-    /// assert!(!only_a.contains("10.0.0.1".parse().unwrap()));
-    /// assert!(only_a.contains("10.0.0.200".parse().unwrap()));
-    ///
-    /// let mut a = Ipv6Set::new();
-    /// a.insert_range(0, 15);
-    /// let mut b = Ipv6Set::new();
-    /// b.insert_range(4, 7);
-    /// let d = a.difference(&b);
-    /// assert_eq!(d.address_count(), 12);
-    /// assert!(!d.intersects(&b));
-    /// ```
     pub fn difference(&self, other: &Self) -> Self {
         IpSet {
             ranges: interval::difference(&self.ranges, &other.ranges),
@@ -222,47 +187,11 @@ impl<A: IpFamily> IpSet<A> {
 
     /// True when the two sets share at least one address (early-exit
     /// sweep; no allocation).
-    ///
-    /// ```
-    /// use spf_types::{Ipv4Set, Ipv6Set};
-    /// let mut a = Ipv4Set::new();
-    /// a.insert_range(0, 10);
-    /// let mut b = Ipv4Set::new();
-    /// b.insert_range(10, 20);
-    /// assert!(a.intersects(&b));
-    /// b = Ipv4Set::new();
-    /// b.insert_range(11, 20);
-    /// assert!(!a.intersects(&b));
-    ///
-    /// let mut a = Ipv6Set::new();
-    /// a.insert_cidr(&"2001:db8::/32".parse().unwrap());
-    /// let mut b = Ipv6Set::new();
-    /// b.insert_addr("2001:db8::1".parse().unwrap());
-    /// assert!(a.intersects(&b));
-    /// ```
     pub fn intersects(&self, other: &Self) -> bool {
         interval::intersects(&self.ranges, &other.ranges)
     }
 
     /// True when every address of `self` is in `other`.
-    ///
-    /// ```
-    /// use spf_types::{Ipv4Set, Ipv6Set};
-    /// let mut provider = Ipv4Set::new();
-    /// provider.insert_cidr(&"198.51.100.0/24".parse().unwrap());
-    /// let mut customer = Ipv4Set::new();
-    /// customer.insert_cidr(&"198.51.100.64/26".parse().unwrap());
-    /// assert!(customer.is_subset(&provider));
-    /// assert!(!provider.is_subset(&customer));
-    /// assert!(Ipv4Set::new().is_subset(&customer));
-    ///
-    /// let mut provider = Ipv6Set::new();
-    /// provider.insert_cidr(&"2001:db8::/48".parse().unwrap());
-    /// let mut customer = Ipv6Set::new();
-    /// customer.insert_cidr(&"2001:db8:0:42::/64".parse().unwrap());
-    /// assert!(customer.is_subset(&provider));
-    /// assert!(!provider.is_subset(&customer));
-    /// ```
     pub fn is_subset(&self, other: &Self) -> bool {
         interval::is_subset(&self.ranges, &other.ranges)
     }
@@ -674,6 +603,50 @@ mod tests {
         assert_eq!(Ipv4Set::new().sample_first(), None);
     }
 
+    #[test]
+    fn intersect_example() {
+        let mut a = Ipv4Set::new();
+        a.insert_cidr(&cidr("10.0.0.0/24"));
+        let mut b = Ipv4Set::new();
+        b.insert_cidr(&cidr("10.0.0.128/25"));
+        assert_eq!(a.intersect(&b).address_count(), 128);
+    }
+
+    #[test]
+    fn difference_example() {
+        let mut a = Ipv4Set::new();
+        a.insert_cidr(&cidr("10.0.0.0/24"));
+        let mut b = Ipv4Set::new();
+        b.insert_cidr(&cidr("10.0.0.0/25"));
+        let only_a = a.difference(&b);
+        assert_eq!(only_a.address_count(), 128);
+        assert!(!only_a.contains("10.0.0.1".parse().unwrap()));
+        assert!(only_a.contains("10.0.0.200".parse().unwrap()));
+    }
+
+    #[test]
+    fn intersects_example() {
+        let mut a = Ipv4Set::new();
+        a.insert_range(0, 10);
+        let mut b = Ipv4Set::new();
+        b.insert_range(10, 20);
+        assert!(a.intersects(&b));
+        b = Ipv4Set::new();
+        b.insert_range(11, 20);
+        assert!(!a.intersects(&b));
+    }
+
+    #[test]
+    fn is_subset_example() {
+        let mut provider = Ipv4Set::new();
+        provider.insert_cidr(&cidr("198.51.100.0/24"));
+        let mut customer = Ipv4Set::new();
+        customer.insert_cidr(&cidr("198.51.100.64/26"));
+        assert!(customer.is_subset(&provider));
+        assert!(!provider.is_subset(&customer));
+        assert!(Ipv4Set::new().is_subset(&customer));
+    }
+
     /// The IPv6 instantiation's own cases.
     mod v6 {
         use super::*;
@@ -759,6 +732,45 @@ mod tests {
             let json = serde_json::to_string(&set).unwrap();
             let back: Ipv6Set = serde_json::from_str(&json).unwrap();
             assert_eq!(back, set);
+        }
+
+        #[test]
+        fn intersect_example() {
+            let mut a = Ipv6Set::new();
+            a.insert_cidr(&cidr("2001:db8::/64"));
+            let mut b = Ipv6Set::new();
+            b.insert_cidr(&cidr("2001:db8::/65"));
+            assert_eq!(a.intersect(&b).address_count(), 1u128 << 63);
+        }
+
+        #[test]
+        fn difference_example() {
+            let mut a = Ipv6Set::new();
+            a.insert_range(0, 15);
+            let mut b = Ipv6Set::new();
+            b.insert_range(4, 7);
+            let d = a.difference(&b);
+            assert_eq!(d.address_count(), 12);
+            assert!(!d.intersects(&b));
+        }
+
+        #[test]
+        fn intersects_example() {
+            let mut a = Ipv6Set::new();
+            a.insert_cidr(&cidr("2001:db8::/32"));
+            let mut b = Ipv6Set::new();
+            b.insert_addr("2001:db8::1".parse().unwrap());
+            assert!(a.intersects(&b));
+        }
+
+        #[test]
+        fn is_subset_example() {
+            let mut provider = Ipv6Set::new();
+            provider.insert_cidr(&cidr("2001:db8::/48"));
+            let mut customer = Ipv6Set::new();
+            customer.insert_cidr(&cidr("2001:db8:0:42::/64"));
+            assert!(customer.is_subset(&provider));
+            assert!(!provider.is_subset(&customer));
         }
     }
 }
