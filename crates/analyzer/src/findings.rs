@@ -7,11 +7,12 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use spf_core::dmarc::{self, DmarcLookup};
+use spf_core::FetchFailure;
 use spf_dns::{DnsError, Question, RecordType, Resolver, RrSet};
 use spf_types::DomainName;
 
 use crate::taxonomy::{primary_class, ErrorClass};
-use crate::walker::{FetchOutcome, RecordAnalysis, Walker};
+use crate::walker::{RecordAnalysis, Walker};
 
 /// The paper's headline permissiveness threshold: 34.7 % of domains allow
 /// more than 100,000 IPv4 addresses.
@@ -112,19 +113,15 @@ pub fn analyze_domain<R: Resolver>(walker: &Walker<R>, domain: &DomainName) -> D
     };
 
     let record = memoized.unwrap_or_else(|| walker.analyze_answered(domain, next()));
-    let (has_spf, dns_transient) = match &record.fetch {
-        FetchOutcome::Found => (true, false),
-        FetchOutcome::Timeout => (false, true),
-        FetchOutcome::MultipleSpfRecords { .. } => (false, false),
-        _ => (false, false),
-    };
+    let has_spf = record.fetch.is_none();
+    let dns_transient = record.fetch == Some(FetchFailure::Transient);
 
     // Error classification: only domains whose own record was analyzable
     // (or that publish multiple records) enter the Figure 2 population;
     // transient failures are excluded like the paper's DNS errors.
     let primary_error = if dns_transient {
         None
-    } else if matches!(record.fetch, FetchOutcome::MultipleSpfRecords { .. }) {
+    } else if matches!(record.fetch, Some(FetchFailure::Multiple(_))) {
         // Multiple records at the scanned domain itself make the policy
         // unusable; the paper folds these into record-not-found.
         Some(ErrorClass::RecordNotFound)

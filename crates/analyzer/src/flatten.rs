@@ -15,7 +15,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 use spf_types::{Ipv4Set, Qualifier};
 
-use crate::walker::{FetchOutcome, RecordAnalysis};
+use crate::walker::RecordAnalysis;
 
 /// Why a record could not be fully flattened.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -78,7 +78,7 @@ pub struct Flattened {
 /// to `-all` when the original had no restrictive terminator — flattening
 /// is the moment to fix that too, per §7.1).
 pub fn flatten(analysis: &RecordAnalysis) -> Result<Flattened, FlattenProblem> {
-    if !matches!(analysis.fetch, FetchOutcome::Found) {
+    if analysis.fetch.is_some() {
         return Err(FlattenProblem::NoRecord);
     }
     let mut problems = Vec::new();

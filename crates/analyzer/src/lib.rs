@@ -7,7 +7,8 @@
 //! authorized IPv4 addresses (Figure 5, Tables 3–4), and derives the
 //! Section 7 recommendations used by the notification campaign.
 //!
-//! * [`taxonomy`] — the Figure 2 error classes and Figure 3 sub-causes;
+//! * [`taxonomy`] — the Figure 2 error classes (the Figure 3 sub-causes
+//!   are `spf_core`'s `NotFoundCause`, one per failed fetch);
 //! * [`walker`] — the memoizing recursive record walker (its memo is
 //!   [`spf_types::ShardedCache`]);
 //! * [`findings`] — per-domain reports (SPF + MX + DMARC + type-99);
@@ -27,5 +28,5 @@ pub mod walker;
 pub use findings::{analyze_domain, DomainReport, LAX_IP_THRESHOLD};
 pub use flatten::{flatten, FlattenProblem, Flattened};
 pub use recommend::{recommend, Recommendation, Severity};
-pub use taxonomy::{primary_class, AnalysisError, ErrorClass, NotFoundCause};
-pub use walker::{FetchOutcome, RecordAnalysis, WalkPolicy, Walker};
+pub use taxonomy::{primary_class, AnalysisError, ErrorClass};
+pub use walker::{RecordAnalysis, WalkPolicy, Walker};

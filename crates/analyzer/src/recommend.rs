@@ -9,6 +9,7 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+use spf_core::FetchFailure;
 use spf_types::Mechanism;
 
 use crate::findings::{DomainReport, LAX_IP_THRESHOLD};
@@ -60,12 +61,7 @@ pub fn recommend(report: &DomainReport) -> Vec<Recommendation> {
         if report
             .record
             .as_ref()
-            .map(|r| {
-                matches!(
-                    r.fetch,
-                    crate::walker::FetchOutcome::MultipleSpfRecords { .. }
-                )
-            })
+            .map(|r| matches!(r.fetch, Some(FetchFailure::Multiple(_))))
             .unwrap_or(false)
         {
             out.push(Recommendation {

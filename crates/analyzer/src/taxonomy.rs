@@ -9,6 +9,7 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+use spf_core::NotFoundCause;
 use spf_types::DomainName;
 
 /// The seven top-level error classes of Figure 2.
@@ -58,54 +59,6 @@ impl ErrorClass {
 }
 
 impl fmt::Display for ErrorClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Sub-causes of [`ErrorClass::RecordNotFound`], matching Figure 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum NotFoundCause {
-    /// The target resolves but publishes no SPF record (53.8 %).
-    NoSpfRecord,
-    /// The target publishes more than one SPF record (2.5 % — of which
-    /// 75.6 % were a single hosting provider, cafe24.com).
-    MultipleSpfRecords,
-    /// NXDOMAIN (40.5 %) — dangerous if the name can be re-registered.
-    DomainNotFound,
-    /// NOERROR with an empty answer (173 cases).
-    EmptyResult,
-    /// Query timeout (2,691 cases).
-    DnsTimeout,
-    /// Oversized labels/names or undecodable bytes (3 cases).
-    OtherError,
-}
-
-impl NotFoundCause {
-    /// All causes in Figure 3's display order.
-    pub const ALL: [NotFoundCause; 6] = [
-        NotFoundCause::OtherError,
-        NotFoundCause::NoSpfRecord,
-        NotFoundCause::MultipleSpfRecords,
-        NotFoundCause::DomainNotFound,
-        NotFoundCause::EmptyResult,
-        NotFoundCause::DnsTimeout,
-    ];
-
-    /// The paper's label for the cause.
-    pub fn label(self) -> &'static str {
-        match self {
-            NotFoundCause::OtherError => "Other Errors",
-            NotFoundCause::NoSpfRecord => "No SPF Record",
-            NotFoundCause::MultipleSpfRecords => "Multiple SPF Records",
-            NotFoundCause::DomainNotFound => "Domain not found",
-            NotFoundCause::EmptyResult => "Empty Result",
-            NotFoundCause::DnsTimeout => "DNS Timeout",
-        }
-    }
-}
-
-impl fmt::Display for NotFoundCause {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
     }
@@ -192,7 +145,35 @@ mod tests {
             ErrorClass::TooManyDnsLookups.label(),
             "Too Many DNS Lookups"
         );
-        assert_eq!(NotFoundCause::DomainNotFound.label(), "Domain not found");
+        // Figure 3's causes in its display order, which `ALL` keeps.
+        let figure3 = [
+            (NotFoundCause::OtherError, "Other Errors"),
+            (NotFoundCause::NoSpfRecord, "No SPF Record"),
+            (NotFoundCause::MultipleSpfRecords, "Multiple SPF Records"),
+            (NotFoundCause::DomainNotFound, "Domain not found"),
+            (NotFoundCause::EmptyResult, "Empty Result"),
+            (NotFoundCause::DnsTimeout, "DNS Timeout"),
+        ];
+        assert_eq!(NotFoundCause::ALL, figure3.map(|(cause, _)| cause));
+        for (cause, label) in figure3 {
+            assert_eq!(cause.label(), label);
+            assert_eq!(cause.to_string(), label);
+        }
+        // `Ord` follows the declaration, which orders the aggregate's
+        // per-cause map.
+        let mut sorted = NotFoundCause::ALL;
+        sorted.sort();
+        assert_eq!(
+            sorted,
+            [
+                NotFoundCause::NoSpfRecord,
+                NotFoundCause::MultipleSpfRecords,
+                NotFoundCause::DomainNotFound,
+                NotFoundCause::EmptyResult,
+                NotFoundCause::DnsTimeout,
+                NotFoundCause::OtherError,
+            ]
+        );
     }
 
     #[test]

@@ -8,18 +8,26 @@
 //! passes. Per-domain subtree results are memoized — the same cache trick
 //! the paper used so that "only for the first domain the include mechanism
 //! is processed, all others hit the cache".
+//!
+//! Each name's record comes from `spf_core`'s one fetch step
+//! ([`select_record`]), the same the evaluator and the compiler read. The
+//! walker keeps its lenient view — the selected text and every syntax
+//! error — and records a failed fetch as its [`FetchFailure`]; at an
+//! include target, that failure's Figure 3 cause becomes a
+//! record-not-found error.
 
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use spf_core::parse::{self, ParsedRecord};
+use spf_core::fetch::{select_record, FetchFailure, NotFoundCause};
+use spf_core::parse::ParsedRecord;
 use spf_dns::{DnsError, RecordData, RecordType, Resolver, RrSet};
 use spf_types::{
     CacheStats, DomainName, Ipv4Cidr, Ipv4Set, MacroString, Mechanism, Modifier, ShardedCache,
     SpfRecord, Term, MAX_DNS_LOOKUPS, MAX_VOID_LOOKUPS,
 };
 
-use crate::taxonomy::{AnalysisError, ErrorClass, NotFoundCause};
+use crate::taxonomy::{AnalysisError, ErrorClass};
 
 /// Walker limits (defaults mirror RFC 7208 §4.6.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -42,26 +50,6 @@ impl Default for WalkPolicy {
     }
 }
 
-/// How fetching the SPF record of one name ended.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FetchOutcome {
-    /// Exactly one SPF record was found.
-    Found,
-    /// The name resolves but has no SPF TXT record.
-    NoSpfRecord,
-    /// Several SPF records were published.
-    MultipleSpfRecords {
-        /// How many.
-        count: usize,
-    },
-    /// NXDOMAIN.
-    NxDomain,
-    /// NOERROR, empty answer.
-    EmptyAnswer,
-    /// The query timed out / SERVFAIL.
-    Timeout,
-}
-
 /// Everything the walker learned about one domain's SPF record subtree.
 ///
 /// Subtree quantities (lookups, IPs, errors) include everything reachable
@@ -70,8 +58,9 @@ pub enum FetchOutcome {
 pub struct RecordAnalysis {
     /// The domain this record lives at.
     pub domain: DomainName,
-    /// How the fetch went.
-    pub fetch: FetchOutcome,
+    /// Why the fetch found no record; `None` when exactly one SPF record
+    /// was found.
+    pub fetch: Option<FetchFailure>,
     /// The raw record text, when found.
     pub record_text: Option<String>,
     /// The lenient parse result, when found.
@@ -116,7 +105,7 @@ pub struct RecordAnalysis {
 }
 
 impl RecordAnalysis {
-    fn empty(domain: DomainName, fetch: FetchOutcome) -> Self {
+    fn empty(domain: DomainName, fetch: Option<FetchFailure>) -> Self {
         RecordAnalysis {
             domain,
             fetch,
@@ -283,18 +272,16 @@ impl<R: Resolver> Walker<R> {
         stack: &mut Vec<DomainName>,
         depth: usize,
     ) -> (RecordAnalysis, bool) {
-        let mut analysis = match select_record(answer) {
+        let mut analysis = match select_record(&answer) {
             Ok((text, parsed)) => {
-                let mut a = RecordAnalysis::empty(domain.clone(), FetchOutcome::Found);
-                a.record_text = Some(text);
+                let mut a = RecordAnalysis::empty(domain.clone(), None);
+                a.record_text = Some(text.into_owned());
                 a.parsed = Some(parsed);
                 a
             }
-            Err(outcome) => {
-                let mut a = RecordAnalysis::empty(domain.clone(), outcome.clone());
-                if matches!(outcome, FetchOutcome::NxDomain | FetchOutcome::EmptyAnswer) {
-                    a.subtree_void_lookups = 1;
-                }
+            Err(failure) => {
+                let mut a = RecordAnalysis::empty(domain.clone(), Some(failure));
+                a.subtree_void_lookups = usize::from(failure.is_void());
                 return (a, true);
             }
         };
@@ -496,8 +483,8 @@ impl<R: Resolver> Walker<R> {
             }
         };
 
-        match &sub.fetch {
-            FetchOutcome::Found => {
+        match sub.fetch {
+            None => {
                 analysis.subtree_lookups += sub.subtree_lookups;
                 analysis.subtree_void_lookups += sub.subtree_void_lookups;
                 analysis.ips.union_with(&sub.ips);
@@ -516,42 +503,20 @@ impl<R: Resolver> Walker<R> {
                 analysis.max_depth = analysis.max_depth.max(1 + sub.max_depth);
                 analysis.uses_ptr |= sub.uses_ptr;
             }
-            FetchOutcome::NoSpfRecord => {
+            Some(failure) => {
+                // The target's own void lookup, if its fetch was one.
                 analysis.subtree_void_lookups += sub.subtree_void_lookups;
+                let what = match failure {
+                    FetchFailure::Transient => "timed out",
+                    FetchFailure::NxDomain => "NXDOMAIN (could be re-registered by an attacker)",
+                    FetchFailure::EmptyAnswer => "returned an empty answer",
+                    FetchFailure::NoSpfRecord => "has no SPF record",
+                    FetchFailure::Multiple(count) => &format!("publishes {count} SPF records"),
+                };
                 analysis.errors.push(AnalysisError::not_found(
                     target,
-                    NotFoundCause::NoSpfRecord,
-                    "include target has no SPF record",
-                ));
-            }
-            FetchOutcome::MultipleSpfRecords { count } => {
-                analysis.errors.push(AnalysisError::not_found(
-                    target,
-                    NotFoundCause::MultipleSpfRecords,
-                    format!("include target publishes {count} SPF records"),
-                ));
-            }
-            FetchOutcome::NxDomain => {
-                analysis.subtree_void_lookups += sub.subtree_void_lookups;
-                analysis.errors.push(AnalysisError::not_found(
-                    target,
-                    NotFoundCause::DomainNotFound,
-                    "include target NXDOMAIN (could be re-registered by an attacker)",
-                ));
-            }
-            FetchOutcome::EmptyAnswer => {
-                analysis.subtree_void_lookups += sub.subtree_void_lookups;
-                analysis.errors.push(AnalysisError::not_found(
-                    target,
-                    NotFoundCause::EmptyResult,
-                    "include target returned an empty answer",
-                ));
-            }
-            FetchOutcome::Timeout => {
-                analysis.errors.push(AnalysisError::not_found(
-                    target,
-                    NotFoundCause::DnsTimeout,
-                    "include target timed out",
+                    failure.cause(),
+                    format!("include target {what}"),
                 ));
             }
         }
@@ -631,31 +596,6 @@ impl<R: Resolver> Walker<R> {
                 ),
             ));
         }
-    }
-}
-
-/// Select and parse the one SPF record of a TXT answer.
-fn select_record(answer: Result<RrSet, DnsError>) -> Result<(String, ParsedRecord), FetchOutcome> {
-    let answers = match answer {
-        Ok(a) => a,
-        Err(DnsError::NxDomain) => return Err(FetchOutcome::NxDomain),
-        // Transient errors and REFUSED alike.
-        Err(_) => return Err(FetchOutcome::Timeout),
-    };
-    if answers.is_empty() {
-        return Err(FetchOutcome::EmptyAnswer);
-    }
-    let mut spf_texts = answers.iter().filter_map(|rr| match &rr.data {
-        RecordData::Txt(t) => Some(t.text()).filter(|text| parse::is_spf_record(text)),
-        _ => None,
-    });
-    match (spf_texts.next(), spf_texts.count()) {
-        (None, _) => Err(FetchOutcome::NoSpfRecord),
-        (Some(text), 0) => {
-            let parsed = parse::parse_lenient(&text);
-            Ok((text.into_owned(), parsed))
-        }
-        (Some(_), more) => Err(FetchOutcome::MultipleSpfRecords { count: more + 1 }),
     }
 }
 

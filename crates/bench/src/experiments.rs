@@ -10,8 +10,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use spf_analyzer::{DomainReport, ErrorClass, NotFoundCause, Walker};
-use spf_core::{check_host, AuthCache, EvalContext, EvalPolicy, SpfResult};
+use spf_analyzer::{DomainReport, ErrorClass, Walker};
+use spf_core::{check_host, AuthCache, EvalContext, EvalPolicy, NotFoundCause, SpfResult};
 use spf_crawler::{
     auth_matrix, auth_matrix_with_cache, bare_row_fold, crawl, include_ecosystem, select_vantages,
     ChurnEngine, CrawlConfig, CrawlStats, DeploymentMix, IncludeStats, LongitudinalConfig,

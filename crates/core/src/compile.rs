@@ -58,10 +58,10 @@ use spf_types::{
 
 use crate::context::{EvalContext, SpfResult};
 use crate::eval::{
-    problem_result, qualifier_result, select_record, EvalPolicy, EvalProblem, Evaluation,
-    FetchFailure, RecordNotFoundCause,
+    fetch_problem, problem_result, qualifier_result, EvalPolicy, EvalProblem, Evaluation,
 };
 use crate::family::Family;
+use crate::fetch::{select_record, FetchFailure, NotFoundCause};
 use crate::macroexpand::expand_domain;
 
 /// Knobs for [`compile_policy`].
@@ -214,6 +214,18 @@ impl CompilerStats {
         self.residue_transient += other.residue_transient;
         self.residue_explanation += other.residue_explanation;
         self.residue_over_budget += other.residue_over_budget;
+    }
+
+    /// The law every [`CompilerStats::record`] and
+    /// [`CompilerStats::merge`] keeps — each compiled domain is exactly
+    /// one of full, partial and residual — or an error naming it.
+    pub fn check_conservation(&self) -> Result<(), String> {
+        if self.full + self.partial + self.residual != self.domains_compiled {
+            return Err(format!(
+                "full + partial + residual != domains_compiled: {self:?}"
+            ));
+        }
+        Ok(())
     }
 
     /// Fully compiled domains as a fraction of compiled domains.
@@ -635,8 +647,9 @@ impl SubtreeMemo {
         SubtreeMemo::default()
     }
 
-    /// The counters so far. `composed + fallbacks == lookups` and
-    /// `compiles <= lookups` whenever no compile is in flight.
+    /// The counters so far; they keep
+    /// [`SubtreeMemoStats::check_conservation`]'s laws whenever no
+    /// compile is in flight.
     pub fn stats(&self) -> SubtreeMemoStats {
         SubtreeMemoStats {
             lookups: self.lookups.load(Ordering::Relaxed),
@@ -673,6 +686,21 @@ pub struct SubtreeMemoStats {
 }
 
 impl SubtreeMemoStats {
+    /// The memo's laws, or an error naming the first one broken: every
+    /// lookup composed a subtree or fell back to the direct walk
+    /// (`composed + fallbacks == lookups`), and a lookup starts at most
+    /// one standalone compile (`compiles <= lookups`). Sums over several
+    /// memos keep them too.
+    pub fn check_conservation(&self) -> Result<(), String> {
+        if self.composed + self.fallbacks != self.lookups {
+            return Err(format!("subtree composed + fallbacks != lookups: {self:?}"));
+        }
+        if self.compiles > self.lookups {
+            return Err(format!("subtree compiles > lookups: {self:?}"));
+        }
+        Ok(())
+    }
+
     /// The items this appends to the `[compiler]` telemetry line.
     pub fn items(&self) -> Vec<StatItem> {
         vec![
@@ -1088,10 +1116,11 @@ impl<'a, R: Resolver + ?Sized, F: Family> Sym<'a, R, F> {
         out
     }
 
-    /// Fetch + select the SPF record — the evaluator's
-    /// [`select_record`] over this walk's own counted query, plus
-    /// `EvalState::eval_fetched`'s failure mapping. `Err` carries the
-    /// terminals when the fetch decides the outcome for every group.
+    /// Fetch + select the SPF record — [`select_record`] over this walk's
+    /// own counted query, read through the strict view and the
+    /// evaluator's [`fetch_problem`], with the void lookup charged per
+    /// group. `Err` carries the terminals when the fetch decides the
+    /// outcome for every group.
     #[allow(clippy::type_complexity)]
     fn fetch_record(
         &mut self,
@@ -1099,18 +1128,18 @@ impl<'a, R: Resolver + ?Sized, F: Family> Sym<'a, R, F> {
         initial: bool,
         mut groups: Vec<Group<IpSet<F>>>,
     ) -> Result<(SpfRecord, Vec<Group<IpSet<F>>>), Vec<Terminal<IpSet<F>>>> {
-        let not_found = |cause| {
-            if initial {
-                EvalProblem::NoRecord
-            } else {
-                EvalProblem::RecordNotFound {
-                    domain: domain.clone(),
-                    cause,
-                }
-            }
-        };
-        let problem = match select_record(self.query(domain, RecordType::Txt)) {
-            Ok(record) => return Ok((record, groups)),
+        let answer = self.query(domain, RecordType::Txt);
+        let (problem, void) = match select_record(&answer) {
+            Ok((_, parsed)) => match parsed.strict() {
+                Ok(record) => return Ok((record, groups)),
+                Err(error) => (
+                    EvalProblem::Syntax {
+                        domain: domain.clone(),
+                        error,
+                    },
+                    false,
+                ),
+            },
             Err(FetchFailure::Transient) => {
                 // Transient (and refused — the evaluator maps both to
                 // `temperror`): never freeze a transient fault into the
@@ -1118,33 +1147,17 @@ impl<'a, R: Resolver + ?Sized, F: Family> Sym<'a, R, F> {
                 self.park_residue(groups, ResidueKind::Transient, domain, "txt".to_string());
                 return Err(Vec::new());
             }
-            Err(void @ (FetchFailure::NxDomain | FetchFailure::EmptyAnswer)) => {
-                let mut terminals = Vec::new();
-                for g in &mut groups {
-                    g.voids += 1;
-                }
-                let survivors = self.check_void_budget(groups, &mut terminals);
-                let problem = not_found(match void {
-                    FetchFailure::NxDomain => RecordNotFoundCause::DomainNotFound,
-                    _ => RecordNotFoundCause::EmptyResult,
-                });
-                terminals.extend(survivors.into_iter().map(|g| (g, Err(problem.clone()))));
-                return Err(terminals);
-            }
-            Err(FetchFailure::NoSpfRecord) => not_found(RecordNotFoundCause::NoSpfRecord),
-            Err(FetchFailure::Syntax(error)) => EvalProblem::Syntax {
-                domain: domain.clone(),
-                error,
-            },
-            Err(FetchFailure::Multiple(count)) => EvalProblem::MultipleRecords {
-                domain: domain.clone(),
-                count,
-            },
+            Err(failure) => (fetch_problem(failure, domain, initial), failure.is_void()),
         };
-        Err(groups
-            .into_iter()
-            .map(|g| (g, Err(problem.clone())))
-            .collect())
+        let mut terminals = Vec::new();
+        if void {
+            for g in &mut groups {
+                g.voids += 1;
+            }
+            groups = self.check_void_budget(groups, &mut terminals);
+        }
+        terminals.extend(groups.into_iter().map(|g| (g, Err(problem.clone()))));
+        Err(terminals)
     }
 
     /// The symbolic `EvalState::eval_record`: walk terms in order, split
@@ -1238,7 +1251,7 @@ impl<'a, R: Resolver + ?Sized, F: Family> Sym<'a, R, F> {
                             let outcome = match outcome {
                                 Err(EvalProblem::NoRecord) => Err(EvalProblem::RecordNotFound {
                                     domain: target_domain.clone(),
-                                    cause: RecordNotFoundCause::NoSpfRecord,
+                                    cause: NotFoundCause::NoSpfRecord,
                                 }),
                                 other => other,
                             };
@@ -1336,7 +1349,7 @@ impl<'a, R: Resolver + ?Sized, F: Family> Sym<'a, R, F> {
                                     g,
                                     EvalProblem::RecordNotFound {
                                         domain: target_domain.clone(),
-                                        cause: RecordNotFoundCause::NoSpfRecord,
+                                        cause: NotFoundCause::NoSpfRecord,
                                     },
                                 )),
                                 Err(e) => out.failed.push((g, e)),

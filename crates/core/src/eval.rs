@@ -34,8 +34,9 @@ use spf_types::{
 
 use crate::context::{EvalContext, SpfResult};
 use crate::family::Family;
+use crate::fetch::{select_record, FetchFailure, NotFoundCause};
 use crate::macroexpand::expand_domain;
-use crate::parse::{self, SyntaxError};
+use crate::parse::SyntaxError;
 
 /// How DNS-querying terms are counted against the §4.6.4 limit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -121,7 +122,7 @@ pub enum EvalProblem {
         /// The domain whose record was missing.
         domain: DomainName,
         /// What the DNS said.
-        cause: RecordNotFoundCause,
+        cause: NotFoundCause,
     },
     /// A transient DNS error interrupted evaluation.
     DnsTransient {
@@ -140,21 +141,6 @@ pub enum EvalProblem {
         /// The domain whose MX RRset was oversized.
         domain: DomainName,
     },
-}
-
-/// Sub-causes of a missing record, matching Figure 3 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RecordNotFoundCause {
-    /// The name resolves but publishes no SPF record.
-    NoSpfRecord,
-    /// The name publishes multiple SPF records.
-    MultipleSpfRecords,
-    /// NXDOMAIN.
-    DomainNotFound,
-    /// NOERROR with an empty answer section.
-    EmptyResult,
-    /// The query timed out (a `temperror`, tracked for Figure 3).
-    DnsTimeout,
 }
 
 /// The full outcome of a `check_host()` run.
@@ -395,15 +381,21 @@ fn memo_record<R: Resolver + ?Sized>(
 /// shares one `Arc<str>` as its matched directive.
 #[derive(Debug)]
 pub struct FetchedRecord {
-    record: Result<SpfRecord, FetchFailure>,
+    /// The strict view of the fetch: the record or its first syntax
+    /// error, or why there is no record.
+    record: Result<Result<SpfRecord, SyntaxError>, FetchFailure>,
     /// One slot per term of `record`; empty when there is no record.
     term_texts: Box<[OnceLock<Arc<str>>]>,
 }
 
 impl FetchedRecord {
     fn fetch<R: Resolver + ?Sized>(resolver: &R, domain: &DomainName) -> FetchedRecord {
-        let record = select_record(resolver.query(domain, RecordType::Txt));
-        let terms = record.as_ref().map_or(0, |r| r.terms.len());
+        let answer = resolver.query(domain, RecordType::Txt);
+        let record = select_record(&answer).map(|(_, parsed)| parsed.strict());
+        let terms = match &record {
+            Ok(Ok(record)) => record.terms.len(),
+            _ => 0,
+        };
         FetchedRecord {
             record,
             term_texts: (0..terms).map(|_| OnceLock::new()).collect(),
@@ -510,10 +502,6 @@ pub(crate) fn problem_result(p: &EvalProblem) -> SpfResult {
     match p {
         EvalProblem::NoRecord => SpfResult::None,
         EvalProblem::DnsTransient { .. } => SpfResult::TempError,
-        EvalProblem::RecordNotFound {
-            cause: RecordNotFoundCause::DnsTimeout,
-            ..
-        } => SpfResult::TempError,
         _ => SpfResult::PermError,
     }
 }
@@ -773,10 +761,9 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
     }
 
     /// Evaluate a fetched record — the root (`initial`) or an
-    /// include/redirect target. The one place a fetch failure maps to
-    /// its problem: the initial domain reports a missing record as
-    /// [`EvalProblem::NoRecord`], a target as
-    /// [`EvalProblem::RecordNotFound`] with its cause.
+    /// include/redirect target. A syntax error is reported as is, and a
+    /// failed fetch charges its void lookup and maps to its problem
+    /// through [`fetch_problem`].
     fn eval_fetched(
         &mut self,
         domain: &DomainName,
@@ -785,50 +772,26 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
         initial: bool,
     ) -> Result<SpfResult, EvalProblem> {
         self.final_domain = domain.clone();
-        let cause = match &fetched.record {
-            Ok(record) => {
+        let failure = match &fetched.record {
+            Ok(Ok(record)) => {
                 self.stack.push(domain.clone());
                 let result = self.eval_record(record, &fetched.term_texts, domain, depth);
                 self.stack.pop();
                 return result;
             }
-            Err(FetchFailure::Transient) => {
-                return Err(EvalProblem::DnsTransient {
-                    domain: domain.clone(),
-                })
-            }
-            Err(FetchFailure::Multiple(count)) => {
-                return Err(EvalProblem::MultipleRecords {
-                    domain: domain.clone(),
-                    count: *count,
-                })
-            }
-            Err(FetchFailure::Syntax(error)) => {
+            Ok(Err(error)) => {
                 return Err(EvalProblem::Syntax {
                     domain: domain.clone(),
                     error: error.clone(),
                 })
             }
-            Err(FetchFailure::NxDomain) => {
-                self.count_void();
-                self.check_void_budget()?;
-                RecordNotFoundCause::DomainNotFound
-            }
-            Err(FetchFailure::EmptyAnswer) => {
-                self.count_void();
-                self.check_void_budget()?;
-                RecordNotFoundCause::EmptyResult
-            }
-            Err(FetchFailure::NoSpfRecord) => RecordNotFoundCause::NoSpfRecord,
+            Err(failure) => *failure,
         };
-        Err(if initial {
-            EvalProblem::NoRecord
-        } else {
-            EvalProblem::RecordNotFound {
-                domain: domain.clone(),
-                cause,
-            }
-        })
+        if failure.is_void() {
+            self.count_void();
+            self.check_void_budget()?;
+        }
+        Err(fetch_problem(failure, domain, initial))
     }
 
     fn eval_record(
@@ -889,7 +852,7 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
                     // the result is permerror.
                     Err(EvalProblem::NoRecord) => Err(EvalProblem::RecordNotFound {
                         domain: target_domain,
-                        cause: RecordNotFoundCause::NoSpfRecord,
+                        cause: NotFoundCause::NoSpfRecord,
                     }),
                     other => other,
                 };
@@ -1001,7 +964,7 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
                     Ok(SpfResult::None | SpfResult::PermError) | Err(EvalProblem::NoRecord) => {
                         Err(EvalProblem::RecordNotFound {
                             domain: target_domain,
-                            cause: RecordNotFoundCause::NoSpfRecord,
+                            cause: NotFoundCause::NoSpfRecord,
                         })
                     }
                     Err(e) => Err(e),
@@ -1154,39 +1117,30 @@ impl<'a, R: Resolver + ?Sized> EvalState<'a, R> {
     }
 }
 
-/// Select the SPF record from a TXT query's outcome per RFC 7208 §4.5:
-/// join each string, keep the `v=spf1` ones, and parse the one there
-/// must be. The one selection the evaluator and the compiler share;
-/// each charges the void lookup an NXDOMAIN or empty answer incurs
-/// itself.
-pub(crate) fn select_record(answer: Result<RrSet, DnsError>) -> Result<SpfRecord, FetchFailure> {
-    let answers = match answer {
-        Ok(a) => a,
-        Err(DnsError::NxDomain) => return Err(FetchFailure::NxDomain),
-        Err(_) => return Err(FetchFailure::Transient),
-    };
-    let mut spf_texts = answers.iter().filter_map(|rr| match &rr.data {
-        RecordData::Txt(t) => Some(t.text()).filter(|text| parse::is_spf_record(text)),
-        _ => None,
-    });
-    match (spf_texts.next(), spf_texts.count()) {
-        (None, _) if answers.is_empty() => Err(FetchFailure::EmptyAnswer),
-        (None, _) => Err(FetchFailure::NoSpfRecord),
-        (Some(text), 0) => parse::parse(&text).map_err(FetchFailure::Syntax),
-        (Some(_), more) => Err(FetchFailure::Multiple(more + 1)),
+/// The problem evaluating `domain` reports when its fetch failed: the
+/// initial domain reports a missing record as [`EvalProblem::NoRecord`],
+/// a target as [`EvalProblem::RecordNotFound`] with its cause. The one
+/// mapping the evaluator and the compiler share; each charges the void
+/// lookup of an NXDOMAIN or empty answer itself.
+pub(crate) fn fetch_problem(
+    failure: FetchFailure,
+    domain: &DomainName,
+    initial: bool,
+) -> EvalProblem {
+    match failure {
+        FetchFailure::Transient => EvalProblem::DnsTransient {
+            domain: domain.clone(),
+        },
+        FetchFailure::Multiple(count) => EvalProblem::MultipleRecords {
+            domain: domain.clone(),
+            count,
+        },
+        _ if initial => EvalProblem::NoRecord,
+        _ => EvalProblem::RecordNotFound {
+            domain: domain.clone(),
+            cause: failure.cause(),
+        },
     }
-}
-
-/// Why [`select_record`] found no record to evaluate. `Transient` is a
-/// timeout, SERVFAIL or refusal: a `temperror`, and never memoized.
-#[derive(Debug, Clone)]
-pub(crate) enum FetchFailure {
-    Transient,
-    NxDomain,
-    EmptyAnswer,
-    NoSpfRecord,
-    Multiple(usize),
-    Syntax(SyntaxError),
 }
 
 pub(crate) fn qualifier_result(q: Qualifier) -> SpfResult {
@@ -2204,9 +2158,9 @@ mod tests {
                     }
                     "missing.example" | "empty.example" => {
                         let cause = if target == "missing.example" {
-                            RecordNotFoundCause::DomainNotFound
+                            NotFoundCause::DomainNotFound
                         } else {
-                            RecordNotFoundCause::EmptyResult
+                            NotFoundCause::EmptyResult
                         };
                         assert_eq!(voids, 1);
                         assert_eq!(
@@ -2220,7 +2174,7 @@ mod tests {
                         );
                     }
                     "txt-only.example" => {
-                        assert_eq!(problem, not_found(RecordNotFoundCause::NoSpfRecord));
+                        assert_eq!(problem, not_found(NotFoundCause::NoSpfRecord));
                         assert_eq!(voids, 0);
                     }
                     "two.example" => assert!(matches!(

@@ -6,6 +6,9 @@
 //! * [`mod@parse`]: an error-tolerant record parser that classifies syntax
 //!   errors into the paper's Section 5.3 taxonomy while still returning a
 //!   best-effort record;
+//! * [`fetch`]: the one SPF fetch step — RFC 7208 §4.5 record
+//!   selection, its failure and Figure 3 cause — whose views the
+//!   walker, the evaluator and the compiler read;
 //! * [`eval`]: the `check_host()` algorithm with the 10-lookup /
 //!   2-void-lookup limits, include/redirect recursion, loop detection and
 //!   macro expansion;
@@ -24,6 +27,7 @@ pub mod context;
 pub mod dmarc;
 pub mod eval;
 mod family;
+pub mod fetch;
 pub mod header;
 pub mod macroexpand;
 pub mod parse;
@@ -43,9 +47,9 @@ pub use dmarc::{
 };
 pub use eval::{
     check_host, check_host_cached, check_host_root, BudgetKey, EvalPolicy, EvalProblem, Evaluation,
-    FetchedRecord, LookupAccounting, RecordNotFoundCause, RootRecord, SubtreeVerdict, VerdictCache,
-    VerdictKey,
+    FetchedRecord, LookupAccounting, RootRecord, SubtreeVerdict, VerdictCache, VerdictKey,
 };
+pub use fetch::{select_record, FetchFailure, NotFoundCause};
 pub use header::received_spf_header;
 pub use macroexpand::{expand, expand_domain, ExpandError};
 pub use parse::{is_spf_record, parse, parse_lenient, ParseWarning, ParsedRecord, SyntaxError};

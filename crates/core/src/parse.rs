@@ -227,11 +227,7 @@ pub fn is_spf_record(text: &str) -> bool {
 /// Strict parse: the first error aborts. This is what a receiving MTA does
 /// (any syntax error ⇒ `permerror`).
 pub fn parse(text: &str) -> Result<SpfRecord, SyntaxError> {
-    let parsed = parse_lenient(text);
-    match parsed.errors.into_iter().next() {
-        None => Ok(parsed.record),
-        Some(e) => Err(e),
-    }
+    parse_lenient(text).strict()
 }
 
 /// Lenient parse: collect every error, keep the valid terms (the modified

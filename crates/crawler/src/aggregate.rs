@@ -4,7 +4,8 @@
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
-use spf_analyzer::{DomainReport, ErrorClass, NotFoundCause};
+use spf_analyzer::{DomainReport, ErrorClass};
+use spf_core::NotFoundCause;
 
 /// Largest prefix length that counts as a "very large IP range" in
 /// Table 3 (/0 through /16).

@@ -239,8 +239,9 @@ impl ServiceTelemetry {
     ///   store hits from the tables; and what it did not answer a
     ///   worker did — at least every store miss and every fallback, at
     ///   most those plus the stacked queries;
-    /// * summed over memo generations, every subtree lookup was composed
-    ///   or fell back, and no more subtrees were compiled than looked up;
+    /// * the compiler's counters keep [`CompilerStats::check_conservation`]'s
+    ///   law, and, summed over memo generations, the subtree memo's keep
+    ///   [`SubtreeMemoStats::check_conservation`]'s;
     /// * without one, the listener answered nothing;
     /// * every entry each store admitted — the verdict memo, the record
     ///   memo and the compiled store — is still resident, was evicted,
@@ -281,15 +282,9 @@ impl ServiceTelemetry {
         let (Some(compiler), Some(store)) = (&self.compiled, &self.compiled_cache) else {
             return law(self.inline_served == 0, "inline answers without tables");
         };
+        compiler.check_conservation()?;
         if let Some(subtrees) = &self.subtrees {
-            law(
-                subtrees.composed + subtrees.fallbacks == subtrees.lookups,
-                "subtree composed + fallbacks != lookups",
-            )?;
-            law(
-                subtrees.compiles <= subtrees.lookups,
-                "subtree compiles > lookups",
-            )?;
+            subtrees.check_conservation()?;
         }
         law(
             store.probes() == frames - self.bad_frames - self.shutdown_rejects,

@@ -26,7 +26,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use spf_core::{
     check_host, DmarcDisposition, DmarcPolicy, EvalContext, EvalPolicy, EvalProblem, Evaluation,
-    RecordNotFoundCause, SpfResult, StopLayer, SyntaxError,
+    NotFoundCause, SpfResult, StopLayer, SyntaxError,
 };
 use spf_dns::{Clock, VirtualClock, ZoneResolver, ZoneStore};
 use spf_service::proto::{
@@ -425,13 +425,13 @@ fn arb_syntax_error() -> impl Strategy<Value = SyntaxError> {
     ]
 }
 
-fn arb_cause() -> impl Strategy<Value = RecordNotFoundCause> {
+fn arb_cause() -> impl Strategy<Value = NotFoundCause> {
     prop_oneof![
-        Just(RecordNotFoundCause::NoSpfRecord),
-        Just(RecordNotFoundCause::MultipleSpfRecords),
-        Just(RecordNotFoundCause::DomainNotFound),
-        Just(RecordNotFoundCause::EmptyResult),
-        Just(RecordNotFoundCause::DnsTimeout),
+        Just(NotFoundCause::NoSpfRecord),
+        Just(NotFoundCause::MultipleSpfRecords),
+        Just(NotFoundCause::DomainNotFound),
+        Just(NotFoundCause::EmptyResult),
+        Just(NotFoundCause::DnsTimeout),
     ]
 }
 
@@ -492,6 +492,90 @@ fn arb_evaluation() -> impl Strategy<Value = Evaluation> {
                 explanation,
             }
         })
+}
+
+/// The bytes of every failure verdict the evaluator builds, pinned to
+/// literal strings: the derive and the hand-written body may not move
+/// them, even together (a renamed variant would).
+#[test]
+fn failure_verdicts_keep_their_wire_bytes() {
+    let target = DomainName::parse("t.example").expect("parses");
+    let not_found = |cause| EvalProblem::RecordNotFound {
+        domain: target.clone(),
+        cause,
+    };
+    let cases = [
+        (
+            SpfResult::None,
+            "None",
+            EvalProblem::NoRecord,
+            r#""NoRecord""#,
+        ),
+        (
+            SpfResult::PermError,
+            "PermError",
+            not_found(NotFoundCause::NoSpfRecord),
+            r#"{"RecordNotFound":{"domain":"t.example","cause":"NoSpfRecord"}}"#,
+        ),
+        (
+            SpfResult::PermError,
+            "PermError",
+            not_found(NotFoundCause::DomainNotFound),
+            r#"{"RecordNotFound":{"domain":"t.example","cause":"DomainNotFound"}}"#,
+        ),
+        (
+            SpfResult::PermError,
+            "PermError",
+            not_found(NotFoundCause::EmptyResult),
+            r#"{"RecordNotFound":{"domain":"t.example","cause":"EmptyResult"}}"#,
+        ),
+        (
+            SpfResult::PermError,
+            "PermError",
+            EvalProblem::MultipleRecords {
+                domain: target.clone(),
+                count: 2,
+            },
+            r#"{"MultipleRecords":{"domain":"t.example","count":2}}"#,
+        ),
+        (
+            SpfResult::PermError,
+            "PermError",
+            EvalProblem::Syntax {
+                domain: target.clone(),
+                error: SyntaxError::MisspelledMechanism {
+                    written: "ipv4".to_string(),
+                    suggestion: "ip4".to_string(),
+                },
+            },
+            r#"{"Syntax":{"domain":"t.example","error":{"MisspelledMechanism":{"written":"ipv4","suggestion":"ip4"}}}}"#,
+        ),
+        (
+            SpfResult::TempError,
+            "TempError",
+            EvalProblem::DnsTransient {
+                domain: target.clone(),
+            },
+            r#"{"DnsTransient":{"domain":"t.example"}}"#,
+        ),
+    ];
+    for (result, result_json, problem, problem_json) in cases {
+        let eval = Evaluation {
+            result,
+            dns_lookups: 1,
+            void_lookups: 1,
+            matched_directive: None,
+            final_domain: target.clone(),
+            problem: Some(problem),
+            explanation: None,
+        };
+        let expected = format!(
+            r#"{{"result":"{result_json}","dns_lookups":1,"void_lookups":1,"matched_directive":null,"final_domain":"t.example","problem":{problem_json},"explanation":null}}"#
+        );
+        assert_eq!(serde_json::to_string(&eval).expect("serializes"), expected);
+        let body = ResponseFrame::verdict(7, &eval).body;
+        assert_eq!(String::from_utf8_lossy(&body), expected);
+    }
 }
 
 proptest! {

@@ -38,15 +38,19 @@ cargo build --release
 # rides inside the full `cargo test` below). parse_identity pins the
 # SPF parser's output byte for byte; alloc_budget holds the record read
 # path to its allocation budget; fault_injection crawls a faulted zone
-# in memory and over `wire:4` and compares the reports (about 4 s);
-# golden_artifacts holds every paper artifact to a committed digest
-# (about 4 s); spf-types' proptests hold every interval-set operation to
-# a bit-vector model and Ipv6Set to Ipv4Set on a shared universe.
+# in memory and over `wire:4` and compares the reports, and holds the
+# walker, check_host, the compiler and the service to one answer per
+# fetch failure (about 4 s); golden_artifacts holds every paper artifact
+# to a committed digest (about 4 s); spf-analyzer's unit tests pin every
+# Figure 3 cause the walker records; spf-types' proptests hold every
+# interval-set operation to a bit-vector model and Ipv6Set to Ipv4Set on
+# a shared universe.
 echo "== [build-and-test] differential suites"
 cargo test -q --test proptest_compiler --test rfc_conformance --test proptest_auth
 cargo test -q --test parse_identity --test alloc_budget --test fault_injection
 cargo test -q --test golden_artifacts
 cargo test -q -p spf-core --lib
+cargo test -q -p spf-analyzer --lib
 cargo test -q -p spf-types --lib
 cargo test -q -p spf-types --test proptests
 

@@ -4,7 +4,8 @@
 //! table and figure — if the pipeline (parser, evaluator, walker, counter)
 //! mis-handles any mechanism, these marginals drift.
 
-use spf_analyzer::{ErrorClass, NotFoundCause, Walker};
+use spf_analyzer::{ErrorClass, Walker};
+use spf_core::NotFoundCause;
 use spf_crawler::{crawl, include_ecosystem, CrawlConfig, ScanAggregates};
 use spf_dns::ZoneResolver;
 use spf_netsim::Population;

@@ -10,12 +10,14 @@
 //! so every crawl below may run on several workers, and the in-memory
 //! and the wire transport meet the same failures.
 
+use std::net::IpAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
 use lazy_gatekeepers::prelude::*;
+use spf_core::{CompileConfig, EvalProblem, FetchFailure, NotFoundCause, ResidueKind, SyntaxError};
 use spf_dns::ZoneFault;
-use spf_testkit::population_at;
+use spf_testkit::{assert_conservation, dom, pairs_with_reference, population_at, replay, SENDER};
 
 const SEED: u64 = 0x5bf1_2023;
 
@@ -194,4 +196,253 @@ fn degraded_shard_degrades_to_temperror_not_divergence() {
     assert!(snapshot.temp_errors > 0, "{snapshot:?}");
     assert_eq!(snapshot.retries, snapshot.temp_errors, "{snapshot:?}");
     snapshot.check_conservation().unwrap();
+}
+
+/// How a row of the fault-agreement table breaks a name.
+#[derive(Clone, Copy)]
+enum Breakage {
+    /// The name publishes `v=spf1 -all`, but its server fails.
+    Fault(ZoneFault),
+    /// The name does not exist.
+    Missing,
+    /// The name exists and owns no record.
+    Empty,
+    /// The name's TXT strings.
+    Txt(&'static [&'static str]),
+}
+
+impl Breakage {
+    fn place(self, store: &ZoneStore, name: &DomainName) {
+        match self {
+            Breakage::Fault(fault) => {
+                store.add_txt(name, "v=spf1 -all");
+                store.set_fault(name, fault);
+            }
+            Breakage::Missing => {}
+            Breakage::Empty => store.add_empty_name(name),
+            Breakage::Txt(texts) => texts.iter().for_each(|text| store.add_txt(name, text)),
+        }
+    }
+}
+
+/// One failure kind of the fault-agreement table: how it is placed at a
+/// name, and what each consumer must make of that name — as the crawl
+/// root, and as the include target of a clean root.
+struct FaultRow {
+    name: &'static str,
+    breakage: Breakage,
+    /// The walker's fetch of the faulted root.
+    root_fetch: Option<FetchFailure>,
+    /// The faulted root's report: `dns_transient` and `primary_error`.
+    root_report: (bool, Option<ErrorClass>),
+    /// `check_host`'s result and problem at the faulted root.
+    root_verdict: (SpfResult, fn(DomainName) -> EvalProblem),
+    /// The Figure 3 cause the walker records at the faulted target.
+    include_cause: Option<NotFoundCause>,
+    /// The including root's `primary_error`.
+    include_primary: ErrorClass,
+    /// `check_host`'s result and problem through the faulted target.
+    include_verdict: (SpfResult, fn(DomainName) -> EvalProblem),
+    /// The compiler parks the faulted name as a transient residue.
+    transient: bool,
+}
+
+fn transient_row(name: &'static str, fault: ZoneFault) -> FaultRow {
+    FaultRow {
+        name,
+        breakage: Breakage::Fault(fault),
+        root_fetch: Some(FetchFailure::Transient),
+        root_report: (true, None),
+        root_verdict: (SpfResult::TempError, |domain| EvalProblem::DnsTransient {
+            domain,
+        }),
+        include_cause: Some(NotFoundCause::DnsTimeout),
+        include_primary: ErrorClass::RecordNotFound,
+        include_verdict: (SpfResult::TempError, |domain| EvalProblem::DnsTransient {
+            domain,
+        }),
+        transient: true,
+    }
+}
+
+fn fault_rows() -> [FaultRow; 8] {
+    [
+        transient_row("timeout", ZoneFault::Timeout),
+        transient_row("servfail", ZoneFault::ServFail),
+        transient_row("refused", ZoneFault::Refused),
+        FaultRow {
+            name: "nxdomain",
+            breakage: Breakage::Missing,
+            root_fetch: Some(FetchFailure::NxDomain),
+            root_report: (false, None),
+            root_verdict: (SpfResult::None, |_| EvalProblem::NoRecord),
+            include_cause: Some(NotFoundCause::DomainNotFound),
+            include_primary: ErrorClass::RecordNotFound,
+            include_verdict: (SpfResult::PermError, |domain| EvalProblem::RecordNotFound {
+                domain,
+                cause: NotFoundCause::DomainNotFound,
+            }),
+            transient: false,
+        },
+        FaultRow {
+            name: "empty",
+            breakage: Breakage::Empty,
+            root_fetch: Some(FetchFailure::EmptyAnswer),
+            root_report: (false, None),
+            root_verdict: (SpfResult::None, |_| EvalProblem::NoRecord),
+            include_cause: Some(NotFoundCause::EmptyResult),
+            include_primary: ErrorClass::RecordNotFound,
+            include_verdict: (SpfResult::PermError, |domain| EvalProblem::RecordNotFound {
+                domain,
+                cause: NotFoundCause::EmptyResult,
+            }),
+            transient: false,
+        },
+        FaultRow {
+            name: "no-spf",
+            breakage: Breakage::Txt(&["site-verification=xyz"]),
+            root_fetch: Some(FetchFailure::NoSpfRecord),
+            root_report: (false, None),
+            root_verdict: (SpfResult::None, |_| EvalProblem::NoRecord),
+            include_cause: Some(NotFoundCause::NoSpfRecord),
+            include_primary: ErrorClass::RecordNotFound,
+            include_verdict: (SpfResult::PermError, |domain| EvalProblem::RecordNotFound {
+                domain,
+                cause: NotFoundCause::NoSpfRecord,
+            }),
+            transient: false,
+        },
+        FaultRow {
+            name: "multiple",
+            breakage: Breakage::Txt(&["v=spf1 -all", "v=spf1 mx -all"]),
+            root_fetch: Some(FetchFailure::Multiple(2)),
+            root_report: (false, Some(ErrorClass::RecordNotFound)),
+            root_verdict: (SpfResult::PermError, |domain| {
+                EvalProblem::MultipleRecords { domain, count: 2 }
+            }),
+            include_cause: Some(NotFoundCause::MultipleSpfRecords),
+            include_primary: ErrorClass::RecordNotFound,
+            include_verdict: (SpfResult::PermError, |domain| {
+                EvalProblem::MultipleRecords { domain, count: 2 }
+            }),
+            transient: false,
+        },
+        FaultRow {
+            name: "syntax",
+            breakage: Breakage::Txt(&["v=spf1 ipv4:192.0.2.1 -all"]),
+            root_fetch: None,
+            root_report: (false, Some(ErrorClass::SyntaxError)),
+            root_verdict: (SpfResult::PermError, misspelled_ipv4),
+            include_cause: None,
+            include_primary: ErrorClass::SyntaxError,
+            include_verdict: (SpfResult::PermError, misspelled_ipv4),
+            transient: false,
+        },
+    ]
+}
+
+fn misspelled_ipv4(domain: DomainName) -> EvalProblem {
+    EvalProblem::Syntax {
+        domain,
+        error: SyntaxError::MisspelledMechanism {
+            written: "ipv4:192.0.2.1".to_string(),
+            suggestion: "ip4".to_string(),
+        },
+    }
+}
+
+/// Every failure kind, at the root and at an include target, read by
+/// every consumer of a fetch: the walker's finding and the domain's
+/// report, `check_host`'s result and problem, the compiled verdict (or
+/// its transient residue, which falls back to `check_host`), and the
+/// verdict service under each evaluator — all from one zone.
+#[test]
+fn every_consumer_agrees_on_every_fetch_failure() {
+    let store = Arc::new(ZoneStore::new());
+    let rows = fault_rows();
+    let mut roots = Vec::new();
+    for row in &rows {
+        let root = dom(&format!("{}-root.example", row.name));
+        let via = dom(&format!("{}-via.example", row.name));
+        let target = dom(&format!("{}-target.example", row.name));
+        row.breakage.place(&store, &root);
+        row.breakage.place(&store, &target);
+        store.add_txt(&via, &format!("v=spf1 include:{target} -all"));
+        roots.push((row, root.clone(), root.clone(), true));
+        roots.push((row, via, target, false));
+    }
+    let resolver = ZoneResolver::new(Arc::clone(&store));
+    let walker = Walker::new(ZoneResolver::new(Arc::clone(&store)));
+    let ips: [IpAddr; 2] = ["192.0.2.1".parse().unwrap(), "2001:db8::1".parse().unwrap()];
+    for (row, root, faulted, at_root) in &roots {
+        let cell = format!(
+            "{} at {}",
+            row.name,
+            if *at_root { "root" } else { "include" }
+        );
+        let report = analyze_domain(&walker, root);
+        let analysis = report
+            .record
+            .as_ref()
+            .expect("every report holds its analysis");
+        let causes: Vec<NotFoundCause> = analysis
+            .errors
+            .iter()
+            .filter_map(|e| e.not_found_cause)
+            .collect();
+        let (result, problem) = if *at_root {
+            assert_eq!(analysis.fetch, row.root_fetch, "{cell}");
+            assert!(causes.is_empty(), "{cell}: {causes:?}");
+            assert_eq!(
+                (report.dns_transient, report.primary_error),
+                row.root_report,
+                "{cell}"
+            );
+            row.root_verdict
+        } else {
+            assert_eq!(analysis.fetch, None, "{cell}");
+            assert_eq!(causes, Vec::from_iter(row.include_cause), "{cell}");
+            assert_eq!(
+                (report.dns_transient, report.primary_error),
+                (false, Some(row.include_primary)),
+                "{cell}"
+            );
+            row.include_verdict
+        };
+
+        let compiled = compile_policy(&resolver, root, &CompileConfig::default());
+        let parked = compiled
+            .residues()
+            .iter()
+            .any(|r| r.kind == ResidueKind::Transient && r.domain == *faulted);
+        assert_eq!(parked, row.transient, "{cell}: {:?}", compiled.residues());
+        for ip in ips {
+            let ctx = EvalContext::mail_from(ip, SENDER, root.clone());
+            let bare = check_host(&resolver, &ctx, root, &EvalPolicy::default());
+            assert_eq!(
+                (bare.result, bare.problem.clone()),
+                (result, Some(problem(faulted.clone()))),
+                "{cell} from {ip}"
+            );
+            match compiled.verdict(ip) {
+                Some(verdict) => assert_eq!(verdict, bare, "{cell} from {ip}"),
+                None => assert!(row.transient, "{cell} from {ip} fell back"),
+            }
+        }
+    }
+
+    let domains: Vec<DomainName> = roots.iter().map(|(_, root, ..)| root.clone()).collect();
+    let items = pairs_with_reference(&store, &domains, &ips);
+    let resolver: Arc<dyn Resolver> = Arc::new(resolver);
+    for evaluator in Evaluator::ALL {
+        let label = format!("fault table +{evaluator}");
+        let config = ServiceConfig {
+            evaluator,
+            ..ServiceConfig::with_workers(2)
+        };
+        let mut service = VerdictService::spawn(Arc::clone(&resolver), config).expect("spawns");
+        replay(service.addr(), Transport::Udp, &items, &label);
+        service.shutdown();
+        assert_conservation(&service, &label);
+    }
 }

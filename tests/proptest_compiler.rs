@@ -28,7 +28,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use spf_core::{
     check_host, compile_policy, compile_policy_shared, Compilability, CompileConfig,
-    CompiledPolicy, EvalContext, EvalPolicy, Residue, ResidueKind, SpfResult, SubtreeMemo,
+    CompiledPolicy, CompilerStats, EvalContext, EvalPolicy, Residue, ResidueKind, SpfResult,
+    SubtreeMemo,
 };
 use spf_dns::{ZoneResolver, ZoneStore};
 use spf_testkit::{arb_domain, arb_qualifier, build_world};
@@ -113,9 +114,11 @@ proptest! {
         let (store, domains, first_ip4) = build_world(&world);
         let resolver = ZoneResolver::new(store);
         let config = CompileConfig::default();
+        let mut stats = CompilerStats::default();
         for domain in &domains {
             let compiled = compile_policy(&resolver, domain, &config);
             compiled.assert_invariants();
+            stats.record(&compiled);
             // Residue bookkeeping is sound: a fully compiled policy
             // answers everything, a residual one answers nothing.
             match compiled.compilability() {
@@ -132,6 +135,7 @@ proptest! {
             }
             assert_cell(&resolver, &compiled, domain, IpAddr::V6(Ipv6Addr::from(probe_v6)))?;
         }
+        prop_assert_eq!(stats.check_conservation(), Ok(()));
     }
 
     /// Compilation is deterministic: two compiles of the same domain
@@ -231,9 +235,7 @@ proptest! {
                 assert_cell(&resolver, &shared, domain, ip)?;
             }
         }
-        let stats = memo.stats();
-        prop_assert_eq!(stats.composed + stats.fallbacks, stats.lookups);
-        prop_assert!(stats.compiles <= stats.lookups);
+        prop_assert_eq!(memo.stats().check_conservation(), Ok(()));
     }
 
     /// Which domain meets a subtree first decides who compiles it and
@@ -263,6 +265,7 @@ proptest! {
                 let shared = compile_policy_shared(&resolver, &domains[i], &config, &memo);
                 assert_same_function(&shared, &direct[i], &vantages)?;
             }
+            prop_assert_eq!(memo.stats().check_conservation(), Ok(()));
         }
 
         let memo = SubtreeMemo::new();
@@ -290,9 +293,7 @@ proptest! {
         for (i, shared) in compiled.iter().flatten() {
             assert_same_function(shared, &direct[*i], &vantages)?;
         }
-        let stats = memo.stats();
-        prop_assert_eq!(stats.composed + stats.fallbacks, stats.lookups);
-        prop_assert!(stats.compiles <= stats.lookups);
+        prop_assert_eq!(memo.stats().check_conservation(), Ok(()));
     }
 }
 
