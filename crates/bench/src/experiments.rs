@@ -70,6 +70,38 @@ pub struct WireRunStats {
     fleet_tcp: u64,
 }
 
+impl WireRunStats {
+    /// The laws that tie the fleet's answers to the client's datagrams
+    /// when the fleet serves this client alone and no call is in flight;
+    /// `Err` names the first one broken.
+    ///
+    /// * `fleet_udp <= datagrams`: the fleet answers a datagram at most
+    ///   once, and only one it was sent.
+    /// * `datagrams <= fleet_udp + retries + temp_errors`: an unanswered
+    ///   datagram was re-sent (one retry) or was its question's last
+    ///   attempt (one temp error). A faulted name the fleet stays silent
+    ///   on costs both; a late answer counts as a retry *and* as a fleet
+    ///   answer, so the two sides are equal on an idle host only.
+    /// * `fleet_tcp <= tcp_fallbacks`: each TCP answer answers one
+    ///   truncated reply's re-fetch (equal unless a connection failed).
+    pub fn check_conservation(&self) -> Result<(), String> {
+        let s = &self.view.snapshot;
+        let (udp, tcp) = (self.fleet_udp, self.fleet_tcp);
+        if udp > s.wire_queries {
+            return Err(format!("fleet_udp={udp} > datagrams: {s:?}"));
+        }
+        if s.wire_queries > udp + s.retries + s.temp_errors {
+            return Err(format!(
+                "datagrams > fleet_udp={udp} + retries + temp_errors: {s:?}"
+            ));
+        }
+        if tcp > s.tcp_fallbacks {
+            return Err(format!("fleet_tcp={tcp} > tcp_fallbacks: {s:?}"));
+        }
+        Ok(())
+    }
+}
+
 impl Stats for WireRunStats {
     fn scope(&self) -> &'static str {
         "wire"
@@ -958,8 +990,14 @@ pub fn overlap(r: &Repro) -> (String, Experiment) {
 /// interpreted engine to pin backend equality in-run. The experiment
 /// log carries internal consistency flags (sampled matrix cells
 /// recounted through plain uncached `check_host`) plus the Table 5
-/// label replay.
-pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String, Experiment) {
+/// label replay. The section prints only what the world fixes; the
+/// population matrix's [`SpoofMatrixStats`] come back beside it, for the
+/// caller to print as the `[spoof]` line.
+pub fn spoof_matrix(
+    denominator: u64,
+    seed: u64,
+    config: CrawlConfig,
+) -> (String, Experiment, SpoofMatrixStats) {
     let world = build_spoof_world(Scale { denominator }, seed);
     let (resolver, _wire) = build_resolver(&world.store, config.backend);
     // The SPF half of the layered engine is this experiment's subject,
@@ -1002,12 +1040,10 @@ pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String
     let mut out = String::new();
     out.push_str("Spoof matrix: population-scale check_host() verdicts\n");
     out.push_str(&format!(
-        "  {} domains × {} vantages = {} evaluations ({:.0}/s, verdict-cache hit rate {:.1} %)\n",
+        "  {} domains × {} vantages = {} evaluations\n",
         fmt_count(matrix.domains),
         vantages.len(),
         fmt_count(stats.evaluations),
-        stats.evals_per_sec(),
-        stats.cache_hit_rate() * 100.0,
     ));
     out.push_str(&format!(
         "  spoofable from shared infrastructure: {} (full-scale {})\n",
@@ -1025,12 +1061,7 @@ pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String
         fmt_count(matrix.spf_domains),
     ));
     if let Some(compiler) = &stats.compiler {
-        let mut items = compiler.items();
-        items.extend(stats.subtrees.iter().flat_map(|subtrees| subtrees.items()));
-        out.push_str(&format!(
-            "  {}\n",
-            spf_types::render_stats(compiler.scope(), &items)
-        ));
+        out.push_str(&format!("  {compiler}\n"));
         out.push_str(&format!(
             "  compiled backend: {} of trees fully static, {} of verdicts \
              answered from interval tables\n\n",
@@ -1185,7 +1216,7 @@ pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String
          are the cheap in-run smoke version.",
         stats.evaluations, sampled_cells
     ));
-    (out, exp)
+    (out, exp, stats)
 }
 
 /// Matrix v2, behind `repro -- spoof-matrix --stack`: the layered
@@ -1680,10 +1711,13 @@ mod tests {
             "crawl must hit the sockets: {snap:?}"
         );
         assert!(run.fleet.answered() > 0);
-        // The `[wire]` line renders through the shared formatter.
-        let line = run.stats(wire.stats.domains).render();
+        // The `[wire]` line renders through the shared formatter, and
+        // the fleet's answers account for the client's datagrams.
+        let stats = run.stats(wire.stats.domains);
+        let line = stats.render();
         assert!(line.starts_with("[wire] amplification="), "{line}");
         assert!(line.contains("fleet_udp="), "{line}");
+        assert_eq!(stats.check_conservation(), Ok(()), "{line}");
         // Both substrates produce byte-identical report streams.
         assert_eq!(
             serde_json::to_string(&mem.reports).unwrap(),
@@ -1704,12 +1738,17 @@ mod tests {
         assert!(t2.render().contains("Total Errors"));
         assert!(outcome.sent > 0);
         assert_eq!(rescan_stats.domains, r.reports.len() as u64);
+        // The rescan runs on a fleet of its own: the scan's fleet still
+        // answered its own client's datagrams only.
+        let run = r.wire.as_ref().expect("wire mode carries its substrate");
+        let stats = run.stats(r.stats.domains);
+        assert_eq!(stats.check_conservation(), Ok(()), "{}", stats.render());
         let _ = before;
     }
 
     #[test]
     fn spoof_matrix_runs_and_matches_table5_labels() {
-        let (section, exp) = spoof_matrix(20_000, 0x5bf1_2023, CrawlConfig::with_workers(4));
+        let (section, exp, _) = spoof_matrix(20_000, 0x5bf1_2023, CrawlConfig::with_workers(4));
         assert!(section.contains("Spoof matrix"));
         assert!(section.contains("lazy-gatekeeper rate"));
         assert!(section.contains("Verdicts by vantage"));
@@ -1724,14 +1763,21 @@ mod tests {
 
     #[test]
     fn spoof_matrix_compiled_backend_reports_and_agrees() {
-        let (section, exp) = spoof_matrix(
+        let (section, exp, stats) = spoof_matrix(
             20_000,
             0x5bf1_2023,
             CrawlConfig::with_workers(4).backend(Backend::memory().evaluator(Evaluator::Compiled)),
         );
         assert!(section.contains("[compiler]"));
-        assert!(section.contains(" subtree_lookups="));
         assert!(section.contains("compiled backend:"));
+        // The memo's counters move with the schedule, so they ride on the
+        // returned stats' `[spoof]` line, not in the section.
+        assert!(!section.contains("subtree_"), "{section}");
+        let line = stats.render();
+        assert!(line.starts_with("[spoof] evaluations="), "{line}");
+        assert!(line.contains(" subtree_lookups="), "{line}");
+        let subtrees = stats.subtrees.expect("the compiled run has a memo");
+        assert_eq!(subtrees.check_conservation(), Ok(()));
         // The compiled run carries every plain-run flag plus the
         // compiled-vs-interpreted sample identity; all must hold.
         assert!(
@@ -1748,7 +1794,7 @@ mod tests {
 
     #[test]
     fn spoof_matrix_honors_wire_mode() {
-        let (section, exp) = spoof_matrix(
+        let (section, exp, _) = spoof_matrix(
             100_000,
             0x5bf1_2023,
             CrawlConfig::with_workers(2).backend(Backend::wire(2)),

@@ -669,8 +669,11 @@ impl std::fmt::Debug for SubtreeMemo {
 }
 
 /// [`SubtreeMemo`] counters (both families). Which worker compiles a
-/// target first is a race, so `compiles` is scheduling-dependent —
-/// unlike [`CompilerStats`], which these stay out of.
+/// target first is a race, so all four counters depend on the schedule
+/// and vary from run to run — unlike [`CompilerStats`], which these stay
+/// out of. A standalone compile that loses the insert race counts in
+/// `compiles`, and the include/redirect recursions it consulted on the
+/// way already count in `lookups` and `composed` (or `fallbacks`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, serde::Deserialize)]
 pub struct SubtreeMemoStats {
     /// Include/redirect recursions that consulted the memo.
@@ -701,7 +704,8 @@ impl SubtreeMemoStats {
         Ok(())
     }
 
-    /// The items this appends to the `[compiler]` telemetry line.
+    /// The items these counters add to a telemetry line: the service's
+    /// `[compiler]` line and the spoof matrix's `[spoof]` line.
     pub fn items(&self) -> Vec<StatItem> {
         vec![
             StatItem::count("subtree_lookups", self.lookups),

@@ -63,7 +63,9 @@ use spf_core::{
     VerdictKey,
 };
 use spf_dns::Resolver;
-use spf_types::{splitmix64, CacheStats, DomainName, Evaluator, ShardedCache, WeightedRanges};
+use spf_types::{
+    splitmix64, CacheStats, DomainName, Evaluator, ShardedCache, StatItem, Stats, WeightedRanges,
+};
 
 use crate::crawl::{CrawlConfig, DEFAULT_BATCH_SIZE};
 use crate::pool;
@@ -573,7 +575,10 @@ pub struct DomainMatrixRow {
 }
 
 /// Engine observability counters (worker-scheduling dependent — kept out
-/// of [`SpoofMatrix`] so the report stays byte-identical).
+/// of [`SpoofMatrix`] so the report stays byte-identical). Only
+/// `compiler` is a function of the world; everything else here renders
+/// as the `[spoof]` line ([`Stats`]), printed beside the artifact and
+/// never inside it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SpoofMatrixStats {
     /// `check_host()` evaluations performed (domains × vantages).
@@ -600,15 +605,6 @@ pub struct SpoofMatrixStats {
 }
 
 impl SpoofMatrixStats {
-    /// Evaluations per second.
-    pub fn evals_per_sec(&self) -> f64 {
-        if self.elapsed_secs <= 0.0 {
-            0.0
-        } else {
-            self.evaluations as f64 / self.elapsed_secs
-        }
-    }
-
     /// Verdict-cache hits as a fraction of probes (0.0 uncached).
     pub fn cache_hit_rate(&self) -> f64 {
         let probes = self.cache_hits + self.cache_misses;
@@ -617,6 +613,34 @@ impl SpoofMatrixStats {
         } else {
             self.cache_hits as f64 / probes as f64
         }
+    }
+}
+
+impl Stats for SpoofMatrixStats {
+    fn scope(&self) -> &'static str {
+        "spoof"
+    }
+
+    /// Every figure but the `[compiler]` line's: throughput, the verdict
+    /// cache, dispatch and the subtree memo's counters.
+    fn items(&self) -> Vec<StatItem> {
+        let per_sec = if self.elapsed_secs > 0.0 {
+            self.evaluations as f64 / self.elapsed_secs
+        } else {
+            0.0
+        };
+        let mut items = vec![
+            StatItem::per_sec("evaluations", per_sec),
+            StatItem::count("evaluated", self.evaluations),
+            StatItem::float("elapsed_s", self.elapsed_secs),
+            StatItem::percent("verdict_cache_hit", self.cache_hit_rate()),
+            StatItem::count("hits", self.cache_hits),
+            StatItem::count("misses", self.cache_misses),
+            StatItem::count("peak_queue", self.peak_queue_depth as u64),
+            StatItem::count("batches", self.batches),
+        ];
+        items.extend(self.subtrees.iter().flat_map(SubtreeMemoStats::items));
+        items
     }
 }
 

@@ -40,8 +40,9 @@ cargo build --release
 # path to its allocation budget; fault_injection crawls a faulted zone
 # in memory and over `wire:4` and compares the reports, and holds the
 # walker, check_host, the compiler and the service to one answer per
-# fetch failure (about 4 s); golden_artifacts holds every paper artifact
-# to a committed digest (about 4 s); spf-analyzer's unit tests pin every
+# fetch failure (about 4 s); golden_artifacts holds every paper artifact,
+# unstripped and at one and at four workers, to a committed digest (about
+# 7 s) and is the one paper-output guard; spf-analyzer's unit tests pin every
 # Figure 3 cause the walker records; spf-types' proptests hold every
 # interval-set operation to a bit-vector model and Ipv6Set to Ipv4Set on
 # a shared universe.

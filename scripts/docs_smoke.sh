@@ -10,8 +10,18 @@
 #  3. The set-algebra doctests (IpSet / CoverageMap rustdoc
 #     examples) must run, so the examples stay executable, not decorative.
 #  4. Every example must build.
+#  5. Every `scripts/*.sh` that README.md, DESIGN.md or the verify notes
+#     name must exist, so a deleted script leaves no dangling command.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== scripts named in the docs exist"
+missing=0
+for script in $(grep -oh 'scripts/[A-Za-z0-9_.-]*\.sh' README.md DESIGN.md \
+    .claude/skills/verify/SKILL.md | sort -u); do
+    [[ -f $script ]] || { echo "FAIL: the docs name $script, which does not exist"; missing=1; }
+done
+[[ $missing == 0 ]] || exit 1
 
 echo "== cargo doc --no-deps (expecting zero warnings)"
 doc_log=$(cargo doc --no-deps 2>&1) || { echo "$doc_log"; exit 1; }
@@ -31,4 +41,4 @@ cargo test -q --doc -p spf-types -p lazy-gatekeepers
 echo "== cargo build --examples"
 cargo build --examples
 
-echo "OK: docs are warning-free workspace-wide, the deny gate and doctests pass, all examples build"
+echo "OK: docs are warning-free workspace-wide, the deny gate and doctests pass, all examples build, every script the docs name exists"

@@ -38,7 +38,8 @@
 //! * `--seed S` — RNG seed (decimal) for population generation and every
 //!   stochastic model; the default `0x5bf12023` reproduces the committed
 //!   numbers. Same seed + same scale ⇒ identical artifacts (only the
-//!   elapsed-time lines vary between runs).
+//!   elapsed-time lines and the `[throughput]`, `[wire]` and `[spoof]`
+//!   telemetry lines vary between runs).
 //! * `--workers W` — crawl worker threads (default: available
 //!   parallelism). Results are rank-ordered and identical for any W.
 //! * `--backend SPEC` — the engine selection, spelled
@@ -481,8 +482,10 @@ fn main() {
                 "[spoof matrix] evaluating check_host() for the whole population from \
                  attacker vantage addresses ..."
             );
-            let (section, exp) = bench::spoof_matrix(args.scale, args.seed, args.crawl_config());
+            let (section, exp, stats) =
+                bench::spoof_matrix(args.scale, args.seed, args.crawl_config());
             println!("{section}");
+            println!("{}", stats.render());
             log.push(exp);
         }
     }

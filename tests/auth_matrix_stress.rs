@@ -172,6 +172,6 @@ fn queue_depth_stays_bounded() {
         stats.batches,
         world.domains.len().div_ceil(DEFAULT_BATCH_SIZE) as u64
     );
-    assert!(stats.evals_per_sec() > 0.0);
+    assert!(stats.evaluations > 0 && stats.elapsed_secs > 0.0);
     assert!(stats.cache_hit_rate() > 0.0);
 }
